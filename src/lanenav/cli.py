@@ -94,11 +94,26 @@ def _cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
+def _split_models(text: str) -> list[str]:
+    """Comma-separated model specs; a ``noisy:`` spec keeps its 4 comma fields.
+
+    "oracle,noisy:0.1,0.02,1.0,5,frozen" -> ["oracle", "noisy:0.1,0.02,1.0,5", "frozen"]
+    """
+    specs: list[str] = []
+    for token in text.split(","):
+        token = token.strip()
+        if specs and specs[-1].lower().startswith("noisy:") and specs[-1].count(",") < 3:
+            specs[-1] += "," + token
+        else:
+            specs.append(token)
+    return specs
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, _ = _configs_from_args(args)
     cells = [
-        BenchCell(model_spec=model.strip(), speed=speed.strip(), rollout_length=int(k))
-        for model in args.models.split(",")
+        BenchCell(model_spec=model, speed=speed.strip(), rollout_length=int(k))
+        for model in _split_models(args.models)
         for speed in args.speeds.split(",")
         for k in args.ks.split(",")
     ]
@@ -221,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a benchmark grid")
     _add_config_flags(p_bench)
-    p_bench.add_argument("--models", default="oracle", help="comma-separated model specs")
+    p_bench.add_argument("--models", default="oracle",
+                         help="comma-separated model specs; noisy:p_fn,p_fp,sigma,n keeps its commas")
     p_bench.add_argument("--ks", default="1,3", help="comma-separated rollout lengths")
     p_bench.add_argument("--speeds", default="2x", help="comma-separated agent speeds (1x,2x)")
     p_bench.add_argument("--episodes", type=int, default=100)

@@ -6,19 +6,31 @@ agent with the environment's own kinematics, and collision / goal checks at
 depth d read predicted frame d-1 (the frame for world time t+d). Node
 selection is PUCT with a goal-directed von-Mises-style prior; the final
 action is sampled from visit counts sharpened by a temperature.
+
+Results are bit-stable: every float is evaluated in a fixed order, so the
+same inputs give the same tree statistics and the same drawn action.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .models import PredictedRollout
 from .world import N_ACTIONS, action_to_velocity, round_px
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _ANGLES = tuple(a * math.pi / 4.0 for a in range(N_ACTIONS))
 _UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
+_ACTIONS = tuple(range(N_ACTIONS))
+_ZERO_COUNTS = (0,) * N_ACTIONS
+_ZERO_VALUES = (0.0,) * N_ACTIONS
+_ONES = (1,) * N_ACTIONS
+_NO_CHILDREN = (None,) * N_ACTIONS
 
 
 @dataclass(frozen=True)
@@ -37,24 +49,48 @@ class MCTSConfig:
             raise ValueError("n_rollouts must be >= 1")
         if self.rollout_length < 1:
             raise ValueError("rollout_length must be >= 1")
+        for name in ("temperature", "c_puct", "prior_kappa", "death_value", "goal_value", "shaping_beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.c_puct < 0:
+            raise ValueError("c_puct must be >= 0")
         if self.prior_kappa < 0:
             raise ValueError("prior_kappa must be >= 0")
 
 
 class SearchNode:
-    __slots__ = ("depth", "x", "y", "prior", "n", "w", "children", "terminal_value")
+    """One tree node: per-action edge statistics in 8-slot sequences.
 
-    def __init__(self, depth: int, x: float, y: float) -> None:
+    ``n``/``w`` are visit counts and summed values, ``total`` is sum(n),
+    ``mean`` is w/n (0.0 while unvisited) and ``den`` is 1 + n. ``prior`` and
+    ``cp`` (c_puct * prior) are set when a rollout first selects from the
+    node, and the node gets its own statistics lists then; until that it
+    shares read-only all-zero ones, with a uniform prior. ``stop_value`` is
+    the value backed up when a rollout reaches the node: its terminal value,
+    or its leaf value at the rollout horizon; None for an interior node.
+    """
+
+    __slots__ = ("depth", "x", "y", "terminal_value", "stop_value", "prior", "cp",
+                 "n", "w", "children", "total", "mean", "den")
+
+    def __init__(self, depth: int, x: float, y: float,
+                 terminal_value: float | None = None, stop_value: float | None = None) -> None:
         self.depth = depth
         self.x = x
         self.y = y
-        self.prior = _UNIFORM
-        self.n = [0] * N_ACTIONS
-        self.w = [0.0] * N_ACTIONS
-        self.children: list[SearchNode | None] = [None] * N_ACTIONS
-        self.terminal_value: float | None = None
+        self.terminal_value = terminal_value
+        self.stop_value = stop_value
+        self.prior: list[float] | tuple[float, ...] = _UNIFORM
+        self.cp: list[float] | tuple[float, ...] = _UNIFORM
+        self.n: list[int] | tuple[int, ...] = _ZERO_COUNTS
+        self.w: list[float] | tuple[float, ...] = _ZERO_VALUES
+        self.children: list[SearchNode | None] | tuple[None, ...] = _NO_CHILDREN
+        self.mean: list[float] | tuple[float, ...] = _ZERO_VALUES
+        self.den: list[int] | tuple[int, ...] = _ONES
+        self.total = 0
 
     def q(self, action: int) -> float:
         visits = self.n[action]
@@ -85,33 +121,6 @@ def goal_prior(
     return [w / total for w in weights]
 
 
-def puct_select(node: SearchNode, c_puct: float) -> int:
-    """Argmax of Q + c * P * sqrt(total N) / (1 + N); ties to the lowest index.
-
-    With no visits anywhere the exploration scale is taken as 1 so the pick
-    reduces to the prior argmax.
-    """
-    total = sum(node.n)
-    scale = math.sqrt(total) if total > 0 else 1.0
-    best_action = 0
-    best_value = -math.inf
-    for a in range(N_ACTIONS):
-        visits = node.n[a]
-        q = node.w[a] / visits if visits else 0.0
-        value = q + c_puct * node.prior[a] * scale / (1 + visits)
-        if value > best_value:
-            best_value = value
-            best_action = a
-    return best_action
-
-
-def backup(path: list[tuple[SearchNode, int]], value: float) -> None:
-    """Add one visit and the rollout value to every edge on the path."""
-    for node, action in path:
-        node.n[action] += 1
-        node.w[action] += value
-
-
 def _goal_block(
     estimate: tuple[float, float] | None, goal_size: int
 ) -> tuple[int, int, int, int] | None:
@@ -130,7 +139,16 @@ def run_search(
     agent_speed: float,
     goal_size: int = 2,
 ) -> SearchNode:
-    """Build and fill the search tree; returns the root with its statistics."""
+    """Build and fill the search tree; returns the root with its statistics.
+
+    Each rollout descends by PUCT, argmax over a of
+    Q(a) + c * P(a) * sqrt(sum N) / (1 + N(a)) with ties to the lowest index
+    (an unvisited node takes the exploration scale as 1, so it picks the prior
+    argmax), expands one child, and adds one visit and the rollout value to
+    every edge on its path. What reaching a node means, and its prior,
+    depend only on its (depth, x, y), so each is computed once per search
+    for each exact key.
+    """
     cfg.validate()
     k = cfg.rollout_length
     if len(rollout.steps) < k:
@@ -142,61 +160,128 @@ def run_search(
     occs = [rollout.steps[d].occupancy for d in range(k)]
     goals = [rollout.steps[d].goal_estimate for d in range(k)]
     blocks = [_goal_block(goals[d], goal_size) for d in range(k)]
+    c_puct = cfg.c_puct
+    kappa = cfg.prior_kappa
+    death_value = cfg.death_value
+    goal_value = cfg.goal_value
+    beta = cfg.shaping_beta
+    floor = math.floor
+    sqrt = math.sqrt
+    inf = math.inf
+    # Per exact (depth, x, y), computed once per search: the arrival outcome
+    # (terminal_value, stop_value, value backed up on expansion), and the
+    # selection data (prior, c_puct * prior, first pick) of a node selected from.
+    outcomes: dict[tuple[int, float, float], tuple[float | None, float | None, float]] = {}
+    priors: dict[tuple[int, float, float], tuple[list[float], list[float], int]] = {}
 
-    def leaf_value(node: SearchNode) -> float:
-        if cfg.shaping_beta == 0.0:
-            return 0.0
-        goal = goals[node.depth - 1] if node.depth >= 1 else goals[0]
-        if goal is None:
-            return 0.0
-        dist = math.hypot(node.x - goal[0], node.y - goal[1])
-        return -cfg.shaping_beta * dist / diag
+    def outcome(depth: int, x: float, y: float) -> tuple[float | None, float | None, float]:
+        # x, y are clamped to >= 0, where round_px(v) is floor(v + 0.5).
+        px, py = floor(x + 0.5), floor(y + 0.5)
+        block = blocks[depth - 1]
+        if block is not None and block[0] <= px <= block[1] and block[2] <= py <= block[3]:
+            return goal_value, goal_value, goal_value
+        if occs[depth - 1][py, px]:
+            return death_value, death_value, death_value
+        value = 0.0
+        if beta != 0.0:
+            goal = goals[depth - 1]
+            if goal is not None:
+                value = -beta * math.hypot(x - goal[0], y - goal[1]) / diag
+        return None, (value if depth >= k else None), value
+
+    def selection(depth: int, x: float, y: float) -> tuple[list[float], list[float], int]:
+        prior = goal_prior((x, y), goals[depth], kappa)
+        cp = [c_puct * p for p in prior]
+        # With no visits the exploration scale is 1 and every q is 0, so the
+        # first PUCT pick is the argmax of c_puct * prior, ties to the lowest.
+        return prior, cp, cp.index(max(cp))
 
     root = SearchNode(0, agent_pos[0], agent_pos[1])
-    root.prior = goal_prior((root.x, root.y), goals[0], cfg.prior_kappa)
 
     for _ in range(cfg.n_rollouts):
         node = root
-        path: list[tuple[SearchNode, int]] = []
+        path = []
         while True:
-            action = puct_select(node, cfg.c_puct)
+            total = node.total
+            if total:
+                # PUCT; mean and den hold q and 1 + n, so every action, visited
+                # or not, is q + c * p * scale / (1 + n) in the same float order.
+                mean = node.mean
+                cp = node.cp
+                den = node.den
+                scale = sqrt(total)
+                action = 0
+                best = -inf
+                for a in _ACTIONS:
+                    value = mean[a] + cp[a] * scale / den[a]
+                    if value > best:
+                        best = value
+                        action = a
+            else:
+                # The first rollout through the node.
+                key = (node.depth, node.x, node.y)
+                known = priors.get(key)
+                if known is None:
+                    known = priors[key] = selection(*key)
+                node.prior, node.cp, action = known
+                node.n = [0] * N_ACTIONS
+                node.w = [0.0] * N_ACTIONS
+                node.children = [None] * N_ACTIONS
+                node.mean = [0.0] * N_ACTIONS
+                node.den = [1] * N_ACTIONS
             path.append((node, action))
             child = node.children[action]
             if child is None:
+                # Clamp to the grid like the world's min(max(v, 0), max), spelled
+                # out because the builtin calls cost more than the comparisons.
                 dx, dy = moves[action]
-                nx = min(max(node.x + dx, 0.0), max_x)
-                ny = min(max(node.y + dy, 0.0), max_y)
-                child = SearchNode(node.depth + 1, nx, ny)
-                px, py = round_px(nx), round_px(ny)
-                block = blocks[node.depth]
-                if block is not None and block[0] <= px <= block[1] and block[2] <= py <= block[3]:
-                    child.terminal_value = cfg.goal_value
-                elif occs[node.depth][py, px]:
-                    child.terminal_value = cfg.death_value
-                elif child.depth < k:
-                    child.prior = goal_prior((nx, ny), goals[child.depth], cfg.prior_kappa)
-                node.children[action] = child
-                value = child.terminal_value if child.terminal_value is not None else leaf_value(child)
+                nx = node.x + dx
+                if nx < 0.0:
+                    nx = 0.0
+                elif nx > max_x:
+                    nx = max_x
+                ny = node.y + dy
+                if ny < 0.0:
+                    ny = 0.0
+                elif ny > max_y:
+                    ny = max_y
+                depth = node.depth + 1
+                key = (depth, nx, ny)
+                known = outcomes.get(key)
+                if known is None:
+                    known = outcomes[key] = outcome(depth, nx, ny)
+                terminal_value, stop_value, value = known
+                node.children[action] = SearchNode(depth, nx, ny, terminal_value, stop_value)
                 break
-            if child.terminal_value is not None:
-                value = child.terminal_value
-                break
-            if child.depth >= k:
-                value = leaf_value(child)
+            value = child.stop_value
+            if value is not None:
                 break
             node = child
-        backup(path, value)
+        for node, action in path:
+            n = node.n
+            visits = n[action] + 1
+            n[action] = visits
+            node.den[action] = visits + 1
+            w = node.w
+            w[action] = summed = w[action] + value
+            node.mean[action] = summed / visits
+            node.total += 1
     return root
 
 
 def select_by_temperature(visits: list[int], temperature: float, rng: np.random.Generator) -> int:
-    """Sample an action from pi(a) proportional to N(a)^(1/temperature)."""
+    """Sample an action from pi(a) proportional to N(a)^(1/temperature).
+
+    One ``rng.random()`` draw against the normalized cumulative distribution,
+    the same draw and index ``rng.choice(len(visits), p=pi)`` makes.
+    """
     logs = [math.log(v) if v > 0 else -math.inf for v in visits]
     top = max(logs)
     weights = [math.exp((l - top) / temperature) if l > -math.inf else 0.0 for l in logs]
     total = sum(weights)
-    probs = np.array([w / total for w in weights])
-    return int(rng.choice(len(visits), p=probs))
+    cdf = list(accumulate(w / total for w in weights))
+    last = cdf[-1]
+    return bisect_right([c / last for c in cdf], rng.random())
 
 
 def plan_action(

@@ -11,6 +11,7 @@ episode (configs, model spec, episode seed); each following line is one step:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .config import (
 from .fileio import atomic_write_text
 from .harness import EpisodeRecord
 from .mcts import MCTSConfig
-from .world import WorldConfig
+from .world import GOAL, WorldConfig
 
 
 def frame_to_rle(frame: np.ndarray) -> str:
@@ -37,17 +38,35 @@ def frame_to_rle(frame: np.ndarray) -> str:
     return ",".join(f"{int(flat[s])}:{int(e - s)}" for s, e in zip(starts, ends))
 
 
+_RLE_TOKEN = re.compile(r"([0-9]+):([0-9]+)")
+_RLE = re.compile(r"[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*")
+
+
 def rle_to_frame(rle: str, grid_h: int, grid_w: int) -> np.ndarray:
-    values = []
-    counts = []
-    for token in rle.split(","):
-        value, _, count = token.partition(":")
-        values.append(int(value))
-        counts.append(int(count))
+    """Decode ``frame_to_rle`` output; a bad token raises ValueError naming it."""
+    cells = grid_h * grid_w
+    if _RLE.fullmatch(rle) is None:
+        raise ValueError(_bad_rle_token(rle, cells))
+    numbers = list(map(int, rle.replace(",", ":").split(":")))
+    values, counts = numbers[0::2], numbers[1::2]
+    # One range check over the whole decoded lists, not one per token.
+    if max(values) > GOAL or max(counts) > cells:
+        raise ValueError(_bad_rle_token(rle, cells))
     flat = np.repeat(np.array(values, dtype=np.uint8), counts)
-    if flat.size != grid_h * grid_w:
-        raise ValueError(f"RLE decodes to {flat.size} cells, expected {grid_h * grid_w}")
+    if flat.size != cells:
+        raise ValueError(f"RLE decodes to {flat.size} cells, expected {cells}")
     return flat.reshape(grid_h, grid_w)
+
+
+def _bad_rle_token(rle: str, cells: int) -> str:
+    """Error message naming the first token that is not a valid ``value:count``."""
+    for token in rle.split(","):
+        match = _RLE_TOKEN.fullmatch(token)
+        if match is None:
+            return f"malformed RLE token {token!r}"
+        if int(match[1]) > GOAL or int(match[2]) > cells:
+            return f"bad RLE token {token!r}: value must be 0..{GOAL}, count 0..{cells}"
+    raise AssertionError(f"no bad token in {rle!r}")
 
 
 @dataclass

@@ -1,6 +1,6 @@
 import pytest
 
-from lanenav.cli import main
+from lanenav.cli import _split_models, main
 from lanenav.tracefile import read_trace
 
 
@@ -52,6 +52,28 @@ class TestBench:
         assert csv_text.startswith("model,n_samples,speed,k,G,T,D,S_mean,S_std,episodes")
         assert len(csv_text.strip().split("\n")) == 3
         assert "oracle" in capsys.readouterr().out
+
+
+    def test_readme_models_list(self, tmp_path, capsys):
+        # the README's bench command, one episode per cell
+        code = main(["bench", "--models", "oracle,velocity,noisy:0.1,0.02,1.0,5", "--ks", "1,3,5,10",
+                     "--speeds", "1x,2x", "--episodes", "1", "--parallelism", "4",
+                     "--csv", "table.csv", "--out-dir", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "table.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 3 * 4 * 2
+        assert sum(row.startswith("noisy,5,") for row in rows) == 8
+
+    def test_split_models_keeps_noisy_fields(self):
+        assert _split_models("oracle, noisy:0.1,0.02,1.0,5 ,frozen") == [
+            "oracle", "noisy:0.1,0.02,1.0,5", "frozen"]
+        assert _split_models("noisy,noisy:0.2,0,1,3") == ["noisy", "noisy:0.2,0,1,3"]
+
+    def test_short_noisy_spec_exit_code(self, fast_flags):
+        assert main(["bench", *fast_flags, "--models", "noisy:0.1,0.02", "--episodes", "1"]) == 1
+
+    def test_non_finite_temperature_exit_code(self):
+        assert main(["bench", "--temperature", "nan", "--episodes", "1"]) == 2
 
 
 class TestRender:

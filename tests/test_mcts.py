@@ -7,11 +7,8 @@ from hypothesis import given, strategies as st
 
 from lanenav.mcts import (
     MCTSConfig,
-    SearchNode,
-    backup,
     goal_prior,
     plan_action,
-    puct_select,
     run_search,
     select_by_temperature,
 )
@@ -81,57 +78,231 @@ class TestGoalPrior:
         assert base == pytest.approx(scaled, abs=1e-9)
 
 
+def landing_pixels(agent, speed, size=48):
+    """Pixel each action lands on from ``agent``, clamped like the world."""
+    pixels = []
+    for a in range(8):
+        dx, dy = action_to_velocity(a, speed)
+        px = round_px(min(max(agent[0] + dx, 0.0), size - 1.0))
+        py = round_px(min(max(agent[1] + dy, 0.0), size - 1.0))
+        pixels.append((px, py))
+    return pixels
+
+
+def reference_bandit(arm_values, prior, c_puct, n_rollouts):
+    """Plain PUCT over one level: argmax Q + c * P * sqrt(N) / (1 + N(a)).
+
+    With no visits the exploration scale is 1; ties go to the lowest index.
+    """
+    n = [0] * 8
+    w = [0.0] * 8
+    for _ in range(n_rollouts):
+        total = sum(n)
+        scale = math.sqrt(total) if total > 0 else 1.0
+        best_action, best_value = 0, -math.inf
+        for a in range(8):
+            q = w[a] / n[a] if n[a] else 0.0
+            value = q + c_puct * prior[a] * scale / (1 + n[a])
+            if value > best_value:
+                best_action, best_value = a, value
+        n[best_action] += 1
+        w[best_action] += arm_values[best_action]
+    return n, w
+
+
+def walk(root):
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(c for c in node.children if c is not None)
+
+
 class TestPuctSelect:
+    """The PUCT rule as seen through run_search: at k = 1 the root is a bandit."""
+
     def test_all_unvisited_returns_prior_argmax(self):
-        node = SearchNode(0, 0.0, 0.0)
-        node.prior = [0.05, 0.1, 0.4, 0.1, 0.05, 0.1, 0.1, 0.1]
-        assert puct_select(node, 1.4) == 2
+        agent, goal = (20.0, 20.0), (22.0, 35.0)
+        prior = goal_prior(agent, goal, 2.0)
+        root = run_search(agent, empty_rollout(1, goal=goal), MCTSConfig(n_rollouts=1, rollout_length=1),
+                          agent_speed=1.0)
+        assert prior.index(max(prior)) == 2
+        assert root.n == [0, 0, 1, 0, 0, 0, 0, 0]
 
     def test_avoids_visited_loser(self):
-        node = SearchNode(0, 0.0, 0.0)
-        node.n = [1, 0, 0, 0, 0, 0, 0, 0]
-        node.w = [-20.0, 0, 0, 0, 0, 0, 0, 0]
-        assert puct_select(node, 1.4) == 1  # first unvisited action
+        agent = (20.0, 20.0)
+        occ = np.zeros((48, 48), dtype=bool)
+        px, py = landing_pixels(agent, 1.0)[0]
+        occ[py, px] = True
+        root = run_search(agent, rollout_from_masks([occ]), MCTSConfig(n_rollouts=2, rollout_length=1),
+                          agent_speed=1.0)
+        assert root.n == [1, 1, 0, 0, 0, 0, 0, 0]  # the death at 0, then the first unvisited
 
     def test_hand_computed_example(self):
-        # Q(0)=0.2 with N=3 beats Q(1)=0.1 with N=1 under uniform-ish priors:
-        # 0.2 + 1.4*0.5*2/4 = 0.55 vs 0.1 + 1.4*(0.5/7)*2/2 = 0.2
-        node = SearchNode(0, 0.0, 0.0)
-        node.prior = [0.5] + [0.5 / 7] * 7
-        node.n = [3, 1, 0, 0, 0, 0, 0, 0]
-        node.w = [0.6, 0.1, 0, 0, 0, 0, 0, 0]
-        assert puct_select(node, 1.4) == 0
+        # Uniform prior, c * P = 0.175, action 0 lethal. Rollouts 1-8 take the
+        # unvisited actions in order (0.175 * scale beats any visited edge).
+        # Rollout 9, scale sqrt(8): action 0 scores -20 + 0.175 * 2.83 / 2,
+        # actions 1..7 score 0 + 0.175 * 2.83 / 2, and the tie goes to 1.
+        agent = (20.0, 20.0)
+        occ = np.zeros((48, 48), dtype=bool)
+        px, py = landing_pixels(agent, 1.0)[0]
+        occ[py, px] = True
+        root = run_search(agent, rollout_from_masks([occ]), MCTSConfig(n_rollouts=9, rollout_length=1),
+                          agent_speed=1.0)
+        assert root.n == [1, 2, 1, 1, 1, 1, 1, 1]
+        assert root.w == [-20.0] + [0.0] * 7
 
     def test_tie_goes_to_lowest_index(self):
-        node = SearchNode(0, 0.0, 0.0)
-        assert puct_select(node, 1.4) == 0
+        root = run_search((20.0, 20.0), empty_rollout(1), MCTSConfig(n_rollouts=1, rollout_length=1),
+                          agent_speed=1.0)
+        assert root.n == [1, 0, 0, 0, 0, 0, 0, 0]
+
+    def test_equal_values_visit_every_action_in_order(self):
+        root = run_search((20.0, 20.0), empty_rollout(1), MCTSConfig(n_rollouts=8, rollout_length=1),
+                          agent_speed=1.0)
+        assert root.n == [1] * 8
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_bandit(self, seed):
+        rng = make_rng(seed)
+        agent = (float(rng.integers(5, 43)), float(rng.integers(5, 43)))
+        goal = (float(rng.integers(48)), float(rng.integers(48)))
+        occ = rng.random((48, 48)) < 0.4
+        cfg = MCTSConfig(n_rollouts=int(rng.integers(1, 150)), rollout_length=1,
+                         c_puct=float(rng.uniform(0.1, 3.0)))
+        rollout = rollout_from_masks([occ], goals=[goal])
+        x0, y0 = round_px(goal[0] - 0.5), round_px(goal[1] - 0.5)
+        values = []
+        for px, py in landing_pixels(agent, 1.0):
+            if x0 <= px <= x0 + 1 and y0 <= py <= y0 + 1:
+                values.append(20.0)
+            else:
+                values.append(-20.0 if occ[py, px] else 0.0)
+        n, w = reference_bandit(values, goal_prior(agent, goal, 2.0), cfg.c_puct, cfg.n_rollouts)
+        root = run_search(agent, rollout, cfg, agent_speed=1.0)
+        assert root.n == n
+        assert root.w == w
 
 
 class TestBackup:
+    """Every edge on a rollout's path gets one visit and the rollout value."""
+
     def test_single_edge_death(self):
-        node = SearchNode(0, 0.0, 0.0)
-        backup([(node, 3)], -20.0)
-        assert node.n[3] == 1
-        assert node.w[3] == -20.0
-        assert node.q(3) == -20.0
+        occ = np.ones((48, 48), dtype=bool)
+        root = run_search((10.0, 10.0), rollout_from_masks([occ]),
+                          MCTSConfig(n_rollouts=1, rollout_length=1), agent_speed=1.0)
+        assert root.n == [1, 0, 0, 0, 0, 0, 0, 0]
+        assert root.w[0] == -20.0
+        assert root.q(0) == -20.0
 
     def test_two_opposite_values_cancel(self):
-        node = SearchNode(0, 0.0, 0.0)
-        backup([(node, 2)], 20.0)
-        backup([(node, 2)], -20.0)
-        assert node.q(2) == 0.0
+        # Only east (E) survives depth 1; from E, east is the goal and
+        # southeast is lethal at depth 2. With a uniform prior and c = 400
+        # (c * P = 50) rollouts 1-8 try every root action, rollout 9 goes
+        # E -> east (+20) and rollout 10 goes E -> southeast (-20): the first
+        # unvisited action scores 50 at E against 20 + 50 / 2 for east.
+        agent = (10.0, 10.0)
+        depth1 = np.ones((48, 48), dtype=bool)
+        depth1[10, 11] = False
+        depth2 = np.zeros((48, 48), dtype=bool)
+        depth2[11, 12] = True
+        rollout = rollout_from_masks([depth1, depth2], goals=[None, (12.5, 9.5)])
+        cfg = MCTSConfig(n_rollouts=10, rollout_length=2, c_puct=400.0, prior_kappa=0.0)
+        root = run_search(agent, rollout, cfg, agent_speed=1.0)
+        east = root.children[0]
+        assert east.n[:2] == [1, 1] and east.w[:2] == [20.0, -20.0]
+        assert root.n[0] == 3  # the expansion (leaf value 0), +20 and -20
+        assert root.w[0] == 0.0
+        assert root.q(0) == 0.0
 
     def test_repeated_value_keeps_q(self):
-        node = SearchNode(0, 0.0, 0.0)
-        for _ in range(9):
-            backup([(node, 5)], 7.0)
-        assert node.q(5) == pytest.approx(7.0)
+        occ = np.ones((48, 48), dtype=bool)
+        root = run_search((10.0, 10.0), rollout_from_masks([occ]),
+                          MCTSConfig(n_rollouts=9, rollout_length=1), agent_speed=1.0)
+        assert root.n == [2, 1, 1, 1, 1, 1, 1, 1]
+        for a in range(8):
+            assert root.w[a] == -20.0 * root.n[a]
+            assert root.q(a) == -20.0
 
     def test_path_updates_every_edge(self):
-        a, b = SearchNode(0, 0.0, 0.0), SearchNode(1, 1.0, 0.0)
-        backup([(a, 0), (b, 4)], 20.0)
-        assert a.n[0] == 1 and b.n[4] == 1
-        assert a.w[0] == 20.0 and b.w[4] == 20.0
+        rng = make_rng(3)
+        masks = [rng.random((48, 48)) < 0.3 for _ in range(4)]
+        rollout = rollout_from_masks(masks, goals=[(30.0, 12.0)] * 4)
+        root = run_search((20.0, 20.0), rollout, MCTSConfig(rollout_length=4), agent_speed=1.0)
+        for node in walk(root):
+            for a, child in enumerate(node.children):
+                if child is None:
+                    assert node.n[a] == 0
+                elif child.terminal_value is None and child.depth < 4:
+                    # the rollout that expanded the child ended there, with leaf value 0
+                    assert sum(child.n) == node.n[a] - 1
+                    assert node.w[a] == sum(child.w)
+                else:
+                    assert node.w[a] == (child.terminal_value or 0.0) * node.n[a]
+
+    def test_goal_value_reaches_root(self):
+        # the goal block sits two steps east: east-then-east backs up +20
+        rollout = empty_rollout(2, goal=(12.0, 10.0))
+        root = run_search((10.0, 10.0), rollout, MCTSConfig(rollout_length=2), agent_speed=1.0)
+        east = root.children[0]
+        assert east.children[0].terminal_value == 20.0
+        assert east.w[0] == 20.0 * east.n[0] > 0
+        assert root.w[0] == sum(east.w)
+
+
+@st.composite
+def search_inputs(draw):
+    size = draw(st.sampled_from((8, 16, 48)))
+    k = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    density = draw(st.floats(0.0, 0.7))
+    rng = make_rng(seed)
+    masks = [rng.random((size, size)) < density for _ in range(k)]
+    coord = st.floats(0.0, size - 1.0)
+    goals = [draw(st.one_of(st.none(), st.tuples(coord, coord))) for _ in range(k)]
+    agent = (draw(coord), draw(coord))
+    cfg = MCTSConfig(
+        n_rollouts=draw(st.integers(1, 80)),
+        rollout_length=k,
+        c_puct=draw(st.floats(0.0, 4.0)),
+        prior_kappa=draw(st.floats(0.0, 4.0)),
+        death_value=draw(st.floats(-30.0, -1.0)),
+        goal_value=draw(st.floats(1.0, 30.0)),
+        shaping_beta=draw(st.floats(0.0, 1.0)),
+    )
+    speed = draw(st.sampled_from((0.5, 1.0)))
+    return agent, rollout_from_masks(masks, goals=goals), cfg, speed
+
+
+class TestSearchProperties:
+    @given(search_inputs())
+    def test_visit_conservation(self, inputs):
+        agent, rollout, cfg, speed = inputs
+        root = run_search(agent, rollout, cfg, agent_speed=speed)
+        assert sum(root.n) == cfg.n_rollouts
+
+    @given(search_inputs())
+    def test_q_within_death_and_goal_values(self, inputs):
+        agent, rollout, cfg, speed = inputs
+        root = run_search(agent, rollout, cfg, agent_speed=speed)
+        # The mean of n equal values can round one ulp past that value.
+        lo = cfg.death_value * (1 + 1e-12)
+        hi = cfg.goal_value * (1 + 1e-12)
+        for node in walk(root):
+            for a in range(8):
+                if node.n[a]:
+                    assert lo <= node.q(a) <= hi
+
+    @given(search_inputs())
+    def test_terminal_children_never_descended_into(self, inputs):
+        agent, rollout, cfg, speed = inputs
+        root = run_search(agent, rollout, cfg, agent_speed=speed)
+        for node in walk(root):
+            if node.terminal_value is not None or node.depth >= cfg.rollout_length:
+                assert sum(node.n) == 0
+                assert all(c is None for c in node.children)
+            if node.terminal_value is not None:
+                assert node.terminal_value in (cfg.death_value, cfg.goal_value)
 
 
 class TestPlanAction:
@@ -260,6 +431,28 @@ class TestPlanAction:
             MCTSConfig(n_rollouts=0).validate()
 
 
+class TestConfigValidation:
+    REAL_FIELDS = ("temperature", "c_puct", "prior_kappa", "death_value", "goal_value", "shaping_beta")
+
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            MCTSConfig(**{field: bad}).validate()
+
+    def test_negative_c_puct_rejected(self):
+        with pytest.raises(ValueError, match="c_puct"):
+            MCTSConfig(c_puct=-1.0).validate()
+
+    def test_zero_c_puct_accepted(self):
+        MCTSConfig(c_puct=0.0).validate()
+
+    def test_search_rejects_bad_config(self):
+        with pytest.raises(ValueError):
+            run_search((10.0, 10.0), empty_rollout(1), MCTSConfig(rollout_length=1, death_value=math.inf),
+                       agent_speed=1.0)
+
+
 class TestTemperature:
     def test_low_temperature_is_argmax(self):
         visits = [10, 55, 0, 5, 0, 0, 30, 0]
@@ -271,6 +464,20 @@ class TestTemperature:
         picks = {select_by_temperature(visits, 10.0, make_rng(s)) for s in range(40)}
         assert picks <= {0, 1}
         assert len(picks) == 2
+
+    @given(
+        visits=st.lists(st.integers(0, 300), min_size=8, max_size=8).filter(any),
+        temperature=st.floats(0.005, 20.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_same_draw_as_numpy_choice(self, visits, temperature, seed):
+        logs = [math.log(v) if v > 0 else -math.inf for v in visits]
+        top = max(logs)
+        weights = [math.exp((l - top) / temperature) if l > -math.inf else 0.0 for l in logs]
+        probs = np.array([w / sum(weights) for w in weights])
+        numpy_rng, rng = make_rng(seed), make_rng(seed)
+        assert select_by_temperature(visits, temperature, rng) == int(numpy_rng.choice(8, p=probs))
+        assert rng.random() == numpy_rng.random()  # one draw consumed by both
 
     def test_zero_visit_actions_never_picked(self):
         visits = [0, 3, 0, 0, 0, 0, 0, 0]

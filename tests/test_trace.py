@@ -34,6 +34,40 @@ class TestRLE:
         with pytest.raises(ValueError):
             rle_to_frame("0:5", 2, 2)
 
+    @pytest.mark.parametrize("rle, token", [
+        ("7:2304", "7:2304"),
+        ("300:2304", "300:2304"),
+        ("0:2304,99999999999999999999999:0", "99999999999999999999999:0"),
+        ("0:99999999999999999999999", "0:99999999999999999999999"),
+    ])
+    def test_out_of_range_token_named(self, rle, token):
+        with pytest.raises(ValueError, match=f"bad RLE token '{token}'"):
+            rle_to_frame(rle, 48, 48)
+
+    @pytest.mark.parametrize("rle, token", [
+        ("", ""),
+        ("0:2304,", ""),
+        ("x:2304", "x:2304"),
+        ("0:2000,6", "6"),
+        ("0-2304", "0-2304"),
+        ("0:1.5", "0:1.5"),
+        ("0:2300,-1:4", "-1:4"),
+        ("0:2300,3:-6,0:10", "3:-6"),
+        ("0:1:2,0:2302", "0:1:2"),
+        ("0:2304, ", " "),
+    ])
+    def test_malformed_token_named(self, rle, token):
+        with pytest.raises(ValueError, match=f"malformed RLE token '{token}'"):
+            rle_to_frame(rle, 48, 48)
+
+    @given(st.text(alphabet="0123456789:,-x ", max_size=40))
+    def test_fuzzed_input_raises_only_value_error(self, rle):
+        try:
+            frame = rle_to_frame(rle, 2, 3)
+        except ValueError:
+            return
+        assert frame.shape == (2, 3) and frame.max() <= 6
+
 
 class TestTraceFile:
     def test_write_read_round_trip(self, tmp_path):
