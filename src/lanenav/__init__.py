@@ -5,6 +5,7 @@ from .mcts import MCTSConfig, plan_action
 from .models import (
     ErrorMap,
     History,
+    Observation,
     PredictedFrame,
     PredictedRollout,
     build_model,
@@ -16,6 +17,7 @@ from .models import (
 )
 from .world import (
     Outcome,
+    Timeline,
     WorldConfig,
     WorldState,
     action_to_velocity,
@@ -33,9 +35,11 @@ __all__ = [
     "ErrorMap",
     "History",
     "MCTSConfig",
+    "Observation",
     "Outcome",
     "PredictedFrame",
     "PredictedRollout",
+    "Timeline",
     "WorldConfig",
     "WorldState",
     "action_to_velocity",

@@ -23,18 +23,11 @@ from .config import CONFIG_KEYS, parse_config
 from .fileio import atomic_write_text
 from .harness import BenchCell, run_benchmark, run_episode
 from .mcts import run_search
-from .models import History, build_model, oracle_predict, prediction_error
+from .models import Observation, build_model, oracle_predict, prediction_error
 from .ppm import prediction_to_rgb, render_error_map, render_ppm, write_ppm
 from .seeding import STREAM_MODEL, episode_seed, make_rng, substream
 from .tracefile import read_trace, write_trace
-from .world import (
-    ConfigError,
-    agent_step,
-    clone_state,
-    new_episode,
-    render_frame,
-    world_step,
-)
+from .world import ConfigError, Timeline, new_episode, render_frame, world_step
 
 OUT_DIR_ENV = "LANENAV_OUT_DIR"
 
@@ -134,11 +127,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.step < 0 or args.step >= len(trace.steps):
         print(f"--step must be in 0..{len(trace.steps) - 1}", file=sys.stderr)
         return 2
-    state = new_episode(world_cfg, trace.episode_seed)
-    history = [render_frame(state)] * 4
-    for action in trace.actions[:args.step]:
-        agent_step(state, action)
-        history = history[1:] + [render_frame(state)]
+    timeline = Timeline(world_cfg, trace.episode_seed)
+    t = args.step
+    agent_pos = tuple(trace.steps[t - 1]["agent_pos"]) if t > 0 else timeline.start
 
     model_spec = args.model if args.model else trace.model_spec
     model = build_model(model_spec, rng=substream(trace.episode_seed, STREAM_MODEL))
@@ -146,18 +137,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if model is None:
         print("random agent has no forward model to render", file=sys.stderr)
         return 2
-    if model.needs_state:
-        rollout = model.predict(state, k)
-    else:
-        rollout = model.predict(History(tuple(history), state.t), k)
+    rollout = model.predict(Observation.at(timeline, t), k)
 
     out = _out_dir(args)
-    truth_clone = clone_state(state)
     for i in range(1, k + 1):
-        world_step(truth_clone)
-        truth = render_frame(truth_clone)
+        truth = timeline.frame(t + i)
         pred = rollout.steps[i - 1]
-        render_ppm(truth, (state.agent.x, state.agent.y), out / f"true_{i:02d}.ppm")
+        render_ppm(truth, agent_pos, out / f"true_{i:02d}.ppm")
         write_ppm(prediction_to_rgb(pred.occupancy, pred.goal_estimate, world_cfg.goal_size),
                   out / f"pred_{i:02d}.ppm")
         err = prediction_error(pred, truth)

@@ -1,34 +1,40 @@
 """Episode runner and benchmark grid.
 
-One episode = loop of (predict rollout, plan action, step environment).
-Observation-only models receive the 4-frame ``History``; state models receive
-the hidden ``WorldState``. The benchmark evaluates every grid cell on the
-same derived episode seeds, so all cells see identical environment
-realizations, and reduces to a G/T/D/S table.
+One episode = loop of (predict rollout, plan action, move the agent). The
+world of an episode is a ``Timeline``: its frames are the agent's
+observations, and goal and death are read from them. The benchmark evaluates
+every grid cell on the same derived episode seeds, so all cells see
+identical environment realizations; the cells that share a seed share one
+timeline. It reduces to a G/T/D/S table.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .mcts import MCTSConfig, plan_action
-from .models import ForwardModel, History, build_model
+from .models import ForwardModel, Observation, build_model
 from .seeding import STREAM_AGENT, STREAM_MODEL, STREAM_PLAN, episode_seed, make_rng, substream
 from .world import (
+    DEATH_REWARD,
     DIED,
+    FREE,
+    GOAL,
     GOAL_REACHED,
+    GOAL_REWARD,
     N_ACTIONS,
     RUNNING,
     TIMED_OUT,
     Outcome,
+    Timeline,
     WorldConfig,
+    action_to_velocity,
     agent_step,
     new_episode,
-    render_frame,
+    round_px,
 )
 
 
@@ -54,6 +60,11 @@ class EpisodeRecord:
     mcts_config: MCTSConfig
     error: str | None = None
     frames: list[np.ndarray] | None = None
+
+
+# Contiguous task batches per pool worker in ``run_benchmark``: enough to
+# balance uneven episode lengths, few enough that most seeds stay in one batch.
+BATCHES_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,24 @@ def run_episode(
     ``model_spec`` is a selection string, or a ready ForwardModel instance
     (useful for instrumented models; the caller then owns its RNG).
     """
-    state = new_episode(world_cfg, ep_seed)
+    return _play(Timeline(world_cfg, ep_seed), world_cfg, mcts_cfg, model_spec, keep_frames)
+
+
+def _play(
+    timeline: Timeline,
+    world_cfg: WorldConfig,
+    mcts_cfg: MCTSConfig,
+    model_spec: str | ForwardModel,
+    keep_frames: bool = False,
+) -> EpisodeRecord:
+    """``run_episode`` on a given timeline of ``world_cfg``'s world.
+
+    The agent moves with ``agent_step``'s kinematics, and its outcome is the
+    pixel it lands on in the next frame: goal first (the goal is painted over
+    obstacles), then any obstacle class. ``world_cfg`` supplies the agent's
+    speed and step limit, which the timeline never reads.
+    """
+    ep_seed = timeline.episode_seed
     if isinstance(model_spec, ForwardModel):
         model = model_spec
         model_spec = model.name
@@ -124,10 +152,12 @@ def run_episode(
         model = build_model(model_spec, rng=substream(ep_seed, STREAM_MODEL))
     plan_rng = substream(ep_seed, STREAM_PLAN)
     agent_rng = substream(ep_seed, STREAM_AGENT)
+    k = mcts_cfg.rollout_length
+    speed, max_steps, goal_size = world_cfg.agent_speed, world_cfg.max_steps, world_cfg.goal_size
+    x_max, y_max = float(world_cfg.grid_w - 1), float(world_cfg.grid_h - 1)
 
-    first = render_frame(state)
-    history: deque[np.ndarray] = deque([first] * 4, maxlen=4)
-    frames = [first] if keep_frames else None
+    x, y = timeline.start
+    t = 0
     trace: list[StepRecord] = []
     outcome = Outcome(RUNNING, 0.0, 0)
     error = None
@@ -137,28 +167,26 @@ def run_episode(
             if model is None:
                 action = int(agent_rng.integers(N_ACTIONS))
             else:
-                if model.needs_state:
-                    rollout = model.predict(state, mcts_cfg.rollout_length)
-                else:
-                    rollout = model.predict(History(tuple(history), state.t), mcts_cfg.rollout_length)
-                action = plan_action(
-                    (state.agent.x, state.agent.y),
-                    rollout,
-                    mcts_cfg,
-                    plan_rng,
-                    agent_speed=world_cfg.agent_speed,
-                    goal_size=world_cfg.goal_size,
-                )
+                rollout = model.predict(Observation.at(timeline, t), k)
+                action = plan_action((x, y), rollout, mcts_cfg, plan_rng,
+                                     agent_speed=speed, goal_size=goal_size)
         except Exception as exc:  # diagnostic record instead of a crash
             error = f"{type(exc).__name__}: {exc}"
             break
-        outcome = agent_step(state, action)
-        trace.append(StepRecord(outcome.steps_taken, state.agent.x, state.agent.y,
-                                action, outcome.reward, outcome.kind))
-        frame = render_frame(state)
-        history.append(frame)
-        if keep_frames:
-            frames.append(frame)
+        dx, dy = action_to_velocity(action, speed)
+        x = min(max(x + dx, 0.0), x_max)
+        y = min(max(y + dy, 0.0), y_max)
+        t += 1
+        cell = timeline.frame(t)[round_px(y), round_px(x)]
+        if cell == GOAL:
+            outcome = Outcome(GOAL_REACHED, GOAL_REWARD, t)
+        elif cell != FREE:
+            outcome = Outcome(DIED, DEATH_REWARD, t)
+        elif t >= max_steps:
+            outcome = Outcome(TIMED_OUT, 0.0, t)
+        else:
+            outcome = Outcome(RUNNING, 0.0, t)
+        trace.append(StepRecord(t, x, y, action, outcome.reward, outcome.kind))
         if outcome.is_terminal:
             break
 
@@ -172,18 +200,25 @@ def run_episode(
         world_config=world_cfg,
         mcts_config=mcts_cfg,
         error=error,
-        frames=frames,
+        frames=timeline.frames[:t + 1] if keep_frames else None,
     )
 
 
 def verify_replay(record: EpisodeRecord) -> bool:
-    """Re-run the logged actions through a fresh world; True iff it matches."""
+    """Re-run the logged actions through a fresh world; True iff it matches.
+
+    The replay is independent of the timeline the episode ran on: a fresh
+    ``new_episode`` stepped by ``agent_step``, whose collision check does not
+    read frames. Every step's t, reward, outcome and agent position must
+    match exactly.
+    """
     state = new_episode(record.world_config, record.episode_seed)
+    agent = state.agent
     for step in record.trace:
         outcome = agent_step(state, step.action)
         if outcome.reward != step.reward or outcome.kind != step.outcome:
             return False
-        if outcome.steps_taken != step.t:
+        if outcome.steps_taken != step.t or agent.x != step.agent_x or agent.y != step.agent_y:
             return False
     return record.trace == [] or record.trace[-1].outcome == record.outcome.kind
 
@@ -228,18 +263,30 @@ def model_label(model_spec: str) -> tuple[str, int]:
     return model.name, model.n_samples
 
 
-def _episode_result(cell: BenchCell, world_cfg: WorldConfig, mcts_cfg: MCTSConfig,
-                    ep_seed: int) -> tuple[str, int]:
-    record = run_episode(world_cfg, mcts_cfg, cell.model_spec, ep_seed)
-    if record.error is not None:
-        raise RuntimeError(f"episode {ep_seed} failed: {record.error}")
-    return record.outcome.kind, record.steps
+def _world_key(world_cfg: WorldConfig) -> WorldConfig:
+    """The part of a config that shapes the world: agent speed and step limit normalised."""
+    return replace(world_cfg, agent_speed=WorldConfig.agent_speed, max_steps=WorldConfig.max_steps)
 
 
-def _bench_task(args: tuple[int, int, BenchCell, WorldConfig, MCTSConfig, int]) -> tuple[int, int, str, int]:
-    cell_idx, ep_idx, cell, world_cfg, mcts_cfg, ep_seed = args
-    kind, steps = _episode_result(cell, world_cfg, mcts_cfg, ep_seed)
-    return cell_idx, ep_idx, kind, steps
+def _bench_batch(tasks: list[tuple[int, int, BenchCell, WorldConfig, MCTSConfig, int]]
+                 ) -> list[tuple[int, int, str, int]]:
+    """Run (cell index, episode index, cell, world, mcts, seed) tasks in order.
+
+    Consecutive tasks on the same seed and world share one timeline, and only
+    one timeline is alive at a time.
+    """
+    results = []
+    timeline = None
+    for ci, ei, cell, world_cfg, mcts_cfg, seed in tasks:
+        key = _world_key(world_cfg)
+        if timeline is None or timeline.episode_seed != seed or timeline.config != key:
+            timeline = None  # release the previous world before simulating the next
+            timeline = Timeline(key, seed)
+        record = _play(timeline, world_cfg, mcts_cfg, cell.model_spec)
+        if record.error is not None:
+            raise RuntimeError(f"episode {seed} failed: {record.error}")
+        results.append((ci, ei, record.outcome.kind, record.steps))
+    return results
 
 
 def run_benchmark(
@@ -257,23 +304,23 @@ def run_benchmark(
         master_seed = world_cfg.master_seed
     seeds = [episode_seed(master_seed, i) for i in range(n_episodes)]
 
-    tasks = []
-    for ci, cell in enumerate(cells):
+    cell_configs = []
+    for cell in cells:
         cell_world = world_cfg.for_speed(cell.speed)
-        cell_mcts = replace(mcts_cfg, rollout_length=cell.rollout_length)
-        for ei, seed in enumerate(seeds):
-            tasks.append((ci, ei, cell, cell_world, cell_mcts, seed))
+        cell_world.validate()
+        cell_configs.append((cell_world, replace(mcts_cfg, rollout_length=cell.rollout_length)))
+    # Seed-major, so that the cells of one seed run back to back on one timeline.
+    tasks = [(ci, ei, cell, *cell_configs[ci], seed)
+             for ei, seed in enumerate(seeds) for ci, cell in enumerate(cells)]
 
-    results: dict[tuple[int, int], tuple[str, int]] = {}
     if parallelism <= 1:
-        for task in tasks:
-            ci, ei, kind, steps = _bench_task(task)
-            results[(ci, ei)] = (kind, steps)
+        done = _bench_batch(tasks)
     else:
-        chunk = max(1, len(tasks) // (parallelism * 8))
+        size = -(-len(tasks) // (parallelism * BATCHES_PER_WORKER))
+        batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for ci, ei, kind, steps in pool.map(_bench_task, tasks, chunksize=chunk):
-                results[(ci, ei)] = (kind, steps)
+            done = [result for batch in pool.map(_bench_batch, batches) for result in batch]
+    results = {(ci, ei): (kind, steps) for ci, ei, kind, steps in done}
 
     table = BenchTable()
     for ci, cell in enumerate(cells):

@@ -4,26 +4,45 @@ All models share one output contract, a ``PredictedRollout`` of k
 ``PredictedFrame``s for steps t+1..t+k, produced once per decision and shared
 (read-only) by every planner rollout. Four implementations:
 
-* oracle: clones the hidden world state, RNG included, and steps it. Exact,
+* oracle: reads the true future from the episode's ``Timeline``. Exact,
   future spawns included. The upper bound.
 * frozen: persistence baseline, repeats the latest observed frame.
 * velocity: estimates a per-row horizontal shift from the 4-frame history and
   extrapolates it. Cannot foresee spawns, so it shares the structural failure
   mode of a learned scene model: false negatives that grow with horizon.
-* noisy-sampled: corrupts the oracle rollout with per-cell false-negative /
+* noisy-sampled: corrupts the true rollout with per-cell false-negative /
   false-positive flips and goal jitter, drawing N samples and aggregating by
   pixel-wise max (occupancy) and coordinate-wise median (goal).
+
+Every model object has one call, ``predict(obs, k)``, with an
+``Observation``: the 4-frame history, the decision time t and the episode's
+timeline. Only the privileged models (oracle, noisy) read the timeline; the
+others predict from the history alone. ``oracle_predict`` and
+``noisy_sample_predict`` are the same predictions computed from a
+``WorldState`` by cloning and stepping it, for use outside an episode.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import world as w
-from .world import WorldState, clone_state, reflect_axis, render_frame, round_px, round_px_array, world_step
+from .world import (
+    PredictedFrame,
+    Timeline,
+    WorldState,
+    clone_state,
+    freeze,
+    goal_center_of_frame,
+    obstacle_occupancy,
+    predicted_frame,
+    reflect_axis,
+    render_frame,
+    round_px_array,
+    world_step,
+)
 
 HISTORY_LEN = 4
 
@@ -41,17 +60,29 @@ class History:
     """The 4 most recent frames, oldest first; short episodes repeat frame 0."""
 
     frames: tuple[np.ndarray, ...]
-    t: int
 
     def __post_init__(self) -> None:
         if len(self.frames) != HISTORY_LEN:
             raise ValueError(f"history must hold exactly {HISTORY_LEN} frames")
 
 
-@dataclass(frozen=True, eq=False)
-class PredictedFrame:
-    occupancy: np.ndarray  # bool (H, W), goal pixels excluded
-    goal_estimate: tuple[float, float] | None
+@dataclass(frozen=True)
+class Observation:
+    """What a model is given at decision time t.
+
+    ``history`` is what the agent has seen. ``timeline`` is the episode's
+    true world; only privileged models may read it.
+    """
+
+    history: History
+    t: int
+    timeline: Timeline
+
+    @classmethod
+    def at(cls, timeline: Timeline, t: int) -> "Observation":
+        """Observation at time t: timeline frames t-3..t, frame 0 repeated before the start."""
+        frames = tuple(timeline.frame(max(0, t - HISTORY_LEN + 1 + i)) for i in range(HISTORY_LEN))
+        return cls(History(frames), t, timeline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,28 +114,6 @@ class ErrorMap:
         return int(self.fp.sum())
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-def obstacle_occupancy(frame: np.ndarray) -> np.ndarray:
-    """Obstacle mask of a palette frame. Goal pixels count as free."""
-    return _freeze((frame >= 1) & (frame <= w.GOAL - 1))
-
-
-def goal_center_of_frame(frame: np.ndarray) -> tuple[float, float] | None:
-    """Pixel-mass center of the goal, or None if no goal pixel is visible."""
-    rows, cols = np.nonzero(frame == w.GOAL)
-    if rows.size == 0:
-        return None
-    return float(cols.mean()), float(rows.mean())
-
-
-def _predicted_frame(frame: np.ndarray) -> PredictedFrame:
-    return PredictedFrame(occupancy=obstacle_occupancy(frame), goal_estimate=goal_center_of_frame(frame))
-
-
 def oracle_predict(state: WorldState, k: int) -> PredictedRollout:
     """Clairvoyant rollout: advance a full clone (RNG included) k steps."""
     if k < 1:
@@ -113,7 +122,7 @@ def oracle_predict(state: WorldState, k: int) -> PredictedRollout:
     steps = []
     for _ in range(k):
         world_step(clone)
-        steps.append(_predicted_frame(render_frame(clone)))
+        steps.append(predicted_frame(render_frame(clone)))
     return PredictedRollout(steps=tuple(steps), model_name="oracle")
 
 
@@ -122,7 +131,7 @@ def frozen_predict(history: History, k: int) -> PredictedRollout:
     if k < 1:
         raise ValueError("k must be >= 1")
     latest = history.frames[-1]
-    step = _predicted_frame(latest)
+    step = predicted_frame(latest)
     return PredictedRollout(steps=(step,) * k, model_name="frozen")
 
 
@@ -255,7 +264,7 @@ def velocity_predict(history: History, k: int) -> PredictedRollout:
             gx, gvx = reflect_axis(gx + gvx, gvx, lo_x, hi_x)
             gy, gvy = reflect_axis(gy + gvy, gvy, lo_y, hi_y)
             estimate = (gx, gy)
-        steps.append(PredictedFrame(occupancy=_freeze(occ), goal_estimate=estimate))
+        steps.append(PredictedFrame(occupancy=freeze(occ), goal_estimate=estimate))
     return PredictedRollout(steps=tuple(steps), model_name="velocity")
 
 
@@ -270,6 +279,21 @@ def noisy_sample_predict(
 ) -> PredictedRollout:
     """Union-of-N-corrupted-samples surrogate for a stochastic learned model.
 
+    The base is the true rollout of ``state``; see ``_noisy_samples``.
+    """
+    return _noisy_samples(oracle_predict(state, k).steps, n_samples, p_fn, p_fp, goal_sigma, rng)
+
+
+def _noisy_samples(
+    base: tuple[PredictedFrame, ...],
+    n_samples: int,
+    p_fn: float,
+    p_fp: float,
+    goal_sigma: float,
+    rng: np.random.Generator,
+) -> PredictedRollout:
+    """Corrupt the true rollout ``base`` n_samples times and aggregate.
+
     Per sample and step, each truly occupied cell is dropped with probability
     p_fn and each free cell set with probability p_fp; the goal estimate takes
     a Gaussian random-walk jitter (sigma per step, compounding with horizon).
@@ -279,13 +303,13 @@ def noisy_sample_predict(
         raise ValueError("p_fn and p_fp must be probabilities")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    base = oracle_predict(state, k)
-    height, width = base.steps[0].occupancy.shape
+    k = len(base)
+    height, width = base[0].occupancy.shape
     agg = [np.zeros((height, width), dtype=bool) for _ in range(k)]
     goal_draws: list[list[tuple[float, float]]] = [[] for _ in range(k)]
     for _ in range(n_samples):
         jx = jy = 0.0
-        for i, step in enumerate(base.steps):
+        for i, step in enumerate(base):
             truth = step.occupancy
             drop = rng.random((height, width)) < p_fn
             add = rng.random((height, width)) < p_fp
@@ -300,7 +324,7 @@ def noisy_sample_predict(
         ys = [g[1] for g in goal_draws[i]]
         gx = min(max(float(np.median(xs)), 0.0), float(width - 1))
         gy = min(max(float(np.median(ys)), 0.0), float(height - 1))
-        steps.append(PredictedFrame(occupancy=_freeze(agg[i]), goal_estimate=(gx, gy)))
+        steps.append(PredictedFrame(occupancy=freeze(agg[i]), goal_estimate=(gx, gy)))
     return PredictedRollout(steps=tuple(steps), model_name="noisy", n_samples=n_samples)
 
 
@@ -316,15 +340,18 @@ def prediction_error(predicted: PredictedFrame, truth: np.ndarray) -> ErrorMap:
     goal_err = None
     if true_goal is not None and pred_goal is not None:
         goal_err = math.hypot(pred_goal[0] - true_goal[0], pred_goal[1] - true_goal[1])
-    return ErrorMap(fn=_freeze(fn), fp=_freeze(fp), goal_err=goal_err,
+    return ErrorMap(fn=freeze(fn), fp=freeze(fp), goal_err=goal_err,
                     true_goal=true_goal, pred_goal=pred_goal)
 
 
 class ForwardModel:
-    """Base for the planner-facing model objects; counts rollout generations."""
+    """Base for the planner-facing model objects; counts rollout generations.
+
+    ``predict(obs, k)`` returns the k-step ``PredictedRollout`` for the
+    ``Observation`` obs.
+    """
 
     name = "model"
-    needs_state = False
 
     def __init__(self) -> None:
         self.calls = 0
@@ -332,48 +359,17 @@ class ForwardModel:
 
 
 class OracleModel(ForwardModel):
-    """Oracle with an incremental frame cache.
-
-    World dynamics are action-independent, so the futures simulated at
-    decision t are exactly the frames the episode will visit; consecutive
-    decisions reuse them instead of re-cloning. Output is identical to
-    ``oracle_predict``.
-    """
+    """Exact: the true future, read from the episode's timeline."""
 
     name = "oracle"
-    needs_state = True
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._clone: WorldState | None = None
-        self._future: deque[tuple[int, PredictedFrame]] = deque()
-
-    def _cache_ok(self, state: WorldState) -> bool:
-        if self._clone is None or self._clone.episode_seed != state.episode_seed:
-            return False
-        if self._clone.t < state.t:
-            return False
-        while self._future and self._future[0][0] <= state.t:
-            self._future.popleft()
-        if self._future:
-            return self._future[0][0] == state.t + 1
-        return self._clone.t == state.t
-
-    def predict(self, state: WorldState, k: int) -> PredictedRollout:
+    def predict(self, obs: Observation, k: int) -> PredictedRollout:
         self.calls += 1
-        if not self._cache_ok(state):
-            self._clone = clone_state(state)
-            self._future.clear()
-        while self._clone.t < state.t + k:
-            world_step(self._clone)
-            self._future.append((self._clone.t, _predicted_frame(render_frame(self._clone))))
-        steps = tuple(frame for _, frame in list(self._future)[:k])
-        return PredictedRollout(steps=steps, model_name=self.name)
+        return PredictedRollout(steps=obs.timeline.rollout(obs.t, k), model_name=self.name)
 
 
 class NoisySampleModel(ForwardModel):
     name = "noisy"
-    needs_state = True
 
     def __init__(self, p_fn: float, p_fp: float, goal_sigma: float, n_samples: int,
                  rng: np.random.Generator) -> None:
@@ -384,28 +380,26 @@ class NoisySampleModel(ForwardModel):
         self.n_samples = n_samples
         self.rng = rng
 
-    def predict(self, state: WorldState, k: int) -> PredictedRollout:
+    def predict(self, obs: Observation, k: int) -> PredictedRollout:
         self.calls += 1
-        return noisy_sample_predict(state, k, self.n_samples, self.p_fn, self.p_fp,
-                                    self.goal_sigma, self.rng)
+        return _noisy_samples(obs.timeline.rollout(obs.t, k), self.n_samples, self.p_fn, self.p_fp,
+                              self.goal_sigma, self.rng)
 
 
 class FrozenModel(ForwardModel):
     name = "frozen"
-    needs_state = False
 
-    def predict(self, history: History, k: int) -> PredictedRollout:
+    def predict(self, obs: Observation, k: int) -> PredictedRollout:
         self.calls += 1
-        return frozen_predict(history, k)
+        return frozen_predict(obs.history, k)
 
 
 class VelocityModel(ForwardModel):
     name = "velocity"
-    needs_state = False
 
-    def predict(self, history: History, k: int) -> PredictedRollout:
+    def predict(self, obs: Observation, k: int) -> PredictedRollout:
         self.calls += 1
-        return velocity_predict(history, k)
+        return velocity_predict(obs.history, k)
 
 
 RANDOM_AGENT_SPECS = ("none", "random")

@@ -8,9 +8,11 @@ off the walls. The agent moves continuously in one of 8 compass directions;
 collision and goal checks are quantized to the nearest pixel.
 
 World dynamics are action-independent: ``world_step`` never looks at the
-agent, so the frame sequence of an episode is a function of the initial state
-only. That property is what lets one predicted rollout serve every branch of
-a planner search, and what makes ``clone_state`` + stepping an exact oracle.
+agent, so the frame sequence of an episode is a function of (config, episode
+seed) only. That property is what lets one predicted rollout serve every
+branch of a planner search, and it is used once, by ``Timeline``: the world of
+an episode is simulated once and every reader (the episode runner, the
+models, every benchmark cell on the same seed) shares its frames.
 
 Coordinates are (x, y) with x the column and y the row; frames are indexed
 ``frame[y, x]``. All quantization uses round-half-away-from-zero.
@@ -139,6 +141,10 @@ class WorldConfig:
     master_seed: int = 1
 
     def validate(self) -> None:
+        for name in ("level", "spawn_base_rate", "goal_speed", "agent_speed"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.grid_h <= 0 or self.grid_w <= 0:
             raise ConfigError("grid dimensions must be positive")
         if self.goal_size < 1:
@@ -163,6 +169,10 @@ class WorldConfig:
         if not self.obstacle_classes:
             raise ConfigError("at least one obstacle class required")
         for cls in self.obstacle_classes:
+            for name in ("mean_speed", "speed_jitter", "mean_length", "length_jitter"):
+                value = getattr(cls, name)
+                if not math.isfinite(value):
+                    raise ConfigError(f"class {cls.class_id}: {name} must be finite, got {value!r}")
             if cls.mean_speed <= 0:
                 raise ConfigError(f"class {cls.class_id}: mean_speed must be positive")
             if cls.mean_length < 1:
@@ -340,6 +350,36 @@ def render_frame(state: WorldState) -> np.ndarray:
     return cells
 
 
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """Mark an array read-only in place and return it."""
+    arr.flags.writeable = False
+    return arr
+
+
+def obstacle_occupancy(frame: np.ndarray) -> np.ndarray:
+    """Obstacle mask of a palette frame. Goal pixels count as free."""
+    return freeze((frame >= 1) & (frame <= GOAL - 1))
+
+
+def goal_center_of_frame(frame: np.ndarray) -> tuple[float, float] | None:
+    """Pixel-mass center of the goal, or None if no goal pixel is visible."""
+    rows, cols = np.nonzero(frame == GOAL)
+    if rows.size == 0:
+        return None
+    return float(cols.mean()), float(rows.mean())
+
+
+@dataclass(frozen=True, eq=False)
+class PredictedFrame:
+    occupancy: np.ndarray  # bool (H, W), goal pixels excluded
+    goal_estimate: tuple[float, float] | None
+
+
+def predicted_frame(frame: np.ndarray) -> PredictedFrame:
+    """What a perfect model predicts for a true palette frame."""
+    return PredictedFrame(occupancy=obstacle_occupancy(frame), goal_estimate=goal_center_of_frame(frame))
+
+
 def clone_state(state: WorldState) -> WorldState:
     """Exact value copy: stepping original and clone in lockstep stays identical."""
     return WorldState(
@@ -470,3 +510,43 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
         vy=config.goal_speed * math.sin(angle),
     )
     return state
+
+
+class Timeline:
+    """The world of one episode, simulated once and shared by every reader.
+
+    World dynamics never look at the agent, so an episode's frames depend on
+    (config, episode seed) only, and ``agent_speed`` and ``max_steps`` never
+    enter them. ``frames[t]`` is the read-only palette frame after t world
+    steps; frames are simulated on demand by ``frame(t)``. ``predicted(t)``
+    is frame t as a ``PredictedFrame`` (obstacle mask and goal centre),
+    computed on first use. ``start`` is the agent's start position.
+    """
+
+    def __init__(self, config: WorldConfig, episode_seed: int) -> None:
+        state = new_episode(config, episode_seed)
+        self.config = config
+        self.episode_seed = episode_seed
+        self.start = (state.agent.x, state.agent.y)
+        self.frames: list[np.ndarray] = [freeze(render_frame(state))]
+        self._state = state
+        self._predicted: dict[int, PredictedFrame] = {}
+
+    def frame(self, t: int) -> np.ndarray:
+        frames = self.frames
+        while len(frames) <= t:
+            world_step(self._state)
+            frames.append(freeze(render_frame(self._state)))
+        return frames[t]
+
+    def predicted(self, t: int) -> PredictedFrame:
+        predicted = self._predicted.get(t)
+        if predicted is None:
+            predicted = self._predicted[t] = predicted_frame(self.frame(t))
+        return predicted
+
+    def rollout(self, t: int, k: int) -> tuple[PredictedFrame, ...]:
+        """The true future of decision time t: predicted frames t+1..t+k."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return tuple(self.predicted(i) for i in range(t + 1, t + k + 1))

@@ -55,6 +55,17 @@ def state_fingerprint(state: WorldState) -> tuple:
     )
 
 
+class TimelineRead(Exception):
+    """Raised by ``NoTimeline`` on any attribute access."""
+
+
+class NoTimeline:
+    """Stands in for ``Observation.timeline`` where a model must not read the truth."""
+
+    def __getattribute__(self, name):
+        raise TimelineRead(name)
+
+
 @pytest.fixture
 def quiet_config() -> WorldConfig:
     return WorldConfig(level=0.0, warmup_steps=0)

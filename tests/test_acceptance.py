@@ -155,7 +155,7 @@ def test_criterion_07_horizon_degradation():
         for _ in range(3):
             world_step(state)
             frames.append(render_frame(state))
-        history = History(tuple(frames), state.t)
+        history = History(tuple(frames))
         predicted = velocity_predict(history, 10)
         truth = oracle_predict(state, 10)
         for j in range(10):

@@ -42,6 +42,11 @@ class TestPlay:
     def test_bad_flag_value_exit_code(self):
         assert main(["play", "--temperature", "0"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--agent-speed", "nan"), ("--level", "inf")])
+    def test_non_finite_world_value_exit_code(self, flag, value, capsys):
+        assert main(["play", flag, value, "--max-steps", "5"]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestBench:
     def test_bench_writes_csv(self, fast_flags, tmp_path, capsys):

@@ -86,9 +86,8 @@ class TestRunEpisode:
     def test_model_error_becomes_diagnostic_record(self):
         class Exploding(ForwardModel):
             name = "boom"
-            needs_state = True
 
-            def predict(self, state, k):
+            def predict(self, obs, k):
                 raise RuntimeError("synthetic failure")
 
         record = run_episode(FAST_WORLD, SMALL_MCTS, Exploding(), episode_seed(7, 0))
@@ -108,6 +107,16 @@ class TestReplay:
         step = record.trace[-1]
         record.trace[-1] = StepRecord(step.t, step.agent_x, step.agent_y,
                                       step.action, step.reward + 1.0, step.outcome)
+        assert not verify_replay(record)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_replay_detects_tampered_position(self, axis):
+        record = run_episode(FAST_WORLD, SMALL_MCTS, "oracle", episode_seed(8, 1))
+        i = len(record.trace) // 2
+        step = record.trace[i]
+        dx, dy = (1e-9, 0.0) if axis == "x" else (0.0, 1e-9)
+        record.trace[i] = StepRecord(step.t, step.agent_x + dx, step.agent_y + dy,
+                                     step.action, step.reward, step.outcome)
         assert not verify_replay(record)
 
 

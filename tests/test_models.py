@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import build_state, frames_equal
+from conftest import NoTimeline, TimelineRead, build_state, frames_equal
 from lanenav.models import (
     History,
+    Observation,
     OracleModel,
     build_model,
     frozen_predict,
@@ -18,6 +19,7 @@ from lanenav.seeding import make_rng
 from lanenav.world import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
+    Timeline,
     WorldConfig,
     agent_step,
     clone_state,
@@ -34,7 +36,7 @@ def history_from(state, steps: int = 3) -> History:
         world_step(state)
         frames.append(render_frame(state))
     frames = ([frames[0]] * (4 - len(frames)) + frames)[-4:]
-    return History(tuple(frames), state.t)
+    return History(tuple(frames))
 
 
 def true_frames(state, k: int) -> list[np.ndarray]:
@@ -50,7 +52,7 @@ class TestHistory:
     def test_requires_four_frames(self):
         frame = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
-            History((frame,) * 3, 0)
+            History((frame,) * 3)
 
 
 class TestOraclePredict:
@@ -204,7 +206,7 @@ class TestVelocityPredict:
 
     def test_absent_goal(self):
         frame = np.zeros((48, 48), dtype=np.uint8)
-        history = History((frame,) * 4, 3)
+        history = History((frame,) * 4)
         rollout = velocity_predict(history, 2)
         assert all(step.goal_estimate is None for step in rollout.steps)
 
@@ -353,12 +355,14 @@ class TestImmutability:
 
 class TestModelObjects:
     def test_oracle_cache_matches_pure_function(self):
+        # the timeline's cached truth, read along an episode, is oracle_predict's
         cfg = WorldConfig()
         state = new_episode(cfg, 19)
+        timeline = Timeline(cfg, 19)
         model = OracleModel()
         rng = make_rng(11)
-        for _ in range(25):
-            cached = model.predict(state, 4)
+        for t in range(25):
+            cached = model.predict(Observation.at(timeline, t), 4)
             fresh = oracle_predict(state, 4)
             for got, want in zip(cached.steps, fresh.steps):
                 assert np.array_equal(got.occupancy, want.occupancy)
@@ -368,33 +372,39 @@ class TestModelObjects:
                 break
 
     def test_oracle_cache_resets_across_episodes(self):
+        # one model object over two episodes reads each episode's own truth
         cfg = WorldConfig()
         model = OracleModel()
         for seed in (101, 102):
-            state = new_episode(cfg, seed)
-            got = model.predict(state, 3)
-            want = oracle_predict(state, 3)
+            got = model.predict(Observation.at(Timeline(cfg, seed), 0), 3)
+            want = oracle_predict(new_episode(cfg, seed), 3)
             assert np.array_equal(got.steps[0].occupancy, want.steps[0].occupancy)
 
     def test_call_counting(self):
-        state = new_episode(WorldConfig(), 20)
+        obs = Observation.at(Timeline(WorldConfig(), 20), 0)
         model = OracleModel()
         for _ in range(7):
-            model.predict(state, 2)
+            model.predict(obs, 2)
         assert model.calls == 7
 
-    @pytest.mark.parametrize("spec,name,n,needs_state", [
+    @pytest.mark.parametrize("spec,name,n,reads_timeline", [
         ("oracle", "oracle", 1, True),
         ("frozen", "frozen", 1, False),
         ("velocity", "velocity", 1, False),
         ("noisy:0.2,0.05,2.0,7", "noisy", 7, True),
         ("noisy", "noisy", 5, True),
     ])
-    def test_build_model(self, spec, name, n, needs_state):
+    def test_build_model(self, spec, name, n, reads_timeline):
         model = build_model(spec, rng=make_rng(0))
         assert model.name == name
         assert model.n_samples == n
-        assert model.needs_state == needs_state
+        obs = Observation.at(Timeline(WorldConfig(), 21), 2)
+        blind = Observation(obs.history, obs.t, timeline=NoTimeline())
+        if reads_timeline:
+            with pytest.raises(TimelineRead):
+                model.predict(blind, 3)
+        else:
+            model.predict(blind, 3)
 
     def test_build_model_random(self):
         assert build_model("none") is None

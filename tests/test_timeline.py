@@ -1,0 +1,158 @@
+"""Timeline: one simulated world per episode, checked against the stepped simulator.
+
+The differential tests compare every reader of the timeline (frames, the
+oracle and noisy models, the history, the episode's goal/death lookup) with
+the per-step path it replaces: ``new_episode`` + ``world_step`` +
+``render_frame``, ``oracle_predict`` and ``agent_step``.
+"""
+import numpy as np
+import pytest
+
+from conftest import NoTimeline
+from lanenav import harness
+from lanenav.harness import BenchCell, run_benchmark, run_episode, verify_replay
+from lanenav.mcts import MCTSConfig
+from lanenav.models import (
+    Observation,
+    build_model,
+    frozen_predict,
+    noisy_sample_predict,
+    oracle_predict,
+    velocity_predict,
+)
+from lanenav.seeding import episode_seed, make_rng
+from lanenav.world import Timeline, WorldConfig, new_episode, render_frame, world_step
+
+DIFF_SEEDS = 200
+DIFF_STEPS = 250
+
+
+def _same_rollout(got, want) -> bool:
+    return len(got) == len(want) and all(
+        np.array_equal(g.occupancy, w.occupancy) and g.goal_estimate == w.goal_estimate
+        for g, w in zip(got.steps, want.steps))
+
+
+def test_frames_equal_stepped_world_at_both_speeds():
+    presets = [WorldConfig().for_speed(speed) for speed in ("2x", "1x")]
+    for i in range(DIFF_SEEDS):
+        seed = episode_seed(7, i)
+        state = new_episode(presets[0], seed)
+        timelines = [Timeline(cfg, seed) for cfg in presets]
+        for timeline in timelines:
+            assert timeline.start == (state.agent.x, state.agent.y)
+        for t in range(DIFF_STEPS + 1):
+            if t:
+                world_step(state)
+            want = render_frame(state)
+            for timeline in timelines:
+                assert np.array_equal(timeline.frame(t), want), (seed, t)
+
+
+def test_frames_and_predictions_read_only():
+    timeline = Timeline(WorldConfig(), 3)
+    with pytest.raises(ValueError):
+        timeline.frame(5)[0, 0] = 1
+    with pytest.raises(ValueError):
+        timeline.predicted(5).occupancy[0, 0] = True
+    assert timeline.predicted(5) is timeline.predicted(5)
+
+
+def test_rollout_rejects_empty_horizon():
+    with pytest.raises(ValueError):
+        Timeline(WorldConfig(), 3).rollout(0, 0)
+
+
+def test_oracle_model_equals_oracle_predict():
+    rng = make_rng(17)
+    model = build_model("oracle")
+    cfg = WorldConfig()
+    for i in range(20):
+        seed = episode_seed(8, i)
+        state = new_episode(cfg, seed)
+        timeline = Timeline(cfg, seed)
+        for t in range(60):
+            if t:
+                world_step(state)
+            k = int(rng.integers(1, 11))
+            assert _same_rollout(model.predict(Observation.at(timeline, t), k), oracle_predict(state, k))
+
+
+def test_noisy_model_equals_noisy_sample_predict():
+    cfg = WorldConfig()
+    seed = episode_seed(8, 100)
+    state = new_episode(cfg, seed)
+    timeline = Timeline(cfg, seed)
+    model = build_model("noisy:0.2,0.05,1.5,3", rng=make_rng(5))
+    rng = make_rng(5)
+    for t in range(30):
+        if t:
+            world_step(state)
+        got = model.predict(Observation.at(timeline, t), 4)
+        want = noisy_sample_predict(state, 4, n_samples=3, p_fn=0.2, p_fp=0.05, goal_sigma=1.5, rng=rng)
+        assert _same_rollout(got, want)
+        assert got.n_samples == 3
+
+
+def test_history_is_the_last_four_frames():
+    cfg = WorldConfig()
+    state = new_episode(cfg, 11)
+    timeline = Timeline(cfg, 11)
+    frames = [render_frame(state)]
+    for t in range(12):
+        if t:
+            world_step(state)
+            frames.append(render_frame(state))
+        want = ([frames[0]] * 3 + frames)[-4:]
+        got = Observation.at(timeline, t).history.frames
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("spec, predict", [("frozen", frozen_predict), ("velocity", velocity_predict)])
+def test_observation_models_never_read_the_timeline(spec, predict):
+    model = build_model(spec)
+    for i in range(10):
+        timeline = Timeline(WorldConfig(), episode_seed(9, i))
+        for t in (0, 1, 2, 3, 7, 30):
+            obs = Observation.at(timeline, t)
+            blind = Observation(obs.history, t, NoTimeline())
+            for k in (1, 3, 10):
+                want = predict(obs.history, k)
+                assert _same_rollout(model.predict(blind, k), want)
+                assert _same_rollout(model.predict(obs, k), want)
+
+
+@pytest.mark.parametrize("speed", ["2x", "1x"])
+def test_episode_outcomes_match_agent_step(speed):
+    # verify_replay re-runs the actions through agent_step and compares every
+    # step's t, reward, outcome and position with the timeline episode
+    cfg = WorldConfig().for_speed(speed)
+    kinds = []
+    for i in range(40):
+        record = run_episode(cfg, MCTSConfig(), "none", episode_seed(10, i))
+        assert verify_replay(record)
+        kinds.append(record.outcome.kind)
+    for i in range(6):
+        record = run_episode(cfg, MCTSConfig(n_rollouts=20, rollout_length=1), "oracle", episode_seed(11, i))
+        assert verify_replay(record)
+        kinds.append(record.outcome.kind)
+    short = WorldConfig(agent_speed=cfg.agent_speed, max_steps=6)
+    for i in range(10):
+        record = run_episode(short, MCTSConfig(), "none", episode_seed(12, i))
+        assert verify_replay(record)
+        kinds.append(record.outcome.kind)
+    assert {"goal", "died", "timeout"} <= set(kinds)
+
+
+def test_benchmark_builds_one_timeline_per_seed(monkeypatch):
+    built = []
+
+    class CountingTimeline(Timeline):
+        def __init__(self, config, episode_seed):
+            built.append(episode_seed)
+            super().__init__(config, episode_seed)
+
+    monkeypatch.setattr(harness, "Timeline", CountingTimeline)
+    cells = [BenchCell(m, s, k) for m in ("oracle", "frozen", "none") for s in ("2x", "1x") for k in (1, 3)]
+    run_benchmark(cells, WorldConfig(), MCTSConfig(n_rollouts=10), n_episodes=3, master_seed=4)
+    assert built == [episode_seed(4, i) for i in range(3)]

@@ -144,6 +144,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             WorldConfig(obstacle_classes=bad).validate()
 
+    @pytest.mark.parametrize("field", ["level", "spawn_base_rate", "goal_speed", "agent_speed"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            WorldConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["mean_speed", "speed_jitter", "mean_length", "length_jitter"])
+    def test_non_finite_class_rejected(self, field):
+        values = dict(mean_speed=1.0, speed_jitter=0.1, mean_length=2.0, length_jitter=0.5)
+        values[field] = float("nan")
+        with pytest.raises(ConfigError, match=field):
+            WorldConfig(obstacle_classes=(ObstacleClass(1, **values),)).validate()
+
     def test_speed_presets(self):
         one = WorldConfig().for_speed("1x")
         two = WorldConfig().for_speed("2x")
