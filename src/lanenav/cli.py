@@ -122,7 +122,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace)
+    try:
+        trace = read_trace(args.trace)
+    except ValueError as exc:
+        print(f"bad trace: {exc}", file=sys.stderr)
+        return 2
     world_cfg = trace.world_config
     if args.step < 0 or args.step >= len(trace.steps):
         print(f"--step must be in 0..{len(trace.steps) - 1}", file=sys.stderr)

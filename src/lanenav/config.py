@@ -101,7 +101,20 @@ def world_config_to_dict(cfg: WorldConfig) -> dict:
     return d
 
 
+def _require_int(name: str, value) -> None:
+    """Serialized integer fields must be JSON integers, not floats or booleans."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def world_config_from_dict(d: dict) -> WorldConfig:
+    for key in _WORLD_INT_KEYS:
+        if key in d:
+            _require_int(key, d[key])
+    for row in d["lane_rows"]:
+        _require_int("lane_rows", row)
+    for c in d["obstacle_classes"]:
+        _require_int("class_id", c["class_id"])
     classes = tuple(ObstacleClass(**c) for c in d["obstacle_classes"])
     fields = dict(d)
     fields["lane_rows"] = tuple(d["lane_rows"])
@@ -114,4 +127,7 @@ def mcts_config_to_dict(cfg: MCTSConfig) -> dict:
 
 
 def mcts_config_from_dict(d: dict) -> MCTSConfig:
+    for key in _MCTS_INT_KEYS:
+        if key in d:
+            _require_int(key, d[key])
     return MCTSConfig(**d)

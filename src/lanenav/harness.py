@@ -208,9 +208,9 @@ def verify_replay(record: EpisodeRecord) -> bool:
     """Re-run the logged actions through a fresh world; True iff it matches.
 
     The replay is independent of the timeline the episode ran on: a fresh
-    ``new_episode`` stepped by ``agent_step``, whose collision check does not
-    read frames. Every step's t, reward, outcome and agent position must
-    match exactly.
+    ``new_episode`` stepped by ``agent_step``, whose collision check
+    rasterizes the replayed state, not the timeline's frames. Every step's t,
+    reward, outcome and agent position must match exactly.
     """
     state = new_episode(record.world_config, record.episode_seed)
     agent = state.agent

@@ -6,12 +6,14 @@ episode (configs, model spec, episode seed); each following line is one step:
     {"t", "agent_pos", "action", "reward", "outcome", "frame_rle"}
 
 ``frame_rle`` encodes the post-step palette frame row-major as
-"value:count,value:count,...".
+"value:count,value:count,...". ``read_trace`` checks every line against this
+schema and names the offending ``path:line`` in its ``ValueError``.
 """
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,16 +28,16 @@ from .config import (
 from .fileio import atomic_write_text
 from .harness import EpisodeRecord
 from .mcts import MCTSConfig
-from .world import GOAL, WorldConfig
+from .world import DIED, GOAL, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, WorldConfig
 
 
 def frame_to_rle(frame: np.ndarray) -> str:
     flat = frame.ravel()
-    # Run boundaries wherever the value changes.
-    change = np.nonzero(np.diff(flat))[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    return ",".join(f"{int(flat[s])}:{int(e - s)}" for s, e in zip(starts, ends))
+    # Run boundaries wherever the value changes, as Python ints.
+    starts = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()]
+    values = flat[starts].tolist()
+    starts.append(flat.size)
+    return ",".join(f"{v}:{e - s}" for v, s, e in zip(values, starts, starts[1:]))
 
 
 _RLE_TOKEN = re.compile(r"([0-9]+):([0-9]+)")
@@ -112,18 +114,72 @@ def write_trace(path: str | Path, record: EpisodeRecord) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _finite_number(value) -> bool:
+    """A JSON number that converts to a finite float (NaN fails both comparisons)."""
+    return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+_OUTCOMES = (RUNNING, GOAL_REACHED, DIED, TIMED_OUT)
+_OUTCOME_CHECK = (lambda v: v in _OUTCOMES, f"one of {', '.join(_OUTCOMES)}")
+# (field, check, what the check wants) per header and per step record.
+_HEADER_FIELDS = (
+    ("episode_seed", lambda v: type(v) is int, "an integer"),
+    ("model", lambda v: type(v) is str, "a string"),
+    ("outcome", *_OUTCOME_CHECK),
+    ("world", lambda v: type(v) is dict, "an object"),
+    ("mcts", lambda v: type(v) is dict, "an object"),
+)
+_STEP_FIELDS = (
+    ("t", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    ("agent_pos", lambda v: type(v) is list and len(v) == 2 and all(map(_finite_number, v)),
+     "a list of 2 finite numbers"),
+    ("action", lambda v: type(v) is int and 0 <= v < N_ACTIONS, f"an integer in 0..{N_ACTIONS - 1}"),
+    ("reward", _finite_number, "a finite number"),
+    ("outcome", *_OUTCOME_CHECK),
+    ("frame_rle", lambda v: type(v) is str, "a string"),
+)
+
+
+def _json_object(path, number: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{number}: malformed JSON: {exc}") from None
+    if type(record) is not dict:
+        raise ValueError(f"{path}:{number}: expected a JSON object")
+    return record
+
+
+def _checked(path, number: int, record: dict, fields: tuple) -> dict:
+    for key, check, wanted in fields:
+        if key not in record:
+            raise ValueError(f"{path}:{number}: missing field {key!r}")
+        if not check(record[key]):
+            raise ValueError(f"{path}:{number}: field {key!r} must be {wanted}, got {record[key]!r}")
+    return record
+
+
 def read_trace(path: str | Path) -> Trace:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty trace")
-    header = json.loads(lines[0])
+    header = _json_object(path, 1, lines[0])
     if header.get("kind") != "header":
-        raise ValueError(f"{path}: first line is not a trace header")
+        raise ValueError(f"{path}:1: first line is not a trace header")
+    _checked(path, 1, header, _HEADER_FIELDS)
+    try:
+        world_config = world_config_from_dict(header["world"])
+        world_config.validate()
+        mcts_config = mcts_config_from_dict(header["mcts"])
+        mcts_config.validate()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:1: bad config in header: {exc!r}") from None
     return Trace(
-        world_config=world_config_from_dict(header["world"]),
-        mcts_config=mcts_config_from_dict(header["mcts"]),
+        world_config=world_config,
+        mcts_config=mcts_config,
         model_spec=header["model"],
-        episode_seed=int(header["episode_seed"]),
+        episode_seed=header["episode_seed"],
         outcome=header["outcome"],
-        steps=[json.loads(line) for line in lines[1:]],
+        steps=[_checked(path, number, _json_object(path, number, line), _STEP_FIELDS)
+               for number, line in enumerate(lines[1:], 2)],
     )

@@ -7,6 +7,18 @@ has left the grid. Arrivals per lane per step are Poisson with rate
 off the walls. The agent moves continuously in one of 8 compass directions;
 collision and goal checks are quantized to the nearest pixel.
 
+The obstacles are one float64 table, ``WorldState.obstacles``, one row per
+body with the columns ``HEAD``, ``SPEED``, ``LEN1`` (length - 1) and ``LANE``;
+``world_step`` advances, removes and spawns on the whole table at once. Body
+cell i sits at column ``round_px(head - i)``, i = 0..length-1, and
+``_body_cells`` is the only place that rule is applied: the frame, the agent's
+free start cell and the agent's collision all read it. At an exact half-pixel
+tie where a body crosses x = 0, the cells at 0.5 and -0.5 round to columns 1
+and -1, so column 0 stays free while the visible run stays contiguous.
+A spawn is rejected only if it overlaps a body of its lane at its spawn step;
+bodies keep their own speeds afterwards, so a faster body overtakes a slower
+one and same-lane bodies may overlap.
+
 World dynamics are action-independent: ``world_step`` never looks at the
 agent, so the frame sequence of an episode is a function of (config, episode
 seed) only. That property is what lets one predicted rollout serve every
@@ -197,14 +209,6 @@ class Lane:
 
 
 @dataclass
-class Obstacle:
-    lane_index: int
-    head_x: float  # largest-x cell of the body; body extends to head_x - length + 1
-    length: int
-    speed: float  # signed, sign matches the lane direction
-
-
-@dataclass
 class GoalState:
     x: float  # top-left of the goal_size x goal_size footprint
     y: float
@@ -230,19 +234,32 @@ class Outcome:
         return self.kind != RUNNING
 
 
+# Columns of the obstacle table, one row per body.
+HEAD = 0  # x of the largest-x cell; the body covers head - i for i = 0..length-1
+SPEED = 1  # signed; the sign matches the lane direction for positive magnitudes
+LEN1 = 2  # length - 1
+LANE = 3  # index into WorldState.lanes
+
+
 @dataclass
 class WorldState:
     config: WorldConfig
     episode_seed: int
     t: int
     lanes: list[Lane]
-    obstacles: list[Obstacle]
+    obstacles: np.ndarray  # float64 (bodies, 4) table, columns HEAD, SPEED, LEN1, LANE
     goal: GoalState
     agent: AgentState
     spawn_rng: np.random.Generator
     class_rng: np.random.Generator
     done: bool = False
     spawn_draws: int = 0  # raw Poisson total, before overlap rejection
+
+    def __post_init__(self) -> None:
+        # Lookups between lanes and pixel rows for the rasterizer; lanes never change.
+        self.lane_row = np.array([lane.row for lane in self.lanes], dtype=np.intp)
+        self.lane_value = np.array([lane.class_id for lane in self.lanes], dtype=np.uint8)
+        self.lane_of_row = {lane.row: i for i, lane in enumerate(self.lanes)}
 
 
 def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
@@ -253,63 +270,58 @@ def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
     return ux * speed, uy * speed
 
 
-def _obstacle_cols(obstacle: Obstacle) -> np.ndarray:
-    offsets = np.arange(obstacle.length, dtype=np.float64)
-    return round_px_array(obstacle.head_x - offsets)
+def _spawn(state: WorldState, table: np.ndarray, counts: list[int]) -> np.ndarray:
+    """``table`` plus the accepted candidates of ``counts[lane]`` draws per lane.
 
-
-def _has_visible_pixel(obstacle: Obstacle, grid_w: int) -> bool:
-    # Body pixels are monotone in the offset, so checking the two ends is enough.
-    if round_px(obstacle.head_x) < 0:
-        return False
-    if round_px(obstacle.head_x - (obstacle.length - 1)) >= grid_w:
-        return False
-    return True
-
-
-def _spans_overlap(head_a: float, len_a: int, head_b: float, len_b: int) -> bool:
-    lo_a, hi_a = round_px(head_a) - len_a + 1, round_px(head_a)
-    lo_b, hi_b = round_px(head_b) - len_b + 1, round_px(head_b)
-    return lo_a <= hi_b and lo_b <= hi_a
-
-
-def _sample_obstacle(state: WorldState, lane_index: int) -> Obstacle:
+    Candidates are drawn in lane order, two scalar ``class_rng.uniform`` calls
+    each (length, then speed magnitude). One is rejected if its pixel span
+    overlaps the span of a body of its lane, including earlier candidates.
+    """
     cfg = state.config
-    lane = state.lanes[lane_index]
-    cls = next(c for c in cfg.obstacle_classes if c.class_id == lane.class_id)
     rng = state.class_rng
-    raw_len = rng.uniform(cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter)
-    length = max(1, round_px(raw_len))
-    magnitude = rng.uniform(cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter)
-    if lane.direction == LEFT_TO_RIGHT:
-        head_x = 0.0
-    else:
-        # Leading (smallest-x) cell sits on the right edge; the rest is outside.
-        head_x = float(cfg.grid_w - 1 + length - 1)
-    return Obstacle(lane_index=lane_index, head_x=head_x, length=length,
-                    speed=lane.direction * magnitude)
+    lane_col = table[:, LANE]
+    spawned = []
+    for lane_index, n in enumerate(counts):
+        if not n:
+            continue
+        lane = state.lanes[lane_index]
+        cls = next(c for c in cfg.obstacle_classes if c.class_id == lane.class_id)
+        spans = []
+        for head, _, len1, _ in table[lane_col == lane_index].tolist():
+            hi = round_px(head)
+            spans.append((hi - int(len1), hi))
+        for _ in range(n):
+            raw_len = rng.uniform(cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter)
+            length = max(1, round_px(raw_len))
+            magnitude = rng.uniform(cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter)
+            # Left-to-right bodies enter with the head on column 0; right-to-left
+            # ones with the leading (smallest-x) cell on the right edge.
+            head = 0 if lane.direction == LEFT_TO_RIGHT else cfg.grid_w - 1 + length - 1
+            lo = head - length + 1
+            if all(hi < lo or head < other_lo for other_lo, hi in spans):
+                spans.append((lo, head))
+                spawned.append((head, lane.direction * magnitude, length - 1, lane_index))
+    if not spawned:
+        return table
+    return np.concatenate((table, np.array(spawned, dtype=np.float64)))
 
 
 def world_step(state: WorldState) -> None:
     """Advance the world one step in place. Never touches the agent."""
     cfg = state.config
-    for obstacle in state.obstacles:
-        obstacle.head_x += obstacle.speed
-    state.obstacles = [o for o in state.obstacles if _has_visible_pixel(o, cfg.grid_w)]
+    table = state.obstacles
+    heads = table[:, HEAD]
+    heads += table[:, SPEED]
+    # Keep a body while round_px(head) >= 0 and round_px(tail) < grid_w, as
+    # exact float comparisons: one of its cells is still on the grid.
+    table = table[(heads - 0.5 > -1.0) & (heads - table[:, LEN1] + 0.5 < cfg.grid_w)]
 
-    lam = cfg.level * cfg.spawn_base_rate
-    counts = state.spawn_rng.poisson(lam, size=len(cfg.lane_rows))
-    state.spawn_draws += int(counts.sum())
-    for lane_index, n in enumerate(counts):
-        for _ in range(int(n)):
-            candidate = _sample_obstacle(state, lane_index)
-            blocked = any(
-                o.lane_index == lane_index
-                and _spans_overlap(o.head_x, o.length, candidate.head_x, candidate.length)
-                for o in state.obstacles
-            )
-            if not blocked:
-                state.obstacles.append(candidate)
+    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=len(cfg.lane_rows)).tolist()
+    drawn = sum(counts)
+    if drawn:
+        state.spawn_draws += drawn
+        table = _spawn(state, table, counts)
+    state.obstacles = table
 
     goal = state.goal
     hi_x = float(cfg.grid_w - cfg.goal_size)
@@ -328,23 +340,28 @@ def goal_pixels(state: WorldState) -> tuple[int, int, int, int]:
     return cx, cx + gs - 1, cy, cy + gs - 1
 
 
+def _body_cells(state: WorldState, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Visible cells of the bodies in ``table``: (lane index, column) per cell.
+
+    The world's one rasterization rule: body cell i is column
+    ``round_px(head - i)`` for i = 0..length-1, kept when it is on the grid.
+    """
+    lens = table[:, LEN1].astype(np.intp) + 1
+    body = np.repeat(np.arange(len(table)), lens)
+    first = np.cumsum(lens) - lens
+    cols = round_px_array(table[body, HEAD] - (np.arange(len(body)) - first[body]))
+    keep = (cols >= 0) & (cols < state.config.grid_w)
+    return table[body[keep], LANE].astype(np.intp), cols[keep]
+
+
 def render_frame(state: WorldState) -> np.ndarray:
     """Palette frame of the world: obstacles then goal on top. No agent."""
     cfg = state.config
     cells = np.zeros((cfg.grid_h, cfg.grid_w), dtype=np.uint8)
-    obstacles = state.obstacles
-    if obstacles:
-        # One batched scatter for all bodies; paint order does not matter
-        # because same-lane obstacles share one class value.
-        lanes = state.lanes
-        heads = np.array([o.head_x for o in obstacles])
-        lens = np.array([o.length for o in obstacles])
-        rows = np.array([lanes[o.lane_index].row for o in obstacles])
-        vals = np.array([lanes[o.lane_index].class_id for o in obstacles], dtype=np.uint8)
-        offsets = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
-        cols = round_px_array(np.repeat(heads, lens) - offsets)
-        keep = (cols >= 0) & (cols < cfg.grid_w)
-        cells[np.repeat(rows, lens)[keep], cols[keep]] = np.repeat(vals, lens)[keep]
+    # One batched scatter for all bodies; paint order does not matter
+    # because same-lane obstacles share one class value.
+    lanes, cols = _body_cells(state, state.obstacles)
+    cells[state.lane_row[lanes], cols] = state.lane_value[lanes]
     x0, x1, y0, y1 = goal_pixels(state)
     cells[max(y0, 0):y1 + 1, max(x0, 0):x1 + 1] = GOAL
     return cells
@@ -387,7 +404,7 @@ def clone_state(state: WorldState) -> WorldState:
         episode_seed=state.episode_seed,
         t=state.t,
         lanes=list(state.lanes),
-        obstacles=[replace(o) for o in state.obstacles],
+        obstacles=state.obstacles.copy(),
         goal=replace(state.goal),
         agent=replace(state.agent),
         spawn_rng=clone_rng(state.spawn_rng),
@@ -395,30 +412,6 @@ def clone_state(state: WorldState) -> WorldState:
         done=state.done,
         spawn_draws=state.spawn_draws,
     )
-
-
-def _obstacle_pixel_set(state: WorldState) -> set[tuple[int, int]]:
-    cfg = state.config
-    pixels: set[tuple[int, int]] = set()
-    for obstacle in state.obstacles:
-        row = state.lanes[obstacle.lane_index].row
-        for col in _obstacle_cols(obstacle):
-            if 0 <= col < cfg.grid_w:
-                pixels.add((int(col), row))
-    return pixels
-
-
-def _occupied(state: WorldState, px: int, py: int) -> bool:
-    for obstacle in state.obstacles:
-        if state.lanes[obstacle.lane_index].row != py:
-            continue
-        head = round_px(obstacle.head_x)
-        if head - obstacle.length + 1 <= px <= head:
-            # Rounding each cell individually can skip one column at a
-            # sign-change tie; confirm against the actual cell set.
-            if any(int(c) == px for c in _obstacle_cols(obstacle)):
-                return True
-    return False
 
 
 def agent_step(state: WorldState, action: int) -> Outcome:
@@ -433,12 +426,14 @@ def agent_step(state: WorldState, action: int) -> Outcome:
     agent.x = min(max(agent.x + dx, 0.0), float(cfg.grid_w - 1))
     agent.y = min(max(agent.y + dy, 0.0), float(cfg.grid_h - 1))
     px, py = round_px(agent.x), round_px(agent.y)
+    # Collision reads the frame's own cells, rasterized for the agent's lane only.
+    lane = state.lane_of_row.get(py)
 
     x0, x1, y0, y1 = goal_pixels(state)
     if x0 <= px <= x1 and y0 <= py <= y1:
         # Goal wins over obstacle contact, matching render precedence.
         outcome = Outcome(GOAL_REACHED, GOAL_REWARD, state.t)
-    elif _occupied(state, px, py):
+    elif lane is not None and px in _body_cells(state, state.obstacles[state.obstacles[:, LANE] == lane])[1]:
         agent.alive = False
         outcome = Outcome(DIED, DEATH_REWARD, state.t)
     elif state.t >= cfg.max_steps:
@@ -471,7 +466,7 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
         episode_seed=episode_seed,
         t=0,
         lanes=lanes,
-        obstacles=[],
+        obstacles=np.empty((0, 4)),
         goal=GoalState(x=0.0, y=0.0, vx=config.goal_speed, vy=0.0),
         agent=AgentState(x=0.0, y=0.0),
         spawn_rng=substream(episode_seed, STREAM_SPAWN),
@@ -482,13 +477,15 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
     state.t = 0
     state.spawn_draws = 0
 
-    occupied = _obstacle_pixel_set(state)
-    if len(occupied) >= config.grid_h * config.grid_w:
+    lanes, cols = _body_cells(state, state.obstacles)
+    occupied = np.zeros((config.grid_h, config.grid_w), dtype=bool)
+    occupied[state.lane_row[lanes], cols] = True
+    if occupied.all():
         raise PlacementError("no obstacle-free pixel for the agent")
     for _ in range(_PLACEMENT_RETRIES):
         ax = int(place_rng.integers(config.grid_w))
         ay = int(place_rng.integers(config.grid_h))
-        if (ax, ay) not in occupied:
+        if not occupied[ay, ax]:
             state.agent = AgentState(x=float(ax), y=float(ay))
             break
     else:

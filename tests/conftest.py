@@ -3,13 +3,24 @@ import pytest
 
 from lanenav.seeding import STREAM_CLASS, STREAM_SPAWN, substream
 from lanenav.world import (
+    HEAD,
+    LANE,
+    LEN1,
+    SPEED,
     AgentState,
     GoalState,
     Lane,
-    Obstacle,
     WorldConfig,
     WorldState,
 )
+
+
+def obstacle_table(bodies: list[tuple[int, float, int, float]]) -> np.ndarray:
+    """World obstacle table of (lane_index, head_x, length, speed) bodies."""
+    table = np.zeros((len(bodies), 4))
+    for row, (lane, head, length, speed) in zip(table, bodies):
+        row[[LANE, HEAD, LEN1, SPEED]] = lane, head, length - 1, speed
+    return table
 
 
 def build_state(
@@ -32,8 +43,7 @@ def build_state(
         episode_seed=seed,
         t=0,
         lanes=[Lane(row=r, class_id=c, direction=d) for r, c, d in (lanes or [])],
-        obstacles=[Obstacle(lane_index=i, head_x=h, length=n, speed=s)
-                   for i, h, n, s in (obstacles or [])],
+        obstacles=obstacle_table(obstacles or []),
         goal=GoalState(x=goal[0], y=goal[1], vx=goal[2], vy=goal[3]),
         agent=AgentState(x=agent[0], y=agent[1]),
         spawn_rng=substream(seed, STREAM_SPAWN),
@@ -46,7 +56,7 @@ def state_fingerprint(state: WorldState) -> tuple:
     return (
         state.t,
         tuple(state.lanes),
-        tuple((o.lane_index, o.head_x, o.length, o.speed) for o in state.obstacles),
+        tuple(map(tuple, state.obstacles.tolist())),
         (state.goal.x, state.goal.y, state.goal.vx, state.goal.vy),
         (state.agent.x, state.agent.y, state.agent.alive),
         str(state.spawn_rng.bit_generator.state),

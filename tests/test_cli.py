@@ -92,6 +92,18 @@ class TestRender:
             for prefix in ("true", "pred", "error"):
                 assert (out_dir / f"{prefix}_{i:02d}.ppm").exists()
 
+    @pytest.mark.parametrize("bad_line", ["{not json", '{"t": 1}'])
+    def test_render_bad_trace_exit_code(self, fast_flags, tmp_path, capsys, bad_line):
+        assert main(["play", *fast_flags, "--trace", "ep.jsonl"]) == 0
+        path = tmp_path / "ep.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], bad_line, *lines[2:]]) + "\n")
+        capsys.readouterr()
+        code = main(["render", "--trace", str(path), "--step", "0", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:2:" in err and "Traceback" not in err
+
     def test_render_bad_step(self, fast_flags, tmp_path):
         assert main(["play", *fast_flags, "--trace", "ep.jsonl"]) == 0
         code = main(["render", "--trace", str(tmp_path / "ep.jsonl"), "--step", "9999",

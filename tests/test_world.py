@@ -8,7 +8,9 @@ from conftest import build_state, frames_equal, state_fingerprint
 from lanenav.world import (
     FREE,
     GOAL,
+    HEAD,
     LEFT_TO_RIGHT,
+    SPEED,
     ConfigError,
     EpisodeFinishedError,
     ObstacleClass,
@@ -67,11 +69,11 @@ class TestNewEpisode:
     def test_level_zero_no_warmup_spawns_nothing(self):
         cfg = WorldConfig(level=0.0, warmup_steps=0)
         state = new_episode(cfg, 3)
-        assert state.obstacles == []
+        assert len(state.obstacles) == 0
 
     def test_level_zero_with_warmup_still_empty(self):
         cfg = WorldConfig(level=0.0, warmup_steps=48)
-        assert new_episode(cfg, 3).obstacles == []
+        assert len(new_episode(cfg, 3).obstacles) == 0
 
     def test_goal_angle_uniform(self):
         # chi-square over 8 angle bins; critical value for 7 dof at alpha=0.01.
@@ -116,12 +118,11 @@ class TestNewEpisode:
 
 
 def _on_obstacle(state, px, py):
-    for o in state.obstacles:
-        lane = state.lanes[o.lane_index]
-        if lane.row != py:
+    for head, _, len1, lane in state.obstacles.tolist():
+        if state.lanes[int(lane)].row != py:
             continue
-        for i in range(o.length):
-            if round_px(o.head_x - i) == px:
+        for i in range(int(len1) + 1):
+            if round_px(head - i) == px:
                 return True
     return False
 
@@ -170,13 +171,13 @@ class TestWorldStep:
     def test_constant_velocity_advance(self):
         state = build_state(lanes=[(10, 1, LEFT_TO_RIGHT)], obstacles=[(0, 5.0, 2, 1.0)])
         world_step(state)
-        assert state.obstacles[0].head_x == 6.0
+        assert state.obstacles[0, HEAD] == 6.0
 
     def test_constant_speed_over_time(self):
         state = build_state(lanes=[(10, 1, LEFT_TO_RIGHT)], obstacles=[(0, 0.0, 2, 0.5)])
         for steps in range(1, 60):
             world_step(state)
-            assert state.obstacles[0].head_x == 0.5 * steps  # binary-exact speed
+            assert state.obstacles[0, HEAD] == 0.5 * steps  # binary-exact speed
 
     def test_goal_reflects_at_right_wall(self):
         state = build_state(goal=(46.2, 10.0, 0.5, 0.0))
@@ -203,17 +204,28 @@ class TestWorldStep:
         # tail pixel leaves the grid when head reaches 50 (tail 48): 4 steps alive
         assert present_lengths == [1, 1, 1, 0, 0, 0]
 
+    def test_faster_body_overtakes_slower(self):
+        # Spawns are only checked at their spawn step; afterwards same-lane
+        # bodies keep their own speeds and may overlap.
+        state = build_state(lanes=[(10, 1, LEFT_TO_RIGHT)], obstacles=[(0, 10.0, 2, 0.5), (0, 7.0, 2, 1.5)])
+        for _ in range(3):
+            world_step(state)
+        assert state.obstacles[:, HEAD].tolist() == [11.5, 11.5]
+        for _ in range(3):
+            world_step(state)
+        assert state.obstacles[:, HEAD].tolist() == [13.0, 16.0]
+
     def test_spawned_obstacle_slides_in(self):
         cfg = WorldConfig(level=100.0, spawn_base_rate=0.01, lane_rows=(10,), warmup_steps=0)
         state = new_episode(cfg, 5)
         for _ in range(40):
             world_step(state)
         lane = state.lanes[0]
-        for o in state.obstacles:
+        for speed in state.obstacles[:, SPEED]:
             if lane.direction == LEFT_TO_RIGHT:
-                assert o.speed > 0
+                assert speed > 0
             else:
-                assert o.speed < 0
+                assert speed < 0
 
     def test_no_overlapping_spawns_with_uniform_speed(self):
         classes = (ObstacleClass(3, mean_speed=1.0, speed_jitter=0.0, mean_length=4.0, length_jitter=2.0),)
@@ -223,7 +235,7 @@ class TestWorldStep:
         for _ in range(300):
             world_step(state)
             spans = sorted(
-                (round_px(o.head_x) - o.length + 1, round_px(o.head_x)) for o in state.obstacles
+                (round_px(head) - int(len1), round_px(head)) for head, _, len1, _ in state.obstacles.tolist()
             )
             for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
                 assert hi1 < lo2, f"overlap: {spans}"
@@ -263,6 +275,16 @@ class TestRenderFrame:
         frame = render_frame(state)
         assert frame[7, 0] == 1 and frame[7, 1] == 1
         assert (frame[7] == 1).sum() == 2
+
+    def test_half_pixel_tie_leaves_column_zero_free(self):
+        # Cells at x = 0.5 and -0.5 round away from zero to columns 1 and -1.
+        state = build_state(lanes=[(7, 1, LEFT_TO_RIGHT)], obstacles=[(0, 1.0, 3, 0.5)],
+                            agent=(0.0, 7.0), goal=(40.0, 40.0, 0.0, 0.0),
+                            config=WorldConfig(level=0.0, warmup_steps=0, agent_speed=1.0))
+        outcome = agent_step(state, 4)  # west, clamped at column 0; the body moves to 1.5
+        frame = render_frame(state)
+        assert frame[7, :4].tolist() == [FREE, 1, 1, FREE]
+        assert outcome.kind == "running"
 
     def test_goal_overwrites_obstacle(self):
         state = build_state(lanes=[(20, 3, LEFT_TO_RIGHT)], obstacles=[(0, 25.0, 6, 1.0)],
