@@ -48,7 +48,7 @@ def write_ppm(pixels: np.ndarray, path: str | Path) -> None:
 
 
 def frame_to_rgb(frame: np.ndarray, agent_pos: tuple[float, float] | None = None) -> np.ndarray:
-    rgb = _LUT[frame]
+    rgb = _LUT.take(frame, axis=0)
     if agent_pos is not None:
         px, py = round_px(agent_pos[0]), round_px(agent_pos[1])
         if 0 <= py < frame.shape[0] and 0 <= px < frame.shape[1]:

@@ -49,12 +49,14 @@ def rle_to_frame(rle: str, grid_h: int, grid_w: int) -> np.ndarray:
     cells = grid_h * grid_w
     if _RLE.fullmatch(rle) is None:
         raise ValueError(_bad_rle_token(rle, cells))
-    numbers = list(map(int, rle.replace(",", ":").split(":")))
+    # The grammar holds, so the text is digit runs between ':' once ',' is
+    # replaced; a number too long for int64 parses as the int64 maximum.
+    numbers = np.fromstring(rle.replace(",", ":"), dtype=np.int64, sep=":")
     values, counts = numbers[0::2], numbers[1::2]
-    # One range check over the whole decoded lists, not one per token.
-    if max(values) > GOAL or max(counts) > cells:
+    # One range check over the whole decoded arrays, not one per token.
+    if values.max() > GOAL or counts.max() > cells:
         raise ValueError(_bad_rle_token(rle, cells))
-    flat = np.repeat(np.array(values, dtype=np.uint8), counts)
+    flat = np.repeat(values.astype(np.uint8), counts)
     if flat.size != cells:
         raise ValueError(f"RLE decodes to {flat.size} cells, expected {cells}")
     return flat.reshape(grid_h, grid_w)

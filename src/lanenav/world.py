@@ -8,13 +8,16 @@ off the walls. The agent moves continuously in one of 8 compass directions;
 collision and goal checks are quantized to the nearest pixel.
 
 The obstacles are one float64 table, ``WorldState.obstacles``, one row per
-body with the columns ``HEAD``, ``SPEED``, ``LEN1`` (length - 1) and ``LANE``;
-``world_step`` advances, removes and spawns on the whole table at once. Body
-cell i sits at column ``round_px(head - i)``, i = 0..length-1, and
-``_body_cells`` is the only place that rule is applied: the frame, the agent's
-free start cell and the agent's collision all read it. At an exact half-pixel
-tie where a body crosses x = 0, the cells at 0.5 and -0.5 round to columns 1
-and -1, so column 0 stays free while the visible run stays contiguous.
+body with the columns ``HEAD``, ``SPEED``, ``LEN1`` (length - 1) and ``LANE``.
+One engine, ``_advance(state, n)``, moves, removes and spawns on the whole
+table for n steps at once, bit for bit as n single steps: ``world_step`` is
+``_advance(state, 1)`` plus the goal, and the warm-up of ``new_episode`` is a
+single ``_advance(state, warmup_steps)``. Body cell i sits at column
+``round_px(head - i)``, i = 0..length-1, and ``_body_cells`` is the only place
+that rule is applied: the frame, the agent's free start cell and the agent's
+collision all read it. At an exact half-pixel tie where a body crosses x = 0,
+the cells at 0.5 and -0.5 round to columns 1 and -1, so column 0 stays free
+while the visible run stays contiguous.
 A spawn is rejected only if it overlaps a body of its lane at its spawn step;
 bodies keep their own speeds afterwards, so a faster body overtakes a slower
 one and same-lane bodies may overlap.
@@ -159,6 +162,10 @@ class WorldConfig:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.grid_h <= 0 or self.grid_w <= 0:
             raise ConfigError("grid dimensions must be positive")
+        if self.grid_w < 2:
+            # On one column a body straddling x = 0 on a half-pixel tie rounds its
+            # head to column 1 and its tail to -1: kept, yet it has no visible cell.
+            raise ConfigError(f"grid_w must be >= 2, got {self.grid_w}")
         if self.goal_size < 1:
             raise ConfigError("goal_size must be >= 1")
         if self.goal_size > min(self.grid_h, self.grid_w):
@@ -185,6 +192,13 @@ class WorldConfig:
                 value = getattr(cls, name)
                 if not math.isfinite(value):
                     raise ConfigError(f"class {cls.class_id}: {name} must be finite, got {value!r}")
+            for mean_name, jitter_name in (("mean_speed", "speed_jitter"), ("mean_length", "length_jitter")):
+                mean, jitter = getattr(cls, mean_name), getattr(cls, jitter_name)
+                if jitter < 0:
+                    raise ConfigError(f"class {cls.class_id}: {jitter_name} must be non-negative, got {jitter!r}")
+                # A spawn draws lo + (hi - lo) * u from [mean - jitter, mean + jitter].
+                if not math.isfinite((mean + jitter) - (mean - jitter)):
+                    raise ConfigError(f"class {cls.class_id}: {mean_name} +- {jitter_name} must be finite")
             if cls.mean_speed <= 0:
                 raise ConfigError(f"class {cls.class_id}: mean_speed must be positive")
             if cls.mean_length < 1:
@@ -260,6 +274,16 @@ class WorldState:
         self.lane_row = np.array([lane.row for lane in self.lanes], dtype=np.intp)
         self.lane_value = np.array([lane.class_id for lane in self.lanes], dtype=np.uint8)
         self.lane_of_row = {lane.row: i for i, lane in enumerate(self.lanes)}
+        # Per lane, what a spawn draws from: length low and range, speed
+        # magnitude low and range (Generator.uniform's low and high - low), and
+        # the direction. The first class with the lane's id wins.
+        classes = {cls.class_id: cls for cls in reversed(self.config.obstacle_classes)}
+        self.lane_draw = []
+        for lane in self.lanes:
+            cls = classes[lane.class_id]
+            len_lo, len_hi = cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter
+            speed_lo, speed_hi = cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter
+            self.lane_draw.append((len_lo, len_hi - len_lo, speed_lo, speed_hi - speed_lo, lane.direction))
 
 
 def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
@@ -270,65 +294,102 @@ def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
     return ux * speed, uy * speed
 
 
-def _spawn(state: WorldState, table: np.ndarray, counts: list[int]) -> np.ndarray:
-    """``table`` plus the accepted candidates of ``counts[lane]`` draws per lane.
+def _advance(state: WorldState, n: int) -> None:
+    """Move, remove and spawn the obstacles ``n`` steps in place, bit for bit as
+    ``n`` single steps would. Touches neither the goal, the agent nor ``t``.
 
-    Candidates are drawn in lane order, two scalar ``class_rng.uniform`` calls
-    each (length, then speed magnitude). One is rejected if its pixel span
-    overlaps the span of a body of its lane, including earlier candidates.
+    Each step moves every body by its speed, removes the bodies left without a
+    visible cell, then spawns. The draws of all ``n`` steps are taken at once:
+    one ``spawn_rng.poisson(size=(n, lanes))`` gives the candidates per step
+    and lane, and one ``class_rng.random(2 * drawn)`` two uniforms per
+    candidate in draw order (step, lane, draw): length, then speed magnitude,
+    scaled as ``lo + (hi - lo) * u`` like ``Generator.uniform``. Every
+    candidate draws both, whether it is accepted or not. A candidate is
+    rejected if its pixel span overlaps the span of a body of its lane at its
+    spawn step, including earlier candidates of that step.
     """
+    if n == 0:
+        return
     cfg = state.config
-    rng = state.class_rng
-    lane_col = table[:, LANE]
-    spawned = []
-    for lane_index, n in enumerate(counts):
-        if not n:
-            continue
-        lane = state.lanes[lane_index]
-        cls = next(c for c in cfg.obstacle_classes if c.class_id == lane.class_id)
-        spans = []
-        for head, _, len1, _ in table[lane_col == lane_index].tolist():
-            hi = round_px(head)
-            spans.append((hi - int(len1), hi))
-        for _ in range(n):
-            raw_len = rng.uniform(cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter)
-            length = max(1, round_px(raw_len))
-            magnitude = rng.uniform(cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter)
+    grid_w = cfg.grid_w
+    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=(n, len(state.lanes)))
+    steps, lanes = np.nonzero(counts)
+    draws = counts[steps, lanes].tolist()
+    lanes = lanes.tolist()
+    drawn = sum(draws)
+    state.spawn_draws += drawn
+    u = iter(state.class_rng.random(2 * drawn).tolist())
+    spawned = []  # candidate rows (head, speed, len1, lane), in draw order
+    born = []  # the step (1..n) each candidate enters at
+    for step, lane, k in zip(steps.tolist(), lanes, draws):
+        len_lo, len_range, speed_lo, speed_range, direction = state.lane_draw[lane]
+        for _ in range(k):
+            length = max(1, round_px(len_lo + len_range * next(u)))
             # Left-to-right bodies enter with the head on column 0; right-to-left
             # ones with the leading (smallest-x) cell on the right edge.
-            head = 0 if lane.direction == LEFT_TO_RIGHT else cfg.grid_w - 1 + length - 1
-            lo = head - length + 1
-            if all(hi < lo or head < other_lo for other_lo, hi in spans):
-                spans.append((lo, head))
-                spawned.append((head, lane.direction * magnitude, length - 1, lane_index))
-    if not spawned:
-        return table
-    return np.concatenate((table, np.array(spawned, dtype=np.float64)))
+            head = 0 if direction == LEFT_TO_RIGHT else grid_w - 1 + length - 1
+            spawned.append((head, direction * (speed_lo + speed_range * next(u)), length - 1, lane))
+            born.append(step + 1)
+
+    old = state.obstacles
+    b0 = len(old)
+    table = np.concatenate((old, spawned)) if spawned else old
+    # heads[a, j]: head of body j a steps after it joined the table (at the
+    # call's start or at its spawn step). The running sum makes the same float
+    # additions as stepping a times.
+    heads = table.T.take([HEAD] + [SPEED] * n, axis=0)
+    np.add.accumulate(heads, axis=0, out=heads)
+    # Visible while round_px(head) >= 0 and round_px(tail) < grid_w, as exact
+    # float comparisons. alive[a - 1, j]: body j kept a visible cell after each
+    # of its first a steps, so it is still in the table at age a.
+    moved = heads[1:]
+    alive = (moved - 0.5 > -1.0) & (moved - table[:, LEN1] + 0.5 < grid_w)
+    if n > 1:  # a single age needs no running AND
+        np.logical_and.accumulate(alive, axis=0, out=alive)
+
+    rejected = set()
+    if spawned:
+        # Per lane with candidates, the bodies that may block a spawn there:
+        # (column, step it joined the table, len1), in table order.
+        groups = {lane: [] for lane in lanes}
+        spawn_lanes = list(groups)
+        lane_index, rows = np.nonzero(old[:, LANE] == np.array(spawn_lanes)[:, None])
+        for i, j, len1 in zip(lane_index.tolist(), rows.tolist(), old[rows, LEN1].tolist()):
+            groups[spawn_lanes[i]].append((j, 0, len1))
+        for c, ((head, _, len1, lane), step) in enumerate(zip(spawned, born), b0):
+            lo = head - len1
+            group = groups[lane]
+            for j, joined, j_len1 in group:
+                age = step - joined
+                if age == 0 or alive.item(age - 1, j):
+                    hi = round_px(heads.item(age, j))
+                    if hi >= lo and hi - j_len1 <= head:
+                        rejected.add(c)
+                        break
+            else:
+                group.append((c, step, len1))
+
+    # The table's bodies still alive after n steps, in order, then the
+    # accepted candidates still alive, in draw order.
+    old[:, HEAD] = heads[n, :b0]
+    table = old.compress(alive[n - 1, :b0], axis=0)
+    survivors = [
+        (heads.item(n - step, c), *row[1:])
+        for c, (row, step) in enumerate(zip(spawned, born), b0)
+        if c not in rejected and (step == n or alive.item(n - step - 1, c))
+    ]
+    state.obstacles = np.concatenate((table, survivors)) if survivors else table
 
 
 def world_step(state: WorldState) -> None:
     """Advance the world one step in place. Never touches the agent."""
+    _advance(state, 1)
     cfg = state.config
-    table = state.obstacles
-    heads = table[:, HEAD]
-    heads += table[:, SPEED]
-    # Keep a body while round_px(head) >= 0 and round_px(tail) < grid_w, as
-    # exact float comparisons: one of its cells is still on the grid.
-    table = table[(heads - 0.5 > -1.0) & (heads - table[:, LEN1] + 0.5 < cfg.grid_w)]
-
-    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=len(cfg.lane_rows)).tolist()
-    drawn = sum(counts)
-    if drawn:
-        state.spawn_draws += drawn
-        table = _spawn(state, table, counts)
-    state.obstacles = table
-
     goal = state.goal
     hi_x = float(cfg.grid_w - cfg.goal_size)
     hi_y = float(cfg.grid_h - cfg.goal_size)
     goal.x, goal.vx = reflect_axis(goal.x + goal.vx, goal.vx, 0.0, hi_x)
     goal.y, goal.vy = reflect_axis(goal.y + goal.vy, goal.vy, 0.0, hi_y)
-
     state.t += 1
 
 
@@ -472,9 +533,8 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
         spawn_rng=substream(episode_seed, STREAM_SPAWN),
         class_rng=class_rng,
     )
-    for _ in range(config.warmup_steps):
-        world_step(state)
-    state.t = 0
+    # The goal is a dummy until placement overwrites it, so only the obstacles move.
+    _advance(state, config.warmup_steps)
     state.spawn_draws = 0
 
     lanes, cols = _body_cells(state, state.obstacles)

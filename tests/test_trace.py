@@ -42,6 +42,9 @@ class TestRLE:
         ("300:2304", "300:2304"),
         ("0:2304,99999999999999999999999:0", "99999999999999999999999:0"),
         ("0:99999999999999999999999", "0:99999999999999999999999"),
+        # Too long for int64; 2**64 + 2304 would wrap to a valid count.
+        ("0:99999999999999999999", "0:99999999999999999999"),
+        ("0:18446744073709553920", "0:18446744073709553920"),
     ])
     def test_out_of_range_token_named(self, rle, token):
         with pytest.raises(ValueError, match=f"bad RLE token '{token}'"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,30 @@ class TestConfigValidation:
         values[field] = float("nan")
         with pytest.raises(ConfigError, match=field):
             WorldConfig(obstacle_classes=(ObstacleClass(1, **values),)).validate()
+
+    @pytest.mark.parametrize("field", ["speed_jitter", "length_jitter"])
+    def test_negative_jitter_rejected(self, field):
+        values = dict(mean_speed=0.5, speed_jitter=0.1, mean_length=2.0, length_jitter=0.5)
+        values[field] = -0.1
+        cfg = WorldConfig(obstacle_classes=(ObstacleClass(1, **values),))
+        with pytest.raises(ConfigError, match=f"class 1: {field} must be non-negative"):
+            cfg.validate()
+        # Rejected before any spawn is drawn, not by the random generator.
+        with pytest.raises(ConfigError, match=field):
+            new_episode(cfg, 0)
+
+    @pytest.mark.parametrize("mean, jitter", [("mean_speed", "speed_jitter"), ("mean_length", "length_jitter")])
+    @pytest.mark.parametrize("mean_value, jitter_value", [(1.0, 1e308), (1e308, 1e308)])
+    def test_non_finite_jitter_range_rejected(self, mean, jitter, mean_value, jitter_value):
+        values = dict(mean_speed=1.0, speed_jitter=0.1, mean_length=2.0, length_jitter=0.5)
+        values[mean], values[jitter] = mean_value, jitter_value
+        with pytest.raises(ConfigError, match=re.escape(f"class 2: {mean} +- {jitter} must be finite")):
+            WorldConfig(obstacle_classes=(ObstacleClass(2, **values),)).validate()
+
+    def test_one_column_grid_rejected(self):
+        with pytest.raises(ConfigError, match="grid_w must be >= 2"):
+            WorldConfig(grid_w=1, goal_size=1).validate()
+        WorldConfig(grid_w=2, goal_size=1).validate()
 
     def test_speed_presets(self):
         one = WorldConfig().for_speed("1x")

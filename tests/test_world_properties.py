@@ -42,9 +42,9 @@ STEPS = 30
 
 @st.composite
 def worlds(draw) -> WorldConfig:
-    # grid_w >= 2: on a one-column grid a body straddling x = 0 on a half-pixel
-    # tie keeps its rounded head at 1 and tail at -1 but has no visible cell,
-    # so the removal rule keeps a body that shows nothing.
+    # grid_w >= 2, as WorldConfig.validate requires: on a one-column grid a
+    # body straddling x = 0 on a half-pixel tie would keep its rounded head at
+    # 1 and tail at -1 with no visible cell.
     grid_w = draw(st.integers(2, 64))
     grid_h = draw(st.integers(3, 48))
     lane_rows = draw(st.lists(st.integers(0, grid_h - 1), min_size=1, max_size=12, unique=True))
