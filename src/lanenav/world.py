@@ -10,14 +10,14 @@ collision and goal checks are quantized to the nearest pixel.
 The obstacles are one float64 table, ``WorldState.obstacles``, one row per
 body with the columns ``HEAD``, ``SPEED``, ``LEN1`` (length - 1) and ``LANE``.
 One engine, ``_advance(state, n)``, moves, removes and spawns on the whole
-table for n steps at once, bit for bit as n single steps: ``world_step`` is
-``_advance(state, 1)`` plus the goal, and the warm-up of ``new_episode`` is a
-single ``_advance(state, warmup_steps)``. Body cell i sits at column
-``round_px(head - i)``, i = 0..length-1, and ``_body_cells`` is the only place
-that rule is applied: the frame, the agent's free start cell and the agent's
-collision all read it. At an exact half-pixel tie where a body crosses x = 0,
-the cells at 0.5 and -0.5 round to columns 1 and -1, so column 0 stays free
-while the visible run stays contiguous.
+table for n steps, with the random draws of all n taken at once:
+``world_step`` is ``_advance(state, 1)`` plus the goal, and the warm-up of
+``new_episode`` is ``warmup_steps`` calls of ``world_step``. Body cell i sits
+at column ``round_px(head - i)``, i = 0..length-1, and ``_body_cells`` is the
+only place that rule is applied: the frame, the agent's free start cell and
+the agent's collision all read it. At an exact half-pixel tie where a body
+crosses x = 0, the cells at 0.5 and -0.5 round to columns 1 and -1, so column
+0 stays free while the visible run stays contiguous.
 A spawn is rejected only if it overlaps a body of its lane at its spawn step;
 bodies keep their own speeds afterwards, so a faster body overtakes a slower
 one and same-lane bodies may overlap.
@@ -295,90 +295,55 @@ def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
 
 
 def _advance(state: WorldState, n: int) -> None:
-    """Move, remove and spawn the obstacles ``n`` steps in place, bit for bit as
-    ``n`` single steps would. Touches neither the goal, the agent nor ``t``.
+    """Move, remove and spawn the obstacles ``n`` steps in place. Touches
+    neither the goal, the agent nor ``t``.
 
     Each step moves every body by its speed, removes the bodies left without a
-    visible cell, then spawns. The draws of all ``n`` steps are taken at once:
-    one ``spawn_rng.poisson(size=(n, lanes))`` gives the candidates per step
-    and lane, and one ``class_rng.random(2 * drawn)`` two uniforms per
+    visible cell, then spawns. The draws of all ``n`` steps are taken before
+    the first: one ``spawn_rng.poisson(size=(n, lanes))`` gives the candidates
+    per step and lane, and one ``class_rng.random(2 * drawn)`` two uniforms per
     candidate in draw order (step, lane, draw): length, then speed magnitude,
     scaled as ``lo + (hi - lo) * u`` like ``Generator.uniform``. Every
-    candidate draws both, whether it is accepted or not. A candidate is
-    rejected if its pixel span overlaps the span of a body of its lane at its
-    spawn step, including earlier candidates of that step.
+    candidate draws both, whether it is accepted or not, so the numbers and
+    both generators' states are those of n single steps. A candidate is
+    rejected if its pixel span overlaps the span of a body of its lane,
+    including earlier candidates of its step.
     """
-    if n == 0:
-        return
     cfg = state.config
     grid_w = cfg.grid_w
-    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=(n, len(state.lanes)))
-    steps, lanes = np.nonzero(counts)
-    draws = counts[steps, lanes].tolist()
-    lanes = lanes.tolist()
-    drawn = sum(draws)
+    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=(n, len(state.lanes))).tolist()
+    drawn = sum(map(sum, counts))
     state.spawn_draws += drawn
     u = iter(state.class_rng.random(2 * drawn).tolist())
-    spawned = []  # candidate rows (head, speed, len1, lane), in draw order
-    born = []  # the step (1..n) each candidate enters at
-    for step, lane, k in zip(steps.tolist(), lanes, draws):
-        len_lo, len_range, speed_lo, speed_range, direction = state.lane_draw[lane]
-        for _ in range(k):
-            length = max(1, round_px(len_lo + len_range * next(u)))
-            # Left-to-right bodies enter with the head on column 0; right-to-left
-            # ones with the leading (smallest-x) cell on the right edge.
-            head = 0 if direction == LEFT_TO_RIGHT else grid_w - 1 + length - 1
-            spawned.append((head, direction * (speed_lo + speed_range * next(u)), length - 1, lane))
-            born.append(step + 1)
-
-    old = state.obstacles
-    b0 = len(old)
-    table = np.concatenate((old, spawned)) if spawned else old
-    # heads[a, j]: head of body j a steps after it joined the table (at the
-    # call's start or at its spawn step). The running sum makes the same float
-    # additions as stepping a times.
-    heads = table.T.take([HEAD] + [SPEED] * n, axis=0)
-    np.add.accumulate(heads, axis=0, out=heads)
-    # Visible while round_px(head) >= 0 and round_px(tail) < grid_w, as exact
-    # float comparisons. alive[a - 1, j]: body j kept a visible cell after each
-    # of its first a steps, so it is still in the table at age a.
-    moved = heads[1:]
-    alive = (moved - 0.5 > -1.0) & (moved - table[:, LEN1] + 0.5 < grid_w)
-    if n > 1:  # a single age needs no running AND
-        np.logical_and.accumulate(alive, axis=0, out=alive)
-
-    rejected = set()
-    if spawned:
-        # Per lane with candidates, the bodies that may block a spawn there:
-        # (column, step it joined the table, len1), in table order.
-        groups = {lane: [] for lane in lanes}
-        spawn_lanes = list(groups)
-        lane_index, rows = np.nonzero(old[:, LANE] == np.array(spawn_lanes)[:, None])
-        for i, j, len1 in zip(lane_index.tolist(), rows.tolist(), old[rows, LEN1].tolist()):
-            groups[spawn_lanes[i]].append((j, 0, len1))
-        for c, ((head, _, len1, lane), step) in enumerate(zip(spawned, born), b0):
-            lo = head - len1
-            group = groups[lane]
-            for j, joined, j_len1 in group:
-                age = step - joined
-                if age == 0 or alive.item(age - 1, j):
-                    hi = round_px(heads.item(age, j))
-                    if hi >= lo and hi - j_len1 <= head:
-                        rejected.add(c)
-                        break
-            else:
-                group.append((c, step, len1))
-
-    # The table's bodies still alive after n steps, in order, then the
-    # accepted candidates still alive, in draw order.
-    old[:, HEAD] = heads[n, :b0]
-    table = old.compress(alive[n - 1, :b0], axis=0)
-    survivors = [
-        (heads.item(n - step, c), *row[1:])
-        for c, (row, step) in enumerate(zip(spawned, born), b0)
-        if c not in rejected and (step == n or alive.item(n - step - 1, c))
-    ]
-    state.obstacles = np.concatenate((table, survivors)) if survivors else table
+    table = state.obstacles
+    for step_counts in counts:
+        heads = table[:, HEAD]
+        heads += table[:, SPEED]
+        # Keep a body while round_px(head) >= 0 and round_px(tail) < grid_w, as
+        # exact float comparisons: one of its cells is still on the grid.
+        table = table.compress((heads - 0.5 > -1.0) & (heads - table[:, LEN1] + 0.5 < grid_w), axis=0)
+        spawned = []
+        for lane, k in enumerate(step_counts):
+            if not k:
+                continue
+            len_lo, len_range, speed_lo, speed_range, direction = state.lane_draw[lane]
+            spans = []
+            for head, _, len1, _ in table.compress(table[:, LANE] == lane, axis=0).tolist():
+                hi = round_px(head)
+                spans.append((hi - int(len1), hi))
+            for _ in range(k):
+                length = max(1, round_px(len_lo + len_range * next(u)))
+                speed = direction * (speed_lo + speed_range * next(u))
+                # Left-to-right bodies enter with the head on column 0; right-to-left
+                # ones with the leading (smallest-x) cell on the right edge.
+                head = 0 if direction == LEFT_TO_RIGHT else grid_w - 1 + length - 1
+                lo = head - length + 1
+                if all(hi < lo or head < other_lo for other_lo, hi in spans):
+                    spans.append((lo, head))
+                    spawned.append((head, speed, length - 1, lane))
+        if spawned:
+            table = np.concatenate((table, spawned))
+    state.obstacles = table
 
 
 def world_step(state: WorldState) -> None:
@@ -533,8 +498,9 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
         spawn_rng=substream(episode_seed, STREAM_SPAWN),
         class_rng=class_rng,
     )
-    # The goal is a dummy until placement overwrites it, so only the obstacles move.
-    _advance(state, config.warmup_steps)
+    for _ in range(config.warmup_steps):
+        world_step(state)
+    state.t = 0
     state.spawn_draws = 0
 
     lanes, cols = _body_cells(state, state.obstacles)

@@ -1,7 +1,7 @@
 """``_advance(state, n)`` is n single steps of the world, bit for bit.
 
 ``world_step`` is ``_advance(state, 1)`` plus the goal update, and the warm-up
-of ``new_episode`` is one ``_advance(state, warmup_steps)``. On random worlds
+of ``new_episode`` is ``warmup_steps`` calls of ``world_step``. On random worlds
 (no speed jitter, jitter at or above the mean speed, long lengths, one busy
 lane) and populated start states, one call of ``_advance(state, n)`` must
 leave exactly what n calls of ``_advance(state, 1)`` leave: the obstacle table
@@ -9,6 +9,7 @@ with its row order, ``spawn_draws`` and the state of both random generators.
 ``tests/data/world_frames.json`` pins the single step itself to the frames
 recorded before the batched engine existed.
 """
+import tracemalloc
 from dataclasses import replace
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -105,3 +106,16 @@ def test_zero_steps_draw_nothing():
     before = snapshot(state)
     _advance(state, 0)
     assert snapshot(state) == before
+
+
+def test_long_runs_keep_memory_bounded():
+    """Only the draws grow with n: a long warm-up or advance stays small."""
+    tracemalloc.start()
+    try:
+        state = new_episode(WorldConfig(warmup_steps=5000), 3)
+        _advance(state, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len(state.obstacles) < 500
