@@ -20,7 +20,12 @@ call. Layers:
 * ``world.render_frame``: the palette frame of a warmed-up world;
 * ``tracefile.frame_to_rle`` and ``tracefile.rle_to_frame``: one frame;
 * ``ppm.frame_to_rgb``: one frame with the agent drawn;
-* ``mcts.run_search.k{1,3,10}``: one search on an oracle rollout.
+* ``mcts.run_search.k{1,3,10}``: one search on an oracle rollout;
+* ``harness.verify_replay``: per replayed step, the replay of random-agent
+  episodes, fresh timeline included.
+
+The report also holds ``src_lines``, the line count of the library's Python
+sources, to set beside the timings.
 
 The script pins no CPU and controls no clock frequency, and the JSON says so:
 on a shared host, compare runs made back to back, by their medians.
@@ -42,12 +47,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
+from lanenav.harness import run_episode, verify_replay
 from lanenav.mcts import MCTSConfig, run_search
 from lanenav.models import oracle_predict
 from lanenav.ppm import frame_to_rgb
 from lanenav.seeding import episode_seed
 from lanenav.tracefile import frame_to_rle, rle_to_frame
-from lanenav.world import WorldConfig, clone_state, new_episode, render_frame, world_step
+from lanenav.world import Timeline, WorldConfig, clone_state, new_episode, render_frame, world_step
 
 SEEDS = [episode_seed(1, i) for i in range(8)]
 KS = (1, 3, 10)
@@ -88,9 +94,14 @@ def layer_cases() -> dict:
     states = [new_episode(cfg, seed) for seed in SEEDS]
     frames = [render_frame(s) for s in states]
     rles = [frame_to_rle(f) for f in frames]
-    agents = [(s.agent.x, s.agent.y) for s in states]
+    agents = [Timeline(cfg, seed).start for seed in SEEDS]
     rollouts = [oracle_predict(s, max(KS)) for s in states]
+    records = [run_episode(cfg, MCTSConfig(), "none", seed) for seed in SEEDS]
     steps = 10
+
+    def replay_batch(_):
+        if not all(verify_replay(r) for r in records):
+            raise RuntimeError("a random-agent episode failed its replay")
 
     def step_batch(clones):
         for state in clones:
@@ -112,7 +123,12 @@ def layer_cases() -> dict:
             lambda _, search=search: [run_search(a, r, search, cfg.agent_speed, goal_size=cfg.goal_size)
                                       for a, r in zip(agents, rollouts)],
             len(rollouts), None)
+    cases["harness.verify_replay"] = (replay_batch, sum(len(r.trace) for r in records), None)
     return cases
+
+
+def src_lines() -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src").rglob("*.py")))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,7 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         layers[name] = {"unit": "us", "median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2),
                         "iqr": round(q3 - q1, 2), "repeats": args.repeats, "calls_per_repeat": calls}
         print(f"{name:26s} {median:10.1f} us  (IQR {q1:.1f}-{q3:.1f}, {args.repeats} x {calls} calls)")
-    report = {"env": env_stamp(), "layers": layers}
+    print(f"{'src_lines':26s} {src_lines():10d}")
+    report = {"env": env_stamp(), "layers": layers, "src_lines": src_lines()}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0

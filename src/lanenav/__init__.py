@@ -21,7 +21,6 @@ from .world import (
     WorldConfig,
     WorldState,
     action_to_velocity,
-    agent_step,
     clone_state,
     new_episode,
     render_frame,
@@ -43,7 +42,6 @@ __all__ = [
     "WorldConfig",
     "WorldState",
     "action_to_velocity",
-    "agent_step",
     "build_model",
     "clone_state",
     "frozen_predict",

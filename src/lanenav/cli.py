@@ -190,7 +190,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for _ in range(searches):
         st = new_episode(world_cfg, int(rng.integers(2 ** 63)))
         rollout = oracle_predict(st, mcts_cfg.rollout_length)
-        root = run_search((st.agent.x, st.agent.y), rollout, mcts_cfg, world_cfg.agent_speed,
+        root = run_search(st.start, rollout, mcts_cfg, world_cfg.agent_speed,
                           goal_size=world_cfg.goal_size)
         conserved &= sum(root.n) == mcts_cfg.n_rollouts
     ok &= _check("mcts visit conservation", conserved, f"{searches} random searches")

@@ -18,24 +18,7 @@ import numpy as np
 from .mcts import MCTSConfig, plan_action
 from .models import ForwardModel, Observation, build_model
 from .seeding import STREAM_AGENT, STREAM_MODEL, STREAM_PLAN, episode_seed, make_rng, substream
-from .world import (
-    DEATH_REWARD,
-    DIED,
-    FREE,
-    GOAL,
-    GOAL_REACHED,
-    GOAL_REWARD,
-    N_ACTIONS,
-    RUNNING,
-    TIMED_OUT,
-    Outcome,
-    Timeline,
-    WorldConfig,
-    action_to_velocity,
-    agent_step,
-    new_episode,
-    round_px,
-)
+from .world import DIED, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, Outcome, Timeline, WorldConfig, move, outcome_at
 
 
 @dataclass(frozen=True)
@@ -60,6 +43,7 @@ class EpisodeRecord:
     mcts_config: MCTSConfig
     error: str | None = None
     frames: list[np.ndarray] | None = None
+    exception: Exception | None = None  # what ``error`` describes, with its traceback
 
 
 # Contiguous task batches per pool worker in ``run_benchmark``: enough to
@@ -139,10 +123,9 @@ def _play(
 ) -> EpisodeRecord:
     """``run_episode`` on a given timeline of ``world_cfg``'s world.
 
-    The agent moves with ``agent_step``'s kinematics, and its outcome is the
-    pixel it lands on in the next frame: goal first (the goal is painted over
-    obstacles), then any obstacle class. ``world_cfg`` supplies the agent's
-    speed and step limit, which the timeline never reads.
+    The agent steps by ``move`` and its outcome is ``outcome_at`` the pixel
+    it lands on in the next frame. ``world_cfg`` supplies the agent's speed
+    and step limit, which the timeline never reads.
     """
     ep_seed = timeline.episode_seed
     if isinstance(model_spec, ForwardModel):
@@ -160,7 +143,7 @@ def _play(
     t = 0
     trace: list[StepRecord] = []
     outcome = Outcome(RUNNING, 0.0, 0)
-    error = None
+    exception = None
 
     while True:
         try:
@@ -171,21 +154,11 @@ def _play(
                 action = plan_action((x, y), rollout, mcts_cfg, plan_rng,
                                      agent_speed=speed, goal_size=goal_size)
         except Exception as exc:  # diagnostic record instead of a crash
-            error = f"{type(exc).__name__}: {exc}"
+            exception = exc
             break
-        dx, dy = action_to_velocity(action, speed)
-        x = min(max(x + dx, 0.0), x_max)
-        y = min(max(y + dy, 0.0), y_max)
+        x, y = move(x, y, action, speed, x_max, y_max)
         t += 1
-        cell = timeline.frame(t)[round_px(y), round_px(x)]
-        if cell == GOAL:
-            outcome = Outcome(GOAL_REACHED, GOAL_REWARD, t)
-        elif cell != FREE:
-            outcome = Outcome(DIED, DEATH_REWARD, t)
-        elif t >= max_steps:
-            outcome = Outcome(TIMED_OUT, 0.0, t)
-        else:
-            outcome = Outcome(RUNNING, 0.0, t)
+        outcome = outcome_at(timeline.frame(t), x, y, t, max_steps)
         trace.append(StepRecord(t, x, y, action, outcome.reward, outcome.kind))
         if outcome.is_terminal:
             break
@@ -199,28 +172,35 @@ def _play(
         model_spec=model_spec,
         world_config=world_cfg,
         mcts_config=mcts_cfg,
-        error=error,
+        error=None if exception is None else f"{type(exception).__name__}: {exception}",
         frames=timeline.frames[:t + 1] if keep_frames else None,
+        exception=exception,
     )
 
 
 def verify_replay(record: EpisodeRecord) -> bool:
-    """Re-run the logged actions through a fresh world; True iff it matches.
+    """Re-run the logged actions through a fresh timeline; True iff it matches.
 
-    The replay is independent of the timeline the episode ran on: a fresh
-    ``new_episode`` stepped by ``agent_step``, whose collision check
-    rasterizes the replayed state, not the timeline's frames. Every step's t,
-    reward, outcome and agent position must match exactly.
+    The replay builds its own ``Timeline``, so it is independent of the one
+    the episode ran on, and steps the agent with ``move`` and ``outcome_at``
+    like the episode runner. Every step's t, reward, outcome and agent
+    position must match exactly; t must count up from 1 and no step may
+    follow a terminal one.
     """
-    state = new_episode(record.world_config, record.episode_seed)
-    agent = state.agent
+    cfg = record.world_config
+    timeline = Timeline(cfg, record.episode_seed)
+    x_max, y_max = float(cfg.grid_w - 1), float(cfg.grid_h - 1)
+    x, y = timeline.start
+    outcome = Outcome(RUNNING, 0.0, 0)
     for step in record.trace:
-        outcome = agent_step(state, step.action)
-        if outcome.reward != step.reward or outcome.kind != step.outcome:
+        t = outcome.steps_taken + 1
+        if outcome.is_terminal or step.t != t:
             return False
-        if outcome.steps_taken != step.t or agent.x != step.agent_x or agent.y != step.agent_y:
+        x, y = move(x, y, step.action, cfg.agent_speed, x_max, y_max)
+        outcome = outcome_at(timeline.frame(t), x, y, t, cfg.max_steps)
+        if outcome.reward != step.reward or outcome.kind != step.outcome or (x, y) != (step.agent_x, step.agent_y):
             return False
-    return record.trace == [] or record.trace[-1].outcome == record.outcome.kind
+    return outcome.kind == record.outcome.kind
 
 
 def speed_label(world_cfg: WorldConfig) -> str:
@@ -231,29 +211,28 @@ def speed_label(world_cfg: WorldConfig) -> str:
     return f"{world_cfg.agent_speed:g}px"
 
 
-def _aggregate(outcomes: list[tuple[str, int]]) -> tuple[int, int, int, float | None, float | None]:
-    """G/T/D counts plus mean and population std of steps over non-deaths."""
+def _bench_row(label: tuple[str, int], speed: str, k: int, outcomes: list[tuple[str, int]]) -> BenchRow:
+    """Table row of one condition: G/T/D counts plus mean and population std
+    of steps over non-deaths. ``label`` is the ``model_label`` of its spec."""
     g = sum(1 for kind, _ in outcomes if kind == GOAL_REACHED)
     d = sum(1 for kind, _ in outcomes if kind == DIED)
     t = sum(1 for kind, _ in outcomes if kind == TIMED_OUT)
     survivor_steps = [steps for kind, steps in outcomes if kind != DIED]
-    if not survivor_steps:
-        return g, t, d, None, None
-    mean = sum(survivor_steps) / len(survivor_steps)
-    var = sum((s - mean) ** 2 for s in survivor_steps) / len(survivor_steps)
-    return g, t, d, mean, math.sqrt(var)
+    mean = std = None
+    if survivor_steps:
+        mean = sum(survivor_steps) / len(survivor_steps)
+        std = math.sqrt(sum((s - mean) ** 2 for s in survivor_steps) / len(survivor_steps))
+    return BenchRow(model=label[0], n_samples=label[1], speed=speed, k=k, g=g, t=t, d=d,
+                    s_mean=mean, s_std=std, episodes=len(outcomes))
 
 
 def summarize(records: list[EpisodeRecord]) -> BenchRow:
     """One table row for a batch of episodes of the same condition."""
     if not records:
         raise ValueError("summarize needs at least one record")
-    g, t, d, mean, std = _aggregate([(r.outcome.kind, r.steps) for r in records])
     first = records[0]
-    name, n_samples = model_label(first.model_spec)
-    return BenchRow(model=name, n_samples=n_samples, speed=speed_label(first.world_config),
-                    k=first.mcts_config.rollout_length, g=g, t=t, d=d,
-                    s_mean=mean, s_std=std, episodes=len(records))
+    return _bench_row(model_label(first.model_spec), speed_label(first.world_config),
+                      first.mcts_config.rollout_length, [(r.outcome.kind, r.steps) for r in records])
 
 
 def model_label(model_spec: str) -> tuple[str, int]:
@@ -283,8 +262,8 @@ def _bench_batch(tasks: list[tuple[int, int, BenchCell, WorldConfig, MCTSConfig,
             timeline = None  # release the previous world before simulating the next
             timeline = Timeline(key, seed)
         record = _play(timeline, world_cfg, mcts_cfg, cell.model_spec)
-        if record.error is not None:
-            raise RuntimeError(f"episode {seed} failed: {record.error}")
+        if record.exception is not None:
+            raise RuntimeError(f"episode {seed} failed: {record.error}") from record.exception
         results.append((ci, ei, record.outcome.kind, record.steps))
     return results
 
@@ -303,6 +282,8 @@ def run_benchmark(
     if master_seed is None:
         master_seed = world_cfg.master_seed
     seeds = [episode_seed(master_seed, i) for i in range(n_episodes)]
+    # Labels first: a bad model spec fails here, before any episode runs.
+    labels = [model_label(cell.model_spec) for cell in cells]
 
     cell_configs = []
     for cell in cells:
@@ -322,11 +303,6 @@ def run_benchmark(
             done = [result for batch in pool.map(_bench_batch, batches) for result in batch]
     results = {(ci, ei): (kind, steps) for ci, ei, kind, steps in done}
 
-    table = BenchTable()
-    for ci, cell in enumerate(cells):
-        g, t, d, mean, std = _aggregate([results[(ci, ei)] for ei in range(n_episodes)])
-        name, n_samples = model_label(cell.model_spec)
-        table.rows.append(BenchRow(model=name, n_samples=n_samples, speed=cell.speed,
-                                   k=cell.rollout_length, g=g, t=t, d=d,
-                                   s_mean=mean, s_std=std, episodes=n_episodes))
-    return table
+    return BenchTable([_bench_row(labels[ci], cell.speed, cell.rollout_length,
+                                  [results[(ci, ei)] for ei in range(n_episodes)])
+                       for ci, cell in enumerate(cells)])

@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .models import PredictedRollout
-from .world import N_ACTIONS, action_to_velocity, round_px
+from .world import N_ACTIONS, action_to_velocity, goal_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,17 +121,6 @@ def goal_prior(
     return [w / total for w in weights]
 
 
-def _goal_block(
-    estimate: tuple[float, float] | None, goal_size: int
-) -> tuple[int, int, int, int] | None:
-    if estimate is None:
-        return None
-    half = (goal_size - 1) / 2.0
-    x0 = round_px(estimate[0] - half)
-    y0 = round_px(estimate[1] - half)
-    return x0, x0 + goal_size - 1, y0, y0 + goal_size - 1
-
-
 def run_search(
     agent_pos: tuple[float, float],
     rollout: PredictedRollout,
@@ -159,7 +148,7 @@ def run_search(
     moves = [action_to_velocity(a, agent_speed) for a in range(N_ACTIONS)]
     occs = [rollout.steps[d].occupancy for d in range(k)]
     goals = [rollout.steps[d].goal_estimate for d in range(k)]
-    blocks = [_goal_block(goals[d], goal_size) for d in range(k)]
+    blocks = [None if goal is None else goal_block(goal, goal_size) for goal in goals]
     c_puct = cfg.c_puct
     kappa = cfg.prior_kappa
     death_value = cfg.death_value
@@ -232,8 +221,8 @@ def run_search(
             path.append((node, action))
             child = node.children[action]
             if child is None:
-                # Clamp to the grid like the world's min(max(v, 0), max), spelled
-                # out because the builtin calls cost more than the comparisons.
+                # The world's ``move``, spelled out because the builtin calls of
+                # its min(max(v, 0), max) cost more than the comparisons.
                 dx, dy = moves[action]
                 nx = node.x + dx
                 if nx < 0.0:

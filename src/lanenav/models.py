@@ -431,6 +431,10 @@ def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardMod
                 n = int(parts[3])
             except ValueError as exc:
                 raise ValueError(f"bad noisy model spec {spec!r}") from exc
+        # Written so that NaN fails every bound.
+        if not (0.0 <= p_fn <= 1.0 and 0.0 <= p_fp <= 1.0 and 0.0 <= sigma < math.inf and n >= 1):
+            raise ValueError(f"bad noisy model spec {spec!r}: needs p_fn, p_fp in [0, 1], "
+                             "a finite sigma >= 0 and n >= 1")
         if rng is None:
             raise ValueError("noisy model requires an rng")
         return NoisySampleModel(p_fn=p_fn, p_fp=p_fp, goal_sigma=sigma, n_samples=n, rng=rng)

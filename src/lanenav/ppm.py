@@ -14,7 +14,7 @@ import numpy as np
 from . import world as w
 from .fileio import atomic_write_bytes
 from .models import ErrorMap
-from .world import round_px
+from .world import goal_block, round_px
 
 FRAME_PALETTE = {
     w.FREE: (68, 1, 84),
@@ -60,13 +60,6 @@ def render_ppm(frame: np.ndarray, agent_pos: tuple[float, float] | None, path: s
     write_ppm(frame_to_rgb(frame, agent_pos), path)
 
 
-def _goal_footprint(center: tuple[float, float], goal_size: int) -> tuple[int, int, int, int]:
-    half = (goal_size - 1) / 2.0
-    x0 = round_px(center[0] - half)
-    y0 = round_px(center[1] - half)
-    return x0, x0 + goal_size - 1, y0, y0 + goal_size - 1
-
-
 def error_map_to_rgb(err: ErrorMap, truth: np.ndarray, goal_size: int = 2) -> np.ndarray:
     height, width = truth.shape
     rgb = np.zeros((height, width, 3), dtype=np.uint8)
@@ -76,7 +69,7 @@ def error_map_to_rgb(err: ErrorMap, truth: np.ndarray, goal_size: int = 2) -> np
     rgb[truth == w.GOAL] = TRUE_GOAL_COLOR
     if err.pred_goal is not None:
         # Drawn last: a perfect goal prediction shows orange.
-        x0, x1, y0, y1 = _goal_footprint(err.pred_goal, goal_size)
+        x0, x1, y0, y1 = goal_block(err.pred_goal, goal_size)
         rgb[max(y0, 0):min(y1 + 1, height), max(x0, 0):min(x1 + 1, width)] = PRED_GOAL_COLOR
     return rgb
 
@@ -93,6 +86,6 @@ def prediction_to_rgb(occupancy: np.ndarray, goal_estimate: tuple[float, float] 
     rgb[:, :] = FRAME_PALETTE[w.FREE]
     rgb[occupancy] = FRAME_PALETTE[3]
     if goal_estimate is not None:
-        x0, x1, y0, y1 = _goal_footprint(goal_estimate, goal_size)
+        x0, x1, y0, y1 = goal_block(goal_estimate, goal_size)
         rgb[max(y0, 0):min(y1 + 1, height), max(x0, 0):min(x1 + 1, width)] = FRAME_PALETTE[w.GOAL]
     return rgb

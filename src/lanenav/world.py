@@ -14,10 +14,10 @@ table for n steps, with the random draws of all n taken at once:
 ``world_step`` is ``_advance(state, 1)`` plus the goal, and the warm-up of
 ``new_episode`` is ``warmup_steps`` calls of ``world_step``. Body cell i sits
 at column ``round_px(head - i)``, i = 0..length-1, and ``_body_cells`` is the
-only place that rule is applied: the frame, the agent's free start cell and
-the agent's collision all read it. At an exact half-pixel tie where a body
-crosses x = 0, the cells at 0.5 and -0.5 round to columns 1 and -1, so column
-0 stays free while the visible run stays contiguous.
+only place that rule is applied: the frame and the agent's free start cell
+read it, and the agent's collision reads the frame. At an exact half-pixel
+tie where a body crosses x = 0, the cells at 0.5 and -0.5 round to columns 1
+and -1, so column 0 stays free while the visible run stays contiguous.
 A spawn is rejected only if it overlaps a body of its lane at its spawn step;
 bodies keep their own speeds afterwards, so a faster body overtakes a slower
 one and same-lane bodies may overlap.
@@ -28,6 +28,11 @@ seed) only. That property is what lets one predicted rollout serve every
 branch of a planner search, and it is used once, by ``Timeline``: the world of
 an episode is simulated once and every reader (the episode runner, the
 models, every benchmark cell on the same seed) shares its frames.
+
+Of the agent, the world state keeps only the start cell. ``move`` is the
+agent's clamped step and ``outcome_at`` reads its outcome from the frame it
+lands on; the episode runner and the replay check both use them on
+``Timeline`` frames.
 
 Coordinates are (x, y) with x the column and y the row; frames are indexed
 ``frame[y, x]``. All quantization uses round-half-away-from-zero.
@@ -81,10 +86,6 @@ class ConfigError(ValueError):
 
 class PlacementError(RuntimeError):
     """No free cell found for the agent or goal within the retry budget."""
-
-
-class EpisodeFinishedError(RuntimeError):
-    """agent_step called on an episode that already ended."""
 
 
 def round_px(x: float) -> int:
@@ -230,13 +231,6 @@ class GoalState:
     vy: float
 
 
-@dataclass
-class AgentState:
-    x: float
-    y: float
-    alive: bool = True
-
-
 @dataclass(frozen=True)
 class Outcome:
     kind: str  # RUNNING, GOAL_REACHED, DIED or TIMED_OUT
@@ -263,17 +257,15 @@ class WorldState:
     lanes: list[Lane]
     obstacles: np.ndarray  # float64 (bodies, 4) table, columns HEAD, SPEED, LEN1, LANE
     goal: GoalState
-    agent: AgentState
+    start: tuple[float, float]  # the agent's start position; the world never reads it
     spawn_rng: np.random.Generator
     class_rng: np.random.Generator
-    done: bool = False
     spawn_draws: int = 0  # raw Poisson total, before overlap rejection
 
     def __post_init__(self) -> None:
         # Lookups between lanes and pixel rows for the rasterizer; lanes never change.
         self.lane_row = np.array([lane.row for lane in self.lanes], dtype=np.intp)
         self.lane_value = np.array([lane.class_id for lane in self.lanes], dtype=np.uint8)
-        self.lane_of_row = {lane.row: i for i, lane in enumerate(self.lanes)}
         # Per lane, what a spawn draws from: length low and range, speed
         # magnitude low and range (Generator.uniform's low and high - low), and
         # the direction. The first class with the lane's id wins.
@@ -294,9 +286,15 @@ def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
     return ux * speed, uy * speed
 
 
+def move(x: float, y: float, action: int, speed: float, x_max: float, y_max: float) -> tuple[float, float]:
+    """The agent's position after one action, clamped to [0, x_max] x [0, y_max]."""
+    dx, dy = action_to_velocity(action, speed)
+    return min(max(x + dx, 0.0), x_max), min(max(y + dy, 0.0), y_max)
+
+
 def _advance(state: WorldState, n: int) -> None:
     """Move, remove and spawn the obstacles ``n`` steps in place. Touches
-    neither the goal, the agent nor ``t``.
+    neither the goal nor ``t``.
 
     Each step moves every body by its speed, removes the bodies left without a
     visible cell, then spawns. The draws of all ``n`` steps are taken before
@@ -347,7 +345,7 @@ def _advance(state: WorldState, n: int) -> None:
 
 
 def world_step(state: WorldState) -> None:
-    """Advance the world one step in place. Never touches the agent."""
+    """Advance the world one step in place."""
     _advance(state, 1)
     cfg = state.config
     goal = state.goal
@@ -364,6 +362,14 @@ def goal_pixels(state: WorldState) -> tuple[int, int, int, int]:
     cx = round_px(state.goal.x)
     cy = round_px(state.goal.y)
     return cx, cx + gs - 1, cy, cy + gs - 1
+
+
+def goal_block(center: tuple[float, float], goal_size: int) -> tuple[int, int, int, int]:
+    """Footprint (col_lo, col_hi, row_lo, row_hi), inclusive, of a goal centred at ``center``."""
+    half = (goal_size - 1) / 2.0
+    x0 = round_px(center[0] - half)
+    y0 = round_px(center[1] - half)
+    return x0, x0 + goal_size - 1, y0, y0 + goal_size - 1
 
 
 def _body_cells(state: WorldState, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,6 +397,23 @@ def render_frame(state: WorldState) -> np.ndarray:
     x0, x1, y0, y1 = goal_pixels(state)
     cells[max(y0, 0):y1 + 1, max(x0, 0):x1 + 1] = GOAL
     return cells
+
+
+def outcome_at(frame: np.ndarray, x: float, y: float, t: int, max_steps: int) -> Outcome:
+    """Outcome of the agent at (x, y) on the palette frame of time t.
+
+    The agent's one outcome rule: the goal if its pixel is goal (the goal is
+    painted over obstacles), death if it is any obstacle class, then the
+    timeout at ``max_steps``, else still running.
+    """
+    cell = frame[round_px(y), round_px(x)]
+    if cell == GOAL:
+        return Outcome(GOAL_REACHED, GOAL_REWARD, t)
+    if cell != FREE:
+        return Outcome(DIED, DEATH_REWARD, t)
+    if t >= max_steps:
+        return Outcome(TIMED_OUT, 0.0, t)
+    return Outcome(RUNNING, 0.0, t)
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -432,42 +455,11 @@ def clone_state(state: WorldState) -> WorldState:
         lanes=list(state.lanes),
         obstacles=state.obstacles.copy(),
         goal=replace(state.goal),
-        agent=replace(state.agent),
+        start=state.start,
         spawn_rng=clone_rng(state.spawn_rng),
         class_rng=clone_rng(state.class_rng),
-        done=state.done,
         spawn_draws=state.spawn_draws,
     )
-
-
-def agent_step(state: WorldState, action: int) -> Outcome:
-    """World advances, then the agent moves and the outcome is checked."""
-    if state.done:
-        raise EpisodeFinishedError("episode already finished")
-    cfg = state.config
-    world_step(state)
-
-    dx, dy = action_to_velocity(action, cfg.agent_speed)
-    agent = state.agent
-    agent.x = min(max(agent.x + dx, 0.0), float(cfg.grid_w - 1))
-    agent.y = min(max(agent.y + dy, 0.0), float(cfg.grid_h - 1))
-    px, py = round_px(agent.x), round_px(agent.y)
-    # Collision reads the frame's own cells, rasterized for the agent's lane only.
-    lane = state.lane_of_row.get(py)
-
-    x0, x1, y0, y1 = goal_pixels(state)
-    if x0 <= px <= x1 and y0 <= py <= y1:
-        # Goal wins over obstacle contact, matching render precedence.
-        outcome = Outcome(GOAL_REACHED, GOAL_REWARD, state.t)
-    elif lane is not None and px in _body_cells(state, state.obstacles[state.obstacles[:, LANE] == lane])[1]:
-        agent.alive = False
-        outcome = Outcome(DIED, DEATH_REWARD, state.t)
-    elif state.t >= cfg.max_steps:
-        outcome = Outcome(TIMED_OUT, 0.0, state.t)
-    else:
-        outcome = Outcome(RUNNING, 0.0, state.t)
-    state.done = outcome.is_terminal
-    return outcome
 
 
 def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
@@ -494,7 +486,7 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
         lanes=lanes,
         obstacles=np.empty((0, 4)),
         goal=GoalState(x=0.0, y=0.0, vx=config.goal_speed, vy=0.0),
-        agent=AgentState(x=0.0, y=0.0),
+        start=(0.0, 0.0),
         spawn_rng=substream(episode_seed, STREAM_SPAWN),
         class_rng=class_rng,
     )
@@ -512,7 +504,7 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
         ax = int(place_rng.integers(config.grid_w))
         ay = int(place_rng.integers(config.grid_h))
         if not occupied[ay, ax]:
-            state.agent = AgentState(x=float(ax), y=float(ay))
+            state.start = (float(ax), float(ay))
             break
     else:
         raise PlacementError("agent placement failed")
@@ -550,7 +542,7 @@ class Timeline:
         state = new_episode(config, episode_seed)
         self.config = config
         self.episode_seed = episode_seed
-        self.start = (state.agent.x, state.agent.y)
+        self.start = state.start
         self.frames: list[np.ndarray] = [freeze(render_frame(state))]
         self._state = state
         self._predicted: dict[int, PredictedFrame] = {}

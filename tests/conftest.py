@@ -7,11 +7,15 @@ from lanenav.world import (
     LANE,
     LEN1,
     SPEED,
-    AgentState,
     GoalState,
     Lane,
+    Outcome,
     WorldConfig,
     WorldState,
+    move,
+    outcome_at,
+    render_frame,
+    world_step,
 )
 
 
@@ -45,10 +49,19 @@ def build_state(
         lanes=[Lane(row=r, class_id=c, direction=d) for r, c, d in (lanes or [])],
         obstacles=obstacle_table(obstacles or []),
         goal=GoalState(x=goal[0], y=goal[1], vx=goal[2], vy=goal[3]),
-        agent=AgentState(x=agent[0], y=agent[1]),
+        start=agent,
         spawn_rng=substream(seed, STREAM_SPAWN),
         class_rng=substream(seed, STREAM_CLASS),
     )
+
+
+def agent_turn(state: WorldState, x: float, y: float, action: int) -> tuple[float, float, Outcome]:
+    """One episode step on a stepped world: the world advances, then the agent
+    moves by ``move`` and ``outcome_at`` reads the new frame."""
+    cfg = state.config
+    world_step(state)
+    x, y = move(x, y, action, cfg.agent_speed, cfg.grid_w - 1.0, cfg.grid_h - 1.0)
+    return x, y, outcome_at(render_frame(state), x, y, state.t, cfg.max_steps)
 
 
 def state_fingerprint(state: WorldState) -> tuple:
@@ -58,10 +71,9 @@ def state_fingerprint(state: WorldState) -> tuple:
         tuple(state.lanes),
         tuple(map(tuple, state.obstacles.tolist())),
         (state.goal.x, state.goal.y, state.goal.vx, state.goal.vy),
-        (state.agent.x, state.agent.y, state.agent.alive),
+        state.start,
         str(state.spawn_rng.bit_generator.state),
         str(state.class_rng.bit_generator.state),
-        state.done,
     )
 
 

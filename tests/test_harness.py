@@ -1,6 +1,11 @@
+import multiprocessing
+import traceback
+from dataclasses import replace
+
 import pytest
 
 from conftest import frames_equal
+from lanenav import harness
 from lanenav.harness import (
     BenchCell,
     BenchRow,
@@ -16,7 +21,7 @@ from lanenav.harness import (
 from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel, OracleModel
 from lanenav.seeding import episode_seed
-from lanenav.world import Outcome, WorldConfig
+from lanenav.world import Outcome, Timeline, WorldConfig, move, outcome_at
 
 FAST_WORLD = WorldConfig(max_steps=60)
 SMALL_MCTS = MCTSConfig(n_rollouts=20, rollout_length=1)
@@ -119,6 +124,25 @@ class TestReplay:
                                      step.action, step.reward, step.outcome)
         assert not verify_replay(record)
 
+    def test_replay_rejects_a_step_after_the_end(self):
+        record = next(r for r in (run_episode(FAST_WORLD, SMALL_MCTS, "none", episode_seed(0, i))
+                                  for i in range(50)) if r.outcome.kind == "died")
+        assert verify_replay(record)
+        # One more step, exactly as the world would play it on, and the record
+        # claims its outcome: only the terminal step before it is wrong.
+        last, t = record.trace[-1], record.trace[-1].t + 1
+        x, y = move(last.agent_x, last.agent_y, 0, FAST_WORLD.agent_speed, 47.0, 47.0)
+        outcome = outcome_at(Timeline(FAST_WORLD, record.episode_seed).frame(t), x, y, t, FAST_WORLD.max_steps)
+        record.trace.append(StepRecord(t, x, y, 0, outcome.reward, outcome.kind))
+        record.outcome = outcome
+        assert not verify_replay(record)
+
+    def test_replay_rejects_a_gap_in_t(self):
+        record = run_episode(FAST_WORLD, SMALL_MCTS, "none", episode_seed(8, 2))
+        i = len(record.trace) // 2
+        record.trace[i:] = [replace(step, t=step.t + 1) for step in record.trace[i:]]
+        assert not verify_replay(record)
+
 
 class TestSummarize:
     def test_mixed_outcomes(self):
@@ -194,6 +218,32 @@ class TestBenchmark:
         text = table.format_text()
         assert "oracle" in text
         assert "2x" in text
+
+    def test_bad_model_spec_fails_before_any_episode(self, monkeypatch):
+        def no_episode(*args):
+            raise AssertionError("an episode was simulated")
+
+        monkeypatch.setattr(harness, "Timeline", no_episode)
+        cells = [BenchCell("oracle", "2x", 1), BenchCell("noisy:0.1,0.02,inf,5", "2x", 1)]
+        with pytest.raises(ValueError, match="noisy:0.1,0.02,inf,5"):
+            run_benchmark(cells, FAST_WORLD, SMALL_MCTS, n_episodes=2)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_episode_failure_keeps_the_raising_frame(self, monkeypatch, parallelism):
+        if parallelism > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched model only when forked")
+
+        def exploding_predict(self, obs, k):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(OracleModel, "predict", exploding_predict)
+        with pytest.raises(RuntimeError, match="failed: RuntimeError: synthetic failure") as info:
+            run_benchmark([BenchCell("oracle", "2x", 1)], FAST_WORLD, SMALL_MCTS, n_episodes=2,
+                          parallelism=parallelism)
+        # In process the cause is the model's exception itself; from a pool
+        # worker it is the worker's traceback text, cause chain included.
+        assert info.value.__cause__ is not None
+        assert ", in exploding_predict\n" in "".join(traceback.format_exception(info.value))
 
     def test_invalid_episode_count(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from lanenav.mcts import (
 )
 from lanenav.models import PredictedFrame, PredictedRollout, oracle_predict
 from lanenav.seeding import make_rng
-from lanenav.world import WorldConfig, action_to_velocity, new_episode, round_px
+from lanenav.world import WorldConfig, action_to_velocity, move, new_episode, round_px
 
 
 def rollout_from_masks(masks, goals=None) -> PredictedRollout:
@@ -305,6 +305,23 @@ class TestSearchProperties:
                 assert node.terminal_value in (cfg.death_value, cfg.goal_value)
 
 
+def edge_coords(hi: float):
+    """Coordinates on, next to and past both edges of the axis [0, hi]."""
+    return st.sampled_from([-1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 0.7, hi - 0.7, hi - 1e-9, hi,
+                            hi + 1e-9, hi + 0.5, hi + 2.0]) | st.floats(-2.0, hi + 2.0)
+
+
+@given(x=edge_coords(47.0), y=edge_coords(29.0), speed=st.sampled_from([0.5, 1.0]))
+def test_search_children_move_like_the_world(x, y, speed):
+    # With a uniform prior and k = 1, eight rollouts expand each root action
+    # once. The grid is 48 wide and 30 high, so a swapped axis shows.
+    root = run_search((x, y), empty_rollout(1, h=30), MCTSConfig(n_rollouts=8, rollout_length=1),
+                      agent_speed=speed)
+    for a in range(8):
+        child = root.children[a]
+        assert (child.x, child.y) == move(x, y, a, speed, 47.0, 29.0)
+
+
 class TestPlanAction:
     def test_single_safe_action_chosen(self):
         # all 8 landing pixels lethal except one; brute-force the safe one
@@ -388,7 +405,7 @@ class TestPlanAction:
             state = new_episode(world_cfg, seed)
             rollout = oracle_predict(state, 1)
             occ = rollout.steps[0].occupancy
-            agent = (state.agent.x, state.agent.y)
+            agent = state.start
             safe = []
             for a in range(8):
                 dx, dy = action_to_velocity(a, world_cfg.agent_speed)

@@ -1,7 +1,11 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import NoTimeline, TimelineRead, build_state, frames_equal
+from conftest import NoTimeline, TimelineRead, agent_turn, build_state, frames_equal
 from lanenav.models import (
     History,
     Observation,
@@ -21,7 +25,6 @@ from lanenav.world import (
     RIGHT_TO_LEFT,
     Timeline,
     WorldConfig,
-    agent_step,
     clone_state,
     new_episode,
     render_frame,
@@ -361,13 +364,14 @@ class TestModelObjects:
         timeline = Timeline(cfg, 19)
         model = OracleModel()
         rng = make_rng(11)
+        x, y = state.start
         for t in range(25):
             cached = model.predict(Observation.at(timeline, t), 4)
             fresh = oracle_predict(state, 4)
             for got, want in zip(cached.steps, fresh.steps):
                 assert np.array_equal(got.occupancy, want.occupancy)
                 assert got.goal_estimate == want.goal_estimate
-            outcome = agent_step(state, int(rng.integers(8)))
+            x, y, outcome = agent_turn(state, x, y, int(rng.integers(8)))
             if outcome.is_terminal:
                 break
 
@@ -414,3 +418,21 @@ class TestModelObjects:
     def test_build_model_rejects(self, spec):
         with pytest.raises(ValueError):
             build_model(spec, rng=make_rng(0))
+
+    @pytest.mark.parametrize("spec", [
+        "noisy:0.1,0.02,1.0,0", "noisy:nan,0.02,1.0,5", "noisy:0.1,nan,1.0,5", "noisy:0.1,0.02,nan,5",
+        "noisy:0.1,0.02,-1.0,5", "noisy:0.1,0.02,inf,5", "noisy:1.5,0.02,1.0,5", "noisy:0.1,-0.1,1.0,5",
+    ])
+    def test_build_model_rejects_bad_noisy_values(self, spec):
+        with pytest.raises(ValueError, match=re.escape(spec)):
+            build_model(spec, rng=make_rng(0))
+
+    @given(st.lists(st.floats().map(repr) | st.integers(-3, 10).map(str) | st.text(max_size=5)
+                    | st.sampled_from(["nan", "inf", "-inf", "1e999", "", "0.5"]), max_size=6))
+    def test_noisy_spec_fuzz_raises_only_value_error(self, fields):
+        try:
+            model = build_model("noisy:" + ",".join(fields), rng=make_rng(0))
+        except ValueError:
+            return
+        assert 0.0 <= model.p_fn <= 1.0 and 0.0 <= model.p_fp <= 1.0
+        assert math.isfinite(model.goal_sigma) and model.goal_sigma >= 0.0 and model.n_samples >= 1

@@ -45,8 +45,8 @@ class TestRenderPpm:
         state = new_episode(WorldConfig(), 3)
         frame = render_frame(state)
         a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
-        render_ppm(frame, (state.agent.x, state.agent.y), a)
-        render_ppm(frame, (state.agent.x, state.agent.y), b)
+        render_ppm(frame, state.start, a)
+        render_ppm(frame, state.start, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_agent_overlay_white(self, tmp_path):

@@ -19,10 +19,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from conftest import agent_turn
 from lanenav.mcts import MCTSConfig, plan_action, run_search
 from lanenav.models import oracle_predict
 from lanenav.seeding import episode_seed, make_rng
-from lanenav.world import N_ACTIONS, WorldConfig, agent_step, new_episode
+from lanenav.world import N_ACTIONS, WorldConfig, new_episode
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "search_corpus.json"
 
@@ -47,6 +48,7 @@ def corpus_results() -> tuple[list[list], str]:
         world_cfg = WorldConfig().for_speed("2x" if episode % 2 == 0 else "1x")
         seed = episode_seed(7, episode)
         state = new_episode(world_cfg, seed)
+        agent = state.start
         walk_rng = make_rng(seed + 1)
         for _ in range(POINTS_PER_EPISODE):
             if point >= N_POINTS:
@@ -54,7 +56,6 @@ def corpus_results() -> tuple[list[list], str]:
             # The oracle is exact, so the first k frames of one 10-step
             # rollout are the k-step rollout.
             rollout = oracle_predict(state, max(KS))
-            agent = (state.agent.x, state.agent.y)
             for k in KS:
                 cfg = replace(VARIANTS[len(records) % len(VARIANTS)], rollout_length=k)
                 root = run_search(agent, rollout, cfg, world_cfg.agent_speed,
@@ -65,7 +66,8 @@ def corpus_results() -> tuple[list[list], str]:
                 records.append([*root.n, sum(root.w), pick])
                 digest.update(repr(root.w).encode())
             point += 1
-            outcome = agent_step(state, int(walk_rng.integers(N_ACTIONS)))
+            x, y, outcome = agent_turn(state, *agent, int(walk_rng.integers(N_ACTIONS)))
+            agent = (x, y)
             if outcome.is_terminal:
                 break
         episode += 1

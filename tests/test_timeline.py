@@ -3,12 +3,13 @@
 The differential tests compare every reader of the timeline (frames, the
 oracle and noisy models, the history, the episode's goal/death lookup) with
 the per-step path it replaces: ``new_episode`` + ``world_step`` +
-``render_frame``, ``oracle_predict`` and ``agent_step``.
+``render_frame`` and ``oracle_predict``. The episode's outcomes are replayed
+on such a stepped world, with the same ``move`` and ``outcome_at``.
 """
 import numpy as np
 import pytest
 
-from conftest import NoTimeline
+from conftest import NoTimeline, agent_turn
 from lanenav import harness
 from lanenav.harness import BenchCell, run_benchmark, run_episode, verify_replay
 from lanenav.mcts import MCTSConfig
@@ -40,7 +41,7 @@ def test_frames_equal_stepped_world_at_both_speeds():
         state = new_episode(presets[0], seed)
         timelines = [Timeline(cfg, seed) for cfg in presets]
         for timeline in timelines:
-            assert timeline.start == (state.agent.x, state.agent.y)
+            assert timeline.start == state.start
         for t in range(DIFF_STEPS + 1):
             if t:
                 world_step(state)
@@ -122,24 +123,38 @@ def test_observation_models_never_read_the_timeline(spec, predict):
                 assert _same_rollout(model.predict(obs, k), want)
 
 
+def _replays_on_stepped_world(record) -> bool:
+    """The record's actions on ``new_episode`` + ``world_step``: same t,
+    position, reward and outcome at every step."""
+    state = new_episode(record.world_config, record.episode_seed)
+    x, y = state.start
+    for step in record.trace:
+        x, y, outcome = agent_turn(state, x, y, step.action)
+        if (state.t, x, y, outcome.reward, outcome.kind) != (
+                step.t, step.agent_x, step.agent_y, step.reward, step.outcome):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("speed", ["2x", "1x"])
-def test_episode_outcomes_match_agent_step(speed):
-    # verify_replay re-runs the actions through agent_step and compares every
-    # step's t, reward, outcome and position with the timeline episode
+def test_episode_outcomes_match_stepped_world(speed):
+    # verify_replay re-runs the actions on a fresh timeline, and the stepped
+    # world re-renders every frame; both must give the timeline episode's
+    # t, reward, outcome and position at every step
     cfg = WorldConfig().for_speed(speed)
     kinds = []
     for i in range(40):
         record = run_episode(cfg, MCTSConfig(), "none", episode_seed(10, i))
-        assert verify_replay(record)
+        assert verify_replay(record) and _replays_on_stepped_world(record)
         kinds.append(record.outcome.kind)
     for i in range(6):
         record = run_episode(cfg, MCTSConfig(n_rollouts=20, rollout_length=1), "oracle", episode_seed(11, i))
-        assert verify_replay(record)
+        assert verify_replay(record) and _replays_on_stepped_world(record)
         kinds.append(record.outcome.kind)
     short = WorldConfig(agent_speed=cfg.agent_speed, max_steps=6)
     for i in range(10):
         record = run_episode(short, MCTSConfig(), "none", episode_seed(12, i))
-        assert verify_replay(record)
+        assert verify_replay(record) and _replays_on_stepped_world(record)
         kinds.append(record.outcome.kind)
     assert {"goal", "died", "timeout"} <= set(kinds)
 

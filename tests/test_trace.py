@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import frames_equal
+from conftest import agent_turn, frames_equal
 from lanenav.harness import run_episode
 from lanenav.mcts import MCTSConfig
 from lanenav.seeding import episode_seed
 from lanenav.tracefile import frame_to_rle, read_trace, rle_to_frame, write_trace
-from lanenav.world import WorldConfig, agent_step, new_episode, render_frame
+from lanenav.world import WorldConfig, new_episode, render_frame
 
 
 class TestRLE:
@@ -102,8 +102,10 @@ class TestTraceFile:
 
         trace = read_trace(path)
         state = new_episode(trace.world_config, trace.episode_seed)
+        x, y = state.start
         for i, step in enumerate(trace.steps):
-            outcome = agent_step(state, int(step["action"]))
+            x, y, outcome = agent_turn(state, x, y, int(step["action"]))
+            assert [x, y] == step["agent_pos"]
             assert outcome.reward == step["reward"]
             assert outcome.kind == step["outcome"]
             assert frames_equal(render_frame(state), trace.frame_at(i))

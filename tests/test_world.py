@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import build_state, frames_equal, state_fingerprint
+from conftest import agent_turn, build_state, frames_equal, state_fingerprint
 from lanenav.world import (
     FREE,
     GOAL,
@@ -13,11 +13,9 @@ from lanenav.world import (
     LEFT_TO_RIGHT,
     SPEED,
     ConfigError,
-    EpisodeFinishedError,
     ObstacleClass,
     WorldConfig,
     action_to_velocity,
-    agent_step,
     clone_state,
     new_episode,
     reflect_axis,
@@ -93,7 +91,7 @@ class TestNewEpisode:
         for seed in range(40):
             state = new_episode(WorldConfig(), seed)
             frame = render_frame(state)
-            px, py = round_px(state.agent.x), round_px(state.agent.y)
+            px, py = map(round_px, state.start)
             assert frame[py, px] == FREE
             assert not _on_obstacle(state, px, py)
 
@@ -103,7 +101,7 @@ class TestNewEpisode:
             cfg = state.config
             assert 0 <= state.goal.x <= cfg.grid_w - cfg.goal_size
             assert 0 <= state.goal.y <= cfg.grid_h - cfg.goal_size
-            px, py = round_px(state.agent.x), round_px(state.agent.y)
+            px, py = map(round_px, state.start)
             gx, gy = round_px(state.goal.x), round_px(state.goal.y)
             inside = gx <= px <= gx + 1 and gy <= py <= gy + 1
             assert not inside
@@ -306,9 +304,10 @@ class TestRenderFrame:
         state = build_state(lanes=[(7, 1, LEFT_TO_RIGHT)], obstacles=[(0, 1.0, 3, 0.5)],
                             agent=(0.0, 7.0), goal=(40.0, 40.0, 0.0, 0.0),
                             config=WorldConfig(level=0.0, warmup_steps=0, agent_speed=1.0))
-        outcome = agent_step(state, 4)  # west, clamped at column 0; the body moves to 1.5
-        frame = render_frame(state)
+        x, y, outcome = agent_turn(state, *state.start, 4)  # west, clamped at column 0
+        frame = render_frame(state)  # the body moved to 1.5
         assert frame[7, :4].tolist() == [FREE, 1, 1, FREE]
+        assert (x, y) == (0.0, 7.0)
         assert outcome.kind == "running"
 
     def test_goal_overwrites_obstacle(self):
@@ -327,7 +326,7 @@ class TestAgentStep:
     def test_reach_goal(self):
         state = build_state(goal=(10.0, 10.0, 0.0, 0.0), agent=(10.0, 10.0),
                             config=WorldConfig(level=0.0, warmup_steps=0, agent_speed=1.0))
-        outcome = agent_step(state, 0)
+        _, _, outcome = agent_turn(state, *state.start, 0)
         assert outcome.kind == "goal"
         assert outcome.reward == 20.0
 
@@ -339,16 +338,16 @@ class TestAgentStep:
             goal=(40.0, 40.0, 0.0, 0.0),
             config=WorldConfig(level=0.0, warmup_steps=0, agent_speed=1.0),
         )
-        outcome = agent_step(state, 0)  # move east onto pixel (6, 10)
+        x, y, outcome = agent_turn(state, *state.start, 0)  # move east onto pixel (6, 10)
+        assert (x, y) == (6.0, 10.0)
         assert outcome.kind == "died"
         assert outcome.reward == -20.0
-        assert not state.agent.alive
 
     def test_timeout_at_step_limit(self):
         cfg = WorldConfig(level=0.0, warmup_steps=0, agent_speed=1.0, max_steps=203)
         state = build_state(config=cfg, goal=(40.0, 40.0, 0.0, 0.0), agent=(5.0, 5.0))
         state.t = 202
-        outcome = agent_step(state, 6)
+        _, _, outcome = agent_turn(state, *state.start, 6)
         assert outcome.kind == "timeout"
         assert outcome.reward == 0.0
         assert outcome.steps_taken == 203
@@ -362,21 +361,15 @@ class TestAgentStep:
             goal=(6.0, 10.0, 0.0, 0.0),
             config=WorldConfig(level=0.0, warmup_steps=0, agent_speed=1.0),
         )
-        outcome = agent_step(state, 0)
+        _, _, outcome = agent_turn(state, *state.start, 0)
         assert outcome.kind == "goal"
-
-    def test_finished_episode_raises(self):
-        state = build_state(goal=(10.0, 10.0, 0.0, 0.0), agent=(10.0, 10.0))
-        agent_step(state, 0)
-        with pytest.raises(EpisodeFinishedError):
-            agent_step(state, 0)
 
     def test_agent_clamped_at_walls(self):
         cfg = WorldConfig(level=0.0, warmup_steps=0, agent_speed=1.0)
         state = build_state(config=cfg, agent=(47.0, 47.0), goal=(5.0, 5.0, 0.0, 0.0))
-        outcome = agent_step(state, 1)  # southeast, into the corner
+        x, y, outcome = agent_turn(state, *state.start, 1)  # southeast, into the corner
         assert outcome.kind == "running"
-        assert state.agent.x == 47.0 and state.agent.y == 47.0
+        assert x == 47.0 and y == 47.0
 
 
 class TestClone:
@@ -411,10 +404,10 @@ class TestActionIndependence:
         a = new_episode(cfg, 31)
         b = new_episode(cfg, 31)
         rng = np.random.default_rng(0)
+        x, y = b.start
         for _ in range(60):
             world_step(a)
-            agent_step(b, int(rng.integers(8)))
-            b.done = False  # keep stepping through terminal outcomes
+            x, y, _ = agent_turn(b, x, y, int(rng.integers(8)))  # on through terminal outcomes
             assert frames_equal(render_frame(a), render_frame(b))
 
 
@@ -425,10 +418,11 @@ class TestDeterminism:
         results = []
         for _ in range(2):
             state = new_episode(cfg, 77)
+            x, y = state.start
             rewards = []
             for a in actions:
-                outcome = agent_step(state, int(a))
-                rewards.append(outcome.reward)
+                x, y, outcome = agent_turn(state, x, y, int(a))
+                rewards.append((outcome.reward, x, y))
                 if outcome.is_terminal:
                     break
             results.append((rewards, state_fingerprint(state)))

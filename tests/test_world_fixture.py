@@ -7,9 +7,15 @@ For each (config, seed) the fixture holds:
 * ``agent`` and ``goal``: the start of the agent (x, y) and of the goal
   (x, y, vx, vy);
 * ``spawn_draws``: the raw Poisson total after 250 world steps;
-* ``events``: sha256 of every non-running ``agent_step`` outcome over those
-  250 steps under seeded random actions (the episode is reopened after each
-  end), with the number of deaths and goals.
+* ``events``: sha256 of every non-running outcome over those 250 steps under
+  seeded random actions (the episode is reopened after each end), with the
+  number of deaths and goals.
+
+``events`` was recorded from ``agent_step``, the stepped-state agent that the
+library has since dropped, and is now reproduced by ``move`` and
+``outcome_at`` on the timeline's frames. That equality is the proof that the
+one agent rule behaves as the old one did, so do not re-record the fixture to
+make ``events`` pass.
 
 The configs are the default world and edge cases ``validate`` accepts: no
 speed jitter (heads on exact half-pixels, so rounding ties), jitter at or
@@ -37,8 +43,8 @@ from lanenav.world import (
     RUNNING,
     Timeline,
     WorldConfig,
-    agent_step,
-    new_episode,
+    move,
+    outcome_at,
 )
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "world_frames.json"
@@ -62,6 +68,8 @@ CONFIGS = {
 
 def record_seed(cfg: WorldConfig, seed: int) -> dict:
     timeline = Timeline(cfg, seed)
+    goal = timeline._state.goal  # the start goal, read before the timeline steps it
+    start = {"agent": list(timeline.start), "goal": [goal.x, goal.y, goal.vx, goal.vy]}
     frames = hashlib.sha256()
     rle = hashlib.sha256()
     for t in range(STEPS + 1):
@@ -70,22 +78,19 @@ def record_seed(cfg: WorldConfig, seed: int) -> dict:
         if t % RLE_EVERY == 0:
             rle.update(frame_to_rle(frame).encode() + b"\n")
 
-    state = new_episode(cfg, seed)
-    agent, goal = state.agent, state.goal
-    start = {"agent": [agent.x, agent.y], "goal": [goal.x, goal.y, goal.vx, goal.vy]}
     actions = make_rng(seed).integers(0, 8, size=STEPS).tolist()
+    x, y = timeline.start
     events = []
-    for action in actions:
-        outcome = agent_step(state, action)
+    for t, action in enumerate(actions, 1):
+        x, y = move(x, y, action, cfg.agent_speed, cfg.grid_w - 1.0, cfg.grid_h - 1.0)
+        outcome = outcome_at(timeline.frame(t), x, y, t, cfg.max_steps)
         if outcome.kind != RUNNING:
-            events.append([outcome.steps_taken, outcome.kind, state.agent.x, state.agent.y])
-            state.done = False
-            state.agent.alive = True
+            events.append([outcome.steps_taken, outcome.kind, x, y])
     return {
         "frames": frames.hexdigest(),
         "rle": rle.hexdigest(),
         **start,
-        "spawn_draws": state.spawn_draws,
+        "spawn_draws": timeline._state.spawn_draws,  # stepped to t = STEPS above
         "events": hashlib.sha256(json.dumps(events).encode()).hexdigest(),
         "deaths": sum(1 for e in events if e[1] == "died"),
         "goals": sum(1 for e in events if e[1] == "goal"),

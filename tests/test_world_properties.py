@@ -1,9 +1,8 @@
 """Properties of the simulator on random worlds, checked step by step.
 
-Each example builds a random world (grid, lanes, classes, level) and drives it
-with ``agent_step`` from random agent positions, so deaths are common. After
-every step the obstacle table, the frame and the outcome are compared with a
-per-cell Python reference of the rules in ``lanenav.world``:
+Each example builds a random world (grid, lanes, classes, level) and steps it
+with ``world_step``. After every step the obstacle table and the frame are
+compared with a per-cell Python reference of the rules in ``lanenav.world``:
 
 * the bodies that stay are exactly those that still have a visible cell after
   moving, in their old order, and every other row is a spawn of this step;
@@ -11,30 +10,25 @@ per-cell Python reference of the rules in ``lanenav.world``:
 * the frame holds exactly the reference cells of every body, on its lane row,
   as one contiguous run per body, with the goal painted on top;
 * the goal stays in bounds and keeps its speed;
-* obstacle occupancy never includes goal pixels;
-* ``agent_step`` reports a death exactly when the frame holds an obstacle
-  class at the agent's pixel, and the goal exactly when it holds the goal.
+* obstacle occupancy never includes goal pixels.
 
 Same-lane bodies may overlap: a faster body overtakes a slower one.
 """
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from lanenav.seeding import make_rng
 from lanenav.world import (
-    DIED,
     GOAL,
-    GOAL_REACHED,
     LEFT_TO_RIGHT,
     ObstacleClass,
     PlacementError,
     WorldConfig,
-    agent_step,
     goal_pixels,
     new_episode,
     obstacle_occupancy,
     render_frame,
     round_px,
+    world_step,
 )
 
 STEPS = 30
@@ -85,14 +79,10 @@ def test_world_step_matches_cell_reference(cfg, seed):
     except PlacementError:
         assume(False)
     w, h = cfg.grid_w, cfg.grid_h
-    rng = make_rng(seed)
     goal_speed = (abs(state.goal.vx), abs(state.goal.vy))
     for _ in range(STEPS):
         before = state.obstacles.tolist()
-        state.agent.x = float(rng.uniform(0.0, w - 1))
-        state.agent.y = float(rng.uniform(0.0, h - 1))
-        outcome = agent_step(state, int(rng.integers(8)))
-        state.done, state.agent.alive = False, True
+        world_step(state)
         table = state.obstacles.tolist()
 
         moved = [[head + speed, speed, len1, lane] for head, speed, len1, lane in before]
@@ -123,7 +113,3 @@ def test_world_step_matches_cell_reference(cfg, seed):
         assert 0.0 <= state.goal.x <= w - cfg.goal_size and 0.0 <= state.goal.y <= h - cfg.goal_size
         assert (abs(state.goal.vx), abs(state.goal.vy)) == goal_speed
         assert not obstacle_occupancy(frame)[y0:y1 + 1, x0:x1 + 1].any()
-
-        value = frame[round_px(state.agent.y), round_px(state.agent.x)]
-        assert (outcome.kind == DIED) == (1 <= value < GOAL)
-        assert (outcome.kind == GOAL_REACHED) == (value == GOAL)
