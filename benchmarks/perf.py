@@ -20,7 +20,7 @@ call. Layers:
 * ``world.render_frame``: the palette frame of a warmed-up world;
 * ``tracefile.frame_to_rle`` and ``tracefile.rle_to_frame``: one frame;
 * ``ppm.frame_to_rgb``: one frame with the agent drawn;
-* ``mcts.run_search.k{1,3,10}``: one search on an oracle rollout;
+* ``mcts.run_search.k{1,3,10}``: one search on the timeline's true rollout;
 * ``harness.verify_replay``: per replayed step, the replay of random-agent
   episodes, fresh timeline included.
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from lanenav.harness import run_episode, verify_replay
 from lanenav.mcts import MCTSConfig, run_search
-from lanenav.models import oracle_predict
+from lanenav.models import PredictedRollout
 from lanenav.ppm import frame_to_rgb
 from lanenav.seeding import episode_seed
 from lanenav.tracefile import frame_to_rle, rle_to_frame
@@ -94,8 +94,9 @@ def layer_cases() -> dict:
     states = [new_episode(cfg, seed) for seed in SEEDS]
     frames = [render_frame(s) for s in states]
     rles = [frame_to_rle(f) for f in frames]
-    agents = [Timeline(cfg, seed).start for seed in SEEDS]
-    rollouts = [oracle_predict(s, max(KS)) for s in states]
+    timelines = [Timeline(cfg, seed) for seed in SEEDS]
+    agents = [timeline.start for timeline in timelines]
+    rollouts = [PredictedRollout(timeline.rollout(0, max(KS)), "oracle") for timeline in timelines]
     records = [run_episode(cfg, MCTSConfig(), "none", seed) for seed in SEEDS]
     steps = 10
 

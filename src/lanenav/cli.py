@@ -23,7 +23,7 @@ from .config import CONFIG_KEYS, parse_config
 from .fileio import atomic_write_text
 from .harness import BenchCell, run_benchmark, run_episode
 from .mcts import run_search
-from .models import Observation, build_model, oracle_predict, prediction_error
+from .models import Observation, PredictedRollout, build_model, prediction_error
 from .ppm import prediction_to_rgb, render_error_map, render_ppm, write_ppm
 from .seeding import STREAM_MODEL, episode_seed, make_rng, substream
 from .tracefile import read_trace, write_trace
@@ -188,24 +188,28 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     searches = 200 if args.quick else 1000
     conserved = True
     for _ in range(searches):
-        st = new_episode(world_cfg, int(rng.integers(2 ** 63)))
-        rollout = oracle_predict(st, mcts_cfg.rollout_length)
-        root = run_search(st.start, rollout, mcts_cfg, world_cfg.agent_speed,
+        timeline = Timeline(world_cfg, int(rng.integers(2 ** 63)))
+        rollout = PredictedRollout(timeline.rollout(0, mcts_cfg.rollout_length), "oracle")
+        root = run_search(timeline.start, rollout, mcts_cfg, world_cfg.agent_speed,
                           goal_size=world_cfg.goal_size)
         conserved &= sum(root.n) == mcts_cfg.n_rollouts
     ok &= _check("mcts visit conservation", conserved, f"{searches} random searches")
 
+    # The timeline that episodes read, against the world stepped on its own.
     pairs = 30 if args.quick else 100
     exact = True
     for i in range(pairs):
-        st = new_episode(world_cfg, episode_seed(world_cfg.master_seed, 100 + i))
-        k = 1 + i % 10
-        rollout = oracle_predict(st, k)
-        for j in range(k):
+        seed = episode_seed(world_cfg.master_seed, 100 + i)
+        t, k = i % 7, 1 + i % 10
+        rollout = Timeline(world_cfg, seed).rollout(t, k)
+        st = new_episode(world_cfg, seed)
+        for _ in range(t):
             world_step(st)
-            err = prediction_error(rollout.steps[j], render_frame(st))
+        for predicted in rollout:
+            world_step(st)
+            err = prediction_error(predicted, render_frame(st))
             exact &= err.fn_count == 0 and err.fp_count == 0 and err.goal_err == 0.0
-    ok &= _check("oracle exactness", exact, f"{pairs} state/k pairs, horizons 1..10")
+    ok &= _check("oracle exactness", exact, f"{pairs} seed/t/k triples, t 0..6, horizons 1..10")
 
     return 0 if ok else 1
 

@@ -76,10 +76,7 @@ def build_configs(values: dict[str, object]) -> tuple[WorldConfig, MCTSConfig, s
     mcts = MCTSConfig(**mcts_fields)
 
     world.validate()
-    try:
-        mcts.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mcts.validate()
     return world, mcts, str(values.get("model", DEFAULT_MODEL))
 
 

@@ -1,7 +1,8 @@
 """Episode runner and benchmark grid.
 
-One episode = loop of (predict rollout, plan action, move the agent). The
-world of an episode is a ``Timeline``: its frames are the agent's
+One episode = loop of (choose an action, move the agent); the chooser is the
+planner, the random agent, or, in a replay, the logged actions. The world of
+an episode is a ``Timeline``: its frames are the agent's
 observations, and goal and death are read from them. The benchmark evaluates
 every grid cell on the same derived episode seeds, so all cells see
 identical environment realizations; the cells that share a seed share one
@@ -10,6 +11,7 @@ timeline. It reduces to a G/T/D/S table.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -121,48 +123,29 @@ def _play(
     model_spec: str | ForwardModel,
     keep_frames: bool = False,
 ) -> EpisodeRecord:
-    """``run_episode`` on a given timeline of ``world_cfg``'s world.
-
-    The agent steps by ``move`` and its outcome is ``outcome_at`` the pixel
-    it lands on in the next frame. ``world_cfg`` supplies the agent's speed
-    and step limit, which the timeline never reads.
-    """
+    """``run_episode`` on a given timeline of ``world_cfg``'s world: the
+    episode loop with the planner, or the random agent for spec "none", as
+    its action chooser."""
     ep_seed = timeline.episode_seed
     if isinstance(model_spec, ForwardModel):
         model = model_spec
         model_spec = model.name
     else:
         model = build_model(model_spec, rng=substream(ep_seed, STREAM_MODEL))
-    plan_rng = substream(ep_seed, STREAM_PLAN)
-    agent_rng = substream(ep_seed, STREAM_AGENT)
-    k = mcts_cfg.rollout_length
-    speed, max_steps, goal_size = world_cfg.agent_speed, world_cfg.max_steps, world_cfg.goal_size
-    x_max, y_max = float(world_cfg.grid_w - 1), float(world_cfg.grid_h - 1)
+    if model is None:
+        agent_rng = substream(ep_seed, STREAM_AGENT)
 
-    x, y = timeline.start
-    t = 0
-    trace: list[StepRecord] = []
-    outcome = Outcome(RUNNING, 0.0, 0)
-    exception = None
+        def choose(t: int, x: float, y: float) -> int:
+            return int(agent_rng.integers(N_ACTIONS))
+    else:
+        plan_rng = substream(ep_seed, STREAM_PLAN)
+        k, speed, goal_size = mcts_cfg.rollout_length, world_cfg.agent_speed, world_cfg.goal_size
 
-    while True:
-        try:
-            if model is None:
-                action = int(agent_rng.integers(N_ACTIONS))
-            else:
-                rollout = model.predict(Observation.at(timeline, t), k)
-                action = plan_action((x, y), rollout, mcts_cfg, plan_rng,
-                                     agent_speed=speed, goal_size=goal_size)
-        except Exception as exc:  # diagnostic record instead of a crash
-            exception = exc
-            break
-        x, y = move(x, y, action, speed, x_max, y_max)
-        t += 1
-        outcome = outcome_at(timeline.frame(t), x, y, t, max_steps)
-        trace.append(StepRecord(t, x, y, action, outcome.reward, outcome.kind))
-        if outcome.is_terminal:
-            break
+        def choose(t: int, x: float, y: float) -> int:
+            rollout = model.predict(Observation.at(timeline, t), k)
+            return plan_action((x, y), rollout, mcts_cfg, plan_rng, agent_speed=speed, goal_size=goal_size)
 
+    outcome, trace, exception = _episode_loop(timeline, world_cfg, choose)
     return EpisodeRecord(
         episode_seed=ep_seed,
         outcome=outcome,
@@ -173,34 +156,53 @@ def _play(
         world_config=world_cfg,
         mcts_config=mcts_cfg,
         error=None if exception is None else f"{type(exception).__name__}: {exception}",
-        frames=timeline.frames[:t + 1] if keep_frames else None,
+        frames=timeline.frames[:len(trace) + 1] if keep_frames else None,
         exception=exception,
     )
+
+
+def _episode_loop(timeline: Timeline, world_cfg: WorldConfig, choose: Callable[[int, float, float], int]
+                  ) -> tuple[Outcome, list[StepRecord], Exception | None]:
+    """The one episode loop: (outcome, steps, the chooser's exception or None).
+
+    At each time t, ``choose(t, x, y)`` picks the action, the agent steps by
+    ``move`` and its outcome is ``outcome_at`` the pixel it lands on in frame
+    t + 1. The loop ends at a terminal outcome, or when the chooser raises.
+    ``world_cfg`` supplies the agent's speed and step limit, which the
+    timeline never reads.
+    """
+    speed, max_steps = world_cfg.agent_speed, world_cfg.max_steps
+    x_max, y_max = float(world_cfg.grid_w - 1), float(world_cfg.grid_h - 1)
+    x, y = timeline.start
+    t = 0
+    trace: list[StepRecord] = []
+    outcome = Outcome(RUNNING, 0.0, 0)
+    while not outcome.is_terminal:
+        try:
+            action = choose(t, x, y)
+        except Exception as exc:  # diagnostic record instead of a crash
+            return outcome, trace, exc
+        x, y = move(x, y, action, speed, x_max, y_max)
+        t += 1
+        outcome = outcome_at(timeline.frame(t), x, y, t, max_steps)
+        trace.append(StepRecord(t, x, y, action, outcome.reward, outcome.kind))
+    return outcome, trace, None
 
 
 def verify_replay(record: EpisodeRecord) -> bool:
     """Re-run the logged actions through a fresh timeline; True iff it matches.
 
-    The replay builds its own ``Timeline``, so it is independent of the one
-    the episode ran on, and steps the agent with ``move`` and ``outcome_at``
-    like the episode runner. Every step's t, reward, outcome and agent
-    position must match exactly; t must count up from 1 and no step may
-    follow a terminal one.
+    The replay is the episode loop on its own ``Timeline``, independent of the
+    one the episode ran on, with the logged actions as the chooser: it ends
+    where the world ends the episode or where the actions run out. Its steps
+    (t, agent position, action, reward, outcome) and its outcome must equal
+    the record's exactly, so t must count up from 1 and no step may follow a
+    terminal one.
     """
-    cfg = record.world_config
-    timeline = Timeline(cfg, record.episode_seed)
-    x_max, y_max = float(cfg.grid_w - 1), float(cfg.grid_h - 1)
-    x, y = timeline.start
-    outcome = Outcome(RUNNING, 0.0, 0)
-    for step in record.trace:
-        t = outcome.steps_taken + 1
-        if outcome.is_terminal or step.t != t:
-            return False
-        x, y = move(x, y, step.action, cfg.agent_speed, x_max, y_max)
-        outcome = outcome_at(timeline.frame(t), x, y, t, cfg.max_steps)
-        if outcome.reward != step.reward or outcome.kind != step.outcome or (x, y) != (step.agent_x, step.agent_y):
-            return False
-    return outcome.kind == record.outcome.kind
+    actions = iter([step.action for step in record.trace])
+    outcome, trace, _ = _episode_loop(Timeline(record.world_config, record.episode_seed), record.world_config,
+                                      lambda t, x, y: next(actions))
+    return trace == record.trace and outcome == record.outcome
 
 
 def speed_label(world_cfg: WorldConfig) -> str:
@@ -282,14 +284,16 @@ def run_benchmark(
     if master_seed is None:
         master_seed = world_cfg.master_seed
     seeds = [episode_seed(master_seed, i) for i in range(n_episodes)]
-    # Labels first: a bad model spec fails here, before any episode runs.
+    # Labels and configs first: a bad spec or k fails here, before any episode runs.
     labels = [model_label(cell.model_spec) for cell in cells]
 
     cell_configs = []
     for cell in cells:
         cell_world = world_cfg.for_speed(cell.speed)
         cell_world.validate()
-        cell_configs.append((cell_world, replace(mcts_cfg, rollout_length=cell.rollout_length)))
+        cell_mcts = replace(mcts_cfg, rollout_length=cell.rollout_length)
+        cell_mcts.validate()
+        cell_configs.append((cell_world, cell_mcts))
     # Seed-major, so that the cells of one seed run back to back on one timeline.
     tasks = [(ci, ei, cell, *cell_configs[ci], seed)
              for ei, seed in enumerate(seeds) for ci, cell in enumerate(cells)]

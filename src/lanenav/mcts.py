@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .models import PredictedRollout
-from .world import N_ACTIONS, action_to_velocity, goal_block
+from .world import N_ACTIONS, ConfigError, action_to_velocity, goal_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,19 +46,19 @@ class MCTSConfig:
 
     def validate(self) -> None:
         if self.n_rollouts < 1:
-            raise ValueError("n_rollouts must be >= 1")
+            raise ConfigError("n_rollouts must be >= 1")
         if self.rollout_length < 1:
-            raise ValueError("rollout_length must be >= 1")
+            raise ConfigError("rollout_length must be >= 1")
         for name in ("temperature", "c_puct", "prior_kappa", "death_value", "goal_value", "shaping_beta"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ConfigError("temperature must be positive")
         if self.c_puct < 0:
-            raise ValueError("c_puct must be >= 0")
+            raise ConfigError("c_puct must be >= 0")
         if self.prior_kappa < 0:
-            raise ValueError("prior_kappa must be >= 0")
+            raise ConfigError("prior_kappa must be >= 0")
 
 
 class SearchNode:

@@ -9,15 +9,14 @@ collision and goal checks are quantized to the nearest pixel.
 
 The obstacles are one float64 table, ``WorldState.obstacles``, one row per
 body with the columns ``HEAD``, ``SPEED``, ``LEN1`` (length - 1) and ``LANE``.
-One engine, ``_advance(state, n)``, moves, removes and spawns on the whole
-table for n steps, with the random draws of all n taken at once:
-``world_step`` is ``_advance(state, 1)`` plus the goal, and the warm-up of
-``new_episode`` is ``warmup_steps`` calls of ``world_step``. Body cell i sits
-at column ``round_px(head - i)``, i = 0..length-1, and ``_body_cells`` is the
-only place that rule is applied: the frame and the agent's free start cell
-read it, and the agent's collision reads the frame. At an exact half-pixel
-tie where a body crosses x = 0, the cells at 0.5 and -0.5 round to columns 1
-and -1, so column 0 stays free while the visible run stays contiguous.
+One engine, ``world_step``, moves, removes and spawns on the whole table,
+then moves the goal; the warm-up of ``new_episode`` is ``warmup_steps``
+calls of it. Body cell i sits at column ``round_px(head - i)``,
+i = 0..length-1, and ``_body_cells`` is the only place that rule is applied:
+the frame and the agent's free start cell read it, and the agent's collision
+reads the frame. At an exact half-pixel tie where a body crosses x = 0, the
+cells at 0.5 and -0.5 round to columns 1 and -1, so column 0 stays free
+while the visible run stays contiguous.
 A spawn is rejected only if it overlaps a body of its lane at its spawn step;
 bodies keep their own speeds afterwards, so a faster body overtakes a slower
 one and same-lane bodies may overlap.
@@ -31,8 +30,8 @@ models, every benchmark cell on the same seed) shares its frames.
 
 Of the agent, the world state keeps only the start cell. ``move`` is the
 agent's clamped step and ``outcome_at`` reads its outcome from the frame it
-lands on; the episode runner and the replay check both use them on
-``Timeline`` frames.
+lands on; the harness's one episode loop, which also replays episodes, uses
+them on ``Timeline`` frames.
 
 Coordinates are (x, y) with x the column and y the row; frames are indexed
 ``frame[y, x]``. All quantization uses round-half-away-from-zero.
@@ -292,62 +291,52 @@ def move(x: float, y: float, action: int, speed: float, x_max: float, y_max: flo
     return min(max(x + dx, 0.0), x_max), min(max(y + dy, 0.0), y_max)
 
 
-def _advance(state: WorldState, n: int) -> None:
-    """Move, remove and spawn the obstacles ``n`` steps in place. Touches
-    neither the goal nor ``t``.
+def world_step(state: WorldState) -> None:
+    """Advance the world one step in place.
 
-    Each step moves every body by its speed, removes the bodies left without a
-    visible cell, then spawns. The draws of all ``n`` steps are taken before
-    the first: one ``spawn_rng.poisson(size=(n, lanes))`` gives the candidates
-    per step and lane, and one ``class_rng.random(2 * drawn)`` two uniforms per
-    candidate in draw order (step, lane, draw): length, then speed magnitude,
-    scaled as ``lo + (hi - lo) * u`` like ``Generator.uniform``. Every
-    candidate draws both, whether it is accepted or not, so the numbers and
-    both generators' states are those of n single steps. A candidate is
-    rejected if its pixel span overlaps the span of a body of its lane,
-    including earlier candidates of its step.
+    Moves every body by its speed, removes the bodies left without a visible
+    cell, then spawns; last the goal moves. The step makes two draws: one
+    ``spawn_rng.poisson`` over the lanes gives the candidates per lane, and
+    one ``class_rng.random(2 * drawn)`` two uniforms per candidate in draw
+    order (lane, then draw): length, then speed magnitude, scaled as
+    ``lo + (hi - lo) * u`` like ``Generator.uniform``. Every candidate draws
+    both, whether it is accepted or not. A candidate is rejected if its pixel
+    span overlaps the span of a body of its lane, including earlier
+    candidates of the step.
     """
     cfg = state.config
     grid_w = cfg.grid_w
-    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=(n, len(state.lanes))).tolist()
-    drawn = sum(map(sum, counts))
+    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=len(state.lanes)).tolist()
+    drawn = sum(counts)
     state.spawn_draws += drawn
     u = iter(state.class_rng.random(2 * drawn).tolist())
     table = state.obstacles
-    for step_counts in counts:
-        heads = table[:, HEAD]
-        heads += table[:, SPEED]
-        # Keep a body while round_px(head) >= 0 and round_px(tail) < grid_w, as
-        # exact float comparisons: one of its cells is still on the grid.
-        table = table.compress((heads - 0.5 > -1.0) & (heads - table[:, LEN1] + 0.5 < grid_w), axis=0)
-        spawned = []
-        for lane, k in enumerate(step_counts):
-            if not k:
-                continue
-            len_lo, len_range, speed_lo, speed_range, direction = state.lane_draw[lane]
-            spans = []
-            for head, _, len1, _ in table.compress(table[:, LANE] == lane, axis=0).tolist():
-                hi = round_px(head)
-                spans.append((hi - int(len1), hi))
-            for _ in range(k):
-                length = max(1, round_px(len_lo + len_range * next(u)))
-                speed = direction * (speed_lo + speed_range * next(u))
-                # Left-to-right bodies enter with the head on column 0; right-to-left
-                # ones with the leading (smallest-x) cell on the right edge.
-                head = 0 if direction == LEFT_TO_RIGHT else grid_w - 1 + length - 1
-                lo = head - length + 1
-                if all(hi < lo or head < other_lo for other_lo, hi in spans):
-                    spans.append((lo, head))
-                    spawned.append((head, speed, length - 1, lane))
-        if spawned:
-            table = np.concatenate((table, spawned))
-    state.obstacles = table
+    heads = table[:, HEAD]
+    heads += table[:, SPEED]
+    # Keep a body while round_px(head) >= 0 and round_px(tail) < grid_w, as
+    # exact float comparisons: one of its cells is still on the grid.
+    table = table.compress((heads - 0.5 > -1.0) & (heads - table[:, LEN1] + 0.5 < grid_w), axis=0)
+    spawned = []
+    for lane, k in enumerate(counts):
+        if not k:
+            continue
+        len_lo, len_range, speed_lo, speed_range, direction = state.lane_draw[lane]
+        spans = []
+        for head, _, len1, _ in table.compress(table[:, LANE] == lane, axis=0).tolist():
+            hi = round_px(head)
+            spans.append((hi - int(len1), hi))
+        for _ in range(k):
+            length = max(1, round_px(len_lo + len_range * next(u)))
+            speed = direction * (speed_lo + speed_range * next(u))
+            # Left-to-right bodies enter with the head on column 0; right-to-left
+            # ones with the leading (smallest-x) cell on the right edge.
+            head = 0 if direction == LEFT_TO_RIGHT else grid_w - 1 + length - 1
+            lo = head - length + 1
+            if all(hi < lo or head < other_lo for other_lo, hi in spans):
+                spans.append((lo, head))
+                spawned.append((head, speed, length - 1, lane))
+    state.obstacles = np.concatenate((table, spawned)) if spawned else table
 
-
-def world_step(state: WorldState) -> None:
-    """Advance the world one step in place."""
-    _advance(state, 1)
-    cfg = state.config
     goal = state.goal
     hi_x = float(cfg.grid_w - cfg.goal_size)
     hi_y = float(cfg.grid_h - cfg.goal_size)

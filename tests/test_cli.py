@@ -80,6 +80,11 @@ class TestBench:
     def test_non_finite_temperature_exit_code(self):
         assert main(["bench", "--temperature", "nan", "--episodes", "1"]) == 2
 
+    @pytest.mark.parametrize("ks", ["0", "1,-1"])
+    def test_non_positive_k_exit_code(self, fast_flags, ks, capsys):
+        assert main(["bench", *fast_flags, "--ks", ks, "--episodes", "1"]) == 2
+        assert "config error: rollout_length must be >= 1" in capsys.readouterr().err
+
 
 class TestRender:
     def test_render_triptych(self, fast_flags, tmp_path):

@@ -143,6 +143,22 @@ class TestReplay:
         record.trace[i:] = [replace(step, t=step.t + 1) for step in record.trace[i:]]
         assert not verify_replay(record)
 
+    def test_replay_of_an_errored_episode_stops_where_the_actions_run_out(self):
+        class FailsAfterFive(OracleModel):
+            def predict(self, obs, k):
+                if self.calls == 5:
+                    raise RuntimeError("synthetic failure")
+                return super().predict(obs, k)
+
+        record = run_episode(FAST_WORLD, SMALL_MCTS, FailsAfterFive(), episode_seed(8, 0))
+        assert record.error == "RuntimeError: synthetic failure"
+        assert record.outcome == Outcome("running", 0.0, 5) and len(record.trace) == 5
+        assert verify_replay(record)
+        # The opposite action lands elsewhere: the replay sees the changed step.
+        step = record.trace[2]
+        record.trace[2] = replace(step, action=(step.action + 4) % 8)
+        assert not verify_replay(record)
+
 
 class TestSummarize:
     def test_mixed_outcomes(self):
@@ -224,9 +240,10 @@ class TestBenchmark:
             raise AssertionError("an episode was simulated")
 
         monkeypatch.setattr(harness, "Timeline", no_episode)
-        cells = [BenchCell("oracle", "2x", 1), BenchCell("noisy:0.1,0.02,inf,5", "2x", 1)]
-        with pytest.raises(ValueError, match="noisy:0.1,0.02,inf,5"):
-            run_benchmark(cells, FAST_WORLD, SMALL_MCTS, n_episodes=2)
+        for bad, match in ((BenchCell("noisy:0.1,0.02,inf,5", "2x", 1), "noisy:0.1,0.02,inf,5"),
+                           (BenchCell("oracle", "2x", 0), "rollout_length")):
+            with pytest.raises(ValueError, match=match):
+                run_benchmark([BenchCell("oracle", "2x", 1), bad], FAST_WORLD, SMALL_MCTS, n_episodes=2)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_episode_failure_keeps_the_raising_frame(self, monkeypatch, parallelism):

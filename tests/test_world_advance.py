@@ -1,13 +1,11 @@
-"""``_advance(state, n)`` is n single steps of the world, bit for bit.
+"""The warm-up of ``new_episode`` is ``warmup_steps`` calls of ``world_step``.
 
-``world_step`` is ``_advance(state, 1)`` plus the goal update, and the warm-up
-of ``new_episode`` is ``warmup_steps`` calls of ``world_step``. On random worlds
-(no speed jitter, jitter at or above the mean speed, long lengths, one busy
-lane) and populated start states, one call of ``_advance(state, n)`` must
-leave exactly what n calls of ``_advance(state, 1)`` leave: the obstacle table
-with its row order, ``spawn_draws`` and the state of both random generators.
-``tests/data/world_frames.json`` pins the single step itself to the frames
-recorded before the batched engine existed.
+On random worlds (no speed jitter, jitter at or above the mean speed, long
+lengths, one busy lane) the warmed-up world must be exactly what that many
+``world_step`` calls leave on an empty field: the obstacle table with its row
+order, ``spawn_draws`` and the state of both random generators. Long runs
+must keep the table and the memory small. ``tests/data/world_frames.json``
+pins the step itself to recorded frames.
 """
 import tracemalloc
 from dataclasses import replace
@@ -18,9 +16,8 @@ from lanenav.world import (
     ObstacleClass,
     PlacementError,
     WorldConfig,
-    _advance,
-    clone_state,
     new_episode,
+    world_step,
 )
 
 
@@ -75,18 +72,6 @@ def snapshot(state) -> tuple:
     )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=worlds(), seed=st.integers(0, 2**31 - 1), lead=st.integers(0, 40), n=st.integers(1, 64))
-def test_batched_advance_equals_single_steps(cfg, seed, lead, n):
-    state = episode(cfg, seed)
-    _advance(state, lead)  # start from a populated, partly moved field
-    batched, single = clone_state(state), clone_state(state)
-    _advance(batched, n)
-    for _ in range(n):
-        _advance(single, 1)
-    assert snapshot(batched) == snapshot(single)
-
-
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=worlds(), seed=st.integers(0, 2**31 - 1))
 def test_warmup_equals_single_steps(cfg, seed):
@@ -95,25 +80,19 @@ def test_warmup_equals_single_steps(cfg, seed):
     cold = episode(replace(cfg, warmup_steps=0), seed)
     assert len(cold.obstacles) == 0
     for _ in range(cfg.warmup_steps):
-        _advance(cold, 1)
+        world_step(cold)
     cold.spawn_draws = 0
     assert snapshot(warm) == snapshot(cold)
     assert warm.t == 0
 
 
-def test_zero_steps_draw_nothing():
-    state = new_episode(WorldConfig(), 3)
-    before = snapshot(state)
-    _advance(state, 0)
-    assert snapshot(state) == before
-
-
 def test_long_runs_keep_memory_bounded():
-    """Only the draws grow with n: a long warm-up or advance stays small."""
+    """A long warm-up and a long run keep the table and the memory small."""
     tracemalloc.start()
     try:
         state = new_episode(WorldConfig(warmup_steps=5000), 3)
-        _advance(state, 5000)
+        for _ in range(5000):
+            world_step(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
