@@ -223,7 +223,10 @@ def _bench_row(label: tuple[str, int], speed: str, k: int, outcomes: list[tuple[
     mean = std = None
     if survivor_steps:
         mean = sum(survivor_steps) / len(survivor_steps)
-        std = math.sqrt(sum((s - mean) ** 2 for s in survivor_steps) / len(survivor_steps))
+        squares = 0.0
+        for s in survivor_steps:  # a left fold, as sum() of floats was before Python 3.12
+            squares += (s - mean) ** 2
+        std = math.sqrt(squares / len(survivor_steps))
     return BenchRow(model=label[0], n_samples=label[1], speed=speed, k=k, g=g, t=t, d=d,
                     s_mean=mean, s_std=std, episodes=len(outcomes))
 

@@ -25,9 +25,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 _ANGLES = tuple(a * math.pi / 4.0 for a in range(N_ACTIONS))
+_A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = _ANGLES
 _UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
-_ACTIONS = tuple(range(N_ACTIONS))
-_ZERO_COUNTS = (0,) * N_ACTIONS
 _ZERO_VALUES = (0.0,) * N_ACTIONS
 _ONES = (1,) * N_ACTIONS
 _NO_CHILDREN = (None,) * N_ACTIONS
@@ -64,17 +63,18 @@ class MCTSConfig:
 class SearchNode:
     """One tree node: per-action edge statistics in 8-slot sequences.
 
-    ``n``/``w`` are visit counts and summed values, ``total`` is sum(n),
-    ``mean`` is w/n (0.0 while unvisited) and ``den`` is 1 + n. ``prior`` and
-    ``cp`` (c_puct * prior) are set when a rollout first selects from the
-    node, and the node gets its own statistics lists then; until that it
-    shares read-only all-zero ones, with a uniform prior. ``stop_value`` is
-    the value backed up when a rollout reaches the node: its terminal value,
-    or its leaf value at the rollout horizon; None for an interior node.
+    ``den`` holds 1 + the visit count of each action and ``n`` is derived
+    from it; ``w`` holds summed values, ``total`` is the node's visit count,
+    ``mean`` is w/n (0.0 while unvisited). ``prior`` and ``cp``
+    (c_puct * prior) are set when a rollout first selects from the node, and
+    the node gets its own statistics lists then; until that it shares
+    read-only all-zero ones, with a uniform prior. ``stop_value`` is the
+    value backed up when a rollout reaches the node: its terminal value, or
+    its leaf value at the rollout horizon; None for an interior node.
     """
 
     __slots__ = ("depth", "x", "y", "terminal_value", "stop_value", "prior", "cp",
-                 "n", "w", "children", "total", "mean", "den")
+                 "w", "children", "total", "mean", "den")
 
     def __init__(self, depth: int, x: float, y: float,
                  terminal_value: float | None = None, stop_value: float | None = None) -> None:
@@ -85,15 +85,19 @@ class SearchNode:
         self.stop_value = stop_value
         self.prior: list[float] | tuple[float, ...] = _UNIFORM
         self.cp: list[float] | tuple[float, ...] = _UNIFORM
-        self.n: list[int] | tuple[int, ...] = _ZERO_COUNTS
         self.w: list[float] | tuple[float, ...] = _ZERO_VALUES
         self.children: list[SearchNode | None] | tuple[None, ...] = _NO_CHILDREN
         self.mean: list[float] | tuple[float, ...] = _ZERO_VALUES
         self.den: list[int] | tuple[int, ...] = _ONES
         self.total = 0
 
+    @property
+    def n(self) -> list[int]:
+        """Visit count of each action."""
+        return [d - 1 for d in self.den]
+
     def q(self, action: int) -> float:
-        visits = self.n[action]
+        visits = self.den[action] - 1
         return self.w[action] / visits if visits else 0.0
 
 
@@ -116,9 +120,18 @@ def goal_prior(
     if dx == 0.0 and dy == 0.0:
         return list(_UNIFORM)
     theta = math.atan2(dy, dx)
-    weights = [math.exp(kappa * math.cos(a - theta)) for a in _ANGLES]
-    total = sum(weights)
-    return [w / total for w in weights]
+    exp, cos = math.exp, math.cos
+    w0 = exp(kappa * cos(_A0 - theta))
+    w1 = exp(kappa * cos(_A1 - theta))
+    w2 = exp(kappa * cos(_A2 - theta))
+    w3 = exp(kappa * cos(_A3 - theta))
+    w4 = exp(kappa * cos(_A4 - theta))
+    w5 = exp(kappa * cos(_A5 - theta))
+    w6 = exp(kappa * cos(_A6 - theta))
+    w7 = exp(kappa * cos(_A7 - theta))
+    # A left fold: from Python 3.12 sum() of floats is compensated, with other bits.
+    total = w0 + w1 + w2 + w3 + w4 + w5 + w6 + w7
+    return [w0 / total, w1 / total, w2 / total, w3 / total, w4 / total, w5 / total, w6 / total, w7 / total]
 
 
 def run_search(
@@ -156,7 +169,6 @@ def run_search(
     beta = cfg.shaping_beta
     floor = math.floor
     sqrt = math.sqrt
-    inf = math.inf
     # Per exact (depth, x, y), computed once per search: the arrival outcome
     # (terminal_value, stop_value, value backed up on expansion), and the
     # selection data (prior, c_puct * prior, first pick) of a node selected from.
@@ -195,17 +207,34 @@ def run_search(
             if total:
                 # PUCT; mean and den hold q and 1 + n, so every action, visited
                 # or not, is q + c * p * scale / (1 + n) in the same float order.
-                mean = node.mean
-                cp = node.cp
-                den = node.den
+                # Written out over the 8 actions; a strict > keeps ties at the
+                # lowest index.
+                m0, m1, m2, m3, m4, m5, m6, m7 = node.mean
+                c0, c1, c2, c3, c4, c5, c6, c7 = node.cp
+                d0, d1, d2, d3, d4, d5, d6, d7 = node.den
                 scale = sqrt(total)
+                best = m0 + c0 * scale / d0
                 action = 0
-                best = -inf
-                for a in _ACTIONS:
-                    value = mean[a] + cp[a] * scale / den[a]
-                    if value > best:
-                        best = value
-                        action = a
+                value = m1 + c1 * scale / d1
+                if value > best:
+                    best, action = value, 1
+                value = m2 + c2 * scale / d2
+                if value > best:
+                    best, action = value, 2
+                value = m3 + c3 * scale / d3
+                if value > best:
+                    best, action = value, 3
+                value = m4 + c4 * scale / d4
+                if value > best:
+                    best, action = value, 4
+                value = m5 + c5 * scale / d5
+                if value > best:
+                    best, action = value, 5
+                value = m6 + c6 * scale / d6
+                if value > best:
+                    best, action = value, 6
+                if m7 + c7 * scale / d7 > best:
+                    action = 7
             else:
                 # The first rollout through the node.
                 key = (node.depth, node.x, node.y)
@@ -213,7 +242,6 @@ def run_search(
                 if known is None:
                     known = priors[key] = selection(*key)
                 node.prior, node.cp, action = known
-                node.n = [0] * N_ACTIONS
                 node.w = [0.0] * N_ACTIONS
                 node.children = [None] * N_ACTIONS
                 node.mean = [0.0] * N_ACTIONS
@@ -247,10 +275,9 @@ def run_search(
                 break
             node = child
         for node, action in path:
-            n = node.n
-            visits = n[action] + 1
-            n[action] = visits
-            node.den[action] = visits + 1
+            den = node.den
+            visits = den[action]  # 1 + n before this visit, n after it
+            den[action] = visits + 1
             w = node.w
             w[action] = summed = w[action] + value
             node.mean[action] = summed / visits
@@ -267,7 +294,9 @@ def select_by_temperature(visits: list[int], temperature: float, rng: np.random.
     logs = [math.log(v) if v > 0 else -math.inf for v in visits]
     top = max(logs)
     weights = [math.exp((l - top) / temperature) if l > -math.inf else 0.0 for l in logs]
-    total = sum(weights)
+    total = 0.0
+    for weight in weights:  # a left fold, as sum() of floats was before Python 3.12
+        total += weight
     cdf = list(accumulate(w / total for w in weights))
     last = cdf[-1]
     return bisect_right([c / last for c in cdf], rng.random())

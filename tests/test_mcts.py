@@ -31,6 +31,38 @@ def empty_rollout(k, goal=None, h=48, w=48):
     return rollout_from_masks([np.zeros((h, w), bool)] * k, [goal] * k if goal else None)
 
 
+def reference_goal_prior(agent, goal, kappa):
+    """goal_prior as a plain loop: the weights in action order, then their left-fold total."""
+    if goal is None or (goal[0] - agent[0] == 0.0 and goal[1] - agent[1] == 0.0):
+        return [0.125] * 8
+    theta = math.atan2(goal[1] - agent[1], goal[0] - agent[0])
+    weights = [math.exp(kappa * math.cos(a * math.pi / 4.0 - theta)) for a in range(8)]
+    total = 0.0
+    for weight in weights:
+        total += weight
+    return [weight / total for weight in weights]
+
+
+def reference_temperature_pick(visits, temperature, u):
+    """select_by_temperature as a plain loop, given its one uniform draw ``u``."""
+    logs = [math.log(v) if v > 0 else -math.inf for v in visits]
+    top = max(logs)
+    weights = [math.exp((l - top) / temperature) if l > -math.inf else 0.0 for l in logs]
+    total = 0.0
+    for weight in weights:
+        total += weight
+    cdf = []
+    running = 0.0
+    for weight in weights:
+        running += weight / total
+        cdf.append(running)
+    pick = 0
+    for c in cdf:
+        if c / cdf[-1] <= u:
+            pick += 1
+    return pick
+
+
 class TestGoalPrior:
     def test_zero_kappa_uniform(self):
         prior = goal_prior((10.0, 10.0), (20.0, 10.0), 0.0)
@@ -62,6 +94,15 @@ class TestGoalPrior:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             goal_prior((0.0, 0.0), (1.0, 1.0), -0.1)
+
+    @given(
+        agent=st.tuples(st.floats(0.0, 47.0), st.floats(0.0, 47.0)),
+        goal=st.none() | st.tuples(st.floats(-5.0, 52.0), st.floats(-5.0, 52.0)),
+        kappa=st.floats(0.0, 8.0),
+    )
+    def test_bits_match_loop_reference(self, agent, goal, kappa):
+        # Exact equality: the same bits on every Python version.
+        assert goal_prior(agent, goal, kappa) == reference_goal_prior(agent, goal, kappa)
 
     @given(
         scale=st.floats(0.01, 100.0),
@@ -495,6 +536,15 @@ class TestTemperature:
         numpy_rng, rng = make_rng(seed), make_rng(seed)
         assert select_by_temperature(visits, temperature, rng) == int(numpy_rng.choice(8, p=probs))
         assert rng.random() == numpy_rng.random()  # one draw consumed by both
+
+    @given(
+        visits=st.lists(st.integers(0, 300), min_size=8, max_size=8).filter(any),
+        temperature=st.floats(0.005, 20.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_pick_matches_loop_reference(self, visits, temperature, seed):
+        expected = reference_temperature_pick(visits, temperature, make_rng(seed).random())
+        assert select_by_temperature(visits, temperature, make_rng(seed)) == expected
 
     def test_zero_visit_actions_never_picked(self):
         visits = [0, 3, 0, 0, 0, 0, 0, 0]

@@ -39,7 +39,7 @@ VARIANTS = (
 
 
 def corpus_results() -> tuple[list[list], str]:
-    """Per search ``[root.n..., sum(root.w), pick]`` and a digest of all root.w."""
+    """Per search ``[root.n..., root.w summed left to right, pick]`` and a digest of all root.w."""
     records: list[list] = []
     digest = hashlib.sha256()
     point = 0
@@ -63,7 +63,10 @@ def corpus_results() -> tuple[list[list], str]:
                 pick = plan_action(agent, rollout, cfg, make_rng(len(records)),
                                    agent_speed=world_cfg.agent_speed,
                                    goal_size=world_cfg.goal_size)
-                records.append([*root.n, sum(root.w), pick])
+                w_total = 0.0
+                for w in root.w:  # a left fold, as sum() of floats was before Python 3.12
+                    w_total += w
+                records.append([*root.n, w_total, pick])
                 digest.update(repr(root.w).encode())
             point += 1
             x, y, outcome = agent_turn(state, *agent, int(walk_rng.integers(N_ACTIONS)))
