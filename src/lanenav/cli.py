@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import CONFIG_KEYS, parse_config
+from .config import CONFIG_KEYS, coerce_value, parse_config
 from .fileio import atomic_write_text
 from .harness import BenchCell, run_benchmark, run_episode
 from .mcts import run_search
@@ -105,7 +105,7 @@ def _split_models(text: str) -> list[str]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, _ = _configs_from_args(args)
     cells = [
-        BenchCell(model_spec=model, speed=speed.strip(), rollout_length=int(k))
+        BenchCell(model_spec=model, speed=speed.strip(), rollout_length=coerce_value("rollout_length", k, "--ks"))
         for model in _split_models(args.models)
         for speed in args.speeds.split(",")
         for k in args.ks.split(",")

@@ -25,7 +25,8 @@ CONFIG_KEYS = _WORLD_INT_KEYS + _WORLD_FLOAT_KEYS + _MCTS_INT_KEYS + _MCTS_FLOAT
 DEFAULT_MODEL = "oracle"
 
 
-def _coerce(key: str, raw: str, where: str):
+def coerce_value(key: str, raw: str, where: str):
+    """``raw`` as the type of config key ``key``; a ConfigError names ``where``."""
     try:
         if key in _WORLD_INT_KEYS or key in _MCTS_INT_KEYS:
             return int(raw)
@@ -50,7 +51,7 @@ def read_config_file(path: str | Path) -> dict[str, object]:
         raw = raw.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw, f"{path}:{lineno}")
+        values[key] = coerce_value(key, raw, f"{path}:{lineno}")
     return values
 
 
@@ -59,7 +60,7 @@ def coerce_overrides(raw: dict[str, str]) -> dict[str, object]:
     for key, value in raw.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        out[key] = _coerce(key, str(value), "override")
+        out[key] = coerce_value(key, str(value), "override")
     return out
 
 

@@ -85,6 +85,13 @@ class TestBench:
         assert main(["bench", *fast_flags, "--ks", ks, "--episodes", "1"]) == 2
         assert "config error: rollout_length must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ks", ["abc", "1,3.5", "1,"])
+    def test_non_integer_k_exit_code(self, fast_flags, ks, capsys):
+        assert main(["bench", *fast_flags, "--ks", ks, "--episodes", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --ks: bad value for 'rollout_length'")
+        assert "Traceback" not in err
+
 
 class TestRender:
     def test_render_triptych(self, fast_flags, tmp_path):
