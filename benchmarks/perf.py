@@ -27,36 +27,48 @@ call. Layers:
 The report also holds ``src_lines``, the line count of the library's Python
 sources, to set beside the timings.
 
+With ``--against REV`` the script compares this tree with the commit REV:
+
+    python3 benchmarks/perf.py --against HEAD~1 --out /tmp/ab.json
+
+REV is checked out with ``git worktree add`` into a temporary directory
+(removed at exit), and its ``lanenav`` is imported into the same process
+under the package name ``lanenav_against``. Each round times every layer
+once on each tree, the tree going first alternating between rounds, and
+gives the ratio change/parent of the two batches. The report adds, per
+layer, the median and quartiles of those ratios; below 1.0 means this tree
+is faster. ``--against HEAD`` compares the committed tree with itself and
+should read close to 1.0 everywhere.
+
 The script pins no CPU and controls no clock frequency, and the JSON says so:
-on a shared host, compare runs made back to back, by their medians.
+on a shared host, compare runs made back to back, by their medians, or use
+``--against``.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
+import importlib.util
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from lanenav.harness import run_episode, verify_replay
-from lanenav.mcts import MCTSConfig, run_search
-from lanenav.models import PredictedRollout
-from lanenav.ppm import frame_to_rgb
-from lanenav.seeding import episode_seed
-from lanenav.tracefile import frame_to_rle, rle_to_frame
-from lanenav.world import Timeline, WorldConfig, clone_state, new_episode, render_frame, world_step
-
-SEEDS = [episode_seed(1, i) for i in range(8)]
 KS = (1, 3, 10)
+MODULES = ("harness", "mcts", "models", "ppm", "seeding", "tracefile", "world")
+AGAINST_PACKAGE = "lanenav_against"
 
 
 def git(*args: str) -> str:
@@ -88,16 +100,41 @@ def timed(run, calls: int, setup=None) -> float:
     return (time.perf_counter_ns() - start) / calls / 1000.0
 
 
-def layer_cases() -> dict:
-    """Name -> (batch function, calls per batch, setup or None)."""
+def load_library(package: str) -> SimpleNamespace:
+    """The modules of an imported lanenav package, by their short names."""
+    return SimpleNamespace(**{name: importlib.import_module(f"{package}.{name}") for name in MODULES})
+
+
+def import_tree(src: Path, package: str) -> SimpleNamespace:
+    """Import ``src/lanenav`` of another checkout under the name ``package``.
+
+    The library uses relative imports only, so one spec with the package's
+    directory as its search path loads the whole copy beside this one.
+    """
+    init = src / "lanenav" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(package, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[package] = module
+    spec.loader.exec_module(module)
+    return load_library(package)
+
+
+def layer_cases(lib: SimpleNamespace) -> dict:
+    """Name -> (batch function, calls per batch, setup or None), on the library ``lib``."""
+    WorldConfig, Timeline, MCTSConfig = lib.world.WorldConfig, lib.world.Timeline, lib.mcts.MCTSConfig
+    new_episode, render_frame, world_step = lib.world.new_episode, lib.world.render_frame, lib.world.world_step
+    clone_state, run_search, verify_replay = lib.world.clone_state, lib.mcts.run_search, lib.harness.verify_replay
+    frame_to_rle, rle_to_frame = lib.tracefile.frame_to_rle, lib.tracefile.rle_to_frame
+    frame_to_rgb = lib.ppm.frame_to_rgb
+    seeds = [lib.seeding.episode_seed(1, i) for i in range(8)]
     cfg = WorldConfig().for_speed("2x")
-    states = [new_episode(cfg, seed) for seed in SEEDS]
+    states = [new_episode(cfg, seed) for seed in seeds]
     frames = [render_frame(s) for s in states]
     rles = [frame_to_rle(f) for f in frames]
-    timelines = [Timeline(cfg, seed) for seed in SEEDS]
+    timelines = [Timeline(cfg, seed) for seed in seeds]
     agents = [timeline.start for timeline in timelines]
-    rollouts = [PredictedRollout(timeline.rollout(0, max(KS)), "oracle") for timeline in timelines]
-    records = [run_episode(cfg, MCTSConfig(), "none", seed) for seed in SEEDS]
+    rollouts = [lib.models.PredictedRollout(timeline.rollout(0, max(KS)), "oracle") for timeline in timelines]
+    records = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed) for seed in seeds]
     steps = 10
 
     def replay_batch(_):
@@ -111,7 +148,7 @@ def layer_cases() -> dict:
 
     cases = {
         "world.world_step": (step_batch, steps * len(states), lambda: [clone_state(s) for s in states]),
-        "world.new_episode": (lambda _: [new_episode(cfg, seed) for seed in SEEDS], len(SEEDS), None),
+        "world.new_episode": (lambda _: [new_episode(cfg, seed) for seed in seeds], len(seeds), None),
         "world.render_frame": (lambda _: [render_frame(s) for s in states], len(states), None),
         "tracefile.frame_to_rle": (lambda _: [frame_to_rle(f) for f in frames], len(frames), None),
         "tracefile.rle_to_frame": (lambda _: [rle_to_frame(r, cfg.grid_h, cfg.grid_w) for r in rles],
@@ -132,24 +169,79 @@ def src_lines() -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src").rglob("*.py")))
 
 
+def quartiles(samples: list[float], digits: int) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": round(median, digits), "q1": round(q1, digits), "q3": round(q3, digits),
+            "iqr": round(q3 - q1, digits)}
+
+
+@contextlib.contextmanager
+def worktree(rev: str):
+    """Yield (path, commit id) of a ``git worktree add`` of ``rev`` in a temporary directory."""
+    with tempfile.TemporaryDirectory(prefix="lanenav-against-") as tmp:
+        path = Path(tmp) / "tree"
+        sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                             capture_output=True, text=True, check=True).stdout.strip()
+        subprocess.run(["git", "worktree", "add", "--detach", str(path), sha], cwd=ROOT,
+                       capture_output=True, text=True, check=True)
+        try:
+            yield path, sha
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT,
+                           capture_output=True, check=False)
+
+
+def measure(trees: list[dict], repeats: int) -> list[dict]:
+    """Per tree, layer -> samples; each round times every tree once, the first alternating."""
+    for cases in trees:
+        for run, calls, setup in cases.values():
+            timed(run, calls, setup)  # warm caches and lazy set-up outside the samples
+    samples = [{name: [] for name in cases} for cases in trees]
+    for name in trees[0]:
+        for round_ in range(repeats):
+            order = range(len(trees)) if round_ % 2 == 0 else reversed(range(len(trees)))
+            for i in order:
+                samples[i][name].append(timed(*trees[i][name]))
+    return samples
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--repeats", type=int, default=21, help="timed batches per layer (at least 2)")
+    parser.add_argument("--repeats", type=int, default=21,
+                        help="timed batches per layer, and rounds with --against (at least 2)")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"), help="JSON report path")
+    parser.add_argument("--against", metavar="REV",
+                        help="also time the commit REV, alternated round by round, and report ratios")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2 for quartiles")
-    cases = layer_cases()
+    cases = layer_cases(load_library("lanenav"))
+    report = {"env": env_stamp()}
+    if args.against is None:
+        [samples] = measure([cases], args.repeats)
+    else:
+        try:
+            with worktree(args.against) as (path, sha):
+                parent_cases = layer_cases(import_tree(path / "src", AGAINST_PACKAGE))
+                samples, parent_samples = measure([cases, parent_cases], args.repeats)
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"--against {args.against}: {exc.stderr.strip()}")
     layers = {}
-    for name, (run, calls, setup) in cases.items():
-        timed(run, calls, setup)  # warm caches and lazy set-up outside the samples
-        samples = [timed(run, calls, setup) for _ in range(args.repeats)]
-        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-        layers[name] = {"unit": "us", "median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2),
-                        "iqr": round(q3 - q1, 2), "repeats": args.repeats, "calls_per_repeat": calls}
-        print(f"{name:26s} {median:10.1f} us  (IQR {q1:.1f}-{q3:.1f}, {args.repeats} x {calls} calls)")
+    for name, (_, calls, _) in cases.items():
+        q = layers[name] = {"unit": "us", **quartiles(samples[name], 2), "repeats": args.repeats,
+                            "calls_per_repeat": calls}
+        print(f"{name:26s} {q['median']:10.1f} us  (IQR {q['q1']:.1f}-{q['q3']:.1f}, "
+              f"{args.repeats} x {calls} calls)")
     print(f"{'src_lines':26s} {src_lines():10d}")
-    report = {"env": env_stamp(), "layers": layers, "src_lines": src_lines()}
+    report.update(layers=layers, src_lines=src_lines())
+    if args.against is not None:
+        print(f"change/parent against {args.against} ({sha[:12]}), median (IQR) of {args.repeats} rounds:")
+        ratios = {}
+        for name in cases:
+            r = ratios[name] = {**quartiles([c / p for c, p in zip(samples[name], parent_samples[name])], 4),
+                                "parent_us": round(statistics.median(parent_samples[name]), 2)}
+            print(f"{name:26s} {r['median']:8.3f}  ({r['q1']:.3f}-{r['q3']:.3f})")
+        report["against"] = {"rev": args.against, "git_sha": sha, "rounds": args.repeats, "ratios": ratios}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0
