@@ -105,7 +105,8 @@ def _split_models(text: str) -> list[str]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, _ = _configs_from_args(args)
     cells = [
-        BenchCell(model_spec=model, speed=speed.strip(), rollout_length=coerce_value("rollout_length", k, "--ks"))
+        BenchCell(model_spec=model, speed=speed.strip(),
+                  rollout_length=coerce_value("rollout_length", k, "--ks"))
         for model in _split_models(args.models)
         for speed in args.speeds.split(",")
         for k in args.ks.split(",")

@@ -24,8 +24,7 @@ from .world import N_ACTIONS, ConfigError, action_to_velocity, goal_block
 if TYPE_CHECKING:
     import numpy as np
 
-_ANGLES = tuple(a * math.pi / 4.0 for a in range(N_ACTIONS))
-_A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = _ANGLES
+_A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = (a * math.pi / 4.0 for a in range(N_ACTIONS))
 _UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
 _ZERO_VALUES = (0.0,) * N_ACTIONS
 _ONES = (1,) * N_ACTIONS

@@ -43,8 +43,8 @@ def reference_goal_prior(agent, goal, kappa):
     return [weight / total for weight in weights]
 
 
-def reference_temperature_pick(visits, temperature, u):
-    """select_by_temperature as a plain loop, given its one uniform draw ``u``."""
+def reference_temperature_cdf(visits, temperature):
+    """select_by_temperature's normalized cumulative distribution, as a plain loop."""
     logs = [math.log(v) if v > 0 else -math.inf for v in visits]
     top = max(logs)
     weights = [math.exp((l - top) / temperature) if l > -math.inf else 0.0 for l in logs]
@@ -56,11 +56,17 @@ def reference_temperature_pick(visits, temperature, u):
     for weight in weights:
         running += weight / total
         cdf.append(running)
-    pick = 0
-    for c in cdf:
-        if c / cdf[-1] <= u:
-            pick += 1
-    return pick
+    return [c / cdf[-1] for c in cdf]
+
+
+class FixedDraw:
+    """Stands in for the generator: ``random()`` returns the given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 class TestGoalPrior:
@@ -543,8 +549,12 @@ class TestTemperature:
         seed=st.integers(0, 2 ** 32 - 1),
     )
     def test_pick_matches_loop_reference(self, visits, temperature, seed):
-        expected = reference_temperature_pick(visits, temperature, make_rng(seed).random())
-        assert select_by_temperature(visits, temperature, make_rng(seed)) == expected
+        # Draws on the reference's own cdf values pick differently if one bit
+        # of the distribution differs.
+        cdf = reference_temperature_cdf(visits, temperature)
+        for u in [make_rng(seed).random(), *(c for c in cdf if c < 1.0)]:
+            expected = sum(1 for c in cdf if c <= u)
+            assert select_by_temperature(visits, temperature, FixedDraw(u)) == expected
 
     def test_zero_visit_actions_never_picked(self):
         visits = [0, 3, 0, 0, 0, 0, 0, 0]
