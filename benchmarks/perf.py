@@ -20,7 +20,7 @@ call. Layers:
 * ``world.render_frame``: the palette frame of a warmed-up world;
 * ``tracefile.frame_to_rle`` and ``tracefile.rle_to_frame``: one frame;
 * ``ppm.frame_to_rgb``: one frame with the agent drawn;
-* ``mcts.run_search.k{1,3,10}``: one search on the timeline's true rollout;
+* ``mcts.run_search.k{1,3,10}``: one search on the oracle's prediction at t=0;
 * ``harness.verify_replay``: per replayed step, the replay of random-agent
   episodes, fresh timeline included.
 
@@ -133,7 +133,8 @@ def layer_cases(lib: SimpleNamespace) -> dict:
     rles = [frame_to_rle(f) for f in frames]
     timelines = [Timeline(cfg, seed) for seed in seeds]
     agents = [timeline.start for timeline in timelines]
-    rollouts = [lib.models.PredictedRollout(timeline.rollout(0, max(KS)), "oracle") for timeline in timelines]
+    oracle = lib.models.OracleModel()
+    rollouts = [oracle.predict(lib.models.Observation.at(timeline, 0), max(KS)) for timeline in timelines]
     records = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed) for seed in seeds]
     steps = 10
 

@@ -7,7 +7,6 @@ from .models import (
     History,
     Observation,
     PredictedFrame,
-    PredictedRollout,
     build_model,
     frozen_predict,
     noisy_sample_predict,
@@ -37,7 +36,6 @@ __all__ = [
     "Observation",
     "Outcome",
     "PredictedFrame",
-    "PredictedRollout",
     "Timeline",
     "WorldConfig",
     "WorldState",

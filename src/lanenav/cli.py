@@ -23,7 +23,7 @@ from .config import CONFIG_KEYS, coerce_value, parse_config
 from .fileio import atomic_write_text
 from .harness import BenchCell, run_benchmark, run_episode
 from .mcts import run_search
-from .models import Observation, PredictedRollout, build_model, prediction_error
+from .models import Observation, build_model, prediction_error, split_model_specs
 from .ppm import prediction_to_rgb, render_error_map, render_ppm, write_ppm
 from .seeding import STREAM_MODEL, episode_seed, make_rng, substream
 from .tracefile import read_trace, write_trace
@@ -87,27 +87,12 @@ def _cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_models(text: str) -> list[str]:
-    """Comma-separated model specs; a ``noisy:`` spec keeps its 4 comma fields.
-
-    "oracle,noisy:0.1,0.02,1.0,5,frozen" -> ["oracle", "noisy:0.1,0.02,1.0,5", "frozen"]
-    """
-    specs: list[str] = []
-    for token in text.split(","):
-        token = token.strip()
-        if specs and specs[-1].lower().startswith("noisy:") and specs[-1].count(",") < 3:
-            specs[-1] += "," + token
-        else:
-            specs.append(token)
-    return specs
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, _ = _configs_from_args(args)
     cells = [
         BenchCell(model_spec=model, speed=speed.strip(),
                   rollout_length=coerce_value("rollout_length", k, "--ks"))
-        for model in _split_models(args.models)
+        for model in split_model_specs(args.models)
         for speed in args.speeds.split(",")
         for k in args.ks.split(",")
     ]
@@ -134,7 +119,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         return 2
     timeline = Timeline(world_cfg, trace.episode_seed)
     t = args.step
-    agent_pos = tuple(trace.steps[t - 1]["agent_pos"]) if t > 0 else timeline.start
+    agent_pos = (trace.steps[t - 1].agent_x, trace.steps[t - 1].agent_y) if t > 0 else timeline.start
 
     model_spec = args.model if args.model else trace.model_spec
     model = build_model(model_spec, rng=substream(trace.episode_seed, STREAM_MODEL))
@@ -142,12 +127,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if model is None:
         print("random agent has no forward model to render", file=sys.stderr)
         return 2
-    rollout = model.predict(Observation.at(timeline, t), k)
+    frames = model.predict(Observation.at(timeline, t), k)
 
     out = _out_dir(args)
     for i in range(1, k + 1):
         truth = timeline.frame(t + i)
-        pred = rollout.steps[i - 1]
+        pred = frames[i - 1]
         render_ppm(truth, agent_pos, out / f"true_{i:02d}.ppm")
         write_ppm(prediction_to_rgb(pred.occupancy, pred.goal_estimate, world_cfg.goal_size),
                   out / f"pred_{i:02d}.ppm")
@@ -190,9 +175,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     conserved = True
     for _ in range(searches):
         timeline = Timeline(world_cfg, int(rng.integers(2 ** 63)))
-        rollout = PredictedRollout(timeline.rollout(0, mcts_cfg.rollout_length), "oracle")
-        root = run_search(timeline.start, rollout, mcts_cfg, world_cfg.agent_speed,
-                          goal_size=world_cfg.goal_size)
+        root = run_search(timeline.start, timeline.rollout(0, mcts_cfg.rollout_length), mcts_cfg,
+                          world_cfg.agent_speed, goal_size=world_cfg.goal_size)
         conserved &= sum(root.n) == mcts_cfg.n_rollouts
     ok &= _check("mcts visit conservation", conserved, f"{searches} random searches")
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mcts import MCTSConfig, plan_action
-from .models import ForwardModel, Observation, build_model
-from .seeding import STREAM_AGENT, STREAM_MODEL, STREAM_PLAN, episode_seed, make_rng, substream
+from .models import ForwardModel, Observation, build_model, model_label
+from .seeding import STREAM_AGENT, STREAM_MODEL, STREAM_PLAN, episode_seed, substream
 from .world import DIED, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, Outcome, Timeline, WorldConfig, move, outcome_at
 
 
@@ -142,8 +142,8 @@ def _play(
         k, speed, goal_size = mcts_cfg.rollout_length, world_cfg.agent_speed, world_cfg.goal_size
 
         def choose(t: int, x: float, y: float) -> int:
-            rollout = model.predict(Observation.at(timeline, t), k)
-            return plan_action((x, y), rollout, mcts_cfg, plan_rng, agent_speed=speed, goal_size=goal_size)
+            frames = model.predict(Observation.at(timeline, t), k)
+            return plan_action((x, y), frames, mcts_cfg, plan_rng, agent_speed=speed, goal_size=goal_size)
 
     outcome, trace, exception = _episode_loop(timeline, world_cfg, choose)
     return EpisodeRecord(
@@ -238,13 +238,6 @@ def summarize(records: list[EpisodeRecord]) -> BenchRow:
     first = records[0]
     return _bench_row(model_label(first.model_spec), speed_label(first.world_config),
                       first.mcts_config.rollout_length, [(r.outcome.kind, r.steps) for r in records])
-
-
-def model_label(model_spec: str) -> tuple[str, int]:
-    model = build_model(model_spec, rng=make_rng(0))
-    if model is None:
-        return "random", 1
-    return model.name, model.n_samples
 
 
 def _world_key(world_cfg: WorldConfig) -> WorldConfig:

@@ -1,9 +1,10 @@
 """PUCT Monte-Carlo tree search over the 8-action space.
 
-The search consumes one shared ``PredictedRollout`` and never calls a model:
-the tree is bounded to the rollout length, node expansion moves a simulated
-agent with the environment's own kinematics, and collision / goal checks at
-depth d read predicted frame d-1 (the frame for world time t+d). Node
+The search consumes the tuple of ``PredictedFrame``s that a model's
+``predict`` returns and never calls or imports a model: the tree is bounded
+to the rollout length, node expansion moves a simulated agent with the
+environment's own kinematics, and collision / goal checks at depth d read
+predicted frame d-1 (the frame for world time t+d). Node
 selection is PUCT with a goal-directed von-Mises-style prior; the final
 action is sampled from visit counts sharpened by a temperature.
 
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .models import PredictedRollout
-from .world import N_ACTIONS, ConfigError, action_to_velocity, goal_block
+from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, goal_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,7 +135,7 @@ def goal_prior(
 
 def run_search(
     agent_pos: tuple[float, float],
-    rollout: PredictedRollout,
+    frames: tuple[PredictedFrame, ...],
     cfg: MCTSConfig,
     agent_speed: float,
     goal_size: int = 2,
@@ -152,14 +152,14 @@ def run_search(
     """
     cfg.validate()
     k = cfg.rollout_length
-    if len(rollout.steps) < k:
-        raise ValueError(f"rollout provides {len(rollout.steps)} steps, need {k}")
-    height, width = rollout.steps[0].occupancy.shape
+    if len(frames) < k:
+        raise ValueError(f"{len(frames)} predicted frames given, need {k}")
+    height, width = frames[0].occupancy.shape
     max_x, max_y = float(width - 1), float(height - 1)
     diag = math.hypot(max_x, max_y)
     moves = [action_to_velocity(a, agent_speed) for a in range(N_ACTIONS)]
-    occs = [rollout.steps[d].occupancy for d in range(k)]
-    goals = [rollout.steps[d].goal_estimate for d in range(k)]
+    occs = [frames[d].occupancy for d in range(k)]
+    goals = [frames[d].goal_estimate for d in range(k)]
     blocks = [None if goal is None else goal_block(goal, goal_size) for goal in goals]
     c_puct = cfg.c_puct
     kappa = cfg.prior_kappa
@@ -303,12 +303,12 @@ def select_by_temperature(visits: list[int], temperature: float, rng: np.random.
 
 def plan_action(
     agent_pos: tuple[float, float],
-    rollout: PredictedRollout,
+    frames: tuple[PredictedFrame, ...],
     cfg: MCTSConfig,
     rng: np.random.Generator,
     agent_speed: float,
     goal_size: int = 2,
 ) -> int:
-    """One planned action: search the shared rollout, then pick by visits."""
-    root = run_search(agent_pos, rollout, cfg, agent_speed, goal_size=goal_size)
+    """One planned action: search the shared predicted frames, then pick by visits."""
+    root = run_search(agent_pos, frames, cfg, agent_speed, goal_size=goal_size)
     return select_by_temperature(root.n, cfg.temperature, rng)

@@ -1,8 +1,8 @@
 """Forward models: k-step occupancy and goal predictions for the planner.
 
-All models share one output contract, a ``PredictedRollout`` of k
-``PredictedFrame``s for steps t+1..t+k, produced once per decision and shared
-(read-only) by every planner rollout. Four implementations:
+All models share one output contract, a tuple of k ``PredictedFrame``s for
+steps t+1..t+k as ``Timeline.rollout`` returns it, produced once per decision
+and shared (read-only) by every planner rollout. Four implementations:
 
 * oracle: reads the true future from the episode's ``Timeline``. Exact,
   future spawns included. The upper bound.
@@ -20,6 +20,10 @@ timeline. Only the privileged models (oracle, noisy) read the timeline; the
 others predict from the history alone. ``oracle_predict`` and
 ``noisy_sample_predict`` are the same predictions computed from a
 ``WorldState`` by cloning and stepping it, for use outside an episode.
+
+The spec-string grammar ("oracle", "noisy:0.1,0.02,1.0,5", "none", ...) lives
+here only: ``build_model`` parses a spec, ``split_model_specs`` splits a list
+of them and ``model_label`` gives a spec's table label.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import world as w
+from .seeding import make_rng
 from .world import (
     PredictedFrame,
     Timeline,
@@ -86,23 +91,12 @@ class Observation:
 
 
 @dataclass(frozen=True, eq=False)
-class PredictedRollout:
-    steps: tuple[PredictedFrame, ...]
-    model_name: str
-    n_samples: int = 1
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-@dataclass(frozen=True, eq=False)
 class ErrorMap:
     """Prediction error against a true frame, Figure-style FN/FP split."""
 
     fn: np.ndarray  # truth obstacle, predicted free
     fp: np.ndarray  # predicted obstacle, truth free
     goal_err: float | None
-    true_goal: tuple[float, float] | None
     pred_goal: tuple[float, float] | None
 
     @property
@@ -114,7 +108,7 @@ class ErrorMap:
         return int(self.fp.sum())
 
 
-def oracle_predict(state: WorldState, k: int) -> PredictedRollout:
+def oracle_predict(state: WorldState, k: int) -> tuple[PredictedFrame, ...]:
     """Clairvoyant rollout: advance a full clone (RNG included) k steps."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -123,16 +117,14 @@ def oracle_predict(state: WorldState, k: int) -> PredictedRollout:
     for _ in range(k):
         world_step(clone)
         steps.append(predicted_frame(render_frame(clone)))
-    return PredictedRollout(steps=tuple(steps), model_name="oracle")
+    return tuple(steps)
 
 
-def frozen_predict(history: History, k: int) -> PredictedRollout:
+def frozen_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
     """Persistence baseline: the future equals the latest frame."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    latest = history.frames[-1]
-    step = predicted_frame(latest)
-    return PredictedRollout(steps=(step,) * k, model_name="frozen")
+    return (predicted_frame(history.frames[-1]),) * k
 
 
 def _shift_cols(occ: np.ndarray, j: int) -> np.ndarray:
@@ -220,7 +212,7 @@ def _fit_goal_velocity(centers: list[tuple[float, float] | None]) -> tuple[float
     return vx, vy
 
 
-def velocity_predict(history: History, k: int) -> PredictedRollout:
+def velocity_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
     """Extrapolate each row's occupancy by its estimated shift; no spawns.
 
     Cells shifted in from outside the grid stay empty, so obstacles that have
@@ -265,7 +257,7 @@ def velocity_predict(history: History, k: int) -> PredictedRollout:
             gy, gvy = reflect_axis(gy + gvy, gvy, lo_y, hi_y)
             estimate = (gx, gy)
         steps.append(PredictedFrame(occupancy=freeze(occ), goal_estimate=estimate))
-    return PredictedRollout(steps=tuple(steps), model_name="velocity")
+    return tuple(steps)
 
 
 def noisy_sample_predict(
@@ -276,12 +268,12 @@ def noisy_sample_predict(
     p_fp: float,
     goal_sigma: float,
     rng: np.random.Generator,
-) -> PredictedRollout:
+) -> tuple[PredictedFrame, ...]:
     """Union-of-N-corrupted-samples surrogate for a stochastic learned model.
 
     The base is the true rollout of ``state``; see ``_noisy_samples``.
     """
-    return _noisy_samples(oracle_predict(state, k).steps, n_samples, p_fn, p_fp, goal_sigma, rng)
+    return _noisy_samples(oracle_predict(state, k), n_samples, p_fn, p_fp, goal_sigma, rng)
 
 
 def _noisy_samples(
@@ -291,7 +283,7 @@ def _noisy_samples(
     p_fp: float,
     goal_sigma: float,
     rng: np.random.Generator,
-) -> PredictedRollout:
+) -> tuple[PredictedFrame, ...]:
     """Corrupt the true rollout ``base`` n_samples times and aggregate.
 
     Per sample and step, each truly occupied cell is dropped with probability
@@ -325,29 +317,28 @@ def _noisy_samples(
         gx = min(max(float(np.median(xs)), 0.0), float(width - 1))
         gy = min(max(float(np.median(ys)), 0.0), float(height - 1))
         steps.append(PredictedFrame(occupancy=freeze(agg[i]), goal_estimate=(gx, gy)))
-    return PredictedRollout(steps=tuple(steps), model_name="noisy", n_samples=n_samples)
+    return tuple(steps)
 
 
 def prediction_error(predicted: PredictedFrame, truth: np.ndarray) -> ErrorMap:
     """FN/FP masks plus goal distance between predicted and true centers."""
     if predicted.occupancy.shape != truth.shape:
         raise ValueError("predicted and true frames have different shapes")
-    truth_obst = (truth >= 1) & (truth <= w.GOAL - 1)
+    truth_obst = obstacle_occupancy(truth)
     fn = truth_obst & ~predicted.occupancy
     fp = predicted.occupancy & ~truth_obst
-    true_goal = goal_center_of_frame(truth)
+    goal = goal_center_of_frame(truth)
     pred_goal = predicted.goal_estimate
     goal_err = None
-    if true_goal is not None and pred_goal is not None:
-        goal_err = math.hypot(pred_goal[0] - true_goal[0], pred_goal[1] - true_goal[1])
-    return ErrorMap(fn=freeze(fn), fp=freeze(fp), goal_err=goal_err,
-                    true_goal=true_goal, pred_goal=pred_goal)
+    if goal is not None and pred_goal is not None:
+        goal_err = math.hypot(pred_goal[0] - goal[0], pred_goal[1] - goal[1])
+    return ErrorMap(fn=freeze(fn), fp=freeze(fp), goal_err=goal_err, pred_goal=pred_goal)
 
 
 class ForwardModel:
     """Base for the planner-facing model objects; counts rollout generations.
 
-    ``predict(obs, k)`` returns the k-step ``PredictedRollout`` for the
+    ``predict(obs, k)`` returns the k predicted frames for the
     ``Observation`` obs.
     """
 
@@ -363,9 +354,9 @@ class OracleModel(ForwardModel):
 
     name = "oracle"
 
-    def predict(self, obs: Observation, k: int) -> PredictedRollout:
+    def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
         self.calls += 1
-        return PredictedRollout(steps=obs.timeline.rollout(obs.t, k), model_name=self.name)
+        return obs.timeline.rollout(obs.t, k)
 
 
 class NoisySampleModel(ForwardModel):
@@ -380,7 +371,7 @@ class NoisySampleModel(ForwardModel):
         self.n_samples = n_samples
         self.rng = rng
 
-    def predict(self, obs: Observation, k: int) -> PredictedRollout:
+    def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
         self.calls += 1
         return _noisy_samples(obs.timeline.rollout(obs.t, k), self.n_samples, self.p_fn, self.p_fp,
                               self.goal_sigma, self.rng)
@@ -389,7 +380,7 @@ class NoisySampleModel(ForwardModel):
 class FrozenModel(ForwardModel):
     name = "frozen"
 
-    def predict(self, obs: Observation, k: int) -> PredictedRollout:
+    def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
         self.calls += 1
         return frozen_predict(obs.history, k)
 
@@ -397,7 +388,7 @@ class FrozenModel(ForwardModel):
 class VelocityModel(ForwardModel):
     name = "velocity"
 
-    def predict(self, obs: Observation, k: int) -> PredictedRollout:
+    def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
         self.calls += 1
         return velocity_predict(obs.history, k)
 
@@ -439,3 +430,26 @@ def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardMod
             raise ValueError("noisy model requires an rng")
         return NoisySampleModel(p_fn=p_fn, p_fp=p_fp, goal_sigma=sigma, n_samples=n, rng=rng)
     raise ValueError(f"unknown model spec {spec!r}")
+
+
+def split_model_specs(text: str) -> list[str]:
+    """Comma-separated model specs; a ``noisy:`` spec keeps its 4 comma fields.
+
+    "oracle,noisy:0.1,0.02,1.0,5,frozen" -> ["oracle", "noisy:0.1,0.02,1.0,5", "frozen"]
+    """
+    specs: list[str] = []
+    for token in text.split(","):
+        token = token.strip()
+        if specs and specs[-1].lower().startswith("noisy:") and specs[-1].count(",") < 3:
+            specs[-1] += "," + token
+        else:
+            specs.append(token)
+    return specs
+
+
+def model_label(spec: str) -> tuple[str, int]:
+    """(name, samples per prediction) of a spec, as the benchmark table shows it; checks the spec."""
+    model = build_model(spec, rng=make_rng(0))
+    if model is None:
+        return "random", 1
+    return model.name, model.n_samples

@@ -7,7 +7,9 @@ episode (configs, model spec, episode seed); each following line is one step:
 
 ``frame_rle`` encodes the post-step palette frame row-major as
 "value:count,value:count,...". ``read_trace`` checks every line against this
-schema and names the offending ``path:line`` in its ``ValueError``.
+schema and names the offending ``path:line`` in its ``ValueError``. Its steps
+are the ``StepRecord``s of the ``EpisodeRecord.trace`` that was written, with
+each step's ``frame_rle`` kept beside them for ``Trace.frame_at``.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .config import (
     world_config_to_dict,
 )
 from .fileio import atomic_write_text
-from .harness import EpisodeRecord
+from .harness import EpisodeRecord, StepRecord
 from .mcts import MCTSConfig
 from .world import DIED, GOAL, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, WorldConfig
 
@@ -80,15 +82,12 @@ class Trace:
     model_spec: str
     episode_seed: int
     outcome: str
-    steps: list[dict]
+    steps: list[StepRecord]
+    frame_rles: list[str]  # the RLE of the frame after each step
 
     def frame_at(self, index: int) -> np.ndarray:
         cfg = self.world_config
-        return rle_to_frame(self.steps[index]["frame_rle"], cfg.grid_h, cfg.grid_w)
-
-    @property
-    def actions(self) -> list[int]:
-        return [int(s["action"]) for s in self.steps]
+        return rle_to_frame(self.frame_rles[index], cfg.grid_h, cfg.grid_w)
 
 
 def write_trace(path: str | Path, record: EpisodeRecord) -> None:
@@ -176,12 +175,15 @@ def read_trace(path: str | Path) -> Trace:
         mcts_config.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}:1: bad config in header: {exc!r}") from None
+    steps = [_checked(path, number, _json_object(path, number, line), _STEP_FIELDS)
+             for number, line in enumerate(lines[1:], 2)]
     return Trace(
         world_config=world_config,
         mcts_config=mcts_config,
         model_spec=header["model"],
         episode_seed=header["episode_seed"],
         outcome=header["outcome"],
-        steps=[_checked(path, number, _json_object(path, number, line), _STEP_FIELDS)
-               for number, line in enumerate(lines[1:], 2)],
+        steps=[StepRecord(s["t"], float(s["agent_pos"][0]), float(s["agent_pos"][1]), s["action"],
+                          float(s["reward"]), s["outcome"]) for s in steps],
+        frame_rles=[s["frame_rle"] for s in steps],
     )

@@ -15,7 +15,6 @@ from lanenav.mcts import MCTSConfig, run_search
 from lanenav.models import (
     OracleModel,
     PredictedFrame,
-    PredictedRollout,
     noisy_sample_predict,
     oracle_predict,
     prediction_error,
@@ -94,7 +93,7 @@ def test_criterion_04_sample_aggregation():
         truth = oracle_predict(state, 3)
         noisy = noisy_sample_predict(state, 3, n_samples=5, p_fn=0.10, p_fp=0.02,
                                      goal_sigma=1.0, rng=rng)
-        for got, want in zip(noisy.steps, truth.steps):
+        for got, want in zip(noisy, truth):
             fn += int((want.occupancy & ~got.occupancy).sum())
             occupied += int(want.occupancy.sum())
         i += 1
@@ -136,7 +135,7 @@ def test_criterion_06_oracle_exactness():
             truth = clone_state(state)
             for j in range(k):
                 world_step(truth)
-                err = prediction_error(rollout.steps[j], render_frame(truth))
+                err = prediction_error(rollout[j], render_frame(truth))
                 worst_fn = max(worst_fn, err.fn_count)
                 worst_fp = max(worst_fp, err.fp_count)
                 worst_goal = max(worst_goal, err.goal_err)
@@ -159,8 +158,8 @@ def test_criterion_07_horizon_degradation():
         predicted = velocity_predict(history, 10)
         truth = oracle_predict(state, 10)
         for j in range(10):
-            fn_by_step[j] += int((truth.steps[j].occupancy
-                                  & ~predicted.steps[j].occupancy).sum())
+            fn_by_step[j] += int((truth[j].occupancy
+                                  & ~predicted[j].occupancy).sum())
     fn_by_step /= 100
     report(7, "velocity-model error grows with horizon",
            fn_by_step[9] > fn_by_step[0],
@@ -205,11 +204,8 @@ def test_criterion_09_statistical_properties():
         occ = rng.random((48, 48)) < 0.25
         occ.flags.writeable = False
         goal = (float(rng.integers(48)), float(rng.integers(48)))
-        rollout = PredictedRollout(
-            steps=tuple(PredictedFrame(occupancy=occ, goal_estimate=goal) for _ in range(2)),
-            model_name="synthetic",
-        )
-        root = run_search((24.0, 24.0), rollout, MCTSConfig(rollout_length=2), agent_speed=1.0)
+        frames = tuple(PredictedFrame(occupancy=occ, goal_estimate=goal) for _ in range(2))
+        root = run_search((24.0, 24.0), frames, MCTSConfig(rollout_length=2), agent_speed=1.0)
         conserved &= sum(root.n) == MCTSConfig().n_rollouts
     report(9, "statistical properties",
            rate_ok and goal_ok and conserved,

@@ -1,6 +1,7 @@
 import pytest
 
-from lanenav.cli import _split_models, main
+from lanenav.cli import main
+from lanenav.models import split_model_specs
 from lanenav.tracefile import read_trace
 
 
@@ -70,9 +71,9 @@ class TestBench:
         assert sum(row.startswith("noisy,5,") for row in rows) == 8
 
     def test_split_models_keeps_noisy_fields(self):
-        assert _split_models("oracle, noisy:0.1,0.02,1.0,5 ,frozen") == [
+        assert split_model_specs("oracle, noisy:0.1,0.02,1.0,5 ,frozen") == [
             "oracle", "noisy:0.1,0.02,1.0,5", "frozen"]
-        assert _split_models("noisy,noisy:0.2,0,1,3") == ["noisy", "noisy:0.2,0,1,3"]
+        assert split_model_specs("noisy,noisy:0.2,0,1,3") == ["noisy", "noisy:0.2,0,1,3"]
 
     def test_short_noisy_spec_exit_code(self, fast_flags):
         assert main(["bench", *fast_flags, "--models", "noisy:0.1,0.02", "--episodes", "1"]) == 1

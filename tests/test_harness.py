@@ -11,7 +11,6 @@ from lanenav.harness import (
     BenchRow,
     EpisodeRecord,
     StepRecord,
-    model_label,
     run_benchmark,
     run_episode,
     speed_label,
@@ -19,7 +18,7 @@ from lanenav.harness import (
     verify_replay,
 )
 from lanenav.mcts import MCTSConfig
-from lanenav.models import ForwardModel, OracleModel
+from lanenav.models import ForwardModel, OracleModel, model_label
 from lanenav.seeding import episode_seed
 from lanenav.world import Outcome, Timeline, WorldConfig, move, outcome_at
 

@@ -12,19 +12,19 @@ from lanenav.mcts import (
     run_search,
     select_by_temperature,
 )
-from lanenav.models import PredictedFrame, PredictedRollout, oracle_predict
+from lanenav.models import PredictedFrame, oracle_predict
 from lanenav.seeding import make_rng
 from lanenav.world import WorldConfig, action_to_velocity, move, new_episode, round_px
 
 
-def rollout_from_masks(masks, goals=None) -> PredictedRollout:
+def rollout_from_masks(masks, goals=None) -> tuple[PredictedFrame, ...]:
     steps = []
     for i, mask in enumerate(masks):
         goal = goals[i] if goals is not None else None
         occ = np.asarray(mask, dtype=bool)
         occ.flags.writeable = False
         steps.append(PredictedFrame(occupancy=occ, goal_estimate=goal))
-    return PredictedRollout(steps=tuple(steps), model_name="test")
+    return tuple(steps)
 
 
 def empty_rollout(k, goal=None, h=48, w=48):
@@ -401,7 +401,7 @@ class TestPlanAction:
                 dx, dy = action_to_velocity(a, 1.0)
                 x, y = x + dx, y + dy
                 px, py = round_px(x), round_px(y)
-                gx, gy = rollout.steps[d].goal_estimate
+                gx, gy = rollout[d].goal_estimate
                 x0, y0 = round_px(gx - 0.5), round_px(gy - 0.5)
                 if x0 <= px <= x0 + 1 and y0 <= py <= y0 + 1:
                     value = 20.0
@@ -451,7 +451,7 @@ class TestPlanAction:
         for seed in range(50):
             state = new_episode(world_cfg, seed)
             rollout = oracle_predict(state, 1)
-            occ = rollout.steps[0].occupancy
+            occ = rollout[0].occupancy
             agent = state.start
             safe = []
             for a in range(8):
@@ -484,9 +484,8 @@ class TestPlanAction:
 
     def test_empty_rollout(self):
         cfg = MCTSConfig(rollout_length=1)
-        bad = PredictedRollout(steps=(), model_name="empty")
         with pytest.raises(ValueError):
-            plan_action((10.0, 10.0), bad, cfg, make_rng(0), agent_speed=1.0)
+            plan_action((10.0, 10.0), (), cfg, make_rng(0), agent_speed=1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

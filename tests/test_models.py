@@ -62,7 +62,7 @@ class TestOraclePredict:
     def test_matches_true_future(self):
         state = new_episode(WorldConfig(), 5)
         rollout = oracle_predict(state, 5)
-        for predicted, truth in zip(rollout.steps, true_frames(state, 5)):
+        for predicted, truth in zip(rollout, true_frames(state, 5)):
             assert np.array_equal(predicted.occupancy, obstacle_occupancy(truth))
             assert predicted.goal_estimate == goal_center_of_frame(truth)
 
@@ -73,7 +73,7 @@ class TestOraclePredict:
             goal=(40.0, 40.0, 0.0, 0.0),
         )
         rollout = oracle_predict(state, 3)
-        for i, step in enumerate(rollout.steps, start=1):
+        for i, step in enumerate(rollout, start=1):
             expect = np.zeros((48, 48), dtype=bool)
             for col in (10 + i, 10 + i - 1):
                 expect[6, col] = True
@@ -86,8 +86,8 @@ class TestOraclePredict:
         rollout = oracle_predict(state, 4)
         start = goal_center_of_frame(render_frame(state))
         # pixel-center estimates advance 0 or 1 per step, 0.5 on average
-        assert rollout.steps[3].goal_estimate[0] - start[0] == pytest.approx(2.0)
-        for step in rollout.steps:
+        assert rollout[3].goal_estimate[0] - start[0] == pytest.approx(2.0)
+        for step in rollout:
             assert step.goal_estimate[1] == start[1]
 
     def test_original_untouched(self):
@@ -113,7 +113,7 @@ class TestFrozenPredict:
         )
         history = history_from(state)
         rollout = frozen_predict(history, 4)
-        for predicted, truth in zip(rollout.steps, true_frames(state, 4)):
+        for predicted, truth in zip(rollout, true_frames(state, 4)):
             err = prediction_error(predicted, truth)
             assert err.fn_count == 0 and err.fp_count == 0
 
@@ -126,7 +126,7 @@ class TestFrozenPredict:
         history = history_from(state)
         latest_occ = obstacle_occupancy(history.frames[-1])
         rollout = frozen_predict(history, 3)
-        for i, (predicted, truth) in enumerate(zip(rollout.steps, true_frames(state, 3)), start=1):
+        for i, (predicted, truth) in enumerate(zip(rollout, true_frames(state, 3)), start=1):
             err = prediction_error(predicted, truth)
             truth_occ = obstacle_occupancy(truth)
             # brute-force symmetric difference against the stale frame
@@ -137,9 +137,9 @@ class TestFrozenPredict:
         state = new_episode(WorldConfig(), 9)
         history = history_from(state)
         rollout = frozen_predict(history, 5)
-        for step in rollout.steps[1:]:
-            assert np.array_equal(step.occupancy, rollout.steps[0].occupancy)
-            assert step.goal_estimate == rollout.steps[0].goal_estimate
+        for step in rollout[1:]:
+            assert np.array_equal(step.occupancy, rollout[0].occupancy)
+            assert step.goal_estimate == rollout[0].goal_estimate
 
 
 class TestVelocityPredict:
@@ -152,7 +152,7 @@ class TestVelocityPredict:
         history = history_from(state)
         rollout = velocity_predict(history, 3)
         oracle = oracle_predict(state, 3)
-        for got, want in zip(rollout.steps, oracle.steps):
+        for got, want in zip(rollout, oracle):
             assert np.array_equal(got.occupancy, want.occupancy)
 
     def test_cannot_predict_spawns(self):
@@ -169,8 +169,8 @@ class TestVelocityPredict:
         rollout = velocity_predict(history, 3)
         oracle = oracle_predict(state, 3)
         err = prediction_error(
-            rollout.steps[2],
-            np.where(oracle.steps[2].occupancy, 3, 0).astype(np.uint8),
+            rollout[2],
+            np.where(oracle[2].occupancy, 3, 0).astype(np.uint8),
         )
         assert err.fn_count > 0
 
@@ -183,7 +183,7 @@ class TestVelocityPredict:
             for frame in history.frames:
                 seen_rows |= obstacle_occupancy(frame).any(axis=1)
             rollout = velocity_predict(history, 10)
-            for step in rollout.steps:
+            for step in rollout:
                 predicted_rows = step.occupancy.any(axis=1)
                 assert not (predicted_rows & ~seen_rows).any()
 
@@ -192,11 +192,11 @@ class TestVelocityPredict:
         history = history_from(state)
         # pixel centers over the 4 frames: 10.5, 11.5, 11.5, 12.5 -> slope 0.6
         rollout = velocity_predict(history, 3)
-        for i, step in enumerate(rollout.steps, start=1):
+        for i, step in enumerate(rollout, start=1):
             assert step.goal_estimate[0] == pytest.approx(12.5 + 0.6 * i, abs=1e-9)
             assert step.goal_estimate[1] == pytest.approx(20.5, abs=1e-9)
         truths = true_frames(state, 3)
-        for step, truth in zip(rollout.steps, truths):
+        for step, truth in zip(rollout, truths):
             true_center = goal_center_of_frame(truth)
             assert abs(step.goal_estimate[0] - true_center[0]) < 1.0
 
@@ -204,14 +204,14 @@ class TestVelocityPredict:
         state = build_state(goal=(44.0, 20.0, 0.5, 0.0))
         history = history_from(state)
         rollout = velocity_predict(history, 12)
-        for step in rollout.steps:
+        for step in rollout:
             assert 0.5 <= step.goal_estimate[0] <= 46.5
 
     def test_absent_goal(self):
         frame = np.zeros((48, 48), dtype=np.uint8)
         history = History((frame,) * 4)
         rollout = velocity_predict(history, 2)
-        assert all(step.goal_estimate is None for step in rollout.steps)
+        assert all(step.goal_estimate is None for step in rollout)
 
 
 class TestNoisySamplePredict:
@@ -221,7 +221,7 @@ class TestNoisySamplePredict:
         noisy = noisy_sample_predict(state, 3, n_samples=4, p_fn=0.0, p_fp=0.0,
                                      goal_sigma=0.0, rng=rng)
         oracle = oracle_predict(state, 3)
-        for got, want in zip(noisy.steps, oracle.steps):
+        for got, want in zip(noisy, oracle):
             assert np.array_equal(got.occupancy, want.occupancy)
             assert got.goal_estimate == pytest.approx(want.goal_estimate)
 
@@ -234,7 +234,7 @@ class TestNoisySamplePredict:
             oracle = oracle_predict(state, 3)
             noisy = noisy_sample_predict(state, 3, n_samples=5, p_fn=0.5, p_fp=0.0,
                                          goal_sigma=0.0, rng=rng)
-            for got, want in zip(noisy.steps, oracle.steps):
+            for got, want in zip(noisy, oracle):
                 truth = want.occupancy
                 fn += int((truth & ~got.occupancy).sum())
                 occupied += int(truth.sum())
@@ -250,8 +250,8 @@ class TestNoisySamplePredict:
             oracle = oracle_predict(state, 1)
             noisy = noisy_sample_predict(state, 1, n_samples=10, p_fn=0.0, p_fp=0.01,
                                          goal_sigma=0.0, rng=rng)
-            truth = oracle.steps[0].occupancy
-            fp += int((noisy.steps[0].occupancy & ~truth).sum())
+            truth = oracle[0].occupancy
+            fp += int((noisy[0].occupancy & ~truth).sum())
             free += int((~truth).sum())
         assert fp / free == pytest.approx(1.0 - 0.99 ** 10, abs=0.005)
 
@@ -264,8 +264,8 @@ class TestNoisySamplePredict:
                                          goal_sigma=0.0, rng=rng)
             oracle = oracle_predict(state, 3)
             fn = sum(int((want.occupancy & ~got.occupancy).sum())
-                     for got, want in zip(noisy.steps, oracle.steps))
-            occupied = sum(int(s.occupancy.sum()) for s in oracle.steps)
+                     for got, want in zip(noisy, oracle))
+            occupied = sum(int(s.occupancy.sum()) for s in oracle)
             rates.append(fn / occupied)
         for lo, hi in zip(rates[1:], rates[:-1]):
             assert lo <= hi + 0.02
@@ -275,7 +275,7 @@ class TestNoisySamplePredict:
         rng = make_rng(3)
         noisy = noisy_sample_predict(state, 10, n_samples=5, p_fn=0.1, p_fp=0.02,
                                      goal_sigma=5.0, rng=rng)
-        for step in noisy.steps:
+        for step in noisy:
             assert 0.0 <= step.goal_estimate[0] <= 47.0
             assert 0.0 <= step.goal_estimate[1] <= 47.0
 
@@ -294,7 +294,7 @@ class TestPredictionError:
         state = new_episode(WorldConfig(), 16)
         rollout = oracle_predict(state, 1)
         world_step(state)
-        err = prediction_error(rollout.steps[0], render_frame(state))
+        err = prediction_error(rollout[0], render_frame(state))
         assert err.fn_count == 0
         assert err.fp_count == 0
         assert err.goal_err == 0.0
@@ -353,7 +353,7 @@ class TestImmutability:
         state = new_episode(WorldConfig(), 18)
         rollout = oracle_predict(state, 2)
         with pytest.raises(ValueError):
-            rollout.steps[0].occupancy[0, 0] = True
+            rollout[0].occupancy[0, 0] = True
 
 
 class TestModelObjects:
@@ -368,7 +368,7 @@ class TestModelObjects:
         for t in range(25):
             cached = model.predict(Observation.at(timeline, t), 4)
             fresh = oracle_predict(state, 4)
-            for got, want in zip(cached.steps, fresh.steps):
+            for got, want in zip(cached, fresh):
                 assert np.array_equal(got.occupancy, want.occupancy)
                 assert got.goal_estimate == want.goal_estimate
             x, y, outcome = agent_turn(state, x, y, int(rng.integers(8)))
@@ -382,7 +382,7 @@ class TestModelObjects:
         for seed in (101, 102):
             got = model.predict(Observation.at(Timeline(cfg, seed), 0), 3)
             want = oracle_predict(new_episode(cfg, seed), 3)
-            assert np.array_equal(got.steps[0].occupancy, want.steps[0].occupancy)
+            assert np.array_equal(got[0].occupancy, want[0].occupancy)
 
     def test_call_counting(self):
         obs = Observation.at(Timeline(WorldConfig(), 20), 0)

@@ -27,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from lanenav.mcts import MCTSConfig, SearchNode, run_search
-from lanenav.models import Observation, PredictedRollout, frozen_predict
+from lanenav.models import Observation, frozen_predict
 from lanenav.seeding import episode_seed, make_rng
 from lanenav.world import N_ACTIONS, PredictedFrame, Timeline, WorldConfig, move, outcome_at
 
@@ -63,12 +63,12 @@ def tree_digest(root: SearchNode) -> tuple[int, str]:
     return count, digest.hexdigest()
 
 
-def rollouts(timeline: Timeline, t: int) -> tuple[PredictedRollout, ...]:
+def rollouts(timeline: Timeline, t: int) -> tuple[tuple[PredictedFrame, ...], ...]:
     """The oracle's, the frozen model's and the goal-free oracle rollout at time t."""
     k = max(KS)
-    oracle = PredictedRollout(timeline.rollout(t, k), "oracle")
+    oracle = timeline.rollout(t, k)
     frozen = frozen_predict(Observation.at(timeline, t).history, k)
-    no_goal = PredictedRollout(tuple(PredictedFrame(s.occupancy, None) for s in oracle.steps), "no_goal")
+    no_goal = tuple(PredictedFrame(s.occupancy, None) for s in oracle)
     return oracle, frozen, no_goal
 
 

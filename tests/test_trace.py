@@ -89,7 +89,7 @@ class TestTraceFile:
         assert trace.world_config == world
         assert trace.mcts_config == mcts
         assert trace.outcome == record.outcome.kind
-        assert trace.actions == [s.action for s in record.trace]
+        assert trace.steps == record.trace
         for i in range(len(trace.steps)):
             assert frames_equal(trace.frame_at(i), record.frames[i + 1])
 
@@ -104,10 +104,10 @@ class TestTraceFile:
         state = new_episode(trace.world_config, trace.episode_seed)
         x, y = state.start
         for i, step in enumerate(trace.steps):
-            x, y, outcome = agent_turn(state, x, y, int(step["action"]))
-            assert [x, y] == step["agent_pos"]
-            assert outcome.reward == step["reward"]
-            assert outcome.kind == step["outcome"]
+            x, y, outcome = agent_turn(state, x, y, step.action)
+            assert (x, y) == (step.agent_x, step.agent_y)
+            assert outcome.reward == step.reward
+            assert outcome.kind == step.outcome
             assert frames_equal(render_frame(state), trace.frame_at(i))
 
     def test_step_record_fields(self, tmp_path):
@@ -115,8 +115,16 @@ class TestTraceFile:
                              "frozen", episode_seed(9, 2), keep_frames=True)
         path = tmp_path / "t.jsonl"
         write_trace(path, record)
-        step = read_trace(path).steps[0]
+        step = json.loads(path.read_text().splitlines()[1])
         assert set(step) == {"t", "agent_pos", "action", "reward", "outcome", "frame_rle"}
+
+    @pytest.mark.parametrize("spec", ["oracle", "velocity", "none"])
+    def test_steps_read_back_as_records(self, tmp_path, spec):
+        record = run_episode(WorldConfig(max_steps=40), MCTSConfig(n_rollouts=20, rollout_length=3),
+                             spec, episode_seed(9, 5), keep_frames=True)
+        path = tmp_path / "t.jsonl"
+        write_trace(path, record)
+        assert read_trace(path).steps == record.trace
 
     def test_requires_frames(self, tmp_path):
         record = run_episode(WorldConfig(max_steps=10), MCTSConfig(n_rollouts=5, rollout_length=1),
