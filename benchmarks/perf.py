@@ -20,6 +20,9 @@ call. Layers:
 * ``world.render_frame``: the palette frame of a warmed-up world;
 * ``tracefile.frame_to_rle`` and ``tracefile.rle_to_frame``: one frame;
 * ``ppm.frame_to_rgb``: one frame with the agent drawn;
+* ``models.predict.{oracle,frozen,velocity,noisy}.k{1,3,10}``: one
+  ``predict`` at t=20 of each timeline, the model built by ``build_model``
+  (noisy with its default spec);
 * ``mcts.run_search.k{1,3,10}``: one search on the oracle's prediction at t=0;
 * ``harness.verify_replay``: per replayed step, the replay of random-agent
   episodes, fresh timeline included.
@@ -67,6 +70,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 KS = (1, 3, 10)
+PREDICT_MODELS = ("oracle", "frozen", "velocity", "noisy")
 MODULES = ("harness", "mcts", "models", "ppm", "seeding", "tracefile", "world")
 AGAINST_PACKAGE = "lanenav_against"
 
@@ -135,6 +139,7 @@ def layer_cases(lib: SimpleNamespace) -> dict:
     agents = [timeline.start for timeline in timelines]
     oracle = lib.models.OracleModel()
     rollouts = [oracle.predict(lib.models.Observation.at(timeline, 0), max(KS)) for timeline in timelines]
+    observations = [lib.models.Observation.at(timeline, 20) for timeline in timelines]
     records = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed) for seed in seeds]
     steps = 10
 
@@ -156,6 +161,11 @@ def layer_cases(lib: SimpleNamespace) -> dict:
                                    len(rles), None),
         "ppm.frame_to_rgb": (lambda _: [frame_to_rgb(f, a) for f, a in zip(frames, agents)], len(frames), None),
     }
+    for spec in PREDICT_MODELS:
+        model = lib.models.build_model(spec, rng=lib.seeding.make_rng(0))
+        for k in KS:
+            cases[f"models.predict.{spec}.k{k}"] = (
+                lambda _, model=model, k=k: [model.predict(obs, k) for obs in observations], len(observations), None)
     for k in KS:
         search = MCTSConfig(rollout_length=k)
         cases[f"mcts.run_search.k{k}"] = (
@@ -231,9 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, (_, calls, _) in cases.items():
         q = layers[name] = {"unit": "us", **quartiles(samples[name], 2), "repeats": args.repeats,
                             "calls_per_repeat": calls}
-        print(f"{name:26s} {q['median']:10.1f} us  (IQR {q['q1']:.1f}-{q['q3']:.1f}, "
+        print(f"{name:28s} {q['median']:10.1f} us  (IQR {q['q1']:.1f}-{q['q3']:.1f}, "
               f"{args.repeats} x {calls} calls)")
-    print(f"{'src_lines':26s} {src_lines():10d}")
+    print(f"{'src_lines':28s} {src_lines():10d}")
     report.update(layers=layers, src_lines=src_lines())
     if args.against is not None:
         print(f"change/parent against {args.against} ({sha[:12]}), median (IQR) of {args.repeats} rounds:")
@@ -241,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in cases:
             r = ratios[name] = {**quartiles([c / p for c, p in zip(samples[name], parent_samples[name])], 4),
                                 "parent_us": round(statistics.median(parent_samples[name]), 2)}
-            print(f"{name:26s} {r['median']:8.3f}  ({r['q1']:.3f}-{r['q3']:.3f})")
+            print(f"{name:28s} {r['median']:8.3f}  ({r['q1']:.3f}-{r['q3']:.3f})")
         report["against"] = {"rev": args.against, "git_sha": sha, "rounds": args.repeats, "ratios": ratios}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")

@@ -99,9 +99,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     table = run_benchmark(cells, world_cfg, mcts_cfg, n_episodes=args.episodes,
                           master_seed=world_cfg.master_seed, parallelism=args.parallelism)
     print(table.format_text())
-    csv_path = Path(args.csv) if args.csv else _out_dir(args) / "bench.csv"
-    if not csv_path.is_absolute():
-        csv_path = _out_dir(args) / csv_path
+    csv_path = _out_dir(args) / (args.csv or "bench.csv")
     atomic_write_text(csv_path, table.to_csv())
     print(f"csv: {csv_path}")
     return 0
@@ -140,6 +138,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
         render_error_map(err, truth, out / f"error_{i:02d}.ppm", goal_size=world_cfg.goal_size)
     print(f"wrote {3 * k} images to {out} (true_/pred_/error_ 01..{k:02d}, model={model.name})")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """An integer flag value of at least 1; argparse names the flag in its error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _check(name: str, ok: bool, detail: str) -> bool:
@@ -219,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated model specs; noisy:p_fn,p_fp,sigma,n keeps its commas")
     p_bench.add_argument("--ks", default="1,3", help="comma-separated rollout lengths")
     p_bench.add_argument("--speeds", default="2x", help="comma-separated agent speeds (1x,2x)")
-    p_bench.add_argument("--episodes", type=int, default=100)
-    p_bench.add_argument("--parallelism", type=int, default=1)
+    p_bench.add_argument("--episodes", type=_positive_int, default=100)
+    p_bench.add_argument("--parallelism", type=_positive_int, default=1)
     p_bench.add_argument("--csv", help="CSV output path (default bench.csv in out dir)")
     p_bench.add_argument("--out-dir", help="output directory")
     p_bench.set_defaults(func=_cmd_bench)
@@ -228,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render true/predicted/error images from a trace")
     p_render.add_argument("--trace", required=True)
     p_render.add_argument("--step", type=int, default=0, help="decision step to render from")
-    p_render.add_argument("--horizon", type=int, default=5)
+    p_render.add_argument("--horizon", type=_positive_int, default=5)
     p_render.add_argument("--model", help="model spec (default: the trace's model)")
     p_render.add_argument("--out-dir", help="output directory")
     p_render.set_defaults(func=_cmd_render)

@@ -70,6 +70,18 @@ class TestBench:
         assert len(rows) == 3 * 4 * 2
         assert sum(row.startswith("noisy,5,") for row in rows) == 8
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_relative_out_dir_holds_default_csv(self, tmp_path, monkeypatch, via_env):
+        monkeypatch.chdir(tmp_path)
+        flags = ["--max-steps", "20", "--n-rollouts", "5", "--ks", "1", "--episodes", "1"]
+        if via_env:
+            monkeypatch.setenv("LANENAV_OUT_DIR", "rel")
+        else:
+            flags += ["--out-dir", "rel"]
+        assert main(["bench", *flags]) == 0
+        assert (tmp_path / "rel" / "bench.csv").read_text().startswith("model,")
+        assert not (tmp_path / "rel" / "rel").exists()
+
     def test_split_models_keeps_noisy_fields(self):
         assert split_model_specs("oracle, noisy:0.1,0.02,1.0,5 ,frozen") == [
             "oracle", "noisy:0.1,0.02,1.0,5", "frozen"]
@@ -122,6 +134,19 @@ class TestRender:
         code = main(["render", "--trace", str(tmp_path / "ep.jsonl"), "--step", "9999",
                      "--out-dir", str(tmp_path)])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--episodes", "0"], "--episodes"),
+    (["bench", "--parallelism", "-3"], "--parallelism"),
+    (["bench", "--episodes", "two"], "--episodes"),
+    (["render", "--trace", "ep.jsonl", "--horizon", "0"], "--horizon"),
+])
+def test_integer_flag_below_one_rejected(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestValidate:
