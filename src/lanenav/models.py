@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import world as w
 from .seeding import make_rng
@@ -127,21 +128,6 @@ def frozen_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
     return (predicted_frame(history.frames[-1]),) * k
 
 
-def _shift_cols(occ: np.ndarray, j: int) -> np.ndarray:
-    """Shift a (H, W) mask along x by integer j, filling with empty."""
-    out = np.zeros_like(occ)
-    width = occ.shape[1]
-    if j == 0:
-        return occ.copy()
-    if j > 0:
-        if j < width:
-            out[:, j:] = occ[:, :width - j]
-    else:
-        if -j < width:
-            out[:, :width + j] = occ[:, -j:]
-    return out
-
-
 def _row_shifts(frames: tuple[np.ndarray, ...]) -> np.ndarray:
     """Per-row shift per step from the 3 consecutive history frame pairs.
 
@@ -152,46 +138,39 @@ def _row_shifts(frames: tuple[np.ndarray, ...]) -> np.ndarray:
     carry no motion signal (they come from episode-start padding) and are
     skipped.
     """
-    occs = [obstacle_occupancy(f) for f in frames]
-    height = occs[0].shape[0]
-    n_int = int(MAX_SHIFT)
-    int_shifts = list(range(-n_int, n_int + 1))
-    # Integer lags ordered by tie priority: smaller |shift| first.
-    order = sorted(range(len(int_shifts)), key=lambda i: (abs(int_shifts[i]), int_shifts[i]))
-    pair_scores = []
-    for p in range(len(occs) - 1):
-        prev, nxt = occs[p], occs[p + 1]
-        if np.array_equal(frames[p], frames[p + 1]):
-            continue
-        scores = np.stack([(nxt & _shift_cols(prev, j)).sum(axis=1).astype(np.float64)
-                           for j in int_shifts])
-        pair_scores.append(scores)
-    if not pair_scores:
+    stack = np.stack(frames)
+    n_frames, height, width = stack.shape
+    moving = (stack[1:] != stack[:-1]).any(axis=(1, 2))
+    if not moving.any():
         return np.zeros(height)
+    occs = obstacle_occupancy(stack)
+    n_int = int(MAX_SHIFT)
+    n_lags = 2 * n_int + 1
+    # Earlier frames zero-padded by n_int columns per side: the window of the
+    # padded row starting at column s is the frame shifted by n_int - s, so the
+    # windows in reverse order are lags -n_int..n_int.
+    padded = np.zeros((n_frames - 1, height, width + 2 * n_int), dtype=bool)
+    padded[:, :, n_int:n_int + width] = occs[:-1]
+    windows = sliding_window_view(padded[moving], width, axis=2).transpose(0, 2, 1, 3)[:, ::-1]
+    scores = (windows & occs[1:][moving][:, None]).sum(axis=3).astype(np.float64)  # (pair, lag, row)
+    # Integer lags ordered by tie priority: smaller |shift| first.
+    order = np.array(sorted(range(n_lags), key=lambda i: (abs(i - n_int), i - n_int)))
     # Bodies entering or leaving at an edge make a pair ambiguous (growth at
     # the edge overlaps as well as motion does). A consensus term far below
     # the correlation quantum (1.0) resolves such ties from the other pairs;
     # remaining ties go to the smaller |shift|.
-    consensus = 1e-3 * np.sum(pair_scores, axis=0)
-    estimates = []
-    for scores in pair_scores:
-        ranked = (scores + consensus)[order]
-        best_idx = np.asarray(order)[np.argmax(ranked, axis=0)]
-        # Sub-pixel peak: quadratic fit through the integer lag neighbors.
-        # Rows mixing sub-pixel phases (some obstacles advanced a pixel this
-        # step, some not) land between lags instead of voting for one side.
-        est = np.empty(height)
-        for r in range(height):
-            b = int(best_idx[r])
-            peak = float(int_shifts[b])
-            if 0 < b < len(int_shifts) - 1:
-                left, mid, right = scores[b - 1, r], scores[b, r], scores[b + 1, r]
-                denom = left - 2.0 * mid + right
-                if denom < 0.0:
-                    offset = 0.5 * (left - right) / denom
-                    peak += float(np.clip(offset, -0.5, 0.5))
-            est[r] = peak
-        estimates.append(est)
+    consensus = 1e-3 * np.sum(scores, axis=0)
+    best = order[np.argmax((scores + consensus)[:, order], axis=1)]  # (pair, row)
+    # Sub-pixel peak: quadratic fit through the integer lag neighbors.
+    # Rows mixing sub-pixel phases (some obstacles advanced a pixel this
+    # step, some not) land between lags instead of voting for one side.
+    around = np.clip(best[:, None] + np.array([-1, 0, 1])[:, None], 0, n_lags - 1)
+    left, mid, right = np.take_along_axis(scores, around, axis=1).transpose(1, 0, 2)
+    denom = left - 2.0 * mid + right
+    fit = (best > 0) & (best < n_lags - 1) & (denom < 0.0)
+    offset = 0.5 * (left - right) / np.where(fit, denom, -1.0)
+    peak = (best - n_int).astype(np.float64)
+    estimates = np.where(fit, peak + np.clip(offset, -0.5, 0.5), peak)
     mean = np.mean(estimates, axis=0)
     return round_px_array(mean * 2.0) / 2.0
 
@@ -225,9 +204,17 @@ def velocity_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
     latest = history.frames[-1]
     height, width = latest.shape
     shifts = _row_shifts(history.frames)
-    latest_occ = obstacle_occupancy(latest)
-    active_rows = np.nonzero(latest_occ.any(axis=1))[0]
-    row_cols = {int(r): np.nonzero(latest_occ[r])[0].astype(np.float64) for r in active_rows}
+    rows, cols = np.nonzero(obstacle_occupancy(latest))
+    offsets = np.arange(1, k + 1)[:, None] * shifts[rows]  # (step, cell)
+    steps_of, rows_of = np.broadcast_arrays(np.arange(k)[:, None], rows)
+    occ = np.zeros((k, height, width), dtype=bool)
+    # A fractional total offset leaves the body straddling two columns
+    # (sub-pixel phase unknown): cover both.
+    for whole in (np.floor(offsets), np.ceil(offsets)):
+        moved = cols + whole.astype(np.int64)
+        inside = (moved >= 0) & (moved < width)
+        occ[steps_of[inside], rows_of[inside], moved[inside]] = True
+    freeze(occ)
 
     goal_rows, goal_cols = np.nonzero(latest == w.GOAL)
     goal_known = goal_rows.size > 0
@@ -241,22 +228,13 @@ def velocity_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
         gvx, gvy = _fit_goal_velocity(centers)
 
     steps = []
-    for i in range(1, k + 1):
-        occ = np.zeros((height, width), dtype=bool)
-        for r, cols in row_cols.items():
-            offset = i * shifts[r]
-            # A fractional total offset leaves the body straddling two
-            # columns (sub-pixel phase unknown): cover both.
-            for shift in {math.floor(offset), math.ceil(offset)}:
-                moved = (cols + shift).astype(np.int64)
-                moved = moved[(moved >= 0) & (moved < width)]
-                occ[r, moved] = True
+    for i in range(k):
         estimate = None
         if goal_known:
             gx, gvx = reflect_axis(gx + gvx, gvx, lo_x, hi_x)
             gy, gvy = reflect_axis(gy + gvy, gvy, lo_y, hi_y)
             estimate = (gx, gy)
-        steps.append(PredictedFrame(occupancy=freeze(occ), goal_estimate=estimate))
+        steps.append(PredictedFrame(occupancy=occ[i], goal_estimate=estimate))
     return tuple(steps)
 
 
@@ -297,27 +275,22 @@ def _noisy_samples(
         raise ValueError("n_samples must be >= 1")
     k = len(base)
     height, width = base[0].occupancy.shape
-    agg = [np.zeros((height, width), dtype=bool) for _ in range(k)]
-    goal_draws: list[list[tuple[float, float]]] = [[] for _ in range(k)]
-    for _ in range(n_samples):
-        jx = jy = 0.0
+    agg = np.zeros((k, height, width), dtype=bool)
+    free = [~step.occupancy for step in base]
+    jitter = np.empty((n_samples, k, 2))
+    for sample in range(n_samples):
         for i, step in enumerate(base):
-            truth = step.occupancy
-            drop = rng.random((height, width)) < p_fn
-            add = rng.random((height, width)) < p_fp
-            agg[i] |= (truth & ~drop) | (~truth & add)
-            jx += float(rng.normal(0.0, goal_sigma))
-            jy += float(rng.normal(0.0, goal_sigma))
-            cx, cy = step.goal_estimate
-            goal_draws[i].append((cx + jx, cy + jy))
-    steps = []
-    for i in range(k):
-        xs = [g[0] for g in goal_draws[i]]
-        ys = [g[1] for g in goal_draws[i]]
-        gx = min(max(float(np.median(xs)), 0.0), float(width - 1))
-        gy = min(max(float(np.median(ys)), 0.0), float(height - 1))
-        steps.append(PredictedFrame(occupancy=freeze(agg[i]), goal_estimate=(gx, gy)))
-    return tuple(steps)
+            # One draw per (sample, step): the drop uniforms, then the add uniforms.
+            uniform = rng.random((2, height, width))
+            agg[i] |= (step.occupancy & (uniform[0] >= p_fn)) | (free[i] & (uniform[1] < p_fp))
+            jitter[sample, i] = rng.normal(0.0, goal_sigma, 2)
+    # Each sample's goal walks away from the true center by its summed jitter.
+    centers = np.array([step.goal_estimate for step in base])
+    medians = np.median(centers + np.cumsum(jitter, axis=1), axis=0).tolist()
+    freeze(agg)
+    return tuple(PredictedFrame(occupancy=agg[i], goal_estimate=(min(max(gx, 0.0), float(width - 1)),
+                                                                  min(max(gy, 0.0), float(height - 1))))
+                 for i, (gx, gy) in enumerate(medians))
 
 
 def prediction_error(predicted: PredictedFrame, truth: np.ndarray) -> ErrorMap:
