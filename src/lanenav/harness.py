@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -299,6 +298,9 @@ def run_benchmark(
     else:
         size = -(-len(tasks) // (parallelism * BATCHES_PER_WORKER))
         batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        # Imported here: a serial run never pays for the process pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             done = [result for batch in pool.map(_bench_batch, batches) for result in batch]
     results = {(ci, ei): (kind, steps) for ci, ei, kind, steps in done}

@@ -7,9 +7,12 @@ episode (configs, model spec, episode seed); each following line is one step:
 
 ``frame_rle`` encodes the post-step palette frame row-major as
 "value:count,value:count,...". ``read_trace`` checks every line against this
-schema and names the offending ``path:line`` in its ``ValueError``. Its steps
-are the ``StepRecord``s of the ``EpisodeRecord.trace`` that was written, with
-each step's ``frame_rle`` kept beside them for ``Trace.frame_at``.
+schema, and the lines against each other (step t runs 1..n, only the last
+step may end the episode, the header outcome is the last step's or
+``running`` without steps), and names the offending ``path:line`` in its
+``ValueError``. Its steps are the ``StepRecord``s of the
+``EpisodeRecord.trace`` that was written, with each step's ``frame_rle``
+kept beside them for ``Trace.frame_at``.
 """
 from __future__ import annotations
 
@@ -160,6 +163,20 @@ def _checked(path, number: int, record: dict, fields: tuple) -> dict:
     return record
 
 
+def _check_sequence(path, outcome: str, steps: list[dict]) -> None:
+    """The steps against each other and the header: t runs 1..n, only the last
+    step may end the episode, and the header outcome is the last step's."""
+    for number, step in enumerate(steps, 2):
+        if step["t"] != number - 1:
+            raise ValueError(f"{path}:{number}: step t must be {number - 1}, got {step['t']}")
+        if step["outcome"] != RUNNING and number - 1 < len(steps):
+            raise ValueError(f"{path}:{number}: outcome {step['outcome']!r} ends the episode, "
+                             "but later steps follow")
+    final = steps[-1]["outcome"] if steps else RUNNING
+    if outcome != final:
+        raise ValueError(f"{path}:1: header outcome {outcome!r} does not match the last step's {final!r}")
+
+
 def read_trace(path: str | Path) -> Trace:
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -177,6 +194,7 @@ def read_trace(path: str | Path) -> Trace:
         raise ValueError(f"{path}:1: bad config in header: {exc!r}") from None
     steps = [_checked(path, number, _json_object(path, number, line), _STEP_FIELDS)
              for number, line in enumerate(lines[1:], 2)]
+    _check_sequence(path, header["outcome"], steps)
     return Trace(
         world_config=world_config,
         mcts_config=mcts_config,

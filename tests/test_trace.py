@@ -258,3 +258,40 @@ class TestReadTraceSchema:
             read()
         except ValueError:
             pass
+
+
+class TestReadTraceSequence:
+    """The lines against each other: t order, where the episode ends, the header outcome."""
+
+    def test_written_trace_ends_on_its_outcome(self, trace_lines):
+        steps = [json.loads(line) for line in trace_lines[1:]]
+        assert [s["t"] for s in steps] == list(range(1, len(steps) + 1))
+        assert all(s["outcome"] == "running" for s in steps[:-1])
+        assert json.loads(trace_lines[0])["outcome"] == steps[-1]["outcome"] != "running"
+
+    @pytest.mark.parametrize("t", [1, 3, 99])
+    def test_step_t_out_of_order_named(self, trace_lines, tmp_path, t):
+        path, read = _read(tmp_path, _edited(trace_lines, 3, t=t))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: step t must be 2, got {t}")):
+            read()
+
+    @pytest.mark.parametrize("outcome", ["died", "goal", "timeout"])
+    def test_terminal_step_before_the_last_named(self, trace_lines, tmp_path, outcome):
+        path, read = _read(tmp_path, _edited(trace_lines, 2, outcome=outcome))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: outcome '{outcome}' ends the episode")):
+            read()
+
+    def test_header_outcome_differs_from_last_step_named(self, trace_lines, tmp_path):
+        last = json.loads(trace_lines[-1])["outcome"]
+        other = next(o for o in ("died", "goal", "timeout", "running") if o != last)
+        path, read = _read(tmp_path, _edited(trace_lines, 1, outcome=other))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:1: header outcome '{other}' does not match the last step's '{last}'")):
+            read()
+
+    def test_header_without_steps_must_be_running(self, trace_lines, tmp_path):
+        path, read = _read(tmp_path, _edited(trace_lines[:1], 1, outcome="running"))
+        assert read().steps == []
+        path, read = _read(tmp_path, trace_lines[:1])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: header outcome")):
+            read()
