@@ -20,6 +20,10 @@ Per history the fixture holds the first 16 hex digits of a sha256:
 
 and one sha256 over all full digests.
 
+Beside the fixture, random small histories (widths down to 2, below the lag
+range) are checked against ``reference_row_shifts`` and
+``reference_occupancy``, the per-row loops the array code replaced.
+
 Regenerate the fixture only when model behaviour changes on purpose:
 
     PYTHONPATH=src python tests/test_velocity_fixture.py
@@ -28,15 +32,33 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from lanenav.models import HISTORY_LEN, Observation, _noisy_samples, _row_shifts, velocity_predict
+from lanenav.models import (
+    HISTORY_LEN,
+    MAX_SHIFT,
+    History,
+    Observation,
+    _noisy_samples,
+    _row_shifts,
+    velocity_predict,
+)
 from lanenav.seeding import episode_seed, make_rng
-from lanenav.world import DEFAULT_CLASSES, PredictedFrame, Timeline, WorldConfig, obstacle_occupancy
+from lanenav.world import (
+    DEFAULT_CLASSES,
+    GOAL,
+    PredictedFrame,
+    Timeline,
+    WorldConfig,
+    obstacle_occupancy,
+    round_px_array,
+)
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "velocity_predictions.json"
 
@@ -126,6 +148,92 @@ def test_corpus_covers_edge_classes():
         seen["column_0"] += bool(latest[:, 0].any())
         seen["column_w_minus_1"] += bool(latest[:, -1].any())
     assert all(seen.values()), seen
+
+
+def _shift_cols(occ: np.ndarray, j: int) -> np.ndarray:
+    """Shift a (H, W) mask along x by integer j, filling with empty."""
+    out = np.zeros_like(occ)
+    width = occ.shape[1]
+    if j == 0:
+        return occ.copy()
+    if j > 0:
+        if j < width:
+            out[:, j:] = occ[:, :width - j]
+    elif -j < width:
+        out[:, :width + j] = occ[:, -j:]
+    return out
+
+
+def reference_row_shifts(frames: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``_row_shifts`` as loops: per frame pair, per lag and per row."""
+    occs = [obstacle_occupancy(f) for f in frames]
+    height = occs[0].shape[0]
+    n_int = int(MAX_SHIFT)
+    int_shifts = list(range(-n_int, n_int + 1))
+    order = sorted(range(len(int_shifts)), key=lambda i: (abs(int_shifts[i]), int_shifts[i]))
+    pair_scores = []
+    for p in range(len(occs) - 1):
+        if np.array_equal(frames[p], frames[p + 1]):
+            continue
+        pair_scores.append(np.stack([(occs[p + 1] & _shift_cols(occs[p], j)).sum(axis=1).astype(np.float64)
+                                     for j in int_shifts]))
+    if not pair_scores:
+        return np.zeros(height)
+    consensus = 1e-3 * np.sum(pair_scores, axis=0)
+    estimates = []
+    for scores in pair_scores:
+        best_idx = np.asarray(order)[np.argmax((scores + consensus)[order], axis=0)]
+        est = np.empty(height)
+        for r in range(height):
+            b = int(best_idx[r])
+            peak = float(int_shifts[b])
+            if 0 < b < len(int_shifts) - 1:
+                left, mid, right = scores[b - 1, r], scores[b, r], scores[b + 1, r]
+                denom = left - 2.0 * mid + right
+                if denom < 0.0:
+                    peak += float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
+            est[r] = peak
+        estimates.append(est)
+    return round_px_array(np.mean(estimates, axis=0) * 2.0) / 2.0
+
+
+def reference_occupancy(frames: tuple[np.ndarray, ...], k: int) -> list[np.ndarray]:
+    """``velocity_predict``'s occupancy as loops: per step, per row and per {floor, ceil}."""
+    latest = obstacle_occupancy(frames[-1])
+    height, width = latest.shape
+    shifts = reference_row_shifts(frames)
+    row_cols = {int(r): np.nonzero(latest[r])[0].astype(np.float64) for r in np.nonzero(latest.any(axis=1))[0]}
+    steps = []
+    for i in range(1, k + 1):
+        occ = np.zeros((height, width), dtype=bool)
+        for r, cols in row_cols.items():
+            offset = i * shifts[r]
+            for shift in {math.floor(offset), math.ceil(offset)}:
+                moved = (cols + shift).astype(np.int64)
+                occ[r, moved[(moved >= 0) & (moved < width)]] = True
+        steps.append(occ)
+    return steps
+
+
+@st.composite
+def small_histories(draw) -> tuple[np.ndarray, ...]:
+    """4 palette frames of up to 6 x 12 cells; repeated frames stand for padding."""
+    height, width = draw(st.integers(1, 6)), draw(st.integers(2, 12))
+    cells = st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5, GOAL]),
+                     min_size=height * width, max_size=height * width)
+    pool = [np.array(draw(cells), dtype=np.uint8).reshape(height, width)
+            for _ in range(draw(st.integers(1, HISTORY_LEN)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=HISTORY_LEN, max_size=HISTORY_LEN))
+    return tuple(pool[i] for i in sorted(picks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=small_histories(), k=st.sampled_from(KS))
+def test_array_code_matches_loop_reference(frames, k):
+    assert _row_shifts(frames).tobytes() == reference_row_shifts(frames).tobytes()
+    predicted = velocity_predict(History(frames), k)
+    for step, want in zip(predicted, reference_occupancy(frames, k), strict=True):
+        assert np.array_equal(step.occupancy, want)
 
 
 if __name__ == "__main__":
