@@ -139,20 +139,21 @@ def _row_shifts(frames: tuple[np.ndarray, ...]) -> np.ndarray:
     skipped.
     """
     stack = np.stack(frames)
-    n_frames, height, width = stack.shape
+    height, width = stack.shape[1:]
     moving = (stack[1:] != stack[:-1]).any(axis=(1, 2))
     if not moving.any():
         return np.zeros(height)
     occs = obstacle_occupancy(stack)
+    prev, nxt = occs[:-1][moving], occs[1:][moving]
     n_int = int(MAX_SHIFT)
     n_lags = 2 * n_int + 1
     # Earlier frames zero-padded by n_int columns per side: the window of the
     # padded row starting at column s is the frame shifted by n_int - s, so the
     # windows in reverse order are lags -n_int..n_int.
-    padded = np.zeros((n_frames - 1, height, width + 2 * n_int), dtype=bool)
-    padded[:, :, n_int:n_int + width] = occs[:-1]
-    windows = sliding_window_view(padded[moving], width, axis=2).transpose(0, 2, 1, 3)[:, ::-1]
-    scores = (windows & occs[1:][moving][:, None]).sum(axis=3).astype(np.float64)  # (pair, lag, row)
+    padded = np.zeros((len(prev), height, width + 2 * n_int), dtype=bool)
+    padded[:, :, n_int:n_int + width] = prev
+    windows = sliding_window_view(padded, width, axis=2).transpose(0, 2, 1, 3)[:, ::-1]
+    scores = (windows & nxt[:, None]).sum(axis=3).astype(np.float64)  # (pair, lag, row)
     # Integer lags ordered by tie priority: smaller |shift| first.
     order = np.array(sorted(range(n_lags), key=lambda i: (abs(i - n_int), i - n_int)))
     # Bodies entering or leaving at an edge make a pair ambiguous (growth at
