@@ -263,12 +263,6 @@ class TestReadTraceSchema:
 class TestReadTraceSequence:
     """The lines against each other: t order, where the episode ends, the header outcome."""
 
-    def test_written_trace_ends_on_its_outcome(self, trace_lines):
-        steps = [json.loads(line) for line in trace_lines[1:]]
-        assert [s["t"] for s in steps] == list(range(1, len(steps) + 1))
-        assert all(s["outcome"] == "running" for s in steps[:-1])
-        assert json.loads(trace_lines[0])["outcome"] == steps[-1]["outcome"] != "running"
-
     @pytest.mark.parametrize("t", [1, 3, 99])
     def test_step_t_out_of_order_named(self, trace_lines, tmp_path, t):
         path, read = _read(tmp_path, _edited(trace_lines, 3, t=t))
