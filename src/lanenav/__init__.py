@@ -26,34 +26,4 @@ from .world import (
     world_step,
 )
 
-__all__ = [
-    "BenchCell",
-    "BenchTable",
-    "EpisodeRecord",
-    "ErrorMap",
-    "History",
-    "MCTSConfig",
-    "Observation",
-    "Outcome",
-    "PredictedFrame",
-    "Timeline",
-    "WorldConfig",
-    "WorldState",
-    "action_to_velocity",
-    "build_model",
-    "clone_state",
-    "frozen_predict",
-    "new_episode",
-    "noisy_sample_predict",
-    "oracle_predict",
-    "plan_action",
-    "prediction_error",
-    "render_frame",
-    "run_benchmark",
-    "run_episode",
-    "summarize",
-    "velocity_predict",
-    "world_step",
-]
-
 __version__ = "0.1.0"

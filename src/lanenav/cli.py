@@ -14,20 +14,19 @@ working directory.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
+from . import checks
 from .config import CONFIG_KEYS, coerce_value, parse_config
 from .fileio import atomic_write_text
 from .harness import BenchCell, run_benchmark, run_episode
-from .mcts import run_search
 from .models import Observation, build_model, prediction_error, split_model_specs
 from .ppm import prediction_to_rgb, render_error_map, render_ppm, write_ppm
-from .seeding import STREAM_MODEL, episode_seed, make_rng, substream
+from .seeding import STREAM_MODEL, episode_seed, substream
 from .tracefile import read_trace, write_trace
-from .world import ConfigError, Timeline, new_episode, render_frame, world_step
+from .world import ConfigError, Timeline
 
 OUT_DIR_ENV = "LANENAV_OUT_DIR"
 
@@ -90,7 +89,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, _ = _configs_from_args(args)
     cells = [
-        BenchCell(model_spec=model, speed=speed.strip(),
+        BenchCell(model_spec=coerce_value("model", model, "--models"), speed=speed.strip(),
                   rollout_length=coerce_value("rollout_length", k, "--ks"))
         for model in split_model_specs(args.models)
         for speed in args.speeds.split(",")
@@ -119,7 +118,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     t = args.step
     agent_pos = (trace.steps[t - 1].agent_x, trace.steps[t - 1].agent_y) if t > 0 else timeline.start
 
-    model_spec = args.model if args.model else trace.model_spec
+    model_spec = coerce_value("model", args.model, "--model") if args.model else trace.model_spec
     model = build_model(model_spec, rng=substream(trace.episode_seed, STREAM_MODEL))
     k = args.horizon
     if model is None:
@@ -148,61 +147,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _check(name: str, ok: bool, detail: str) -> bool:
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    return ok
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, _ = _configs_from_args(args)
-    steps = 20_000 if args.quick else 100_000
-    tol = 0.05 if args.quick else 0.02
-    ok = True
-
-    state = new_episode(world_cfg, episode_seed(world_cfg.master_seed, 0))
-    state.spawn_draws = 0
-    for _ in range(steps):
-        world_step(state)
-    expected = len(world_cfg.lane_rows) * world_cfg.level * world_cfg.spawn_base_rate
-    rate = state.spawn_draws / steps
-    ok &= _check("poisson spawn rate", abs(rate - expected) <= tol * expected,
-                 f"{rate:.4f} vs {expected:.4f} over {steps} steps (tol {tol:.0%})")
-
-    state = new_episode(world_cfg, episode_seed(world_cfg.master_seed, 1))
-    worst = 0.0
-    for _ in range(10_000):
-        world_step(state)
-        speed = math.hypot(state.goal.vx, state.goal.vy)
-        worst = max(worst, abs(speed - world_cfg.goal_speed))
-    ok &= _check("goal speed conservation", worst <= 1e-9, f"max drift {worst:.2e} over 10000 steps")
-
-    rng = make_rng(12345)
-    searches = 200 if args.quick else 1000
-    conserved = True
-    for _ in range(searches):
-        timeline = Timeline(world_cfg, int(rng.integers(2 ** 63)))
-        root = run_search(timeline.start, timeline.rollout(0, mcts_cfg.rollout_length), mcts_cfg,
-                          world_cfg.agent_speed, goal_size=world_cfg.goal_size)
-        conserved &= sum(root.n) == mcts_cfg.n_rollouts
-    ok &= _check("mcts visit conservation", conserved, f"{searches} random searches")
-
-    # The timeline that episodes read, against the world stepped on its own.
-    pairs = 30 if args.quick else 100
-    exact = True
-    for i in range(pairs):
-        seed = episode_seed(world_cfg.master_seed, 100 + i)
-        t, k = i % 7, 1 + i % 10
-        rollout = Timeline(world_cfg, seed).rollout(t, k)
-        st = new_episode(world_cfg, seed)
-        for _ in range(t):
-            world_step(st)
-        for predicted in rollout:
-            world_step(st)
-            err = prediction_error(predicted, render_frame(st))
-            exact &= err.fn_count == 0 and err.fp_count == 0 and err.goal_err == 0.0
-    ok &= _check("oracle exactness", exact, f"{pairs} seed/t/k triples, t 0..6, horizons 1..10")
-
-    return 0 if ok else 1
+    seed = world_cfg.master_seed
+    steps, tol, searches, triples = (20_000, 0.05, 200, 30) if args.quick else (100_000, 0.02, 1000, 100)
+    runs = {
+        "poisson spawn rate": lambda: checks.spawn_rate(world_cfg, episode_seed(seed, 0), steps, tol),
+        "goal speed conservation": lambda: checks.goal_speed(world_cfg, episode_seed(seed, 1), 10_000, 1e-9),
+        "mcts visit conservation": lambda: checks.visit_conservation(
+            world_cfg, mcts_cfg, checks.timeline_searches(world_cfg, mcts_cfg.rollout_length, 12345, searches)),
+        "oracle exactness": lambda: checks.oracle_exactness(
+            world_cfg, ((episode_seed(seed, 100 + i), i % 7, 1 + i % 10) for i in range(triples))),
+    }
+    failed = False
+    for name, run in runs.items():
+        ok, detail = run()
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        failed |= not ok
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .mcts import MCTSConfig
+from .models import model_label
 from .world import ConfigError, ObstacleClass, WorldConfig
 
 _WORLD_INT_KEYS = ("grid_h", "grid_w", "goal_size", "max_steps", "warmup_steps", "master_seed")
@@ -26,21 +27,27 @@ DEFAULT_MODEL = "oracle"
 
 
 def coerce_value(key: str, raw: str, where: str):
-    """``raw`` as the type of config key ``key``; a ConfigError names ``where``."""
+    """``raw`` as the type of config key ``key``, a model spec checked; a ConfigError names ``where``."""
     try:
         if key in _WORLD_INT_KEYS or key in _MCTS_INT_KEYS:
             return int(raw)
         if key in _WORLD_FLOAT_KEYS or key in _MCTS_FLOAT_KEYS:
             return float(raw)
+        if key == "model":
+            model_label(raw)
         return raw
     except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {raw!r}") from exc
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
 def read_config_file(path: str | Path) -> dict[str, object]:
     """Parse a key = value file into a typed dict; errors carry line numbers."""
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -60,7 +67,7 @@ def coerce_overrides(raw: dict[str, str]) -> dict[str, object]:
     for key, value in raw.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        out[key] = coerce_value(key, str(value), "override")
+        out[key] = coerce_value(key, str(value), f"--{key.replace('_', '-')}")
     return out
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lanenav.seeding import STREAM_CLASS, STREAM_SPAWN, substream
 from lanenav.world import (
@@ -95,3 +96,9 @@ def quiet_config() -> WorldConfig:
 
 def frames_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(a, b))
+
+
+# Config and flag values for the boundary fuzz: any text, numbers, and near misses of valid values.
+FUZZ_VALUES = (st.text(max_size=12) | st.integers(-3, 10 ** 20).map(str) | st.floats().map(repr)
+               | st.sampled_from(["0", "1x", "2x", "nan", "-inf", "1e999", "oracle", "none", "noisy",
+                                  "noisy:0.1,0.02,1,5", "noisy:0.1,0.02", "noisy:2,0,1,1", "oracle,frozen", "1,3"]))

@@ -5,24 +5,23 @@ cells run on the default configuration (100 episodes on the default master
 seed) and are cached for the whole session, so criteria that share a cell
 measure the same run. Everything here is deterministic.
 """
-import math
 import time
 
 import numpy as np
 
+from lanenav import checks
 from lanenav.harness import BenchCell, run_benchmark, run_episode, verify_replay
-from lanenav.mcts import MCTSConfig, run_search
+from lanenav.mcts import MCTSConfig
 from lanenav.models import (
     OracleModel,
     PredictedFrame,
     noisy_sample_predict,
     oracle_predict,
-    prediction_error,
     velocity_predict,
     History,
 )
 from lanenav.seeding import episode_seed, make_rng
-from lanenav.world import WorldConfig, clone_state, new_episode, render_frame, world_step
+from lanenav.world import WorldConfig, new_episode, render_frame, world_step
 
 N_EPISODES = 100
 WORLD = WorldConfig()
@@ -120,30 +119,12 @@ def test_criterion_05_speed_effect():
 
 
 def test_criterion_06_oracle_exactness():
-    worst_fn = worst_fp = 0
-    worst_goal = 0.0
-    pairs = 0
+    # 200 states at t in 0..29, 5 horizons in 1..10 each: 1000 state/k pairs
     rng = make_rng(99)
-    state_index = 0
-    while pairs < 1000:
-        state = new_episode(WORLD, episode_seed(WORLD.master_seed, 10_000 + state_index))
-        for _ in range(int(rng.integers(0, 30))):
-            world_step(state)
-        for _ in range(5):
-            k = int(rng.integers(1, 11))
-            rollout = oracle_predict(state, k)
-            truth = clone_state(state)
-            for j in range(k):
-                world_step(truth)
-                err = prediction_error(rollout[j], render_frame(truth))
-                worst_fn = max(worst_fn, err.fn_count)
-                worst_fp = max(worst_fp, err.fp_count)
-                worst_goal = max(worst_goal, err.goal_err)
-            pairs += 1
-        state_index += 1
-    report(6, "oracle exactness over 1000 state/k pairs",
-           worst_fn == 0 and worst_fp == 0 and worst_goal == 0.0,
-           f"max FN={worst_fn}, max FP={worst_fp}, max goal err={worst_goal}")
+    states = ((episode_seed(WORLD.master_seed, 10_000 + i), int(rng.integers(0, 30))) for i in range(200))
+    cases = ((seed, t, int(rng.integers(1, 11))) for seed, t in states for _ in range(5))
+    ok, detail = checks.oracle_exactness(WORLD, cases)
+    report(6, "oracle exactness over 1000 state/k pairs (zero FN, FP, goal error)", ok, detail)
 
 
 def test_criterion_07_horizon_degradation():
@@ -181,36 +162,24 @@ def test_criterion_08_determinism_and_replay():
            f"replays={replays_ok}, csv parallelism 1 vs 8 identical={csv_ok}")
 
 
-def test_criterion_09_statistical_properties():
-    state = new_episode(WORLD, episode_seed(WORLD.master_seed, 30_000))
-    state.spawn_draws = 0
-    steps = 100_000
-    for _ in range(steps):
-        world_step(state)
-    expected = len(WORLD.lane_rows) * WORLD.level * WORLD.spawn_base_rate
-    rate = state.spawn_draws / steps
-    rate_ok = abs(rate - expected) <= 0.02 * expected
-
-    state = new_episode(WORLD, episode_seed(WORLD.master_seed, 30_001))
-    drift = 0.0
-    for _ in range(10_000):
-        world_step(state)
-        drift = max(drift, abs(math.hypot(state.goal.vx, state.goal.vy) - WORLD.goal_speed))
-    goal_ok = drift <= 1e-9
-
-    rng = make_rng(5)
-    conserved = True
-    for _ in range(1000):
+def _random_occupancy_searches(seed: int, n: int):
+    """(start, frames) on 2 frames of one random 25% occupancy with a random goal."""
+    rng = make_rng(seed)
+    for _ in range(n):
         occ = rng.random((48, 48)) < 0.25
         occ.flags.writeable = False
         goal = (float(rng.integers(48)), float(rng.integers(48)))
-        frames = tuple(PredictedFrame(occupancy=occ, goal_estimate=goal) for _ in range(2))
-        root = run_search((24.0, 24.0), frames, MCTSConfig(rollout_length=2), agent_speed=1.0)
-        conserved &= sum(root.n) == MCTSConfig().n_rollouts
-    report(9, "statistical properties",
-           rate_ok and goal_ok and conserved,
-           f"spawn rate {rate:.4f} vs {expected:.4f} (+-2%); goal speed drift {drift:.2e}; "
-           f"visit conservation over 1000 searches={conserved}")
+        yield (24.0, 24.0), tuple(PredictedFrame(occupancy=occ, goal_estimate=goal) for _ in range(2))
+
+
+def test_criterion_09_statistical_properties():
+    results = [
+        checks.spawn_rate(WORLD, episode_seed(WORLD.master_seed, 30_000), 100_000, 0.02),
+        checks.goal_speed(WORLD, episode_seed(WORLD.master_seed, 30_001), 10_000, 1e-9),
+        checks.visit_conservation(WORLD, MCTSConfig(rollout_length=2), _random_occupancy_searches(5, 1000)),
+    ]
+    report(9, "statistical properties: spawn rate, goal speed, visit conservation",
+           all(ok for ok, _ in results), "; ".join(detail for _, detail in results))
 
 
 def test_criterion_10_model_call_economy():

@@ -1,7 +1,13 @@
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from conftest import FUZZ_VALUES
+from lanenav import cli
 from lanenav.cli import main
-from lanenav.models import split_model_specs
+from lanenav.config import CONFIG_KEYS
+from lanenav.models import model_label, split_model_specs
 from lanenav.tracefile import read_trace
 
 
@@ -39,6 +45,12 @@ class TestPlay:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["play", "--config", str(cfg)]) == 2
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\xe9\nlevel = 2\n".encode("latin-1"))
+        assert main(["play", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: not UTF-8 text")
 
     def test_bad_flag_value_exit_code(self):
         assert main(["play", "--temperature", "0"]) == 2
@@ -87,8 +99,10 @@ class TestBench:
             "oracle", "noisy:0.1,0.02,1.0,5", "frozen"]
         assert split_model_specs("noisy,noisy:0.2,0,1,3") == ["noisy", "noisy:0.2,0,1,3"]
 
-    def test_short_noisy_spec_exit_code(self, fast_flags):
-        assert main(["bench", *fast_flags, "--models", "noisy:0.1,0.02", "--episodes", "1"]) == 1
+    def test_short_noisy_spec_exit_code(self, fast_flags, capsys):
+        assert main(["bench", *fast_flags, "--models", "noisy:0.1,0.02", "--episodes", "1"]) == 2
+        assert "config error: --models: bad value for 'model': noisy model spec needs 4 fields" in (
+            capsys.readouterr().err)
 
     def test_non_finite_temperature_exit_code(self):
         assert main(["bench", "--temperature", "nan", "--episodes", "1"]) == 2
@@ -134,6 +148,60 @@ class TestRender:
         code = main(["render", "--trace", str(tmp_path / "ep.jsonl"), "--step", "9999",
                      "--out-dir", str(tmp_path)])
         assert code == 2
+
+
+class Reached(Exception):
+    """The CLI accepted its input and got as far as the episode runner."""
+
+
+@pytest.fixture
+def runner_checks(monkeypatch):
+    """Stand in for the episode runners with the checks they make before their first episode."""
+    def episode(world_cfg, mcts_cfg, model_spec, *args, **kwargs):
+        model_label(model_spec)
+        raise Reached
+
+    def benchmark(cells, world_cfg, mcts_cfg, *args, **kwargs):
+        for cell in cells:
+            model_label(cell.model_spec)
+            world_cfg.for_speed(cell.speed)
+            replace(mcts_cfg, rollout_length=cell.rollout_length).validate()
+        raise Reached
+    monkeypatch.setattr(cli, "run_episode", episode)
+    monkeypatch.setattr(cli, "run_benchmark", benchmark)
+
+
+@pytest.mark.parametrize("argv", [["bench", "--models", "bogus"], ["play", "--model", "bogus"]])
+def test_bad_model_flag_named_before_any_episode(runner_checks, argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {argv[1]}: bad value for 'model'")
+
+
+def test_bad_model_config_line_named_before_any_episode(runner_checks, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 2\nmodel = bogus\n")
+    assert main(["play", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: bad value for 'model'")
+
+
+@pytest.mark.parametrize("command, own_flags", [
+    ("play", ["--episode", "--seed"]),
+    ("bench", ["--models", "--ks", "--speeds", "--episodes", "--parallelism"]),
+])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flag_fuzz_exits_2_or_reaches_the_runner(runner_checks, capsys, command, own_flags, data):
+    flags = [f"--{key.replace('_', '-')}" for key in CONFIG_KEYS] + own_flags
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(flags), FUZZ_VALUES), max_size=3))
+    capsys.readouterr()
+    try:
+        code = main([command, *(item for pair in pairs for item in pair)])
+    except SystemExit as exc:  # argparse's own rejection
+        code = exc.code
+    except Reached:
+        return
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import FUZZ_VALUES
 from lanenav.config import (
+    CONFIG_KEYS,
     build_configs,
     mcts_config_from_dict,
     mcts_config_to_dict,
@@ -10,6 +13,9 @@ from lanenav.config import (
 )
 from lanenav.mcts import MCTSConfig
 from lanenav.world import ConfigError, WorldConfig
+
+# A config file line: a known or unknown key with a fuzzed value, or any text.
+CONFIG_LINES = st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS + ("bogus",)), FUZZ_VALUES) | st.text(max_size=20)
 
 
 class TestParseConfig:
@@ -86,6 +92,17 @@ class TestParseConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(overrides={"bogus": "1"})
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=st.lists(CONFIG_LINES, max_size=6).map(lambda lines: "\n".join(lines).encode())
+           | st.binary(max_size=40))
+    def test_file_fuzz_raises_only_config_errors(self, tmp_path, content):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(content)
+        try:
+            parse_config(path)
+        except ConfigError:
+            pass
 
     def test_build_configs_mcts_fields(self):
         _, mcts, _ = build_configs({"n_rollouts": 17, "c_puct": 0.9, "prior_kappa": 1.1})

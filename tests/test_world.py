@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import agent_turn, build_state, frames_equal, state_fingerprint
+from lanenav import checks
 from lanenav.world import (
     FREE,
     GOAL,
@@ -267,13 +268,8 @@ class TestWorldStep:
         # 20 lanes at level 6 and base rate 0.01: 1.2 expected raw spawns/step.
         cfg = WorldConfig(level=6.0, spawn_base_rate=0.01, lane_rows=tuple(range(2, 42, 2)),
                           warmup_steps=0)
-        state = new_episode(cfg, 9)
-        state.spawn_draws = 0
-        steps = 100_000
-        for _ in range(steps):
-            world_step(state)
-        mean = state.spawn_draws / steps
-        assert mean == pytest.approx(1.2, rel=0.02)
+        ok, detail = checks.spawn_rate(cfg, 9, 100_000, 0.02)
+        assert ok and " vs 1.2000 " in detail, detail
 
 
 class TestRenderFrame:
