@@ -1,6 +1,6 @@
 """Dynamic lane-crossing navigation with forward models and MCTS planning."""
 
-from .harness import BenchCell, BenchTable, EpisodeRecord, run_benchmark, run_episode, summarize
+from .harness import BenchCell, BenchTable, EpisodeRecord, run_benchmark, run_episode
 from .mcts import MCTSConfig, plan_action
 from .models import (
     ErrorMap,

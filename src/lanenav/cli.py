@@ -6,10 +6,10 @@ Subcommands:
   render    true / predicted / error image triptych for one decision point
   validate  statistical self-checks of the simulator and planner
 
-Every config key is also a flag (e.g. ``--level 6``); ``--config FILE`` loads
-a key = value file first and flags override it. The output directory comes
-from ``--out-dir``, else the LANENAV_OUT_DIR environment variable, else the
-working directory.
+Every config key is also a flag (e.g. ``--level 6``), but ``bench`` takes none
+of the five that its cells set; ``--config FILE`` loads a key = value file first
+and flags override it. The output directory comes from ``--out-dir``, else the
+LANENAV_OUT_DIR environment variable, else the working directory.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import checks
-from .config import CONFIG_KEYS, coerce_value, parse_config
+from .config import BENCH_KEYS, CONFIG_KEYS, coerce_value, parse_config
 from .fileio import atomic_write_text
 from .harness import BenchCell, run_benchmark, run_episode
 from .models import Observation, build_model, prediction_error, split_model_specs
@@ -31,20 +31,21 @@ from .world import ConfigError, Timeline
 OUT_DIR_ENV = "LANENAV_OUT_DIR"
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...] = CONFIG_KEYS) -> None:
     parser.add_argument("--config", type=Path, help="key = value config file")
     group = parser.add_argument_group("config overrides")
-    for key in CONFIG_KEYS:
+    for key in keys:
         group.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V")
+    parser.set_defaults(config_keys=keys)
 
 
 def _configs_from_args(args: argparse.Namespace):
     overrides = {}
-    for key in CONFIG_KEYS:
-        value = getattr(args, f"cfg_{key}", None)
+    for key in args.config_keys:
+        value = getattr(args, f"cfg_{key}")
         if value is not None:
             overrides[key] = value
-    return parse_config(args.config, overrides)
+    return parse_config(args.config, overrides, args.config_keys)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -89,14 +90,14 @@ def _cmd_play(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, _ = _configs_from_args(args)
     cells = [
-        BenchCell(model_spec=coerce_value("model", model, "--models"), speed=speed.strip(),
+        BenchCell(model_spec=coerce_value("model", model, "--models"),
+                  speed=coerce_value("speed", speed.strip(), "--speeds"),
                   rollout_length=coerce_value("rollout_length", k, "--ks"))
         for model in split_model_specs(args.models)
         for speed in args.speeds.split(",")
         for k in args.ks.split(",")
     ]
-    table = run_benchmark(cells, world_cfg, mcts_cfg, n_episodes=args.episodes,
-                          master_seed=world_cfg.master_seed, parallelism=args.parallelism)
+    table = run_benchmark(cells, world_cfg, mcts_cfg, n_episodes=args.episodes, parallelism=args.parallelism)
     print(table.format_text())
     csv_path = _out_dir(args) / (args.csv or "bench.csv")
     atomic_write_text(csv_path, table.to_csv())
@@ -181,12 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_play.add_argument("--out-dir", help="output directory")
     p_play.set_defaults(func=_cmd_play)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark grid")
-    _add_config_flags(p_bench)
+    # No abbreviations: --model and --speed must not pass for --models and --speeds.
+    p_bench = sub.add_parser("bench", help="run a benchmark grid", allow_abbrev=False)
+    _add_config_flags(p_bench, BENCH_KEYS)
     p_bench.add_argument("--models", default="oracle",
                          help="comma-separated model specs; noisy:p_fn,p_fp,sigma,n keeps its commas")
     p_bench.add_argument("--ks", default="1,3", help="comma-separated rollout lengths")
-    p_bench.add_argument("--speeds", default="2x", help="comma-separated agent speeds (1x,2x)")
+    p_bench.add_argument("--speeds", default="2x",
+                         help="comma-separated speed presets (1x,2x); each sets agent_speed and max_steps")
     p_bench.add_argument("--episodes", type=_positive_int, default=100)
     p_bench.add_argument("--parallelism", type=_positive_int, default=1)
     p_bench.add_argument("--csv", help="CSV output path (default bench.csv in out dir)")

@@ -22,12 +22,15 @@ _MCTS_FLOAT_KEYS = ("temperature", "c_puct", "prior_kappa", "shaping_beta")
 _STR_KEYS = ("model", "speed")
 
 CONFIG_KEYS = _WORLD_INT_KEYS + _WORLD_FLOAT_KEYS + _MCTS_INT_KEYS + _MCTS_FLOAT_KEYS + _STR_KEYS
+# What a bench cell sets for itself: its model, its speed preset (agent_speed, max_steps) and k.
+CELL_KEYS = ("model", "speed", "agent_speed", "max_steps", "rollout_length")
+BENCH_KEYS = tuple(key for key in CONFIG_KEYS if key not in CELL_KEYS)
 
 DEFAULT_MODEL = "oracle"
 
 
 def coerce_value(key: str, raw: str, where: str):
-    """``raw`` as the type of config key ``key``, a model spec checked; a ConfigError names ``where``."""
+    """``raw`` as the type of config key ``key``, model and speed checked; a ConfigError names ``where``."""
     try:
         if key in _WORLD_INT_KEYS or key in _MCTS_INT_KEYS:
             return int(raw)
@@ -35,13 +38,15 @@ def coerce_value(key: str, raw: str, where: str):
             return float(raw)
         if key == "model":
             model_label(raw)
+        if key == "speed":
+            WorldConfig().for_speed(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
-def read_config_file(path: str | Path) -> dict[str, object]:
-    """Parse a key = value file into a typed dict; errors carry line numbers."""
+def read_config_file(path: str | Path, keys: tuple[str, ...] = CONFIG_KEYS) -> dict[str, object]:
+    """Parse a key = value file of ``keys`` into a typed dict; errors carry line numbers."""
     values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -58,6 +63,8 @@ def read_config_file(path: str | Path) -> dict[str, object]:
         raw = raw.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is not taken by this command")
         values[key] = coerce_value(key, raw, f"{path}:{lineno}")
     return values
 
@@ -88,12 +95,12 @@ def build_configs(values: dict[str, object]) -> tuple[WorldConfig, MCTSConfig, s
     return world, mcts, str(values.get("model", DEFAULT_MODEL))
 
 
-def parse_config(path: str | Path | None = None,
-                 overrides: dict[str, str] | None = None) -> tuple[WorldConfig, MCTSConfig, str]:
-    """File values (if any) overridden by flag values."""
+def parse_config(path: str | Path | None = None, overrides: dict[str, str] | None = None,
+                 keys: tuple[str, ...] = CONFIG_KEYS) -> tuple[WorldConfig, MCTSConfig, str]:
+    """File values (if any) of ``keys`` overridden by flag values."""
     values: dict[str, object] = {}
     if path is not None:
-        values.update(read_config_file(path))
+        values.update(read_config_file(path, keys))
     if overrides:
         values.update(coerce_overrides(overrides))
     return build_configs(values)

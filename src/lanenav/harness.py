@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -204,14 +205,6 @@ def verify_replay(record: EpisodeRecord) -> bool:
     return trace == record.trace and outcome == record.outcome
 
 
-def speed_label(world_cfg: WorldConfig) -> str:
-    if world_cfg.agent_speed == 1.0:
-        return "2x"
-    if world_cfg.agent_speed == 0.5:
-        return "1x"
-    return f"{world_cfg.agent_speed:g}px"
-
-
 def _bench_row(label: tuple[str, int], speed: str, k: int, outcomes: list[tuple[str, int]]) -> BenchRow:
     """Table row of one condition: G/T/D counts plus mean and population std
     of steps over non-deaths. ``label`` is the ``model_label`` of its spec."""
@@ -230,35 +223,21 @@ def _bench_row(label: tuple[str, int], speed: str, k: int, outcomes: list[tuple[
                     s_mean=mean, s_std=std, episodes=len(outcomes))
 
 
-def summarize(records: list[EpisodeRecord]) -> BenchRow:
-    """One table row for a batch of episodes of the same condition."""
-    if not records:
-        raise ValueError("summarize needs at least one record")
-    first = records[0]
-    return _bench_row(model_label(first.model_spec), speed_label(first.world_config),
-                      first.mcts_config.rollout_length, [(r.outcome.kind, r.steps) for r in records])
+def _bench_batch(world_cfg: WorldConfig, cells: list[tuple[WorldConfig, MCTSConfig, str]],
+                 tasks: list[tuple[int, int, int]]) -> list[tuple[int, int, str, int]]:
+    """Run (cell index, episode index, seed) tasks in order, each cell as its (world, mcts, spec).
 
-
-def _world_key(world_cfg: WorldConfig) -> WorldConfig:
-    """The part of a config that shapes the world: agent speed and step limit normalised."""
-    return replace(world_cfg, agent_speed=WorldConfig.agent_speed, max_steps=WorldConfig.max_steps)
-
-
-def _bench_batch(tasks: list[tuple[int, int, BenchCell, WorldConfig, MCTSConfig, int]]
-                 ) -> list[tuple[int, int, str, int]]:
-    """Run (cell index, episode index, cell, world, mcts, seed) tasks in order.
-
-    Consecutive tasks on the same seed and world share one timeline, and only
-    one timeline is alive at a time.
+    Every cell's world is ``world_cfg``'s, so consecutive tasks on the same
+    seed share one timeline, and only one timeline is alive at a time.
     """
     results = []
     timeline = None
-    for ci, ei, cell, world_cfg, mcts_cfg, seed in tasks:
-        key = _world_key(world_cfg)
-        if timeline is None or timeline.episode_seed != seed or timeline.config != key:
+    for ci, ei, seed in tasks:
+        if timeline is None or timeline.episode_seed != seed:
             timeline = None  # release the previous world before simulating the next
-            timeline = Timeline(key, seed)
-        record = _play(timeline, world_cfg, mcts_cfg, cell.model_spec)
+            timeline = Timeline(world_cfg, seed)
+        cell_world, cell_mcts, spec = cells[ci]
+        record = _play(timeline, cell_world, cell_mcts, spec)
         if record.exception is not None:
             raise RuntimeError(f"episode {seed} failed: {record.error}") from record.exception
         results.append((ci, ei, record.outcome.kind, record.steps))
@@ -273,9 +252,13 @@ def run_benchmark(
     master_seed: int | None = None,
     parallelism: int = 1,
 ) -> BenchTable:
-    """Evaluate every cell on the same n_episodes derived seeds."""
+    """Evaluate every cell on the same n_episodes derived seeds. Each cell's speed
+    preset sets its agent speed and step limit, so ``world_cfg`` keeps the defaults."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
+    for name in ("agent_speed", "max_steps"):
+        if getattr(world_cfg, name) != getattr(WorldConfig, name):
+            raise ValueError(f"world_cfg.{name} must keep its default: each cell's speed preset sets it")
     if master_seed is None:
         master_seed = world_cfg.master_seed
     seeds = [episode_seed(master_seed, i) for i in range(n_episodes)]
@@ -288,13 +271,12 @@ def run_benchmark(
         cell_world.validate()
         cell_mcts = replace(mcts_cfg, rollout_length=cell.rollout_length)
         cell_mcts.validate()
-        cell_configs.append((cell_world, cell_mcts))
+        cell_configs.append((cell_world, cell_mcts, cell.model_spec))
     # Seed-major, so that the cells of one seed run back to back on one timeline.
-    tasks = [(ci, ei, cell, *cell_configs[ci], seed)
-             for ei, seed in enumerate(seeds) for ci, cell in enumerate(cells)]
+    tasks = [(ci, ei, seed) for ei, seed in enumerate(seeds) for ci in range(len(cells))]
 
     if parallelism <= 1:
-        done = _bench_batch(tasks)
+        done = _bench_batch(world_cfg, cell_configs, tasks)
     else:
         size = -(-len(tasks) // (parallelism * BATCHES_PER_WORKER))
         batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
@@ -302,7 +284,8 @@ def run_benchmark(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            done = [result for batch in pool.map(_bench_batch, batches) for result in batch]
+            batched = pool.map(_bench_batch, repeat(world_cfg), repeat(cell_configs), batches)
+            done = [result for batch in batched for result in batch]
     results = {(ci, ei): (kind, steps) for ci, ei, kind, steps in done}
 
     return BenchTable([_bench_row(labels[ci], cell.speed, cell.rollout_length,

@@ -178,7 +178,10 @@ def _check_sequence(path, outcome: str, steps: list[dict]) -> None:
 
 
 def read_trace(path: str | Path) -> Trace:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise ValueError(f"{path}: empty trace")
     header = _json_object(path, 1, lines[0])

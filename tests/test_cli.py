@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import FUZZ_VALUES
 from lanenav import cli
 from lanenav.cli import main
-from lanenav.config import CONFIG_KEYS
+from lanenav.config import BENCH_KEYS, CELL_KEYS, CONFIG_KEYS
 from lanenav.models import model_label, split_model_specs
 from lanenav.tracefile import read_trace
 
@@ -16,6 +16,12 @@ def fast_flags(tmp_path):
     """Keep CLI runs quick: tiny step budget and rollout count."""
     return ["--max-steps", "40", "--n-rollouts", "20", "--rollout-length", "1",
             "--out-dir", str(tmp_path)]
+
+
+@pytest.fixture
+def bench_flags(tmp_path):
+    """Keep bench runs quick: tiny rollout count (each cell sets its own steps and k)."""
+    return ["--n-rollouts", "20", "--out-dir", str(tmp_path)]
 
 
 class TestPlay:
@@ -62,8 +68,8 @@ class TestPlay:
 
 
 class TestBench:
-    def test_bench_writes_csv(self, fast_flags, tmp_path, capsys):
-        code = main(["bench", *fast_flags, "--models", "oracle,frozen",
+    def test_bench_writes_csv(self, bench_flags, tmp_path, capsys):
+        code = main(["bench", *bench_flags, "--models", "oracle,frozen",
                      "--ks", "1", "--episodes", "2", "--csv", "out.csv"])
         assert code == 0
         csv_text = (tmp_path / "out.csv").read_text()
@@ -85,7 +91,7 @@ class TestBench:
     @pytest.mark.parametrize("via_env", [False, True])
     def test_relative_out_dir_holds_default_csv(self, tmp_path, monkeypatch, via_env):
         monkeypatch.chdir(tmp_path)
-        flags = ["--max-steps", "20", "--n-rollouts", "5", "--ks", "1", "--episodes", "1"]
+        flags = ["--n-rollouts", "5", "--ks", "1", "--episodes", "1"]
         if via_env:
             monkeypatch.setenv("LANENAV_OUT_DIR", "rel")
         else:
@@ -99,8 +105,8 @@ class TestBench:
             "oracle", "noisy:0.1,0.02,1.0,5", "frozen"]
         assert split_model_specs("noisy,noisy:0.2,0,1,3") == ["noisy", "noisy:0.2,0,1,3"]
 
-    def test_short_noisy_spec_exit_code(self, fast_flags, capsys):
-        assert main(["bench", *fast_flags, "--models", "noisy:0.1,0.02", "--episodes", "1"]) == 2
+    def test_short_noisy_spec_exit_code(self, bench_flags, capsys):
+        assert main(["bench", *bench_flags, "--models", "noisy:0.1,0.02", "--episodes", "1"]) == 2
         assert "config error: --models: bad value for 'model': noisy model spec needs 4 fields" in (
             capsys.readouterr().err)
 
@@ -108,16 +114,39 @@ class TestBench:
         assert main(["bench", "--temperature", "nan", "--episodes", "1"]) == 2
 
     @pytest.mark.parametrize("ks", ["0", "1,-1"])
-    def test_non_positive_k_exit_code(self, fast_flags, ks, capsys):
-        assert main(["bench", *fast_flags, "--ks", ks, "--episodes", "1"]) == 2
+    def test_non_positive_k_exit_code(self, bench_flags, ks, capsys):
+        assert main(["bench", *bench_flags, "--ks", ks, "--episodes", "1"]) == 2
         assert "config error: rollout_length must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ks", ["abc", "1,3.5", "1,"])
-    def test_non_integer_k_exit_code(self, fast_flags, ks, capsys):
-        assert main(["bench", *fast_flags, "--ks", ks, "--episodes", "1"]) == 2
+    def test_non_integer_k_exit_code(self, bench_flags, ks, capsys):
+        assert main(["bench", *bench_flags, "--ks", ks, "--episodes", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: --ks: bad value for 'rollout_length'")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", CELL_KEYS)
+    def test_cell_key_flag_rejected(self, key, capsys):
+        flag = f"--{key.replace('_', '-')}"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, "1", "--episodes", "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", CELL_KEYS)
+    def test_cell_key_config_line_rejected(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"level = 2\n{key} = 1\n")
+        assert main(["bench", "--config", str(cfg), "--episodes", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: key {key!r} is not taken")
+
+    @pytest.mark.parametrize("command, keys", [("play", CONFIG_KEYS), ("validate", CONFIG_KEYS),
+                                               ("bench", BENCH_KEYS)])
+    def test_config_key_flags_per_command(self, command, keys):
+        parser = cli.build_parser()
+        for key in keys:
+            args = parser.parse_args([command, f"--{key.replace('_', '-')}", "1"])
+            assert getattr(args, f"cfg_{key}") == "1"
 
 
 class TestRender:
@@ -142,6 +171,12 @@ class TestRender:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}:2:" in err and "Traceback" not in err
+
+    def test_render_non_utf8_trace_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "ep.jsonl"
+        path.write_bytes(b"\xff{}\n")
+        assert main(["render", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"bad trace: {path}: not UTF-8 text")
 
     def test_render_bad_step(self, fast_flags, tmp_path):
         assert main(["play", *fast_flags, "--trace", "ep.jsonl"]) == 0
@@ -175,6 +210,20 @@ def runner_checks(monkeypatch):
 def test_bad_model_flag_named_before_any_episode(runner_checks, argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {argv[1]}: bad value for 'model'")
+
+
+@pytest.mark.parametrize("argv, source", [(["bench", "--speeds", "2x,3x"], "--speeds"),
+                                          (["play", "--speed", "3x"], "--speed")])
+def test_bad_speed_flag_named_before_any_episode(runner_checks, argv, source, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {source}: bad value for 'speed': unknown speed preset")
+
+
+def test_bad_speed_config_line_named_before_any_episode(runner_checks, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 2\nspeed = 3x\n")
+    assert main(["play", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: bad value for 'speed'")
 
 
 def test_bad_model_config_line_named_before_any_episode(runner_checks, tmp_path, capsys):

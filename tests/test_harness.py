@@ -9,12 +9,10 @@ from lanenav import harness
 from lanenav.harness import (
     BenchCell,
     BenchRow,
-    EpisodeRecord,
     StepRecord,
+    _bench_row,
     run_benchmark,
     run_episode,
-    speed_label,
-    summarize,
     verify_replay,
 )
 from lanenav.mcts import MCTSConfig
@@ -24,19 +22,6 @@ from lanenav.world import Outcome, Timeline, WorldConfig, move, outcome_at
 
 FAST_WORLD = WorldConfig(max_steps=60)
 SMALL_MCTS = MCTSConfig(n_rollouts=20, rollout_length=1)
-
-
-def _record(kind, steps, world=None, mcts=None):
-    return EpisodeRecord(
-        episode_seed=0,
-        outcome=Outcome(kind, {"goal": 20.0, "died": -20.0}.get(kind, 0.0), steps),
-        steps=steps,
-        trace=[],
-        model_name="oracle",
-        model_spec="oracle",
-        world_config=world or WorldConfig(),
-        mcts_config=mcts or MCTSConfig(),
-    )
 
 
 class TestRunEpisode:
@@ -159,32 +144,28 @@ class TestReplay:
         assert not verify_replay(record)
 
 
+def cell_row(outcomes):
+    """The table row of one oracle 2x k=1 cell with these (kind, steps) outcomes."""
+    return _bench_row(("oracle", 1), "2x", 1, outcomes)
+
+
 class TestSummarize:
     def test_mixed_outcomes(self):
-        rows = [_record("goal", 30), _record("died", 12), _record("timeout", 203)]
-        row = summarize(rows)
+        row = cell_row([("goal", 30), ("died", 12), ("timeout", 203)])
         assert (row.g, row.t, row.d) == (1, 1, 1)
         assert row.s_mean == pytest.approx(116.5)
         assert row.s_std == pytest.approx(86.5)
         assert row.episodes == 3
 
     def test_all_died_has_no_steps(self):
-        row = summarize([_record("died", 5), _record("died", 9)])
+        row = cell_row([("died", 5), ("died", 9)])
         assert row.s_mean is None and row.s_std is None
         assert row.d == 2
 
     def test_single_goal(self):
-        row = summarize([_record("goal", 40)])
+        row = cell_row([("goal", 40)])
         assert row.s_mean == pytest.approx(40.0)
         assert row.s_std == pytest.approx(0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_speed_label(self):
-        assert speed_label(WorldConfig(agent_speed=1.0)) == "2x"
-        assert speed_label(WorldConfig(agent_speed=0.5)) == "1x"
 
     def test_model_label(self):
         assert model_label("noisy:0.1,0.02,1.0,5") == ("noisy", 5)
@@ -194,25 +175,25 @@ class TestSummarize:
 class TestBenchmark:
     def test_count_conservation(self):
         cells = [BenchCell("oracle", "2x", 1), BenchCell("frozen", "2x", 1)]
-        table = run_benchmark(cells, FAST_WORLD, SMALL_MCTS, n_episodes=8)
+        table = run_benchmark(cells, WorldConfig(), SMALL_MCTS, n_episodes=8)
         for row in table.rows:
             assert row.g + row.t + row.d == 8
 
     def test_shared_seeds_share_worlds(self):
         # same episode index in two cells sees the same initial frame
         seed = episode_seed(WorldConfig().master_seed, 0)
-        a = run_episode(FAST_WORLD.for_speed("2x"), SMALL_MCTS, "oracle", seed, keep_frames=True)
-        b = run_episode(FAST_WORLD.for_speed("1x"), SMALL_MCTS, "oracle", seed, keep_frames=True)
+        a = run_episode(WorldConfig().for_speed("2x"), SMALL_MCTS, "oracle", seed, keep_frames=True)
+        b = run_episode(WorldConfig().for_speed("1x"), SMALL_MCTS, "oracle", seed, keep_frames=True)
         assert frames_equal(a.frames[0], b.frames[0])
 
     def test_parallel_equals_serial(self):
         cells = [BenchCell("oracle", "2x", 1), BenchCell("frozen", "2x", 3)]
-        serial = run_benchmark(cells, FAST_WORLD, SMALL_MCTS, n_episodes=6, parallelism=1)
-        parallel = run_benchmark(cells, FAST_WORLD, SMALL_MCTS, n_episodes=6, parallelism=4)
+        serial = run_benchmark(cells, WorldConfig(), SMALL_MCTS, n_episodes=6, parallelism=1)
+        parallel = run_benchmark(cells, WorldConfig(), SMALL_MCTS, n_episodes=6, parallelism=4)
         assert serial.to_csv() == parallel.to_csv()
 
     def test_csv_shape(self):
-        table = run_benchmark([BenchCell("oracle", "2x", 1)], FAST_WORLD, SMALL_MCTS,
+        table = run_benchmark([BenchCell("oracle", "2x", 1)], WorldConfig(), SMALL_MCTS,
                               n_episodes=3)
         lines = table.to_csv().strip().split("\n")
         assert lines[0] == "model,n_samples,speed,k,G,T,D,S_mean,S_std,episodes"
@@ -228,7 +209,7 @@ class TestBenchmark:
         assert csv_line == "random,1,2x,1,0,0,2,,,2"
 
     def test_text_table_contains_rows(self):
-        table = run_benchmark([BenchCell("oracle", "2x", 1)], FAST_WORLD, SMALL_MCTS,
+        table = run_benchmark([BenchCell("oracle", "2x", 1)], WorldConfig(), SMALL_MCTS,
                               n_episodes=2)
         text = table.format_text()
         assert "oracle" in text
@@ -242,7 +223,7 @@ class TestBenchmark:
         for bad, match in ((BenchCell("noisy:0.1,0.02,inf,5", "2x", 1), "noisy:0.1,0.02,inf,5"),
                            (BenchCell("oracle", "2x", 0), "rollout_length")):
             with pytest.raises(ValueError, match=match):
-                run_benchmark([BenchCell("oracle", "2x", 1), bad], FAST_WORLD, SMALL_MCTS, n_episodes=2)
+                run_benchmark([BenchCell("oracle", "2x", 1), bad], WorldConfig(), SMALL_MCTS, n_episodes=2)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_episode_failure_keeps_the_raising_frame(self, monkeypatch, parallelism):
@@ -254,13 +235,19 @@ class TestBenchmark:
 
         monkeypatch.setattr(OracleModel, "predict", exploding_predict)
         with pytest.raises(RuntimeError, match="failed: RuntimeError: synthetic failure") as info:
-            run_benchmark([BenchCell("oracle", "2x", 1)], FAST_WORLD, SMALL_MCTS, n_episodes=2,
+            run_benchmark([BenchCell("oracle", "2x", 1)], WorldConfig(), SMALL_MCTS, n_episodes=2,
                           parallelism=parallelism)
         # In process the cause is the model's exception itself; from a pool
         # worker it is the worker's traceback text, cause chain included.
         assert info.value.__cause__ is not None
         assert ", in exploding_predict\n" in "".join(traceback.format_exception(info.value))
 
+    @pytest.mark.parametrize("field, value", [("agent_speed", 0.5), ("max_steps", 60)])
+    def test_cell_set_world_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"world_cfg.{field} must keep its default"):
+            run_benchmark([BenchCell("oracle", "2x", 1)], replace(WorldConfig(), **{field: value}), SMALL_MCTS,
+                          n_episodes=1)
+
     def test_invalid_episode_count(self):
         with pytest.raises(ValueError):
-            run_benchmark([BenchCell("oracle", "2x", 1)], FAST_WORLD, SMALL_MCTS, n_episodes=0)
+            run_benchmark([BenchCell("oracle", "2x", 1)], WorldConfig(), SMALL_MCTS, n_episodes=0)
