@@ -6,10 +6,10 @@ Subcommands:
   render    true / predicted / error image triptych for one decision point
   validate  statistical self-checks of the simulator and planner
 
-Every config key is also a flag (e.g. ``--level 6``), but ``bench`` takes none
-of the five that its cells set; ``--config FILE`` loads a key = value file first
-and flags override it. The output directory comes from ``--out-dir``, else the
-LANENAV_OUT_DIR environment variable, else the working directory.
+Each config key a command reads is a flag of it (e.g. ``--level 6``): ``validate``
+takes all but model, max_steps and temperature, ``bench`` all but the four its
+cells set. ``--config FILE`` loads a key = value file first; flags override it.
+The output directory is ``--out-dir``, else LANENAV_OUT_DIR, else the cwd.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import checks
-from .config import BENCH_KEYS, CONFIG_KEYS, coerce_value, parse_config
+from .config import BENCH_KEYS, CONFIG_KEYS, VALIDATE_KEYS, coerce_value, parse_config
 from .fileio import atomic_write_text
 from .harness import BenchCell, run_benchmark, run_episode
 from .models import Observation, build_model, prediction_error, split_model_specs
@@ -40,11 +40,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...] = C
 
 
 def _configs_from_args(args: argparse.Namespace):
-    overrides = {}
-    for key in args.config_keys:
-        value = getattr(args, f"cfg_{key}")
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: value for key in args.config_keys if (value := getattr(args, f"cfg_{key}")) is not None}
     return parse_config(args.config, overrides, args.config_keys)
 
 
@@ -61,7 +57,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _cmd_play(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, model_spec = _configs_from_args(args)
-    seed = args.seed if args.seed is not None else episode_seed(world_cfg.master_seed, args.episode)
+    seed = args.seed if args.seed is not None else episode_seed(world_cfg.master_seed, args.episode or 0)
     keep = args.trace is not None or args.dump_frames
     record = run_episode(world_cfg, mcts_cfg, model_spec, seed, keep_frames=keep)
     if record.error is not None:
@@ -112,8 +108,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
         print(f"bad trace: {exc}", file=sys.stderr)
         return 2
     world_cfg = trace.world_config
-    if args.step < 0 or args.step >= len(trace.steps):
-        print(f"--step must be in 0..{len(trace.steps) - 1}", file=sys.stderr)
+    if not 0 <= args.step < len(trace.steps):
+        print(f"--step must be in 0..{len(trace.steps) - 1}" if trace.steps else f"{args.trace}: trace has no steps",
+              file=sys.stderr)
         return 2
     timeline = Timeline(world_cfg, trace.episode_seed)
     t = args.step
@@ -175,12 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_play = sub.add_parser("play", help="run one episode")
     _add_config_flags(p_play)
-    p_play.add_argument("--episode", type=int, default=0, help="episode index under master_seed")
-    p_play.add_argument("--seed", type=int, help="explicit episode seed (overrides --episode)")
+    # Default None, not 0: argparse lets a flag whose value is its default slip past the group.
+    episode_or_seed = p_play.add_mutually_exclusive_group()
+    episode_or_seed.add_argument("--episode", type=int, help="episode index under master_seed (default 0)")
+    episode_or_seed.add_argument("--seed", type=int, help="explicit episode seed")
     p_play.add_argument("--trace", help="write a JSONL trace to this file")
     p_play.add_argument("--dump-frames", action="store_true", help="write one PPM per step")
     p_play.add_argument("--out-dir", help="output directory")
-    p_play.set_defaults(func=_cmd_play)
+    p_play.set_defaults(func=_cmd_play, parser=p_play)
 
     # No abbreviations: --model and --speed must not pass for --models and --speeds.
     p_bench = sub.add_parser("bench", help="run a benchmark grid", allow_abbrev=False)
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--parallelism", type=_positive_int, default=1)
     p_bench.add_argument("--csv", help="CSV output path (default bench.csv in out dir)")
     p_bench.add_argument("--out-dir", help="output directory")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_bench, parser=p_bench)
 
     p_render = sub.add_parser("render", help="render true/predicted/error images from a trace")
     p_render.add_argument("--trace", required=True)
@@ -202,18 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--horizon", type=_positive_int, default=5)
     p_render.add_argument("--model", help="model spec (default: the trace's model)")
     p_render.add_argument("--out-dir", help="output directory")
-    p_render.set_defaults(func=_cmd_render)
+    p_render.set_defaults(func=_cmd_render, parser=p_render)
 
     p_val = sub.add_parser("validate", help="run statistical self-checks")
-    _add_config_flags(p_val)
+    _add_config_flags(p_val, VALIDATE_KEYS)
     p_val.add_argument("--quick", action="store_true", help="smaller samples, looser tolerances")
-    p_val.set_defaults(func=_cmd_validate)
+    p_val.set_defaults(func=_cmd_validate, parser=p_val)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported by the subcommand's parser, so its usage line is the one shown
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -2,13 +2,11 @@
 
 A config file is line-based ``key = value`` text; blank lines and ``#``
 comments are skipped, unknown keys are rejected with their line number.
-Overrides (CLI flags) use the same keys and beat file values. The ``speed``
-key is a preset expanding to agent_speed and max_steps; an explicit value for
-either of those wins over the preset.
+Overrides (CLI flags) use the same keys and beat file values.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .mcts import MCTSConfig
@@ -19,18 +17,19 @@ _WORLD_INT_KEYS = ("grid_h", "grid_w", "goal_size", "max_steps", "warmup_steps",
 _WORLD_FLOAT_KEYS = ("level", "spawn_base_rate", "goal_speed", "agent_speed")
 _MCTS_INT_KEYS = ("n_rollouts", "rollout_length")
 _MCTS_FLOAT_KEYS = ("temperature", "c_puct", "prior_kappa", "shaping_beta")
-_STR_KEYS = ("model", "speed")
 
-CONFIG_KEYS = _WORLD_INT_KEYS + _WORLD_FLOAT_KEYS + _MCTS_INT_KEYS + _MCTS_FLOAT_KEYS + _STR_KEYS
-# What a bench cell sets for itself: its model, its speed preset (agent_speed, max_steps) and k.
-CELL_KEYS = ("model", "speed", "agent_speed", "max_steps", "rollout_length")
+CONFIG_KEYS = _WORLD_INT_KEYS + _WORLD_FLOAT_KEYS + _MCTS_INT_KEYS + _MCTS_FLOAT_KEYS + ("model",)
+# What a bench cell sets for itself: its model, its speed preset's agent_speed and max_steps, and k.
+CELL_KEYS = ("model", "agent_speed", "max_steps", "rollout_length")
 BENCH_KEYS = tuple(key for key in CONFIG_KEYS if key not in CELL_KEYS)
+# What the checks of ``lanenav validate`` read: all but the model, the step limit and the temperature.
+VALIDATE_KEYS = tuple(key for key in CONFIG_KEYS if key not in ("model", "max_steps", "temperature"))
 
 DEFAULT_MODEL = "oracle"
 
 
 def coerce_value(key: str, raw: str, where: str):
-    """``raw`` as the type of config key ``key``, model and speed checked; a ConfigError names ``where``."""
+    """``raw`` as the type of config or cell key ``key``, model and speed checked; a ConfigError names ``where``."""
     try:
         if key in _WORLD_INT_KEYS or key in _MCTS_INT_KEYS:
             return int(raw)
@@ -80,12 +79,8 @@ def coerce_overrides(raw: dict[str, str]) -> dict[str, object]:
 
 def build_configs(values: dict[str, object]) -> tuple[WorldConfig, MCTSConfig, str]:
     """Configs from a merged key dict; defaults fill everything absent."""
-    world = WorldConfig()
-    if "speed" in values:
-        world = world.for_speed(str(values["speed"]))
     world_fields = {k: v for k, v in values.items() if k in _WORLD_INT_KEYS + _WORLD_FLOAT_KEYS}
-    if world_fields:
-        world = replace(world, **world_fields)
+    world = WorldConfig(**world_fields)
 
     mcts_fields = {k: v for k, v in values.items() if k in _MCTS_INT_KEYS + _MCTS_FLOAT_KEYS}
     mcts = MCTSConfig(**mcts_fields)

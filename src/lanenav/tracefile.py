@@ -7,10 +7,10 @@ episode (configs, model spec, episode seed); each following line is one step:
 
 ``frame_rle`` encodes the post-step palette frame row-major as
 "value:count,value:count,...". ``read_trace`` checks every line against this
-schema, and the lines against each other (step t runs 1..n, only the last
-step may end the episode, the header outcome is the last step's or
-``running`` without steps), and names the offending ``path:line`` in its
-``ValueError``. Its steps are the ``StepRecord``s of the
+schema (the header's configs and model spec included), and the lines against
+each other (step t runs 1..n, only the last step may end the episode, the
+header outcome is the last step's or ``running`` without steps), and names
+the offending ``path:line`` in its ``ValueError``. Its steps are the ``StepRecord``s of the
 ``EpisodeRecord.trace`` that was written, with each step's ``frame_rle``
 kept beside them for ``Trace.frame_at``.
 """
@@ -33,6 +33,7 @@ from .config import (
 from .fileio import atomic_write_text
 from .harness import EpisodeRecord, StepRecord
 from .mcts import MCTSConfig
+from .models import model_label
 from .world import DIED, GOAL, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, WorldConfig
 
 
@@ -193,6 +194,7 @@ def read_trace(path: str | Path) -> Trace:
         world_config.validate()
         mcts_config = mcts_config_from_dict(header["mcts"])
         mcts_config.validate()
+        model_label(header["model"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}:1: bad config in header: {exc!r}") from None
     steps = [_checked(path, number, _json_object(path, number, line), _STEP_FIELDS)

@@ -1,12 +1,13 @@
+import json
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import FUZZ_VALUES
-from lanenav import cli
+from lanenav import checks, cli
 from lanenav.cli import main
-from lanenav.config import BENCH_KEYS, CELL_KEYS, CONFIG_KEYS
+from lanenav.config import BENCH_KEYS, CELL_KEYS, CONFIG_KEYS, VALIDATE_KEYS
 from lanenav.models import model_label, split_model_specs
 from lanenav.tracefile import read_trace
 
@@ -65,6 +66,13 @@ class TestPlay:
     def test_non_finite_world_value_exit_code(self, flag, value, capsys):
         assert main(["play", flag, value, "--max-steps", "5"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("episode", ["3", "0"])
+    def test_episode_and_seed_exclude_each_other(self, episode, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["play", "--episode", episode, "--seed", "5"])
+        assert exc.value.code == 2
+        assert "argument --seed: not allowed with argument --episode" in capsys.readouterr().err
 
 
 class TestBench:
@@ -125,7 +133,8 @@ class TestBench:
         assert err.startswith("config error: --ks: bad value for 'rollout_length'")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("key", CELL_KEYS)
+    # speed: each cell's preset, which is no config key at all.
+    @pytest.mark.parametrize("key", CELL_KEYS + ("speed",))
     def test_cell_key_flag_rejected(self, key, capsys):
         flag = f"--{key.replace('_', '-')}"
         with pytest.raises(SystemExit) as exc:
@@ -140,7 +149,7 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--episodes", "1"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: key {key!r} is not taken")
 
-    @pytest.mark.parametrize("command, keys", [("play", CONFIG_KEYS), ("validate", CONFIG_KEYS),
+    @pytest.mark.parametrize("command, keys", [("play", CONFIG_KEYS), ("validate", VALIDATE_KEYS),
                                                ("bench", BENCH_KEYS)])
     def test_config_key_flags_per_command(self, command, keys):
         parser = cli.build_parser()
@@ -178,6 +187,15 @@ class TestRender:
         assert main(["render", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"bad trace: {path}: not UTF-8 text")
 
+    def test_render_trace_without_steps(self, fast_flags, tmp_path, capsys):
+        assert main(["play", *fast_flags, "--trace", "ep.jsonl"]) == 0
+        path = tmp_path / "ep.jsonl"
+        header = json.loads(path.read_text().splitlines()[0])
+        path.write_text(json.dumps({**header, "outcome": "running"}) + "\n")
+        capsys.readouterr()
+        assert main(["render", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"{path}: trace has no steps\n"
+
     def test_render_bad_step(self, fast_flags, tmp_path):
         assert main(["play", *fast_flags, "--trace", "ep.jsonl"]) == 0
         code = main(["render", "--trace", str(tmp_path / "ep.jsonl"), "--step", "9999",
@@ -191,7 +209,8 @@ class Reached(Exception):
 
 @pytest.fixture
 def runner_checks(monkeypatch):
-    """Stand in for the episode runners with the checks they make before their first episode."""
+    """Stand in for the episode runners with the checks they make before their first episode,
+    and for validate's four checks with a stub that checks nothing."""
     def episode(world_cfg, mcts_cfg, model_spec, *args, **kwargs):
         model_label(model_spec)
         raise Reached
@@ -202,8 +221,12 @@ def runner_checks(monkeypatch):
             world_cfg.for_speed(cell.speed)
             replace(mcts_cfg, rollout_length=cell.rollout_length).validate()
         raise Reached
+    def check(*args, **kwargs):
+        raise Reached
     monkeypatch.setattr(cli, "run_episode", episode)
     monkeypatch.setattr(cli, "run_benchmark", benchmark)
+    for name in ("spawn_rate", "goal_speed", "visit_conservation", "oracle_exactness"):
+        monkeypatch.setattr(checks, name, check)
 
 
 @pytest.mark.parametrize("argv", [["bench", "--models", "bogus"], ["play", "--model", "bogus"]])
@@ -213,17 +236,26 @@ def test_bad_model_flag_named_before_any_episode(runner_checks, argv, capsys):
 
 
 @pytest.mark.parametrize("argv, source", [(["bench", "--speeds", "2x,3x"], "--speeds"),
-                                          (["play", "--speed", "3x"], "--speed")])
+                                          (["bench", "--speeds", "1x,,2x"], "--speeds")])
 def test_bad_speed_flag_named_before_any_episode(runner_checks, argv, source, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {source}: bad value for 'speed': unknown speed preset")
 
 
-def test_bad_speed_config_line_named_before_any_episode(runner_checks, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["play", "validate"])
+def test_speed_flag_rejected(runner_checks, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--speed", "1x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --speed 1x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["play", "validate", "bench"])
+def test_speed_config_line_is_an_unknown_key(runner_checks, command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("level = 2\nspeed = 3x\n")
-    assert main(["play", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: bad value for 'speed'")
+    cfg.write_text("level = 2\nspeed = 1x\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: unknown key 'speed'")
 
 
 def test_bad_model_config_line_named_before_any_episode(runner_checks, tmp_path, capsys):
@@ -236,11 +268,13 @@ def test_bad_model_config_line_named_before_any_episode(runner_checks, tmp_path,
 @pytest.mark.parametrize("command, own_flags", [
     ("play", ["--episode", "--seed"]),
     ("bench", ["--models", "--ks", "--speeds", "--episodes", "--parallelism"]),
+    ("validate", ["--quick"]),
 ])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_flag_fuzz_exits_2_or_reaches_the_runner(runner_checks, capsys, command, own_flags, data):
-    flags = [f"--{key.replace('_', '-')}" for key in CONFIG_KEYS] + own_flags
+    # Every config key, and the bench-only speed preset, so that each flag a command lacks is fuzzed too.
+    flags = [f"--{key.replace('_', '-')}" for key in CONFIG_KEYS + ("speed",)] + own_flags
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(flags), FUZZ_VALUES), max_size=3))
     capsys.readouterr()
     try:
@@ -266,12 +300,42 @@ def test_integer_flag_below_one_rejected(argv, flag, capsys):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["play", "--bogus", "1"], "--bogus 1"),
+    (["bench", "--max-steps", "30"], "--max-steps 30"),
+    (["render", "--trace", "ep.jsonl", "--bogus"], "--bogus"),
+    (["validate", "--model", "frozen"], "--model frozen"),
+], ids=["play", "bench", "render", "validate"])
+def test_unknown_flag_reported_by_the_subcommand(argv, unknown, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lanenav {argv[0]} ")
+    assert f"lanenav {argv[0]}: error: unrecognized arguments: {unknown}\n" in err
+
+
 class TestValidate:
     def test_validate_quick_passes(self, capsys):
         assert main(["validate", "--quick"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("key, value", [("model", "frozen"), ("max_steps", "5"), ("temperature", "7")])
+    def test_key_no_check_reads_flag_rejected(self, key, value, capsys):
+        flag = f"--{key.replace('_', '-')}"
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--quick", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("model", "frozen"), ("max_steps", "5"), ("temperature", "7")])
+    def test_key_no_check_reads_config_line_rejected(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"level = 2\n{key} = {value}\n")
+        assert main(["validate", "--quick", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: key {key!r} is not taken")
 
 
 class TestOutDirEnv:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -69,15 +71,13 @@ class TestParseConfig:
         assert world.level == 2.0
         assert model == "velocity"
 
-    def test_speed_preset(self):
-        world, _, _ = parse_config(overrides={"speed": "1x"})
-        assert world.agent_speed == 0.5
-        assert world.max_steps == 407
-
-    def test_explicit_beats_preset(self):
-        world, _, _ = parse_config(overrides={"speed": "1x", "max_steps": "99"})
-        assert world.agent_speed == 0.5
-        assert world.max_steps == 99
+    def test_speed_is_not_a_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown config key 'speed'"):
+            parse_config(overrides={"speed": "1x"})
+        path = tmp_path / "c.cfg"
+        path.write_text("level = 6\nspeed = 1x\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown key 'speed'")):
+            parse_config(path)
 
     def test_any_rollout_length_accepted(self):
         _, mcts, _ = parse_config(overrides={"rollout_length": "4"})

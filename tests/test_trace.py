@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import agent_turn, frames_equal
+from conftest import FUZZ_VALUES, agent_turn, frames_equal
+from lanenav.cli import main
 from lanenav.harness import run_episode
 from lanenav.mcts import MCTSConfig
 from lanenav.seeding import episode_seed
@@ -295,3 +296,71 @@ class TestReadTraceSequence:
         path, read = _read(tmp_path, trace_lines[:1])
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: header outcome")):
             read()
+
+
+def _json_value(text: str):
+    """``text`` as the JSON value it spells, else as a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _not_json(text: str) -> bool:
+    return _json_value(text) is text
+
+
+def _line_edit(data, lines: list[str]) -> list[str]:
+    """``lines`` after one drawn edit: drop, duplicate, swap or truncate a line, cut the file
+    short, set one field of a line to a fuzzed value, or insert a line that is not JSON."""
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "cut", "field", "insert"]))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "truncate":
+        lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i])))]
+    elif edit == "cut":
+        del lines[i:]
+    elif edit == "field" and type(record := _json_value(lines[i])) is dict and record:
+        record[data.draw(st.sampled_from(sorted(record)))] = _json_value(data.draw(FUZZ_VALUES))
+        lines[i] = json.dumps(record)
+    elif edit == "insert":
+        lines.insert(i, data.draw(st.text(max_size=20).filter(_not_json)))
+    return lines
+
+
+class TestWholeTraceFuzz:
+    """Trace files made from a written trace by line edits: ``read_trace`` raises only
+    ``ValueError``, and ``lanenav render`` exits 0 or 2 without a traceback."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_edited_trace_reads_or_is_rejected(self, trace_lines, tmp_path, capsys, data):
+        lines = trace_lines
+        for _ in range(data.draw(st.integers(1, 3))):
+            if lines:
+                lines = _line_edit(data, lines)
+        path, read = _read(tmp_path, lines)
+        try:
+            read()
+        except ValueError:
+            pass
+        capsys.readouterr()
+        code = main(["render", "--trace", str(path), "--horizon", "1", "--out-dir", str(tmp_path / "imgs")])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("model", ["", "bogus", "noisy:2,0,1,1"])
+    def test_bad_header_model_spec_named(self, trace_lines, tmp_path, capsys, model):
+        # The whole-trace fuzz's find: a bad header model spec is bad input (exit 2), not a runtime error (exit 1).
+        path, read = _read(tmp_path, _edited(trace_lines, 1, model=model))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad config in header")):
+            read()
+        assert main(["render", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"bad trace: {path}:1: bad config in header")
