@@ -9,7 +9,6 @@ from .models import (
     PredictedFrame,
     build_model,
     frozen_predict,
-    noisy_sample_predict,
     oracle_predict,
     prediction_error,
     velocity_predict,

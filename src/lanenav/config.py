@@ -9,16 +9,14 @@ from __future__ import annotations
 from dataclasses import asdict
 from pathlib import Path
 
-from .mcts import MCTSConfig
+from .mcts import MCTS_INT_KEYS, MCTSConfig
 from .models import model_label
-from .world import ConfigError, ObstacleClass, WorldConfig
+from .world import WORLD_INT_KEYS, ConfigError, ObstacleClass, WorldConfig
 
-_WORLD_INT_KEYS = ("grid_h", "grid_w", "goal_size", "max_steps", "warmup_steps", "master_seed")
 _WORLD_FLOAT_KEYS = ("level", "spawn_base_rate", "goal_speed", "agent_speed")
-_MCTS_INT_KEYS = ("n_rollouts", "rollout_length")
 _MCTS_FLOAT_KEYS = ("temperature", "c_puct", "prior_kappa", "shaping_beta")
 
-CONFIG_KEYS = _WORLD_INT_KEYS + _WORLD_FLOAT_KEYS + _MCTS_INT_KEYS + _MCTS_FLOAT_KEYS + ("model",)
+CONFIG_KEYS = WORLD_INT_KEYS + _WORLD_FLOAT_KEYS + MCTS_INT_KEYS + _MCTS_FLOAT_KEYS + ("model",)
 # What a bench cell sets for itself: its model, its speed preset's agent_speed and max_steps, and k.
 CELL_KEYS = ("model", "agent_speed", "max_steps", "rollout_length")
 BENCH_KEYS = tuple(key for key in CONFIG_KEYS if key not in CELL_KEYS)
@@ -31,7 +29,7 @@ DEFAULT_MODEL = "oracle"
 def coerce_value(key: str, raw: str, where: str):
     """``raw`` as the type of config or cell key ``key``, model and speed checked; a ConfigError names ``where``."""
     try:
-        if key in _WORLD_INT_KEYS or key in _MCTS_INT_KEYS:
+        if key in WORLD_INT_KEYS or key in MCTS_INT_KEYS:
             return int(raw)
         if key in _WORLD_FLOAT_KEYS or key in _MCTS_FLOAT_KEYS:
             return float(raw)
@@ -78,15 +76,9 @@ def coerce_overrides(raw: dict[str, str]) -> dict[str, object]:
 
 
 def build_configs(values: dict[str, object]) -> tuple[WorldConfig, MCTSConfig, str]:
-    """Configs from a merged key dict; defaults fill everything absent."""
-    world_fields = {k: v for k, v in values.items() if k in _WORLD_INT_KEYS + _WORLD_FLOAT_KEYS}
-    world = WorldConfig(**world_fields)
-
-    mcts_fields = {k: v for k, v in values.items() if k in _MCTS_INT_KEYS + _MCTS_FLOAT_KEYS}
-    mcts = MCTSConfig(**mcts_fields)
-
-    world.validate()
-    mcts.validate()
+    """Configs from a merged key dict; defaults fill everything absent. Building them validates them."""
+    world = WorldConfig(**{k: v for k, v in values.items() if k in WORLD_INT_KEYS + _WORLD_FLOAT_KEYS})
+    mcts = MCTSConfig(**{k: v for k, v in values.items() if k in MCTS_INT_KEYS + _MCTS_FLOAT_KEYS})
     return world, mcts, str(values.get("model", DEFAULT_MODEL))
 
 
@@ -102,31 +94,15 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
 
 
 def world_config_to_dict(cfg: WorldConfig) -> dict:
-    d = asdict(cfg)
-    d["lane_rows"] = list(cfg.lane_rows)
-    d["obstacle_classes"] = [asdict(c) for c in cfg.obstacle_classes]
+    d = asdict(cfg)  # the obstacle classes too, as a tuple of dicts
+    d["lane_rows"] = list(d["lane_rows"])
+    d["obstacle_classes"] = list(d["obstacle_classes"])
     return d
 
 
-def _require_int(name: str, value) -> None:
-    """Serialized integer fields must be JSON integers, not floats or booleans."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 def world_config_from_dict(d: dict) -> WorldConfig:
-    for key in _WORLD_INT_KEYS:
-        if key in d:
-            _require_int(key, d[key])
-    for row in d["lane_rows"]:
-        _require_int("lane_rows", row)
-    for c in d["obstacle_classes"]:
-        _require_int("class_id", c["class_id"])
-    classes = tuple(ObstacleClass(**c) for c in d["obstacle_classes"])
-    fields = dict(d)
-    fields["lane_rows"] = tuple(d["lane_rows"])
-    fields["obstacle_classes"] = classes
-    return WorldConfig(**fields)
+    return WorldConfig(**{**d, "lane_rows": tuple(d["lane_rows"]),
+                          "obstacle_classes": tuple(ObstacleClass(**c) for c in d["obstacle_classes"])})
 
 
 def mcts_config_to_dict(cfg: MCTSConfig) -> dict:
@@ -134,7 +110,4 @@ def mcts_config_to_dict(cfg: MCTSConfig) -> dict:
 
 
 def mcts_config_from_dict(d: dict) -> MCTSConfig:
-    for key in _MCTS_INT_KEYS:
-        if key in d:
-            _require_int(key, d[key])
     return MCTSConfig(**d)

@@ -20,7 +20,8 @@ import numpy as np
 from .mcts import MCTSConfig, plan_action
 from .models import ForwardModel, Observation, build_model, model_label
 from .seeding import STREAM_AGENT, STREAM_MODEL, STREAM_PLAN, episode_seed, substream
-from .world import DIED, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, Outcome, Timeline, WorldConfig, move, outcome_at
+from .world import (DIED, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, Outcome, Timeline, WorldConfig, fold, move,
+                    outcome_at)
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,7 @@ def _bench_row(label: tuple[str, int], speed: str, k: int, outcomes: list[tuple[
     mean = std = None
     if survivor_steps:
         mean = sum(survivor_steps) / len(survivor_steps)
-        squares = 0.0
-        for s in survivor_steps:  # a left fold, as sum() of floats was before Python 3.12
-            squares += (s - mean) ** 2
-        std = math.sqrt(squares / len(survivor_steps))
+        std = math.sqrt(fold((s - mean) ** 2 for s in survivor_steps) / len(survivor_steps))
     return BenchRow(model=label[0], n_samples=label[1], speed=speed, k=k, g=g, t=t, d=d,
                     s_mean=mean, s_std=std, episodes=len(outcomes))
 
@@ -265,13 +263,8 @@ def run_benchmark(
     # Labels and configs first: a bad spec or k fails here, before any episode runs.
     labels = [model_label(cell.model_spec) for cell in cells]
 
-    cell_configs = []
-    for cell in cells:
-        cell_world = world_cfg.for_speed(cell.speed)
-        cell_world.validate()
-        cell_mcts = replace(mcts_cfg, rollout_length=cell.rollout_length)
-        cell_mcts.validate()
-        cell_configs.append((cell_world, cell_mcts, cell.model_spec))
+    cell_configs = [(world_cfg.for_speed(cell.speed), replace(mcts_cfg, rollout_length=cell.rollout_length),
+                     cell.model_spec) for cell in cells]
     # Seed-major, so that the cells of one seed run back to back on one timeline.
     tasks = [(ci, ei, seed) for ei, seed in enumerate(seeds) for ci in range(len(cells))]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, goal_block
+from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, fold, goal_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,10 +29,13 @@ _UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
 _ZERO_VALUES = (0.0,) * N_ACTIONS
 _ONES = (1,) * N_ACTIONS
 _NO_CHILDREN = (None,) * N_ACTIONS
+MCTS_INT_KEYS = ("n_rollouts", "rollout_length")
 
 
 @dataclass(frozen=True)
 class MCTSConfig:
+    """Search settings, valid by construction: building one (``replace`` too) runs ``validate``."""
+
     n_rollouts: int = 100
     rollout_length: int = 3
     temperature: float = 0.01
@@ -42,14 +45,19 @@ class MCTSConfig:
     goal_value: float = 20.0
     shaping_beta: float = 0.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        if self.n_rollouts < 1:
-            raise ConfigError("n_rollouts must be >= 1")
-        if self.rollout_length < 1:
-            raise ConfigError("rollout_length must be >= 1")
+        for name in MCTS_INT_KEYS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1")
         for name in ("temperature", "c_puct", "prior_kappa", "death_value", "goal_value", "shaping_beta"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not finite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
@@ -150,7 +158,6 @@ def run_search(
     depend only on its (depth, x, y), so each is computed once per search
     for each exact key.
     """
-    cfg.validate()
     k = cfg.rollout_length
     if len(frames) < k:
         raise ValueError(f"{len(frames)} predicted frames given, need {k}")
@@ -293,9 +300,7 @@ def select_by_temperature(visits: list[int], temperature: float, rng: np.random.
     logs = [math.log(v) if v > 0 else -math.inf for v in visits]
     top = max(logs)
     weights = [math.exp((l - top) / temperature) if l > -math.inf else 0.0 for l in logs]
-    total = 0.0
-    for weight in weights:  # a left fold, as sum() of floats was before Python 3.12
-        total += weight
+    total = fold(weights)
     cdf = list(accumulate(w / total for w in weights))
     last = cdf[-1]
     return bisect_right([c / last for c in cdf], rng.random())

@@ -17,9 +17,9 @@ and shared (read-only) by every planner rollout. Four implementations:
 Every model object has one call, ``predict(obs, k)``, with an
 ``Observation``: the 4-frame history, the decision time t and the episode's
 timeline. Only the privileged models (oracle, noisy) read the timeline; the
-others predict from the history alone. ``oracle_predict`` and
-``noisy_sample_predict`` are the same predictions computed from a
-``WorldState`` by cloning and stepping it, for use outside an episode.
+others predict from the history alone. ``oracle_predict`` is the oracle's
+prediction computed from a ``WorldState`` by cloning and stepping it, for use
+outside an episode.
 
 The spec-string grammar ("oracle", "noisy:0.1,0.02,1.0,5", "none", ...) lives
 here only: ``build_model`` parses a spec, ``split_model_specs`` splits a list
@@ -40,6 +40,7 @@ from .world import (
     Timeline,
     WorldState,
     clone_state,
+    fold,
     freeze,
     goal_center_of_frame,
     obstacle_occupancy,
@@ -177,19 +178,18 @@ def _row_shifts(frames: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _fit_goal_velocity(centers: list[tuple[float, float] | None]) -> tuple[float, float]:
-    """Least-squares constant velocity through the observed goal centers."""
-    pts = [(i, c) for i, c in enumerate(centers) if c is not None]
+    """Least-squares constant velocity through the observed goal centers, in plain floats
+    summed as numpy sums so few values, left to right, so that the fit is numpy's bit for bit."""
+    pts = [(t, c) for t, c in enumerate(centers) if c is not None]
     if len(pts) < 2:
         return 0.0, 0.0
-    ts = np.array([p[0] for p in pts], dtype=np.float64)
-    xs = np.array([p[1][0] for p in pts])
-    ys = np.array([p[1][1] for p in pts])
-    denom = ((ts - ts.mean()) ** 2).sum()
-    if denom == 0.0:
-        return 0.0, 0.0
-    vx = float(((ts - ts.mean()) * (xs - xs.mean())).sum() / denom)
-    vy = float(((ts - ts.mean()) * (ys - ys.mean())).sum() / denom)
-    return vx, vy
+    mean_t = sum(t for t, _ in pts) / len(pts)
+    dts = [t - mean_t for t, _ in pts]
+    denom = fold(d * d for d in dts)
+    mean_x = fold(c[0] for _, c in pts) / len(pts)
+    mean_y = fold(c[1] for _, c in pts) / len(pts)
+    return (fold(d * (c[0] - mean_x) for d, (_, c) in zip(dts, pts)) / denom,
+            fold(d * (c[1] - mean_y) for d, (_, c) in zip(dts, pts)) / denom)
 
 
 def velocity_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
@@ -217,42 +217,29 @@ def velocity_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
         occ[steps_of[inside], rows_of[inside], moved[inside]] = True
     freeze(occ)
 
-    goal_rows, goal_cols = np.nonzero(latest == w.GOAL)
-    goal_known = goal_rows.size > 0
-    if goal_known:
-        gw = int(goal_cols.max() - goal_cols.min() + 1)
-        gh = int(goal_rows.max() - goal_rows.min() + 1)
+    # The history's goal pixels from one scan; centres are exact integer sums over counts, as goal_center_of_frame's.
+    pixels = [([], []) for _ in history.frames]
+    for i, y, x in zip(*(a.tolist() for a in np.nonzero(np.stack(history.frames) == w.GOAL))):
+        pixels[i][0].append(x)
+        pixels[i][1].append(y)
+    goal_xs, goal_ys = pixels[-1]
+    if goal_xs:
+        gw, gh = max(goal_xs) - min(goal_xs) + 1, max(goal_ys) - min(goal_ys) + 1
         lo_x, hi_x = (gw - 1) / 2.0, width - 1 - (gw - 1) / 2.0
         lo_y, hi_y = (gh - 1) / 2.0, height - 1 - (gh - 1) / 2.0
-        centers = [goal_center_of_frame(f) for f in history.frames]
+        centers = [(sum(xs) / len(xs), sum(ys) / len(ys)) if xs else None for xs, ys in pixels]
         gx, gy = centers[-1]
         gvx, gvy = _fit_goal_velocity(centers)
 
     steps = []
     for i in range(k):
         estimate = None
-        if goal_known:
+        if goal_xs:
             gx, gvx = reflect_axis(gx + gvx, gvx, lo_x, hi_x)
             gy, gvy = reflect_axis(gy + gvy, gvy, lo_y, hi_y)
             estimate = (gx, gy)
         steps.append(PredictedFrame(occupancy=occ[i], goal_estimate=estimate))
     return tuple(steps)
-
-
-def noisy_sample_predict(
-    state: WorldState,
-    k: int,
-    n_samples: int,
-    p_fn: float,
-    p_fp: float,
-    goal_sigma: float,
-    rng: np.random.Generator,
-) -> tuple[PredictedFrame, ...]:
-    """Union-of-N-corrupted-samples surrogate for a stochastic learned model.
-
-    The base is the true rollout of ``state``; see ``_noisy_samples``.
-    """
-    return _noisy_samples(oracle_predict(state, k), n_samples, p_fn, p_fp, goal_sigma, rng)
 
 
 def _noisy_samples(

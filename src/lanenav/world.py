@@ -39,6 +39,7 @@ Coordinates are (x, y) with x the column and y the row; frames are indexed
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +66,14 @@ DEATH_REWARD = -20.0
 
 _PLACEMENT_RETRIES = 1000
 
+# Bounds of the WorldConfig sizes that drive work; at all of them at once a render takes seconds.
+MAX_GRID = 128
+MAX_WARMUP_STEPS = 5000
+MAX_ARRIVALS = 32.0
+MAX_BODY = 64
+MAX_GOAL_SPEED = float(MAX_GRID)  # the goal's wall reflection makes one pass per grid width travelled
+WORLD_INT_KEYS = ("grid_h", "grid_w", "goal_size", "max_steps", "warmup_steps", "master_seed")
+
 _SQ2 = math.sqrt(0.5)
 # Unit direction per action a: angle a * 45 degrees, y is the row axis.
 _DIRECTIONS = (
@@ -81,6 +90,19 @@ _DIRECTIONS = (
 
 class ConfigError(ValueError):
     """Invalid world or planner configuration."""
+
+
+def finite(value) -> bool:
+    """A number that converts to a finite float: NaN fails both comparisons, an integer too large for one fails one."""
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
+def fold(values) -> float:
+    """Left-fold sum from 0.0: numpy's sum of under 8 floats, and sum() of floats before Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class PlacementError(RuntimeError):
@@ -142,6 +164,9 @@ DEFAULT_LANE_ROWS = tuple(range(2, 46, 2))
 
 @dataclass(frozen=True)
 class WorldConfig:
+    """World settings, valid by construction: building one (``replace`` and ``for_speed``
+    too) runs ``validate``, which also bounds the sizes that drive work by ``MAX_*``."""
+
     grid_h: int = 48
     grid_w: int = 48
     level: float = 6.0
@@ -155,10 +180,17 @@ class WorldConfig:
     warmup_steps: int = 48
     master_seed: int = 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        ints = [(name, getattr(self, name)) for name in WORLD_INT_KEYS] + [("lane_rows", r) for r in self.lane_rows]
+        for name, value in ints + [("class_id", cls.class_id) for cls in self.obstacle_classes]:
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("level", "spawn_base_rate", "goal_speed", "agent_speed"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not finite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.grid_h <= 0 or self.grid_w <= 0:
             raise ConfigError("grid dimensions must be positive")
@@ -180,6 +212,15 @@ class WorldConfig:
             raise ConfigError("warmup_steps must be non-negative")
         if self.goal_speed < 0:
             raise ConfigError("goal_speed must be non-negative")
+        # The rate first, as world_step draws it: an integer level times the lane count may overflow a float.
+        arrivals = self.level * self.spawn_base_rate * len(self.lane_rows)
+        for name, value, bound in (("grid_h", self.grid_h, MAX_GRID), ("grid_w", self.grid_w, MAX_GRID),
+                                   ("warmup_steps", self.warmup_steps, MAX_WARMUP_STEPS),
+                                   ("goal_speed", self.goal_speed, MAX_GOAL_SPEED),
+                                   ("expected arrivals per step, level * spawn_base_rate * len(lane_rows),",
+                                    arrivals, MAX_ARRIVALS)):
+            if value > bound:
+                raise ConfigError(f"{name} must be <= {bound:g}, got {value!r}")
         if len(set(self.lane_rows)) != len(self.lane_rows):
             raise ConfigError("lane_rows must be distinct")
         for row in self.lane_rows:
@@ -190,19 +231,22 @@ class WorldConfig:
         for cls in self.obstacle_classes:
             for name in ("mean_speed", "speed_jitter", "mean_length", "length_jitter"):
                 value = getattr(cls, name)
-                if not math.isfinite(value):
+                if not finite(value):
                     raise ConfigError(f"class {cls.class_id}: {name} must be finite, got {value!r}")
             for mean_name, jitter_name in (("mean_speed", "speed_jitter"), ("mean_length", "length_jitter")):
                 mean, jitter = getattr(cls, mean_name), getattr(cls, jitter_name)
                 if jitter < 0:
                     raise ConfigError(f"class {cls.class_id}: {jitter_name} must be non-negative, got {jitter!r}")
                 # A spawn draws lo + (hi - lo) * u from [mean - jitter, mean + jitter].
-                if not math.isfinite((mean + jitter) - (mean - jitter)):
+                if not finite((mean + jitter) - (mean - jitter)):
                     raise ConfigError(f"class {cls.class_id}: {mean_name} +- {jitter_name} must be finite")
             if cls.mean_speed <= 0:
                 raise ConfigError(f"class {cls.class_id}: mean_speed must be positive")
             if cls.mean_length < 1:
                 raise ConfigError(f"class {cls.class_id}: mean_length must be >= 1")
+            if cls.mean_length + cls.length_jitter > MAX_BODY:
+                raise ConfigError(f"class {cls.class_id}: mean_length + length_jitter must be <= {MAX_BODY}, "
+                                  f"got {cls.mean_length + cls.length_jitter!r}")
             if not 1 <= cls.class_id <= 5:
                 raise ConfigError(f"class_id {cls.class_id} outside palette range 1..5")
 
@@ -457,7 +501,6 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
     The warm-up runs before placement so the agent can be placed on a cell
     that is actually obstacle-free in the populated field.
     """
-    config.validate()
     class_rng = substream(episode_seed, STREAM_CLASS)
     place_rng = substream(episode_seed, STREAM_PLACE)
 

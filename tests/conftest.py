@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from lanenav.models import _noisy_samples, oracle_predict
 from lanenav.seeding import STREAM_CLASS, STREAM_SPAWN, substream
 from lanenav.world import (
     HEAD,
@@ -18,6 +19,13 @@ from lanenav.world import (
     render_frame,
     world_step,
 )
+
+
+def noisy_sample_predict(state: WorldState, k: int, n_samples: int, p_fn: float, p_fp: float,
+                         goal_sigma: float, rng: np.random.Generator):
+    """Reference noisy prediction from a ``WorldState``: ``_noisy_samples`` on the
+    clone-and-step rollout of ``oracle_predict``, where the noisy model reads its timeline."""
+    return _noisy_samples(oracle_predict(state, k), n_samples, p_fn, p_fp, goal_sigma, rng)
 
 
 def obstacle_table(bodies: list[tuple[int, float, int, float]]) -> np.ndarray:

@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 
+from conftest import noisy_sample_predict
 from lanenav import checks
 from lanenav.harness import BenchCell, run_benchmark, run_episode, verify_replay
 from lanenav.mcts import MCTSConfig
 from lanenav.models import (
     OracleModel,
     PredictedFrame,
-    noisy_sample_predict,
     oracle_predict,
     velocity_predict,
     History,

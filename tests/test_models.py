@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import NoTimeline, TimelineRead, agent_turn, build_state, frames_equal
+from conftest import NoTimeline, TimelineRead, agent_turn, build_state, frames_equal, noisy_sample_predict
 from lanenav.models import (
     History,
     Observation,
@@ -13,7 +13,6 @@ from lanenav.models import (
     build_model,
     frozen_predict,
     goal_center_of_frame,
-    noisy_sample_predict,
     obstacle_occupancy,
     oracle_predict,
     prediction_error,

@@ -9,7 +9,7 @@ on such a stepped world, with the same ``move`` and ``outcome_at``.
 import numpy as np
 import pytest
 
-from conftest import NoTimeline, agent_turn
+from conftest import NoTimeline, agent_turn, noisy_sample_predict
 from lanenav import harness
 from lanenav.harness import BenchCell, run_benchmark, run_episode, verify_replay
 from lanenav.mcts import MCTSConfig
@@ -17,7 +17,6 @@ from lanenav.models import (
     Observation,
     build_model,
     frozen_predict,
-    noisy_sample_predict,
     oracle_predict,
     velocity_predict,
 )

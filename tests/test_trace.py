@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,16 @@ from lanenav.harness import run_episode
 from lanenav.mcts import MCTSConfig
 from lanenav.seeding import episode_seed
 from lanenav.tracefile import frame_to_rle, read_trace, rle_to_frame, write_trace
-from lanenav.world import WorldConfig, new_episode, render_frame
+from lanenav.world import (
+    MAX_ARRIVALS,
+    MAX_BODY,
+    MAX_GOAL_SPEED,
+    MAX_GRID,
+    MAX_WARMUP_STEPS,
+    WorldConfig,
+    new_episode,
+    render_frame,
+)
 
 
 class TestRLE:
@@ -364,3 +374,65 @@ class TestWholeTraceFuzz:
             read()
         assert main(["render", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"bad trace: {path}:1: bad config in header")
+
+
+# Huge, negative, float, bool and string values for the header's world fields.
+HEADER_VALUES = (st.integers() | st.integers(10 ** 6, 10 ** 30) | st.integers(10 ** 300, 10 ** 400)
+                 | st.integers(max_value=-1) | st.floats() | st.booleans() | st.text(max_size=5))
+
+
+def _render(path, tmp_path, capsys) -> tuple[int, str]:
+    capsys.readouterr()
+    code = main(["render", "--trace", str(path), "--horizon", "1", "--out-dir", str(tmp_path / "imgs")])
+    return code, capsys.readouterr().err
+
+
+class TestHeaderConfigFuzz:
+    """The world config nested in the header, the sizes that drive work among it: ``read_trace``
+    raises only ``ValueError``, and ``lanenav render`` exits 2 on what it rejects, else 0."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_world_field_reads_or_is_rejected(self, trace_lines, tmp_path, capsys, data):
+        header = json.loads(trace_lines[0])
+        key = data.draw(st.sampled_from(["grid_h", "grid_w", "warmup_steps", "level", "spawn_base_rate",
+                                         "mean_length", "length_jitter"]))
+        if key in ("mean_length", "length_jitter"):
+            classes = header["world"]["obstacle_classes"]
+            classes[data.draw(st.integers(0, len(classes) - 1))][key] = data.draw(HEADER_VALUES)
+        else:
+            header["world"][key] = data.draw(HEADER_VALUES)
+        path, read = _read(tmp_path, [json.dumps(header), *trace_lines[1:]])
+        try:
+            read()
+            rejected = False
+        except ValueError:
+            rejected = True
+        code, err = _render(path, tmp_path, capsys)
+        assert code == (2 if rejected else 0) and "Traceback" not in err, err
+
+    def test_header_at_every_bound_renders_in_seconds(self, trace_lines, tmp_path, capsys):
+        header = json.loads(trace_lines[0])
+        classes = [{**c, "mean_length": MAX_BODY - 1.0, "length_jitter": 1.0}
+                   for c in header["world"]["obstacle_classes"]]
+        header["world"].update(grid_h=MAX_GRID, grid_w=MAX_GRID, warmup_steps=MAX_WARMUP_STEPS,
+                               goal_speed=MAX_GOAL_SPEED, lane_rows=list(range(MAX_GRID)),
+                               level=MAX_ARRIVALS / MAX_GRID, spawn_base_rate=1.0, obstacle_classes=classes)
+        path, read = _read(tmp_path, [json.dumps(header), *trace_lines[1:]])
+        assert read().world_config.grid_h == MAX_GRID
+        start = time.perf_counter()
+        code, err = _render(path, tmp_path, capsys)
+        assert code == 0, err
+        # A few seconds on a 2-core machine; the margin is for slow hosts.
+        assert time.perf_counter() - start < 60.0
+
+    @pytest.mark.parametrize("key, value", [("level", 10 ** 400), ("goal_speed", 1e9), ("warmup_steps", 10 ** 12)])
+    def test_header_sizes_past_the_bounds_named(self, trace_lines, tmp_path, capsys, key, value):
+        # No OverflowError from a huge integer, and no goal reflecting without end at a huge speed.
+        header = json.loads(trace_lines[0])
+        header["world"][key] = value
+        path, read = _read(tmp_path, [json.dumps(header), *trace_lines[1:]])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad config in header") + f".*{key}"):
+            read()
+        code, err = _render(path, tmp_path, capsys)
+        assert code == 2 and err.startswith(f"bad trace: {path}:1: bad config in header"), err

@@ -12,6 +12,11 @@ from lanenav.world import (
     GOAL,
     HEAD,
     LEFT_TO_RIGHT,
+    MAX_ARRIVALS,
+    MAX_BODY,
+    MAX_GOAL_SPEED,
+    MAX_GRID,
+    MAX_WARMUP_STEPS,
     SPEED,
     ConfigError,
     ObstacleClass,
@@ -162,12 +167,9 @@ class TestConfigValidation:
     def test_negative_jitter_rejected(self, field):
         values = dict(mean_speed=0.5, speed_jitter=0.1, mean_length=2.0, length_jitter=0.5)
         values[field] = -0.1
-        cfg = WorldConfig(obstacle_classes=(ObstacleClass(1, **values),))
+        # Rejected when the config is built, so before any spawn is drawn by the random generator.
         with pytest.raises(ConfigError, match=f"class 1: {field} must be non-negative"):
-            cfg.validate()
-        # Rejected before any spawn is drawn, not by the random generator.
-        with pytest.raises(ConfigError, match=field):
-            new_episode(cfg, 0)
+            WorldConfig(obstacle_classes=(ObstacleClass(1, **values),))
 
     @pytest.mark.parametrize("mean, jitter", [("mean_speed", "speed_jitter"), ("mean_length", "length_jitter")])
     @pytest.mark.parametrize("mean_value, jitter_value", [(1.0, 1e308), (1e308, 1e308)])
@@ -189,6 +191,41 @@ class TestConfigValidation:
         assert (two.agent_speed, two.max_steps) == (1.0, 203)
         with pytest.raises(ConfigError):
             WorldConfig().for_speed("3x")
+
+
+def _past(bound):
+    """The least value above ``bound``: the next integer, or the next float."""
+    return bound + 1 if type(bound) is int else math.nextafter(bound, math.inf)
+
+
+def _class_with_longest_body(longest: float) -> ObstacleClass:
+    return ObstacleClass(1, mean_speed=0.5, speed_jitter=0.1, mean_length=longest - 4.0, length_jitter=4.0)
+
+
+class TestConfigBounds:
+    """Each size that drives work is accepted at its bound and rejected just past it, naming its field."""
+
+    @pytest.mark.parametrize("name, make, bound", [
+        ("grid_h", lambda v: WorldConfig(grid_h=v), MAX_GRID),
+        ("grid_w", lambda v: WorldConfig(grid_w=v), MAX_GRID),
+        ("warmup_steps", lambda v: WorldConfig(warmup_steps=v), MAX_WARMUP_STEPS),
+        ("goal_speed", lambda v: WorldConfig(goal_speed=v), MAX_GOAL_SPEED),
+        ("level", lambda v: WorldConfig(lane_rows=(2,), level=v, spawn_base_rate=1.0), MAX_ARRIVALS),
+        ("spawn_base_rate", lambda v: WorldConfig(lane_rows=(2, 4), level=0.5, spawn_base_rate=v), MAX_ARRIVALS),
+        ("mean_length + length_jitter", lambda v: WorldConfig(obstacle_classes=(_class_with_longest_body(v),)),
+         MAX_BODY),
+    ])
+    def test_bound_at_limit_and_one_past(self, name, make, bound):
+        make(bound)
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            make(_past(bound))
+
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400])
+    def test_integer_too_large_for_a_float_is_not_finite(self, value):
+        with pytest.raises(ConfigError, match="level must be finite"):
+            WorldConfig(level=value)
+        with pytest.raises(ConfigError, match="class 1: mean_length must be finite"):
+            WorldConfig(obstacle_classes=(ObstacleClass(1, 0.5, 0.1, value, 1.0),))
 
 
 class TestWorldStep:
