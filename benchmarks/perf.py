@@ -137,7 +137,7 @@ def layer_cases(lib: SimpleNamespace) -> dict:
     rles = [frame_to_rle(f) for f in frames]
     timelines = [Timeline(cfg, seed) for seed in seeds]
     agents = [timeline.start for timeline in timelines]
-    oracle = lib.models.OracleModel()
+    oracle = lib.models.build_model("oracle")
     rollouts = [oracle.predict(lib.models.Observation.at(timeline, 0), max(KS)) for timeline in timelines]
     observations = [lib.models.Observation.at(timeline, 20) for timeline in timelines]
     records = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed) for seed in seeds]

@@ -2,7 +2,7 @@
 
 All models share one output contract, a tuple of k ``PredictedFrame``s for
 steps t+1..t+k as ``Timeline.rollout`` returns it, produced once per decision
-and shared (read-only) by every planner rollout. Four implementations:
+and shared (read-only) by every planner rollout. Four predict functions:
 
 * oracle: reads the true future from the episode's ``Timeline``. Exact,
   future spawns included. The upper bound.
@@ -14,20 +14,21 @@ and shared (read-only) by every planner rollout. Four implementations:
   false-positive flips and goal jitter, drawing N samples and aggregating by
   pixel-wise max (occupancy) and coordinate-wise median (goal).
 
-Every model object has one call, ``predict(obs, k)``, with an
-``Observation``: the 4-frame history, the decision time t and the episode's
-timeline. Only the privileged models (oracle, noisy) read the timeline; the
-others predict from the history alone. ``oracle_predict`` is the oracle's
-prediction computed from a ``WorldState`` by cloning and stepping it, for use
-outside an episode.
+A model is one type, ``ForwardModel``: a name, a predict function of an
+``Observation`` (the 4-frame history, the decision time t and the episode's
+timeline) and k, and a count of its calls. Only the privileged models
+(oracle, noisy) read the timeline; the others predict from the history
+alone. ``oracle_predict`` is the oracle's prediction computed from a
+``WorldState`` by cloning and stepping it, for use outside an episode.
 
 The spec-string grammar ("oracle", "noisy:0.1,0.02,1.0,5", "none", ...) lives
-here only: ``build_model`` parses a spec, ``split_model_specs`` splits a list
-of them and ``model_label`` gives a spec's table label.
+here only: ``build_model`` parses a spec into a model, ``split_model_specs``
+splits a list of them and ``model_label`` gives a spec's table label.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,64 +298,24 @@ def prediction_error(predicted: PredictedFrame, truth: np.ndarray) -> ErrorMap:
 
 
 class ForwardModel:
-    """Base for the planner-facing model objects; counts rollout generations.
+    """A forward model: a name, a function of (``Observation``, k) to k predicted frames, and a count of
+    its ``predict`` calls; ``n_samples`` is the samples drawn per prediction, as the bench table shows it."""
 
-    ``predict(obs, k)`` returns the k predicted frames for the
-    ``Observation`` obs.
-    """
-
-    name = "model"
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.n_samples = 1
-
-
-class OracleModel(ForwardModel):
-    """Exact: the true future, read from the episode's timeline."""
-
-    name = "oracle"
-
-    def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
-        self.calls += 1
-        return obs.timeline.rollout(obs.t, k)
-
-
-class NoisySampleModel(ForwardModel):
-    name = "noisy"
-
-    def __init__(self, p_fn: float, p_fp: float, goal_sigma: float, n_samples: int,
-                 rng: np.random.Generator) -> None:
-        super().__init__()
-        self.p_fn = p_fn
-        self.p_fp = p_fp
-        self.goal_sigma = goal_sigma
+    def __init__(self, name: str, predict: Callable[[Observation, int], tuple[PredictedFrame, ...]],
+                 n_samples: int = 1) -> None:
+        self.name = name
         self.n_samples = n_samples
-        self.rng = rng
+        self.calls = 0
+        self._predict = predict
 
     def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
         self.calls += 1
-        return _noisy_samples(obs.timeline.rollout(obs.t, k), self.n_samples, self.p_fn, self.p_fp,
-                              self.goal_sigma, self.rng)
-
-
-class FrozenModel(ForwardModel):
-    name = "frozen"
-
-    def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
-        self.calls += 1
-        return frozen_predict(obs.history, k)
-
-
-class VelocityModel(ForwardModel):
-    name = "velocity"
-
-    def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
-        self.calls += 1
-        return velocity_predict(obs.history, k)
+        return self._predict(obs, k)
 
 
 RANDOM_AGENT_SPECS = ("none", "random")
+# Samples per noisy prediction: each costs k full-grid draws, so a spec bounds its work.
+MAX_NOISY_SAMPLES = 1000
 
 
 def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardModel | None:
@@ -367,11 +328,11 @@ def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardMod
     if spec in RANDOM_AGENT_SPECS:
         return None
     if spec == "oracle":
-        return OracleModel()
+        return ForwardModel("oracle", lambda obs, k: obs.timeline.rollout(obs.t, k))
     if spec == "frozen":
-        return FrozenModel()
+        return ForwardModel("frozen", lambda obs, k: frozen_predict(obs.history, k))
     if spec == "velocity":
-        return VelocityModel()
+        return ForwardModel("velocity", lambda obs, k: velocity_predict(obs.history, k))
     if spec == "noisy" or spec.startswith("noisy:"):
         p_fn, p_fp, sigma, n = DEFAULT_P_FN, DEFAULT_P_FP, DEFAULT_GOAL_SIGMA, 5
         if ":" in spec:
@@ -384,12 +345,14 @@ def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardMod
             except ValueError as exc:
                 raise ValueError(f"bad noisy model spec {spec!r}") from exc
         # Written so that NaN fails every bound.
-        if not (0.0 <= p_fn <= 1.0 and 0.0 <= p_fp <= 1.0 and 0.0 <= sigma < math.inf and n >= 1):
+        if not (0.0 <= p_fn <= 1.0 and 0.0 <= p_fp <= 1.0 and 0.0 <= sigma < math.inf
+                and 1 <= n <= MAX_NOISY_SAMPLES):
             raise ValueError(f"bad noisy model spec {spec!r}: needs p_fn, p_fp in [0, 1], "
-                             "a finite sigma >= 0 and n >= 1")
+                             f"a finite sigma >= 0 and n in 1..{MAX_NOISY_SAMPLES}")
         if rng is None:
             raise ValueError("noisy model requires an rng")
-        return NoisySampleModel(p_fn=p_fn, p_fp=p_fp, goal_sigma=sigma, n_samples=n, rng=rng)
+        return ForwardModel("noisy", lambda obs, k: _noisy_samples(obs.timeline.rollout(obs.t, k), n, p_fn, p_fp,
+                                                                   sigma, rng), n_samples=n)
     raise ValueError(f"unknown model spec {spec!r}")
 
 

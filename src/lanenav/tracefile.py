@@ -38,11 +38,15 @@ from .world import DIED, GOAL, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, Worl
 
 def frame_to_rle(frame: np.ndarray) -> str:
     flat = frame.ravel()
-    # Run boundaries wherever the value changes, as Python ints.
-    starts = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()]
-    values = flat[starts].tolist()
-    starts.append(flat.size)
-    return ",".join(f"{v}:{e - s}" for v, s, e in zip(values, starts, starts[1:]))
+    # Run bounds (the start, each change of value, the end); each run's value and length interleave in one
+    # array, formatted by one % operation.
+    change = np.empty(flat.size + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(flat[1:], flat[:-1], out=change[1:-1])
+    bounds = np.flatnonzero(change)
+    runs = np.empty(2 * bounds.size - 2, dtype=np.int64)
+    runs[0::2], runs[1::2] = flat[bounds[:-1]], bounds[1:] - bounds[:-1]
+    return ",".join(("%d:%d",) * (bounds.size - 1)) % tuple(runs.tolist())
 
 
 _RLE_TOKEN = re.compile(r"([0-9]+):([0-9]+)")

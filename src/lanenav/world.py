@@ -93,8 +93,8 @@ class ConfigError(ValueError):
 
 
 def finite(value) -> bool:
-    """A number that converts to a finite float: NaN fails both comparisons, an integer too large for one fails one."""
-    return -sys.float_info.max <= value <= sys.float_info.max
+    """A number, not a bool, converting to a finite float: NaN fails both comparisons, a huge integer one."""
+    return not isinstance(value, (bool, np.bool_)) and -sys.float_info.max <= value <= sys.float_info.max
 
 
 def fold(values) -> float:

@@ -14,8 +14,8 @@ from lanenav import checks
 from lanenav.harness import BenchCell, run_benchmark, run_episode, verify_replay
 from lanenav.mcts import MCTSConfig
 from lanenav.models import (
-    OracleModel,
     PredictedFrame,
+    build_model,
     oracle_predict,
     velocity_predict,
     History,
@@ -186,7 +186,7 @@ def test_criterion_10_model_call_economy():
     world = WorldConfig(max_steps=60)
     ratios = {}
     for n_rollouts in (1, 100, 1000):
-        model = OracleModel()
+        model = build_model("oracle")
         cfg = MCTSConfig(n_rollouts=n_rollouts, rollout_length=3)
         record = run_episode(world, cfg, model, episode_seed(world.master_seed, 7))
         assert record.error is None

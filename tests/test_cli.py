@@ -8,7 +8,7 @@ from conftest import FUZZ_VALUES
 from lanenav import checks, cli
 from lanenav.cli import main
 from lanenav.config import BENCH_KEYS, CELL_KEYS, CONFIG_KEYS, VALIDATE_KEYS
-from lanenav.models import model_label, split_model_specs
+from lanenav.models import MAX_NOISY_SAMPLES, model_label, split_model_specs
 from lanenav.tracefile import read_trace
 
 
@@ -117,6 +117,13 @@ class TestBench:
         assert main(["bench", *bench_flags, "--models", "noisy:0.1,0.02", "--episodes", "1"]) == 2
         assert "config error: --models: bad value for 'model': noisy model spec needs 4 fields" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["bench", "--models"], ["play", "--model"]])
+    def test_noisy_sample_count_past_the_bound_exit_code(self, argv, capsys):
+        assert main([*argv, f"noisy:0.1,0.02,1,{MAX_NOISY_SAMPLES + 1}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {argv[1]}: bad value for 'model'") and "Traceback" not in err
+        assert f"n in 1..{MAX_NOISY_SAMPLES}" in err
 
     def test_non_finite_temperature_exit_code(self):
         assert main(["bench", "--temperature", "nan", "--episodes", "1"]) == 2

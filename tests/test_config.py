@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,7 +15,7 @@ from lanenav.config import (
     world_config_to_dict,
 )
 from lanenav.mcts import MCTSConfig
-from lanenav.world import ConfigError, WorldConfig
+from lanenav.world import DEFAULT_CLASSES, ConfigError, ObstacleClass, WorldConfig
 
 # A config file line: a known or unknown key with a fuzzed value, or any text.
 CONFIG_LINES = st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS + ("bogus",)), FUZZ_VALUES) | st.text(max_size=20)
@@ -119,3 +120,27 @@ class TestSerialization:
     def test_mcts_round_trip(self):
         cfg = MCTSConfig(n_rollouts=7, rollout_length=5, shaping_beta=0.3)
         assert mcts_config_from_dict(mcts_config_to_dict(cfg)) == cfg
+
+
+def _real_fields(cls) -> list[str]:
+    return [f.name for f in fields(cls) if f.type == "float"]
+
+
+# Every real-valued config field, with a builder of a config holding ``value`` in it.
+REAL_FIELDS = (
+    [(name, lambda name, v: WorldConfig(**{name: v})) for name in _real_fields(WorldConfig)]
+    + [(name, lambda name, v: MCTSConfig(**{name: v})) for name in _real_fields(MCTSConfig)]
+    + [(name, lambda name, v: WorldConfig(obstacle_classes=(replace(DEFAULT_CLASSES[0], **{name: v}),)))
+       for name in _real_fields(ObstacleClass)]
+)
+
+
+class TestRealFields:
+    def test_every_real_field_listed(self):
+        assert len(REAL_FIELDS) == 14
+
+    @pytest.mark.parametrize("name, make", REAL_FIELDS, ids=[name for name, _ in REAL_FIELDS])
+    def test_boolean_rejected_naming_the_field(self, name, make):
+        for value in (True, False):
+            with pytest.raises(ConfigError, match=f"{name} must be finite, got {value}"):
+                make(name, value)

@@ -16,7 +16,7 @@ from lanenav.harness import (
     verify_replay,
 )
 from lanenav.mcts import MCTSConfig
-from lanenav.models import ForwardModel, OracleModel, model_label
+from lanenav.models import ForwardModel, build_model, model_label
 from lanenav.seeding import episode_seed
 from lanenav.world import Outcome, Timeline, WorldConfig, move, outcome_at
 
@@ -56,7 +56,7 @@ class TestRunEpisode:
             assert frames_equal(fa, fb)
 
     def test_model_instance_accepted(self):
-        model = OracleModel()
+        model = build_model("oracle")
         record = run_episode(FAST_WORLD, SMALL_MCTS, model, episode_seed(5, 0))
         assert record.model_name == "oracle"
         assert model.calls == record.steps
@@ -65,7 +65,7 @@ class TestRunEpisode:
         # the shared-rollout economy: one generation per decision
         counts = {}
         for n_rollouts in (1, 100, 1000):
-            model = OracleModel()
+            model = build_model("oracle")
             cfg = MCTSConfig(n_rollouts=n_rollouts, rollout_length=3)
             record = run_episode(FAST_WORLD, cfg, model, episode_seed(6, 0))
             assert model.calls == record.steps
@@ -73,13 +73,10 @@ class TestRunEpisode:
         assert set(counts.values()) == {1.0}
 
     def test_model_error_becomes_diagnostic_record(self):
-        class Exploding(ForwardModel):
-            name = "boom"
+        def explode(obs, k):
+            raise RuntimeError("synthetic failure")
 
-            def predict(self, obs, k):
-                raise RuntimeError("synthetic failure")
-
-        record = run_episode(FAST_WORLD, SMALL_MCTS, Exploding(), episode_seed(7, 0))
+        record = run_episode(FAST_WORLD, SMALL_MCTS, ForwardModel("boom", explode), episode_seed(7, 0))
         assert record.error is not None
         assert "synthetic failure" in record.error
         assert record.outcome.kind == "running"
@@ -128,13 +125,13 @@ class TestReplay:
         assert not verify_replay(record)
 
     def test_replay_of_an_errored_episode_stops_where_the_actions_run_out(self):
-        class FailsAfterFive(OracleModel):
-            def predict(self, obs, k):
-                if self.calls == 5:
-                    raise RuntimeError("synthetic failure")
-                return super().predict(obs, k)
+        def fails_after_five(obs, k):
+            if model.calls == 6:
+                raise RuntimeError("synthetic failure")
+            return obs.timeline.rollout(obs.t, k)
 
-        record = run_episode(FAST_WORLD, SMALL_MCTS, FailsAfterFive(), episode_seed(8, 0))
+        model = ForwardModel("oracle", fails_after_five)
+        record = run_episode(FAST_WORLD, SMALL_MCTS, model, episode_seed(8, 0))
         assert record.error == "RuntimeError: synthetic failure"
         assert record.outcome == Outcome("running", 0.0, 5) and len(record.trace) == 5
         assert verify_replay(record)
@@ -230,10 +227,10 @@ class TestBenchmark:
         if parallelism > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("pool workers see the patched model only when forked")
 
-        def exploding_predict(self, obs, k):
+        def exploding_predict(obs, k):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(OracleModel, "predict", exploding_predict)
+        monkeypatch.setattr(harness, "build_model", lambda spec, rng: ForwardModel(spec, exploding_predict))
         with pytest.raises(RuntimeError, match="failed: RuntimeError: synthetic failure") as info:
             run_benchmark([BenchCell("oracle", "2x", 1)], WorldConfig(), SMALL_MCTS, n_episodes=2,
                           parallelism=parallelism)

@@ -7,12 +7,14 @@ from hypothesis import given, strategies as st
 
 from conftest import NoTimeline, TimelineRead, agent_turn, build_state, frames_equal, noisy_sample_predict
 from lanenav.models import (
+    MAX_NOISY_SAMPLES,
+    ForwardModel,
     History,
     Observation,
-    OracleModel,
     build_model,
     frozen_predict,
     goal_center_of_frame,
+    model_label,
     obstacle_occupancy,
     oracle_predict,
     prediction_error,
@@ -361,7 +363,7 @@ class TestModelObjects:
         cfg = WorldConfig()
         state = new_episode(cfg, 19)
         timeline = Timeline(cfg, 19)
-        model = OracleModel()
+        model = build_model("oracle")
         rng = make_rng(11)
         x, y = state.start
         for t in range(25):
@@ -377,7 +379,7 @@ class TestModelObjects:
     def test_oracle_cache_resets_across_episodes(self):
         # one model object over two episodes reads each episode's own truth
         cfg = WorldConfig()
-        model = OracleModel()
+        model = build_model("oracle")
         for seed in (101, 102):
             got = model.predict(Observation.at(Timeline(cfg, seed), 0), 3)
             want = oracle_predict(new_episode(cfg, seed), 3)
@@ -385,7 +387,7 @@ class TestModelObjects:
 
     def test_call_counting(self):
         obs = Observation.at(Timeline(WorldConfig(), 20), 0)
-        model = OracleModel()
+        model = build_model("oracle")
         for _ in range(7):
             model.predict(obs, 2)
         assert model.calls == 7
@@ -399,6 +401,7 @@ class TestModelObjects:
     ])
     def test_build_model(self, spec, name, n, reads_timeline):
         model = build_model(spec, rng=make_rng(0))
+        assert type(model) is ForwardModel
         assert model.name == name
         assert model.n_samples == n
         obs = Observation.at(Timeline(WorldConfig(), 21), 2)
@@ -408,6 +411,18 @@ class TestModelObjects:
                 model.predict(blind, 3)
         else:
             model.predict(blind, 3)
+        # Two models of one spec count their calls apart.
+        other = build_model(spec, rng=make_rng(0))
+        calls = model.calls
+        other.predict(obs, 3)
+        other.predict(obs, 3)
+        assert (model.calls, other.calls) == (calls, 2)
+        # Each model keeps its own parameters and generator: equal generators, equal predictions.
+        a, b = build_model(spec, rng=make_rng(5)), build_model(spec, rng=make_rng(5))
+        for _ in range(2):
+            for got, want in zip(a.predict(obs, 3), b.predict(obs, 3)):
+                assert np.array_equal(got.occupancy, want.occupancy)
+                assert got.goal_estimate == want.goal_estimate
 
     def test_build_model_random(self):
         assert build_model("none") is None
@@ -427,11 +442,39 @@ class TestModelObjects:
             build_model(spec, rng=make_rng(0))
 
     @given(st.lists(st.floats().map(repr) | st.integers(-3, 10).map(str) | st.text(max_size=5)
-                    | st.sampled_from(["nan", "inf", "-inf", "1e999", "", "0.5"]), max_size=6))
+                    | st.sampled_from(["nan", "inf", "-inf", "1e999", "", "0.5", "1000", "1001"]), max_size=6))
     def test_noisy_spec_fuzz_raises_only_value_error(self, fields):
+        spec = "noisy:" + ",".join(fields)
         try:
-            model = build_model("noisy:" + ",".join(fields), rng=make_rng(0))
+            model = build_model(spec, rng=make_rng(0))
         except ValueError:
             return
-        assert 0.0 <= model.p_fn <= 1.0 and 0.0 <= model.p_fp <= 1.0
-        assert math.isfinite(model.goal_sigma) and model.goal_sigma >= 0.0 and model.n_samples >= 1
+        # Accepted: the fields parse as build_model reads them, and each is in its range.
+        fields = spec.strip().lower().split(":", 1)[1].split(",")
+        p_fn, p_fp, sigma = map(float, fields[:3])
+        assert 0.0 <= p_fn <= 1.0 and 0.0 <= p_fp <= 1.0
+        assert math.isfinite(sigma) and sigma >= 0.0
+        assert 1 <= model.n_samples == int(fields[3]) <= MAX_NOISY_SAMPLES
+
+    @pytest.mark.parametrize("n, ok", [(MAX_NOISY_SAMPLES, True), (MAX_NOISY_SAMPLES + 1, False)])
+    def test_noisy_sample_count_bound(self, n, ok):
+        spec = f"noisy:0.1,0.02,1.0,{n}"
+        if ok:
+            assert build_model(spec, rng=make_rng(0)).n_samples == n
+            assert model_label(spec) == ("noisy", n)
+            return
+        for build in (lambda: build_model(spec, rng=make_rng(0)), lambda: model_label(spec)):
+            with pytest.raises(ValueError, match=f"n in 1..{MAX_NOISY_SAMPLES}"):
+                build()
+
+    def test_model_from_a_function(self):
+        seen = []
+
+        def echo(obs, k):
+            seen.append((obs, k))
+            return ("frame",) * k
+
+        model = ForwardModel("echo", echo, n_samples=3)
+        obs = Observation.at(Timeline(WorldConfig(), 22), 0)
+        assert model.predict(obs, 2) == ("frame", "frame")
+        assert (model.name, model.n_samples, model.calls, seen) == ("echo", 3, 1, [(obs, 2)])

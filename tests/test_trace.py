@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import FUZZ_VALUES, agent_turn, frames_equal
 from lanenav.cli import main
 from lanenav.harness import run_episode
 from lanenav.mcts import MCTSConfig
+from lanenav.models import MAX_NOISY_SAMPLES
 from lanenav.seeding import episode_seed
 from lanenav.tracefile import frame_to_rle, read_trace, rle_to_frame, write_trace
 from lanenav.world import (
@@ -43,6 +45,8 @@ class TestRLE:
         frame = np.array(values, dtype=np.uint8).reshape(1, -1)
         decoded = rle_to_frame(frame_to_rle(frame), 1, frame.shape[1])
         assert frames_equal(decoded, frame)
+        # The text is a run-by-run loop encoder's.
+        assert frame_to_rle(frame) == ",".join(f"{v}:{len(list(run))}" for v, run in groupby(values))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -227,6 +231,13 @@ class TestReadTraceSchema:
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad config in header")):
             read()
 
+    @pytest.mark.parametrize("section, key", [("world", "level"), ("world", "agent_speed"), ("mcts", "temperature")])
+    def test_boolean_real_header_field_named(self, trace_lines, tmp_path, section, key):
+        config = json.loads(trace_lines[0])[section]
+        path, read = _read(tmp_path, _edited(trace_lines, 1, **{section: {**config, key: True}}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad config in header") + f".*{key}"):
+            read()
+
     def test_non_integer_class_id_named(self, trace_lines, tmp_path):
         world = json.loads(trace_lines[0])["world"]
         classes = [{**world["obstacle_classes"][0], "class_id": 1.0}, *world["obstacle_classes"][1:]]
@@ -366,7 +377,7 @@ class TestWholeTraceFuzz:
         err = capsys.readouterr().err
         assert code in (0, 2) and "Traceback" not in err, err
 
-    @pytest.mark.parametrize("model", ["", "bogus", "noisy:2,0,1,1"])
+    @pytest.mark.parametrize("model", ["", "bogus", "noisy:2,0,1,1", f"noisy:0.1,0.02,1,{MAX_NOISY_SAMPLES + 1}"])
     def test_bad_header_model_spec_named(self, trace_lines, tmp_path, capsys, model):
         # The whole-trace fuzz's find: a bad header model spec is bad input (exit 2), not a runtime error (exit 1).
         path, read = _read(tmp_path, _edited(trace_lines, 1, model=model))
