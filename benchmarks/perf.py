@@ -24,11 +24,14 @@ call. Layers:
   ``predict`` at t=20 of each timeline, the model built by ``build_model``
   (noisy with its default spec);
 * ``mcts.run_search.k{1,3,10}``: one search on the oracle's prediction at t=0;
+* ``decision.{oracle,frozen,velocity,noisy}``: the whole path of one planner
+  decision at t=20 with the default search (k=3): that model's ``predict``,
+  then ``plan_action`` on its prediction;
 * ``harness.verify_replay``: per replayed step, the replay of random-agent
   episodes, fresh timeline included.
 
 The report also holds ``src_lines``, the line count of the library's Python
-sources, to set beside the timings.
+sources, and ``src_lines_c``, that of its C sources, to set beside the timings.
 
 With ``--against REV`` the script compares this tree with the commit REV:
 
@@ -172,12 +175,22 @@ def layer_cases(lib: SimpleNamespace) -> dict:
             lambda _, search=search: [run_search(a, r, search, cfg.agent_speed, goal_size=cfg.goal_size)
                                       for a, r in zip(agents, rollouts)],
             len(rollouts), None)
+    search = MCTSConfig()
+    for spec in PREDICT_MODELS:
+        model = lib.models.build_model(spec, rng=lib.seeding.make_rng(0))
+        rng = lib.seeding.make_rng(0)
+        cases[f"decision.{spec}"] = (
+            lambda _, model=model, rng=rng: [
+                lib.mcts.plan_action(timeline.start, model.predict(obs, search.rollout_length), search, rng,
+                                     cfg.agent_speed, goal_size=cfg.goal_size)
+                for timeline, obs in zip(timelines, observations)],
+            len(observations), None)
     cases["harness.verify_replay"] = (replay_batch, sum(len(r.trace) for r in records), None)
     return cases
 
 
-def src_lines() -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src").rglob("*.py")))
+def src_lines(suffix: str = ".py") -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src").rglob(f"*{suffix}")))
 
 
 def quartiles(samples: list[float], digits: int) -> dict:
@@ -244,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:28s} {q['median']:10.1f} us  (IQR {q['q1']:.1f}-{q['q3']:.1f}, "
               f"{args.repeats} x {calls} calls)")
     print(f"{'src_lines':28s} {src_lines():10d}")
-    report.update(layers=layers, src_lines=src_lines())
+    print(f"{'src_lines_c':28s} {src_lines('.c'):10d}")
+    report.update(layers=layers, src_lines=src_lines(), src_lines_c=src_lines(".c"))
     if args.against is not None:
         print(f"change/parent against {args.against} ({sha[:12]}), median (IQR) of {args.repeats} rounds:")
         ratios = {}

@@ -1,0 +1,207 @@
+/* The rollout loop of lanenav's PUCT search, over a flat node table.
+ *
+ * mcts.py compiles this file on first import and calls lanenav_search from
+ * run_search, which documents the search. The kernel keeps the float
+ * arithmetic of the planner bit for bit:
+ *
+ * - every expression is evaluated in the order the Python planner wrote it,
+ *   and the file is compiled without contraction into fused multiply-adds;
+ * - exp, cos and atan2 come from libm, as they do for Python's math module;
+ * - the shaping term's hypot is Python's own math.hypot, passed in as a
+ *   callback, because CPython computes hypot with its own algorithm.
+ */
+#include <math.h>
+#include <stdint.h>
+
+#define N_ACTIONS 8
+#define MAX_DEPTH 64 /* mcts.MAX_ROLLOUT_LENGTH */
+
+/* Kernel errors; run_search raises the exception Python's arithmetic would. */
+#define ERR_OVERFLOW (-1)  /* an exp of the prior overflowed: OverflowError */
+#define ERR_ZERO_DIV (-2)  /* shaping on a 1 x 1 grid: ZeroDivisionError */
+#define ERR_NAN_POS (-3)   /* a move gave a NaN position: ValueError */
+#define ERR_DEPTH (-4)     /* rollout length outside 1..MAX_DEPTH */
+
+/* One tree node; mcts.NODE_DTYPE spells out the same layout. NaN in
+ * terminal_value or stop_value stands for None. */
+typedef struct {
+    double x, y;
+    double terminal_value;
+    double stop_value;
+    double prior[N_ACTIONS];
+    double w[N_ACTIONS];
+    double mean[N_ACTIONS]; /* w / n, 0.0 while unvisited */
+    int64_t n[N_ACTIONS];
+    int64_t total;
+    int32_t children[N_ACTIONS]; /* row of the child, -1 for none */
+    int32_t depth;
+} Node;
+
+typedef double (*hypot_fn)(double, double);
+
+/* The inputs of one search, packed by mcts.run_search in this order. */
+typedef struct {
+    Node *nodes;     /* room for n_rollouts + 1 rows: a rollout adds at most one node */
+    hypot_fn hypot;
+    int64_t n_rollouts, k, height, width;
+    double x0, y0, c_puct, kappa, death_value, goal_value, beta, diag;
+    double moves[2 * N_ACTIONS]; /* (dx, dy) of each action */
+    /* Per depth: the goal estimate (x, y), NaN x for none, then its block
+     * col_lo, col_hi, row_lo, row_hi. */
+    double goals[];
+} Search;
+
+int64_t lanenav_node_size(void) { return (int64_t)sizeof(Node); }
+
+static void init_node(Node *node, int32_t depth, double x, double y, double terminal_value, double stop_value)
+{
+    int a;
+    node->x = x;
+    node->y = y;
+    node->terminal_value = terminal_value;
+    node->stop_value = stop_value;
+    for (a = 0; a < N_ACTIONS; a++) {
+        node->prior[a] = 1.0 / N_ACTIONS;
+        node->w[a] = 0.0;
+        node->mean[a] = 0.0;
+        node->n[a] = 0;
+        node->children[a] = -1;
+    }
+    node->total = 0;
+    node->depth = depth;
+}
+
+/* mcts.goal_prior into prior; goal is (x, y), NaN x for no goal estimate. */
+static int goal_prior(double x, double y, const double *goal, double kappa, double *prior)
+{
+    double weights[N_ACTIONS], dx, dy, theta, total = 0.0;
+    int a;
+    if (isnan(goal[0]))
+        return 0;
+    dx = goal[0] - x;
+    dy = goal[1] - y;
+    if (dx == 0.0 && dy == 0.0)
+        return 0;
+    theta = atan2(dy, dx);
+    for (a = 0; a < N_ACTIONS; a++) {
+        weights[a] = exp(kappa * cos(a * M_PI / 4.0 - theta));
+        if (isinf(weights[a]))
+            return ERR_OVERFLOW;
+        total += weights[a];
+    }
+    for (a = 0; a < N_ACTIONS; a++)
+        prior[a] = weights[a] / total;
+    return 0;
+}
+
+/* Fill the node table with the tree of the search's rollouts; return the
+ * node count, or a negative ERR_*. occ holds k frames of height x width
+ * bytes, nonzero where occupied. */
+int64_t lanenav_search(const Search *search, const uint8_t *occ)
+{
+    Node *const nodes = search->nodes;
+    const int64_t k = search->k, height = search->height, width = search->width;
+    const double *const goals = search->goals, *const moves = search->moves;
+    const double c_puct = search->c_puct, kappa = search->kappa, beta = search->beta;
+    const double max_x = (double)(width - 1), max_y = (double)(height - 1);
+    int32_t path_rows[MAX_DEPTH];
+    int path_actions[MAX_DEPTH];
+    int64_t count = 1, rollout;
+
+    if (k < 1 || k > MAX_DEPTH)
+        return ERR_DEPTH;
+    init_node(&nodes[0], 0, search->x0, search->y0, NAN, NAN);
+    for (rollout = 0; rollout < search->n_rollouts; rollout++) {
+        int32_t row = 0;
+        int length = 0, i;
+        double value;
+        for (;;) {
+            Node *node = &nodes[row];
+            int action = 0, a;
+            int32_t child_row;
+            if (node->total) {
+                /* PUCT: q + c * p * sqrt(total) / (1 + n); a strict > keeps
+                 * ties at the lowest index. */
+                double scale = sqrt((double)node->total);
+                double best = node->mean[0] + c_puct * node->prior[0] * scale / (double)(node->n[0] + 1);
+                for (a = 1; a < N_ACTIONS; a++) {
+                    double score = node->mean[a] + c_puct * node->prior[a] * scale / (double)(node->n[a] + 1);
+                    if (score > best) {
+                        best = score;
+                        action = a;
+                    }
+                }
+            } else {
+                /* The first rollout through the node: with every q 0 and
+                 * scale 1 the pick is the first argmax of c_puct * prior. */
+                double best;
+                if (goal_prior(node->x, node->y, goals + 6 * node->depth, kappa, node->prior))
+                    return ERR_OVERFLOW;
+                best = c_puct * node->prior[0];
+                for (a = 1; a < N_ACTIONS; a++) {
+                    if (c_puct * node->prior[a] > best) {
+                        best = c_puct * node->prior[a];
+                        action = a;
+                    }
+                }
+            }
+            path_rows[length] = row;
+            path_actions[length] = action;
+            length++;
+            child_row = node->children[action];
+            if (child_row < 0) {
+                /* Expand: the world's move, then what arriving there means. */
+                const int32_t depth = node->depth + 1;
+                const double *goal = goals + 6 * (depth - 1);
+                double x = node->x + moves[2 * action], y = node->y + moves[2 * action + 1], px, py;
+                double terminal_value = NAN, stop_value = NAN;
+                if (x < 0.0)
+                    x = 0.0;
+                else if (x > max_x)
+                    x = max_x;
+                if (y < 0.0)
+                    y = 0.0;
+                else if (y > max_y)
+                    y = max_y;
+                if (isnan(x) || isnan(y))
+                    return ERR_NAN_POS;
+                px = floor(x + 0.5);
+                py = floor(y + 0.5);
+                if (!isnan(goal[0]) && goal[2] <= px && px <= goal[3] && goal[4] <= py && py <= goal[5]) {
+                    value = terminal_value = stop_value = search->goal_value;
+                } else if (occ[((int64_t)depth - 1) * height * width + (int64_t)py * width + (int64_t)px]) {
+                    value = terminal_value = stop_value = search->death_value;
+                } else {
+                    value = 0.0;
+                    if (beta != 0.0 && !isnan(goal[0])) {
+                        if (search->diag == 0.0)
+                            return ERR_ZERO_DIV;
+                        value = -beta * search->hypot(x - goal[0], y - goal[1]) / search->diag;
+                    }
+                    if (depth >= k)
+                        stop_value = value;
+                }
+                init_node(&nodes[count], depth, x, y, terminal_value, stop_value);
+                node->children[action] = (int32_t)count++;
+                break;
+            }
+            if (!isnan(nodes[child_row].stop_value)) {
+                value = nodes[child_row].stop_value;
+                break;
+            }
+            row = child_row;
+        }
+        /* Back up: one visit and the rollout value on every edge of the path. */
+        for (i = 0; i < length; i++) {
+            Node *node = &nodes[path_rows[i]];
+            const int a = path_actions[i];
+            const int64_t visits = node->n[a] + 1;
+            const double summed = node->w[a] + value;
+            node->n[a] = visits;
+            node->w[a] = summed;
+            node->mean[a] = summed / (double)visits;
+            node->total += 1;
+        }
+    }
+    return count;
+}

@@ -8,28 +8,119 @@ predicted frame d-1 (the frame for world time t+d). Node
 selection is PUCT with a goal-directed von-Mises-style prior; the final
 action is sampled from visit counts sharpened by a temperature.
 
+The rollouts run in a C kernel, ``_search.c``, which this module compiles
+with the system C compiler on first import and caches under
+``__pycache__`` next to it, keyed by a hash of the source, the compiler
+command and the interpreter tag.
+
 Results are bit-stable: every float is evaluated in a fixed order, so the
 same inputs give the same tree statistics and the same drawn action.
 """
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import shlex
+import struct
+import subprocess
+import sys
+import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from pathlib import Path
+
+import numpy as np
 
 from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, fold, goal_block
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = (a * math.pi / 4.0 for a in range(N_ACTIONS))
 _UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
-_ZERO_VALUES = (0.0,) * N_ACTIONS
-_ONES = (1,) * N_ACTIONS
-_NO_CHILDREN = (None,) * N_ACTIONS
 MCTS_INT_KEYS = ("n_rollouts", "rollout_length")
+# Both sizes drive work; the kernel's node table has n_rollouts + 1 rows and
+# its rollout path rollout_length entries (MAX_DEPTH in _search.c).
+MAX_ROLLOUTS = 100_000
+MAX_ROLLOUT_LENGTH = 64
+
+_SOURCE = Path(__file__).with_name("_search.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+# One row of the kernel's node table, the layout of its ``Node``; NaN in
+# terminal_value or stop_value stands for None.
+NODE_DTYPE = np.dtype([
+    ("x", "f8"), ("y", "f8"), ("terminal_value", "f8"), ("stop_value", "f8"),
+    ("prior", "f8", N_ACTIONS), ("w", "f8", N_ACTIONS), ("mean", "f8", N_ACTIONS),
+    ("n", "i8", N_ACTIONS), ("total", "i8"), ("children", "i4", N_ACTIONS), ("depth", "i4"),
+], align=True)
+# The kernel's ``Search``: node table and hypot addresses, four sizes, eight
+# reals and the moves, then six reals per depth (one pack, one cheap call).
+_SEARCH_HEAD = f"PP4q8d{2 * N_ACTIONS}d"
+
+
+def _command(target: str) -> list[str]:
+    """The compiler command that builds the kernel into ``target``.
+
+    No contraction into fused multiply-adds and no fast-math: the kernel
+    keeps the bits of IEEE arithmetic evaluated in source order.
+    """
+    return ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", target, str(_SOURCE), "-lm"]
+
+
+def _compile(command: list[str]) -> None:
+    """Run the compiler ``command``; an ImportError names it and gives its output."""
+    try:
+        done = subprocess.run(command, capture_output=True, text=True)
+    except OSError as exc:
+        raise ImportError(f"cannot build the search kernel: {shlex.join(command)}: {exc}") from exc
+    if done.returncode:
+        raise ImportError(f"cannot build the search kernel: {shlex.join(command)} exited with "
+                          f"{done.returncode}:\n{done.stderr}")
+
+
+def _load_kernel(cache: Path = _CACHE):
+    """The kernel's search function, compiled into ``cache`` unless built there before.
+
+    Concurrent first loads each compile to their own temporary name and move
+    it into place with ``os.replace``, so every process loads a whole object.
+    """
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(repr((source, _command(""), sys.implementation.cache_tag)).encode()).hexdigest()[:16]
+    target = cache / f"_search.{sys.implementation.cache_tag}-{key}.so"
+    if not target.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=cache)
+        os.close(fd)
+        try:
+            _compile(_command(tmp))
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    library = ctypes.CDLL(str(target))
+    node_size = library.lanenav_node_size
+    node_size.restype = ctypes.c_int64
+    node_size.argtypes = ()
+    if node_size() != NODE_DTYPE.itemsize:
+        raise ImportError(f"{target}: node size {node_size()}, NODE_DTYPE {NODE_DTYPE.itemsize}")
+    search = library.lanenav_search
+    search.restype = ctypes.c_int64
+    search.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+    return search
+
+
+_kernel = _load_kernel()
+# Python's own hypot, which the shaping term calls: CPython's differs from libm's.
+_hypot = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)(math.hypot)
+_HYPOT_ADDRESS = ctypes.cast(_hypot, ctypes.c_void_p).value
+# Negative kernel returns: the error Python's own arithmetic raised there.
+_KERNEL_ERRORS = {
+    -1: (OverflowError, "math range error"),
+    -2: (ZeroDivisionError, "float division by zero"),
+    -3: (ValueError, "cannot convert float NaN to integer"),
+    -4: (ValueError, f"rollout_length must be in 1..{MAX_ROLLOUT_LENGTH}"),
+}
 
 
 @dataclass(frozen=True)
@@ -49,12 +140,14 @@ class MCTSConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in MCTS_INT_KEYS:
+        for name, bound in zip(MCTS_INT_KEYS, (MAX_ROLLOUTS, MAX_ROLLOUT_LENGTH)):
             value = getattr(self, name)
             if type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1")
+            if value > bound:
+                raise ConfigError(f"{name} must be <= {bound}, got {value!r}")
         for name in ("temperature", "c_puct", "prior_kappa", "death_value", "goal_value", "shaping_beta"):
             value = getattr(self, name)
             if not finite(value):
@@ -68,44 +161,74 @@ class MCTSConfig:
 
 
 class SearchNode:
-    """One tree node: per-action edge statistics in 8-slot sequences.
+    """Read-only view of one row of a search's node table.
 
-    ``den`` holds 1 + the visit count of each action and ``n`` is derived
-    from it; ``w`` holds summed values, ``total`` is the node's visit count,
-    ``mean`` is w/n (0.0 while unvisited). ``prior`` and ``cp``
-    (c_puct * prior) are set when a rollout first selects from the node, and
-    the node gets its own statistics lists then; until that it shares
-    read-only all-zero ones, with a uniform prior. ``stop_value`` is the
-    value backed up when a rollout reaches the node: its terminal value, or
-    its leaf value at the rollout horizon; None for an interior node.
+    ``n`` and ``w`` hold each action's visit count and summed value,
+    ``total`` the node's visit count, ``q(a)`` the mean w / n (0.0 while
+    unvisited). ``prior`` is set when a rollout first selects from the node;
+    until then it reads uniform, and the statistics read zero. ``stop_value``
+    is the value backed up when a rollout reaches the node: its terminal
+    value, or its leaf value at the rollout horizon; None for an interior
+    node. ``children`` holds the child of each action, None where no rollout
+    has taken it.
     """
 
-    __slots__ = ("depth", "x", "y", "terminal_value", "stop_value", "prior", "cp",
-                 "w", "children", "total", "mean", "den")
+    __slots__ = ("_table", "_row")
 
-    def __init__(self, depth: int, x: float, y: float,
-                 terminal_value: float | None = None, stop_value: float | None = None) -> None:
-        self.depth = depth
-        self.x = x
-        self.y = y
-        self.terminal_value = terminal_value
-        self.stop_value = stop_value
-        self.prior: list[float] | tuple[float, ...] = _UNIFORM
-        self.cp: list[float] | tuple[float, ...] = _UNIFORM
-        self.w: list[float] | tuple[float, ...] = _ZERO_VALUES
-        self.children: list[SearchNode | None] | tuple[None, ...] = _NO_CHILDREN
-        self.mean: list[float] | tuple[float, ...] = _ZERO_VALUES
-        self.den: list[int] | tuple[int, ...] = _ONES
-        self.total = 0
+    def __init__(self, table: np.ndarray, row: int) -> None:
+        self._table = table
+        self._row = row
+
+    def _field(self, name: str):
+        return self._table[name][self._row]
+
+    def _optional(self, name: str) -> float | None:
+        value = float(self._field(name))
+        return None if math.isnan(value) else value
+
+    @property
+    def depth(self) -> int:
+        return int(self._field("depth"))
+
+    @property
+    def x(self) -> float:
+        return float(self._field("x"))
+
+    @property
+    def y(self) -> float:
+        return float(self._field("y"))
+
+    @property
+    def terminal_value(self) -> float | None:
+        return self._optional("terminal_value")
+
+    @property
+    def stop_value(self) -> float | None:
+        return self._optional("stop_value")
+
+    @property
+    def prior(self) -> list[float]:
+        return self._field("prior").tolist()
+
+    @property
+    def w(self) -> list[float]:
+        return self._field("w").tolist()
 
     @property
     def n(self) -> list[int]:
-        """Visit count of each action."""
-        return [d - 1 for d in self.den]
+        return self._field("n").tolist()
+
+    @property
+    def total(self) -> int:
+        return int(self._field("total"))
+
+    @property
+    def children(self) -> list[SearchNode | None]:
+        return [None if row < 0 else SearchNode(self._table, row) for row in self._field("children").tolist()]
 
     def q(self, action: int) -> float:
-        visits = self.den[action] - 1
-        return self.w[action] / visits if visits else 0.0
+        # The kernel's w / n, written at the action's last visit.
+        return float(self._field("mean")[action])
 
 
 def goal_prior(
@@ -141,6 +264,15 @@ def goal_prior(
     return [w0 / total, w1 / total, w2 / total, w3 / total, w4 / total, w5 / total, w6 / total, w7 / total]
 
 
+@lru_cache(maxsize=16)
+def _moves(agent_speed: float) -> tuple[float, ...]:
+    """(dx, dy) of each action, flat."""
+    return tuple(v for a in range(N_ACTIONS) for v in action_to_velocity(a, agent_speed))
+
+
+_NO_GOAL = (math.nan,) * 6
+
+
 def run_search(
     agent_pos: tuple[float, float],
     frames: tuple[PredictedFrame, ...],
@@ -148,147 +280,46 @@ def run_search(
     agent_speed: float,
     goal_size: int = 2,
 ) -> SearchNode:
-    """Build and fill the search tree; returns the root with its statistics.
+    """Build and fill the search tree; returns a view of the root.
 
     Each rollout descends by PUCT, argmax over a of
     Q(a) + c * P(a) * sqrt(sum N) / (1 + N(a)) with ties to the lowest index
     (an unvisited node takes the exploration scale as 1, so it picks the prior
     argmax), expands one child, and adds one visit and the rollout value to
-    every edge on its path. What reaching a node means, and its prior,
-    depend only on its (depth, x, y), so each is computed once per search
-    for each exact key.
+    every edge on its path. Reaching a node at depth d ends the rollout with
+    the goal value inside the goal block of frame d-1, else with the death
+    value on an occupied cell of it, else, at the horizon, with the leaf
+    value: 0, or with ``shaping_beta`` > 0 minus beta times the distance to
+    frame d-1's goal estimate over the grid diagonal. The first selection
+    from a node reads its ``goal_prior`` toward frame d's goal estimate.
+
+    The loop runs in the C kernel, which fills a table of
+    ``n_rollouts + 1`` nodes, since each rollout adds at most one.
     """
     k = cfg.rollout_length
     if len(frames) < k:
         raise ValueError(f"{len(frames)} predicted frames given, need {k}")
-    height, width = frames[0].occupancy.shape
-    max_x, max_y = float(width - 1), float(height - 1)
-    diag = math.hypot(max_x, max_y)
-    moves = [action_to_velocity(a, agent_speed) for a in range(N_ACTIONS)]
-    occs = [frames[d].occupancy for d in range(k)]
-    goals = [frames[d].goal_estimate for d in range(k)]
-    blocks = [None if goal is None else goal_block(goal, goal_size) for goal in goals]
-    c_puct = cfg.c_puct
-    kappa = cfg.prior_kappa
-    death_value = cfg.death_value
-    goal_value = cfg.goal_value
-    beta = cfg.shaping_beta
-    floor = math.floor
-    sqrt = math.sqrt
-    # Per exact (depth, x, y), computed once per search: the arrival outcome
-    # (terminal_value, stop_value, value backed up on expansion), and the
-    # selection data (prior, c_puct * prior, first pick) of a node selected from.
-    outcomes: dict[tuple[int, float, float], tuple[float | None, float | None, float]] = {}
-    priors: dict[tuple[int, float, float], tuple[list[float], list[float], int]] = {}
-
-    def outcome(depth: int, x: float, y: float) -> tuple[float | None, float | None, float]:
-        # x, y are clamped to >= 0, where round_px(v) is floor(v + 0.5).
-        px, py = floor(x + 0.5), floor(y + 0.5)
-        block = blocks[depth - 1]
-        if block is not None and block[0] <= px <= block[1] and block[2] <= py <= block[3]:
-            return goal_value, goal_value, goal_value
-        if occs[depth - 1][py, px]:
-            return death_value, death_value, death_value
-        value = 0.0
-        if beta != 0.0:
-            goal = goals[depth - 1]
-            if goal is not None:
-                value = -beta * math.hypot(x - goal[0], y - goal[1]) / diag
-        return None, (value if depth >= k else None), value
-
-    def selection(depth: int, x: float, y: float) -> tuple[list[float], list[float], int]:
-        prior = goal_prior((x, y), goals[depth], kappa)
-        cp = [c_puct * p for p in prior]
-        # With no visits the exploration scale is 1 and every q is 0, so the
-        # first PUCT pick is the argmax of c_puct * prior, ties to the lowest.
-        return prior, cp, cp.index(max(cp))
-
-    root = SearchNode(0, agent_pos[0], agent_pos[1])
-
-    for _ in range(cfg.n_rollouts):
-        node = root
-        path = []
-        while True:
-            total = node.total
-            if total:
-                # PUCT; mean and den hold q and 1 + n, so every action, visited
-                # or not, is q + c * p * scale / (1 + n) in the same float order.
-                # Written out over the 8 actions; a strict > keeps ties at the
-                # lowest index.
-                m0, m1, m2, m3, m4, m5, m6, m7 = node.mean
-                c0, c1, c2, c3, c4, c5, c6, c7 = node.cp
-                d0, d1, d2, d3, d4, d5, d6, d7 = node.den
-                scale = sqrt(total)
-                best = m0 + c0 * scale / d0
-                action = 0
-                value = m1 + c1 * scale / d1
-                if value > best:
-                    best, action = value, 1
-                value = m2 + c2 * scale / d2
-                if value > best:
-                    best, action = value, 2
-                value = m3 + c3 * scale / d3
-                if value > best:
-                    best, action = value, 3
-                value = m4 + c4 * scale / d4
-                if value > best:
-                    best, action = value, 4
-                value = m5 + c5 * scale / d5
-                if value > best:
-                    best, action = value, 5
-                value = m6 + c6 * scale / d6
-                if value > best:
-                    best, action = value, 6
-                if m7 + c7 * scale / d7 > best:
-                    action = 7
-            else:
-                # The first rollout through the node.
-                key = (node.depth, node.x, node.y)
-                known = priors.get(key)
-                if known is None:
-                    known = priors[key] = selection(*key)
-                node.prior, node.cp, action = known
-                node.w = [0.0] * N_ACTIONS
-                node.children = [None] * N_ACTIONS
-                node.mean = [0.0] * N_ACTIONS
-                node.den = [1] * N_ACTIONS
-            path.append((node, action))
-            child = node.children[action]
-            if child is None:
-                # The world's ``move``, spelled out because the builtin calls of
-                # its min(max(v, 0), max) cost more than the comparisons.
-                dx, dy = moves[action]
-                nx = node.x + dx
-                if nx < 0.0:
-                    nx = 0.0
-                elif nx > max_x:
-                    nx = max_x
-                ny = node.y + dy
-                if ny < 0.0:
-                    ny = 0.0
-                elif ny > max_y:
-                    ny = max_y
-                depth = node.depth + 1
-                key = (depth, nx, ny)
-                known = outcomes.get(key)
-                if known is None:
-                    known = outcomes[key] = outcome(depth, nx, ny)
-                terminal_value, stop_value, value = known
-                node.children[action] = SearchNode(depth, nx, ny, terminal_value, stop_value)
-                break
-            value = child.stop_value
-            if value is not None:
-                break
-            node = child
-        for node, action in path:
-            den = node.den
-            visits = den[action]  # 1 + n before this visit, n after it
-            den[action] = visits + 1
-            w = node.w
-            w[action] = summed = w[action] + value
-            node.mean[action] = summed / visits
-            node.total += 1
-    return root
+    shape = frames[0].occupancy.shape
+    occupancy = []
+    goals: list[float] = []
+    for frame in frames[:k]:
+        occ = np.asarray(frame.occupancy, dtype=bool)
+        if occ.shape != shape or not occ.size:
+            raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {occ.shape}")
+        occupancy.append(occ.tobytes())
+        goal = frame.goal_estimate
+        goals.extend(_NO_GOAL if goal is None else (goal[0], goal[1], *goal_block(goal, goal_size)))
+    height, width = shape
+    buffer = ctypes.create_string_buffer((cfg.n_rollouts + 1) * NODE_DTYPE.itemsize)
+    search = struct.pack(_SEARCH_HEAD + f"{len(goals)}d", ctypes.addressof(buffer), _HYPOT_ADDRESS,
+                         cfg.n_rollouts, k, height, width, agent_pos[0], agent_pos[1], cfg.c_puct, cfg.prior_kappa,
+                         cfg.death_value, cfg.goal_value, cfg.shaping_beta, math.hypot(width - 1.0, height - 1.0),
+                         *_moves(agent_speed), *goals)
+    count = _kernel(search, b"".join(occupancy))
+    if count < 0:
+        error, message = _KERNEL_ERRORS[count]
+        raise error(message)
+    return SearchNode(np.frombuffer(buffer, NODE_DTYPE, count), 0)
 
 
 def select_by_temperature(visits: list[int], temperature: float, rng: np.random.Generator) -> int:

@@ -8,6 +8,7 @@ from conftest import FUZZ_VALUES
 from lanenav import checks, cli
 from lanenav.cli import main
 from lanenav.config import BENCH_KEYS, CELL_KEYS, CONFIG_KEYS, VALIDATE_KEYS
+from lanenav.mcts import MAX_ROLLOUT_LENGTH, MAX_ROLLOUTS
 from lanenav.models import MAX_NOISY_SAMPLES, model_label, split_model_specs
 from lanenav.tracefile import read_trace
 
@@ -133,6 +134,15 @@ class TestBench:
         assert main(["bench", *bench_flags, "--ks", ks, "--episodes", "1"]) == 2
         assert "config error: rollout_length must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["play", "--n-rollouts", str(MAX_ROLLOUTS + 1)], f"n_rollouts must be <= {MAX_ROLLOUTS}"),
+        (["bench", "--ks", f"1,{MAX_ROLLOUT_LENGTH + 1}"], f"rollout_length must be <= {MAX_ROLLOUT_LENGTH}"),
+    ])
+    def test_planner_size_past_the_bound_exit_code(self, tmp_path, argv, message, capsys):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
     @pytest.mark.parametrize("ks", ["abc", "1,3.5", "1,"])
     def test_non_integer_k_exit_code(self, bench_flags, ks, capsys):
         assert main(["bench", *bench_flags, "--ks", ks, "--episodes", "1"]) == 2
@@ -187,6 +197,20 @@ class TestRender:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}:2:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, bound", [("n_rollouts", MAX_ROLLOUTS), ("rollout_length", MAX_ROLLOUT_LENGTH)])
+    def test_render_planner_size_past_the_bound_in_header(self, fast_flags, tmp_path, capsys, key, bound):
+        assert main(["play", *fast_flags, "--trace", "ep.jsonl"]) == 0
+        path = tmp_path / "ep.jsonl"
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["mcts"][key] = bound + 1
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        assert main(["render", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad trace: {path}:1:") and f"{key} must be <= {bound}" in err
+        assert "Traceback" not in err
 
     def test_render_non_utf8_trace_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "ep.jsonl"

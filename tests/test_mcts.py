@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lanenav.mcts import (
+    MAX_ROLLOUT_LENGTH,
+    MAX_ROLLOUTS,
     MCTSConfig,
     goal_prior,
     plan_action,
@@ -14,7 +16,7 @@ from lanenav.mcts import (
 )
 from lanenav.models import PredictedFrame, oracle_predict
 from lanenav.seeding import make_rng
-from lanenav.world import WorldConfig, action_to_velocity, move, new_episode, round_px
+from lanenav.world import ConfigError, WorldConfig, action_to_velocity, move, new_episode, round_px
 
 
 def rollout_from_masks(masks, goals=None) -> tuple[PredictedFrame, ...]:
@@ -509,6 +511,12 @@ class TestConfigValidation:
 
     def test_zero_c_puct_accepted(self):
         MCTSConfig(c_puct=0.0).validate()
+
+    @pytest.mark.parametrize("field, bound", [("n_rollouts", MAX_ROLLOUTS), ("rollout_length", MAX_ROLLOUT_LENGTH)])
+    def test_size_bound_at_limit_and_one_past(self, field, bound):
+        assert getattr(MCTSConfig(**{field: bound}), field) == bound
+        with pytest.raises(ConfigError, match=f"^{field} must be <= {bound}, got {bound + 1}$"):
+            MCTSConfig(**{field: bound + 1})
 
     def test_search_rejects_bad_config(self):
         with pytest.raises(ValueError):
