@@ -16,6 +16,10 @@ report is the median and the quartiles over repeats, in microseconds per
 call. Layers:
 
 * ``world.world_step``: one step of a warmed-up world;
+* ``world.world_step.bound``: one step of a world warmed up at every
+  ``MAX_*`` bound (128 x 128 grid, 128 lanes, 32 arrivals per step, 5000
+  warm-up steps, goal speed 128) with bodies of 1-2 cells, about 4000 bodies;
+  the world is built once per tree and steps on from batch to batch;
 * ``world.new_episode``: lane draw, the 48-step warm-up and placement;
 * ``world.render_frame``: the palette frame of a warmed-up world;
 * ``tracefile.frame_to_rle`` and ``tracefile.rle_to_frame``: one frame;
@@ -130,7 +134,7 @@ def layer_cases(lib: SimpleNamespace) -> dict:
     """Name -> (batch function, calls per batch, setup or None), on the library ``lib``."""
     WorldConfig, Timeline, MCTSConfig = lib.world.WorldConfig, lib.world.Timeline, lib.mcts.MCTSConfig
     new_episode, render_frame, world_step = lib.world.new_episode, lib.world.render_frame, lib.world.world_step
-    clone_state, run_search, verify_replay = lib.world.clone_state, lib.mcts.run_search, lib.harness.verify_replay
+    run_search, verify_replay = lib.mcts.run_search, lib.harness.verify_replay
     frame_to_rle, rle_to_frame = lib.tracefile.frame_to_rle, lib.tracefile.rle_to_frame
     frame_to_rgb = lib.ppm.frame_to_rgb
     seeds = [lib.seeding.episode_seed(1, i) for i in range(8)]
@@ -150,13 +154,20 @@ def layer_cases(lib: SimpleNamespace) -> dict:
         if not all(verify_replay(r) for r in records):
             raise RuntimeError("a random-agent episode failed its replay")
 
-    def step_batch(clones):
-        for state in clones:
+    def step_batch(fresh):
+        for state in fresh:
             for _ in range(steps):
                 world_step(state)
 
+    bound = bound_world(lib)
+
+    def bound_batch(_):
+        for _ in range(steps):
+            world_step(bound)
+
     cases = {
-        "world.world_step": (step_batch, steps * len(states), lambda: [clone_state(s) for s in states]),
+        "world.world_step": (step_batch, steps * len(states), lambda: [new_episode(cfg, seed) for seed in seeds]),
+        "world.world_step.bound": (bound_batch, steps, None),
         "world.new_episode": (lambda _: [new_episode(cfg, seed) for seed in seeds], len(seeds), None),
         "world.render_frame": (lambda _: [render_frame(s) for s in states], len(states), None),
         "tracefile.frame_to_rle": (lambda _: [frame_to_rle(f) for f in frames], len(frames), None),
@@ -187,6 +198,18 @@ def layer_cases(lib: SimpleNamespace) -> dict:
             len(observations), None)
     cases["harness.verify_replay"] = (replay_batch, sum(len(r.trace) for r in records), None)
     return cases
+
+
+def bound_world(lib: SimpleNamespace):
+    """A world at every ``MAX_*`` bound of ``WorldConfig`` with short bodies, past its warm-up."""
+    world = lib.world
+    classes = tuple(world.ObstacleClass(c.class_id, c.mean_speed, c.speed_jitter, mean_length=1.5, length_jitter=0.5)
+                    for c in world.DEFAULT_CLASSES)
+    cfg = world.WorldConfig(grid_h=world.MAX_GRID, grid_w=world.MAX_GRID, warmup_steps=world.MAX_WARMUP_STEPS,
+                            goal_speed=world.MAX_GOAL_SPEED, lane_rows=tuple(range(world.MAX_GRID)),
+                            level=world.MAX_ARRIVALS / world.MAX_GRID, spawn_base_rate=1.0,
+                            obstacle_classes=classes)
+    return world.new_episode(cfg, lib.seeding.episode_seed(1, 0))
 
 
 def src_lines(suffix: str = ".py") -> int:

@@ -8,10 +8,9 @@ predicted frame d-1 (the frame for world time t+d). Node
 selection is PUCT with a goal-directed von-Mises-style prior; the final
 action is sampled from visit counts sharpened by a temperature.
 
-The rollouts run in a C kernel, ``_search.c``, which this module compiles
-with the system C compiler on first import and caches under
-``__pycache__`` next to it, keyed by a hash of the source, the compiler
-command and the interpreter tag.
+The rollouts run in a C kernel, ``_search.c``, which ``kernel`` compiles
+with the system C compiler on first import, into the package's one cached
+shared object.
 
 Results are bit-stable: every float is evaluated in a fixed order, so the
 same inputs give the same tree statistics and the same drawn action.
@@ -19,22 +18,16 @@ same inputs give the same tree statistics and the same drawn action.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
-import os
-import shlex
 import struct
-import subprocess
-import sys
-import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 
+from .kernel import library
 from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, fold, goal_block
 
 _A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = (a * math.pi / 4.0 for a in range(N_ACTIONS))
@@ -45,8 +38,6 @@ MCTS_INT_KEYS = ("n_rollouts", "rollout_length")
 MAX_ROLLOUTS = 100_000
 MAX_ROLLOUT_LENGTH = 64
 
-_SOURCE = Path(__file__).with_name("_search.c")
-_CACHE = Path(__file__).with_name("__pycache__")
 # One row of the kernel's node table, the layout of its ``Node``; NaN in
 # terminal_value or stop_value stands for None.
 NODE_DTYPE = np.dtype([
@@ -59,58 +50,20 @@ NODE_DTYPE = np.dtype([
 _SEARCH_HEAD = f"PP4q8d{2 * N_ACTIONS}d"
 
 
-def _command(target: str) -> list[str]:
-    """The compiler command that builds the kernel into ``target``.
-
-    No contraction into fused multiply-adds and no fast-math: the kernel
-    keeps the bits of IEEE arithmetic evaluated in source order.
-    """
-    return ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", target, str(_SOURCE), "-lm"]
-
-
-def _compile(command: list[str]) -> None:
-    """Run the compiler ``command``; an ImportError names it and gives its output."""
-    try:
-        done = subprocess.run(command, capture_output=True, text=True)
-    except OSError as exc:
-        raise ImportError(f"cannot build the search kernel: {shlex.join(command)}: {exc}") from exc
-    if done.returncode:
-        raise ImportError(f"cannot build the search kernel: {shlex.join(command)} exited with "
-                          f"{done.returncode}:\n{done.stderr}")
-
-
-def _load_kernel(cache: Path = _CACHE):
-    """The kernel's search function, compiled into ``cache`` unless built there before.
-
-    Concurrent first loads each compile to their own temporary name and move
-    it into place with ``os.replace``, so every process loads a whole object.
-    """
-    source = _SOURCE.read_bytes()
-    key = hashlib.sha256(repr((source, _command(""), sys.implementation.cache_tag)).encode()).hexdigest()[:16]
-    target = cache / f"_search.{sys.implementation.cache_tag}-{key}.so"
-    if not target.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=cache)
-        os.close(fd)
-        try:
-            _compile(_command(tmp))
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    library = ctypes.CDLL(str(target))
+def _search_function():
+    """The kernel's search function, after checking its node layout against ``NODE_DTYPE``."""
     node_size = library.lanenav_node_size
     node_size.restype = ctypes.c_int64
     node_size.argtypes = ()
     if node_size() != NODE_DTYPE.itemsize:
-        raise ImportError(f"{target}: node size {node_size()}, NODE_DTYPE {NODE_DTYPE.itemsize}")
+        raise ImportError(f"{library._name}: node size {node_size()}, NODE_DTYPE {NODE_DTYPE.itemsize}")
     search = library.lanenav_search
     search.restype = ctypes.c_int64
     search.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
     return search
 
 
-_kernel = _load_kernel()
+_kernel = _search_function()
 # Python's own hypot, which the shaping term calls: CPython's differs from libm's.
 _hypot = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)(math.hypot)
 _HYPOT_ADDRESS = ctypes.cast(_hypot, ctypes.c_void_p).value

@@ -43,7 +43,6 @@ from .world import (
     clone_state,
     fold,
     freeze,
-    goal_center_of_frame,
     obstacle_occupancy,
     predicted_frame,
     reflect_axis,
@@ -286,10 +285,10 @@ def prediction_error(predicted: PredictedFrame, truth: np.ndarray) -> ErrorMap:
     """FN/FP masks plus goal distance between predicted and true centers."""
     if predicted.occupancy.shape != truth.shape:
         raise ValueError("predicted and true frames have different shapes")
-    truth_obst = obstacle_occupancy(truth)
-    fn = truth_obst & ~predicted.occupancy
-    fp = predicted.occupancy & ~truth_obst
-    goal = goal_center_of_frame(truth)
+    true = predicted_frame(truth)
+    fn = true.occupancy & ~predicted.occupancy
+    fp = predicted.occupancy & ~true.occupancy
+    goal = true.goal_estimate
     pred_goal = predicted.goal_estimate
     goal_err = None
     if goal is not None and pred_goal is not None:

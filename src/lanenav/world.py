@@ -12,7 +12,7 @@ body with the columns ``HEAD``, ``SPEED``, ``LEN1`` (length - 1) and ``LANE``.
 One engine, ``world_step``, moves, removes and spawns on the whole table,
 then moves the goal; the warm-up of ``new_episode`` is ``warmup_steps``
 calls of it. Body cell i sits at column ``round_px(head - i)``,
-i = 0..length-1, and ``_body_cells`` is the only place that rule is applied:
+i = 0..length-1, and the rasterizer is the only place that rule is applied:
 the frame and the agent's free start cell read it, and the agent's collision
 reads the frame. At an exact half-pixel tie where a body crosses x = 0, the
 cells at 0.5 and -0.5 round to columns 1 and -1, so column 0 stays free
@@ -20,6 +20,18 @@ while the visible run stays contiguous.
 A spawn is rejected only if it overlaps a body of its lane at its spawn step;
 bodies keep their own speeds afterwards, so a faster body overtakes a slower
 one and same-lane bodies may overlap.
+
+The table step, the rasterizer and the reading of a frame into its obstacle
+mask and goal centre run in C (``_world.c``, built by ``kernel`` into the
+package's one shared object). The random draws stay in numpy, made by
+``world_step`` in a fixed order, and so does the goal's motion, through
+``reflect_axis``. The kernels keep the float arithmetic of the former numpy
+code bit for bit: ``round_px`` is ``floor(x + 0.5)``, or ``ceil(x - 0.5)``
+below zero, in double; cell i is ``head - (double)i``; the object is built
+without fused multiply-adds; spawned rows follow the kept rows in lane order,
+then draw order; a goal centre is the integer pixel sums over the count. A
+table row whose lane index is outside the lane table or whose length is NaN
+raises ``ValueError``, so the kernels never index outside a buffer.
 
 World dynamics are action-independent: ``world_step`` never looks at the
 agent, so the frame sequence of an episode is a function of (config, episode
@@ -38,12 +50,15 @@ Coordinates are (x, y) with x the column and y the row; frames are indexed
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import struct
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .kernel import library
 from .seeding import STREAM_CLASS, STREAM_PLACE, STREAM_SPAWN, clone_rng, substream
 
 # Frame palette values.
@@ -290,6 +305,67 @@ HEAD = 0  # x of the largest-x cell; the body covers head - i for i = 0..length-
 SPEED = 1  # signed; the sign matches the lane direction for positive magnitudes
 LEN1 = 2  # length - 1
 LANE = 3  # index into WorldState.lanes
+_ROW_BYTES = 4 * 8
+# Columns of WorldState.lane_table, LEN_LO .. VALUE in _world.c.
+_LANE_COLUMNS = 7
+# _world.c's ``World``: grid height and width, lanes, table rows, rows of its buffer, candidates drawn.
+_SIZES = struct.Struct("6q")
+# _world.c's ``FrameRead`` before its mask: the goal pixels' column and row sums.
+_READ_HEAD = struct.Struct("2q")
+_BUFFER_TYPES: dict[int, type] = {}
+
+
+def _kernel_function(name: str, arguments: int):
+    """A kernel of ``_world.c``: every argument is a pointer, given as a bytes object or a ctypes buffer."""
+    function = getattr(library, name)
+    function.restype = ctypes.c_int64
+    function.argtypes = (ctypes.c_char_p,) * arguments
+    return function
+
+
+_step = _kernel_function("lanenav_world_step", 5)
+_rasterize_kernel = _kernel_function("lanenav_rasterize", 4)
+_read_frame = _kernel_function("lanenav_read_frame", 3)
+# Negative kernel returns, the ERR_* of _world.c.
+_KERNEL_ERRORS = {
+    -1: (ValueError, "obstacle table: a lane index outside the lane table, or not a whole number"),
+    -2: (ValueError, "obstacle table: a LEN1 that is NaN or outside 0..2147483647"),
+    -3: (ValueError, "a lane row outside the grid"),
+    -4: (ValueError, "spawn counts past the uniforms or rows given"),
+    -5: (MemoryError, "world step"),
+}
+
+
+def _check(code: int) -> int:
+    if code < 0:
+        error, message = _KERNEL_ERRORS[code]
+        raise error(message)
+    return code
+
+
+def _zeroed(size: int) -> ctypes.Array:
+    """A zeroed ctypes buffer of ``size`` bytes; its type is made once per size."""
+    kind = _BUFFER_TYPES.get(size)
+    if kind is None:
+        kind = _BUFFER_TYPES[size] = ctypes.c_char * size
+    return kind()
+
+
+def _table(state: "WorldState") -> bytes | ctypes.Array:
+    """The state's obstacle table as the kernels read it: the buffer ``world_step`` keeps it in, or a checked copy."""
+    table = state.obstacles
+    if table is state._view:
+        return state._buffer
+    if table.dtype != np.float64 or table.shape[1:] != (4,):
+        raise ValueError(f"the obstacle table is a float64 (bodies, 4) array, got {table.dtype} {table.shape}")
+    return table.tobytes()
+
+
+def _sizes(state: "WorldState", capacity: int = 0, drawn: int = 0) -> bytes:
+    """The kernels' ``World`` for ``state``; the lane count is that of the packed lane table they read."""
+    cfg = state.config
+    return _SIZES.pack(cfg.grid_h, cfg.grid_w, len(state.lane_table) // (8 * _LANE_COLUMNS), len(state.obstacles),
+                       capacity, drawn)
 
 
 @dataclass
@@ -306,19 +382,27 @@ class WorldState:
     spawn_draws: int = 0  # raw Poisson total, before overlap rejection
 
     def __post_init__(self) -> None:
-        # Lookups between lanes and pixel rows for the rasterizer; lanes never change.
-        self.lane_row = np.array([lane.row for lane in self.lanes], dtype=np.intp)
-        self.lane_value = np.array([lane.class_id for lane in self.lanes], dtype=np.uint8)
-        # Per lane, what a spawn draws from: length low and range, speed
-        # magnitude low and range (Generator.uniform's low and high - low), and
-        # the direction. The first class with the lane's id wins.
+        # The kernels' lane table, packed once: lanes never change. Per lane,
+        # what a spawn draws from (length low and range, speed magnitude low
+        # and range: Generator.uniform's low and high - low), the direction,
+        # the pixel row and the palette value. The first class with the
+        # lane's id wins.
         classes = {cls.class_id: cls for cls in reversed(self.config.obstacle_classes)}
-        self.lane_draw = []
+        rows = []
         for lane in self.lanes:
             cls = classes[lane.class_id]
             len_lo, len_hi = cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter
             speed_lo, speed_hi = cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter
-            self.lane_draw.append((len_lo, len_hi - len_lo, speed_lo, speed_hi - speed_lo, lane.direction))
+            rows.append((len_lo, len_hi - len_lo, speed_lo, speed_hi - speed_lo, lane.direction, lane.row,
+                         lane.class_id))
+        self.lane_table = struct.pack(f"{_LANE_COLUMNS * len(rows)}d", *(v for row in rows for v in row))
+        # world_step keeps the table in a buffer of its own: _rows views all
+        # of the buffer's rows, _view the first ones, which it left in obstacles.
+        self._buffer = self._rows = self._view = None
+
+    def __getstate__(self) -> dict:
+        # A copy or a pickle keeps the table's rows, not the buffer they sit in.
+        return {**self.__dict__, "_buffer": None, "_rows": None, "_view": None}
 
 
 def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
@@ -347,39 +431,26 @@ def world_step(state: WorldState) -> None:
     both, whether it is accepted or not. A candidate is rejected if its pixel
     span overlaps the span of a body of its lane, including earlier
     candidates of the step.
+
+    The table is stepped in place, in a buffer the state keeps, and
+    ``obstacles`` is then a view of its rows: an array taken from
+    ``obstacles`` before the step does not keep the old rows, so copy it.
     """
     cfg = state.config
-    grid_w = cfg.grid_w
-    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=len(state.lanes)).tolist()
-    drawn = sum(counts)
+    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=len(state.lanes))
+    drawn = sum(counts.tolist())
+    uniforms = state.class_rng.random(2 * drawn)
+    table = _table(state)
+    rows = len(state.obstacles)
+    if table is not state._buffer or rows + drawn > len(state._rows):
+        capacity = 2 * (rows + drawn) + 16
+        state._buffer = _zeroed(capacity * _ROW_BYTES)
+        ctypes.memmove(state._buffer, table, rows * _ROW_BYTES)
+        state._rows = np.frombuffer(state._buffer, np.float64).reshape(capacity, 4)
+    rows = _check(_step(_sizes(state, len(state._rows), drawn), state.lane_table,
+                        counts.astype(np.int64, copy=False).tobytes(), uniforms.tobytes(), state._buffer))
+    state.obstacles = state._view = state._rows[:rows]
     state.spawn_draws += drawn
-    u = iter(state.class_rng.random(2 * drawn).tolist())
-    table = state.obstacles
-    heads = table[:, HEAD]
-    heads += table[:, SPEED]
-    # Keep a body while round_px(head) >= 0 and round_px(tail) < grid_w, as
-    # exact float comparisons: one of its cells is still on the grid.
-    table = table.compress((heads - 0.5 > -1.0) & (heads - table[:, LEN1] + 0.5 < grid_w), axis=0)
-    spawned = []
-    for lane, k in enumerate(counts):
-        if not k:
-            continue
-        len_lo, len_range, speed_lo, speed_range, direction = state.lane_draw[lane]
-        spans = []
-        for head, _, len1, _ in table.compress(table[:, LANE] == lane, axis=0).tolist():
-            hi = round_px(head)
-            spans.append((hi - int(len1), hi))
-        for _ in range(k):
-            length = max(1, round_px(len_lo + len_range * next(u)))
-            speed = direction * (speed_lo + speed_range * next(u))
-            # Left-to-right bodies enter with the head on column 0; right-to-left
-            # ones with the leading (smallest-x) cell on the right edge.
-            head = 0 if direction == LEFT_TO_RIGHT else grid_w - 1 + length - 1
-            lo = head - length + 1
-            if all(hi < lo or head < other_lo for other_lo, hi in spans):
-                spans.append((lo, head))
-                spawned.append((head, speed, length - 1, lane))
-    state.obstacles = np.concatenate((table, spawned)) if spawned else table
 
     goal = state.goal
     hi_x = float(cfg.grid_w - cfg.goal_size)
@@ -405,28 +476,21 @@ def goal_block(center: tuple[float, float], goal_size: int) -> tuple[int, int, i
     return x0, x0 + goal_size - 1, y0, y0 + goal_size - 1
 
 
-def _body_cells(state: WorldState, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Visible cells of the bodies in ``table``: (lane index, column) per cell.
+def _rasterize(state: WorldState) -> np.ndarray:
+    """Frame of the obstacles alone: each body's visible cells painted with its lane's value.
 
     The world's one rasterization rule: body cell i is column
     ``round_px(head - i)`` for i = 0..length-1, kept when it is on the grid.
     """
-    lens = table[:, LEN1].astype(np.intp) + 1
-    body = np.repeat(np.arange(len(table)), lens)
-    first = np.cumsum(lens) - lens
-    cols = round_px_array(table[body, HEAD] - (np.arange(len(body)) - first[body]))
-    keep = (cols >= 0) & (cols < state.config.grid_w)
-    return table[body[keep], LANE].astype(np.intp), cols[keep]
+    cfg = state.config
+    cells = _zeroed(cfg.grid_h * cfg.grid_w)
+    _check(_rasterize_kernel(_sizes(state), state.lane_table, _table(state), cells))
+    return np.frombuffer(cells, np.uint8).reshape(cfg.grid_h, cfg.grid_w)
 
 
 def render_frame(state: WorldState) -> np.ndarray:
     """Palette frame of the world: obstacles then goal on top. No agent."""
-    cfg = state.config
-    cells = np.zeros((cfg.grid_h, cfg.grid_w), dtype=np.uint8)
-    # One batched scatter for all bodies; paint order does not matter
-    # because same-lane obstacles share one class value.
-    lanes, cols = _body_cells(state, state.obstacles)
-    cells[state.lane_row[lanes], cols] = state.lane_value[lanes]
+    cells = _rasterize(state)
     x0, x1, y0, y1 = goal_pixels(state)
     cells[max(y0, 0):y1 + 1, max(x0, 0):x1 + 1] = GOAL
     return cells
@@ -462,10 +526,7 @@ def obstacle_occupancy(frame: np.ndarray) -> np.ndarray:
 
 def goal_center_of_frame(frame: np.ndarray) -> tuple[float, float] | None:
     """Pixel-mass center of the goal, or None if no goal pixel is visible."""
-    rows, cols = np.nonzero(frame == GOAL)
-    if rows.size == 0:
-        return None
-    return float(cols.mean()), float(rows.mean())
+    return predicted_frame(frame).goal_estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,8 +536,22 @@ class PredictedFrame:
 
 
 def predicted_frame(frame: np.ndarray) -> PredictedFrame:
-    """What a perfect model predicts for a true palette frame."""
-    return PredictedFrame(occupancy=obstacle_occupancy(frame), goal_estimate=goal_center_of_frame(frame))
+    """What a perfect model predicts for a true palette frame, read in one pass.
+
+    The obstacle mask is ``obstacle_occupancy``; the goal estimate is the
+    pixel-mass center of the goal pixels, their integer column and row sums
+    over their count, or None without a goal pixel.
+    """
+    if frame.dtype != np.uint8 or frame.ndim != 2:
+        raise ValueError(f"a palette frame is a 2-D uint8 array, got {frame.ndim}-D {frame.dtype}")
+    height, width = frame.shape
+    out = _zeroed(_READ_HEAD.size + height * width)
+    count = _read_frame(_SIZES.pack(height, width, 0, 0, 0, 0), frame.tobytes(), out)
+    occupancy = freeze(np.frombuffer(out, np.bool_, height * width, _READ_HEAD.size).reshape(height, width))
+    if not count:
+        return PredictedFrame(occupancy=occupancy, goal_estimate=None)
+    sum_x, sum_y = _READ_HEAD.unpack_from(out)
+    return PredictedFrame(occupancy=occupancy, goal_estimate=(sum_x / count, sum_y / count))
 
 
 def clone_state(state: WorldState) -> WorldState:
@@ -527,9 +602,7 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
     state.t = 0
     state.spawn_draws = 0
 
-    lanes, cols = _body_cells(state, state.obstacles)
-    occupied = np.zeros((config.grid_h, config.grid_w), dtype=bool)
-    occupied[state.lane_row[lanes], cols] = True
+    occupied = _rasterize(state) != FREE
     if occupied.all():
         raise PlacementError("no obstacle-free pixel for the agent")
     for _ in range(_PLACEMENT_RETRIES):

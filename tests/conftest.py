@@ -8,8 +8,10 @@ from lanenav.mcts import MCTSConfig, goal_prior
 from lanenav.models import _noisy_samples, oracle_predict
 from lanenav.seeding import STREAM_CLASS, STREAM_SPAWN, substream
 from lanenav.world import (
+    GOAL,
     HEAD,
     LANE,
+    LEFT_TO_RIGHT,
     LEN1,
     N_ACTIONS,
     SPEED,
@@ -21,9 +23,12 @@ from lanenav.world import (
     WorldState,
     action_to_velocity,
     goal_block,
+    goal_pixels,
     move,
     outcome_at,
+    reflect_axis,
     render_frame,
+    round_px,
     world_step,
 )
 
@@ -230,6 +235,85 @@ def reference_search(
             node.mean[action] = summed / visits
             node.total += 1
     return root
+
+
+def reference_world_step(state: WorldState) -> None:
+    """The world's former Python step, the oracle of the C step: the same draws, then
+    move, drop and spawn on the table with one table scan per drawing lane, then the goal."""
+    cfg = state.config
+    grid_w = cfg.grid_w
+    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=len(state.lanes)).tolist()
+    drawn = sum(counts)
+    state.spawn_draws += drawn
+    u = iter(state.class_rng.random(2 * drawn).tolist())
+    classes = {cls.class_id: cls for cls in reversed(cfg.obstacle_classes)}
+    table = state.obstacles
+    heads = table[:, HEAD]
+    heads += table[:, SPEED]
+    # Keep a body while round_px(head) >= 0 and round_px(tail) < grid_w, as
+    # exact float comparisons: one of its cells is still on the grid.
+    table = table.compress((heads - 0.5 > -1.0) & (heads - table[:, LEN1] + 0.5 < grid_w), axis=0)
+    spawned = []
+    for lane, k in enumerate(counts):
+        if not k:
+            continue
+        cls, direction = classes[state.lanes[lane].class_id], state.lanes[lane].direction
+        len_lo, len_hi = cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter
+        speed_lo, speed_hi = cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter
+        len_range, speed_range = len_hi - len_lo, speed_hi - speed_lo
+        spans = []
+        for head, _, len1, _ in table.compress(table[:, LANE] == lane, axis=0).tolist():
+            hi = round_px(head)
+            spans.append((hi - int(len1), hi))
+        for _ in range(k):
+            length = max(1, round_px(len_lo + len_range * next(u)))
+            speed = direction * (speed_lo + speed_range * next(u))
+            head = 0 if direction == LEFT_TO_RIGHT else grid_w - 1 + length - 1
+            lo = head - length + 1
+            if all(hi < lo or head < other_lo for other_lo, hi in spans):
+                spans.append((lo, head))
+                spawned.append((head, speed, length - 1, lane))
+    state.obstacles = np.concatenate((table, spawned)) if spawned else table
+
+    goal = state.goal
+    hi_x = float(cfg.grid_w - cfg.goal_size)
+    hi_y = float(cfg.grid_h - cfg.goal_size)
+    goal.x, goal.vx = reflect_axis(goal.x + goal.vx, goal.vx, 0.0, hi_x)
+    goal.y, goal.vy = reflect_axis(goal.y + goal.vy, goal.vy, 0.0, hi_y)
+    state.t += 1
+
+
+def reference_body_cells(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """The world's former rasterizer: (lane index, column) of every visible body cell,
+    cell i of a body at column ``round_px(head - i)``, batched in numpy."""
+    table = state.obstacles
+    lens = table[:, LEN1].astype(np.intp) + 1
+    body = np.repeat(np.arange(len(table)), lens)
+    first = np.cumsum(lens) - lens
+    x = table[body, HEAD] - (np.arange(len(body)) - first[body])
+    cols = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5)).astype(np.int64)
+    keep = (cols >= 0) & (cols < state.config.grid_w)
+    return table[body[keep], LANE].astype(np.intp), cols[keep]
+
+
+def reference_render_frame(state: WorldState) -> np.ndarray:
+    """The world's former ``render_frame``: ``reference_body_cells`` scattered, then the goal."""
+    cfg = state.config
+    cells = np.zeros((cfg.grid_h, cfg.grid_w), dtype=np.uint8)
+    lanes, cols = reference_body_cells(state)
+    lane_row = np.array([lane.row for lane in state.lanes], dtype=np.intp)
+    lane_value = np.array([lane.class_id for lane in state.lanes], dtype=np.uint8)
+    cells[lane_row[lanes], cols] = lane_value[lanes]
+    x0, x1, y0, y1 = goal_pixels(state)
+    cells[max(y0, 0):y1 + 1, max(x0, 0):x1 + 1] = GOAL
+    return cells
+
+
+def reference_predicted_frame(frame: np.ndarray) -> PredictedFrame:
+    """The world's former ``predicted_frame``: the obstacle mask and the goal's pixel-mass center in numpy."""
+    rows, cols = np.nonzero(frame == GOAL)
+    goal = None if rows.size == 0 else (float(cols.mean()), float(rows.mean()))
+    return PredictedFrame(occupancy=(frame >= 1) & (frame <= GOAL - 1), goal_estimate=goal)
 
 
 def obstacle_table(bodies: list[tuple[int, float, int, float]]) -> np.ndarray:

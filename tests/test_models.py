@@ -13,7 +13,6 @@ from lanenav.models import (
     Observation,
     build_model,
     frozen_predict,
-    goal_center_of_frame,
     model_label,
     obstacle_occupancy,
     oracle_predict,
@@ -27,6 +26,7 @@ from lanenav.world import (
     Timeline,
     WorldConfig,
     clone_state,
+    goal_center_of_frame,
     new_episode,
     render_frame,
     world_step,

@@ -1,4 +1,4 @@
-"""The C search kernel against the Python loop it replaced, and its loader.
+"""The C search kernel against the Python loop it replaced, and the loader of the kernels' object.
 
 ``conftest.reference_search`` is the planner's former rollout loop. Every
 node of a kernel tree must carry the bits of the reference node at the same
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_search
-from lanenav import mcts
+from lanenav import kernel
 from lanenav.mcts import MAX_ROLLOUT_LENGTH, MAX_ROLLOUTS, MCTSConfig, goal_prior, run_search
 from lanenav.seeding import make_rng
 from lanenav.world import PredictedFrame
@@ -147,30 +147,35 @@ class TestAgainstReference:
 
 class TestLoader:
     def test_failed_compile_names_the_command(self, tmp_path, monkeypatch):
-        command = mcts._command
-        monkeypatch.setattr(mcts, "_command", lambda target: [*command(target), "-fno-such-option"])
+        command = kernel._command
+        monkeypatch.setattr(kernel, "_command", lambda target: [*command(target), "-fno-such-option"])
         with pytest.raises(ImportError, match="-fno-such-option") as caught:
-            mcts._load_kernel(tmp_path)
+            kernel._load_kernel(tmp_path)
         message = str(caught.value)
-        assert message.startswith("cannot build the search kernel: cc ") and "exited with" in message
+        assert message.startswith("cannot build the C kernels: cc ") and "exited with" in message
+        assert "_search.c" in message and "_world.c" in message
         assert "error" in message.split("\n", 1)[1]  # the compiler's own stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_second_load_reuses_the_object(self, tmp_path, monkeypatch):
-        mcts._load_kernel(tmp_path)
+        library = kernel._load_kernel(tmp_path)
         [built] = tmp_path.iterdir()
         mtime = built.stat().st_mtime_ns
 
         def no_compiler(command):
             raise AssertionError(f"compiled again: {command}")
 
-        monkeypatch.setattr(mcts, "_compile", no_compiler)
-        assert mcts._load_kernel(tmp_path) is not None
+        monkeypatch.setattr(kernel, "_compile", no_compiler)
+        assert kernel._load_kernel(tmp_path) is not None
         assert list(tmp_path.iterdir()) == [built] and built.stat().st_mtime_ns == mtime
+        # One object holds both kernels.
+        for name in ("lanenav_search", "lanenav_world_step", "lanenav_rasterize", "lanenav_read_frame"):
+            assert hasattr(library, name)
 
     def test_concurrent_first_loads_both_succeed(self, tmp_path):
-        code = "import sys; from pathlib import Path; from lanenav import mcts; mcts._load_kernel(Path(sys.argv[1]))"
-        src = str(Path(mcts.__file__).resolve().parent.parent)
+        code = ("import sys; from pathlib import Path; from lanenav import kernel; "
+                "kernel._load_kernel(Path(sys.argv[1]))")
+        src = str(Path(kernel.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         processes = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env,
                                       stderr=subprocess.PIPE, text=True) for _ in range(2)]
@@ -178,4 +183,4 @@ class TestLoader:
             _, err = process.communicate(timeout=120)
             assert process.returncode == 0, err
         [built] = tmp_path.iterdir()
-        assert built.name.startswith("_search.") and built.suffix == ".so"
+        assert built.name.startswith("_kernel.") and built.suffix == ".so"
