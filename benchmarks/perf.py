@@ -28,6 +28,9 @@ call. Layers:
   ``predict`` at t=20 of each timeline, the model built by ``build_model``
   (noisy with its default spec);
 * ``mcts.run_search.k{1,3,10}``: one search on the oracle's prediction at t=0;
+* ``mcts.plan_action.k{1,3,10}``: one planned action on the same inputs, the
+  search then the temperature pick, so that its ratio beside
+  ``run_search``'s shows the cost around the search kernel;
 * ``decision.{oracle,frozen,velocity,noisy}``: the whole path of one planner
   decision at t=20 with the default search (k=3): that model's ``predict``,
   then ``plan_action`` on its prediction;
@@ -185,6 +188,12 @@ def layer_cases(lib: SimpleNamespace) -> dict:
         cases[f"mcts.run_search.k{k}"] = (
             lambda _, search=search: [run_search(a, r, search, cfg.agent_speed, goal_size=cfg.goal_size)
                                       for a, r in zip(agents, rollouts)],
+            len(rollouts), None)
+        rng = lib.seeding.make_rng(0)
+        cases[f"mcts.plan_action.k{k}"] = (
+            lambda _, search=search, rng=rng: [
+                lib.mcts.plan_action(a, r, search, rng, cfg.agent_speed, goal_size=cfg.goal_size)
+                for a, r in zip(agents, rollouts)],
             len(rollouts), None)
     search = MCTSConfig()
     for spec in PREDICT_MODELS:

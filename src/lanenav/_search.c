@@ -1,26 +1,32 @@
-/* The rollout loop of lanenav's PUCT search, over a flat node table.
+/* The rollout loop of lanenav's PUCT search, over a flat node table, and
+ * the temperature pick of the planner's action from the root's visits.
  *
- * mcts.py compiles this file on first import and calls lanenav_search from
- * run_search, which documents the search. The kernel keeps the float
- * arithmetic of the planner bit for bit:
+ * kernel.py compiles this file into the package's kernel object; mcts.py
+ * calls lanenav_search from run_search and lanenav_select from
+ * select_by_temperature and plan_action, which document them. The kernel
+ * keeps the float arithmetic of the planner bit for bit:
  *
  * - every expression is evaluated in the order the Python planner wrote it,
  *   and the file is compiled without contraction into fused multiply-adds;
- * - exp, cos and atan2 come from libm, as they do for Python's math module;
+ * - exp, log, cos and atan2 come from libm, as they do for Python's math
+ *   module;
  * - the shaping term's hypot is Python's own math.hypot, passed in as a
  *   callback, because CPython computes hypot with its own algorithm.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define N_ACTIONS 8
 #define MAX_DEPTH 64 /* mcts.MAX_ROLLOUT_LENGTH */
 
-/* Kernel errors; run_search raises the exception Python's arithmetic would. */
-#define ERR_OVERFLOW (-1)  /* an exp of the prior overflowed: OverflowError */
-#define ERR_ZERO_DIV (-2)  /* shaping on a 1 x 1 grid: ZeroDivisionError */
+/* Kernel errors; mcts.py raises the exception Python's arithmetic would. */
+#define ERR_OVERFLOW (-1)  /* an exp overflowed: OverflowError */
+#define ERR_ZERO_DIV (-2)  /* shaping on a 1 x 1 grid, a zero temperature or no visits: ZeroDivisionError */
 #define ERR_NAN_POS (-3)   /* a move gave a NaN position: ValueError */
 #define ERR_DEPTH (-4)     /* rollout length outside 1..MAX_DEPTH */
+#define ERR_EMPTY (-5)     /* no visit counts to pick from: ValueError */
+#define ERR_MEMORY (-6)
 
 /* One tree node; mcts.NODE_DTYPE spells out the same layout. NaN in
  * terminal_value or stop_value stands for None. */
@@ -39,17 +45,23 @@ typedef struct {
 
 typedef double (*hypot_fn)(double, double);
 
-/* The inputs of one search, packed by mcts.run_search in this order. */
+/* The settings of one search, packed by mcts.run_search in this order. */
 typedef struct {
-    Node *nodes;     /* room for n_rollouts + 1 rows: a rollout adds at most one node */
+    Node *nodes;     /* room for n_rollouts + 1 rows, a rollout adding at most one node, or
+                      * for the full tree of depth k where that is fewer */
     hypot_fn hypot;
     int64_t n_rollouts, k, height, width;
     double x0, y0, c_puct, kappa, death_value, goal_value, beta, diag;
     double moves[2 * N_ACTIONS]; /* (dx, dy) of each action */
-    /* Per depth: the goal estimate (x, y), NaN x for none, then its block
-     * col_lo, col_hi, row_lo, row_hi. */
-    double goals[];
 } Search;
+
+/* One predicted frame, packed by mcts.run_search once per frame: where its
+ * occupancy lies, then its goal estimate (x, y), NaN x for none, and the
+ * estimate's block col_lo, col_hi, row_lo, row_hi. */
+typedef struct {
+    const uint8_t *occ; /* height x width bytes, nonzero where occupied */
+    double goal[6];
+} Frame;
 
 int64_t lanenav_node_size(void) { return (int64_t)sizeof(Node); }
 
@@ -95,15 +107,15 @@ static int goal_prior(double x, double y, const double *goal, double kappa, doub
 }
 
 /* Fill the node table with the tree of the search's rollouts; return the
- * node count, or a negative ERR_*. occ holds k frames of height x width
- * bytes, nonzero where occupied. */
-int64_t lanenav_search(const Search *search, const uint8_t *occ)
+ * node count, or a negative ERR_*. frames holds the k frames of depths
+ * 1..k. */
+int64_t lanenav_search(const Search *search, const Frame *frames)
 {
     Node *const nodes = search->nodes;
-    const int64_t k = search->k, height = search->height, width = search->width;
-    const double *const goals = search->goals, *const moves = search->moves;
+    const int64_t k = search->k, width = search->width;
+    const double *const moves = search->moves;
     const double c_puct = search->c_puct, kappa = search->kappa, beta = search->beta;
-    const double max_x = (double)(width - 1), max_y = (double)(height - 1);
+    const double max_x = (double)(width - 1), max_y = (double)(search->height - 1);
     int32_t path_rows[MAX_DEPTH];
     int path_actions[MAX_DEPTH];
     int64_t count = 1, rollout;
@@ -135,7 +147,7 @@ int64_t lanenav_search(const Search *search, const uint8_t *occ)
                 /* The first rollout through the node: with every q 0 and
                  * scale 1 the pick is the first argmax of c_puct * prior. */
                 double best;
-                if (goal_prior(node->x, node->y, goals + 6 * node->depth, kappa, node->prior))
+                if (goal_prior(node->x, node->y, frames[node->depth].goal, kappa, node->prior))
                     return ERR_OVERFLOW;
                 best = c_puct * node->prior[0];
                 for (a = 1; a < N_ACTIONS; a++) {
@@ -152,7 +164,8 @@ int64_t lanenav_search(const Search *search, const uint8_t *occ)
             if (child_row < 0) {
                 /* Expand: the world's move, then what arriving there means. */
                 const int32_t depth = node->depth + 1;
-                const double *goal = goals + 6 * (depth - 1);
+                const Frame *frame = &frames[depth - 1];
+                const double *goal = frame->goal;
                 double x = node->x + moves[2 * action], y = node->y + moves[2 * action + 1], px, py;
                 double terminal_value = NAN, stop_value = NAN;
                 if (x < 0.0)
@@ -169,7 +182,7 @@ int64_t lanenav_search(const Search *search, const uint8_t *occ)
                 py = floor(y + 0.5);
                 if (!isnan(goal[0]) && goal[2] <= px && px <= goal[3] && goal[4] <= py && py <= goal[5]) {
                     value = terminal_value = stop_value = search->goal_value;
-                } else if (occ[((int64_t)depth - 1) * height * width + (int64_t)py * width + (int64_t)px]) {
+                } else if (frame->occ[(int64_t)py * width + (int64_t)px]) {
                     value = terminal_value = stop_value = search->death_value;
                 } else {
                     value = 0.0;
@@ -204,4 +217,64 @@ int64_t lanenav_search(const Search *search, const uint8_t *occ)
         }
     }
     return count;
+}
+
+/* The temperature weight of one visit count, exp((log(n) - top) / t), 0.0
+ * for none; an ERR_* where Python's arithmetic raised. */
+static int temperature_weight(int64_t visits, double top, double temperature, double *weight)
+{
+    double x;
+    if (visits <= 0) {
+        *weight = 0.0;
+        return 0;
+    }
+    if (temperature == 0.0)
+        return ERR_ZERO_DIV;
+    x = (log((double)visits) - top) / temperature;
+    *weight = exp(x);
+    /* math.exp raises on a finite argument only. */
+    return isinf(*weight) && isfinite(x) ? ERR_OVERFLOW : 0;
+}
+
+/* mcts.select_by_temperature's pick from n visit counts at a temperature,
+ * for the uniform draw u in [0, 1): the index of u in the normalized
+ * cumulative distribution of the weights N(a)^(1/temperature), or a
+ * negative ERR_*. Step by step as the Python planner computed it: top is
+ * the largest log of a count (-inf for none), the weights are
+ * exp((log(n) - top) / temperature), 0.0 for a zero count, their total is a
+ * left fold, the cdf the running sums of weight / total, each divided by
+ * the last, and the pick the count of cdf entries <= u, as bisect_right
+ * gives it. */
+int64_t lanenav_select(const int64_t *visits, int64_t n, double temperature, double u)
+{
+    double stack[N_ACTIONS], *cdf = stack, top = -INFINITY, total = 0.0, last;
+    int64_t a, index = 0;
+    int error = 0;
+    if (n < 1)
+        return ERR_EMPTY;
+    if (n > N_ACTIONS && (cdf = malloc((size_t)n * sizeof *cdf)) == NULL)
+        return ERR_MEMORY;
+    for (a = 0; a < n; a++)
+        if (visits[a] > 0 && log((double)visits[a]) > top)
+            top = log((double)visits[a]);
+    for (a = 0; a < n; a++) {
+        if ((error = temperature_weight(visits[a], top, temperature, &cdf[a])))
+            break;
+        total += cdf[a];
+    }
+    if (!error && total == 0.0)
+        error = ERR_ZERO_DIV;
+    if (!error) {
+        cdf[0] = cdf[0] / total;
+        for (a = 1; a < n; a++)
+            cdf[a] = cdf[a - 1] + cdf[a] / total;
+        last = cdf[n - 1];
+        /* Not u < entry: an entry <= u, and a NaN entry counts, as in bisect_right. */
+        for (a = 0; a < n; a++)
+            if (!(u < cdf[a] / last))
+                index++;
+    }
+    if (cdf != stack)
+        free(cdf);
+    return error ? error : index;
 }

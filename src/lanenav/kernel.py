@@ -5,7 +5,8 @@ world's step, rasterizer and frame reader (``world``). On first import this
 module compiles both with the system C compiler into one object, cached
 under ``__pycache__`` next to them and keyed by a hash of both sources, the
 compiler command and the interpreter tag; later imports load the cached
-object. ``library`` is the loaded object, one per process.
+object. ``library`` is the loaded object, one per process, and ``zeroed``
+makes the zeroed buffers the kernels write into.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from pathlib import Path
 
 _SOURCES = tuple(Path(__file__).with_name(name) for name in ("_search.c", "_world.c"))
 _CACHE = Path(__file__).with_name("__pycache__")
+_BUFFER_TYPES: dict[int, type] = {}
 
 
 def _command(target: str) -> list[str]:
@@ -67,3 +69,11 @@ def _load_kernel(cache: Path = _CACHE) -> ctypes.CDLL:
 
 
 library = _load_kernel()
+
+
+def zeroed(size: int) -> ctypes.Array:
+    """A zeroed ctypes buffer of ``size`` bytes; its type is made once per size."""
+    kind = _BUFFER_TYPES.get(size)
+    if kind is None:
+        kind = _BUFFER_TYPES[size] = ctypes.c_char * size
+    return kind()

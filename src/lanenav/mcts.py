@@ -8,27 +8,36 @@ predicted frame d-1 (the frame for world time t+d). Node
 selection is PUCT with a goal-directed von-Mises-style prior; the final
 action is sampled from visit counts sharpened by a temperature.
 
-The rollouts run in a C kernel, ``_search.c``, which ``kernel`` compiles
-with the system C compiler on first import, into the package's one cached
-shared object.
+A decision (``plan_action``) is two calls of a C kernel, ``_search.c``,
+which ``kernel`` compiles with the system C compiler on first import, into
+the package's one cached shared object: the rollouts (``run_search``), then
+the temperature pick from the root's visit counts, read in the kernel's node
+table (``select_by_temperature``), with one ``rng.random()`` drawn between
+them. The kernel reads each frame's occupancy where it lies. A frame whose
+occupancy is read-only, as every frame of a ``Timeline`` is, is packed once
+for all the searches that read it: its occupancy's address, its goal
+estimate and the estimate's goal block.
 
 Results are bit-stable: every float is evaluated in a fixed order, so the
-same inputs give the same tree statistics and the same drawn action.
+same inputs give the same tree statistics and the same drawn action. The
+pick is the former Python loop's bit for bit: libm ``log`` of each positive
+count, ``-inf`` for none; the first maximum of them as top; libm
+``exp((l - top) / temperature)``; a left fold for the total; running sums of
+``w / total``, each divided by the last; the count of those ``<=`` the draw,
+the index ``bisect_right`` gives.
 """
 from __future__ import annotations
 
 import ctypes
 import math
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
-from .kernel import library
-from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, fold, goal_block
+from .kernel import library, zeroed
+from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, goal_block
 
 _A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = (a * math.pi / 4.0 for a in range(N_ACTIONS))
 _UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
@@ -37,6 +46,9 @@ MCTS_INT_KEYS = ("n_rollouts", "rollout_length")
 # its rollout path rollout_length entries (MAX_DEPTH in _search.c).
 MAX_ROLLOUTS = 100_000
 MAX_ROLLOUT_LENGTH = 64
+# Nodes of a full tree of depth k: a node at the horizon is never expanded,
+# so no search at rollout length k adds more, whatever n_rollouts.
+_FULL_TREE = tuple((N_ACTIONS ** (k + 1) - 1) // (N_ACTIONS - 1) for k in range(MAX_ROLLOUT_LENGTH + 1))
 
 # One row of the kernel's node table, the layout of its ``Node``; NaN in
 # terminal_value or stop_value stands for None.
@@ -45,13 +57,18 @@ NODE_DTYPE = np.dtype([
     ("prior", "f8", N_ACTIONS), ("w", "f8", N_ACTIONS), ("mean", "f8", N_ACTIONS),
     ("n", "i8", N_ACTIONS), ("total", "i8"), ("children", "i4", N_ACTIONS), ("depth", "i4"),
 ], align=True)
+# Where a node's visit counts start in its row: plan_action picks from the root's in place.
+_VISITS = NODE_DTYPE.fields["n"][1]
 # The kernel's ``Search``: node table and hypot addresses, four sizes, eight
-# reals and the moves, then six reals per depth (one pack, one cheap call).
-_SEARCH_HEAD = f"PP4q8d{2 * N_ACTIONS}d"
+# reals and the moves (one precompiled pack, one cheap call).
+_SEARCH = struct.Struct(f"PP4q8d{2 * N_ACTIONS}d")
+# The kernel's ``Frame``: the occupancy's address, the goal estimate and its block.
+_FRAME = struct.Struct("P6d")
+_NO_GOAL = (math.nan,) * 6
 
 
-def _search_function():
-    """The kernel's search function, after checking its node layout against ``NODE_DTYPE``."""
+def _kernel_functions():
+    """The kernel's search and select functions, after checking its node layout against ``NODE_DTYPE``."""
     node_size = library.lanenav_node_size
     node_size.restype = ctypes.c_int64
     node_size.argtypes = ()
@@ -60,10 +77,13 @@ def _search_function():
     search = library.lanenav_search
     search.restype = ctypes.c_int64
     search.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
-    return search
+    select = library.lanenav_select
+    select.restype = ctypes.c_int64
+    select.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_double)
+    return search, select
 
 
-_kernel = _search_function()
+_kernel, _select = _kernel_functions()
 # Python's own hypot, which the shaping term calls: CPython's differs from libm's.
 _hypot = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)(math.hypot)
 _HYPOT_ADDRESS = ctypes.cast(_hypot, ctypes.c_void_p).value
@@ -73,7 +93,16 @@ _KERNEL_ERRORS = {
     -2: (ZeroDivisionError, "float division by zero"),
     -3: (ValueError, "cannot convert float NaN to integer"),
     -4: (ValueError, f"rollout_length must be in 1..{MAX_ROLLOUT_LENGTH}"),
+    -5: (ValueError, "max() arg is an empty sequence"),
+    -6: (MemoryError, "select"),
 }
+
+
+def _check(code: int) -> int:
+    if code < 0:
+        error, message = _KERNEL_ERRORS[code]
+        raise error(message)
+    return code
 
 
 @dataclass(frozen=True)
@@ -113,6 +142,36 @@ class MCTSConfig:
             raise ConfigError("prior_kappa must be >= 0")
 
 
+class _Tree:
+    """One search's node table: the kernel's buffer of ``count`` rows at ``address``.
+
+    Its numpy view and its children column are read on first use; a
+    decision reads neither, since ``plan_action`` picks from the root's
+    visit counts by address.
+    """
+
+    __slots__ = ("nodes", "count", "address", "_table", "_children")
+
+    def __init__(self, nodes: ctypes.Array, count: int, address: int) -> None:
+        self.nodes = nodes
+        self.count = count
+        self.address = address
+        self._table = None
+        self._children = None
+
+    @property
+    def table(self) -> np.ndarray:
+        if self._table is None:
+            self._table = np.frombuffer(self.nodes, NODE_DTYPE, self.count)
+        return self._table
+
+    @property
+    def children(self) -> list[list[int]]:
+        if self._children is None:
+            self._children = self.table["children"].tolist()
+        return self._children
+
+
 class SearchNode:
     """Read-only view of one row of a search's node table.
 
@@ -126,14 +185,14 @@ class SearchNode:
     has taken it.
     """
 
-    __slots__ = ("_table", "_row")
+    __slots__ = ("_tree", "_row")
 
-    def __init__(self, table: np.ndarray, row: int) -> None:
-        self._table = table
+    def __init__(self, tree: _Tree, row: int) -> None:
+        self._tree = tree
         self._row = row
 
     def _field(self, name: str):
-        return self._table[name][self._row]
+        return self._tree.table[name][self._row]
 
     def _optional(self, name: str) -> float | None:
         value = float(self._field(name))
@@ -177,7 +236,8 @@ class SearchNode:
 
     @property
     def children(self) -> list[SearchNode | None]:
-        return [None if row < 0 else SearchNode(self._table, row) for row in self._field("children").tolist()]
+        tree = self._tree
+        return [None if row < 0 else SearchNode(tree, row) for row in tree.children[self._row]]
 
     def q(self, action: int) -> float:
         # The kernel's w / n, written at the action's last visit.
@@ -223,7 +283,30 @@ def _moves(agent_speed: float) -> tuple[float, ...]:
     return tuple(v for a in range(N_ACTIONS) for v in action_to_velocity(a, agent_speed))
 
 
-_NO_GOAL = (math.nan,) * 6
+def _packed(frame: PredictedFrame, goal_size: int, shape: tuple[int, ...]) -> tuple:
+    """(goal size, shape, ``Frame`` record, occupancy) of a predicted frame for the kernel.
+
+    The record holds the address of the occupancy as a C-contiguous bool
+    array: the frame's own where it is one, else a copy, which the tuple
+    keeps alive. A frame whose occupancy is read-only keeps its tuple, so it
+    is packed once for every search that reads it; the frames of a
+    ``Timeline`` are, from decision to decision and cell to cell.
+    """
+    packed = frame._packed
+    if packed is None or packed[0] != goal_size:
+        occ = np.asarray(frame.occupancy, dtype=bool)
+        if occ.shape != shape or not occ.size:
+            raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {occ.shape}")
+        if not occ.flags.c_contiguous:
+            occ = np.ascontiguousarray(occ)
+        goal = frame.goal_estimate
+        packed = (goal_size, shape, _FRAME.pack(occ.ctypes.data, *(
+            _NO_GOAL if goal is None else (goal[0], goal[1], *goal_block(goal, goal_size)))), occ)
+        if isinstance(frame.occupancy, np.ndarray) and not frame.occupancy.flags.writeable:
+            object.__setattr__(frame, "_packed", packed)
+    elif packed[1] != shape:
+        raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {packed[1]}")
+    return packed
 
 
 def run_search(
@@ -247,47 +330,37 @@ def run_search(
     from a node reads its ``goal_prior`` toward frame d's goal estimate.
 
     The loop runs in the C kernel, which fills a table of
-    ``n_rollouts + 1`` nodes, since each rollout adds at most one.
+    ``n_rollouts + 1`` nodes, since each rollout adds at most one, or of the
+    nodes of a full tree of depth k where that is fewer. It reads
+    each frame's occupancy where it lies; a frame whose occupancy is
+    read-only is packed for it once (``_packed``).
     """
     k = cfg.rollout_length
     if len(frames) < k:
         raise ValueError(f"{len(frames)} predicted frames given, need {k}")
     shape = frames[0].occupancy.shape
-    occupancy = []
-    goals: list[float] = []
-    for frame in frames[:k]:
-        occ = np.asarray(frame.occupancy, dtype=bool)
-        if occ.shape != shape or not occ.size:
-            raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {occ.shape}")
-        occupancy.append(occ.tobytes())
-        goal = frame.goal_estimate
-        goals.extend(_NO_GOAL if goal is None else (goal[0], goal[1], *goal_block(goal, goal_size)))
+    packed = [_packed(frame, goal_size, shape) for frame in frames[:k]]
     height, width = shape
-    buffer = ctypes.create_string_buffer((cfg.n_rollouts + 1) * NODE_DTYPE.itemsize)
-    search = struct.pack(_SEARCH_HEAD + f"{len(goals)}d", ctypes.addressof(buffer), _HYPOT_ADDRESS,
-                         cfg.n_rollouts, k, height, width, agent_pos[0], agent_pos[1], cfg.c_puct, cfg.prior_kappa,
-                         cfg.death_value, cfg.goal_value, cfg.shaping_beta, math.hypot(width - 1.0, height - 1.0),
-                         *_moves(agent_speed), *goals)
-    count = _kernel(search, b"".join(occupancy))
-    if count < 0:
-        error, message = _KERNEL_ERRORS[count]
-        raise error(message)
-    return SearchNode(np.frombuffer(buffer, NODE_DTYPE, count), 0)
+    nodes = zeroed(min(cfg.n_rollouts + 1, _FULL_TREE[k]) * NODE_DTYPE.itemsize)
+    address = ctypes.addressof(nodes)
+    count = _check(_kernel(
+        _SEARCH.pack(address, _HYPOT_ADDRESS, cfg.n_rollouts, k, height, width, agent_pos[0], agent_pos[1],
+                     cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value, cfg.shaping_beta,
+                     math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed)),
+        b"".join([record for _, _, record, _ in packed])))
+    return SearchNode(_Tree(nodes, count, address), 0)
 
 
 def select_by_temperature(visits: list[int], temperature: float, rng: np.random.Generator) -> int:
     """Sample an action from pi(a) proportional to N(a)^(1/temperature).
 
     One ``rng.random()`` draw against the normalized cumulative distribution,
-    the same draw and index ``rng.choice(len(visits), p=pi)`` makes.
+    the same draw and index ``rng.choice(len(visits), p=pi)`` makes. The
+    pick runs in the kernel (``lanenav_select``), with the exactness rules
+    of the module docstring. The draw comes first, so a pick that raises (a
+    zero temperature, no visits) has made it.
     """
-    logs = [math.log(v) if v > 0 else -math.inf for v in visits]
-    top = max(logs)
-    weights = [math.exp((l - top) / temperature) if l > -math.inf else 0.0 for l in logs]
-    total = fold(weights)
-    cdf = list(accumulate(w / total for w in weights))
-    last = cdf[-1]
-    return bisect_right([c / last for c in cdf], rng.random())
+    return _check(_select(struct.pack(f"{len(visits)}q", *visits), len(visits), temperature, rng.random()))
 
 
 def plan_action(
@@ -298,6 +371,11 @@ def plan_action(
     agent_speed: float,
     goal_size: int = 2,
 ) -> int:
-    """One planned action: search the shared predicted frames, then pick by visits."""
+    """One planned action: search the shared predicted frames, then pick by the root's visits.
+
+    The pick is ``select_by_temperature``'s, read from the kernel's node
+    table in place; its one ``rng.random()`` draw follows the search, and a
+    search that raises draws nothing.
+    """
     root = run_search(agent_pos, frames, cfg, agent_speed, goal_size=goal_size)
-    return select_by_temperature(root.n, cfg.temperature, rng)
+    return _check(_select(root._tree.address + _VISITS, N_ACTIONS, cfg.temperature, rng.random()))

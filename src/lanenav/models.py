@@ -6,7 +6,9 @@ and shared (read-only) by every planner rollout. Four predict functions:
 
 * oracle: reads the true future from the episode's ``Timeline``. Exact,
   future spawns included. The upper bound.
-* frozen: persistence baseline, repeats the latest observed frame.
+* frozen: persistence baseline, repeats the latest observed frame; on a
+  timeline's history that frame is the timeline's ``predicted(t)``, read
+  once per time for every cell and decision that asks.
 * velocity: estimates a per-row horizontal shift from the 4-frame history and
   extrapolates it. Cannot foresee spawns, so it shares the structural failure
   mode of a learned scene model: false negatives that grow with horizon.
@@ -18,7 +20,10 @@ A model is one type, ``ForwardModel``: a name, a predict function of an
 ``Observation`` (the 4-frame history, the decision time t and the episode's
 timeline) and k, and a count of its calls. Only the privileged models
 (oracle, noisy) read the timeline; the others predict from the history
-alone. ``oracle_predict`` is the oracle's prediction computed from a
+alone. ``History`` and ``HISTORY_LEN`` live beside ``Timeline`` in
+``world`` and are re-exported here: ``Observation.at(timeline, t)`` wraps
+``Timeline.history(t)``, one ``History`` per timeline time.
+``oracle_predict`` is the oracle's prediction computed from a
 ``WorldState`` by cloning and stepping it, for use outside an episode.
 
 The spec-string grammar ("oracle", "noisy:0.1,0.02,1.0,5", "none", ...) lives
@@ -37,6 +42,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import world as w
 from .seeding import make_rng
 from .world import (
+    HISTORY_LEN,
+    History,
     PredictedFrame,
     Timeline,
     WorldState,
@@ -51,8 +58,6 @@ from .world import (
     world_step,
 )
 
-HISTORY_LEN = 4
-
 # Shift-per-step search range for the velocity model, in pixels. Covers the
 # fastest default obstacle class (1.5 +- 0.3) with margin.
 MAX_SHIFT = 4.0
@@ -60,17 +65,6 @@ MAX_SHIFT = 4.0
 DEFAULT_P_FN = 0.10
 DEFAULT_P_FP = 0.02
 DEFAULT_GOAL_SIGMA = 1.0
-
-
-@dataclass(frozen=True)
-class History:
-    """The 4 most recent frames, oldest first; short episodes repeat frame 0."""
-
-    frames: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.frames) != HISTORY_LEN:
-            raise ValueError(f"history must hold exactly {HISTORY_LEN} frames")
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,8 @@ class Observation:
 
     @classmethod
     def at(cls, timeline: Timeline, t: int) -> "Observation":
-        """Observation at time t: timeline frames t-3..t, frame 0 repeated before the start."""
-        frames = tuple(timeline.frame(max(0, t - HISTORY_LEN + 1 + i)) for i in range(HISTORY_LEN))
-        return cls(History(frames), t, timeline)
+        """Observation at time t, with the timeline's history of t."""
+        return cls(timeline.history(t), t, timeline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +116,11 @@ def oracle_predict(state: WorldState, k: int) -> tuple[PredictedFrame, ...]:
 
 
 def frozen_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
-    """Persistence baseline: the future equals the latest frame."""
+    """Persistence baseline: the future equals the latest frame, read once per timeline time."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return (predicted_frame(history.frames[-1]),) * k
+    latest = history.latest
+    return ((predicted_frame(history.frames[-1]) if latest is None else latest),) * k
 
 
 def _row_shifts(frames: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -54,11 +54,11 @@ import ctypes
 import math
 import struct
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import library
+from .kernel import library, zeroed
 from .seeding import STREAM_CLASS, STREAM_PLACE, STREAM_SPAWN, clone_rng, substream
 
 # Frame palette values.
@@ -312,7 +312,6 @@ _LANE_COLUMNS = 7
 _SIZES = struct.Struct("6q")
 # _world.c's ``FrameRead`` before its mask: the goal pixels' column and row sums.
 _READ_HEAD = struct.Struct("2q")
-_BUFFER_TYPES: dict[int, type] = {}
 
 
 def _kernel_function(name: str, arguments: int):
@@ -341,14 +340,6 @@ def _check(code: int) -> int:
         error, message = _KERNEL_ERRORS[code]
         raise error(message)
     return code
-
-
-def _zeroed(size: int) -> ctypes.Array:
-    """A zeroed ctypes buffer of ``size`` bytes; its type is made once per size."""
-    kind = _BUFFER_TYPES.get(size)
-    if kind is None:
-        kind = _BUFFER_TYPES[size] = ctypes.c_char * size
-    return kind()
 
 
 def _table(state: "WorldState") -> bytes | ctypes.Array:
@@ -444,7 +435,7 @@ def world_step(state: WorldState) -> None:
     rows = len(state.obstacles)
     if table is not state._buffer or rows + drawn > len(state._rows):
         capacity = 2 * (rows + drawn) + 16
-        state._buffer = _zeroed(capacity * _ROW_BYTES)
+        state._buffer = zeroed(capacity * _ROW_BYTES)
         ctypes.memmove(state._buffer, table, rows * _ROW_BYTES)
         state._rows = np.frombuffer(state._buffer, np.float64).reshape(capacity, 4)
     rows = _check(_step(_sizes(state, len(state._rows), drawn), state.lane_table,
@@ -483,7 +474,7 @@ def _rasterize(state: WorldState) -> np.ndarray:
     ``round_px(head - i)`` for i = 0..length-1, kept when it is on the grid.
     """
     cfg = state.config
-    cells = _zeroed(cfg.grid_h * cfg.grid_w)
+    cells = zeroed(cfg.grid_h * cfg.grid_w)
     _check(_rasterize_kernel(_sizes(state), state.lane_table, _table(state), cells))
     return np.frombuffer(cells, np.uint8).reshape(cfg.grid_h, cfg.grid_w)
 
@@ -533,6 +524,13 @@ def goal_center_of_frame(frame: np.ndarray) -> tuple[float, float] | None:
 class PredictedFrame:
     occupancy: np.ndarray  # bool (H, W), goal pixels excluded
     goal_estimate: tuple[float, float] | None
+    # The planner's packed form of a frame whose occupancy is read-only, made
+    # by its first search (mcts.run_search); it holds the occupancy's address.
+    _packed = None
+
+    def __getstate__(self) -> dict:
+        # A copy or a pickle has an occupancy of its own, so it drops the address.
+        return {"occupancy": self.occupancy, "goal_estimate": self.goal_estimate}
 
 
 def predicted_frame(frame: np.ndarray) -> PredictedFrame:
@@ -545,7 +543,7 @@ def predicted_frame(frame: np.ndarray) -> PredictedFrame:
     if frame.dtype != np.uint8 or frame.ndim != 2:
         raise ValueError(f"a palette frame is a 2-D uint8 array, got {frame.ndim}-D {frame.dtype}")
     height, width = frame.shape
-    out = _zeroed(_READ_HEAD.size + height * width)
+    out = zeroed(_READ_HEAD.size + height * width)
     count = _read_frame(_SIZES.pack(height, width, 0, 0, 0, 0), frame.tobytes(), out)
     occupancy = freeze(np.frombuffer(out, np.bool_, height * width, _READ_HEAD.size).reshape(height, width))
     if not count:
@@ -632,6 +630,26 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
     return state
 
 
+HISTORY_LEN = 4
+
+
+@dataclass(frozen=True)
+class History:
+    """The 4 most recent frames, oldest first; short episodes repeat frame 0.
+
+    ``latest`` is the last frame as a ``PredictedFrame`` where the history
+    comes from ``Timeline.history``, which reads it once per time; None where
+    the history is built by hand.
+    """
+
+    frames: tuple[np.ndarray, ...]
+    latest: PredictedFrame | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if len(self.frames) != HISTORY_LEN:
+            raise ValueError(f"history must hold exactly {HISTORY_LEN} frames")
+
+
 class Timeline:
     """The world of one episode, simulated once and shared by every reader.
 
@@ -639,8 +657,12 @@ class Timeline:
     (config, episode seed) only, and ``agent_speed`` and ``max_steps`` never
     enter them. ``frames[t]`` is the read-only palette frame after t world
     steps; frames are simulated on demand by ``frame(t)``. ``predicted(t)``
-    is frame t as a ``PredictedFrame`` (obstacle mask and goal centre),
-    computed on first use. ``start`` is the agent's start position.
+    is frame t as a ``PredictedFrame`` (obstacle mask and goal centre), and
+    ``history(t)`` the ``History`` seen at time t, its latest frame
+    ``predicted(t)``; both are computed on first use and kept, one per time
+    asked for, and neither refers back to the timeline, so a timeline is
+    freed as soon as its last reader lets go of it. ``start`` is the agent's
+    start position.
     """
 
     def __init__(self, config: WorldConfig, episode_seed: int) -> None:
@@ -651,6 +673,7 @@ class Timeline:
         self.frames: list[np.ndarray] = [freeze(render_frame(state))]
         self._state = state
         self._predicted: dict[int, PredictedFrame] = {}
+        self._histories: dict[int, History] = {}
 
     def frame(self, t: int) -> np.ndarray:
         frames = self.frames
@@ -664,6 +687,14 @@ class Timeline:
         if predicted is None:
             predicted = self._predicted[t] = predicted_frame(self.frame(t))
         return predicted
+
+    def history(self, t: int) -> History:
+        """Frames t-3..t, frame 0 repeated before the start."""
+        history = self._histories.get(t)
+        if history is None:
+            times = [max(0, t - HISTORY_LEN + 1 + i) for i in range(HISTORY_LEN)]
+            history = self._histories[t] = History(tuple(map(self.frame, times)), self.predicted(times[-1]))
+        return history
 
     def rollout(self, t: int, k: int) -> tuple[PredictedFrame, ...]:
         """The true future of decision time t: predicted frames t+1..t+k."""

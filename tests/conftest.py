@@ -1,4 +1,6 @@
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from lanenav.world import (
     WorldConfig,
     WorldState,
     action_to_velocity,
+    fold,
     goal_block,
     goal_pixels,
     move,
@@ -235,6 +238,23 @@ def reference_search(
             node.mean[action] = summed / visits
             node.total += 1
     return root
+
+
+def reference_cdf(visits: list[int], temperature: float) -> list[float]:
+    """The normalized cumulative distribution of N(a)^(1/temperature), as the planner's Python loop computed it."""
+    logs = [math.log(v) if v > 0 else -math.inf for v in visits]
+    top = max(logs)
+    weights = [math.exp((l - top) / temperature) if l > -math.inf else 0.0 for l in logs]
+    total = fold(weights)
+    cdf = list(accumulate(w / total for w in weights))
+    last = cdf[-1]
+    return [c / last for c in cdf]
+
+
+def reference_select(visits: list[int], temperature: float, u: float) -> int:
+    """The planner's former temperature pick, the oracle of the kernel's ``lanenav_select``: the index of
+    the draw ``u`` in ``reference_cdf``, the same index ``rng.choice(len(visits), p=pi)`` gives."""
+    return bisect_right(reference_cdf(visits, temperature), u)
 
 
 def reference_world_step(state: WorldState) -> None:

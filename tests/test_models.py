@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import NoTimeline, TimelineRead, agent_turn, build_state, frames_equal, noisy_sample_predict
+from lanenav import models, world
 from lanenav.models import (
     MAX_NOISY_SAMPLES,
     ForwardModel,
@@ -28,6 +29,7 @@ from lanenav.world import (
     clone_state,
     goal_center_of_frame,
     new_episode,
+    predicted_frame,
     render_frame,
     world_step,
 )
@@ -141,6 +143,29 @@ class TestFrozenPredict:
         for step in rollout[1:]:
             assert np.array_equal(step.occupancy, rollout[0].occupancy)
             assert step.goal_estimate == rollout[0].goal_estimate
+
+    def test_timeline_history_reads_no_frame(self, monkeypatch):
+        # On a timeline's history the latest frame is the timeline's predicted(t), read once per time.
+        timeline = Timeline(WorldConfig(), 23)
+        observations = [Observation.at(timeline, t) for t in (0, 1, 2, 7)]
+        calls = []
+
+        def counting(frame):
+            calls.append(frame)
+            return predicted_frame(frame)
+
+        monkeypatch.setattr(models, "predicted_frame", counting)
+        monkeypatch.setattr(world, "predicted_frame", counting)
+        model = build_model("frozen")
+        for obs in observations:
+            for k in (1, 3):
+                rollout = model.predict(obs, k)
+                assert rollout == (timeline.predicted(obs.t),) * k
+        assert calls == []
+        # A history built by hand has no predicted frame, and frozen reads its latest frame.
+        rollout = frozen_predict(History(observations[-1].history.frames), 2)
+        assert len(calls) == 1 and calls[0] is timeline.frame(7)
+        assert np.array_equal(rollout[0].occupancy, timeline.predicted(7).occupancy)
 
 
 class TestVelocityPredict:

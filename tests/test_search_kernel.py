@@ -7,8 +7,10 @@ values and prior. Where the reference raises, the kernel raises the same.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +129,15 @@ class TestAgainstReference:
                                                           rollout_length=MAX_ROLLOUT_LENGTH), 1.0)
         assert sum(root.n) == MAX_ROLLOUTS
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_full_tree_fills_its_table(self, k):
+        # Open ground: every node short of the horizon is expanded in all 8 actions.
+        frames = tuple(PredictedFrame(np.zeros((48, 48), bool), None) for _ in range(k))
+        cfg = MCTSConfig(n_rollouts=30 * 8 ** k, rollout_length=k, c_puct=50.0)
+        root = run_search((24.0, 24.0), frames, cfg, 1.0)
+        assert len(root._tree.table) == (8 ** (k + 1) - 1) // 7
+        assert_same_search((24.0, 24.0), frames, cfg, 1.0)
+
     @pytest.mark.parametrize("agent, speed, cfg, size, error", [
         ((10.0, 10.0), 1.0, MCTSConfig(prior_kappa=1000.0), 48, OverflowError),
         ((math.nan, 10.0), 1.0, MCTSConfig(), 48, ValueError),
@@ -143,6 +154,70 @@ class TestAgainstReference:
         frames = (PredictedFrame(np.zeros((8, 8), bool), None), PredictedFrame(np.zeros((8, 9), bool), None))
         with pytest.raises(ValueError, match="one non-empty grid"):
             run_search((1.0, 1.0), frames, MCTSConfig(rollout_length=2), 1.0)
+
+
+def frame_of(occupancy, goal=(30.0, 12.0), writeable=False) -> PredictedFrame:
+    occupancy = np.array(occupancy)
+    occupancy.flags.writeable = writeable
+    return PredictedFrame(occupancy, goal)
+
+
+class TestPacking:
+    """A frame is packed for the kernel by address: once if its occupancy is read-only, else per call."""
+
+    CFG = MCTSConfig(n_rollouts=200, rollout_length=3)
+
+    @staticmethod
+    def grid(seed: int, density: float = 0.3) -> np.ndarray:
+        return make_rng(seed).random((16, 20)) < density
+
+    def test_read_only_frame_packed_once(self):
+        frames = tuple(frame_of(self.grid(i)) for i in range(3))
+        first = run_search((4.0, 5.0), frames, self.CFG, 1.0)
+        packed = [frame._packed for frame in frames]
+        assert all(p is not None for p in packed)
+        again = run_search((4.0, 5.0), frames, self.CFG, 1.0)
+        assert [frame._packed for frame in frames] == packed
+        assert_same_tree(again, first)
+        assert_same_search((4.0, 5.0), frames, self.CFG, 1.0)
+
+    def test_goal_size_repacks(self):
+        frames = tuple(frame_of(self.grid(i), goal=(8.5, 7.5)) for i in range(3))
+        for goal_size in (1, 3, 2, 1):
+            assert_same_search((6.0, 7.0), frames, self.CFG, 1.0, goal_size=goal_size)
+
+    def test_writeable_frame_read_at_every_call(self):
+        occupancy = self.grid(4)
+        frames = (frame_of(occupancy, writeable=True),) * 3
+        assert_same_search((4.0, 5.0), frames, self.CFG, 1.0)
+        assert frames[0]._packed is None
+        frames[0].occupancy[:] = self.grid(5, 0.6)  # edited in place: the next search sees the edit
+        assert_same_search((4.0, 5.0), frames, self.CFG, 1.0)
+        edited = run_search((4.0, 5.0), (frame_of(frames[0].occupancy),) * 3, self.CFG, 1.0)
+        assert_same_tree(run_search((4.0, 5.0), frames, self.CFG, 1.0), edited)
+
+    @pytest.mark.parametrize("layout", ["int", "fortran", "strided", "list"])
+    def test_any_layout_reads_as_its_bool_copy(self, layout):
+        occupancy = self.grid(6)
+        other = {"int": occupancy.astype(np.int16) * 7, "fortran": np.asfortranarray(occupancy),
+                 "strided": np.repeat(occupancy, 2, axis=1)[:, ::2], "list": occupancy.tolist()}[layout]
+        frames = (frame_of(occupancy),) + (PredictedFrame(other, (30.0, 12.0)),) * 2
+        assert_same_tree(run_search((4.0, 5.0), frames, self.CFG, 1.0),
+                         run_search((4.0, 5.0), (frame_of(occupancy),) * 3, self.CFG, 1.0))
+
+    def test_copy_and_pickle_drop_the_address(self):
+        frames = tuple(frame_of(self.grid(i)) for i in range(3))
+        root = run_search((4.0, 5.0), frames, self.CFG, 1.0)
+        for copy_frame in (copy.copy, copy.deepcopy, lambda frame: pickle.loads(pickle.dumps(frame))):
+            copied = tuple(map(copy_frame, frames))
+            assert all(frame._packed is None for frame in copied)
+            assert_same_tree(run_search((4.0, 5.0), copied, self.CFG, 1.0), root)
+
+    def test_packed_frame_of_another_shape_rejected(self):
+        small, large = frame_of(np.zeros((8, 8), bool)), frame_of(np.zeros((8, 9), bool))
+        run_search((1.0, 1.0), (large,) * 2, MCTSConfig(rollout_length=2), 1.0)
+        with pytest.raises(ValueError, match="one non-empty grid"):
+            run_search((1.0, 1.0), (small, large), MCTSConfig(rollout_length=2), 1.0)
 
 
 class TestLoader:

@@ -6,6 +6,10 @@ the per-step path it replaces: ``new_episode`` + ``world_step`` +
 ``render_frame`` and ``oracle_predict``. The episode's outcomes are replayed
 on such a stepped world, with the same ``move`` and ``outcome_at``.
 """
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -169,3 +173,70 @@ def test_benchmark_builds_one_timeline_per_seed(monkeypatch):
     cells = [BenchCell(m, s, k) for m in ("oracle", "frozen", "none") for s in ("2x", "1x") for k in (1, 3)]
     run_benchmark(cells, WorldConfig(), MCTSConfig(n_rollouts=10), n_episodes=3, master_seed=4)
     assert built == [episode_seed(4, i) for i in range(3)]
+
+
+def test_timeline_freed_without_cyclic_gc_when_the_batch_moves_on(monkeypatch):
+    # Nothing a timeline caches refers back to it, so reference counting alone frees it.
+    refs = []
+
+    class TrackedTimeline(Timeline):
+        def __init__(self, config, episode_seed):
+            super().__init__(config, episode_seed)
+            refs.append(weakref.ref(self))
+
+    alive = []
+    play = harness._play
+
+    def tracked_play(timeline, *args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return play(timeline, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "Timeline", TrackedTimeline)
+    monkeypatch.setattr(harness, "_play", tracked_play)
+    world_cfg = WorldConfig()
+    cell_world = replace(world_cfg.for_speed("2x"), max_steps=40)
+    cells = [(cell_world, MCTSConfig(n_rollouts=10, rollout_length=k), spec)
+             for spec in ("oracle", "frozen", "velocity", "noisy", "none") for k in (1, 3)]
+    tasks = [(ci, ei, episode_seed(6, ei)) for ei in range(3) for ci in range(len(cells))]
+    gc.disable()
+    try:
+        harness._bench_batch(world_cfg, cells, tasks)
+    finally:
+        gc.enable()
+    assert len(refs) == 3
+    # At every episode only the timeline of its own seed is alive.
+    for (_, ei, _), flags in zip(tasks, alive):
+        assert flags == [i == ei for i in range(ei + 1)]
+
+
+def test_caches_hold_one_entry_per_time_asked():
+    asked = {"history": [], "predicted": []}
+
+    class RecordingTimeline(Timeline):
+        def history(self, t):
+            asked["history"].append(t)
+            return super().history(t)
+
+        def predicted(self, t):
+            asked["predicted"].append(t)
+            return super().predicted(t)
+
+    world_cfg = WorldConfig().for_speed("1x")
+    timeline = RecordingTimeline(world_cfg, episode_seed(8, 0))
+    for spec in ("oracle", "frozen", "velocity", "noisy"):
+        record = harness._play(timeline, world_cfg, MCTSConfig(n_rollouts=20), spec)
+        assert record.exception is None
+    # Every decision time of a whole 1x episode, read by each model at three horizons.
+    models = [build_model(spec, rng=make_rng(0)) for spec in ("oracle", "frozen", "velocity", "noisy")]
+    for t in range(world_cfg.max_steps):
+        for model in models:
+            for k in (1, 3, 10):
+                model.predict(Observation.at(timeline, t), k)
+    for name, cache in (("history", timeline._histories), ("predicted", timeline._predicted)):
+        assert list(cache) == list(dict.fromkeys(asked[name]))
+    assert len(timeline._histories) == world_cfg.max_steps
+    assert len(timeline._predicted) == len(timeline.frames) == world_cfg.max_steps + 10
+    # Each history is kept once and holds the timeline's own predicted frame.
+    for t, history in timeline._histories.items():
+        assert timeline.history(t) is history
+        assert history.latest is timeline._predicted[t]
