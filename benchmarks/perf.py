@@ -35,7 +35,11 @@ call. Layers:
   decision at t=20 with the default search (k=3): that model's ``predict``,
   then ``plan_action`` on its prediction;
 * ``harness.verify_replay``: per replayed step, the replay of random-agent
-  episodes, fresh timeline included.
+  episodes, fresh timeline included;
+* ``harness.episode.{oracle,frozen,velocity,random}``: one whole episode at
+  2x with the default search, the planner with that model or the random
+  agent, on a fresh timeline of its seed built in the untimed setup, so the
+  episode simulates its frames as it goes.
 
 The report also holds ``src_lines``, the line count of the library's Python
 sources, and ``src_lines_c``, that of its C sources, to set beside the timings.
@@ -206,6 +210,10 @@ def layer_cases(lib: SimpleNamespace) -> dict:
                 for timeline, obs in zip(timelines, observations)],
             len(observations), None)
     cases["harness.verify_replay"] = (replay_batch, sum(len(r.trace) for r in records), None)
+    for label, spec in (("oracle", "oracle"), ("frozen", "frozen"), ("velocity", "velocity"), ("random", "none")):
+        cases[f"harness.episode.{label}"] = (
+            lambda fresh, spec=spec: [lib.harness._play(timeline, cfg, search, spec) for timeline in fresh],
+            len(seeds), lambda: [Timeline(cfg, seed) for seed in seeds])
     return cases
 
 

@@ -1,10 +1,16 @@
-/* The rollout loop of lanenav's PUCT search, over a flat node table, and
- * the temperature pick of the planner's action from the root's visits.
+/* lanenav's planner and episode loop in C: the rollout loop of the PUCT
+ * search over a flat node table, the temperature pick of the planner's
+ * action from the root's visits, and the loop that plays an episode's
+ * steps with them.
  *
- * kernel.py compiles this file into the package's kernel object; mcts.py
+ * kernel.py compiles this file into the package's kernel object. mcts.py
  * calls lanenav_search from run_search and lanenav_select from
- * select_by_temperature and plan_action, which document them. The kernel
- * keeps the float arithmetic of the planner bit for bit:
+ * select_by_temperature and plan_action, which document them; harness.py
+ * calls lanenav_play, which plays a run of an episode's steps: per step it
+ * takes the action (the planner's search and pick, or a given action),
+ * moves the agent with the clamp of the planner's expansion and reads the
+ * outcome from the palette frame the agent lands in. The kernel keeps the
+ * float arithmetic of the planner bit for bit:
  *
  * - every expression is evaluated in the order the Python planner wrote it,
  *   and the file is compiled without contraction into fused multiply-adds;
@@ -27,6 +33,7 @@
 #define ERR_DEPTH (-4)     /* rollout length outside 1..MAX_DEPTH */
 #define ERR_EMPTY (-5)     /* no visit counts to pick from: ValueError */
 #define ERR_MEMORY (-6)
+#define ERR_ACTION (-7)    /* a given action outside 0..N_ACTIONS - 1 */
 
 /* One tree node; mcts.NODE_DTYPE spells out the same layout. NaN in
  * terminal_value or stop_value stands for None. */
@@ -277,4 +284,121 @@ int64_t lanenav_select(const int64_t *visits, int64_t n, double temperature, dou
     if (cdf != stack)
         free(cdf);
     return error ? error : index;
+}
+
+/* Outcome kinds of a step, harness._OUTCOMES in this order. */
+enum { RUNNING, GOAL_REACHED, DIED, TIMED_OUT };
+#define GOAL 6 /* world.GOAL, the goal's palette value */
+
+/* One step of an episode: the agent's position after it, its action and
+ * the outcome kind it met; harness._STEP spells out the same layout. */
+typedef struct {
+    double x, y;
+    int64_t action, kind;
+} Step;
+
+/* A run of an episode's steps, packed by harness.py: the planner's search
+ * settings, whose (x0, y0) is the agent's start; what the harness updates
+ * before each call; what stays for the episode; and what the kernel
+ * writes back. */
+typedef struct {
+    Search search;                  /* the grid and the moves serve every agent, the rest the planner */
+    const Frame *frames;            /* frames[i] is the frame of time origin + i; a NULL occ: not read yet */
+    const uint8_t *const *palettes; /* palettes[t]: the palette frame of time t, t < n_times */
+    int64_t origin, n_frames, n_times;
+    const double *uniforms;         /* the planner: the pick's uniform draw at time t, t < n_given */
+    const int64_t *actions;         /* the action taken at time t, t < n_given; NULL: the planner picks */
+    Step *steps;                    /* room for max_steps: the step from time t at steps[t] */
+    int64_t n_given;
+    int64_t first, stride; /* the frame of depth d + 1 at time t is that of time t + first + stride * d */
+    int64_t max_steps;
+    double temperature;
+    int64_t t;        /* the time of the next step */
+    int64_t pending;  /* the action of time t taken before its frame t + 1 was simulated, -1 for none */
+    int64_t searches; /* the searches run so far */
+} Play;
+
+#define PLAY_STOPPED 0 /* a frame, draw or action the next step needs is not there yet */
+#define PLAY_ENDED 1   /* the last step met a terminal outcome */
+#define NOT_READ (-100) /* plan: a frame of the window is not read yet */
+
+/* The planner's action at time t from (x, y): a search over the window of
+ * frames, then the temperature pick from the root's visits on the time's
+ * draw; NOT_READ where a frame of the window is not read yet, or an
+ * ERR_*. */
+static int64_t plan(Play *play, Frame *window, int64_t t, double x, double y)
+{
+    Search search = play->search;
+    int64_t d, count;
+    for (d = 0; d < search.k; d++) {
+        const int64_t i = t - play->origin + play->first + play->stride * d;
+        if (i < 0 || i >= play->n_frames || play->frames[i].occ == NULL)
+            return NOT_READ;
+        window[d] = play->frames[i];
+    }
+    search.x0 = x;
+    search.y0 = y;
+    play->searches++;
+    if ((count = lanenav_search(&search, window)) < 0)
+        return count;
+    return lanenav_select(search.nodes[0].n, N_ACTIONS, play->temperature, play->uniforms[t]);
+}
+
+/* Play steps from time play->t until one ends the episode (PLAY_ENDED),
+ * a frame, draw or action the next step needs is not there (PLAY_STOPPED),
+ * or an ERR_* of the search or pick. Per step: the action is the given
+ * one, or the planner's on the frames of its window; the agent moves by
+ * it, clamped to the grid as the search's expansion clamps; its outcome is
+ * read from the pixel it lands on in the palette frame of time t + 1: the
+ * goal, an obstacle, then the step limit. An action taken while frame
+ * t + 1 is not there yet is kept in pending for the next call, so a step's
+ * frames are asked for in the order the Python loop asked for them. */
+int64_t lanenav_play(Play *play)
+{
+    Frame window[MAX_DEPTH];
+    const int64_t width = play->search.width;
+    const double max_x = (double)(width - 1), max_y = (double)(play->search.height - 1);
+    int64_t t = play->t;
+    double x = t ? play->steps[t - 1].x : play->search.x0, y = t ? play->steps[t - 1].y : play->search.y0;
+
+    if (play->actions == NULL && (play->search.k < 1 || play->search.k > MAX_DEPTH))
+        return ERR_DEPTH;
+    for (;;) {
+        int64_t action = play->pending, kind;
+        uint8_t cell;
+        if (action < 0) {
+            if (t >= play->n_given)
+                return PLAY_STOPPED;
+            if (play->actions != NULL)
+                action = play->actions[t];
+            else if ((action = plan(play, window, t, x, y)) < 0)
+                return action == NOT_READ ? PLAY_STOPPED : action;
+        }
+        if (action < 0 || action >= N_ACTIONS)
+            return ERR_ACTION;
+        if (t + 1 >= play->n_times) {
+            play->pending = action;
+            return PLAY_STOPPED;
+        }
+        play->pending = -1;
+        x += play->search.moves[2 * action];
+        y += play->search.moves[2 * action + 1];
+        if (x < 0.0)
+            x = 0.0;
+        else if (x > max_x)
+            x = max_x;
+        if (y < 0.0)
+            y = 0.0;
+        else if (y > max_y)
+            y = max_y;
+        if (isnan(x) || isnan(y))
+            return ERR_NAN_POS;
+        cell = play->palettes[t + 1][(int64_t)floor(y + 0.5) * width + (int64_t)floor(x + 0.5)];
+        t++;
+        kind = cell == GOAL ? GOAL_REACHED : cell ? DIED : t >= play->max_steps ? TIMED_OUT : RUNNING;
+        play->steps[t - 1] = (Step){x, y, action, kind};
+        play->t = t;
+        if (kind != RUNNING)
+            return PLAY_ENDED;
+    }
 }

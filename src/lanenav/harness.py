@@ -1,27 +1,52 @@
 """Episode runner and benchmark grid.
 
-One episode = loop of (choose an action, move the agent); the chooser is the
-planner, the random agent, or, in a replay, the logged actions. The world of
-an episode is a ``Timeline``: its frames are the agent's
-observations, and goal and death are read from them. The benchmark evaluates
-every grid cell on the same derived episode seeds, so all cells see
-identical environment realizations; the cells that share a seed share one
-timeline. It reduces to a G/T/D/S table.
+One episode is a run of steps: choose an action, move the agent, read its
+outcome. The chooser is the planner, the random agent or, in a replay, the
+logged actions. The world of an episode is a ``Timeline``: its frames are
+the agent's observations, and goal and death are read from them.
+
+The one episode loop is ``lanenav_play`` in ``_search.c``, driven by
+``_episode``. Each kernel call plays steps until one ends the episode, or
+until a frame, a draw or an action the next step needs is not there yet;
+``_episode`` then supplies it and calls again. The planner's steps are
+``lanenav_search`` on the predicted frames, then ``lanenav_select`` on the
+root's visits, the steps of ``mcts.plan_action``. A model that declares a
+window of the timeline (oracle, frozen; ``ForwardModel.window``) is read
+from the timeline's packed frames, as many decisions per call as its
+simulated frames cover; any other model predicts in Python and plays one
+decision per call. The loop simulates the frames the Python loop it
+replaced simulated, in the same order, and no others: the window of a
+decision, then the frame its action lands in, each when the step needs it.
+
+The random draws are taken up front, one episode's worth: the planner's
+``max_steps`` uniforms, ``rng.random(max_steps)``, and the random agent's
+actions, ``rng.integers(8, size=max_steps)``. On numpy's PCG64 these are
+the doubles and integers that as many scalar ``rng.random()`` and
+``rng.integers(8)`` calls give, one per step, and the draws past the
+episode's end are never read: the planner's and the agent's generators
+belong to one episode and nothing else reads them.
+
+The benchmark evaluates every grid cell on the same derived episode seeds,
+so all cells see identical environment realizations; the cells that share a
+seed share one timeline. It reduces to a G/T/D/S table.
 """
 from __future__ import annotations
 
+import ctypes
 import math
-from collections.abc import Callable
+import operator
+import struct
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
 
-from .mcts import MCTSConfig, plan_action
+from .kernel import library, zeroed
+from .mcts import MCTSConfig, _check, _node_table, _pack_frames, _search_head
 from .models import ForwardModel, Observation, build_model, model_label
 from .seeding import STREAM_AGENT, STREAM_MODEL, STREAM_PLAN, episode_seed, substream
-from .world import (DIED, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, Outcome, Timeline, WorldConfig, fold, move,
-                    outcome_at)
+from .world import (DEATH_REWARD, DIED, FRAME_RECORD, GOAL_REACHED, GOAL_REWARD, N_ACTIONS, RUNNING, TIMED_OUT,
+                    Outcome, Timeline, WorldConfig, action_to_velocity, fold)
 
 
 @dataclass(frozen=True)
@@ -133,20 +158,13 @@ def _play(
         model_spec = model.name
     else:
         model = build_model(model_spec, rng=substream(ep_seed, STREAM_MODEL))
+    max_steps = world_cfg.max_steps
     if model is None:
-        agent_rng = substream(ep_seed, STREAM_AGENT)
-
-        def choose(t: int, x: float, y: float) -> int:
-            return int(agent_rng.integers(N_ACTIONS))
+        actions = substream(ep_seed, STREAM_AGENT).integers(N_ACTIONS, size=max_steps)
+        outcome, trace, exception = _episode(timeline, world_cfg, mcts_cfg, actions=actions)
     else:
-        plan_rng = substream(ep_seed, STREAM_PLAN)
-        k, speed, goal_size = mcts_cfg.rollout_length, world_cfg.agent_speed, world_cfg.goal_size
-
-        def choose(t: int, x: float, y: float) -> int:
-            frames = model.predict(Observation.at(timeline, t), k)
-            return plan_action((x, y), frames, mcts_cfg, plan_rng, agent_speed=speed, goal_size=goal_size)
-
-    outcome, trace, exception = _episode_loop(timeline, world_cfg, choose)
+        draws = substream(ep_seed, STREAM_PLAN).random(max_steps)
+        outcome, trace, exception = _episode(timeline, world_cfg, mcts_cfg, model=model, draws=draws)
     return EpisodeRecord(
         episode_seed=ep_seed,
         outcome=outcome,
@@ -162,32 +180,113 @@ def _play(
     )
 
 
-def _episode_loop(timeline: Timeline, world_cfg: WorldConfig, choose: Callable[[int, float, float], int]
-                  ) -> tuple[Outcome, list[StepRecord], Exception | None]:
-    """The one episode loop: (outcome, steps, the chooser's exception or None).
+_kernel = library.lanenav_play
+_kernel.restype = ctypes.c_int64
+_kernel.argtypes = (ctypes.c_char_p,)
+# The kernel's ``Play`` after its ``Search``, in three parts: what changes
+# between calls (the addresses of the frames and the palettes, origin,
+# n_frames, n_times); what stays for the episode (the addresses of the draws,
+# the given actions and the steps, n_given, first, stride, max_steps, the
+# temperature); what the kernel writes back (t, pending, searches).
+_INPUTS = struct.Struct("2P3q")
+_FIXED = struct.Struct("3P4qd")
+_STATE = struct.Struct("3q")
+# The kernel's ``Step``: the agent's position after it, the action and the outcome kind, an index of _OUTCOMES.
+_STEP = struct.Struct("2d2q")
+_OUTCOMES = ((RUNNING, 0.0), (GOAL_REACHED, GOAL_REWARD), (DIED, DEATH_REWARD), (TIMED_OUT, 0.0))
+_PLAY_ENDED = 1
 
-    At each time t, ``choose(t, x, y)`` picks the action, the agent steps by
-    ``move`` and its outcome is ``outcome_at`` the pixel it lands on in frame
-    t + 1. The loop ends at a terminal outcome, or when the chooser raises.
-    ``world_cfg`` supplies the agent's speed and step limit, which the
-    timeline never reads.
+
+def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, model: ForwardModel | None = None,
+             draws: np.ndarray | None = None, actions: np.ndarray | None = None,
+             ) -> tuple[Outcome, list[StepRecord], Exception | None]:
+    """The one episode loop: (outcome, steps, the exception that ended it or None).
+
+    The planner picks with ``model`` and ``mcts_cfg`` on the ``draws``, one
+    uniform per step; else the ``actions`` are taken in turn, and the loop
+    also ends where they run out. Each step moves the agent, clamped to the
+    grid, and reads its outcome from the pixel it lands on in frame t + 1:
+    the goal (palette 6), an obstacle (1..5), then the step limit. The loop
+    ends at a terminal outcome, or where the model, the search or the pick
+    raises. ``world_cfg`` supplies the agent's speed and step limit, which
+    the timeline never reads; its grid and goal size are the timeline's.
     """
-    speed, max_steps = world_cfg.agent_speed, world_cfg.max_steps
-    x_max, y_max = float(world_cfg.grid_w - 1), float(world_cfg.grid_h - 1)
-    x, y = timeline.start
-    t = 0
-    trace: list[StepRecord] = []
-    outcome = Outcome(RUNNING, 0.0, 0)
-    while not outcome.is_terminal:
-        try:
-            action = choose(t, x, y)
-        except Exception as exc:  # diagnostic record instead of a crash
-            return outcome, trace, exc
-        x, y = move(x, y, action, speed, x_max, y_max)
-        t += 1
-        outcome = outcome_at(timeline.frame(t), x, y, t, max_steps)
-        trace.append(StepRecord(t, x, y, action, outcome.reward, outcome.kind))
-    return outcome, trace, None
+    cfg = timeline.config
+    shape = (cfg.grid_h, cfg.grid_w)
+    if (world_cfg.grid_h, world_cfg.grid_w, world_cfg.goal_size) != (*shape, cfg.goal_size):
+        raise ValueError("an episode's world_cfg must have its timeline's grid and goal size")
+    max_steps, k = world_cfg.max_steps, mcts_cfg.rollout_length
+    # No step reads past max_steps, so the buffer below has one size per max_steps.
+    given = (np.asarray(actions, np.int64) if model is None else np.asarray(draws, np.float64))[:max_steps].tobytes()
+    window = None if model is None else model.window
+    first, stride = window or (0, 1)
+    nodes = _node_table(mcts_cfg) if model is not None else None
+    records = zeroed(k * FRAME_RECORD.size) if model is not None and window is None else None
+    # One buffer holds the kernel's Play, then the draws or actions, then the steps.
+    head = _search_head(mcts_cfg, 0 if nodes is None else ctypes.addressof(nodes), timeline.start,
+                        world_cfg.agent_speed, shape)
+    inputs_at = len(head)
+    fixed_at = inputs_at + _INPUTS.size
+    state_at = fixed_at + _FIXED.size
+    given_at = state_at + _STATE.size
+    steps_at = given_at + 8 * max_steps
+    play = zeroed(steps_at + max_steps * _STEP.size)
+    address = ctypes.addressof(play)
+    ctypes.memmove(address, head, len(head))
+    ctypes.memmove(address + given_at, given, len(given))
+    n_given = len(given) // 8
+    _FIXED.pack_into(play, fixed_at, 0 if model is None else address + given_at,
+                     address + given_at if model is None else 0, address + steps_at, n_given, first, stride,
+                     max_steps, mcts_cfg.temperature)
+    t, pending, searches, origin, keep, exception = 0, -1, 0, 0, None, None
+    _STATE.pack_into(play, state_at, t, pending, searches)
+    while True:
+        asked = 0
+        if pending >= 0:
+            timeline.frame(t + 1)  # where the action taken at t lands
+        elif t >= n_given:
+            break
+        elif model is not None:
+            try:
+                if window is None:
+                    # keep holds the occupancies the records point to while the kernel reads them.
+                    packed, keep = _pack_frames(model.predict(Observation.at(timeline, t), k), k, cfg.goal_size,
+                                                shape)
+                    ctypes.memmove(records, packed, len(packed))
+                    origin = t
+                else:
+                    timeline.predicted(t)  # the observation of time t reads frame t before the model is asked
+                    asked = 1  # the model is asked for decision t, and its search below is not counted again
+                    model.calls += 1
+                    for i in range(t + first, t + first + stride * (k - 1) + 1, stride or 1):
+                        timeline.predicted(i)
+            except Exception as exc:  # diagnostic record instead of a crash
+                exception = exc
+                break
+        n_times = len(timeline.frames)
+        if records is None:
+            _INPUTS.pack_into(play, inputs_at, timeline.records.buffer_info()[0], timeline.palettes.buffer_info()[0],
+                              0, n_times, n_times)
+        else:
+            _INPUTS.pack_into(play, inputs_at, ctypes.addressof(records), timeline.palettes.buffer_info()[0],
+                              origin, k, n_times)
+        status = _kernel(play)
+        done = searches
+        t, pending, searches = _STATE.unpack_from(play, state_at)
+        if window is not None:
+            model.calls += searches - done - asked
+        if status < 0:
+            try:
+                _check(status)
+            except Exception as exc:
+                exception = exc
+            break
+        if status == _PLAY_ENDED:
+            break
+    trace = [StepRecord(i, x, y, action, _OUTCOMES[kind][1], _OUTCOMES[kind][0])
+             for i, (x, y, action, kind) in enumerate(_STEP.iter_unpack(play[steps_at:steps_at + t * _STEP.size]), 1)]
+    outcome = Outcome(trace[-1].outcome, trace[-1].reward, t) if trace else Outcome(RUNNING, 0.0, 0)
+    return outcome, trace, exception
 
 
 def verify_replay(record: EpisodeRecord) -> bool:
@@ -195,14 +294,27 @@ def verify_replay(record: EpisodeRecord) -> bool:
 
     The replay is the episode loop on its own ``Timeline``, independent of the
     one the episode ran on, with the logged actions as the chooser: it ends
-    where the world ends the episode or where the actions run out. Its steps
-    (t, agent position, action, reward, outcome) and its outcome must equal
-    the record's exactly, so t must count up from 1 and no step may follow a
-    terminal one.
+    where the world ends the episode or where the actions run out, or at the
+    first that is not an integer in 0..7. Its steps (t, agent position,
+    action, reward, outcome) and its outcome must equal the record's
+    exactly, so t must count up from 1 and no step may follow a terminal
+    one. A logged action that is not an integer in 0..7 raises the error of
+    ``action_to_velocity`` when the replay reaches it.
     """
-    actions = iter([step.action for step in record.trace])
-    outcome, trace, _ = _episode_loop(Timeline(record.world_config, record.episode_seed), record.world_config,
-                                      lambda t, x, y: next(actions))
+    actions = []
+    for step in record.trace:
+        try:
+            action = operator.index(step.action)
+        except TypeError:
+            break
+        if not 0 <= action < N_ACTIONS:
+            break
+        actions.append(action)
+    cfg = record.world_config
+    outcome, trace, _ = _episode(Timeline(cfg, record.episode_seed), cfg, record.mcts_config,
+                                 actions=np.array(actions, dtype=np.int64))
+    if len(trace) == len(actions) < len(record.trace) and not outcome.is_terminal:
+        action_to_velocity(record.trace[len(actions)].action, cfg.agent_speed)
     return trace == record.trace and outcome == record.outcome
 
 
@@ -263,8 +375,15 @@ def run_benchmark(
     # Labels and configs first: a bad spec or k fails here, before any episode runs.
     labels = [model_label(cell.model_spec) for cell in cells]
 
-    cell_configs = [(world_cfg.for_speed(cell.speed), replace(mcts_cfg, rollout_length=cell.rollout_length),
-                     cell.model_spec) for cell in cells]
+    presets: dict[str, WorldConfig] = {}  # each speed preset built once, where its first cell asks for it
+
+    def preset(speed: str) -> WorldConfig:
+        if speed not in presets:
+            presets[speed] = world_cfg.for_speed(speed)
+        return presets[speed]
+
+    cell_configs = [(preset(cell.speed), replace(mcts_cfg, rollout_length=cell.rollout_length), cell.model_spec)
+                    for cell in cells]
     # Seed-major, so that the cells of one seed run back to back on one timeline.
     tasks = [(ci, ei, seed) for ei, seed in enumerate(seeds) for ci in range(len(cells))]
 

@@ -13,10 +13,14 @@ which ``kernel`` compiles with the system C compiler on first import, into
 the package's one cached shared object: the rollouts (``run_search``), then
 the temperature pick from the root's visit counts, read in the kernel's node
 table (``select_by_temperature``), with one ``rng.random()`` drawn between
-them. The kernel reads each frame's occupancy where it lies. A frame whose
-occupancy is read-only, as every frame of a ``Timeline`` is, is packed once
-for all the searches that read it: its occupancy's address, its goal
-estimate and the estimate's goal block.
+them. ``run_search``, ``plan_action`` and ``select_by_temperature`` are the
+one-decision API; an episode's decisions are made by the same two kernel
+functions from C, inside the harness's episode loop ``lanenav_play``, on
+draws taken up front (``harness``). The kernel reads each frame's occupancy
+where it lies. A frame whose occupancy is read-only, as every frame of a
+``Timeline`` is, is packed once for all the searches that read it
+(``world.packed_frame``): its occupancy's address, its goal estimate and
+the estimate's goal block.
 
 Results are bit-stable: every float is evaluated in a fixed order, so the
 same inputs give the same tree statistics and the same drawn action. The
@@ -37,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import library, zeroed
-from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, goal_block
+from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, packed_frame
 
 _A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = (a * math.pi / 4.0 for a in range(N_ACTIONS))
 _UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
@@ -62,9 +66,6 @@ _VISITS = NODE_DTYPE.fields["n"][1]
 # The kernel's ``Search``: node table and hypot addresses, four sizes, eight
 # reals and the moves (one precompiled pack, one cheap call).
 _SEARCH = struct.Struct(f"PP4q8d{2 * N_ACTIONS}d")
-# The kernel's ``Frame``: the occupancy's address, the goal estimate and its block.
-_FRAME = struct.Struct("P6d")
-_NO_GOAL = (math.nan,) * 6
 
 
 def _kernel_functions():
@@ -95,6 +96,7 @@ _KERNEL_ERRORS = {
     -4: (ValueError, f"rollout_length must be in 1..{MAX_ROLLOUT_LENGTH}"),
     -5: (ValueError, "max() arg is an empty sequence"),
     -6: (MemoryError, "select"),
+    -7: (ValueError, f"action must be in 0..{N_ACTIONS - 1}"),
 }
 
 
@@ -283,30 +285,29 @@ def _moves(agent_speed: float) -> tuple[float, ...]:
     return tuple(v for a in range(N_ACTIONS) for v in action_to_velocity(a, agent_speed))
 
 
-def _packed(frame: PredictedFrame, goal_size: int, shape: tuple[int, ...]) -> tuple:
-    """(goal size, shape, ``Frame`` record, occupancy) of a predicted frame for the kernel.
+def _search_head(cfg: MCTSConfig, nodes: int, agent_pos: tuple[float, float], agent_speed: float,
+                 shape: tuple[int, int]) -> bytes:
+    """The kernel's ``Search``: the node table's address, the settings of ``cfg`` and the agent's moves on a grid
+    of ``shape``, searching from ``agent_pos``."""
+    height, width = shape
+    return _SEARCH.pack(nodes, _HYPOT_ADDRESS, cfg.n_rollouts, cfg.rollout_length, height, width, agent_pos[0],
+                        agent_pos[1], cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value, cfg.shaping_beta,
+                        math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed))
 
-    The record holds the address of the occupancy as a C-contiguous bool
-    array: the frame's own where it is one, else a copy, which the tuple
-    keeps alive. A frame whose occupancy is read-only keeps its tuple, so it
-    is packed once for every search that reads it; the frames of a
-    ``Timeline`` are, from decision to decision and cell to cell.
-    """
-    packed = frame._packed
-    if packed is None or packed[0] != goal_size:
-        occ = np.asarray(frame.occupancy, dtype=bool)
-        if occ.shape != shape or not occ.size:
-            raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {occ.shape}")
-        if not occ.flags.c_contiguous:
-            occ = np.ascontiguousarray(occ)
-        goal = frame.goal_estimate
-        packed = (goal_size, shape, _FRAME.pack(occ.ctypes.data, *(
-            _NO_GOAL if goal is None else (goal[0], goal[1], *goal_block(goal, goal_size)))), occ)
-        if isinstance(frame.occupancy, np.ndarray) and not frame.occupancy.flags.writeable:
-            object.__setattr__(frame, "_packed", packed)
-    elif packed[1] != shape:
-        raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {packed[1]}")
-    return packed
+
+def _node_table(cfg: MCTSConfig) -> ctypes.Array:
+    """A zeroed node table for the searches of ``cfg``: ``n_rollouts + 1`` rows, a rollout adding at most one
+    node, or the nodes of a full tree of depth k where that is fewer."""
+    return zeroed(min(cfg.n_rollouts + 1, _FULL_TREE[cfg.rollout_length]) * NODE_DTYPE.itemsize)
+
+
+def _pack_frames(frames: tuple[PredictedFrame, ...], k: int, goal_size: int,
+                 shape: tuple[int, ...]) -> tuple[bytes, list]:
+    """The kernel's ``Frame`` records of the first k frames, and what keeps their occupancies alive."""
+    if len(frames) < k:
+        raise ValueError(f"{len(frames)} predicted frames given, need {k}")
+    packed = [packed_frame(frame, goal_size, shape) for frame in frames[:k]]
+    return b"".join([record for _, _, record, _ in packed]), packed
 
 
 def run_search(
@@ -333,21 +334,13 @@ def run_search(
     ``n_rollouts + 1`` nodes, since each rollout adds at most one, or of the
     nodes of a full tree of depth k where that is fewer. It reads
     each frame's occupancy where it lies; a frame whose occupancy is
-    read-only is packed for it once (``_packed``).
+    read-only is packed for it once (``world.packed_frame``).
     """
-    k = cfg.rollout_length
-    if len(frames) < k:
-        raise ValueError(f"{len(frames)} predicted frames given, need {k}")
-    shape = frames[0].occupancy.shape
-    packed = [_packed(frame, goal_size, shape) for frame in frames[:k]]
-    height, width = shape
-    nodes = zeroed(min(cfg.n_rollouts + 1, _FULL_TREE[k]) * NODE_DTYPE.itemsize)
+    shape = frames[0].occupancy.shape if frames else ()
+    records, packed = _pack_frames(frames, cfg.rollout_length, goal_size, shape)
+    nodes = _node_table(cfg)
     address = ctypes.addressof(nodes)
-    count = _check(_kernel(
-        _SEARCH.pack(address, _HYPOT_ADDRESS, cfg.n_rollouts, k, height, width, agent_pos[0], agent_pos[1],
-                     cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value, cfg.shaping_beta,
-                     math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed)),
-        b"".join([record for _, _, record, _ in packed])))
+    count = _check(_kernel(_search_head(cfg, address, agent_pos, agent_speed, shape), records))
     return SearchNode(_Tree(nodes, count, address), 0)
 
 

@@ -292,12 +292,24 @@ def prediction_error(predicted: PredictedFrame, truth: np.ndarray) -> ErrorMap:
 
 class ForwardModel:
     """A forward model: a name, a function of (``Observation``, k) to k predicted frames, and a count of
-    its ``predict`` calls; ``n_samples`` is the samples drawn per prediction, as the bench table shows it."""
+    its ``predict`` calls; ``n_samples`` is the samples drawn per prediction, as the bench table shows it.
+
+    ``window``, (first, stride), declares that the prediction at decision
+    time t is a fixed window of the episode's timeline: its predicted frames
+    of times t + first + stride * i, i = 0..k-1. The episode loop then reads
+    those frames from the timeline itself, without calling ``predict``, and
+    adds one call per decision it served to ``calls``. The oracle's window is
+    (1, 1), frames t+1..t+k; frozen's is (0, 0), frame t repeated k times.
+    The function must return the same frames.
+    """
 
     def __init__(self, name: str, predict: Callable[[Observation, int], tuple[PredictedFrame, ...]],
-                 n_samples: int = 1) -> None:
+                 n_samples: int = 1, window: tuple[int, int] | None = None) -> None:
+        if window is not None and not (len(window) == 2 and all(type(v) is int and v >= 0 for v in window)):
+            raise ValueError(f"a window is (first, stride), two integers >= 0, got {window!r}")
         self.name = name
         self.n_samples = n_samples
+        self.window = window
         self.calls = 0
         self._predict = predict
 
@@ -321,9 +333,9 @@ def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardMod
     if spec in RANDOM_AGENT_SPECS:
         return None
     if spec == "oracle":
-        return ForwardModel("oracle", lambda obs, k: obs.timeline.rollout(obs.t, k))
+        return ForwardModel("oracle", lambda obs, k: obs.timeline.rollout(obs.t, k), window=(1, 1))
     if spec == "frozen":
-        return ForwardModel("frozen", lambda obs, k: frozen_predict(obs.history, k))
+        return ForwardModel("frozen", lambda obs, k: frozen_predict(obs.history, k), window=(0, 0))
     if spec == "velocity":
         return ForwardModel("velocity", lambda obs, k: velocity_predict(obs.history, k))
     if spec == "noisy" or spec.startswith("noisy:"):

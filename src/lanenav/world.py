@@ -40,10 +40,13 @@ branch of a planner search, and it is used once, by ``Timeline``: the world of
 an episode is simulated once and every reader (the episode runner, the
 models, every benchmark cell on the same seed) shares its frames.
 
-Of the agent, the world state keeps only the start cell. ``move`` is the
-agent's clamped step and ``outcome_at`` reads its outcome from the frame it
-lands on; the harness's one episode loop, which also replays episodes, uses
-them on ``Timeline`` frames.
+Of the agent, the world state keeps only the start cell, and
+``action_to_velocity`` gives its step per action. The agent's rule (a step
+clamped to the grid, and its outcome read from the pixel it lands on in the
+next frame: goal, obstacle, then the step limit) lives in the harness's one
+episode loop, the C kernel ``lanenav_play``, which reads ``Timeline`` frames
+where they lie; ``Timeline`` keeps each frame's address and each predicted
+frame's kernel record for it.
 
 Coordinates are (x, y) with x the column and y the row; frames are indexed
 ``frame[y, x]``. All quantization uses round-half-away-from-zero.
@@ -54,6 +57,7 @@ import ctypes
 import math
 import struct
 import sys
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -404,12 +408,6 @@ def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
     return ux * speed, uy * speed
 
 
-def move(x: float, y: float, action: int, speed: float, x_max: float, y_max: float) -> tuple[float, float]:
-    """The agent's position after one action, clamped to [0, x_max] x [0, y_max]."""
-    dx, dy = action_to_velocity(action, speed)
-    return min(max(x + dx, 0.0), x_max), min(max(y + dy, 0.0), y_max)
-
-
 def world_step(state: WorldState) -> None:
     """Advance the world one step in place.
 
@@ -487,23 +485,6 @@ def render_frame(state: WorldState) -> np.ndarray:
     return cells
 
 
-def outcome_at(frame: np.ndarray, x: float, y: float, t: int, max_steps: int) -> Outcome:
-    """Outcome of the agent at (x, y) on the palette frame of time t.
-
-    The agent's one outcome rule: the goal if its pixel is goal (the goal is
-    painted over obstacles), death if it is any obstacle class, then the
-    timeout at ``max_steps``, else still running.
-    """
-    cell = frame[round_px(y), round_px(x)]
-    if cell == GOAL:
-        return Outcome(GOAL_REACHED, GOAL_REWARD, t)
-    if cell != FREE:
-        return Outcome(DIED, DEATH_REWARD, t)
-    if t >= max_steps:
-        return Outcome(TIMED_OUT, 0.0, t)
-    return Outcome(RUNNING, 0.0, t)
-
-
 def freeze(arr: np.ndarray) -> np.ndarray:
     """Mark an array read-only in place and return it."""
     arr.flags.writeable = False
@@ -524,12 +505,14 @@ def goal_center_of_frame(frame: np.ndarray) -> tuple[float, float] | None:
 class PredictedFrame:
     occupancy: np.ndarray  # bool (H, W), goal pixels excluded
     goal_estimate: tuple[float, float] | None
-    # The planner's packed form of a frame whose occupancy is read-only, made
-    # by its first search (mcts.run_search); it holds the occupancy's address.
+    # Where ``predicted_frame`` put the occupancy, known without asking numpy,
+    # and the planner's packed form of a frame whose occupancy is read-only,
+    # made by ``packed_frame``; both hold addresses.
+    _address = None
     _packed = None
 
     def __getstate__(self) -> dict:
-        # A copy or a pickle has an occupancy of its own, so it drops the address.
+        # A copy or a pickle has an occupancy of its own, so it drops the addresses.
         return {"occupancy": self.occupancy, "goal_estimate": self.goal_estimate}
 
 
@@ -547,9 +530,50 @@ def predicted_frame(frame: np.ndarray) -> PredictedFrame:
     count = _read_frame(_SIZES.pack(height, width, 0, 0, 0, 0), frame.tobytes(), out)
     occupancy = freeze(np.frombuffer(out, np.bool_, height * width, _READ_HEAD.size).reshape(height, width))
     if not count:
-        return PredictedFrame(occupancy=occupancy, goal_estimate=None)
-    sum_x, sum_y = _READ_HEAD.unpack_from(out)
-    return PredictedFrame(occupancy=occupancy, goal_estimate=(sum_x / count, sum_y / count))
+        predicted = PredictedFrame(occupancy=occupancy, goal_estimate=None)
+    else:
+        sum_x, sum_y = _READ_HEAD.unpack_from(out)
+        predicted = PredictedFrame(occupancy=occupancy, goal_estimate=(sum_x / count, sum_y / count))
+    object.__setattr__(predicted, "_address", ctypes.addressof(out) + _READ_HEAD.size)
+    return predicted
+
+
+# The search kernel's ``Frame`` (_search.c): the occupancy's address, the goal
+# estimate (x, y), NaN x for none, and the estimate's goal block.
+FRAME_RECORD = struct.Struct("P6d")
+_NO_GOAL = (math.nan,) * 6
+
+
+def packed_frame(frame: PredictedFrame, goal_size: int, shape: tuple[int, ...]) -> tuple:
+    """(goal size, shape, ``FRAME_RECORD``, occupancy) of a predicted frame for the search kernel.
+
+    The record holds the address of the occupancy as a C-contiguous bool
+    array: the frame's own where it is one, else a copy, which the tuple
+    keeps alive. The address of an occupancy ``predicted_frame`` made is
+    known; any other is asked of numpy. A frame whose occupancy is read-only
+    keeps its tuple, so it is packed once for every search that reads it;
+    the frames of a ``Timeline`` are, from decision to decision and cell to
+    cell.
+    """
+    packed = frame._packed
+    if packed is None or packed[0] != goal_size:
+        occ = np.asarray(frame.occupancy, dtype=bool)
+        if occ.shape != shape or not occ.size:
+            raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {occ.shape}")
+        if occ is frame.occupancy and frame._address is not None:
+            address = frame._address
+        else:
+            if not occ.flags.c_contiguous:
+                occ = np.ascontiguousarray(occ)
+            address = occ.ctypes.data
+        goal = frame.goal_estimate
+        packed = (goal_size, shape, FRAME_RECORD.pack(address, *(
+            _NO_GOAL if goal is None else (goal[0], goal[1], *goal_block(goal, goal_size)))), occ)
+        if isinstance(frame.occupancy, np.ndarray) and not frame.occupancy.flags.writeable:
+            object.__setattr__(frame, "_packed", packed)
+    elif packed[1] != shape:
+        raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {packed[1]}")
+    return packed
 
 
 def clone_state(state: WorldState) -> WorldState:
@@ -663,6 +687,12 @@ class Timeline:
     asked for, and neither refers back to the timeline, so a timeline is
     freed as soon as its last reader lets go of it. ``start`` is the agent's
     start position.
+
+    For the episode loop in C (``harness``), the timeline also keeps two
+    arrays by time, as long as ``frames``: the address of each palette
+    frame's cells, and the search kernel's ``FRAME_RECORD`` of each time
+    whose ``predicted`` is computed (packed with the config's goal size),
+    all zero bytes before. The loop reads both where they lie.
     """
 
     def __init__(self, config: WorldConfig, episode_seed: int) -> None:
@@ -670,22 +700,37 @@ class Timeline:
         self.config = config
         self.episode_seed = episode_seed
         self.start = state.start
-        self.frames: list[np.ndarray] = [freeze(render_frame(state))]
+        self.frames: list[np.ndarray] = []
+        self.palettes = array("Q")
+        self.records = array("B")
         self._state = state
         self._predicted: dict[int, PredictedFrame] = {}
         self._histories: dict[int, History] = {}
+        self._append(freeze(render_frame(state)))
+
+    def _append(self, frame: np.ndarray) -> None:
+        # The rasterizer's frame is a view of its whole kernel buffer, where the loop reads the cells.
+        buffer = frame.base.base
+        if not isinstance(buffer, ctypes.Array) or ctypes.sizeof(buffer) != self.config.grid_h * self.config.grid_w:
+            raise ValueError("a timeline frame is a view of a whole kernel buffer of the grid's cells")
+        self.frames.append(frame)
+        self.palettes.append(ctypes.addressof(buffer))
+        self.records.frombytes(_UNREAD)
 
     def frame(self, t: int) -> np.ndarray:
         frames = self.frames
         while len(frames) <= t:
             world_step(self._state)
-            frames.append(freeze(render_frame(self._state)))
+            self._append(freeze(render_frame(self._state)))
         return frames[t]
 
     def predicted(self, t: int) -> PredictedFrame:
         predicted = self._predicted.get(t)
         if predicted is None:
+            cfg = self.config
             predicted = self._predicted[t] = predicted_frame(self.frame(t))
+            _RECORD.pack_into(self.records, t * FRAME_RECORD.size,
+                              packed_frame(predicted, cfg.goal_size, (cfg.grid_h, cfg.grid_w))[2])
         return predicted
 
     def history(self, t: int) -> History:
@@ -701,3 +746,8 @@ class Timeline:
         if k < 1:
             raise ValueError("k must be >= 1")
         return tuple(self.predicted(i) for i in range(t + 1, t + k + 1))
+
+
+# A record of ``Timeline.records`` as bytes, and the record of a time not predicted yet (a NULL occupancy).
+_RECORD = struct.Struct(f"{FRAME_RECORD.size}s")
+_UNREAD = bytes(FRAME_RECORD.size)

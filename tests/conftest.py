@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from lanenav.mcts import MCTSConfig, goal_prior
-from lanenav.models import _noisy_samples, oracle_predict
-from lanenav.seeding import STREAM_CLASS, STREAM_SPAWN, substream
+from lanenav.harness import EpisodeRecord, StepRecord
+from lanenav.mcts import MCTSConfig, goal_prior, plan_action
+from lanenav.models import ForwardModel, Observation, _noisy_samples, build_model, oracle_predict
+from lanenav.seeding import STREAM_AGENT, STREAM_CLASS, STREAM_MODEL, STREAM_PLAN, STREAM_SPAWN, substream
 from lanenav.world import (
+    DEATH_REWARD,
+    DIED,
+    FREE,
     GOAL,
+    GOAL_REACHED,
+    GOAL_REWARD,
     HEAD,
     LANE,
     LEFT_TO_RIGHT,
@@ -20,15 +26,16 @@ from lanenav.world import (
     GoalState,
     Lane,
     Outcome,
+    RUNNING,
+    TIMED_OUT,
     PredictedFrame,
+    Timeline,
     WorldConfig,
     WorldState,
     action_to_velocity,
     fold,
     goal_block,
     goal_pixels,
-    move,
-    outcome_at,
     reflect_axis,
     render_frame,
     round_px,
@@ -334,6 +341,92 @@ def reference_predicted_frame(frame: np.ndarray) -> PredictedFrame:
     rows, cols = np.nonzero(frame == GOAL)
     goal = None if rows.size == 0 else (float(cols.mean()), float(rows.mean()))
     return PredictedFrame(occupancy=(frame >= 1) & (frame <= GOAL - 1), goal_estimate=goal)
+
+
+def move(x: float, y: float, action: int, speed: float, x_max: float, y_max: float) -> tuple[float, float]:
+    """The agent's former Python step, the reference of the episode kernel's: its position after one action,
+    clamped to [0, x_max] x [0, y_max]."""
+    dx, dy = action_to_velocity(action, speed)
+    return min(max(x + dx, 0.0), x_max), min(max(y + dy, 0.0), y_max)
+
+
+def outcome_at(frame: np.ndarray, x: float, y: float, t: int, max_steps: int) -> Outcome:
+    """The agent's former outcome rule, the reference of the episode kernel's: on the palette frame of
+    time t, the goal if its pixel is goal, death if it is any obstacle class, then the timeout at
+    ``max_steps``, else still running."""
+    cell = frame[round_px(y), round_px(x)]
+    if cell == GOAL:
+        return Outcome(GOAL_REACHED, GOAL_REWARD, t)
+    if cell != FREE:
+        return Outcome(DIED, DEATH_REWARD, t)
+    if t >= max_steps:
+        return Outcome(TIMED_OUT, 0.0, t)
+    return Outcome(RUNNING, 0.0, t)
+
+
+def reference_episode_loop(timeline: Timeline, world_cfg: WorldConfig, choose
+                           ) -> tuple[Outcome, list[StepRecord], Exception | None]:
+    """The harness's former Python episode loop, the reference of ``lanenav_play``: (outcome, steps, the
+    chooser's exception or None). At each time t, ``choose(t, x, y)`` picks the action, the agent steps by
+    ``move`` and its outcome is ``outcome_at`` the pixel it lands on in frame t + 1; the loop ends at a
+    terminal outcome, or when the chooser raises."""
+    speed, max_steps = world_cfg.agent_speed, world_cfg.max_steps
+    x_max, y_max = float(world_cfg.grid_w - 1), float(world_cfg.grid_h - 1)
+    x, y = timeline.start
+    t = 0
+    trace: list[StepRecord] = []
+    outcome = Outcome(RUNNING, 0.0, 0)
+    while not outcome.is_terminal:
+        try:
+            action = choose(t, x, y)
+        except Exception as exc:
+            return outcome, trace, exc
+        x, y = move(x, y, action, speed, x_max, y_max)
+        t += 1
+        outcome = outcome_at(timeline.frame(t), x, y, t, max_steps)
+        trace.append(StepRecord(t, x, y, action, outcome.reward, outcome.kind))
+    return outcome, trace, None
+
+
+def reference_play(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig,
+                   model_spec: str | ForwardModel) -> EpisodeRecord:
+    """The harness's former ``_play``: ``reference_episode_loop`` with a chooser that draws as it goes, one
+    ``rng.integers(8)`` per random step, or per planner step the model's ``predict`` on the observation of
+    t, then ``plan_action`` with its one ``rng.random()``."""
+    ep_seed = timeline.episode_seed
+    if isinstance(model_spec, ForwardModel):
+        model = model_spec
+        model_spec = model.name
+    else:
+        model = build_model(model_spec, rng=substream(ep_seed, STREAM_MODEL))
+    if model is None:
+        agent_rng = substream(ep_seed, STREAM_AGENT)
+
+        def choose(t, x, y):
+            return int(agent_rng.integers(N_ACTIONS))
+    else:
+        plan_rng = substream(ep_seed, STREAM_PLAN)
+        k, speed, goal_size = mcts_cfg.rollout_length, world_cfg.agent_speed, world_cfg.goal_size
+
+        def choose(t, x, y):
+            frames = model.predict(Observation.at(timeline, t), k)
+            return plan_action((x, y), frames, mcts_cfg, plan_rng, agent_speed=speed, goal_size=goal_size)
+
+    outcome, trace, exception = reference_episode_loop(timeline, world_cfg, choose)
+    return EpisodeRecord(
+        episode_seed=ep_seed, outcome=outcome, steps=outcome.steps_taken, trace=trace,
+        model_name=model.name if model is not None else "random", model_spec=model_spec,
+        world_config=world_cfg, mcts_config=mcts_cfg,
+        error=None if exception is None else f"{type(exception).__name__}: {exception}", exception=exception)
+
+
+def reference_replay(record: EpisodeRecord) -> tuple[Outcome, list[StepRecord]]:
+    """The former ``verify_replay``'s replay: the logged actions through ``reference_episode_loop`` on a
+    fresh timeline, until the world ends the episode or an action runs out or fails to move."""
+    actions = iter([step.action for step in record.trace])
+    outcome, trace, _ = reference_episode_loop(Timeline(record.world_config, record.episode_seed),
+                                               record.world_config, lambda t, x, y: next(actions))
+    return outcome, trace
 
 
 def obstacle_table(bodies: list[tuple[int, float, int, float]]) -> np.ndarray:

@@ -1,0 +1,241 @@
+"""The episode kernel against the Python episode loop it replaced.
+
+``harness._play`` plays every episode through ``lanenav_play`` in C;
+``conftest.reference_play`` is the former Python loop, which draws as it
+goes and calls ``move``, ``outcome_at``, the model's ``predict`` and
+``plan_action`` once per step. The kernel must give the same episode bit for
+bit: the same steps (positions compared by ``repr``, so -0.0 and 0.0 differ),
+outcome, error text and model calls, and it must simulate exactly the frames
+the Python loop simulated.
+
+Each episode is played on a fresh timeline, where the kernel gets one frame
+at a time, and again on a timeline the reference already simulated, where a
+model with a window plays the whole episode in one kernel call.
+"""
+from __future__ import annotations
+
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import lanenav.world as world
+from conftest import reference_play, reference_replay
+from lanenav import harness
+from lanenav.harness import StepRecord, _episode, _play, verify_replay
+from lanenav.mcts import MCTSConfig
+from lanenav.models import ForwardModel, build_model
+from lanenav.seeding import STREAM_MODEL, episode_seed, substream
+from lanenav.world import Timeline, WorldConfig
+
+PLANNER_SPECS = ("oracle", "frozen", "velocity", "noisy:0.1,0.02,1.0,3")
+WINDOWED = ("oracle", "frozen")
+# prior_kappa just past exp's range: a prior overflows where the goal lies within about a degree of an action.
+OVERFLOW_KAPPA = 709.9
+
+
+def steps_of(trace: list[StepRecord]) -> list[tuple]:
+    return [(s.t, repr(s.agent_x), repr(s.agent_y), s.action, s.reward, s.outcome) for s in trace]
+
+
+def assert_same_episode(got, want) -> None:
+    assert steps_of(got.trace) == steps_of(want.trace)
+    assert got.outcome == want.outcome
+    assert got.steps == want.steps == len(got.trace)
+    assert got.error == want.error
+    assert type(got.exception) is type(want.exception)
+
+
+def model_for(spec: str, seed: int) -> ForwardModel | str:
+    """A fresh model of ``spec`` with the generator the harness gives it, so both loops count its calls."""
+    model = build_model(spec, rng=substream(seed, STREAM_MODEL))
+    return spec if model is None else model
+
+
+class CountingKernel:
+    """Wraps ``harness._kernel`` to count its calls."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = 0
+        self._kernel = harness._kernel
+        monkeypatch.setattr(harness, "_kernel", self)
+
+    def __call__(self, play):
+        self.calls += 1
+        return self._kernel(play)
+
+
+def compare(world_cfg: WorldConfig, mcts_cfg: MCTSConfig, spec: str | ForwardModel, seed: int,
+            kernel: CountingKernel | None = None, make=None, timeline=Timeline):
+    """The kernel's episode and the reference's, on fresh timelines, then the kernel's again on the
+    reference's timeline; returns the reference record and the kernel calls of the last run."""
+    make = make or (lambda: model_for(spec, seed))
+    fresh, simulated = timeline(world_cfg, seed), timeline(world_cfg, seed)
+    got_model, want_model = make(), make()
+    got = _play(fresh, world_cfg, mcts_cfg, got_model)
+    want = reference_play(simulated, world_cfg, mcts_cfg, want_model)
+    assert_same_episode(got, want)
+    assert len(fresh.frames) == len(simulated.frames)
+    if isinstance(want_model, ForwardModel):
+        assert got_model.calls == want_model.calls
+    again_model = make()
+    before = kernel.calls if kernel is not None else 0
+    assert_same_episode(_play(simulated, world_cfg, mcts_cfg, again_model), want)
+    if isinstance(want_model, ForwardModel):
+        assert again_model.calls == want_model.calls
+    return want, (kernel.calls - before if kernel is not None else None)
+
+
+@pytest.mark.parametrize("n_rollouts", [1, 100])
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("speed", ["2x", "1x"])
+@pytest.mark.parametrize("spec", PLANNER_SPECS)
+def test_planner_episodes_match_the_python_loop(spec, speed, k, n_rollouts, monkeypatch):
+    kernel = CountingKernel(monkeypatch)
+    world_cfg = WorldConfig().for_speed(speed)
+    mcts_cfg = MCTSConfig(n_rollouts=n_rollouts, rollout_length=k)
+    seeds = (episode_seed(29, i) for i in range(3 if spec in WINDOWED else 2))
+    for seed in seeds:
+        want, calls = compare(world_cfg, mcts_cfg, spec, seed, kernel)
+        assert want.error is None and want.steps > 0
+        if spec in WINDOWED:
+            # The reference simulated and read every frame the episode needs: one call plays it all.
+            assert calls == 1
+
+
+@pytest.mark.parametrize("speed", ["2x", "1x"])
+def test_random_agent_episodes_match_the_python_loop(speed):
+    world_cfg = WorldConfig().for_speed(speed)
+    for i in range(6):
+        want, _ = compare(world_cfg, MCTSConfig(), "none", episode_seed(30, i))
+        assert want.steps > 0
+
+
+def test_model_that_raises_at_decision_j():
+    world_cfg = WorldConfig().for_speed("2x")
+    for j in (1, 2, 7):
+        def make(j=j):
+            def predict(obs, k):
+                if model.calls == j:
+                    raise RuntimeError(f"synthetic failure at decision {j}")
+                return obs.timeline.rollout(obs.t, k)
+
+            model = ForwardModel("failing", predict)
+            return model
+
+        want, _ = compare(world_cfg, MCTSConfig(n_rollouts=30), None, episode_seed(22, 0), make=make)
+        assert want.error == f"RuntimeError: synthetic failure at decision {j}"
+        assert want.steps == j - 1
+
+
+@pytest.mark.parametrize("spec", WINDOWED)
+def test_window_that_raises_at_decision_j(spec):
+    """A model with a window reads the timeline itself; a frame that fails to read ends the episode
+    where the model's ``predict`` would have raised, and counts as its call."""
+    class RaisingTimeline(Timeline):
+        def predicted(self, t):
+            if t == 6:
+                raise RuntimeError("synthetic failure at time 6")
+            return super().predicted(t)
+
+    world_cfg = WorldConfig().for_speed("2x")
+    want, _ = compare(world_cfg, MCTSConfig(n_rollouts=30), spec, episode_seed(29, 0), timeline=RaisingTimeline)
+    assert want.error == "RuntimeError: synthetic failure at time 6"
+    assert 0 < want.steps <= 6
+
+
+def test_model_frames_of_another_grid_raise_as_the_search_did():
+    world_cfg = WorldConfig().for_speed("2x")
+
+    def make():
+        return ForwardModel("small", lambda obs, k: tuple(replace(f, occupancy=f.occupancy[:20])
+                                                          for f in obs.timeline.rollout(obs.t, k)))
+
+    record = _play(Timeline(world_cfg, 3), world_cfg, MCTSConfig(), make())
+    assert record.steps == 0 and record.error.startswith("ValueError: predicted frames must share one")
+
+
+@pytest.mark.parametrize("spec", WINDOWED + ("velocity",))
+def test_prior_overflow_partway_through_a_run(spec, monkeypatch):
+    kernel = CountingKernel(monkeypatch)
+    world_cfg = WorldConfig().for_speed("2x")
+    mcts_cfg = MCTSConfig(n_rollouts=20, rollout_length=3, prior_kappa=OVERFLOW_KAPPA)
+    found = 0
+    for i in range(40):
+        want, calls = compare(world_cfg, mcts_cfg, spec, episode_seed(23, i), kernel)
+        if want.error is not None and want.steps > 1:
+            assert want.error == "OverflowError: math range error"
+            if spec in WINDOWED:
+                assert calls == 1  # raised inside a call that had played decisions before
+            found += 1
+            if found == 3:
+                break
+    assert found == 3
+
+
+def test_replays_match_the_python_replay():
+    world_cfg = WorldConfig().for_speed("2x")
+    mcts_cfg = MCTSConfig(n_rollouts=20)
+    records = [_play(Timeline(world_cfg, episode_seed(24, i)), world_cfg, mcts_cfg, spec)
+               for i, spec in enumerate(("oracle", "none", "frozen", "none", "velocity"))]
+    for record in records:
+        variants = [record.trace, record.trace[:len(record.trace) // 2], []]
+        middle = len(record.trace) // 2
+        for action in (9, -1, 2.0, True, np.int64(5), (record.trace[middle].action + 4) % 8):
+            variants.append(record.trace[:middle] + [replace(record.trace[middle], action=action)]
+                            + record.trace[middle + 1:])
+        for trace in variants:
+            tampered = replace(record, trace=trace)
+            try:
+                want_outcome, want_trace = reference_replay(tampered)
+            except (ValueError, TypeError) as exc:  # the Python loop met an action it cannot move by
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    verify_replay(tampered)
+                continue
+            actions = [int(step.action) for step in trace[:len(want_trace)]]
+            outcome, got_trace, error = _episode(Timeline(world_cfg, record.episode_seed), world_cfg, mcts_cfg,
+                                                 actions=np.array(actions, dtype=np.int64))
+            assert error is None
+            assert steps_of(got_trace) == steps_of(want_trace) and outcome == want_outcome
+            assert verify_replay(tampered) == (want_trace == trace and want_outcome == tampered.outcome)
+        assert verify_replay(record)
+
+
+def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
+    """A bench batch through the kernel steps the world exactly as often as through the Python loop,
+    and leaves each timeline as long."""
+    world_cfg = WorldConfig()
+    cells = [(world_cfg.for_speed(speed), MCTSConfig(n_rollouts=20, rollout_length=k), spec)
+             for spec in ("oracle", "frozen", "velocity", "noisy", "none") for speed in ("2x", "1x")
+             for k in (1, 3, 10)]
+    tasks = [(ci, ei, episode_seed(25, ei)) for ei in range(3) for ci in range(len(cells))]
+    step = world.world_step
+    counts = {}
+
+    def counting_step(state):
+        counts[state.episode_seed] = counts.get(state.episode_seed, 0) + 1
+        step(state)
+
+    def run(play) -> tuple:
+        timelines = []
+
+        class TrackedTimeline(Timeline):
+            def __init__(self, config, seed):
+                super().__init__(config, seed)
+                timelines.append(self)
+
+        counts.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(world, "world_step", counting_step)
+            patch.setattr(harness, "Timeline", TrackedTimeline)
+            patch.setattr(harness, "_play", play)
+            results = harness._bench_batch(world_cfg, cells, tasks)
+        return results, dict(counts), [(t.episode_seed, len(t.frames)) for t in timelines]
+
+    def reference(timeline, cell_world, cell_mcts, spec):
+        return reference_play(timeline, cell_world, cell_mcts, spec)
+
+    got, want = run(_play), run(reference)
+    assert got == want
+    assert sum(want[1].values()) > 3 * world_cfg.warmup_steps

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import frames_equal
+from conftest import frames_equal, move, outcome_at
 from lanenav import harness
 from lanenav.harness import (
     BenchCell,
@@ -18,7 +18,7 @@ from lanenav.harness import (
 from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel, build_model, model_label
 from lanenav.seeding import episode_seed
-from lanenav.world import Outcome, Timeline, WorldConfig, move, outcome_at
+from lanenav.world import Outcome, Timeline, WorldConfig
 
 FAST_WORLD = WorldConfig(max_steps=60)
 SMALL_MCTS = MCTSConfig(n_rollouts=20, rollout_length=1)

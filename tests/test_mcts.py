@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import move
 from lanenav.mcts import (
     MAX_ROLLOUT_LENGTH,
     MAX_ROLLOUTS,
@@ -16,7 +17,7 @@ from lanenav.mcts import (
 )
 from lanenav.models import PredictedFrame, oracle_predict
 from lanenav.seeding import make_rng
-from lanenav.world import ConfigError, WorldConfig, action_to_velocity, move, new_episode, round_px
+from lanenav.world import ConfigError, WorldConfig, action_to_velocity, new_episode, round_px
 
 
 def rollout_from_masks(masks, goals=None) -> tuple[PredictedFrame, ...]:

@@ -26,10 +26,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from conftest import move, outcome_at
 from lanenav.mcts import MCTSConfig, SearchNode, run_search
 from lanenav.models import Observation, frozen_predict
 from lanenav.seeding import episode_seed, make_rng
-from lanenav.world import N_ACTIONS, PredictedFrame, Timeline, WorldConfig, move, outcome_at
+from lanenav.world import N_ACTIONS, PredictedFrame, Timeline, WorldConfig
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "search_trees.json"
 

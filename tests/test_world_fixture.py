@@ -12,10 +12,11 @@ For each (config, seed) the fixture holds:
   number of deaths and goals.
 
 ``events`` was recorded from ``agent_step``, the stepped-state agent that the
-library has since dropped, and is now reproduced by ``move`` and
-``outcome_at`` on the timeline's frames. That equality is the proof that the
-one agent rule behaves as the old one did, so do not re-record the fixture to
-make ``events`` pass.
+library has since dropped, and is reproduced by ``conftest.move`` and
+``conftest.outcome_at`` on the timeline's frames, the agent rule that the
+episode kernel is compared with step by step in ``test_episode_kernel.py``.
+That chain of equalities is the proof that the one agent rule behaves as the
+old one did, so do not re-record the fixture to make ``events`` pass.
 
 The configs are the default world and edge cases ``validate`` accepts: no
 speed jitter (heads on exact half-pixels, so rounding ties), jitter at or
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import move, outcome_at
 from lanenav.seeding import make_rng
 from lanenav.tracefile import frame_to_rle
 from lanenav.world import (
@@ -43,8 +45,6 @@ from lanenav.world import (
     RUNNING,
     Timeline,
     WorldConfig,
-    move,
-    outcome_at,
 )
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "world_frames.json"
