@@ -18,15 +18,20 @@
  *   module;
  * - the shaping term's hypot is Python's own math.hypot, passed in as a
  *   callback, because CPython computes hypot with its own algorithm.
+ *
+ * kernel.py declares every struct and constant Python shares with this file,
+ * and checks them on load against lanenav_search_layout at its end.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 
 #define N_ACTIONS 8
-#define MAX_DEPTH 64 /* mcts.MAX_ROLLOUT_LENGTH */
+#define MAX_DEPTH 64
 
-/* Kernel errors; mcts.py raises the exception Python's arithmetic would. */
+/* Kernel errors, distinct from _world.c's; kernel.ERRORS raises for each
+ * the exception Python's arithmetic would. */
 #define ERR_OVERFLOW (-1)  /* an exp overflowed: OverflowError */
 #define ERR_ZERO_DIV (-2)  /* shaping on a 1 x 1 grid, a zero temperature or no visits: ZeroDivisionError */
 #define ERR_NAN_POS (-3)   /* a move gave a NaN position: ValueError */
@@ -35,8 +40,8 @@
 #define ERR_MEMORY (-6)
 #define ERR_ACTION (-7)    /* a given action outside 0..N_ACTIONS - 1 */
 
-/* One tree node; mcts.NODE_DTYPE spells out the same layout. NaN in
- * terminal_value or stop_value stands for None. */
+/* One tree node (kernel.NODE). NaN in terminal_value or stop_value stands
+ * for None. */
 typedef struct {
     double x, y;
     double terminal_value;
@@ -52,7 +57,7 @@ typedef struct {
 
 typedef double (*hypot_fn)(double, double);
 
-/* The settings of one search, packed by mcts.run_search in this order. */
+/* The settings of one search (kernel.SEARCH), packed by mcts.run_search. */
 typedef struct {
     Node *nodes;     /* room for n_rollouts + 1 rows, a rollout adding at most one node, or
                       * for the full tree of depth k where that is fewer */
@@ -62,15 +67,13 @@ typedef struct {
     double moves[2 * N_ACTIONS]; /* (dx, dy) of each action */
 } Search;
 
-/* One predicted frame, packed by mcts.run_search once per frame: where its
+/* One predicted frame (kernel.FRAME), packed once per frame: where its
  * occupancy lies, then its goal estimate (x, y), NaN x for none, and the
  * estimate's block col_lo, col_hi, row_lo, row_hi. */
 typedef struct {
     const uint8_t *occ; /* height x width bytes, nonzero where occupied */
     double goal[6];
 } Frame;
-
-int64_t lanenav_node_size(void) { return (int64_t)sizeof(Node); }
 
 static void init_node(Node *node, int32_t depth, double x, double y, double terminal_value, double stop_value)
 {
@@ -286,21 +289,21 @@ int64_t lanenav_select(const int64_t *visits, int64_t n, double temperature, dou
     return error ? error : index;
 }
 
-/* Outcome kinds of a step, harness._OUTCOMES in this order. */
+/* Outcome kinds of a step, in the order of kernel.OUTCOMES. */
 enum { RUNNING, GOAL_REACHED, DIED, TIMED_OUT };
-#define GOAL 6 /* world.GOAL, the goal's palette value */
+#define GOAL 6 /* the goal's palette value */
 
-/* One step of an episode: the agent's position after it, its action and
- * the outcome kind it met; harness._STEP spells out the same layout. */
+/* One step of an episode (kernel.STEP): the agent's position after it, its
+ * action and the outcome kind it met. */
 typedef struct {
     double x, y;
     int64_t action, kind;
 } Step;
 
-/* A run of an episode's steps, packed by harness.py: the planner's search
- * settings, whose (x0, y0) is the agent's start; what the harness updates
- * before each call; what stays for the episode; and what the kernel
- * writes back. */
+/* A run of an episode's steps (kernel.PLAY), packed by harness.py: the
+ * planner's search settings, whose (x0, y0) is the agent's start; what the
+ * harness updates before each call; what stays for the episode; and what
+ * the kernel writes back. */
 typedef struct {
     Search search;                  /* the grid and the moves serve every agent, the rest the planner */
     const Frame *frames;            /* frames[i] is the frame of time origin + i; a NULL occ: not read yet */
@@ -402,3 +405,24 @@ int64_t lanenav_play(Play *play)
             return PLAY_ENDED;
     }
 }
+
+/* kernel.py's load check: per struct each field's offset and size, then the
+ * struct's size; then the constants, in the order kernel.py lists them. */
+#define FIELD(s, f) offsetof(s, f), sizeof(((s *)0)->f)
+const int64_t lanenav_search_layout[] = {
+    FIELD(Node, x), FIELD(Node, y), FIELD(Node, terminal_value), FIELD(Node, stop_value), FIELD(Node, prior),
+    FIELD(Node, w), FIELD(Node, mean), FIELD(Node, n), FIELD(Node, total), FIELD(Node, children),
+    FIELD(Node, depth), sizeof(Node),
+    FIELD(Search, nodes), FIELD(Search, hypot), FIELD(Search, n_rollouts), FIELD(Search, k), FIELD(Search, height),
+    FIELD(Search, width), FIELD(Search, x0), FIELD(Search, y0), FIELD(Search, c_puct), FIELD(Search, kappa),
+    FIELD(Search, death_value), FIELD(Search, goal_value), FIELD(Search, beta), FIELD(Search, diag),
+    FIELD(Search, moves), sizeof(Search),
+    FIELD(Frame, occ), FIELD(Frame, goal), sizeof(Frame),
+    FIELD(Step, x), FIELD(Step, y), FIELD(Step, action), FIELD(Step, kind), sizeof(Step),
+    FIELD(Play, search), FIELD(Play, frames), FIELD(Play, palettes), FIELD(Play, origin), FIELD(Play, n_frames),
+    FIELD(Play, n_times), FIELD(Play, uniforms), FIELD(Play, actions), FIELD(Play, steps), FIELD(Play, n_given),
+    FIELD(Play, first), FIELD(Play, stride), FIELD(Play, max_steps), FIELD(Play, temperature), FIELD(Play, t),
+    FIELD(Play, pending), FIELD(Play, searches), sizeof(Play),
+    N_ACTIONS, MAX_DEPTH, GOAL, PLAY_ENDED, RUNNING, GOAL_REACHED, DIED, TIMED_OUT,
+};
+const int64_t lanenav_search_layout_count = sizeof lanenav_search_layout / sizeof *lanenav_search_layout;

@@ -13,7 +13,11 @@
  * They never read or write outside a buffer: a lane index outside the lane
  * table, a length that is NaN, negative or past MAX_LEN1, and a lane row
  * outside the grid return an ERR_* that world.py raises.
+ *
+ * kernel.py declares every struct and constant Python shares with this file,
+ * and checks them on load against lanenav_world_layout at its end.
  */
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -23,18 +27,18 @@ enum { HEAD, SPEED, LEN1, LANE, N_COLUMNS };
 /* Columns of the lane table, one row of doubles per lane (WorldState). */
 enum { LEN_LO, LEN_RANGE, SPEED_LO, SPEED_RANGE, DIRECTION, ROW, VALUE, N_LANE_COLUMNS };
 
-#define GOAL 6 /* world.GOAL, the goal's palette value */
+#define GOAL 6 /* the goal's palette value */
 #define MAX_LEN1 2147483647.0 /* a cell index stays exact in a double */
 
-#define ERR_LANE (-1)   /* a lane index outside 0..n_lanes - 1, or not whole */
-#define ERR_LENGTH (-2) /* LEN1 NaN or outside 0..MAX_LEN1 */
-#define ERR_ROW (-3)    /* a lane row outside the grid */
-#define ERR_DRAWS (-4)  /* the counts ask for more uniforms or rows than given */
-#define ERR_MEMORY (-5)
+/* Kernel errors, distinct from _search.c's; kernel.ERRORS raises for each. */
+#define ERR_LANE (-8)    /* a lane index outside 0..n_lanes - 1, or not whole */
+#define ERR_LENGTH (-9)  /* LEN1 NaN or outside 0..MAX_LEN1 */
+#define ERR_ROW (-10)    /* a lane row outside the grid */
+#define ERR_DRAWS (-11)  /* the counts ask for more uniforms or rows than given */
+#define ERR_MEMORY (-12)
 
-/* The sizes of one call, packed by world.py in this order: the grid, the
- * lanes, the table's rows and the rows its buffer holds, the candidates
- * drawn. */
+/* The sizes of one call (kernel.WORLD): the grid, the lanes, the table's
+ * rows and the rows its buffer holds, the candidates drawn. */
 typedef struct {
     int64_t height, width, n_lanes, n_rows, capacity, n_drawn;
 } World;
@@ -204,8 +208,9 @@ int64_t lanenav_rasterize(const World *world, const double *lanes, const double 
     return 0;
 }
 
-/* What lanenav_read_frame writes: the column and row sums of the goal
- * cells, then the obstacle mask, 1 on cells of values 1..GOAL - 1. */
+/* What lanenav_read_frame writes (kernel.FRAME_READ): the column and row
+ * sums of the goal cells, then the obstacle mask, 1 on cells of values
+ * 1..GOAL - 1. */
 typedef struct {
     int64_t sum_x, sum_y;
     uint8_t mask[];
@@ -229,3 +234,14 @@ int64_t lanenav_read_frame(const World *world, const uint8_t *frame, FrameRead *
     }
     return count;
 }
+
+/* kernel.py's load check: per struct each field's offset and size, then the
+ * struct's size; then the constants, in the order kernel.py lists them. */
+#define FIELD(s, f) offsetof(s, f), sizeof(((s *)0)->f)
+const int64_t lanenav_world_layout[] = {
+    FIELD(World, height), FIELD(World, width), FIELD(World, n_lanes), FIELD(World, n_rows), FIELD(World, capacity),
+    FIELD(World, n_drawn), sizeof(World),
+    FIELD(FrameRead, sum_x), FIELD(FrameRead, sum_y), offsetof(FrameRead, mask), 0, sizeof(FrameRead),
+    GOAL, N_COLUMNS, N_LANE_COLUMNS, (int64_t)MAX_LEN1,
+};
+const int64_t lanenav_world_layout_count = sizeof lanenav_world_layout / sizeof *lanenav_world_layout;

@@ -35,18 +35,17 @@ from __future__ import annotations
 import ctypes
 import math
 import operator
-import struct
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
 
-from .kernel import library, zeroed
-from .mcts import MCTSConfig, _check, _node_table, _pack_frames, _search_head
-from .models import ForwardModel, Observation, build_model, model_label
-from .seeding import STREAM_AGENT, STREAM_MODEL, STREAM_PLAN, episode_seed, substream
-from .world import (DEATH_REWARD, DIED, FRAME_RECORD, GOAL_REACHED, GOAL_REWARD, N_ACTIONS, RUNNING, TIMED_OUT,
-                    Outcome, Timeline, WorldConfig, action_to_velocity, fold)
+from .kernel import FRAME, OUTCOMES, PLAY, PLAY_ENDED, STEP, check, library, zeroed
+from .mcts import MCTSConfig, _node_table, _pack_frames, _search_fields
+from .models import ForwardModel, Observation, build_model, model_label, model_rng
+from .seeding import STREAM_AGENT, STREAM_PLAN, episode_seed, substream
+from .world import (DEATH_REWARD, DIED, GOAL_REACHED, GOAL_REWARD, N_ACTIONS, RUNNING, TIMED_OUT, Outcome, Timeline,
+                    WorldConfig, action_to_velocity, fold)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def _play(
         model = model_spec
         model_spec = model.name
     else:
-        model = build_model(model_spec, rng=substream(ep_seed, STREAM_MODEL))
+        model = build_model(model_spec, rng=model_rng(model_spec, ep_seed))
     max_steps = world_cfg.max_steps
     if model is None:
         actions = substream(ep_seed, STREAM_AGENT).integers(N_ACTIONS, size=max_steps)
@@ -181,20 +180,11 @@ def _play(
 
 
 _kernel = library.lanenav_play
-_kernel.restype = ctypes.c_int64
-_kernel.argtypes = (ctypes.c_char_p,)
-# The kernel's ``Play`` after its ``Search``, in three parts: what changes
-# between calls (the addresses of the frames and the palettes, origin,
-# n_frames, n_times); what stays for the episode (the addresses of the draws,
-# the given actions and the steps, n_given, first, stride, max_steps, the
-# temperature); what the kernel writes back (t, pending, searches).
-_INPUTS = struct.Struct("2P3q")
-_FIXED = struct.Struct("3P4qd")
-_STATE = struct.Struct("3q")
-# The kernel's ``Step``: the agent's position after it, the action and the outcome kind, an index of _OUTCOMES.
-_STEP = struct.Struct("2d2q")
-_OUTCOMES = ((RUNNING, 0.0), (GOAL_REACHED, GOAL_REWARD), (DIED, DEATH_REWARD), (TIMED_OUT, 0.0))
-_PLAY_ENDED = 1
+# The parts of the kernel's ``Play`` that change between calls: what the harness updates, what the kernel writes.
+_INPUTS = PLAY.part("frames", "n_times")
+_STATE = PLAY.part("t", "searches")
+# (kind, reward) of each outcome kind a ``Step`` records.
+_OUTCOMES = tuple((kind, {GOAL_REACHED: GOAL_REWARD, DIED: DEATH_REWARD}.get(kind, 0.0)) for kind in OUTCOMES.values())
 
 
 def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, model: ForwardModel | None = None,
@@ -221,25 +211,20 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
     window = None if model is None else model.window
     first, stride = window or (0, 1)
     nodes = _node_table(mcts_cfg) if model is not None else None
-    records = zeroed(k * FRAME_RECORD.size) if model is not None and window is None else None
+    records = zeroed(k * FRAME.size) if model is not None and window is None else None
     # One buffer holds the kernel's Play, then the draws or actions, then the steps.
-    head = _search_head(mcts_cfg, 0 if nodes is None else ctypes.addressof(nodes), timeline.start,
-                        world_cfg.agent_speed, shape)
-    inputs_at = len(head)
-    fixed_at = inputs_at + _INPUTS.size
-    state_at = fixed_at + _FIXED.size
-    given_at = state_at + _STATE.size
+    inputs_at, state_at, given_at = PLAY.offsets["frames"], PLAY.offsets["t"], PLAY.size
     steps_at = given_at + 8 * max_steps
-    play = zeroed(steps_at + max_steps * _STEP.size)
+    play = zeroed(steps_at + max_steps * STEP.size)
     address = ctypes.addressof(play)
-    ctypes.memmove(address, head, len(head))
     ctypes.memmove(address + given_at, given, len(given))
     n_given = len(given) // 8
-    _FIXED.pack_into(play, fixed_at, 0 if model is None else address + given_at,
-                     address + given_at if model is None else 0, address + steps_at, n_given, first, stride,
-                     max_steps, mcts_cfg.temperature)
     t, pending, searches, origin, keep, exception = 0, -1, 0, 0, None, None
-    _STATE.pack_into(play, state_at, t, pending, searches)
+    PLAY.struct.pack_into(play, 0, *_search_fields(mcts_cfg, 0 if nodes is None else ctypes.addressof(nodes),
+                                                   timeline.start, world_cfg.agent_speed, shape),
+                          0, 0, 0, 0, 0, 0 if model is None else address + given_at,
+                          address + given_at if model is None else 0, address + steps_at, n_given, first, stride,
+                          max_steps, mcts_cfg.temperature, t, pending, searches)
     while True:
         asked = 0
         if pending >= 0:
@@ -277,14 +262,14 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
             model.calls += searches - done - asked
         if status < 0:
             try:
-                _check(status)
+                check(status)
             except Exception as exc:
                 exception = exc
             break
-        if status == _PLAY_ENDED:
+        if status == PLAY_ENDED:
             break
-    trace = [StepRecord(i, x, y, action, _OUTCOMES[kind][1], _OUTCOMES[kind][0])
-             for i, (x, y, action, kind) in enumerate(_STEP.iter_unpack(play[steps_at:steps_at + t * _STEP.size]), 1)]
+    trace = [StepRecord(i, x, y, action, _OUTCOMES[kind][1], _OUTCOMES[kind][0]) for i, (x, y, action, kind)
+             in enumerate(STEP.struct.iter_unpack(play[steps_at:steps_at + t * STEP.size]), 1)]
     outcome = Outcome(trace[-1].outcome, trace[-1].reward, t) if trace else Outcome(RUNNING, 0.0, 0)
     return outcome, trace, exception
 

@@ -40,71 +40,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import library, zeroed
+from .kernel import MAX_DEPTH, NODE, SEARCH, check, library, zeroed
 from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, packed_frame
 
 _A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = (a * math.pi / 4.0 for a in range(N_ACTIONS))
 _UNIFORM = (1.0 / N_ACTIONS,) * N_ACTIONS
 MCTS_INT_KEYS = ("n_rollouts", "rollout_length")
 # Both sizes drive work; the kernel's node table has n_rollouts + 1 rows and
-# its rollout path rollout_length entries (MAX_DEPTH in _search.c).
+# its rollout path rollout_length entries.
 MAX_ROLLOUTS = 100_000
-MAX_ROLLOUT_LENGTH = 64
+MAX_ROLLOUT_LENGTH = MAX_DEPTH
 # Nodes of a full tree of depth k: a node at the horizon is never expanded,
 # so no search at rollout length k adds more, whatever n_rollouts.
 _FULL_TREE = tuple((N_ACTIONS ** (k + 1) - 1) // (N_ACTIONS - 1) for k in range(MAX_ROLLOUT_LENGTH + 1))
-
-# One row of the kernel's node table, the layout of its ``Node``; NaN in
-# terminal_value or stop_value stands for None.
-NODE_DTYPE = np.dtype([
-    ("x", "f8"), ("y", "f8"), ("terminal_value", "f8"), ("stop_value", "f8"),
-    ("prior", "f8", N_ACTIONS), ("w", "f8", N_ACTIONS), ("mean", "f8", N_ACTIONS),
-    ("n", "i8", N_ACTIONS), ("total", "i8"), ("children", "i4", N_ACTIONS), ("depth", "i4"),
-], align=True)
 # Where a node's visit counts start in its row: plan_action picks from the root's in place.
-_VISITS = NODE_DTYPE.fields["n"][1]
-# The kernel's ``Search``: node table and hypot addresses, four sizes, eight
-# reals and the moves (one precompiled pack, one cheap call).
-_SEARCH = struct.Struct(f"PP4q8d{2 * N_ACTIONS}d")
-
-
-def _kernel_functions():
-    """The kernel's search and select functions, after checking its node layout against ``NODE_DTYPE``."""
-    node_size = library.lanenav_node_size
-    node_size.restype = ctypes.c_int64
-    node_size.argtypes = ()
-    if node_size() != NODE_DTYPE.itemsize:
-        raise ImportError(f"{library._name}: node size {node_size()}, NODE_DTYPE {NODE_DTYPE.itemsize}")
-    search = library.lanenav_search
-    search.restype = ctypes.c_int64
-    search.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
-    select = library.lanenav_select
-    select.restype = ctypes.c_int64
-    select.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_double)
-    return search, select
-
-
-_kernel, _select = _kernel_functions()
+_VISITS = NODE.offsets["n"]
+_kernel, _select = library.lanenav_search, library.lanenav_select
 # Python's own hypot, which the shaping term calls: CPython's differs from libm's.
 _hypot = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)(math.hypot)
 _HYPOT_ADDRESS = ctypes.cast(_hypot, ctypes.c_void_p).value
-# Negative kernel returns: the error Python's own arithmetic raised there.
-_KERNEL_ERRORS = {
-    -1: (OverflowError, "math range error"),
-    -2: (ZeroDivisionError, "float division by zero"),
-    -3: (ValueError, "cannot convert float NaN to integer"),
-    -4: (ValueError, f"rollout_length must be in 1..{MAX_ROLLOUT_LENGTH}"),
-    -5: (ValueError, "max() arg is an empty sequence"),
-    -6: (MemoryError, "select"),
-    -7: (ValueError, f"action must be in 0..{N_ACTIONS - 1}"),
-}
-
-
-def _check(code: int) -> int:
-    if code < 0:
-        error, message = _KERNEL_ERRORS[code]
-        raise error(message)
-    return code
 
 
 @dataclass(frozen=True)
@@ -164,7 +118,7 @@ class _Tree:
     @property
     def table(self) -> np.ndarray:
         if self._table is None:
-            self._table = np.frombuffer(self.nodes, NODE_DTYPE, self.count)
+            self._table = np.frombuffer(self.nodes, NODE.dtype, self.count)
         return self._table
 
     @property
@@ -285,20 +239,20 @@ def _moves(agent_speed: float) -> tuple[float, ...]:
     return tuple(v for a in range(N_ACTIONS) for v in action_to_velocity(a, agent_speed))
 
 
-def _search_head(cfg: MCTSConfig, nodes: int, agent_pos: tuple[float, float], agent_speed: float,
-                 shape: tuple[int, int]) -> bytes:
-    """The kernel's ``Search``: the node table's address, the settings of ``cfg`` and the agent's moves on a grid
-    of ``shape``, searching from ``agent_pos``."""
+def _search_fields(cfg: MCTSConfig, nodes: int, agent_pos: tuple[float, float], agent_speed: float,
+                   shape: tuple[int, int]) -> tuple:
+    """The fields of the kernel's ``Search``: the node table's address, the settings of ``cfg`` and the agent's
+    moves on a grid of ``shape``, searching from ``agent_pos``."""
     height, width = shape
-    return _SEARCH.pack(nodes, _HYPOT_ADDRESS, cfg.n_rollouts, cfg.rollout_length, height, width, agent_pos[0],
-                        agent_pos[1], cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value, cfg.shaping_beta,
-                        math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed))
+    return (nodes, _HYPOT_ADDRESS, cfg.n_rollouts, cfg.rollout_length, height, width, agent_pos[0], agent_pos[1],
+            cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value, cfg.shaping_beta,
+            math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed))
 
 
 def _node_table(cfg: MCTSConfig) -> ctypes.Array:
     """A zeroed node table for the searches of ``cfg``: ``n_rollouts + 1`` rows, a rollout adding at most one
     node, or the nodes of a full tree of depth k where that is fewer."""
-    return zeroed(min(cfg.n_rollouts + 1, _FULL_TREE[cfg.rollout_length]) * NODE_DTYPE.itemsize)
+    return zeroed(min(cfg.n_rollouts + 1, _FULL_TREE[cfg.rollout_length]) * NODE.size)
 
 
 def _pack_frames(frames: tuple[PredictedFrame, ...], k: int, goal_size: int,
@@ -340,7 +294,7 @@ def run_search(
     records, packed = _pack_frames(frames, cfg.rollout_length, goal_size, shape)
     nodes = _node_table(cfg)
     address = ctypes.addressof(nodes)
-    count = _check(_kernel(_search_head(cfg, address, agent_pos, agent_speed, shape), records))
+    count = check(_kernel(SEARCH.struct.pack(*_search_fields(cfg, address, agent_pos, agent_speed, shape)), records))
     return SearchNode(_Tree(nodes, count, address), 0)
 
 
@@ -353,7 +307,7 @@ def select_by_temperature(visits: list[int], temperature: float, rng: np.random.
     of the module docstring. The draw comes first, so a pick that raises (a
     zero temperature, no visits) has made it.
     """
-    return _check(_select(struct.pack(f"{len(visits)}q", *visits), len(visits), temperature, rng.random()))
+    return check(_select(struct.pack(f"{len(visits)}q", *visits), len(visits), temperature, rng.random()))
 
 
 def plan_action(
@@ -371,4 +325,4 @@ def plan_action(
     search that raises draws nothing.
     """
     root = run_search(agent_pos, frames, cfg, agent_speed, goal_size=goal_size)
-    return _check(_select(root._tree.address + _VISITS, N_ACTIONS, cfg.temperature, rng.random()))
+    return check(_select(root._tree.address + _VISITS, N_ACTIONS, cfg.temperature, rng.random()))

@@ -26,9 +26,9 @@ alone. ``History`` and ``HISTORY_LEN`` live beside ``Timeline`` in
 ``oracle_predict`` is the oracle's prediction computed from a
 ``WorldState`` by cloning and stepping it, for use outside an episode.
 
-The spec-string grammar ("oracle", "noisy:0.1,0.02,1.0,5", "none", ...) lives
-here only: ``build_model`` parses a spec into a model, ``split_model_specs``
-splits a list of them and ``model_label`` gives a spec's table label.
+The spec-string grammar ("oracle", "noisy:0.1,0.02,1.0,5", "none", ...) has one
+parser, which ``build_model``, ``model_label`` (a spec's table label) and
+``model_rng`` (its generator in an episode) read; ``split_model_specs`` splits a list.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import world as w
-from .seeding import make_rng
+from .seeding import STREAM_MODEL, substream
 from .world import (
     HISTORY_LEN,
     History,
@@ -323,21 +323,15 @@ RANDOM_AGENT_SPECS = ("none", "random")
 MAX_NOISY_SAMPLES = 1000
 
 
-def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardModel | None:
-    """Model from its selection string; None means the uniform-random agent.
-
-    Accepted: "oracle" | "frozen" | "velocity" | "noisy[:p_fn,p_fp,sigma,n]"
-    | "none" | "random".
-    """
+def _parse_spec(spec: str) -> tuple[str, tuple]:
+    """(model name, parameters) of a selection string: "random" names the uniform-random agent, and only noisy
+    has parameters, (p_fn, p_fp, sigma, n). Accepted: "oracle" | "frozen" | "velocity"
+    | "noisy[:p_fn,p_fp,sigma,n]" | "none" | "random"."""
     spec = spec.strip().lower()
     if spec in RANDOM_AGENT_SPECS:
-        return None
-    if spec == "oracle":
-        return ForwardModel("oracle", lambda obs, k: obs.timeline.rollout(obs.t, k), window=(1, 1))
-    if spec == "frozen":
-        return ForwardModel("frozen", lambda obs, k: frozen_predict(obs.history, k), window=(0, 0))
-    if spec == "velocity":
-        return ForwardModel("velocity", lambda obs, k: velocity_predict(obs.history, k))
+        return "random", ()
+    if spec in ("oracle", "frozen", "velocity"):
+        return spec, ()
     if spec == "noisy" or spec.startswith("noisy:"):
         p_fn, p_fp, sigma, n = DEFAULT_P_FN, DEFAULT_P_FP, DEFAULT_GOAL_SIGMA, 5
         if ":" in spec:
@@ -354,11 +348,32 @@ def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardMod
                 and 1 <= n <= MAX_NOISY_SAMPLES):
             raise ValueError(f"bad noisy model spec {spec!r}: needs p_fn, p_fp in [0, 1], "
                              f"a finite sigma >= 0 and n in 1..{MAX_NOISY_SAMPLES}")
-        if rng is None:
-            raise ValueError("noisy model requires an rng")
-        return ForwardModel("noisy", lambda obs, k: _noisy_samples(obs.timeline.rollout(obs.t, k), n, p_fn, p_fp,
-                                                                   sigma, rng), n_samples=n)
+        return "noisy", (p_fn, p_fp, sigma, n)
     raise ValueError(f"unknown model spec {spec!r}")
+
+
+def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardModel | None:
+    """Model from its selection string (``_parse_spec``); None means the uniform-random agent. Only noisy
+    draws, from ``rng``, which it requires."""
+    name, parameters = _parse_spec(spec)
+    if name == "random":
+        return None
+    if name == "oracle":
+        return ForwardModel("oracle", lambda obs, k: obs.timeline.rollout(obs.t, k), window=(1, 1))
+    if name == "frozen":
+        return ForwardModel("frozen", lambda obs, k: frozen_predict(obs.history, k), window=(0, 0))
+    if name == "velocity":
+        return ForwardModel("velocity", lambda obs, k: velocity_predict(obs.history, k))
+    if rng is None:
+        raise ValueError("noisy model requires an rng")
+    p_fn, p_fp, sigma, n = parameters
+    return ForwardModel("noisy", lambda obs, k: _noisy_samples(obs.timeline.rollout(obs.t, k), n, p_fn, p_fp,
+                                                               sigma, rng), n_samples=n)
+
+
+def model_rng(spec: str, episode_seed: int) -> np.random.Generator | None:
+    """The generator the model of ``spec`` draws from in an episode: the episode's STREAM_MODEL stream, for noisy."""
+    return substream(episode_seed, STREAM_MODEL) if _parse_spec(spec)[0] == "noisy" else None
 
 
 def split_model_specs(text: str) -> list[str]:
@@ -378,7 +393,5 @@ def split_model_specs(text: str) -> list[str]:
 
 def model_label(spec: str) -> tuple[str, int]:
     """(name, samples per prediction) of a spec, as the benchmark table shows it; checks the spec."""
-    model = build_model(spec, rng=make_rng(0))
-    if model is None:
-        return "random", 1
-    return model.name, model.n_samples
+    name, parameters = _parse_spec(spec)
+    return name, parameters[3] if name == "noisy" else 1

@@ -62,23 +62,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import library, zeroed
+from .kernel import (FRAME, FRAME_READ, GOAL, N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, WORLD, check, library,
+                     zeroed)
 from .seeding import STREAM_CLASS, STREAM_PLACE, STREAM_SPAWN, clone_rng, substream
 
-# Frame palette values.
+# Frame palette values: FREE, the obstacle classes' 1..5, and GOAL (6).
 FREE = 0
-GOAL = 6
-N_ACTIONS = 8
 
 # Lane directions: sign of obstacle travel along x.
 LEFT_TO_RIGHT = 1
 RIGHT_TO_LEFT = -1
 
-# Episode outcome kinds.
-RUNNING = "running"
-GOAL_REACHED = "goal"
-DIED = "died"
-TIMED_OUT = "timeout"
+# Episode outcome kinds: "running", "goal", "died" and "timeout".
+RUNNING, GOAL_REACHED, DIED, TIMED_OUT = OUTCOMES.values()
 
 GOAL_REWARD = 20.0
 DEATH_REWARD = -20.0
@@ -309,41 +305,7 @@ HEAD = 0  # x of the largest-x cell; the body covers head - i for i = 0..length-
 SPEED = 1  # signed; the sign matches the lane direction for positive magnitudes
 LEN1 = 2  # length - 1
 LANE = 3  # index into WorldState.lanes
-_ROW_BYTES = 4 * 8
-# Columns of WorldState.lane_table, LEN_LO .. VALUE in _world.c.
-_LANE_COLUMNS = 7
-# _world.c's ``World``: grid height and width, lanes, table rows, rows of its buffer, candidates drawn.
-_SIZES = struct.Struct("6q")
-# _world.c's ``FrameRead`` before its mask: the goal pixels' column and row sums.
-_READ_HEAD = struct.Struct("2q")
-
-
-def _kernel_function(name: str, arguments: int):
-    """A kernel of ``_world.c``: every argument is a pointer, given as a bytes object or a ctypes buffer."""
-    function = getattr(library, name)
-    function.restype = ctypes.c_int64
-    function.argtypes = (ctypes.c_char_p,) * arguments
-    return function
-
-
-_step = _kernel_function("lanenav_world_step", 5)
-_rasterize_kernel = _kernel_function("lanenav_rasterize", 4)
-_read_frame = _kernel_function("lanenav_read_frame", 3)
-# Negative kernel returns, the ERR_* of _world.c.
-_KERNEL_ERRORS = {
-    -1: (ValueError, "obstacle table: a lane index outside the lane table, or not a whole number"),
-    -2: (ValueError, "obstacle table: a LEN1 that is NaN or outside 0..2147483647"),
-    -3: (ValueError, "a lane row outside the grid"),
-    -4: (ValueError, "spawn counts past the uniforms or rows given"),
-    -5: (MemoryError, "world step"),
-}
-
-
-def _check(code: int) -> int:
-    if code < 0:
-        error, message = _KERNEL_ERRORS[code]
-        raise error(message)
-    return code
+_ROW_BYTES = 8 * N_COLUMNS
 
 
 def _table(state: "WorldState") -> bytes | ctypes.Array:
@@ -351,16 +313,17 @@ def _table(state: "WorldState") -> bytes | ctypes.Array:
     table = state.obstacles
     if table is state._view:
         return state._buffer
-    if table.dtype != np.float64 or table.shape[1:] != (4,):
-        raise ValueError(f"the obstacle table is a float64 (bodies, 4) array, got {table.dtype} {table.shape}")
+    if table.dtype != np.float64 or table.shape[1:] != (N_COLUMNS,):
+        raise ValueError(f"the obstacle table is a float64 (bodies, {N_COLUMNS}) array, got {table.dtype} "
+                         f"{table.shape}")
     return table.tobytes()
 
 
 def _sizes(state: "WorldState", capacity: int = 0, drawn: int = 0) -> bytes:
     """The kernels' ``World`` for ``state``; the lane count is that of the packed lane table they read."""
     cfg = state.config
-    return _SIZES.pack(cfg.grid_h, cfg.grid_w, len(state.lane_table) // (8 * _LANE_COLUMNS), len(state.obstacles),
-                       capacity, drawn)
+    return WORLD.struct.pack(cfg.grid_h, cfg.grid_w, len(state.lane_table) // (8 * N_LANE_COLUMNS),
+                             len(state.obstacles), capacity, drawn)
 
 
 @dataclass
@@ -390,7 +353,7 @@ class WorldState:
             speed_lo, speed_hi = cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter
             rows.append((len_lo, len_hi - len_lo, speed_lo, speed_hi - speed_lo, lane.direction, lane.row,
                          lane.class_id))
-        self.lane_table = struct.pack(f"{_LANE_COLUMNS * len(rows)}d", *(v for row in rows for v in row))
+        self.lane_table = struct.pack(f"{N_LANE_COLUMNS * len(rows)}d", *(v for row in rows for v in row))
         # world_step keeps the table in a buffer of its own: _rows views all
         # of the buffer's rows, _view the first ones, which it left in obstacles.
         self._buffer = self._rows = self._view = None
@@ -435,9 +398,10 @@ def world_step(state: WorldState) -> None:
         capacity = 2 * (rows + drawn) + 16
         state._buffer = zeroed(capacity * _ROW_BYTES)
         ctypes.memmove(state._buffer, table, rows * _ROW_BYTES)
-        state._rows = np.frombuffer(state._buffer, np.float64).reshape(capacity, 4)
-    rows = _check(_step(_sizes(state, len(state._rows), drawn), state.lane_table,
-                        counts.astype(np.int64, copy=False).tobytes(), uniforms.tobytes(), state._buffer))
+        state._rows = np.frombuffer(state._buffer, np.float64).reshape(capacity, N_COLUMNS)
+    rows = check(library.lanenav_world_step(_sizes(state, len(state._rows), drawn), state.lane_table,
+                                            counts.astype(np.int64, copy=False).tobytes(), uniforms.tobytes(),
+                                            state._buffer))
     state.obstacles = state._view = state._rows[:rows]
     state.spawn_draws += drawn
 
@@ -473,7 +437,7 @@ def _rasterize(state: WorldState) -> np.ndarray:
     """
     cfg = state.config
     cells = zeroed(cfg.grid_h * cfg.grid_w)
-    _check(_rasterize_kernel(_sizes(state), state.lane_table, _table(state), cells))
+    check(library.lanenav_rasterize(_sizes(state), state.lane_table, _table(state), cells))
     return np.frombuffer(cells, np.uint8).reshape(cfg.grid_h, cfg.grid_w)
 
 
@@ -526,26 +490,24 @@ def predicted_frame(frame: np.ndarray) -> PredictedFrame:
     if frame.dtype != np.uint8 or frame.ndim != 2:
         raise ValueError(f"a palette frame is a 2-D uint8 array, got {frame.ndim}-D {frame.dtype}")
     height, width = frame.shape
-    out = zeroed(_READ_HEAD.size + height * width)
-    count = _read_frame(_SIZES.pack(height, width, 0, 0, 0, 0), frame.tobytes(), out)
-    occupancy = freeze(np.frombuffer(out, np.bool_, height * width, _READ_HEAD.size).reshape(height, width))
+    mask = FRAME_READ.offsets["mask"]
+    out = zeroed(mask + height * width)
+    count = library.lanenav_read_frame(WORLD.struct.pack(height, width, 0, 0, 0, 0), frame.tobytes(), out)
+    occupancy = freeze(np.frombuffer(out, np.bool_, height * width, mask).reshape(height, width))
     if not count:
         predicted = PredictedFrame(occupancy=occupancy, goal_estimate=None)
     else:
-        sum_x, sum_y = _READ_HEAD.unpack_from(out)
+        sum_x, sum_y = FRAME_READ.struct.unpack_from(out)
         predicted = PredictedFrame(occupancy=occupancy, goal_estimate=(sum_x / count, sum_y / count))
-    object.__setattr__(predicted, "_address", ctypes.addressof(out) + _READ_HEAD.size)
+    object.__setattr__(predicted, "_address", ctypes.addressof(out) + mask)
     return predicted
 
 
-# The search kernel's ``Frame`` (_search.c): the occupancy's address, the goal
-# estimate (x, y), NaN x for none, and the estimate's goal block.
-FRAME_RECORD = struct.Struct("P6d")
 _NO_GOAL = (math.nan,) * 6
 
 
 def packed_frame(frame: PredictedFrame, goal_size: int, shape: tuple[int, ...]) -> tuple:
-    """(goal size, shape, ``FRAME_RECORD``, occupancy) of a predicted frame for the search kernel.
+    """(goal size, shape, ``kernel.FRAME`` record, occupancy) of a predicted frame for the search kernel.
 
     The record holds the address of the occupancy as a C-contiguous bool
     array: the frame's own where it is one, else a copy, which the tuple
@@ -567,7 +529,7 @@ def packed_frame(frame: PredictedFrame, goal_size: int, shape: tuple[int, ...]) 
                 occ = np.ascontiguousarray(occ)
             address = occ.ctypes.data
         goal = frame.goal_estimate
-        packed = (goal_size, shape, FRAME_RECORD.pack(address, *(
+        packed = (goal_size, shape, FRAME.struct.pack(address, *(
             _NO_GOAL if goal is None else (goal[0], goal[1], *goal_block(goal, goal_size)))), occ)
         if isinstance(frame.occupancy, np.ndarray) and not frame.occupancy.flags.writeable:
             object.__setattr__(frame, "_packed", packed)
@@ -613,7 +575,7 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
         episode_seed=episode_seed,
         t=0,
         lanes=lanes,
-        obstacles=np.empty((0, 4)),
+        obstacles=np.empty((0, N_COLUMNS)),
         goal=GoalState(x=0.0, y=0.0, vx=config.goal_speed, vy=0.0),
         start=(0.0, 0.0),
         spawn_rng=substream(episode_seed, STREAM_SPAWN),
@@ -690,7 +652,7 @@ class Timeline:
 
     For the episode loop in C (``harness``), the timeline also keeps two
     arrays by time, as long as ``frames``: the address of each palette
-    frame's cells, and the search kernel's ``FRAME_RECORD`` of each time
+    frame's cells, and the search kernel's ``kernel.FRAME`` record of each time
     whose ``predicted`` is computed (packed with the config's goal size),
     all zero bytes before. The loop reads both where they lie.
     """
@@ -715,7 +677,7 @@ class Timeline:
             raise ValueError("a timeline frame is a view of a whole kernel buffer of the grid's cells")
         self.frames.append(frame)
         self.palettes.append(ctypes.addressof(buffer))
-        self.records.frombytes(_UNREAD)
+        self.records.frombytes(bytes(FRAME.size))  # a NULL occupancy: not predicted yet
 
     def frame(self, t: int) -> np.ndarray:
         frames = self.frames
@@ -729,8 +691,8 @@ class Timeline:
         if predicted is None:
             cfg = self.config
             predicted = self._predicted[t] = predicted_frame(self.frame(t))
-            _RECORD.pack_into(self.records, t * FRAME_RECORD.size,
-                              packed_frame(predicted, cfg.goal_size, (cfg.grid_h, cfg.grid_w))[2])
+            memoryview(self.records)[t * FRAME.size:(t + 1) * FRAME.size] = packed_frame(
+                predicted, cfg.goal_size, (cfg.grid_h, cfg.grid_w))[2]
         return predicted
 
     def history(self, t: int) -> History:
@@ -747,7 +709,3 @@ class Timeline:
             raise ValueError("k must be >= 1")
         return tuple(self.predicted(i) for i in range(t + 1, t + k + 1))
 
-
-# A record of ``Timeline.records`` as bytes, and the record of a time not predicted yet (a NULL occupancy).
-_RECORD = struct.Struct(f"{FRAME_RECORD.size}s")
-_UNREAD = bytes(FRAME_RECORD.size)

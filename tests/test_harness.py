@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import frames_equal, move, outcome_at
-from lanenav import harness
+from lanenav import harness, seeding
 from lanenav.harness import (
     BenchCell,
     BenchRow,
@@ -167,6 +167,33 @@ class TestSummarize:
     def test_model_label(self):
         assert model_label("noisy:0.1,0.02,1.0,5") == ("noisy", 5)
         assert model_label("none") == ("random", 1)
+
+
+class TestGenerators:
+    """Only what draws gets a generator: per episode the planner's or the random agent's, and noisy its model's."""
+
+    MADE = {"oracle": 1, "frozen": 1, "velocity": 1, "noisy:0.1,0.02,1.0,2": 2, "none": 1}
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        make_rng = seeding.make_rng
+        monkeypatch.setattr(seeding, "make_rng", lambda seed: made.append(seed) or make_rng(seed))
+        return made
+
+    @pytest.mark.parametrize("spec", list(MADE))
+    def test_per_episode(self, spec, made):
+        timeline = Timeline(FAST_WORLD, episode_seed(6, 0))
+        del made[:]
+        model_label(spec)
+        assert made == []
+        harness._play(timeline, FAST_WORLD, SMALL_MCTS, spec)
+        assert len(made) == self.MADE[spec]
+
+    def test_per_bench_seed(self, made):
+        # One timeline per seed, three generators in new_episode, then each cell's own.
+        run_benchmark([BenchCell(spec, "2x", 1) for spec in self.MADE], WorldConfig(), SMALL_MCTS, n_episodes=2)
+        assert len(made) == 2 * (3 + sum(self.MADE.values()))
 
 
 class TestBenchmark:

@@ -11,6 +11,8 @@ import copy
 import math
 import os
 import pickle
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -223,7 +225,7 @@ class TestPacking:
 class TestLoader:
     def test_failed_compile_names_the_command(self, tmp_path, monkeypatch):
         command = kernel._command
-        monkeypatch.setattr(kernel, "_command", lambda target: [*command(target), "-fno-such-option"])
+        monkeypatch.setattr(kernel, "_command", lambda *args: [*command(*args), "-fno-such-option"])
         with pytest.raises(ImportError, match="-fno-such-option") as caught:
             kernel._load_kernel(tmp_path)
         message = str(caught.value)
@@ -259,3 +261,81 @@ class TestLoader:
             assert process.returncode == 0, err
         [built] = tmp_path.iterdir()
         assert built.name.startswith("_kernel.") and built.suffix == ".so"
+
+    @staticmethod
+    def edited_sources(directory: Path, source: str, old: str, new: str) -> tuple[Path, ...]:
+        """Copies of the kernels' sources in ``directory``, ``old`` replaced by ``new`` in ``source``."""
+        copies = []
+        for original in kernel._SOURCES:
+            text = original.read_text()
+            if original.name == source:
+                assert text.count(old) == 1
+                text = text.replace(old, new)
+            copies.append(directory / original.name)
+            copies[-1].write_text(text)
+        return tuple(copies)
+
+    def test_shipped_sources_pass_the_layout_check(self, tmp_path):
+        kernel._check_layout(kernel._load_kernel(tmp_path))
+
+    # A field added to C's Play before ``first``, and what the check says of it.
+    EXTRA_PLAY_FIELD = ("_search.c", "    int64_t first, stride;", "    int64_t extra;\n    int64_t first, stride;")
+    EXTRA_PLAY_FIELD_FOUND = "Play.first offset is 320 in C, 312 in Python"
+
+    @pytest.mark.parametrize("source, old, new, message", [
+        (*EXTRA_PLAY_FIELD, EXTRA_PLAY_FIELD_FOUND),
+        ("_search.c", "double goal[6];", "double goal[5];", "Frame.goal size is 40 in C, 48 in Python"),
+        ("_world.c", "VALUE, N_LANE_COLUMNS }", "VALUE, SPARE, N_LANE_COLUMNS }",
+         "N_LANE_COLUMNS is 8 in C, 7 in Python"),
+        ("_world.c", "(int64_t)MAX_LEN1,", "(int64_t)MAX_LEN1, 0,",
+         "lanenav_world_layout has 25 entries in C, 24 in Python"),
+    ])
+    def test_a_mismatch_fails_the_layout_check(self, tmp_path, source, old, new, message):
+        library = kernel._load_kernel(tmp_path, self.edited_sources(tmp_path, source, old, new))
+        with pytest.raises(ImportError, match=re.escape(message)):
+            kernel._check_layout(library)
+
+    def test_a_mismatch_fails_the_import(self, tmp_path):
+        package = tmp_path / "lanenav"
+        shutil.copytree(Path(kernel.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        self.edited_sources(package, *self.EXTRA_PLAY_FIELD)
+        done = subprocess.run([sys.executable, "-c", "import lanenav"], env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert "ImportError: " in done.stderr and self.EXTRA_PLAY_FIELD_FOUND in done.stderr
+
+
+# What each ERR_* of the sources raised before their codes were made distinct.
+PARENT_ERRORS = {
+    ("_search.c", "ERR_OVERFLOW"): (OverflowError, "math range error"),
+    ("_search.c", "ERR_ZERO_DIV"): (ZeroDivisionError, "float division by zero"),
+    ("_search.c", "ERR_NAN_POS"): (ValueError, "cannot convert float NaN to integer"),
+    ("_search.c", "ERR_DEPTH"): (ValueError, "rollout_length must be in 1..64"),
+    ("_search.c", "ERR_EMPTY"): (ValueError, "max() arg is an empty sequence"),
+    ("_search.c", "ERR_MEMORY"): (MemoryError, "select"),
+    ("_search.c", "ERR_ACTION"): (ValueError, "action must be in 0..7"),
+    ("_world.c", "ERR_LANE"): (ValueError,
+                               "obstacle table: a lane index outside the lane table, or not a whole number"),
+    ("_world.c", "ERR_LENGTH"): (ValueError, "obstacle table: a LEN1 that is NaN or outside 0..2147483647"),
+    ("_world.c", "ERR_ROW"): (ValueError, "a lane row outside the grid"),
+    ("_world.c", "ERR_DRAWS"): (ValueError, "spawn counts past the uniforms or rows given"),
+    ("_world.c", "ERR_MEMORY"): (MemoryError, "world step"),
+}
+
+
+def test_error_table_matches_the_sources():
+    defines = {}
+    for source in kernel._SOURCES:
+        text = source.read_text()
+        found = re.findall(r"^#define (ERR_\w+) \((-\d+)\)", text, re.MULTILINE)
+        assert len(found) == text.count("#define ERR_")
+        defines.update({(source.name, name): int(code) for name, code in found})
+    assert set(defines) == set(PARENT_ERRORS)
+    codes = sorted(defines.values())
+    assert len(set(codes)) == len(codes) and codes == sorted(kernel.ERRORS)
+    for define, code in defines.items():
+        error, message = PARENT_ERRORS[define]
+        assert kernel.ERRORS[code] == (error, message)
+        with pytest.raises(error) as caught:
+            kernel.check(code)
+        assert type(caught.value) is error and str(caught.value) == message
