@@ -22,6 +22,9 @@ call. Layers:
   the world is built once per tree and steps on from batch to batch;
 * ``world.new_episode``: lane draw, the 48-step warm-up and placement;
 * ``world.render_frame``: the palette frame of a warmed-up world;
+* ``timeline.frame``: per newly simulated frame, ``Timeline.predicted`` of
+  times 1..40 in turn on fresh timelines built in the untimed setup: the
+  world step, the frame and its read;
 * ``tracefile.frame_to_rle`` and ``tracefile.rle_to_frame``: one frame;
 * ``ppm.frame_to_rgb``: one frame with the agent drawn;
 * ``models.predict.{oracle,frozen,velocity,noisy}.k{1,3,10}``: one
@@ -155,7 +158,7 @@ def layer_cases(lib: SimpleNamespace) -> dict:
     rollouts = [oracle.predict(lib.models.Observation.at(timeline, 0), max(KS)) for timeline in timelines]
     observations = [lib.models.Observation.at(timeline, 20) for timeline in timelines]
     records = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed) for seed in seeds]
-    steps = 10
+    steps, frames_ahead = 10, 40
 
     def replay_batch(_):
         if not all(verify_replay(r) for r in records):
@@ -168,6 +171,11 @@ def layer_cases(lib: SimpleNamespace) -> dict:
 
     bound = bound_world(lib)
 
+    def frame_batch(fresh):
+        for timeline in fresh:
+            for t in range(1, frames_ahead + 1):
+                timeline.predicted(t)
+
     def bound_batch(_):
         for _ in range(steps):
             world_step(bound)
@@ -177,6 +185,7 @@ def layer_cases(lib: SimpleNamespace) -> dict:
         "world.world_step.bound": (bound_batch, steps, None),
         "world.new_episode": (lambda _: [new_episode(cfg, seed) for seed in seeds], len(seeds), None),
         "world.render_frame": (lambda _: [render_frame(s) for s in states], len(states), None),
+        "timeline.frame": (frame_batch, frames_ahead * len(seeds), lambda: [Timeline(cfg, seed) for seed in seeds]),
         "tracefile.frame_to_rle": (lambda _: [frame_to_rle(f) for f in frames], len(frames), None),
         "tracefile.rle_to_frame": (lambda _: [rle_to_frame(r, cfg.grid_h, cfg.grid_w) for r in rles],
                                    len(rles), None),

@@ -1,9 +1,14 @@
-/* lanenav's world in C: one step of the obstacle table, the rasterizer and
- * the reader of palette frames.
+/* lanenav's world in C: one step of the obstacle table with its random
+ * draws, the rasterizer and the reader of palette frames.
  *
- * kernel.py compiles this file with _search.c into one object; world.py
- * packs the inputs, draws the random numbers with numpy and documents the
- * rules. The kernels keep the float arithmetic of the world bit for bit:
+ * kernel.py compiles this file with _search.c into one object, linked with
+ * the installed numpy's libnpyrandom.a; world.py packs the inputs and
+ * documents the rules. A step draws through numpy's own generators: it reads
+ * each as the bitgen_t of rng.bit_generator, takes the per-lane Poisson
+ * counts from numpy's random_poisson and the uniforms from next_double, so
+ * the draws and the generators' states equal those of Generator.poisson and
+ * Generator.random. The kernels keep the float arithmetic of the world bit
+ * for bit:
  *
  * - round_px is floor(x + 0.5), or ceil(x - 0.5) below zero, in double;
  * - body cell i sits at round_px(head - (double)i);
@@ -11,16 +16,24 @@
  *   compiled without contraction into fused multiply-adds.
  *
  * They never read or write outside a buffer: a lane index outside the lane
- * table, a length that is NaN, negative or past MAX_LEN1, and a lane row
- * outside the grid return an ERR_* that world.py raises.
+ * table, a length that is NaN, negative or past MAX_LEN1, a lane row outside
+ * the grid and a goal position that is not finite return an ERR_* that
+ * world.py raises.
  *
  * kernel.py declares every struct and constant Python shares with this file,
  * and checks them on load against lanenav_world_layout at its end.
  */
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include "numpy/random/bitgen.h"
+
+/* numpy's Poisson sampler, the one Generator.poisson calls, from
+ * libnpyrandom.a; its header, numpy/random/distributions.h, needs Python.h. */
+int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 
 /* Columns of the obstacle table, one row of doubles per body (world.py). */
 enum { HEAD, SPEED, LEN1, LANE, N_COLUMNS };
@@ -34,14 +47,42 @@ enum { LEN_LO, LEN_RANGE, SPEED_LO, SPEED_RANGE, DIRECTION, ROW, VALUE, N_LANE_C
 #define ERR_LANE (-8)    /* a lane index outside 0..n_lanes - 1, or not whole */
 #define ERR_LENGTH (-9)  /* LEN1 NaN or outside 0..MAX_LEN1 */
 #define ERR_ROW (-10)    /* a lane row outside the grid */
-#define ERR_DRAWS (-11)  /* the counts ask for more uniforms or rows than given */
+#define ERR_DRAWS (-11)  /* the spawns ask for more rows than the buffer holds */
 #define ERR_MEMORY (-12)
+#define ERR_GOAL_NAN (-13)  /* a goal position that is NaN */
+#define ERR_GOAL_INF (-14)  /* a goal position that is infinite */
 
-/* The sizes of one call (kernel.WORLD): the grid, the lanes, the table's
- * rows and the rows its buffer holds, the candidates drawn. */
+/* One world as the kernels read it (kernel.WORLD): the grid, the lanes, the
+ * goal's size (0: no goal painted), the step's two generators and Poisson
+ * mean; then what changes between calls: the rows the table's buffer holds,
+ * the table's rows, the goal's position; last what a step writes, the
+ * candidates it drew. */
 typedef struct {
-    int64_t height, width, n_lanes, n_rows, capacity, n_drawn;
+    int64_t height, width, n_lanes, goal_size;
+    bitgen_t *spawn, *classes;
+    double lam;
+    int64_t capacity, n_rows;
+    double goal_x, goal_y;
+    int64_t n_drawn;
 } World;
+
+/* One predicted frame as _search.c reads it (kernel.FRAME): where its
+ * obstacle mask lies, then its goal estimate (x, y), NaN for none, and the
+ * estimate's block col_lo, col_hi, row_lo, row_hi. */
+typedef struct {
+    const uint8_t *occ;
+    double goal[6];
+} Frame;
+
+/* What lanenav_read_frame writes (kernel.FRAME_READ): the column and row
+ * sums of the goal cells, then the obstacle mask, 1 on cells of values
+ * 1..GOAL - 1. */
+typedef struct {
+    int64_t sum_x, sum_y;
+    uint8_t mask[];
+} FrameRead;
+
+static double next_double(bitgen_t *bitgen) { return bitgen->next_double(bitgen->state); }
 
 /* floor and ceil of |v| < 2^62 by truncation, exact, without a libm call. */
 static int64_t floor_int(double v)
@@ -85,23 +126,45 @@ static void add_span(int64_t mirror, int64_t lo, int64_t hi, int64_t *reach)
         *reach = far;
 }
 
-/* One step of the obstacle table, in place: move every body, keep those
- * with a cell still on the grid, then spawn. counts holds the candidates per
- * lane, u two uniforms per candidate in draw order (length, then speed
- * magnitude). The kept rows move up in order, then the accepted spawns
- * follow in lane order, then draw order. Returns the new row count, or a
- * negative ERR_*, which leaves the table undefined. */
-int64_t lanenav_world_step(const World *world, const double *lanes, const int64_t *counts, const double *u,
-                           double *table)
+/* Draw the uniforms a step has not taken, free its scratch and return code:
+ * a step that fails leaves the generators where a whole step leaves them. */
+static int64_t fail(bitgen_t *classes, int64_t unused, int64_t *scratch, int64_t code)
+{
+    while (unused-- > 0)
+        next_double(classes);
+    free(scratch);
+    return code;
+}
+
+/* One step of the obstacle table, in place: draw, move every body, keep
+ * those with a cell still on the grid, then spawn. First come all the draws
+ * of the step: one Poisson count of candidates per lane from spawn, then two
+ * uniforms per candidate from classes in draw order (length, then speed
+ * magnitude), taken as the spawns read them; world->n_drawn is set to the
+ * candidate count. The kept rows move up in order, then the accepted spawns
+ * follow in lane order, then draw order; a lane accepts at most one spawn a
+ * step, so a buffer of n_rows + n_lanes rows always suffices. Returns the
+ * new row count, or a negative ERR_*, which leaves the table undefined. With
+ * no table (NULL) it only draws and returns 0. */
+int64_t lanenav_world_step(World *world, const double *lanes, double *table)
 {
     const int64_t width = world->width, n_lanes = world->n_lanes;
-    /* Per lane: reach, then the mirror, -1 for none, else width - 1. */
-    int64_t *reach, *mirror, lane, r, count = 0, used = 0;
+    /* Per lane: reach, then the mirror, -1 for none, else width - 1, then
+     * the count drawn. */
+    int64_t *reach, *mirror, *counts, lane, r, count = 0, unused = 0;
 
-    reach = malloc((size_t)(n_lanes > 0 ? 2 * n_lanes : 1) * sizeof *reach);
+    reach = malloc((size_t)(n_lanes > 0 ? 3 * n_lanes : 1) * sizeof *reach);
     if (reach == NULL)
         return ERR_MEMORY;
     mirror = reach + n_lanes;
+    counts = mirror + n_lanes;
+    for (lane = 0; lane < n_lanes; lane++) {
+        counts[lane] = random_poisson(world->spawn, world->lam);
+        unused += 2 * counts[lane];
+    }
+    world->n_drawn = unused / 2;
+    if (table == NULL)
+        return fail(world->classes, unused, reach, 0);
     for (lane = 0; lane < n_lanes; lane++) {
         reach[lane] = INT64_MIN;
         mirror[lane] = is_left_to_right(lanes + N_LANE_COLUMNS * lane) ? -1 : width - 1;
@@ -114,10 +177,8 @@ int64_t lanenav_world_step(const World *world, const double *lanes, const int64_
         double *kept;
         int64_t hi;
         lane = body_lane(world, body);
-        if (lane < 0) {
-            free(reach);
-            return lane;
-        }
+        if (lane < 0)
+            return fail(world->classes, unused, reach, lane);
         /* round_px(head) >= 0 and round_px(tail) < width, as exact float
          * comparisons: one of its cells is still on the grid. */
         if (!(head - 0.5 > -1.0 && head - len1 + 0.5 < (double)width))
@@ -141,20 +202,20 @@ int64_t lanenav_world_step(const World *world, const double *lanes, const int64_
         for (k = 0; k < counts[lane]; k++) {
             double speed, *spawned;
             int64_t length;
-            if (used + 2 > 2 * world->n_drawn || count >= world->capacity) {
-                free(reach);
-                return ERR_DRAWS;
-            }
             /* mean_length +- length_jitter of a valid class lies in -62..64. */
-            length = round_px(draw[LEN_LO] + draw[LEN_RANGE] * u[used++]);
+            length = round_px(draw[LEN_LO] + draw[LEN_RANGE] * next_double(world->classes));
             if (length < 1)
                 length = 1;
-            speed = draw[DIRECTION] * (draw[SPEED_LO] + draw[SPEED_RANGE] * u[used++]);
+            speed = draw[DIRECTION] * (draw[SPEED_LO] + draw[SPEED_RANGE] * next_double(world->classes));
+            unused -= 2;
             if (reach[lane] >= 1 - length)
                 continue;
+            if (count >= world->capacity)
+                return fail(world->classes, unused, reach, ERR_DRAWS);
             /* Left-to-right bodies enter with the head on column 0;
              * right-to-left ones with the leading (smallest-x) cell on the
-             * right edge. In mirrored columns both cover [1 - length, 0]. */
+             * right edge. In mirrored columns both cover [1 - length, 0].
+             * The lane's reach is now >= 0: no later candidate fits. */
             if (reach[lane] < 0)
                 reach[lane] = 0;
             spawned = table + N_COLUMNS * count++;
@@ -169,10 +230,9 @@ int64_t lanenav_world_step(const World *world, const double *lanes, const int64_
 }
 
 /* Paint the visible cells of every body, cell i at column round_px(head - i),
- * with its lane's value on its lane's row of cells (height x width bytes,
- * zeroed by the caller). Paint order does not matter: same-lane bodies share
- * one value. Returns 0 or a negative ERR_*. */
-int64_t lanenav_rasterize(const World *world, const double *lanes, const double *table, uint8_t *cells)
+ * with its lane's value on its lane's row of cells. Paint order does not
+ * matter: same-lane bodies share one value. Returns 0 or a negative ERR_*. */
+static int64_t paint_bodies(const World *world, const double *lanes, const double *table, uint8_t *cells)
 {
     const int64_t width = world->width;
     int64_t r;
@@ -208,13 +268,30 @@ int64_t lanenav_rasterize(const World *world, const double *lanes, const double 
     return 0;
 }
 
-/* What lanenav_read_frame writes (kernel.FRAME_READ): the column and row
- * sums of the goal cells, then the obstacle mask, 1 on cells of values
- * 1..GOAL - 1. */
-typedef struct {
-    int64_t sum_x, sum_y;
-    uint8_t mask[];
-} FrameRead;
+/* The goal block's cells along one axis of n cells, [*start, *stop): the
+ * slice [max(lo, 0):lo + size] of numpy, lo = round_px(pos), a negative stop
+ * counting from the end as numpy's does. A position past +-2^60 is far off
+ * the grid and covers nothing. Returns 0, or where Python's round_px raised
+ * ERR_GOAL_NAN or ERR_GOAL_INF. */
+static int64_t goal_span(double pos, int64_t size, int64_t n, int64_t *start, int64_t *stop)
+{
+    int64_t lo, hi;
+    if (pos != pos)
+        return ERR_GOAL_NAN;
+    if (pos - pos != 0.0)
+        return ERR_GOAL_INF;
+    if (!(pos > -0x1p60 && pos < 0x1p60)) {
+        *start = *stop = 0;
+        return 0;
+    }
+    lo = round_px(pos);
+    hi = lo + size;
+    if (hi < 0)
+        hi = hi + n < 0 ? 0 : hi + n;
+    *start = lo < 0 ? 0 : lo > n ? n : lo;
+    *stop = hi > n ? n : hi;
+    return 0;
+}
 
 /* Read a palette frame of height x width bytes into out; returns the goal
  * cell count. */
@@ -235,12 +312,58 @@ int64_t lanenav_read_frame(const World *world, const uint8_t *frame, FrameRead *
     return count;
 }
 
+/* The palette frame of a world into cells (height x width bytes, zeroed by
+ * the caller): the bodies, then, where goal_size > 0, the goal block on
+ * top. Where read and record are given (both or neither), the frame is then
+ * read into read, and its record for the search written: the mask's
+ * address, the goal estimate (the goal cells' sums over their count; NaN
+ * without a goal cell) and the estimate's goal_size block. Returns the goal
+ * cell count read (0 unread), or a negative ERR_*. */
+int64_t lanenav_rasterize(const World *world, const double *lanes, const double *table, uint8_t *cells,
+                          FrameRead *read, Frame *record)
+{
+    const int64_t size = world->goal_size;
+    int64_t x0, x1, y0, y1, y, count, error = paint_bodies(world, lanes, table, cells);
+    if (error < 0)
+        return error;
+    if (size > 0) {
+        if ((error = goal_span(world->goal_x, size, world->width, &x0, &x1)) < 0
+            || (error = goal_span(world->goal_y, size, world->height, &y0, &y1)) < 0)
+            return error;
+        for (y = y0; y < y1 && x0 < x1; y++)
+            memset(cells + y * world->width + x0, GOAL, (size_t)(x1 - x0));
+    }
+    if (read == NULL)
+        return 0;
+    count = lanenav_read_frame(world, cells, read);
+    record->occ = read->mask;
+    if (count == 0) {
+        for (y = 0; y < 6; y++)
+            record->goal[y] = NAN;
+    } else {
+        /* world.goal_block of the estimate. */
+        const double half = (double)(size - 1) / 2.0;
+        const double gx = (double)read->sum_x / (double)count, gy = (double)read->sum_y / (double)count;
+        x0 = round_px(gx - half);
+        y0 = round_px(gy - half);
+        record->goal[0] = gx;
+        record->goal[1] = gy;
+        record->goal[2] = (double)x0;
+        record->goal[3] = (double)(x0 + size - 1);
+        record->goal[4] = (double)y0;
+        record->goal[5] = (double)(y0 + size - 1);
+    }
+    return count;
+}
+
 /* kernel.py's load check: per struct each field's offset and size, then the
  * struct's size; then the constants, in the order kernel.py lists them. */
 #define FIELD(s, f) offsetof(s, f), sizeof(((s *)0)->f)
 const int64_t lanenav_world_layout[] = {
-    FIELD(World, height), FIELD(World, width), FIELD(World, n_lanes), FIELD(World, n_rows), FIELD(World, capacity),
-    FIELD(World, n_drawn), sizeof(World),
+    FIELD(World, height), FIELD(World, width), FIELD(World, n_lanes), FIELD(World, goal_size), FIELD(World, spawn),
+    FIELD(World, classes), FIELD(World, lam), FIELD(World, capacity), FIELD(World, n_rows), FIELD(World, goal_x),
+    FIELD(World, goal_y), FIELD(World, n_drawn), sizeof(World),
+    FIELD(Frame, occ), FIELD(Frame, goal), sizeof(Frame),
     FIELD(FrameRead, sum_x), FIELD(FrameRead, sum_y), offsetof(FrameRead, mask), 0, sizeof(FrameRead),
     GOAL, N_COLUMNS, N_LANE_COLUMNS, (int64_t)MAX_LEN1,
 };

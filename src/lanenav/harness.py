@@ -240,11 +240,9 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
                     ctypes.memmove(records, packed, len(packed))
                     origin = t
                 else:
-                    timeline.predicted(t)  # the observation of time t reads frame t before the model is asked
                     asked = 1  # the model is asked for decision t, and its search below is not counted again
                     model.calls += 1
-                    for i in range(t + first, t + first + stride * (k - 1) + 1, stride or 1):
-                        timeline.predicted(i)
+                    timeline.frame(t + first + stride * (k - 1))  # each frame is simulated with its record
             except Exception as exc:  # diagnostic record instead of a crash
                 exception = exc
                 break

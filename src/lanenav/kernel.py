@@ -2,8 +2,12 @@
 
 ``_search.c`` holds the planner's search and pick and the episode loop, ``_world.c`` the world's step,
 rasterizer and frame reader. On first import this module compiles both with the system C compiler into
-one object, cached under ``__pycache__`` and keyed by a hash of both sources, the compiler command and the
-interpreter tag; later imports load it. ``library`` is the object, and ``zeroed`` makes the kernels' buffers.
+one object, against numpy's headers and linked with the installed numpy's ``libnpyrandom.a``, whose
+samplers the world's step draws with. The object is cached under ``__pycache__``, keyed by a hash of both
+sources, the compiler command, the interpreter tag, the numpy version and the archive's bytes; later
+imports load it, and a build removes the objects of earlier builds for the same interpreter. A missing
+archive raises ImportError, as a failed build does. ``library`` is the object, and ``zeroed`` makes the
+kernels' buffers.
 
 No other module knows the interface: here are the structs the two sides share (``Layout``), the constants
 both use, the kernels' errors (``ERRORS``, raised by ``check``) and their functions' signatures. Each source
@@ -12,9 +16,11 @@ these: a difference raises ImportError naming the struct and field, or the const
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -26,6 +32,8 @@ from pathlib import Path
 import numpy as np
 
 _SOURCES = tuple(Path(__file__).with_name(name) for name in ("_search.c", "_world.c"))
+# numpy's random samplers as a static library, shipped with numpy for C extensions.
+_ARCHIVE = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 _CACHE = Path(__file__).with_name("__pycache__")
 _BUFFER_TYPES: dict[int, type] = {}
 
@@ -86,19 +94,20 @@ STEP = Layout("Step", x="d", y="d", action="q", kind="q")
 PLAY = Layout("Play", search=SEARCH, frames="P", palettes="P", origin="q", n_frames="q", n_times="q", uniforms="P",
               actions="P", steps="P", n_given="q", first="q", stride="q", max_steps="q", temperature="d", t="q",
               pending="q", searches="q")
-WORLD = Layout("World", height="q", width="q", n_lanes="q", n_rows="q", capacity="q", n_drawn="q")
+WORLD = Layout("World", height="q", width="q", n_lanes="q", goal_size="q", spawn="P", classes="P", lam="d",
+               capacity="q", n_rows="q", goal_x="d", goal_y="d", n_drawn="q")
 FRAME_READ = Layout("FrameRead", sum_x="q", sum_y="q", mask="0B")
 
 # What each source's layout table lists: its structs' entries, then constants by their C names.
 _TABLES = {
     "lanenav_search_layout": (NODE, SEARCH, FRAME, STEP, PLAY, ("N_ACTIONS", N_ACTIONS), ("MAX_DEPTH", MAX_DEPTH),
                               ("GOAL", GOAL), ("PLAY_ENDED", PLAY_ENDED), *((k, i) for i, k in enumerate(OUTCOMES))),
-    "lanenav_world_layout": (WORLD, FRAME_READ, ("GOAL", GOAL), ("N_COLUMNS", N_COLUMNS),
+    "lanenav_world_layout": (WORLD, FRAME, FRAME_READ, ("GOAL", GOAL), ("N_COLUMNS", N_COLUMNS),
                              ("N_LANE_COLUMNS", N_LANE_COLUMNS), ("MAX_LEN1", MAX_LEN1)),
 }
 
 # What a negative kernel return raises: the ERR_* of _search.c (-1..-7), the errors Python's own arithmetic
-# raised there, then those of _world.c (-8..-12).
+# raised there, then those of _world.c (-8..-14).
 ERRORS = {
     -1: (OverflowError, "math range error"),
     -2: (ZeroDivisionError, "float division by zero"),
@@ -112,16 +121,19 @@ ERRORS = {
     -10: (ValueError, "a lane row outside the grid"),
     -11: (ValueError, "spawn counts past the uniforms or rows given"),
     -12: (MemoryError, "world step"),
+    -13: (ValueError, "cannot convert float NaN to integer"),
+    -14: (OverflowError, "cannot convert float infinity to integer"),
 }
 
-# Each kernel function's arguments, a struct or buffer given as bytes or a ctypes buffer; each returns an int64.
+# Each kernel function's arguments, a struct or buffer given as bytes or a ctypes buffer, or for the world's
+# kernels also as an address; each returns an int64.
 _SIGNATURES = {
     "lanenav_search": (ctypes.c_char_p,) * 2,
     "lanenav_select": (ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_double),
     "lanenav_play": (ctypes.c_char_p,),
-    "lanenav_world_step": (ctypes.c_char_p,) * 5,
-    "lanenav_rasterize": (ctypes.c_char_p,) * 4,
-    "lanenav_read_frame": (ctypes.c_char_p,) * 3,
+    "lanenav_world_step": (ctypes.c_void_p,) * 3,
+    "lanenav_rasterize": (ctypes.c_void_p,) * 6,
+    "lanenav_read_frame": (ctypes.c_void_p,) * 3,
 }
 
 
@@ -138,10 +150,11 @@ def _command(target: str, sources: tuple[Path, ...] = _SOURCES) -> list[str]:
 
     No contraction into fused multiply-adds and no fast-math: the kernels
     keep the bits of IEEE arithmetic evaluated in source order. Vectorized
-    loops compute each element as the scalar loop does.
+    loops compute each element as the scalar loop does. Linking numpy's own
+    ``libnpyrandom.a`` keeps the world's draws equal to ``Generator``'s.
     """
-    return ["cc", "-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC", "-o", target,
-            *map(str, sources), "-lm"]
+    return ["cc", "-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC", "-I", np.get_include(),
+            "-o", target, *map(str, sources), str(_ARCHIVE), "-lm"]
 
 
 def _compile(command: list[str]) -> None:
@@ -160,10 +173,18 @@ def _load_kernel(cache: Path = _CACHE, sources: tuple[Path, ...] = _SOURCES) -> 
 
     Concurrent first loads each compile to their own temporary name and move
     it into place with ``os.replace``, so every process loads a whole object.
+    A build then removes the other objects of this interpreter tag in
+    ``cache``, which earlier sources or another numpy built.
     """
+    try:
+        archive = _ARCHIVE.read_bytes()
+    except OSError as exc:
+        raise ImportError(f"cannot build the C kernels: numpy's random library {_ARCHIVE}: {exc.strerror}") from exc
     texts = tuple(source.read_bytes() for source in sources)
-    key = hashlib.sha256(repr((texts, _command("", sources), sys.implementation.cache_tag)).encode()).hexdigest()[:16]
-    target = cache / f"_kernel.{sys.implementation.cache_tag}-{key}.so"
+    tag = sys.implementation.cache_tag
+    inputs = (texts, _command("", sources), tag, np.__version__, hashlib.sha256(archive).hexdigest())
+    key = hashlib.sha256(repr(inputs).encode()).hexdigest()[:16]
+    target = cache / f"_kernel.{tag}-{key}.so"
     if not target.exists():
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=cache)
@@ -174,6 +195,10 @@ def _load_kernel(cache: Path = _CACHE, sources: tuple[Path, ...] = _SOURCES) -> 
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for stale in cache.glob(f"_kernel.{tag}-*.so"):
+            if stale != target and re.fullmatch(rf"_kernel\.{re.escape(tag)}-[0-9a-f]{{16}}\.so", stale.name):
+                with contextlib.suppress(FileNotFoundError):  # a concurrent load removed it first
+                    stale.unlink()
     return ctypes.CDLL(str(target))
 
 

@@ -21,10 +21,12 @@ A spawn is rejected only if it overlaps a body of its lane at its spawn step;
 bodies keep their own speeds afterwards, so a faster body overtakes a slower
 one and same-lane bodies may overlap.
 
-The table step, the rasterizer and the reading of a frame into its obstacle
-mask and goal centre run in C (``_world.c``, built by ``kernel`` into the
-package's one shared object). The random draws stay in numpy, made by
-``world_step`` in a fixed order, and so does the goal's motion, through
+The table step with its random draws, the rasterizer and the reading of a
+frame into its obstacle mask and goal centre run in C (``_world.c``, built by
+``kernel`` into the package's one shared object). The step draws through the
+state's numpy generators in C, with numpy's own samplers (``libnpyrandom.a``),
+so its draws and the generators' states are those of ``Generator.poisson``
+and ``Generator.random``; the goal's motion stays in Python, through
 ``reflect_axis``. The kernels keep the float arithmetic of the former numpy
 code bit for bit: ``round_px`` is ``floor(x + 0.5)``, or ``ceil(x - 0.5)``
 below zero, in double; cell i is ``head - (double)i``; the object is built
@@ -306,6 +308,12 @@ SPEED = 1  # signed; the sign matches the lane direction for positive magnitudes
 LEN1 = 2  # length - 1
 LANE = 3  # index into WorldState.lanes
 _ROW_BYTES = 8 * N_COLUMNS
+# The largest Poisson mean Generator.poisson takes; past it, it raises before it draws, even for no lanes.
+_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+# The parts of a state's kernel World that a step and a frame set, and the one a step writes.
+_STEP_SIZES, _STEP_AT = WORLD.part("capacity", "n_rows"), WORLD.offsets["capacity"]
+_FRAME_SIZES, _FRAME_AT = WORLD.part("n_rows", "goal_y"), WORLD.offsets["n_rows"]
+_DRAWN, _DRAWN_AT = WORLD.part("n_drawn", "n_drawn"), WORLD.offsets["n_drawn"]
 
 
 def _table(state: "WorldState") -> bytes | ctypes.Array:
@@ -319,11 +327,54 @@ def _table(state: "WorldState") -> bytes | ctypes.Array:
     return table.tobytes()
 
 
-def _sizes(state: "WorldState", capacity: int = 0, drawn: int = 0) -> bytes:
-    """The kernels' ``World`` for ``state``; the lane count is that of the packed lane table they read."""
-    cfg = state.config
-    return WORLD.struct.pack(cfg.grid_h, cfg.grid_w, len(state.lane_table) // (8 * N_LANE_COLUMNS),
-                             len(state.obstacles), capacity, drawn)
+def _sizes(state: "WorldState", goal_size: int, spawn: int = 0, classes: int = 0, lam: float = 0.0) -> bytes:
+    """The kernels' ``World`` for ``state`` as it stands, the goal painted where ``goal_size`` > 0, and for a
+    step the addresses of the generators' ``bitgen_t`` and the Poisson mean; the lane count is that of the
+    packed lane table the kernels read."""
+    cfg, goal = state.config, state.goal
+    return WORLD.struct.pack(cfg.grid_h, cfg.grid_w, len(state.lane_table) // (8 * N_LANE_COLUMNS), goal_size,
+                             spawn, classes, lam, 0, len(state.obstacles), goal.x, goal.y, 0)
+
+
+class _StateKernel:
+    """What the kernels need of one state, made on first use: its kernel ``World`` and that buffer's
+    address, each generator's lock, and whether numpy takes the state's Poisson mean.
+
+    ``world_step`` and ``Timeline`` set the table's rows and the goal in the
+    ``World`` before each call. It holds the generators it was made for, and
+    is made again where the state holds others.
+    """
+
+    __slots__ = ("world", "address", "spawn", "classes", "lam_ok", "spawn_rng", "class_rng")
+
+    def __init__(self, state: "WorldState") -> None:
+        cfg = state.config
+        spawn, classes = state.spawn_rng.bit_generator, state.class_rng.bit_generator
+        lam = cfg.level * cfg.spawn_base_rate
+        self.world = ctypes.create_string_buffer(_sizes(
+            state, cfg.goal_size, spawn.ctypes.bit_generator.value, classes.ctypes.bit_generator.value, lam), WORLD.size)
+        self.address = ctypes.addressof(self.world)
+        self.spawn, self.classes, self.lam_ok = spawn.lock, classes.lock, lam <= _LAM_MAX
+        self.spawn_rng, self.class_rng = state.spawn_rng, state.class_rng
+
+
+def _kernel(state: "WorldState") -> _StateKernel:
+    made = state._kernel
+    if made is None or made.spawn_rng is not state.spawn_rng or made.class_rng is not state.class_rng:
+        made = state._kernel = _StateKernel(state)
+    return made
+
+
+def _draw_and_step(made: _StateKernel, lanes: bytes, table: int | None) -> int:
+    """``lanenav_world_step`` on ``made``'s ``World`` with both generators' locks held, as numpy holds a
+    generator's lock to draw."""
+    made.spawn.acquire()
+    made.classes.acquire()
+    try:
+        return library.lanenav_world_step(made.address, lanes, table)
+    finally:
+        made.classes.release()
+        made.spawn.release()
 
 
 @dataclass
@@ -357,10 +408,11 @@ class WorldState:
         # world_step keeps the table in a buffer of its own: _rows views all
         # of the buffer's rows, _view the first ones, which it left in obstacles.
         self._buffer = self._rows = self._view = None
+        self._kernel = None  # made by _kernel
 
     def __getstate__(self) -> dict:
-        # A copy or a pickle keeps the table's rows, not the buffer they sit in.
-        return {**self.__dict__, "_buffer": None, "_rows": None, "_view": None}
+        # A copy or a pickle keeps the table's rows, not the buffer they sit in, nor the generators' addresses.
+        return {**self.__dict__, "_buffer": None, "_rows": None, "_view": None, "_kernel": None}
 
 
 def action_to_velocity(action: int, speed: float) -> tuple[float, float]:
@@ -375,35 +427,44 @@ def world_step(state: WorldState) -> None:
     """Advance the world one step in place.
 
     Moves every body by its speed, removes the bodies left without a visible
-    cell, then spawns; last the goal moves. The step makes two draws: one
-    ``spawn_rng.poisson`` over the lanes gives the candidates per lane, and
-    one ``class_rng.random(2 * drawn)`` two uniforms per candidate in draw
-    order (lane, then draw): length, then speed magnitude, scaled as
-    ``lo + (hi - lo) * u`` like ``Generator.uniform``. Every candidate draws
-    both, whether it is accepted or not. A candidate is rejected if its pixel
-    span overlaps the span of a body of its lane, including earlier
-    candidates of the step.
+    cell, then spawns; last the goal moves. The step first makes all its
+    draws, in C through the state's generators and with numpy's own samplers:
+    one Poisson count per lane from ``spawn_rng`` gives the candidates per
+    lane, as ``spawn_rng.poisson(level * spawn_base_rate, size=lanes)``
+    would, then ``class_rng`` two uniforms per candidate in draw order (lane,
+    then draw), as ``class_rng.random(2 * drawn)`` would: length, then speed
+    magnitude, scaled as ``lo + (hi - lo) * u`` like ``Generator.uniform``.
+    Every candidate draws both, whether it is accepted or not, and a step
+    that raises has made all its draws too. Each generator's lock is held
+    through the call, as numpy's own methods hold it. A candidate is rejected
+    if its pixel span overlaps the span of a body of its lane, including
+    earlier candidates of the step.
 
     The table is stepped in place, in a buffer the state keeps, and
     ``obstacles`` is then a view of its rows: an array taken from
     ``obstacles`` before the step does not keep the old rows, so copy it.
     """
     cfg = state.config
-    counts = state.spawn_rng.poisson(cfg.level * cfg.spawn_base_rate, size=len(state.lanes))
-    drawn = sum(counts.tolist())
-    uniforms = state.class_rng.random(2 * drawn)
-    table = _table(state)
+    made = _kernel(state)
+    if not made.lam_ok:
+        raise ValueError("lam value too large")
+    try:
+        table = _table(state)
+    except ValueError:
+        _draw_and_step(made, state.lane_table, None)  # the step's draws, then the raise
+        raise
     rows = len(state.obstacles)
-    if table is not state._buffer or rows + drawn > len(state._rows):
-        capacity = 2 * (rows + drawn) + 16
+    # A lane accepts at most one spawn a step.
+    needed = rows + len(state.lanes)
+    if table is not state._buffer or needed > len(state._rows):
+        capacity = 2 * needed + 16
         state._buffer = zeroed(capacity * _ROW_BYTES)
         ctypes.memmove(state._buffer, table, rows * _ROW_BYTES)
         state._rows = np.frombuffer(state._buffer, np.float64).reshape(capacity, N_COLUMNS)
-    rows = check(library.lanenav_world_step(_sizes(state, len(state._rows), drawn), state.lane_table,
-                                            counts.astype(np.int64, copy=False).tobytes(), uniforms.tobytes(),
-                                            state._buffer))
+    _STEP_SIZES.pack_into(made.world, _STEP_AT, len(state._rows), rows)
+    rows = check(_draw_and_step(made, state.lane_table, ctypes.addressof(state._buffer)))
     state.obstacles = state._view = state._rows[:rows]
-    state.spawn_draws += drawn
+    state.spawn_draws += _DRAWN.unpack_from(made.world, _DRAWN_AT)[0]
 
     goal = state.goal
     hi_x = float(cfg.grid_w - cfg.goal_size)
@@ -411,14 +472,6 @@ def world_step(state: WorldState) -> None:
     goal.x, goal.vx = reflect_axis(goal.x + goal.vx, goal.vx, 0.0, hi_x)
     goal.y, goal.vy = reflect_axis(goal.y + goal.vy, goal.vy, 0.0, hi_y)
     state.t += 1
-
-
-def goal_pixels(state: WorldState) -> tuple[int, int, int, int]:
-    """Quantized goal footprint as (col_lo, col_hi, row_lo, row_hi), inclusive."""
-    gs = state.config.goal_size
-    cx = round_px(state.goal.x)
-    cy = round_px(state.goal.y)
-    return cx, cx + gs - 1, cy, cy + gs - 1
 
 
 def goal_block(center: tuple[float, float], goal_size: int) -> tuple[int, int, int, int]:
@@ -429,24 +482,26 @@ def goal_block(center: tuple[float, float], goal_size: int) -> tuple[int, int, i
     return x0, x0 + goal_size - 1, y0, y0 + goal_size - 1
 
 
-def _rasterize(state: WorldState) -> np.ndarray:
-    """Frame of the obstacles alone: each body's visible cells painted with its lane's value.
+def _rasterize(state: WorldState, goal_size: int = 0) -> np.ndarray:
+    """Frame of the obstacles, each body's visible cells painted with its lane's value, and the goal where
+    ``goal_size`` > 0.
 
     The world's one rasterization rule: body cell i is column
     ``round_px(head - i)`` for i = 0..length-1, kept when it is on the grid.
+    The goal block's columns are ``round_px(goal.x)`` and the ``goal_size - 1``
+    after it, its rows likewise, clipped to the grid as numpy's slice
+    ``[max(lo, 0):hi + 1]`` clips them; a NaN goal position raises
+    ``ValueError`` and an infinite one ``OverflowError``, as ``round_px`` does.
     """
     cfg = state.config
     cells = zeroed(cfg.grid_h * cfg.grid_w)
-    check(library.lanenav_rasterize(_sizes(state), state.lane_table, _table(state), cells))
+    check(library.lanenav_rasterize(_sizes(state, goal_size), state.lane_table, _table(state), cells, None, None))
     return np.frombuffer(cells, np.uint8).reshape(cfg.grid_h, cfg.grid_w)
 
 
 def render_frame(state: WorldState) -> np.ndarray:
     """Palette frame of the world: obstacles then goal on top. No agent."""
-    cells = _rasterize(state)
-    x0, x1, y0, y1 = goal_pixels(state)
-    cells[max(y0, 0):y1 + 1, max(x0, 0):x1 + 1] = GOAL
-    return cells
+    return _rasterize(state, state.config.goal_size)
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -492,7 +547,7 @@ def predicted_frame(frame: np.ndarray) -> PredictedFrame:
     height, width = frame.shape
     mask = FRAME_READ.offsets["mask"]
     out = zeroed(mask + height * width)
-    count = library.lanenav_read_frame(WORLD.struct.pack(height, width, 0, 0, 0, 0), frame.tobytes(), out)
+    count = library.lanenav_read_frame(WORLD.struct.pack(height, width, *(0,) * 10), frame.tobytes(), out)
     occupancy = freeze(np.frombuffer(out, np.bool_, height * width, mask).reshape(height, width))
     if not count:
         predicted = PredictedFrame(occupancy=occupancy, goal_estimate=None)
@@ -504,6 +559,7 @@ def predicted_frame(frame: np.ndarray) -> PredictedFrame:
 
 
 _NO_GOAL = (math.nan,) * 6
+_NO_RECORD = bytes(FRAME.size)
 
 
 def packed_frame(frame: PredictedFrame, goal_size: int, shape: tuple[int, ...]) -> tuple:
@@ -617,6 +673,7 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
 
 
 HISTORY_LEN = 4
+_CHUNK = 16  # the frames of a timeline's kernel buffer
 
 
 @dataclass(frozen=True)
@@ -650,15 +707,20 @@ class Timeline:
     freed as soon as its last reader lets go of it. ``start`` is the agent's
     start position.
 
-    For the episode loop in C (``harness``), the timeline also keeps two
-    arrays by time, as long as ``frames``: the address of each palette
-    frame's cells, and the search kernel's ``kernel.FRAME`` record of each time
-    whose ``predicted`` is computed (packed with the config's goal size),
-    all zero bytes before. The loop reads both where they lie.
+    Each new frame is one ``world_step`` and one kernel call, which paints
+    the frame, reads it into its obstacle mask and goal pixel sums, and
+    writes its ``kernel.FRAME`` record for the search (with the config's
+    goal size); ``predicted(t)`` wraps what that call wrote. Frames lie in
+    kernel buffers of ``_CHUNK`` frames each, a frame's cells followed by
+    what was read of them. For the episode loop in C (``harness``), the
+    timeline keeps two arrays by time, as long as ``frames``: the address of
+    each palette frame's cells and each frame's record. The loop reads both
+    where they lie.
     """
 
-    def __init__(self, config: WorldConfig, episode_seed: int) -> None:
-        state = new_episode(config, episode_seed)
+    def __init__(self, config: WorldConfig, episode_seed: int, state: WorldState | None = None) -> None:
+        # The world starts from ``state``, a world of ``config`` as it stands, where one is given.
+        state = new_episode(config, episode_seed) if state is None else state
         self.config = config
         self.episode_seed = episode_seed
         self.start = state.start
@@ -668,31 +730,57 @@ class Timeline:
         self._state = state
         self._predicted: dict[int, PredictedFrame] = {}
         self._histories: dict[int, History] = {}
-        self._append(freeze(render_frame(state)))
+        # Per chunk of frames: (palette frames, obstacle masks, address), the arrays read-only views.
+        self._chunks: list[tuple[np.ndarray, np.ndarray, int]] = []
+        cells = config.grid_h * config.grid_w
+        self._read_at = -(-cells // 8) * 8
+        self._stride = -(-(self._read_at + FRAME_READ.size + cells) // 8) * 8
+        self._append()
 
-    def _append(self, frame: np.ndarray) -> None:
-        # The rasterizer's frame is a view of its whole kernel buffer, where the loop reads the cells.
-        buffer = frame.base.base
-        if not isinstance(buffer, ctypes.Array) or ctypes.sizeof(buffer) != self.config.grid_h * self.config.grid_w:
-            raise ValueError("a timeline frame is a view of a whole kernel buffer of the grid's cells")
-        self.frames.append(frame)
-        self.palettes.append(ctypes.addressof(buffer))
-        self.records.frombytes(bytes(FRAME.size))  # a NULL occupancy: not predicted yet
+    def _append(self) -> None:
+        """Frame ``len(frames)`` of the state as it stands, painted, read and packed by one kernel call."""
+        state, t = self._state, len(self.frames)
+        if not t % _CHUNK:
+            cfg = self.config
+            buffer = zeroed(_CHUNK * self._stride)
+            shape, strides = (_CHUNK, cfg.grid_h, cfg.grid_w), (self._stride, cfg.grid_w, 1)
+            mask_at = self._read_at + FRAME_READ.offsets["mask"]
+            self._chunks.append((freeze(np.ndarray(shape, np.uint8, buffer, 0, strides)),
+                                 freeze(np.ndarray(shape, np.bool_, buffer, mask_at, strides)),
+                                 ctypes.addressof(buffer)))
+        frames, _, address = self._chunks[-1]
+        address += t % _CHUNK * self._stride
+        made = _kernel(state)
+        goal = state.goal
+        _FRAME_SIZES.pack_into(made.world, _FRAME_AT, len(state.obstacles), goal.x, goal.y)
+        records = self.records
+        records.frombytes(_NO_RECORD)
+        code = library.lanenav_rasterize(made.address, state.lane_table, _table(state), address,
+                                         address + self._read_at, records.buffer_info()[0] + t * FRAME.size)
+        if code < 0:
+            del records[t * FRAME.size:]
+            check(code)
+        self.frames.append(frames[t % _CHUNK])
+        self.palettes.append(address)
 
     def frame(self, t: int) -> np.ndarray:
         frames = self.frames
         while len(frames) <= t:
             world_step(self._state)
-            self._append(freeze(render_frame(self._state)))
+            self._append()
         return frames[t]
 
     def predicted(self, t: int) -> PredictedFrame:
         predicted = self._predicted.get(t)
         if predicted is None:
+            self.frame(t)
             cfg = self.config
-            predicted = self._predicted[t] = predicted_frame(self.frame(t))
-            memoryview(self.records)[t * FRAME.size:(t + 1) * FRAME.size] = packed_frame(
-                predicted, cfg.goal_size, (cfg.grid_h, cfg.grid_w))[2]
+            record = self.records[t * FRAME.size:(t + 1) * FRAME.size].tobytes()
+            address, x, y = FRAME.struct.unpack(record)[:3]
+            occupancy = self._chunks[t // _CHUNK][1][t % _CHUNK]
+            predicted = self._predicted[t] = PredictedFrame(occupancy, None if math.isnan(x) else (x, y))
+            object.__setattr__(predicted, "_address", address)
+            object.__setattr__(predicted, "_packed", (cfg.goal_size, (cfg.grid_h, cfg.grid_w), record, occupancy))
         return predicted
 
     def history(self, t: int) -> History:

@@ -35,7 +35,6 @@ from lanenav.world import (
     action_to_velocity,
     fold,
     goal_block,
-    goal_pixels,
     reflect_axis,
     render_frame,
     round_px,
@@ -321,6 +320,15 @@ def reference_body_cells(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     cols = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5)).astype(np.int64)
     keep = (cols >= 0) & (cols < state.config.grid_w)
     return table[body[keep], LANE].astype(np.intp), cols[keep]
+
+
+def goal_pixels(state: WorldState) -> tuple[int, int, int, int]:
+    """The world's former goal quantization, the reference of the rasterizer's goal block: the footprint
+    (col_lo, col_hi, row_lo, row_hi), inclusive."""
+    gs = state.config.goal_size
+    cx = round_px(state.goal.x)
+    cy = round_px(state.goal.y)
+    return cx, cx + gs - 1, cy, cy + gs - 1
 
 
 def reference_render_frame(state: WorldState) -> np.ndarray:

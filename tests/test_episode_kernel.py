@@ -131,16 +131,23 @@ def test_model_that_raises_at_decision_j():
 
 @pytest.mark.parametrize("spec", WINDOWED)
 def test_window_that_raises_at_decision_j(spec):
-    """A model with a window reads the timeline itself; a frame that fails to read ends the episode
-    where the model's ``predict`` would have raised, and counts as its call."""
+    """A model with a window reads the timeline itself, and each frame is read as it is simulated; a frame
+    that fails to simulate in a decision's window ends the episode where the model's ``predict`` would
+    have raised, and counts as its call. Frozen's window is frame t, which the step into t simulated, so
+    there the failure comes from that step, out of both loops."""
     class RaisingTimeline(Timeline):
-        def predicted(self, t):
-            if t == 6:
+        def _append(self):
+            if len(self.frames) == 6:
                 raise RuntimeError("synthetic failure at time 6")
-            return super().predicted(t)
+            super()._append()
 
-    world_cfg = WorldConfig().for_speed("2x")
-    want, _ = compare(world_cfg, MCTSConfig(n_rollouts=30), spec, episode_seed(29, 0), timeline=RaisingTimeline)
+    world_cfg, mcts_cfg, seed = WorldConfig().for_speed("2x"), MCTSConfig(n_rollouts=30), episode_seed(29, 0)
+    if spec == "frozen":
+        for play in (_play, reference_play):
+            with pytest.raises(RuntimeError, match="synthetic failure at time 6"):
+                play(RaisingTimeline(world_cfg, seed), world_cfg, mcts_cfg, model_for(spec, seed))
+        return
+    want, _ = compare(world_cfg, mcts_cfg, spec, seed, timeline=RaisingTimeline)
     assert want.error == "RuntimeError: synthetic failure at time 6"
     assert 0 < want.steps <= 6
 

@@ -275,6 +275,31 @@ class TestLoader:
             copies[-1].write_text(text)
         return tuple(copies)
 
+    def test_a_build_removes_the_objects_of_earlier_builds(self, tmp_path):
+        """Two edited copies of the sources built into one cache leave one object of this interpreter:
+        the last one built. Another interpreter's object stays."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        other = cache / "_kernel.other-interpreter-0123456789abcdef.so"
+        other.write_bytes(b"")
+        for edit in ("a", "b"):
+            (tmp_path / edit).mkdir()
+            sources = self.edited_sources(tmp_path / edit, "_world.c", "#include <math.h>\n",
+                                          f"#include <math.h>\n/* build {edit} */\n")
+            library = kernel._load_kernel(cache, sources)
+        built = sorted(path.name for path in cache.iterdir())
+        assert built == sorted([other.name, Path(library._name).name])
+        assert Path(library._name).name.startswith(f"_kernel.{sys.implementation.cache_tag}-")
+
+    def test_a_missing_numpy_archive_fails_the_load_naming_it(self, tmp_path, monkeypatch):
+        missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+        monkeypatch.setattr(kernel, "_ARCHIVE", missing)
+        assert str(missing) in kernel._command("target")
+        with pytest.raises(ImportError, match=re.escape(str(missing))) as caught:
+            kernel._load_kernel(tmp_path / "cache")
+        assert str(caught.value).startswith("cannot build the C kernels: ")
+        assert not (tmp_path / "cache").exists()
+
     def test_shipped_sources_pass_the_layout_check(self, tmp_path):
         kernel._check_layout(kernel._load_kernel(tmp_path))
 
@@ -288,7 +313,7 @@ class TestLoader:
         ("_world.c", "VALUE, N_LANE_COLUMNS }", "VALUE, SPARE, N_LANE_COLUMNS }",
          "N_LANE_COLUMNS is 8 in C, 7 in Python"),
         ("_world.c", "(int64_t)MAX_LEN1,", "(int64_t)MAX_LEN1, 0,",
-         "lanenav_world_layout has 25 entries in C, 24 in Python"),
+         "lanenav_world_layout has 42 entries in C, 41 in Python"),
     ])
     def test_a_mismatch_fails_the_layout_check(self, tmp_path, source, old, new, message):
         library = kernel._load_kernel(tmp_path, self.edited_sources(tmp_path, source, old, new))
@@ -320,6 +345,9 @@ PARENT_ERRORS = {
     ("_world.c", "ERR_ROW"): (ValueError, "a lane row outside the grid"),
     ("_world.c", "ERR_DRAWS"): (ValueError, "spawn counts past the uniforms or rows given"),
     ("_world.c", "ERR_MEMORY"): (MemoryError, "world step"),
+    # Where render_frame's round_px of the goal position raised.
+    ("_world.c", "ERR_GOAL_NAN"): (ValueError, "cannot convert float NaN to integer"),
+    ("_world.c", "ERR_GOAL_INF"): (OverflowError, "cannot convert float infinity to integer"),
 }
 
 

@@ -10,6 +10,7 @@ goal centres. Where the kernel cannot index safely it raises.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 import pickle
@@ -25,6 +26,9 @@ from conftest import (
     reference_render_frame,
     reference_world_step,
 )
+from lanenav import kernel
+from lanenav.kernel import FRAME, N_LANE_COLUMNS, WORLD, library, zeroed
+from lanenav.seeding import clone_rng
 from lanenav.world import (
     LEFT_TO_RIGHT,
     LEN1,
@@ -35,9 +39,12 @@ from lanenav.world import (
     SPEED,
     ObstacleClass,
     PlacementError,
+    PredictedFrame,
+    Timeline,
     WorldConfig,
     clone_state,
     new_episode,
+    packed_frame,
     predicted_frame,
     render_frame,
     world_step,
@@ -206,3 +213,176 @@ def test_copies_step_apart_from_the_original(duplicate):
         world_step(state)
     assert_lockstep(twin, steps=3)
     assert state_bits(twin) == state_bits(state)
+
+
+# The world's draws in C: numpy's own samplers on the state's generators, against Generator's methods.
+# numpy draws Poisson counts by multiplication below a mean of 10 and by PTRS from 10 on.
+MEANS = (st.just(0.0) | st.floats(1e-3, 10.0, exclude_max=True) | st.floats(10.0, MAX_ARRIVALS)
+         | st.just(MAX_ARRIVALS))
+
+
+def kernel_counts(lam: float, lanes: int, spawn_rng, class_rng) -> list[int]:
+    """The Poisson counts the step kernel draws, one one-lane draw-only call per lane; each call also
+    takes two uniforms from ``class_rng`` per candidate."""
+    counts = []
+    for _ in range(lanes):
+        world = zeroed(WORLD.size)
+        WORLD.struct.pack_into(world, 0, 1, 2, 1, 0, spawn_rng.bit_generator.ctypes.bit_generator.value,
+                               class_rng.bit_generator.ctypes.bit_generator.value, lam, 0, 0, 0.0, 0.0, 0)
+        assert library.lanenav_world_step(world, bytes(8 * N_LANE_COLUMNS), None) == 0
+        counts.append(WORLD.struct.unpack_from(world)[-1])
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=MEANS, lanes=st.integers(0, 40), seed=st.integers(0, 2**63))
+def test_draws_equal_numpys(lam, lanes, seed):
+    spawn_rng, class_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    want_spawn, want_class = clone_rng(spawn_rng), clone_rng(class_rng)
+    counts = kernel_counts(lam, lanes, spawn_rng, class_rng)
+    want = want_spawn.poisson(lam, size=lanes).tolist()
+    want_class.random(2 * sum(want))
+    assert counts == want
+    assert spawn_rng.bit_generator.state == want_spawn.bit_generator.state
+    assert class_rng.bit_generator.state == want_class.bit_generator.state
+
+
+def one_lane_world(seed: int, lam: float = MAX_ARRIVALS):
+    """A one-lane world of 1-cell bodies at arrival rate ``lam`` (at most MAX_ARRIVALS), not warmed up."""
+    config = WorldConfig(grid_h=4, grid_w=24, level=1.0, spawn_base_rate=lam, lane_rows=(1,),
+                         obstacle_classes=(ObstacleClass(1, 1.0, 0.5, 1.0, 0.0),), warmup_steps=0)
+    return build_state(config=config, lanes=[(1, 1, RIGHT_TO_LEFT)], seed=seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), lam=MEANS)
+def test_steps_equal_the_reference_step_by_step(seed, lam):
+    """N steps of the kernel and of the reference: the same table, spawn count and generator states after each."""
+    assert_lockstep(one_lane_world(seed, lam), steps=60)
+
+
+def test_at_the_arrivals_bound_each_step_draws_as_the_reference():
+    state = one_lane_world(11)
+    assert_lockstep(state, steps=200)
+    assert state.spawn_draws > 200 * (MAX_ARRIVALS - 8)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda state: state.obstacles.__setitem__((0, 3), 7.0),  # a lane index outside the lane table
+    lambda state: state.obstacles.__setitem__((0, LEN1), math.nan),
+    lambda state: setattr(state, "obstacles", np.zeros((2, 3))),
+    lambda state: setattr(state, "obstacles", np.zeros((2, 4), np.float32)),
+])
+def test_a_step_that_raises_leaves_the_generators_where_the_reference_does(spoil):
+    state = one_lane_world(5, lam=3.0)
+    state.obstacles = obstacle_table([(0, 10.0, 2, 1.0)])
+    world_step(state)
+    spoil(state)
+    reference = clone_state(state)
+    with pytest.raises(ValueError, match="obstacle table"):
+        world_step(state)
+    with contextlib.suppress(Exception):  # the reference draws first; where it then fails does not matter here
+        reference_world_step(reference)
+    assert state.spawn_rng.bit_generator.state == reference.spawn_rng.bit_generator.state
+    assert state.class_rng.bit_generator.state == reference.class_rng.bit_generator.state
+
+
+def test_a_mean_numpy_refuses_raises_as_numpy_before_any_draw():
+    state = build_state(config=WorldConfig(lane_rows=(), level=1e10, spawn_base_rate=1e10, warmup_steps=0))
+    before = state_bits(state)
+    with pytest.raises(ValueError, match="^lam value too large$"):
+        world_step(state)
+    with pytest.raises(ValueError, match="^lam value too large$"):
+        reference_world_step(clone_state(state))
+    assert state_bits(state) == before
+
+
+def test_the_generators_locks_are_held_through_the_draws(monkeypatch):
+    state = one_lane_world(2)
+    held = []
+    step = kernel.library.lanenav_world_step
+
+    def watching_step(*args):
+        held.append((state.spawn_rng.bit_generator.lock._is_owned(), state.class_rng.bit_generator.lock._is_owned()))
+        return step(*args)
+
+    monkeypatch.setattr(kernel.library, "lanenav_world_step", watching_step)
+    world_step(state)
+    assert held == [(True, True)]
+    assert not state.spawn_rng.bit_generator.lock._is_owned()
+
+
+# The frame pass: one kernel call paints, reads and packs each new timeline frame.
+
+def assert_frame_pass(state, steps: int) -> None:
+    """A timeline from ``state`` against the references, frame by frame: palette, mask, goal, record."""
+    reference = clone_state(state)
+    cfg = state.config
+    timeline = Timeline(cfg, state.episode_seed, state)
+    for t in range(steps + 1):
+        if t:
+            reference_world_step(reference)
+        frame, predicted = timeline.frame(t), timeline.predicted(t)
+        want = reference_render_frame(reference)
+        assert np.array_equal(frame, want) and not frame.flags.writeable
+        read = reference_predicted_frame(want)
+        assert np.array_equal(predicted.occupancy, read.occupancy) and not predicted.occupancy.flags.writeable
+        assert repr(predicted.goal_estimate) == repr(read.goal_estimate)
+        record = timeline.records[t * FRAME.size:(t + 1) * FRAME.size].tobytes()
+        packed = packed_frame(PredictedFrame(read.occupancy.copy(), read.goal_estimate), cfg.goal_size,
+                              (cfg.grid_h, cfg.grid_w))[2]
+        assert record[8:] == packed[8:]
+        assert FRAME.struct.unpack(record)[0] == predicted.occupancy.ctypes.data == timeline.palettes[t] + (
+            predicted.occupancy.ctypes.data - frame.ctypes.data)
+        assert timeline.palettes[t] == frame.ctypes.data
+        assert predicted is timeline.predicted(t) and packed_frame(predicted, cfg.goal_size, frame.shape)[2] == record
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(state=hand_built_worlds())
+def test_the_frame_pass_equals_the_references(state):
+    assert_frame_pass(state, steps=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.tuples(st.integers(2, 12), st.integers(2, 12)), size=st.integers(1, 12), data=st.data())
+def test_goals_on_and_off_the_grid_edges(grid, size, data):
+    """The goal block at and past every edge, where numpy's slice clips it, wraps it or leaves no goal
+    pixel; a frame without a goal pixel has no goal estimate and a NaN record."""
+    grid_h, grid_w = grid
+    size = min(size, grid_h, grid_w)
+    config = WorldConfig(grid_h=grid_h, grid_w=grid_w, level=0.0, lane_rows=(0,), goal_size=size,
+                         warmup_steps=0)
+    edge = st.sampled_from([0.0, -0.5, 0.5, -1.0, -size - 0.5, -size - 1.0, -100.0, -1e300])
+    x = data.draw(edge | st.sampled_from([grid_w - size, grid_w - size + 0.5, grid_w, 1e300])
+                  | st.floats(-2.0 * grid_w, 2.0 * grid_w))
+    y = data.draw(edge | st.sampled_from([grid_h - size, grid_h - size + 0.5, grid_h, 1e300])
+                  | st.floats(-2.0 * grid_h, 2.0 * grid_h))
+    state = build_state(config=config, lanes=[(0, 1, LEFT_TO_RIGHT)], obstacles=[(0, 1.0, 2, 0.0)],
+                        goal=(x, y, 0.0, 0.0))
+    assert_frame_pass(state, steps=0)
+
+
+def test_a_frame_without_a_goal_pixel():
+    config = WorldConfig(grid_h=8, grid_w=8, level=0.0, lane_rows=(2,), warmup_steps=0)
+    state = build_state(config=config, lanes=[(2, 3, RIGHT_TO_LEFT)], obstacles=[(0, 5.0, 3, 0.0)],
+                        goal=(8.0, 3.0, 0.0, 0.0))
+    timeline = Timeline(config, 0, state)
+    assert timeline.predicted(0).goal_estimate is None
+    assert all(map(math.isnan, FRAME.struct.unpack(timeline.records[:FRAME.size].tobytes())[1:]))
+    assert timeline.predicted(0).occupancy.sum() == 3
+
+
+@pytest.mark.parametrize("position, error, message", [
+    (math.nan, ValueError, "cannot convert float NaN to integer"),
+    (math.inf, OverflowError, "cannot convert float infinity to integer"),
+    (-math.inf, OverflowError, "cannot convert float infinity to integer"),
+])
+def test_a_goal_position_that_is_not_finite_raises_as_the_reference(position, error, message):
+    state = build_state(goal=(5.0, position, 0.0, 0.0))
+    with pytest.raises(error, match=message):
+        reference_render_frame(state)
+    with pytest.raises(error, match=message):
+        render_frame(state)
+    with pytest.raises(error, match=message):
+        Timeline(state.config, 0, state)

@@ -17,13 +17,13 @@ Same-lane bodies may overlap: a faster body overtakes a slower one.
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from conftest import goal_pixels
 from lanenav.world import (
     GOAL,
     LEFT_TO_RIGHT,
     ObstacleClass,
     PlacementError,
     WorldConfig,
-    goal_pixels,
     new_episode,
     obstacle_occupancy,
     render_frame,
