@@ -5,8 +5,8 @@ rasterizer and frame reader. On first import this module compiles both with the 
 one object, against numpy's headers and linked with the installed numpy's ``libnpyrandom.a``, whose
 samplers the world's step draws with. The object is cached under ``__pycache__``, keyed by a hash of both
 sources, the compiler command, the interpreter tag, the numpy version and the archive's bytes; later
-imports load it, and a build removes the objects of earlier builds for the same interpreter. A missing
-archive raises ImportError, as a failed build does. ``library`` is the object, and ``zeroed`` makes the
+imports load it, and a build removes the objects of earlier builds for the same interpreter and numpy. A
+missing archive raises ImportError, as a failed build does. ``library`` is the object, and ``zeroed`` makes the
 kernels' buffers.
 
 No other module knows the interface: here are the structs the two sides share (``Layout``), the constants
@@ -171,35 +171,48 @@ def _compile(command: list[str]) -> None:
 def _load_kernel(cache: Path = _CACHE, sources: tuple[Path, ...] = _SOURCES) -> ctypes.CDLL:
     """The shared object of ``sources``, compiled into ``cache`` unless built there before.
 
-    Concurrent first loads each compile to their own temporary name and move
-    it into place with ``os.replace``, so every process loads a whole object.
-    A build then removes the other objects of this interpreter tag in
-    ``cache``, which earlier sources or another numpy built.
+    The object is named ``_kernel.<interpreter tag>-np<numpy version>-<key>.so``. Concurrent first loads
+    each compile to their own temporary name and move it into place with ``os.replace``, so every process
+    loads a whole object. A build then removes the other objects of its interpreter tag and numpy version
+    in ``cache``, which earlier sources built, and those named before the numpy version was part of the
+    name; the objects of another interpreter or numpy stay. Where the object is removed between the build
+    or the check for it and the load, the load builds it once more.
     """
     try:
         archive = _ARCHIVE.read_bytes()
     except OSError as exc:
         raise ImportError(f"cannot build the C kernels: numpy's random library {_ARCHIVE}: {exc.strerror}") from exc
     texts = tuple(source.read_bytes() for source in sources)
-    tag = sys.implementation.cache_tag
+    tag, numpy_tag = sys.implementation.cache_tag, f"np{np.__version__}"
     inputs = (texts, _command("", sources), tag, np.__version__, hashlib.sha256(archive).hexdigest())
     key = hashlib.sha256(repr(inputs).encode()).hexdigest()[:16]
-    target = cache / f"_kernel.{tag}-{key}.so"
-    if not target.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=cache)
-        os.close(fd)
+    target = cache / f"_kernel.{tag}-{numpy_tag}-{key}.so"
+    for attempt in (1, 2):
+        if not target.exists():
+            _build(target, sources)
+            stale = re.compile(rf"_kernel\.{re.escape(tag)}-({re.escape(numpy_tag)}-)?[0-9a-f]{{16}}\.so")
+            for path in cache.glob(f"_kernel.{tag}-*.so"):
+                if path != target and stale.fullmatch(path.name):
+                    with contextlib.suppress(FileNotFoundError):  # a concurrent load removed it first
+                        path.unlink()
         try:
-            _compile(_command(tmp, sources))
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        for stale in cache.glob(f"_kernel.{tag}-*.so"):
-            if stale != target and re.fullmatch(rf"_kernel\.{re.escape(tag)}-[0-9a-f]{{16}}\.so", stale.name):
-                with contextlib.suppress(FileNotFoundError):  # a concurrent load removed it first
-                    stale.unlink()
-    return ctypes.CDLL(str(target))
+            return ctypes.CDLL(str(target))
+        except OSError:
+            if attempt == 2 or target.exists():
+                raise
+
+
+def _build(target: Path, sources: tuple[Path, ...]) -> None:
+    """Compile ``sources`` into ``target`` through a temporary file in its directory."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        _compile(_command(tmp, sources))
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _check_layout(library: ctypes.CDLL) -> None:

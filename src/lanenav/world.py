@@ -351,8 +351,8 @@ class _StateKernel:
         cfg = state.config
         spawn, classes = state.spawn_rng.bit_generator, state.class_rng.bit_generator
         lam = cfg.level * cfg.spawn_base_rate
-        self.world = ctypes.create_string_buffer(_sizes(
-            state, cfg.goal_size, spawn.ctypes.bit_generator.value, classes.ctypes.bit_generator.value, lam), WORLD.size)
+        sizes = _sizes(state, cfg.goal_size, spawn.ctypes.bit_generator.value, classes.ctypes.bit_generator.value, lam)
+        self.world = ctypes.create_string_buffer(sizes, WORLD.size)
         self.address = ctypes.addressof(self.world)
         self.spawn, self.classes, self.lam_ok = spawn.lock, classes.lock, lam <= _LAM_MAX
         self.spawn_rng, self.class_rng = state.spawn_rng, state.class_rng
@@ -718,9 +718,8 @@ class Timeline:
     where they lie.
     """
 
-    def __init__(self, config: WorldConfig, episode_seed: int, state: WorldState | None = None) -> None:
-        # The world starts from ``state``, a world of ``config`` as it stands, where one is given.
-        state = new_episode(config, episode_seed) if state is None else state
+    def __init__(self, config: WorldConfig, episode_seed: int) -> None:
+        state = new_episode(config, episode_seed)
         self.config = config
         self.episode_seed = episode_seed
         self.start = state.start
@@ -740,7 +739,7 @@ class Timeline:
     def _append(self) -> None:
         """Frame ``len(frames)`` of the state as it stands, painted, read and packed by one kernel call."""
         state, t = self._state, len(self.frames)
-        if not t % _CHUNK:
+        if len(self._chunks) <= t // _CHUNK:  # an attempt at frame t that raised may have made it
             cfg = self.config
             buffer = zeroed(_CHUNK * self._stride)
             shape, strides = (_CHUNK, cfg.grid_h, cfg.grid_w), (self._stride, cfg.grid_w, 1)
@@ -748,7 +747,7 @@ class Timeline:
             self._chunks.append((freeze(np.ndarray(shape, np.uint8, buffer, 0, strides)),
                                  freeze(np.ndarray(shape, np.bool_, buffer, mask_at, strides)),
                                  ctypes.addressof(buffer)))
-        frames, _, address = self._chunks[-1]
+        frames, _, address = self._chunks[t // _CHUNK]
         address += t % _CHUNK * self._stride
         made = _kernel(state)
         goal = state.goal

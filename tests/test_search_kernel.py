@@ -8,6 +8,7 @@ values and prior. Where the reference raises, the kernel raises the same.
 from __future__ import annotations
 
 import copy
+import ctypes
 import math
 import os
 import pickle
@@ -276,20 +277,43 @@ class TestLoader:
         return tuple(copies)
 
     def test_a_build_removes_the_objects_of_earlier_builds(self, tmp_path):
-        """Two edited copies of the sources built into one cache leave one object of this interpreter:
-        the last one built. Another interpreter's object stays."""
+        """Two edited copies of the sources built into one cache leave one object of this interpreter and
+        numpy: the last one built. An object named without the numpy version goes too; another
+        interpreter's object and another numpy's stay."""
         cache = tmp_path / "cache"
         cache.mkdir()
-        other = cache / "_kernel.other-interpreter-0123456789abcdef.so"
-        other.write_bytes(b"")
+        tag = sys.implementation.cache_tag
+        kept = [cache / "_kernel.other-interpreter-0123456789abcdef.so",
+                cache / f"_kernel.{tag}-np0.0-0123456789abcdef.so"]
+        unversioned = cache / f"_kernel.{tag}-0123456789abcdef.so"
+        for path in (*kept, unversioned):
+            path.write_bytes(b"")
         for edit in ("a", "b"):
             (tmp_path / edit).mkdir()
             sources = self.edited_sources(tmp_path / edit, "_world.c", "#include <math.h>\n",
                                           f"#include <math.h>\n/* build {edit} */\n")
             library = kernel._load_kernel(cache, sources)
         built = sorted(path.name for path in cache.iterdir())
-        assert built == sorted([other.name, Path(library._name).name])
-        assert Path(library._name).name.startswith(f"_kernel.{sys.implementation.cache_tag}-")
+        assert built == sorted([*(path.name for path in kept), Path(library._name).name])
+        assert Path(library._name).name.startswith(f"_kernel.{tag}-np{np.__version__}-")
+
+    def test_an_object_removed_before_its_load_is_built_again(self, tmp_path, monkeypatch):
+        """A concurrent build of other sources may remove the object between this build and its load:
+        the load then builds it once more."""
+        compiles, load = [], ctypes.CDLL
+        compile_ = kernel._compile
+        monkeypatch.setattr(kernel, "_compile", lambda command: (compiles.append(command), compile_(command)))
+
+        def load_after_a_removal(name):
+            if len(compiles) == 1:
+                os.unlink(name)
+            return load(name)
+
+        monkeypatch.setattr(kernel.ctypes, "CDLL", load_after_a_removal)
+        library = kernel._load_kernel(tmp_path)
+        assert len(compiles) == 2
+        assert [path.name for path in tmp_path.iterdir()] == [Path(library._name).name]
+        assert hasattr(library, "lanenav_rasterize")
 
     def test_a_missing_numpy_archive_fails_the_load_naming_it(self, tmp_path, monkeypatch):
         missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"

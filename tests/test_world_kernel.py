@@ -26,7 +26,7 @@ from conftest import (
     reference_render_frame,
     reference_world_step,
 )
-from lanenav import kernel
+from lanenav import kernel, world
 from lanenav.kernel import FRAME, N_LANE_COLUMNS, WORLD, library, zeroed
 from lanenav.seeding import clone_rng
 from lanenav.world import (
@@ -314,11 +314,18 @@ def test_the_generators_locks_are_held_through_the_draws(monkeypatch):
 
 # The frame pass: one kernel call paints, reads and packs each new timeline frame.
 
+def timeline_of(state) -> Timeline:
+    """A timeline whose world starts from ``state``, given in place of the ``new_episode`` it calls."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(world, "new_episode", lambda config, episode_seed: state)
+        return Timeline(state.config, state.episode_seed)
+
+
 def assert_frame_pass(state, steps: int) -> None:
     """A timeline from ``state`` against the references, frame by frame: palette, mask, goal, record."""
     reference = clone_state(state)
     cfg = state.config
-    timeline = Timeline(cfg, state.episode_seed, state)
+    timeline = timeline_of(state)
     for t in range(steps + 1):
         if t:
             reference_world_step(reference)
@@ -367,7 +374,7 @@ def test_a_frame_without_a_goal_pixel():
     config = WorldConfig(grid_h=8, grid_w=8, level=0.0, lane_rows=(2,), warmup_steps=0)
     state = build_state(config=config, lanes=[(2, 3, RIGHT_TO_LEFT)], obstacles=[(0, 5.0, 3, 0.0)],
                         goal=(8.0, 3.0, 0.0, 0.0))
-    timeline = Timeline(config, 0, state)
+    timeline = timeline_of(state)
     assert timeline.predicted(0).goal_estimate is None
     assert all(map(math.isnan, FRAME.struct.unpack(timeline.records[:FRAME.size].tobytes())[1:]))
     assert timeline.predicted(0).occupancy.sum() == 3
@@ -385,4 +392,24 @@ def test_a_goal_position_that_is_not_finite_raises_as_the_reference(position, er
     with pytest.raises(error, match=message):
         render_frame(state)
     with pytest.raises(error, match=message):
-        Timeline(state.config, 0, state)
+        timeline_of(state)
+
+
+def test_a_frame_made_again_after_a_raise_keeps_its_mask_with_it(monkeypatch):
+    """Frame 16, the first of a new kernel buffer, raises once; made again, its mask and record are
+    read from the palette frame the timeline gives for it."""
+    timeline = Timeline(WorldConfig(level=30.0), 3)
+    timeline.frame(15)
+    rasterize = kernel.library.lanenav_rasterize
+    monkeypatch.setattr(kernel.library, "lanenav_rasterize", lambda *args: -10)
+    with pytest.raises(ValueError, match="lane row"):
+        timeline.frame(16)
+    assert len(timeline.frames) == 16 and len(timeline.records) == 16 * FRAME.size
+    monkeypatch.setattr(kernel.library, "lanenav_rasterize", rasterize)
+    frame, predicted = timeline.frame(16), timeline.predicted(16)
+    read = predicted_frame(frame)
+    assert read.occupancy.any() and np.array_equal(predicted.occupancy, read.occupancy)
+    assert repr(predicted.goal_estimate) == repr(read.goal_estimate)
+    record = timeline.records[16 * FRAME.size:17 * FRAME.size].tobytes()
+    assert FRAME.struct.unpack(record)[0] == predicted.occupancy.ctypes.data
+    assert timeline.palettes[16] == frame.ctypes.data
