@@ -62,18 +62,20 @@ typedef struct {
     Node *nodes;     /* room for n_rollouts + 1 rows, a rollout adding at most one node, or
                       * for the full tree of depth k where that is fewer */
     hypot_fn hypot;
-    int64_t n_rollouts, k, height, width;
+    int64_t n_rollouts, k, height, width, goal_size; /* goal_size: the side of each estimate's goal block */
     double x0, y0, c_puct, kappa, death_value, goal_value, beta, diag;
     double moves[2 * N_ACTIONS]; /* (dx, dy) of each action */
 } Search;
 
-/* One predicted frame (kernel.FRAME), packed once per frame: where its
- * occupancy lies, then its goal estimate (x, y), NaN x for none, and the
- * estimate's block col_lo, col_hi, row_lo, row_hi. */
+/* One predicted frame (kernel.FRAME): where its occupancy lies, then its
+ * goal estimate, NaN goal_x for none. */
 typedef struct {
     const uint8_t *occ; /* height x width bytes, nonzero where occupied */
-    double goal[6];
+    double goal_x, goal_y;
 } Frame;
+
+/* world.round_px in doubles: floor(x + 0.5), or ceil(x - 0.5) below zero. */
+static double round_px(double x) { return x >= 0.0 ? floor(x + 0.5) : ceil(x - 0.5); }
 
 static void init_node(Node *node, int32_t depth, double x, double y, double terminal_value, double stop_value)
 {
@@ -93,15 +95,15 @@ static void init_node(Node *node, int32_t depth, double x, double y, double term
     node->depth = depth;
 }
 
-/* mcts.goal_prior into prior; goal is (x, y), NaN x for no goal estimate. */
-static int goal_prior(double x, double y, const double *goal, double kappa, double *prior)
+/* mcts.goal_prior into prior, toward the frame's goal estimate. */
+static int goal_prior(double x, double y, const Frame *frame, double kappa, double *prior)
 {
     double weights[N_ACTIONS], dx, dy, theta, total = 0.0;
     int a;
-    if (isnan(goal[0]))
+    if (isnan(frame->goal_x))
         return 0;
-    dx = goal[0] - x;
-    dy = goal[1] - y;
+    dx = frame->goal_x - x;
+    dy = frame->goal_y - y;
     if (dx == 0.0 && dy == 0.0)
         return 0;
     theta = atan2(dy, dx);
@@ -118,7 +120,10 @@ static int goal_prior(double x, double y, const double *goal, double kappa, doub
 
 /* Fill the node table with the tree of the search's rollouts; return the
  * node count, or a negative ERR_*. frames holds the k frames of depths
- * 1..k. */
+ * 1..k. Each frame's goal block is computed once per search, as
+ * world.goal_block computes it: columns and rows lo..lo + goal_size - 1,
+ * lo = round_px(goal - (goal_size - 1) / 2); a NaN goal_x, no goal
+ * estimate, gives a NaN block, which holds no cell. */
 int64_t lanenav_search(const Search *search, const Frame *frames)
 {
     Node *const nodes = search->nodes;
@@ -126,12 +131,20 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
     const double *const moves = search->moves;
     const double c_puct = search->c_puct, kappa = search->kappa, beta = search->beta;
     const double max_x = (double)(width - 1), max_y = (double)(search->height - 1);
+    const double span = (double)(search->goal_size - 1), half = span / 2.0;
+    double blocks[MAX_DEPTH][4]; /* col_lo, col_hi, row_lo, row_hi */
     int32_t path_rows[MAX_DEPTH];
     int path_actions[MAX_DEPTH];
-    int64_t count = 1, rollout;
+    int64_t count = 1, rollout, d;
 
     if (k < 1 || k > MAX_DEPTH)
         return ERR_DEPTH;
+    for (d = 0; d < k; d++) {
+        blocks[d][0] = round_px(frames[d].goal_x - half);
+        blocks[d][1] = blocks[d][0] + span;
+        blocks[d][2] = round_px(frames[d].goal_y - half);
+        blocks[d][3] = blocks[d][2] + span;
+    }
     init_node(&nodes[0], 0, search->x0, search->y0, NAN, NAN);
     for (rollout = 0; rollout < search->n_rollouts; rollout++) {
         int32_t row = 0;
@@ -157,7 +170,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
                 /* The first rollout through the node: with every q 0 and
                  * scale 1 the pick is the first argmax of c_puct * prior. */
                 double best;
-                if (goal_prior(node->x, node->y, frames[node->depth].goal, kappa, node->prior))
+                if (goal_prior(node->x, node->y, &frames[node->depth], kappa, node->prior))
                     return ERR_OVERFLOW;
                 best = c_puct * node->prior[0];
                 for (a = 1; a < N_ACTIONS; a++) {
@@ -175,7 +188,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
                 /* Expand: the world's move, then what arriving there means. */
                 const int32_t depth = node->depth + 1;
                 const Frame *frame = &frames[depth - 1];
-                const double *goal = frame->goal;
+                const double *block = blocks[depth - 1];
                 double x = node->x + moves[2 * action], y = node->y + moves[2 * action + 1], px, py;
                 double terminal_value = NAN, stop_value = NAN;
                 if (x < 0.0)
@@ -190,16 +203,16 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
                     return ERR_NAN_POS;
                 px = floor(x + 0.5);
                 py = floor(y + 0.5);
-                if (!isnan(goal[0]) && goal[2] <= px && px <= goal[3] && goal[4] <= py && py <= goal[5]) {
+                if (block[0] <= px && px <= block[1] && block[2] <= py && py <= block[3]) {
                     value = terminal_value = stop_value = search->goal_value;
                 } else if (frame->occ[(int64_t)py * width + (int64_t)px]) {
                     value = terminal_value = stop_value = search->death_value;
                 } else {
                     value = 0.0;
-                    if (beta != 0.0 && !isnan(goal[0])) {
+                    if (beta != 0.0 && !isnan(frame->goal_x)) {
                         if (search->diag == 0.0)
                             return ERR_ZERO_DIV;
-                        value = -beta * search->hypot(x - goal[0], y - goal[1]) / search->diag;
+                        value = -beta * search->hypot(x - frame->goal_x, y - frame->goal_y) / search->diag;
                     }
                     if (depth >= k)
                         stop_value = value;
@@ -414,10 +427,10 @@ const int64_t lanenav_search_layout[] = {
     FIELD(Node, w), FIELD(Node, mean), FIELD(Node, n), FIELD(Node, total), FIELD(Node, children),
     FIELD(Node, depth), sizeof(Node),
     FIELD(Search, nodes), FIELD(Search, hypot), FIELD(Search, n_rollouts), FIELD(Search, k), FIELD(Search, height),
-    FIELD(Search, width), FIELD(Search, x0), FIELD(Search, y0), FIELD(Search, c_puct), FIELD(Search, kappa),
-    FIELD(Search, death_value), FIELD(Search, goal_value), FIELD(Search, beta), FIELD(Search, diag),
-    FIELD(Search, moves), sizeof(Search),
-    FIELD(Frame, occ), FIELD(Frame, goal), sizeof(Frame),
+    FIELD(Search, width), FIELD(Search, goal_size), FIELD(Search, x0), FIELD(Search, y0), FIELD(Search, c_puct),
+    FIELD(Search, kappa), FIELD(Search, death_value), FIELD(Search, goal_value), FIELD(Search, beta),
+    FIELD(Search, diag), FIELD(Search, moves), sizeof(Search),
+    FIELD(Frame, occ), FIELD(Frame, goal_x), FIELD(Frame, goal_y), sizeof(Frame),
     FIELD(Step, x), FIELD(Step, y), FIELD(Step, action), FIELD(Step, kind), sizeof(Step),
     FIELD(Play, search), FIELD(Play, frames), FIELD(Play, palettes), FIELD(Play, origin), FIELD(Play, n_frames),
     FIELD(Play, n_times), FIELD(Play, uniforms), FIELD(Play, actions), FIELD(Play, steps), FIELD(Play, n_given),

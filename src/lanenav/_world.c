@@ -67,11 +67,10 @@ typedef struct {
 } World;
 
 /* One predicted frame as _search.c reads it (kernel.FRAME): where its
- * obstacle mask lies, then its goal estimate (x, y), NaN for none, and the
- * estimate's block col_lo, col_hi, row_lo, row_hi. */
+ * obstacle mask lies, then its goal estimate, NaN for none. */
 typedef struct {
     const uint8_t *occ;
-    double goal[6];
+    double goal_x, goal_y;
 } Frame;
 
 /* What lanenav_read_frame writes (kernel.FRAME_READ): the column and row
@@ -316,9 +315,9 @@ int64_t lanenav_read_frame(const World *world, const uint8_t *frame, FrameRead *
  * the caller): the bodies, then, where goal_size > 0, the goal block on
  * top. Where read and record are given (both or neither), the frame is then
  * read into read, and its record for the search written: the mask's
- * address, the goal estimate (the goal cells' sums over their count; NaN
- * without a goal cell) and the estimate's goal_size block. Returns the goal
- * cell count read (0 unread), or a negative ERR_*. */
+ * address and the goal estimate, the goal cells' sums over their count, NaN
+ * without a goal cell. Returns the goal cell count read (0 unread), or a
+ * negative ERR_*. */
 int64_t lanenav_rasterize(const World *world, const double *lanes, const double *table, uint8_t *cells,
                           FrameRead *read, Frame *record)
 {
@@ -337,22 +336,8 @@ int64_t lanenav_rasterize(const World *world, const double *lanes, const double 
         return 0;
     count = lanenav_read_frame(world, cells, read);
     record->occ = read->mask;
-    if (count == 0) {
-        for (y = 0; y < 6; y++)
-            record->goal[y] = NAN;
-    } else {
-        /* world.goal_block of the estimate. */
-        const double half = (double)(size - 1) / 2.0;
-        const double gx = (double)read->sum_x / (double)count, gy = (double)read->sum_y / (double)count;
-        x0 = round_px(gx - half);
-        y0 = round_px(gy - half);
-        record->goal[0] = gx;
-        record->goal[1] = gy;
-        record->goal[2] = (double)x0;
-        record->goal[3] = (double)(x0 + size - 1);
-        record->goal[4] = (double)y0;
-        record->goal[5] = (double)(y0 + size - 1);
-    }
+    record->goal_x = count ? (double)read->sum_x / (double)count : NAN;
+    record->goal_y = count ? (double)read->sum_y / (double)count : NAN;
     return count;
 }
 
@@ -363,7 +348,7 @@ const int64_t lanenav_world_layout[] = {
     FIELD(World, height), FIELD(World, width), FIELD(World, n_lanes), FIELD(World, goal_size), FIELD(World, spawn),
     FIELD(World, classes), FIELD(World, lam), FIELD(World, capacity), FIELD(World, n_rows), FIELD(World, goal_x),
     FIELD(World, goal_y), FIELD(World, n_drawn), sizeof(World),
-    FIELD(Frame, occ), FIELD(Frame, goal), sizeof(Frame),
+    FIELD(Frame, occ), FIELD(Frame, goal_x), FIELD(Frame, goal_y), sizeof(Frame),
     FIELD(FrameRead, sum_x), FIELD(FrameRead, sum_y), offsetof(FrameRead, mask), 0, sizeof(FrameRead),
     GOAL, N_COLUMNS, N_LANE_COLUMNS, (int64_t)MAX_LEN1,
 };

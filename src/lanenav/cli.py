@@ -22,6 +22,7 @@ from . import checks
 from .config import BENCH_KEYS, CONFIG_KEYS, VALIDATE_KEYS, coerce_value, parse_config
 from .fileio import atomic_write_text
 from .harness import BenchCell, run_benchmark, run_episode
+from .mcts import MAX_ROLLOUT_LENGTH
 from .models import Observation, build_model, model_rng, prediction_error, split_model_specs
 from .ppm import prediction_to_rgb, render_error_map, render_ppm, write_ppm
 from .seeding import episode_seed
@@ -145,6 +146,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _horizon(text: str) -> int:
+    """A render horizon: 1..MAX_ROLLOUT_LENGTH, the deepest horizon a search reads."""
+    value = _positive_int(text)
+    if value > MAX_ROLLOUT_LENGTH:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_ROLLOUT_LENGTH}, got {value}")
+    return value
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     world_cfg, mcts_cfg, _ = _configs_from_args(args)
     seed = world_cfg.master_seed
@@ -198,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render true/predicted/error images from a trace")
     p_render.add_argument("--trace", required=True)
     p_render.add_argument("--step", type=int, default=0, help="decision step to render from")
-    p_render.add_argument("--horizon", type=_positive_int, default=5)
+    p_render.add_argument("--horizon", type=_horizon, default=5, help=f"frames to render, 1..{MAX_ROLLOUT_LENGTH}")
     p_render.add_argument("--model", help="model spec (default: the trace's model)")
     p_render.add_argument("--out-dir", help="output directory")
     p_render.set_defaults(func=_cmd_render, parser=p_render)

@@ -12,7 +12,7 @@ until a frame, a draw or an action the next step needs is not there yet;
 ``lanenav_search`` on the predicted frames, then ``lanenav_select`` on the
 root's visits, the steps of ``mcts.plan_action``. A model that declares a
 window of the timeline (oracle, frozen; ``ForwardModel.window``) is read
-from the timeline's packed frames, as many decisions per call as its
+from the timeline's frame records, as many decisions per call as its
 simulated frames cover; any other model predicts in Python and plays one
 decision per call. The loop simulates the frames the Python loop it
 replaced simulated, in the same order, and no others: the window of a
@@ -221,7 +221,7 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
     n_given = len(given) // 8
     t, pending, searches, origin, keep, exception = 0, -1, 0, 0, None, None
     PLAY.struct.pack_into(play, 0, *_search_fields(mcts_cfg, 0 if nodes is None else ctypes.addressof(nodes),
-                                                   timeline.start, world_cfg.agent_speed, shape),
+                                                   timeline.start, world_cfg.agent_speed, shape, cfg.goal_size),
                           0, 0, 0, 0, 0, 0 if model is None else address + given_at,
                           address + given_at if model is None else 0, address + steps_at, n_given, first, stride,
                           max_steps, mcts_cfg.temperature, t, pending, searches)
@@ -235,8 +235,7 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
             try:
                 if window is None:
                     # keep holds the occupancies the records point to while the kernel reads them.
-                    packed, keep = _pack_frames(model.predict(Observation.at(timeline, t), k), k, cfg.goal_size,
-                                                shape)
+                    packed, keep = _pack_frames(model.predict(Observation.at(timeline, t), k), k, shape)
                     ctypes.memmove(records, packed, len(packed))
                     origin = t
                 else:

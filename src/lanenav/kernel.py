@@ -87,9 +87,11 @@ class Layout:
 # One node of the search's table; NaN in terminal_value or stop_value stands for None.
 NODE = Layout("Node", x="d", y="d", terminal_value="d", stop_value="d", prior=f"{N_ACTIONS}d", w=f"{N_ACTIONS}d",
               mean=f"{N_ACTIONS}d", n=f"{N_ACTIONS}q", total="q", children=f"{N_ACTIONS}i", depth="i")
-SEARCH = Layout("Search", nodes="P", hypot="P", n_rollouts="q", k="q", height="q", width="q", x0="d", y0="d",
-                c_puct="d", kappa="d", death_value="d", goal_value="d", beta="d", diag="d", moves=f"{2 * N_ACTIONS}d")
-FRAME = Layout("Frame", occ="P", goal="6d")
+SEARCH = Layout("Search", nodes="P", hypot="P", n_rollouts="q", k="q", height="q", width="q", goal_size="q", x0="d",
+                y0="d", c_puct="d", kappa="d", death_value="d", goal_value="d", beta="d", diag="d",
+                moves=f"{2 * N_ACTIONS}d")
+# One predicted frame for the search: its mask's address and its goal estimate, NaN goal_x for none.
+FRAME = Layout("Frame", occ="P", goal_x="d", goal_y="d")
 STEP = Layout("Step", x="d", y="d", action="q", kind="q")
 PLAY = Layout("Play", search=SEARCH, frames="P", palettes="P", origin="q", n_frames="q", n_times="q", uniforms="P",
               actions="P", steps="P", n_given="q", first="q", stride="q", max_steps="q", temperature="d", t="q",

@@ -17,10 +17,11 @@ them. ``run_search``, ``plan_action`` and ``select_by_temperature`` are the
 one-decision API; an episode's decisions are made by the same two kernel
 functions from C, inside the harness's episode loop ``lanenav_play``, on
 draws taken up front (``harness``). The kernel reads each frame's occupancy
-where it lies. A frame whose occupancy is read-only, as every frame of a
-``Timeline`` is, is packed once for all the searches that read it
-(``world.packed_frame``): its occupancy's address, its goal estimate and
-the estimate's goal block.
+where it lies, through the frame's record (``world.packed_frame``): its
+occupancy's address and its goal estimate. A ``Timeline`` frame carries the
+record its timeline wrote; any other frame is packed per search. The kernel
+computes each estimate's goal block once per search, for the search's goal
+size.
 
 Results are bit-stable: every float is evaluated in a fixed order, so the
 same inputs give the same tree statistics and the same drawn action. The
@@ -240,12 +241,12 @@ def _moves(agent_speed: float) -> tuple[float, ...]:
 
 
 def _search_fields(cfg: MCTSConfig, nodes: int, agent_pos: tuple[float, float], agent_speed: float,
-                   shape: tuple[int, int]) -> tuple:
+                   shape: tuple[int, int], goal_size: int) -> tuple:
     """The fields of the kernel's ``Search``: the node table's address, the settings of ``cfg`` and the agent's
-    moves on a grid of ``shape``, searching from ``agent_pos``."""
+    moves on a grid of ``shape`` with goal blocks of side ``goal_size``, searching from ``agent_pos``."""
     height, width = shape
-    return (nodes, _HYPOT_ADDRESS, cfg.n_rollouts, cfg.rollout_length, height, width, agent_pos[0], agent_pos[1],
-            cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value, cfg.shaping_beta,
+    return (nodes, _HYPOT_ADDRESS, cfg.n_rollouts, cfg.rollout_length, height, width, goal_size, agent_pos[0],
+            agent_pos[1], cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value, cfg.shaping_beta,
             math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed))
 
 
@@ -255,13 +256,12 @@ def _node_table(cfg: MCTSConfig) -> ctypes.Array:
     return zeroed(min(cfg.n_rollouts + 1, _FULL_TREE[cfg.rollout_length]) * NODE.size)
 
 
-def _pack_frames(frames: tuple[PredictedFrame, ...], k: int, goal_size: int,
-                 shape: tuple[int, ...]) -> tuple[bytes, list]:
+def _pack_frames(frames: tuple[PredictedFrame, ...], k: int, shape: tuple[int, ...]) -> tuple[bytes, list]:
     """The kernel's ``Frame`` records of the first k frames, and what keeps their occupancies alive."""
     if len(frames) < k:
         raise ValueError(f"{len(frames)} predicted frames given, need {k}")
-    packed = [packed_frame(frame, goal_size, shape) for frame in frames[:k]]
-    return b"".join([record for _, _, record, _ in packed]), packed
+    packed = [packed_frame(frame, shape) for frame in frames[:k]]
+    return b"".join([record for record, _ in packed]), packed
 
 
 def run_search(
@@ -287,14 +287,15 @@ def run_search(
     The loop runs in the C kernel, which fills a table of
     ``n_rollouts + 1`` nodes, since each rollout adds at most one, or of the
     nodes of a full tree of depth k where that is fewer. It reads
-    each frame's occupancy where it lies; a frame whose occupancy is
-    read-only is packed for it once (``world.packed_frame``).
+    each frame's occupancy where it lies, through the frame's record
+    (``world.packed_frame``), and computes the goal blocks of ``goal_size``.
     """
     shape = frames[0].occupancy.shape if frames else ()
-    records, packed = _pack_frames(frames, cfg.rollout_length, goal_size, shape)
+    records, packed = _pack_frames(frames, cfg.rollout_length, shape)
     nodes = _node_table(cfg)
     address = ctypes.addressof(nodes)
-    count = check(_kernel(SEARCH.struct.pack(*_search_fields(cfg, address, agent_pos, agent_speed, shape)), records))
+    fields = _search_fields(cfg, address, agent_pos, agent_speed, shape, goal_size)
+    count = check(_kernel(SEARCH.struct.pack(*fields), records))
     return SearchNode(_Tree(nodes, count, address), 0)
 
 

@@ -88,6 +88,7 @@ MAX_GRID = 128
 MAX_WARMUP_STEPS = 5000
 MAX_ARRIVALS = 32.0
 MAX_BODY = 64
+MAX_STEPS = 100_000  # an episode's draws and steps take about 4 MB at this bound
 MAX_GOAL_SPEED = float(MAX_GRID)  # the goal's wall reflection makes one pass per grid width travelled
 WORLD_INT_KEYS = ("grid_h", "grid_w", "goal_size", "max_steps", "warmup_steps", "master_seed")
 
@@ -232,6 +233,7 @@ class WorldConfig:
         # The rate first, as world_step draws it: an integer level times the lane count may overflow a float.
         arrivals = self.level * self.spawn_base_rate * len(self.lane_rows)
         for name, value, bound in (("grid_h", self.grid_h, MAX_GRID), ("grid_w", self.grid_w, MAX_GRID),
+                                   ("max_steps", self.max_steps, MAX_STEPS),
                                    ("warmup_steps", self.warmup_steps, MAX_WARMUP_STEPS),
                                    ("goal_speed", self.goal_speed, MAX_GOAL_SPEED),
                                    ("expected arrivals per step, level * spawn_base_rate * len(lane_rows),",
@@ -327,6 +329,17 @@ def _table(state: "WorldState") -> bytes | ctypes.Array:
     return table.tobytes()
 
 
+# The address of a bit generator's ``bitgen_t``, read from its capsule: ``bit_generator.ctypes`` builds a
+# namedtuple of ctypes objects on each access, ten times the cost.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _bitgen_address(bit_generator: np.random.BitGenerator) -> int:
+    """Where ``bit_generator``'s ``bitgen_t`` lies, the address ``bit_generator.ctypes.bit_generator`` holds."""
+    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+
+
 def _sizes(state: "WorldState", goal_size: int, spawn: int = 0, classes: int = 0, lam: float = 0.0) -> bytes:
     """The kernels' ``World`` for ``state`` as it stands, the goal painted where ``goal_size`` > 0, and for a
     step the addresses of the generators' ``bitgen_t`` and the Poisson mean; the lane count is that of the
@@ -351,7 +364,7 @@ class _StateKernel:
         cfg = state.config
         spawn, classes = state.spawn_rng.bit_generator, state.class_rng.bit_generator
         lam = cfg.level * cfg.spawn_base_rate
-        sizes = _sizes(state, cfg.goal_size, spawn.ctypes.bit_generator.value, classes.ctypes.bit_generator.value, lam)
+        sizes = _sizes(state, cfg.goal_size, _bitgen_address(spawn), _bitgen_address(classes), lam)
         self.world = ctypes.create_string_buffer(sizes, WORLD.size)
         self.address = ctypes.addressof(self.world)
         self.spawn, self.classes, self.lam_ok = spawn.lock, classes.lock, lam <= _LAM_MAX
@@ -475,7 +488,8 @@ def world_step(state: WorldState) -> None:
 
 
 def goal_block(center: tuple[float, float], goal_size: int) -> tuple[int, int, int, int]:
-    """Footprint (col_lo, col_hi, row_lo, row_hi), inclusive, of a goal centred at ``center``."""
+    """Footprint (col_lo, col_hi, row_lo, row_hi), inclusive, of a goal centred at ``center``; the search
+    kernel computes the same block of each frame's goal estimate."""
     half = (goal_size - 1) / 2.0
     x0 = round_px(center[0] - half)
     y0 = round_px(center[1] - half)
@@ -524,14 +538,11 @@ def goal_center_of_frame(frame: np.ndarray) -> tuple[float, float] | None:
 class PredictedFrame:
     occupancy: np.ndarray  # bool (H, W), goal pixels excluded
     goal_estimate: tuple[float, float] | None
-    # Where ``predicted_frame`` put the occupancy, known without asking numpy,
-    # and the planner's packed form of a frame whose occupancy is read-only,
-    # made by ``packed_frame``; both hold addresses.
-    _address = None
-    _packed = None
+    # A ``Timeline`` frame's ``kernel.FRAME`` record, which the timeline's kernel call wrote; None elsewhere.
+    _record = None
 
     def __getstate__(self) -> dict:
-        # A copy or a pickle has an occupancy of its own, so it drops the addresses.
+        # A copy or a pickle has an occupancy of its own, so it drops the record and the address in it.
         return {"occupancy": self.occupancy, "goal_estimate": self.goal_estimate}
 
 
@@ -550,48 +561,42 @@ def predicted_frame(frame: np.ndarray) -> PredictedFrame:
     count = library.lanenav_read_frame(WORLD.struct.pack(height, width, *(0,) * 10), frame.tobytes(), out)
     occupancy = freeze(np.frombuffer(out, np.bool_, height * width, mask).reshape(height, width))
     if not count:
-        predicted = PredictedFrame(occupancy=occupancy, goal_estimate=None)
-    else:
-        sum_x, sum_y = FRAME_READ.struct.unpack_from(out)
-        predicted = PredictedFrame(occupancy=occupancy, goal_estimate=(sum_x / count, sum_y / count))
-    object.__setattr__(predicted, "_address", ctypes.addressof(out) + mask)
-    return predicted
+        return PredictedFrame(occupancy=occupancy, goal_estimate=None)
+    sum_x, sum_y = FRAME_READ.struct.unpack_from(out)
+    return PredictedFrame(occupancy=occupancy, goal_estimate=(sum_x / count, sum_y / count))
 
 
-_NO_GOAL = (math.nan,) * 6
 _NO_RECORD = bytes(FRAME.size)
 
 
-def packed_frame(frame: PredictedFrame, goal_size: int, shape: tuple[int, ...]) -> tuple:
-    """(goal size, shape, ``kernel.FRAME`` record, occupancy) of a predicted frame for the search kernel.
+def packed_frame(frame: PredictedFrame, shape: tuple[int, ...]) -> tuple[bytes, np.ndarray]:
+    """(``kernel.FRAME`` record, occupancy) of a predicted frame on a grid of ``shape``, for the search kernel.
 
-    The record holds the address of the occupancy as a C-contiguous bool
-    array: the frame's own where it is one, else a copy, which the tuple
-    keeps alive. The address of an occupancy ``predicted_frame`` made is
-    known; any other is asked of numpy. A frame whose occupancy is read-only
-    keeps its tuple, so it is packed once for every search that reads it;
-    the frames of a ``Timeline`` are, from decision to decision and cell to
-    cell.
+    A frame of a ``Timeline`` gives the record the timeline's kernel call
+    wrote for it. Any other frame is packed here, per call: the record holds
+    the address of its occupancy as a C-contiguous bool array, the frame's
+    own where it is one, else a copy, which the tuple keeps alive; then its
+    goal estimate, NaN for none. The search computes each estimate's goal
+    block; an estimate that is not finite raises as ``round_px`` of it does.
     """
-    packed = frame._packed
-    if packed is None or packed[0] != goal_size:
-        occ = np.asarray(frame.occupancy, dtype=bool)
-        if occ.shape != shape or not occ.size:
-            raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {occ.shape}")
-        if occ is frame.occupancy and frame._address is not None:
-            address = frame._address
-        else:
-            if not occ.flags.c_contiguous:
-                occ = np.ascontiguousarray(occ)
-            address = occ.ctypes.data
-        goal = frame.goal_estimate
-        packed = (goal_size, shape, FRAME.struct.pack(address, *(
-            _NO_GOAL if goal is None else (goal[0], goal[1], *goal_block(goal, goal_size)))), occ)
-        if isinstance(frame.occupancy, np.ndarray) and not frame.occupancy.flags.writeable:
-            object.__setattr__(frame, "_packed", packed)
-    elif packed[1] != shape:
-        raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {packed[1]}")
-    return packed
+    record = frame._record
+    if record is not None:
+        if frame.occupancy.shape != shape:
+            raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and "
+                             f"{frame.occupancy.shape}")
+        return record, frame.occupancy
+    occ = np.asarray(frame.occupancy, dtype=bool)
+    if occ.shape != shape or not occ.size:
+        raise ValueError(f"predicted frames must share one non-empty grid, got {shape} and {occ.shape}")
+    if not occ.flags.c_contiguous:
+        occ = np.ascontiguousarray(occ)
+    goal = frame.goal_estimate
+    if goal is None:
+        x = y = math.nan
+    else:
+        x, y = goal[0], goal[1]
+        round_px(x), round_px(y)  # a NaN raises ValueError, an infinity OverflowError
+    return FRAME.struct.pack(occ.ctypes.data, x, y), occ
 
 
 def clone_state(state: WorldState) -> WorldState:
@@ -676,6 +681,11 @@ HISTORY_LEN = 4
 _CHUNK = 16  # the frames of a timeline's kernel buffer
 
 
+def _check_time(t: int) -> None:
+    if t < 0:
+        raise ValueError(f"a timeline's time t must be >= 0, got {t}")
+
+
 @dataclass(frozen=True)
 class History:
     """The 4 most recent frames, oldest first; short episodes repeat frame 0.
@@ -705,14 +715,16 @@ class Timeline:
     ``predicted(t)``; both are computed on first use and kept, one per time
     asked for, and neither refers back to the timeline, so a timeline is
     freed as soon as its last reader lets go of it. ``start`` is the agent's
-    start position.
+    start position. A negative time raises ``ValueError``.
 
     Each new frame is one ``world_step`` and one kernel call, which paints
     the frame, reads it into its obstacle mask and goal pixel sums, and
-    writes its ``kernel.FRAME`` record for the search (with the config's
-    goal size); ``predicted(t)`` wraps what that call wrote. Frames lie in
-    kernel buffers of ``_CHUNK`` frames each, a frame's cells followed by
-    what was read of them. For the episode loop in C (``harness``), the
+    writes its ``kernel.FRAME`` record for the search: the mask's address and
+    the goal estimate, the same for every goal size, since the search
+    computes the goal block. ``predicted(t)`` wraps what that call wrote and
+    carries the record for ``packed_frame``. Frames lie in kernel buffers of
+    ``_CHUNK`` frames each, a frame's cells followed by what was read of
+    them. For the episode loop in C (``harness``), the
     timeline keeps two arrays by time, as long as ``frames``: the address of
     each palette frame's cells and each frame's record. The loop reads both
     where they lie.
@@ -764,28 +776,29 @@ class Timeline:
 
     def frame(self, t: int) -> np.ndarray:
         frames = self.frames
-        while len(frames) <= t:
-            world_step(self._state)
-            self._append()
+        if not 0 <= t < len(frames):
+            _check_time(t)
+            while len(frames) <= t:
+                world_step(self._state)
+                self._append()
         return frames[t]
 
     def predicted(self, t: int) -> PredictedFrame:
         predicted = self._predicted.get(t)
         if predicted is None:
             self.frame(t)
-            cfg = self.config
             record = self.records[t * FRAME.size:(t + 1) * FRAME.size].tobytes()
-            address, x, y = FRAME.struct.unpack(record)[:3]
+            _, x, y = FRAME.struct.unpack(record)
             occupancy = self._chunks[t // _CHUNK][1][t % _CHUNK]
             predicted = self._predicted[t] = PredictedFrame(occupancy, None if math.isnan(x) else (x, y))
-            object.__setattr__(predicted, "_address", address)
-            object.__setattr__(predicted, "_packed", (cfg.goal_size, (cfg.grid_h, cfg.grid_w), record, occupancy))
+            object.__setattr__(predicted, "_record", record)
         return predicted
 
     def history(self, t: int) -> History:
         """Frames t-3..t, frame 0 repeated before the start."""
         history = self._histories.get(t)
         if history is None:
+            _check_time(t)
             times = [max(0, t - HISTORY_LEN + 1 + i) for i in range(HISTORY_LEN)]
             history = self._histories[t] = History(tuple(map(self.frame, times)), self.predicted(times[-1]))
         return history
@@ -794,5 +807,6 @@ class Timeline:
         """The true future of decision time t: predicted frames t+1..t+k."""
         if k < 1:
             raise ValueError("k must be >= 1")
+        _check_time(t)
         return tuple(self.predicted(i) for i in range(t + 1, t + k + 1))
 

@@ -445,6 +445,13 @@ def obstacle_table(bodies: list[tuple[int, float, int, float]]) -> np.ndarray:
     return table
 
 
+def timeline_of(state: WorldState) -> Timeline:
+    """A timeline whose world starts from ``state``, given in place of the ``new_episode`` it calls."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("lanenav.world.new_episode", lambda config, episode_seed: state)
+        return Timeline(state.config, state.episode_seed)
+
+
 def build_state(
     config: WorldConfig | None = None,
     lanes: list[tuple[int, int, int]] | None = None,

@@ -11,6 +11,7 @@ from lanenav.config import BENCH_KEYS, CELL_KEYS, CONFIG_KEYS, VALIDATE_KEYS
 from lanenav.mcts import MAX_ROLLOUT_LENGTH, MAX_ROLLOUTS
 from lanenav.models import MAX_NOISY_SAMPLES, model_label, split_model_specs
 from lanenav.tracefile import read_trace
+from lanenav.world import MAX_STEPS
 
 
 @pytest.fixture
@@ -142,6 +143,19 @@ class TestBench:
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_max_steps_past_the_bound_exit_code(self, tmp_path, config, capsys):
+        # Once an episode's draws and steps allocated 8 bytes and more per step before any check.
+        if config:
+            (tmp_path / "cfg.txt").write_text("max_steps = 1000000000000\n")
+            argv = ["play", "--config", str(tmp_path / "cfg.txt")]
+        else:
+            argv = ["play", "--max-steps", "1000000000000"]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: max_steps must be <= {MAX_STEPS}, got 1000000000000")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("ks", ["abc", "1,3.5", "1,"])
     def test_non_integer_k_exit_code(self, bench_flags, ks, capsys):
@@ -323,6 +337,7 @@ def test_flag_fuzz_exits_2_or_reaches_the_runner(runner_checks, capsys, command,
     (["bench", "--parallelism", "-3"], "--parallelism"),
     (["bench", "--episodes", "two"], "--episodes"),
     (["render", "--trace", "ep.jsonl", "--horizon", "0"], "--horizon"),
+    (["render", "--trace", "ep.jsonl", "--horizon", "65"], "--horizon"),
 ])
 def test_integer_flag_below_one_rejected(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -16,17 +16,20 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_search
+from conftest import build_state, reference_search, timeline_of
 from lanenav import kernel
+from lanenav.harness import run_episode
 from lanenav.mcts import MAX_ROLLOUT_LENGTH, MAX_ROLLOUTS, MCTSConfig, goal_prior, run_search
+from lanenav.models import ForwardModel
 from lanenav.seeding import make_rng
-from lanenav.world import PredictedFrame
+from lanenav.world import LEFT_TO_RIGHT, RIGHT_TO_LEFT, PredictedFrame, Timeline, WorldConfig
 
 
 def node_record(node) -> str:
@@ -166,23 +169,13 @@ def frame_of(occupancy, goal=(30.0, 12.0), writeable=False) -> PredictedFrame:
 
 
 class TestPacking:
-    """A frame is packed for the kernel by address: once if its occupancy is read-only, else per call."""
+    """A frame reaches the kernel as its record: a ``Timeline`` frame's own, any other frame's packed per search."""
 
     CFG = MCTSConfig(n_rollouts=200, rollout_length=3)
 
     @staticmethod
     def grid(seed: int, density: float = 0.3) -> np.ndarray:
         return make_rng(seed).random((16, 20)) < density
-
-    def test_read_only_frame_packed_once(self):
-        frames = tuple(frame_of(self.grid(i)) for i in range(3))
-        first = run_search((4.0, 5.0), frames, self.CFG, 1.0)
-        packed = [frame._packed for frame in frames]
-        assert all(p is not None for p in packed)
-        again = run_search((4.0, 5.0), frames, self.CFG, 1.0)
-        assert [frame._packed for frame in frames] == packed
-        assert_same_tree(again, first)
-        assert_same_search((4.0, 5.0), frames, self.CFG, 1.0)
 
     def test_goal_size_repacks(self):
         frames = tuple(frame_of(self.grid(i), goal=(8.5, 7.5)) for i in range(3))
@@ -193,7 +186,6 @@ class TestPacking:
         occupancy = self.grid(4)
         frames = (frame_of(occupancy, writeable=True),) * 3
         assert_same_search((4.0, 5.0), frames, self.CFG, 1.0)
-        assert frames[0]._packed is None
         frames[0].occupancy[:] = self.grid(5, 0.6)  # edited in place: the next search sees the edit
         assert_same_search((4.0, 5.0), frames, self.CFG, 1.0)
         edited = run_search((4.0, 5.0), (frame_of(frames[0].occupancy),) * 3, self.CFG, 1.0)
@@ -208,19 +200,72 @@ class TestPacking:
         assert_same_tree(run_search((4.0, 5.0), frames, self.CFG, 1.0),
                          run_search((4.0, 5.0), (frame_of(occupancy),) * 3, self.CFG, 1.0))
 
-    def test_copy_and_pickle_drop_the_address(self):
-        frames = tuple(frame_of(self.grid(i)) for i in range(3))
-        root = run_search((4.0, 5.0), frames, self.CFG, 1.0)
-        for copy_frame in (copy.copy, copy.deepcopy, lambda frame: pickle.loads(pickle.dumps(frame))):
-            copied = tuple(map(copy_frame, frames))
-            assert all(frame._packed is None for frame in copied)
-            assert_same_tree(run_search((4.0, 5.0), copied, self.CFG, 1.0), root)
-
     def test_packed_frame_of_another_shape_rejected(self):
         small, large = frame_of(np.zeros((8, 8), bool)), frame_of(np.zeros((8, 9), bool))
         run_search((1.0, 1.0), (large,) * 2, MCTSConfig(rollout_length=2), 1.0)
         with pytest.raises(ValueError, match="one non-empty grid"):
             run_search((1.0, 1.0), (small, large), MCTSConfig(rollout_length=2), 1.0)
+        timeline = Timeline(WorldConfig(grid_h=8, grid_w=9, level=0.0, lane_rows=(2,)), 3)
+        with pytest.raises(ValueError, match="one non-empty grid"):
+            run_search((1.0, 1.0), (small, timeline.predicted(1)), MCTSConfig(rollout_length=2), 1.0)
+
+    # Goal positions (x, y, vx, vy) of a 12 x 10 world whose estimates lie on half pixels, on whole pixels
+    # where the grid's edges clip the goal block, and at its corners.
+    GOALS = [(3.0, 4.0, 0.5, -0.5), (0.5, 2.5, 0.25, 0.0), (-1.0, -1.0, 0.0, 0.5), (9.0, 7.0, 0.5, 0.5),
+             (8.6, 0.0, -0.5, 0.0), (-0.5, 8.5, 0.5, -0.25)]
+
+    @pytest.mark.parametrize("goal", GOALS)
+    @pytest.mark.parametrize("world_goal_size", [1, 2, 3])
+    def test_timeline_records_serve_every_goal_size(self, goal, world_goal_size):
+        config = WorldConfig(grid_h=10, grid_w=12, level=0.0, lane_rows=(2, 5), goal_size=world_goal_size,
+                             warmup_steps=0)
+        state = build_state(config=config, lanes=[(2, 1, LEFT_TO_RIGHT), (5, 3, RIGHT_TO_LEFT)],
+                            obstacles=[(0, 4.0, 3, 1.0), (1, 9.0, 2, -0.5)], goal=goal)
+        timeline = timeline_of(state)
+        cfg = MCTSConfig(n_rollouts=300, rollout_length=4, shaping_beta=0.5)
+        frames = timeline.rollout(0, 4)
+        assert all(frame._record is not None for frame in frames)
+        agent = (goal[0] + 1.0, goal[1] + 1.0)
+        for goal_size in range(5):
+            assert_same_search(agent, frames, cfg, 1.0, goal_size=goal_size)
+            assert_same_search((0.0, 9.0), frames, cfg, 0.5, goal_size=goal_size)
+
+    def test_copy_and_pickle_drop_the_address(self):
+        """A copy, a pickle or a ``dataclasses.replace`` of a timeline frame drops the timeline's record and the
+        address in it: a copy searches as its original does, a replaced goal or occupancy is what the search
+        reads."""
+        frames = Timeline(WorldConfig(), 3).rollout(10, 3)
+        agent = (20.0, 20.0)
+        changes = {"goal": lambda frame: replace(frame, goal_estimate=(21.0, 20.0)),
+                   "no goal": lambda frame: replace(frame, goal_estimate=None),
+                   "occupancy": lambda frame: replace(frame, occupancy=np.ones_like(frame.occupancy)),
+                   "copy": copy.copy, "deepcopy": copy.deepcopy,
+                   "pickle": lambda frame: pickle.loads(pickle.dumps(frame))}
+        original = node_record(run_search(agent, frames, self.CFG, 1.0))
+        for name, change in changes.items():
+            changed = tuple(map(change, frames))
+            assert all(frame._record is None for frame in changed), name
+            assert_same_search(agent, changed, self.CFG, 1.0)
+            root = node_record(run_search(agent, changed, self.CFG, 1.0))
+            assert (root == original) == (name in ("copy", "deepcopy", "pickle")), name
+
+    @pytest.mark.parametrize("goal, error, message", [
+        ((math.nan, 3.0), ValueError, "cannot convert float NaN to integer"),
+        ((3.0, math.nan), ValueError, "cannot convert float NaN to integer"),
+        ((math.inf, 3.0), OverflowError, "cannot convert float infinity to integer"),
+        ((3.0, -math.inf), OverflowError, "cannot convert float infinity to integer"),
+    ])
+    def test_an_estimate_that_is_not_finite_raises(self, goal, error, message):
+        timeline = Timeline(WorldConfig(), 3)
+        frames = (*timeline.rollout(0, 2), PredictedFrame(timeline.predicted(3).occupancy, goal))
+        with pytest.raises(error, match=message):
+            run_search((4.0, 5.0), frames, self.CFG, 1.0)
+        assert outcome(reference_search, (4.0, 5.0), frames, self.CFG, 1.0) == (error, message)
+        model = ForwardModel("custom", lambda obs, k: (*obs.timeline.rollout(obs.t, k - 1),
+                                                       PredictedFrame(frames[-1].occupancy, goal)))
+        record = run_episode(WorldConfig(), self.CFG, model, 3)
+        assert type(record.exception) is error and str(record.exception) == message
+        assert record.steps == 0
 
 
 class TestLoader:
@@ -329,15 +374,16 @@ class TestLoader:
 
     # A field added to C's Play before ``first``, and what the check says of it.
     EXTRA_PLAY_FIELD = ("_search.c", "    int64_t first, stride;", "    int64_t extra;\n    int64_t first, stride;")
-    EXTRA_PLAY_FIELD_FOUND = "Play.first offset is 320 in C, 312 in Python"
+    EXTRA_PLAY_FIELD_FOUND = "Play.first offset is 328 in C, 320 in Python"
 
     @pytest.mark.parametrize("source, old, new, message", [
         (*EXTRA_PLAY_FIELD, EXTRA_PLAY_FIELD_FOUND),
-        ("_search.c", "double goal[6];", "double goal[5];", "Frame.goal size is 40 in C, 48 in Python"),
+        ("_search.c", "double goal_x, goal_y;", "float goal_x;\n    double goal_y;",
+         "Frame.goal_x size is 4 in C, 8 in Python"),
         ("_world.c", "VALUE, N_LANE_COLUMNS }", "VALUE, SPARE, N_LANE_COLUMNS }",
          "N_LANE_COLUMNS is 8 in C, 7 in Python"),
         ("_world.c", "(int64_t)MAX_LEN1,", "(int64_t)MAX_LEN1, 0,",
-         "lanenav_world_layout has 42 entries in C, 41 in Python"),
+         "lanenav_world_layout has 44 entries in C, 43 in Python"),
     ])
     def test_a_mismatch_fails_the_layout_check(self, tmp_path, source, old, new, message):
         library = kernel._load_kernel(tmp_path, self.edited_sources(tmp_path, source, old, new))

@@ -67,6 +67,23 @@ def test_rollout_rejects_empty_horizon():
         Timeline(WorldConfig(), 3).rollout(0, 0)
 
 
+@pytest.mark.parametrize("read, t", [
+    (lambda timeline: timeline.frame(-1), -1),
+    (lambda timeline: timeline.predicted(-1), -1),
+    (lambda timeline: timeline.history(-2), -2),
+    (lambda timeline: timeline.rollout(-3, 2), -3),
+    (lambda timeline: timeline.rollout(-1, 3), -1),
+], ids=["frame", "predicted", "history", "rollout", "rollout from -1"])
+def test_negative_times_rejected(read, t):
+    """A negative time names itself, before and after the frames it would wrap around to exist."""
+    timeline = Timeline(WorldConfig(), 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^a timeline's time t must be >= 0, got {t}$"):
+            read(timeline)
+        timeline.frame(6)
+    assert timeline.history(0).frames == (timeline.frame(0),) * 4
+
+
 def test_oracle_model_equals_oracle_predict():
     rng = make_rng(17)
     model = build_model("oracle")

@@ -437,7 +437,8 @@ class TestHeaderConfigFuzz:
         # A few seconds on a 2-core machine; the margin is for slow hosts.
         assert time.perf_counter() - start < 60.0
 
-    @pytest.mark.parametrize("key, value", [("level", 10 ** 400), ("goal_speed", 1e9), ("warmup_steps", 10 ** 12)])
+    @pytest.mark.parametrize("key, value", [("level", 10 ** 400), ("goal_speed", 1e9), ("warmup_steps", 10 ** 12),
+                                            ("max_steps", 10 ** 12)])
     def test_header_sizes_past_the_bounds_named(self, trace_lines, tmp_path, capsys, key, value):
         # No OverflowError from a huge integer, and no goal reflecting without end at a huge speed.
         header = json.loads(trace_lines[0])

@@ -16,6 +16,7 @@ from lanenav.world import (
     MAX_BODY,
     MAX_GOAL_SPEED,
     MAX_GRID,
+    MAX_STEPS,
     MAX_WARMUP_STEPS,
     SPEED,
     ConfigError,
@@ -208,6 +209,7 @@ class TestConfigBounds:
     @pytest.mark.parametrize("name, make, bound", [
         ("grid_h", lambda v: WorldConfig(grid_h=v), MAX_GRID),
         ("grid_w", lambda v: WorldConfig(grid_w=v), MAX_GRID),
+        ("max_steps", lambda v: WorldConfig(max_steps=v), MAX_STEPS),
         ("warmup_steps", lambda v: WorldConfig(warmup_steps=v), MAX_WARMUP_STEPS),
         ("goal_speed", lambda v: WorldConfig(goal_speed=v), MAX_GOAL_SPEED),
         ("level", lambda v: WorldConfig(lane_rows=(2,), level=v, spawn_base_rate=1.0), MAX_ARRIVALS),

@@ -25,6 +25,7 @@ from conftest import (
     reference_predicted_frame,
     reference_render_frame,
     reference_world_step,
+    timeline_of,
 )
 from lanenav import kernel, world
 from lanenav.kernel import FRAME, N_LANE_COLUMNS, WORLD, library, zeroed
@@ -234,6 +235,16 @@ def kernel_counts(lam: float, lanes: int, spawn_rng, class_rng) -> list[int]:
     return counts
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_the_capsule_gives_the_address_numpy_gives(bit_generator):
+    generator = bit_generator(5)
+    assert world._bitgen_address(generator) == generator.ctypes.bit_generator.value
+    state = new_episode(WorldConfig(), 3)
+    spawn, classes = WORLD.struct.unpack_from(world._kernel(state).world)[4:6]
+    assert (spawn, classes) == (state.spawn_rng.bit_generator.ctypes.bit_generator.value,
+                                state.class_rng.bit_generator.ctypes.bit_generator.value)
+
+
 @settings(max_examples=150, deadline=None)
 @given(lam=MEANS, lanes=st.integers(0, 40), seed=st.integers(0, 2**63))
 def test_draws_equal_numpys(lam, lanes, seed):
@@ -314,13 +325,6 @@ def test_the_generators_locks_are_held_through_the_draws(monkeypatch):
 
 # The frame pass: one kernel call paints, reads and packs each new timeline frame.
 
-def timeline_of(state) -> Timeline:
-    """A timeline whose world starts from ``state``, given in place of the ``new_episode`` it calls."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(world, "new_episode", lambda config, episode_seed: state)
-        return Timeline(state.config, state.episode_seed)
-
-
 def assert_frame_pass(state, steps: int) -> None:
     """A timeline from ``state`` against the references, frame by frame: palette, mask, goal, record."""
     reference = clone_state(state)
@@ -336,13 +340,12 @@ def assert_frame_pass(state, steps: int) -> None:
         assert np.array_equal(predicted.occupancy, read.occupancy) and not predicted.occupancy.flags.writeable
         assert repr(predicted.goal_estimate) == repr(read.goal_estimate)
         record = timeline.records[t * FRAME.size:(t + 1) * FRAME.size].tobytes()
-        packed = packed_frame(PredictedFrame(read.occupancy.copy(), read.goal_estimate), cfg.goal_size,
-                              (cfg.grid_h, cfg.grid_w))[2]
-        assert record[8:] == packed[8:]
+        packed = packed_frame(PredictedFrame(read.occupancy.copy(), read.goal_estimate), (cfg.grid_h, cfg.grid_w))[0]
+        assert record[8:] == packed[8:]  # the goal estimate, NaN for none
         assert FRAME.struct.unpack(record)[0] == predicted.occupancy.ctypes.data == timeline.palettes[t] + (
             predicted.occupancy.ctypes.data - frame.ctypes.data)
         assert timeline.palettes[t] == frame.ctypes.data
-        assert predicted is timeline.predicted(t) and packed_frame(predicted, cfg.goal_size, frame.shape)[2] == record
+        assert predicted is timeline.predicted(t) and packed_frame(predicted, frame.shape)[0] == record
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
