@@ -42,7 +42,10 @@ call. Layers:
 * ``harness.episode.{oracle,frozen,velocity,random}``: one whole episode at
   2x with the default search, the planner with that model or the random
   agent, on a fresh timeline of its seed built in the untimed setup, so the
-  episode simulates its frames as it goes.
+  episode simulates its frames as it goes;
+* ``harness.bench.plan_grid``: one serial ``run_benchmark`` of six cells,
+  oracle and frozen at k = 1, 3 and 10 at 2x, one episode each on master
+  seed 1: the benchmark's own path, timelines, outcomes and table included.
 
 The report also holds ``src_lines``, the line count of the library's Python
 sources, and ``src_lines_c``, that of its C sources, to set beside the timings.
@@ -223,6 +226,9 @@ def layer_cases(lib: SimpleNamespace) -> dict:
         cases[f"harness.episode.{label}"] = (
             lambda fresh, spec=spec: [lib.harness._play(timeline, cfg, search, spec) for timeline in fresh],
             len(seeds), lambda: [Timeline(cfg, seed) for seed in seeds])
+    grid = [lib.harness.BenchCell(spec, "2x", k) for spec in ("oracle", "frozen") for k in KS]
+    cases["harness.bench.plan_grid"] = (
+        lambda _: lib.harness.run_benchmark(grid, WorldConfig(), search, 1, master_seed=1), 1, None)
     return cases
 
 

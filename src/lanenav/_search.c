@@ -19,6 +19,14 @@
  * - the shaping term's hypot is Python's own math.hypot, passed in as a
  *   callback, because CPython computes hypot with its own algorithm.
  *
+ * A node's goal prior depends only on the bits of its offset to the goal
+ * estimate and of kappa, so the search reads it through a prior table,
+ * which gives the bits the computation gives. The caller owns the table
+ * and passes it in the Search: mcts.run_search makes one per search, the
+ * harness one per episode, which serves every decision of the episode. The
+ * kernels keep no static or global mutable state, so searches may run in
+ * several threads at once, each on its own tables.
+ *
  * kernel.py declares every struct and constant Python shares with this file,
  * and checks them on load against lanenav_search_layout at its end.
  */
@@ -26,6 +34,7 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define N_ACTIONS 8
 #define MAX_DEPTH 64
@@ -57,12 +66,21 @@ typedef struct {
 
 typedef double (*hypot_fn)(double, double);
 
+/* One slot of a prior table (kernel.PRIOR): the goal_prior of the offset
+ * (dx, dy) = goal - position at kappa, keyed by the three doubles' bits. */
+typedef struct {
+    uint64_t dx, dy, kappa;
+    double prior[N_ACTIONS];
+} Prior;
+
 /* The settings of one search (kernel.SEARCH), packed by mcts.run_search. */
 typedef struct {
     Node *nodes;     /* room for n_rollouts + 1 rows, a rollout adding at most one node, or
                       * for the full tree of depth k where that is fewer */
+    Prior *priors;   /* the caller's prior table of n_priors slots, a power of two, zeroed when made */
     hypot_fn hypot;
     int64_t n_rollouts, k, height, width, goal_size; /* goal_size: the side of each estimate's goal block */
+    int64_t n_priors;
     double x0, y0, c_puct, kappa, death_value, goal_value, beta, diag;
     double moves[2 * N_ACTIONS]; /* (dx, dy) of each action */
 } Search;
@@ -95,10 +113,27 @@ static void init_node(Node *node, int32_t depth, double x, double y, double term
     node->depth = depth;
 }
 
-/* mcts.goal_prior into prior, toward the frame's goal estimate. */
-static int goal_prior(double x, double y, const Frame *frame, double kappa, double *prior)
+/* The bits of a double: the prior table compares keys by them, never by
+ * ==, which takes -0.0 for 0.0 although atan2 tells them apart. */
+static uint64_t bits_of(double v)
 {
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+/* mcts.goal_prior into prior, toward the frame's goal estimate, through
+ * the search's direct-mapped prior table. A hit copies the slot's priors;
+ * a miss computes them and stores them in the slot, over whatever key was
+ * there. A prior whose exp overflows stores nothing. No goal and a zero
+ * offset, (+-0, +-0), leave the uniform prior before any lookup, so an
+ * all-zero slot matches no key and a zeroed table is empty. */
+static int goal_prior(double x, double y, const Frame *frame, const Search *search, double *prior)
+{
+    const double kappa = search->kappa;
     double weights[N_ACTIONS], dx, dy, theta, total = 0.0;
+    uint64_t key_dx, key_dy, key_kappa, hash;
+    Prior *slot;
     int a;
     if (isnan(frame->goal_x))
         return 0;
@@ -106,6 +141,21 @@ static int goal_prior(double x, double y, const Frame *frame, double kappa, doub
     dy = frame->goal_y - y;
     if (dx == 0.0 && dy == 0.0)
         return 0;
+    key_dx = bits_of(dx);
+    key_dy = bits_of(dy);
+    key_kappa = bits_of(kappa);
+    /* The slot: the key's bits mixed by murmur3's 64-bit finalizer. */
+    hash = key_dx ^ (key_dy * 0x9e3779b97f4a7c15u) ^ (key_kappa * 0xc2b2ae3d27d4eb4fu);
+    hash ^= hash >> 33;
+    hash *= 0xff51afd7ed558ccdu;
+    hash ^= hash >> 33;
+    hash *= 0xc4ceb9fe1a85ec53u;
+    hash ^= hash >> 33;
+    slot = &search->priors[hash & (uint64_t)(search->n_priors - 1)];
+    if (slot->dx == key_dx && slot->dy == key_dy && slot->kappa == key_kappa) {
+        memcpy(prior, slot->prior, sizeof slot->prior);
+        return 0;
+    }
     theta = atan2(dy, dx);
     for (a = 0; a < N_ACTIONS; a++) {
         weights[a] = exp(kappa * cos(a * M_PI / 4.0 - theta));
@@ -115,6 +165,10 @@ static int goal_prior(double x, double y, const Frame *frame, double kappa, doub
     }
     for (a = 0; a < N_ACTIONS; a++)
         prior[a] = weights[a] / total;
+    slot->dx = key_dx;
+    slot->dy = key_dy;
+    slot->kappa = key_kappa;
+    memcpy(slot->prior, prior, sizeof slot->prior);
     return 0;
 }
 
@@ -129,7 +183,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
     Node *const nodes = search->nodes;
     const int64_t k = search->k, width = search->width;
     const double *const moves = search->moves;
-    const double c_puct = search->c_puct, kappa = search->kappa, beta = search->beta;
+    const double c_puct = search->c_puct, beta = search->beta;
     const double max_x = (double)(width - 1), max_y = (double)(search->height - 1);
     const double span = (double)(search->goal_size - 1), half = span / 2.0;
     double blocks[MAX_DEPTH][4]; /* col_lo, col_hi, row_lo, row_hi */
@@ -170,7 +224,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
                 /* The first rollout through the node: with every q 0 and
                  * scale 1 the pick is the first argmax of c_puct * prior. */
                 double best;
-                if (goal_prior(node->x, node->y, &frames[node->depth], kappa, node->prior))
+                if (goal_prior(node->x, node->y, &frames[node->depth], search, node->prior))
                     return ERR_OVERFLOW;
                 best = c_puct * node->prior[0];
                 for (a = 1; a < N_ACTIONS; a++) {
@@ -426,10 +480,11 @@ const int64_t lanenav_search_layout[] = {
     FIELD(Node, x), FIELD(Node, y), FIELD(Node, terminal_value), FIELD(Node, stop_value), FIELD(Node, prior),
     FIELD(Node, w), FIELD(Node, mean), FIELD(Node, n), FIELD(Node, total), FIELD(Node, children),
     FIELD(Node, depth), sizeof(Node),
-    FIELD(Search, nodes), FIELD(Search, hypot), FIELD(Search, n_rollouts), FIELD(Search, k), FIELD(Search, height),
-    FIELD(Search, width), FIELD(Search, goal_size), FIELD(Search, x0), FIELD(Search, y0), FIELD(Search, c_puct),
-    FIELD(Search, kappa), FIELD(Search, death_value), FIELD(Search, goal_value), FIELD(Search, beta),
-    FIELD(Search, diag), FIELD(Search, moves), sizeof(Search),
+    FIELD(Prior, dx), FIELD(Prior, dy), FIELD(Prior, kappa), FIELD(Prior, prior), sizeof(Prior),
+    FIELD(Search, nodes), FIELD(Search, priors), FIELD(Search, hypot), FIELD(Search, n_rollouts), FIELD(Search, k),
+    FIELD(Search, height), FIELD(Search, width), FIELD(Search, goal_size), FIELD(Search, n_priors), FIELD(Search, x0),
+    FIELD(Search, y0), FIELD(Search, c_puct), FIELD(Search, kappa), FIELD(Search, death_value),
+    FIELD(Search, goal_value), FIELD(Search, beta), FIELD(Search, diag), FIELD(Search, moves), sizeof(Search),
     FIELD(Frame, occ), FIELD(Frame, goal_x), FIELD(Frame, goal_y), sizeof(Frame),
     FIELD(Step, x), FIELD(Step, y), FIELD(Step, action), FIELD(Step, kind), sizeof(Step),
     FIELD(Play, search), FIELD(Play, frames), FIELD(Play, palettes), FIELD(Play, origin), FIELD(Play, n_frames),

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import checks
 from .config import BENCH_KEYS, CONFIG_KEYS, VALIDATE_KEYS, coerce_value, parse_config
 from .fileio import atomic_write_text
-from .harness import BenchCell, run_benchmark, run_episode
+from .harness import MAX_EPISODES, MAX_PARALLELISM, BenchCell, run_benchmark, run_episode
 from .mcts import MAX_ROLLOUT_LENGTH
 from .models import Observation, build_model, model_rng, prediction_error, split_model_specs
 from .ppm import prediction_to_rgb, render_error_map, render_ppm, write_ppm
@@ -138,20 +138,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """An integer flag value of at least 1; argparse names the flag in its error."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _up_to(bound: int):
+    """The type of an integer flag in 1..``bound``; argparse names the flag in its error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        if value > bound:
+            raise argparse.ArgumentTypeError(f"must be <= {bound}, got {value}")
+        return value
 
-
-def _horizon(text: str) -> int:
-    """A render horizon: 1..MAX_ROLLOUT_LENGTH, the deepest horizon a search reads."""
-    value = _positive_int(text)
-    if value > MAX_ROLLOUT_LENGTH:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_ROLLOUT_LENGTH}, got {value}")
-    return value
+    return integer
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -198,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--ks", default="1,3", help="comma-separated rollout lengths")
     p_bench.add_argument("--speeds", default="2x",
                          help="comma-separated speed presets (1x,2x); each sets agent_speed and max_steps")
-    p_bench.add_argument("--episodes", type=_positive_int, default=100)
-    p_bench.add_argument("--parallelism", type=_positive_int, default=1)
+    p_bench.add_argument("--episodes", type=_up_to(MAX_EPISODES), default=100, help=f"1..{MAX_EPISODES}")
+    p_bench.add_argument("--parallelism", type=_up_to(MAX_PARALLELISM), default=1,
+                         help=f"pool workers, 1..{MAX_PARALLELISM}")
     p_bench.add_argument("--csv", help="CSV output path (default bench.csv in out dir)")
     p_bench.add_argument("--out-dir", help="output directory")
     p_bench.set_defaults(func=_cmd_bench, parser=p_bench)
@@ -207,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render true/predicted/error images from a trace")
     p_render.add_argument("--trace", required=True)
     p_render.add_argument("--step", type=int, default=0, help="decision step to render from")
-    p_render.add_argument("--horizon", type=_horizon, default=5, help=f"frames to render, 1..{MAX_ROLLOUT_LENGTH}")
+    p_render.add_argument("--horizon", type=_up_to(MAX_ROLLOUT_LENGTH), default=5,
+                          help=f"frames to render, 1..{MAX_ROLLOUT_LENGTH}")
     p_render.add_argument("--model", help="model spec (default: the trace's model)")
     p_render.add_argument("--out-dir", help="output directory")
     p_render.set_defaults(func=_cmd_render, parser=p_render)

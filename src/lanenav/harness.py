@@ -17,6 +17,9 @@ simulated frames cover; any other model predicts in Python and plays one
 decision per call. The loop simulates the frames the Python loop it
 replaced simulated, in the same order, and no others: the window of a
 decision, then the frame its action lands in, each when the step needs it.
+The searches of one episode share its prior table (see ``mcts``), and the
+loop returns the kernel's step table: ``run_episode`` and ``verify_replay``
+turn it into records, ``run_benchmark`` reads only its last step.
 
 The random draws are taken up front, one episode's worth: the planner's
 ``max_steps`` uniforms, ``rng.random(max_steps)``, and the random agent's
@@ -41,11 +44,11 @@ from itertools import repeat
 import numpy as np
 
 from .kernel import FRAME, OUTCOMES, PLAY, PLAY_ENDED, STEP, check, library, zeroed
-from .mcts import MCTSConfig, _node_table, _pack_frames, _search_fields
+from .mcts import MCTSConfig, _pack_frames, _search_fields, _search_tables
 from .models import ForwardModel, Observation, build_model, model_label, model_rng
 from .seeding import STREAM_AGENT, STREAM_PLAN, episode_seed, substream
-from .world import (DEATH_REWARD, DIED, GOAL_REACHED, GOAL_REWARD, N_ACTIONS, RUNNING, TIMED_OUT, Outcome, Timeline,
-                    WorldConfig, action_to_velocity, fold)
+from .world import (DEATH_REWARD, DIED, GOAL_REACHED, GOAL_REWARD, N_ACTIONS, RUNNING, TIMED_OUT, ConfigError, Outcome,
+                    Timeline, WorldConfig, action_to_velocity, fold)
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,10 @@ class EpisodeRecord:
 # Contiguous task batches per pool worker in ``run_benchmark``: enough to
 # balance uneven episode lengths, few enough that most seeds stay in one batch.
 BATCHES_PER_WORKER = 4
+# Bounds of ``run_benchmark``: each pool worker is a process, forked when the
+# pool starts, and the seed and task lists are built before any episode runs.
+MAX_PARALLELISM = 64
+MAX_EPISODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -149,21 +156,16 @@ def _play(
     keep_frames: bool = False,
 ) -> EpisodeRecord:
     """``run_episode`` on a given timeline of ``world_cfg``'s world: the
-    episode loop with the planner, or the random agent for spec "none", as
-    its action chooser."""
+    episode of ``_steps``, with its steps turned into records."""
     ep_seed = timeline.episode_seed
     if isinstance(model_spec, ForwardModel):
         model = model_spec
         model_spec = model.name
     else:
         model = build_model(model_spec, rng=model_rng(model_spec, ep_seed))
-    max_steps = world_cfg.max_steps
-    if model is None:
-        actions = substream(ep_seed, STREAM_AGENT).integers(N_ACTIONS, size=max_steps)
-        outcome, trace, exception = _episode(timeline, world_cfg, mcts_cfg, actions=actions)
-    else:
-        draws = substream(ep_seed, STREAM_PLAN).random(max_steps)
-        outcome, trace, exception = _episode(timeline, world_cfg, mcts_cfg, model=model, draws=draws)
+    steps, exception = _steps(timeline, world_cfg, mcts_cfg, model)
+    trace = _trace(steps)
+    outcome = _outcome(steps)
     return EpisodeRecord(
         episode_seed=ep_seed,
         outcome=outcome,
@@ -173,10 +175,26 @@ def _play(
         model_spec=model_spec,
         world_config=world_cfg,
         mcts_config=mcts_cfg,
-        error=None if exception is None else f"{type(exception).__name__}: {exception}",
+        error=None if exception is None else _error_text(exception),
         frames=timeline.frames[:len(trace) + 1] if keep_frames else None,
         exception=exception,
     )
+
+
+def _steps(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, model: ForwardModel | None
+           ) -> tuple[memoryview, Exception | None]:
+    """The episode on ``timeline`` of the planner with ``model``, or of the random agent for None, on the
+    draws of the timeline's seed: ``_episode``'s step table and exception."""
+    ep_seed, max_steps = timeline.episode_seed, world_cfg.max_steps
+    if model is None:
+        actions = substream(ep_seed, STREAM_AGENT).integers(N_ACTIONS, size=max_steps)
+        return _episode(timeline, world_cfg, mcts_cfg, actions=actions)
+    draws = substream(ep_seed, STREAM_PLAN).random(max_steps)
+    return _episode(timeline, world_cfg, mcts_cfg, model=model, draws=draws)
+
+
+def _error_text(exception: Exception) -> str:
+    return f"{type(exception).__name__}: {exception}"
 
 
 _kernel = library.lanenav_play
@@ -185,12 +203,29 @@ _INPUTS = PLAY.part("frames", "n_times")
 _STATE = PLAY.part("t", "searches")
 # (kind, reward) of each outcome kind a ``Step`` records.
 _OUTCOMES = tuple((kind, {GOAL_REACHED: GOAL_REWARD, DIED: DEATH_REWARD}.get(kind, 0.0)) for kind in OUTCOMES.values())
+# Slots of an episode's prior table, 22 KB, which serves every decision of the episode. Over plan_grid's cells
+# 61% of the priors asked for hit at 256 slots, 63% at 1024 (88 KB) and 64% with no eviction at all.
+PRIOR_SLOTS = 256
+
+
+def _trace(steps: memoryview) -> list[StepRecord]:
+    """The records of a step table, t counting from 1."""
+    return [StepRecord(i, x, y, action, _OUTCOMES[kind][1], _OUTCOMES[kind][0])
+            for i, (x, y, action, kind) in enumerate(STEP.struct.iter_unpack(steps), 1)]
+
+
+def _outcome(steps: memoryview) -> Outcome:
+    """The outcome of a step table: its last step's, or running before any step."""
+    if not steps:
+        return Outcome(RUNNING, 0.0, 0)
+    kind, reward = _OUTCOMES[STEP.struct.unpack_from(steps, len(steps) - STEP.size)[3]]
+    return Outcome(kind, reward, len(steps) // STEP.size)
 
 
 def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, model: ForwardModel | None = None,
              draws: np.ndarray | None = None, actions: np.ndarray | None = None,
-             ) -> tuple[Outcome, list[StepRecord], Exception | None]:
-    """The one episode loop: (outcome, steps, the exception that ended it or None).
+             ) -> tuple[memoryview, Exception | None]:
+    """The one episode loop: (its step table, the exception that ended it or None).
 
     The planner picks with ``model`` and ``mcts_cfg`` on the ``draws``, one
     uniform per step; else the ``actions`` are taken in turn, and the loop
@@ -200,6 +235,10 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
     ends at a terminal outcome, or where the model, the search or the pick
     raises. ``world_cfg`` supplies the agent's speed and step limit, which
     the timeline never reads; its grid and goal size are the timeline's.
+
+    The step table holds the kernel's ``Step`` of each step taken, in order.
+    The planner's searches share one prior table of ``PRIOR_SLOTS`` slots,
+    made here for the episode.
     """
     cfg = timeline.config
     shape = (cfg.grid_h, cfg.grid_w)
@@ -210,7 +249,8 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
     given = (np.asarray(actions, np.int64) if model is None else np.asarray(draws, np.float64))[:max_steps].tobytes()
     window = None if model is None else model.window
     first, stride = window or (0, 1)
-    nodes = _node_table(mcts_cfg) if model is not None else None
+    # The planner's node table and prior table, one buffer: (buffer, their addresses, the prior table's slots).
+    tables = _search_tables(mcts_cfg, PRIOR_SLOTS) if model is not None else (None, 0, 0, 0)
     records = zeroed(k * FRAME.size) if model is not None and window is None else None
     # One buffer holds the kernel's Play, then the draws or actions, then the steps.
     inputs_at, state_at, given_at = PLAY.offsets["frames"], PLAY.offsets["t"], PLAY.size
@@ -220,8 +260,8 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
     ctypes.memmove(address + given_at, given, len(given))
     n_given = len(given) // 8
     t, pending, searches, origin, keep, exception = 0, -1, 0, 0, None, None
-    PLAY.struct.pack_into(play, 0, *_search_fields(mcts_cfg, 0 if nodes is None else ctypes.addressof(nodes),
-                                                   timeline.start, world_cfg.agent_speed, shape, cfg.goal_size),
+    PLAY.struct.pack_into(play, 0, *_search_fields(mcts_cfg, *tables[1:], timeline.start, world_cfg.agent_speed,
+                                                   shape, cfg.goal_size),
                           0, 0, 0, 0, 0, 0 if model is None else address + given_at,
                           address + given_at if model is None else 0, address + steps_at, n_given, first, stride,
                           max_steps, mcts_cfg.temperature, t, pending, searches)
@@ -265,10 +305,7 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
             break
         if status == PLAY_ENDED:
             break
-    trace = [StepRecord(i, x, y, action, _OUTCOMES[kind][1], _OUTCOMES[kind][0]) for i, (x, y, action, kind)
-             in enumerate(STEP.struct.iter_unpack(play[steps_at:steps_at + t * STEP.size]), 1)]
-    outcome = Outcome(trace[-1].outcome, trace[-1].reward, t) if trace else Outcome(RUNNING, 0.0, 0)
-    return outcome, trace, exception
+    return memoryview(play)[steps_at:steps_at + t * STEP.size], exception
 
 
 def verify_replay(record: EpisodeRecord) -> bool:
@@ -293,8 +330,9 @@ def verify_replay(record: EpisodeRecord) -> bool:
             break
         actions.append(action)
     cfg = record.world_config
-    outcome, trace, _ = _episode(Timeline(cfg, record.episode_seed), cfg, record.mcts_config,
-                                 actions=np.array(actions, dtype=np.int64))
+    steps, _ = _episode(Timeline(cfg, record.episode_seed), cfg, record.mcts_config,
+                        actions=np.array(actions, dtype=np.int64))
+    trace, outcome = _trace(steps), _outcome(steps)
     if len(trace) == len(actions) < len(record.trace) and not outcome.is_terminal:
         action_to_velocity(record.trace[len(actions)].action, cfg.agent_speed)
     return trace == record.trace and outcome == record.outcome
@@ -317,7 +355,8 @@ def _bench_row(label: tuple[str, int], speed: str, k: int, outcomes: list[tuple[
 
 def _bench_batch(world_cfg: WorldConfig, cells: list[tuple[WorldConfig, MCTSConfig, str]],
                  tasks: list[tuple[int, int, int]]) -> list[tuple[int, int, str, int]]:
-    """Run (cell index, episode index, seed) tasks in order, each cell as its (world, mcts, spec).
+    """Run (cell index, episode index, seed) tasks in order, each cell as its (world, mcts, spec); per task,
+    the episode's outcome kind and length, read from the last step of its step table, so no records are built.
 
     Every cell's world is ``world_cfg``'s, so consecutive tasks on the same
     seed share one timeline, and only one timeline is alive at a time.
@@ -329,10 +368,11 @@ def _bench_batch(world_cfg: WorldConfig, cells: list[tuple[WorldConfig, MCTSConf
             timeline = None  # release the previous world before simulating the next
             timeline = Timeline(world_cfg, seed)
         cell_world, cell_mcts, spec = cells[ci]
-        record = _play(timeline, cell_world, cell_mcts, spec)
-        if record.exception is not None:
-            raise RuntimeError(f"episode {seed} failed: {record.error}") from record.exception
-        results.append((ci, ei, record.outcome.kind, record.steps))
+        steps, exception = _steps(timeline, cell_world, cell_mcts, build_model(spec, rng=model_rng(spec, seed)))
+        if exception is not None:
+            raise RuntimeError(f"episode {seed} failed: {_error_text(exception)}") from exception
+        outcome = _outcome(steps)
+        results.append((ci, ei, outcome.kind, outcome.steps_taken))
     return results
 
 
@@ -345,9 +385,17 @@ def run_benchmark(
     parallelism: int = 1,
 ) -> BenchTable:
     """Evaluate every cell on the same n_episodes derived seeds. Each cell's speed
-    preset sets its agent speed and step limit, so ``world_cfg`` keeps the defaults."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
+    preset sets its agent speed and step limit, so ``world_cfg`` keeps the defaults.
+
+    ``n_episodes`` must be in 1..``MAX_EPISODES`` and ``parallelism`` in
+    1..``MAX_PARALLELISM``, else a ``ConfigError`` names the argument.
+    Above 1, the episodes run in a process pool of at most ``parallelism``
+    workers, and of no more than there are task batches: a pool starts all
+    its workers at once."""
+    for name, value, bound in (("n_episodes", n_episodes, MAX_EPISODES), ("parallelism", parallelism,
+                                                                         MAX_PARALLELISM)):
+        if not 1 <= value <= bound:
+            raise ConfigError(f"{name} must be in 1..{bound}, got {value!r}")
     for name in ("agent_speed", "max_steps"):
         if getattr(world_cfg, name) != getattr(WorldConfig, name):
             raise ValueError(f"world_cfg.{name} must keep its default: each cell's speed preset sets it")
@@ -369,7 +417,7 @@ def run_benchmark(
     # Seed-major, so that the cells of one seed run back to back on one timeline.
     tasks = [(ci, ei, seed) for ei, seed in enumerate(seeds) for ci in range(len(cells))]
 
-    if parallelism <= 1:
+    if parallelism == 1:
         done = _bench_batch(world_cfg, cell_configs, tasks)
     else:
         size = -(-len(tasks) // (parallelism * BATCHES_PER_WORKER))
@@ -377,7 +425,7 @@ def run_benchmark(
         # Imported here: a serial run never pays for the process pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(batches))) as pool:
             batched = pool.map(_bench_batch, repeat(world_cfg), repeat(cell_configs), batches)
             done = [result for batch in batched for result in batch]
     results = {(ci, ei): (kind, steps) for ci, ei, kind, steps in done}

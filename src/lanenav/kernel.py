@@ -87,9 +87,12 @@ class Layout:
 # One node of the search's table; NaN in terminal_value or stop_value stands for None.
 NODE = Layout("Node", x="d", y="d", terminal_value="d", stop_value="d", prior=f"{N_ACTIONS}d", w=f"{N_ACTIONS}d",
               mean=f"{N_ACTIONS}d", n=f"{N_ACTIONS}q", total="q", children=f"{N_ACTIONS}i", depth="i")
-SEARCH = Layout("Search", nodes="P", hypot="P", n_rollouts="q", k="q", height="q", width="q", goal_size="q", x0="d",
-                y0="d", c_puct="d", kappa="d", death_value="d", goal_value="d", beta="d", diag="d",
-                moves=f"{2 * N_ACTIONS}d")
+# One slot of a search's prior table: the bits of the key (dx, dy, kappa), then the goal prior it gives.
+PRIOR = Layout("Prior", dx="Q", dy="Q", kappa="Q", prior=f"{N_ACTIONS}d")
+# priors: the caller's prior table, n_priors slots, a power of two, zeroed when made.
+SEARCH = Layout("Search", nodes="P", priors="P", hypot="P", n_rollouts="q", k="q", height="q", width="q",
+                goal_size="q", n_priors="q", x0="d", y0="d", c_puct="d", kappa="d", death_value="d", goal_value="d",
+                beta="d", diag="d", moves=f"{2 * N_ACTIONS}d")
 # One predicted frame for the search: its mask's address and its goal estimate, NaN goal_x for none.
 FRAME = Layout("Frame", occ="P", goal_x="d", goal_y="d")
 STEP = Layout("Step", x="d", y="d", action="q", kind="q")
@@ -102,8 +105,9 @@ FRAME_READ = Layout("FrameRead", sum_x="q", sum_y="q", mask="0B")
 
 # What each source's layout table lists: its structs' entries, then constants by their C names.
 _TABLES = {
-    "lanenav_search_layout": (NODE, SEARCH, FRAME, STEP, PLAY, ("N_ACTIONS", N_ACTIONS), ("MAX_DEPTH", MAX_DEPTH),
-                              ("GOAL", GOAL), ("PLAY_ENDED", PLAY_ENDED), *((k, i) for i, k in enumerate(OUTCOMES))),
+    "lanenav_search_layout": (NODE, PRIOR, SEARCH, FRAME, STEP, PLAY, ("N_ACTIONS", N_ACTIONS),
+                              ("MAX_DEPTH", MAX_DEPTH), ("GOAL", GOAL), ("PLAY_ENDED", PLAY_ENDED),
+                              *((k, i) for i, k in enumerate(OUTCOMES))),
     "lanenav_world_layout": (WORLD, FRAME, FRAME_READ, ("GOAL", GOAL), ("N_COLUMNS", N_COLUMNS),
                              ("N_LANE_COLUMNS", N_LANE_COLUMNS), ("MAX_LEN1", MAX_LEN1)),
 }

@@ -23,6 +23,16 @@ record its timeline wrote; any other frame is packed per search. The kernel
 computes each estimate's goal block once per search, for the search's goal
 size.
 
+A node's goal prior is a function of the bits of its offset to the goal
+estimate, (dx, dy), and of kappa, so the kernel reads it through a
+direct-mapped prior table, keyed by those bits: never by ``==``, for which
+-0.0 is 0.0, while ``atan2`` puts an offset of (-1, -0.0) at -pi and one of
+(-1, +0.0) at pi. A hit gives the bits a computation gives. The caller owns
+the table, so the kernel keeps no state and searches may run in several
+threads: ``run_search`` makes one per search, as many slots as its node
+table has rows, rounded up to a power of two; the harness makes one per
+episode, which serves every decision of it.
+
 Results are bit-stable: every float is evaluated in a fixed order, so the
 same inputs give the same tree statistics and the same drawn action. The
 pick is the former Python loop's bit for bit: libm ``log`` of each positive
@@ -41,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import MAX_DEPTH, NODE, SEARCH, check, library, zeroed
+from .kernel import MAX_DEPTH, NODE, PRIOR, SEARCH, check, library, zeroed
 from .world import N_ACTIONS, ConfigError, PredictedFrame, action_to_velocity, finite, packed_frame
 
 _A0, _A1, _A2, _A3, _A4, _A5, _A6, _A7 = (a * math.pi / 4.0 for a in range(N_ACTIONS))
@@ -240,20 +250,38 @@ def _moves(agent_speed: float) -> tuple[float, ...]:
     return tuple(v for a in range(N_ACTIONS) for v in action_to_velocity(a, agent_speed))
 
 
-def _search_fields(cfg: MCTSConfig, nodes: int, agent_pos: tuple[float, float], agent_speed: float,
-                   shape: tuple[int, int], goal_size: int) -> tuple:
-    """The fields of the kernel's ``Search``: the node table's address, the settings of ``cfg`` and the agent's
-    moves on a grid of ``shape`` with goal blocks of side ``goal_size``, searching from ``agent_pos``."""
+def _search_fields(cfg: MCTSConfig, nodes: int, priors: int, n_priors: int, agent_pos: tuple[float, float],
+                   agent_speed: float, shape: tuple[int, int], goal_size: int) -> tuple:
+    """The fields of the kernel's ``Search``: the addresses of the node table and of the prior table of
+    ``n_priors`` slots, the settings of ``cfg`` and the agent's moves on a grid of ``shape`` with goal blocks
+    of side ``goal_size``, searching from ``agent_pos``."""
     height, width = shape
-    return (nodes, _HYPOT_ADDRESS, cfg.n_rollouts, cfg.rollout_length, height, width, goal_size, agent_pos[0],
-            agent_pos[1], cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value, cfg.shaping_beta,
-            math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed))
+    return (nodes, priors, _HYPOT_ADDRESS, cfg.n_rollouts, cfg.rollout_length, height, width, goal_size, n_priors,
+            agent_pos[0], agent_pos[1], cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value,
+            cfg.shaping_beta, math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed))
 
 
-def _node_table(cfg: MCTSConfig) -> ctypes.Array:
-    """A zeroed node table for the searches of ``cfg``: ``n_rollouts + 1`` rows, a rollout adding at most one
-    node, or the nodes of a full tree of depth k where that is fewer."""
-    return zeroed(min(cfg.n_rollouts + 1, _FULL_TREE[cfg.rollout_length]) * NODE.size)
+@lru_cache(maxsize=64)
+def _table_layout(n_rollouts: int, k: int, slots: int | None) -> tuple[int, int, int]:
+    """(bytes, prior table's offset, its slots) of ``_search_tables``' buffer, worked out once per size."""
+    rows = min(n_rollouts + 1, _FULL_TREE[k])
+    if slots is None:
+        slots = 1 << (rows - 1).bit_length()
+    return rows * NODE.size + slots * PRIOR.size, rows * NODE.size, slots
+
+
+def _search_tables(cfg: MCTSConfig, slots: int | None = None) -> tuple[ctypes.Array, int, int, int]:
+    """One zeroed buffer for the searches of ``cfg`` and where its parts lie: (buffer, node table's address,
+    prior table's address, prior table's slots).
+
+    The node table comes first: ``n_rollouts + 1`` rows, a rollout adding at most one node, or the nodes of a
+    full tree of depth k where that is fewer. The empty prior table follows, of ``slots`` slots, a power of
+    two; by default as many as the node table has rows, rounded up to one.
+    """
+    size, offset, slots = _table_layout(cfg.n_rollouts, cfg.rollout_length, slots)
+    buffer = zeroed(size)
+    address = ctypes.addressof(buffer)
+    return buffer, address, address + offset, slots
 
 
 def _pack_frames(frames: tuple[PredictedFrame, ...], k: int, shape: tuple[int, ...]) -> tuple[bytes, list]:
@@ -289,14 +317,15 @@ def run_search(
     nodes of a full tree of depth k where that is fewer. It reads
     each frame's occupancy where it lies, through the frame's record
     (``world.packed_frame``), and computes the goal blocks of ``goal_size``.
+    Its priors go through a prior table of this search's own, in the node
+    table's buffer.
     """
     shape = frames[0].occupancy.shape if frames else ()
     records, packed = _pack_frames(frames, cfg.rollout_length, shape)
-    nodes = _node_table(cfg)
-    address = ctypes.addressof(nodes)
-    fields = _search_fields(cfg, address, agent_pos, agent_speed, shape, goal_size)
+    tables, nodes, priors, slots = _search_tables(cfg)
+    fields = _search_fields(cfg, nodes, priors, slots, agent_pos, agent_speed, shape, goal_size)
     count = check(_kernel(SEARCH.struct.pack(*fields), records))
-    return SearchNode(_Tree(nodes, count, address), 0)
+    return SearchNode(_Tree(tables, count, nodes), 0)
 
 
 def select_by_temperature(visits: list[int], temperature: float, rng: np.random.Generator) -> int:

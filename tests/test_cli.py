@@ -8,6 +8,7 @@ from conftest import FUZZ_VALUES
 from lanenav import checks, cli
 from lanenav.cli import main
 from lanenav.config import BENCH_KEYS, CELL_KEYS, CONFIG_KEYS, VALIDATE_KEYS
+from lanenav.harness import MAX_EPISODES, MAX_PARALLELISM
 from lanenav.mcts import MAX_ROLLOUT_LENGTH, MAX_ROLLOUTS
 from lanenav.models import MAX_NOISY_SAMPLES, model_label, split_model_specs
 from lanenav.tracefile import read_trace
@@ -344,6 +345,20 @@ def test_integer_flag_below_one_rejected(argv, flag, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, bound", [(["bench", "--parallelism", "65"], "--parallelism", MAX_PARALLELISM),
+                                              (["bench", "--parallelism", "100000"], "--parallelism", MAX_PARALLELISM),
+                                              (["bench", "--episodes", "100001"], "--episodes", MAX_EPISODES)])
+def test_bench_size_past_its_bound_rejected(argv, flag, bound, monkeypatch, capsys):
+    def no_benchmark(*args, **kwargs):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_benchmark)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be <= {bound}, got {argv[-1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, unknown", [

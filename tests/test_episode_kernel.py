@@ -23,7 +23,8 @@ import pytest
 import lanenav.world as world
 from conftest import reference_play, reference_replay
 from lanenav import harness
-from lanenav.harness import StepRecord, _episode, _play, verify_replay
+from lanenav.harness import StepRecord, _episode, _outcome, _play, _steps, _trace, verify_replay
+from lanenav.kernel import OUTCOMES, STEP
 from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel, build_model
 from lanenav.seeding import STREAM_MODEL, episode_seed, substream
@@ -201,17 +202,18 @@ def test_replays_match_the_python_replay():
                     verify_replay(tampered)
                 continue
             actions = [int(step.action) for step in trace[:len(want_trace)]]
-            outcome, got_trace, error = _episode(Timeline(world_cfg, record.episode_seed), world_cfg, mcts_cfg,
-                                                 actions=np.array(actions, dtype=np.int64))
+            steps, error = _episode(Timeline(world_cfg, record.episode_seed), world_cfg, mcts_cfg,
+                                    actions=np.array(actions, dtype=np.int64))
             assert error is None
-            assert steps_of(got_trace) == steps_of(want_trace) and outcome == want_outcome
+            assert steps_of(_trace(steps)) == steps_of(want_trace) and _outcome(steps) == want_outcome
             assert verify_replay(tampered) == (want_trace == trace and want_outcome == tampered.outcome)
         assert verify_replay(record)
 
 
 def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
     """A bench batch through the kernel steps the world exactly as often as through the Python loop,
-    and leaves each timeline as long."""
+    and leaves each timeline as long. The batch plays each episode through ``_steps``, which the
+    reference replaces: the Python loop's records, packed into the step table the kernel writes."""
     world_cfg = WorldConfig()
     cells = [(world_cfg.for_speed(speed), MCTSConfig(n_rollouts=20, rollout_length=k), spec)
              for spec in ("oracle", "frozen", "velocity", "noisy", "none") for speed in ("2x", "1x")
@@ -224,7 +226,7 @@ def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
         counts[state.episode_seed] = counts.get(state.episode_seed, 0) + 1
         step(state)
 
-    def run(play) -> tuple:
+    def run(steps) -> tuple:
         timelines = []
 
         class TrackedTimeline(Timeline):
@@ -236,13 +238,18 @@ def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(world, "world_step", counting_step)
             patch.setattr(harness, "Timeline", TrackedTimeline)
-            patch.setattr(harness, "_play", play)
+            patch.setattr(harness, "_steps", steps)
             results = harness._bench_batch(world_cfg, cells, tasks)
         return results, dict(counts), [(t.episode_seed, len(t.frames)) for t in timelines]
 
-    def reference(timeline, cell_world, cell_mcts, spec):
-        return reference_play(timeline, cell_world, cell_mcts, spec)
+    kinds = list(OUTCOMES.values())
 
-    got, want = run(_play), run(reference)
+    def reference(timeline, cell_world, cell_mcts, model):
+        record = reference_play(timeline, cell_world, cell_mcts, "none" if model is None else model)
+        table = b"".join(STEP.struct.pack(s.agent_x, s.agent_y, s.action, kinds.index(s.outcome))
+                         for s in record.trace)
+        return memoryview(table), record.exception
+
+    got, want = run(_steps), run(reference)
     assert got == want
     assert sum(want[1].values()) > 3 * world_cfg.warmup_steps

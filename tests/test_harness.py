@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import traceback
 from dataclasses import replace
@@ -7,6 +8,8 @@ import pytest
 from conftest import frames_equal, move, outcome_at
 from lanenav import harness, seeding
 from lanenav.harness import (
+    MAX_EPISODES,
+    MAX_PARALLELISM,
     BenchCell,
     BenchRow,
     StepRecord,
@@ -18,7 +21,7 @@ from lanenav.harness import (
 from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel, build_model, model_label
 from lanenav.seeding import episode_seed
-from lanenav.world import Outcome, Timeline, WorldConfig
+from lanenav.world import ConfigError, Outcome, Timeline, WorldConfig
 
 FAST_WORLD = WorldConfig(max_steps=60)
 SMALL_MCTS = MCTSConfig(n_rollouts=20, rollout_length=1)
@@ -275,3 +278,46 @@ class TestBenchmark:
     def test_invalid_episode_count(self):
         with pytest.raises(ValueError):
             run_benchmark([BenchCell("oracle", "2x", 1)], WorldConfig(), SMALL_MCTS, n_episodes=0)
+
+    @pytest.mark.parametrize("name, value", [("n_episodes", 0), ("n_episodes", MAX_EPISODES + 1),
+                                             ("n_episodes", 10 ** 15), ("parallelism", 0), ("parallelism", -2),
+                                             ("parallelism", MAX_PARALLELISM + 1), ("parallelism", 100_000)])
+    def test_sizes_past_their_bounds_rejected_before_any_work(self, monkeypatch, name, value):
+        """Before the seed and task lists are built, and before any pool starts."""
+        def nothing(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(harness, "episode_seed", nothing)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", nothing)
+        sizes = {"n_episodes": 1, "parallelism": 1, name: value}
+        with pytest.raises(ConfigError, match=f"^{name} must be in 1\\.\\."):
+            run_benchmark([BenchCell("oracle", "2x", 1)], WorldConfig(), SMALL_MCTS, **sizes)
+
+    @pytest.mark.parametrize("parallelism, n_cells, n_episodes, workers", [
+        (MAX_PARALLELISM, 1, 2, 2),  # two tasks, two batches: two workers, not 64
+        (3, 2, 2, 3),
+        (MAX_PARALLELISM, 2, 40, MAX_PARALLELISM),
+    ])
+    def test_pool_has_no_more_workers_than_batches(self, monkeypatch, parallelism, n_cells, n_episodes, workers):
+        """A pool forks all its workers at its first task, however few the batches: the pool asked for
+        here starts nothing and runs each batch in this process."""
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cells = [BenchCell("none", "2x", 1), BenchCell("none", "1x", 1)][:n_cells]
+        table = run_benchmark(cells, WorldConfig(), SMALL_MCTS, n_episodes=n_episodes, parallelism=parallelism)
+        assert asked == [workers]
+        assert table.to_csv() == run_benchmark(cells, WorldConfig(), SMALL_MCTS, n_episodes=n_episodes).to_csv()

@@ -374,7 +374,7 @@ class TestLoader:
 
     # A field added to C's Play before ``first``, and what the check says of it.
     EXTRA_PLAY_FIELD = ("_search.c", "    int64_t first, stride;", "    int64_t extra;\n    int64_t first, stride;")
-    EXTRA_PLAY_FIELD_FOUND = "Play.first offset is 328 in C, 320 in Python"
+    EXTRA_PLAY_FIELD_FOUND = "Play.first offset is 344 in C, 336 in Python"
 
     @pytest.mark.parametrize("source, old, new, message", [
         (*EXTRA_PLAY_FIELD, EXTRA_PLAY_FIELD_FOUND),
