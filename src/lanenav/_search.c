@@ -3,14 +3,18 @@
  * action from the root's visits, and the loop that plays an episode's
  * steps with them.
  *
- * kernel.py compiles this file into the package's kernel object. mcts.py
- * calls lanenav_search from run_search and lanenav_select from
- * select_by_temperature and plan_action, which document them; harness.py
- * calls lanenav_play, which plays a run of an episode's steps: per step it
- * takes the action (the planner's search and pick, or a given action),
- * moves the agent with the clamp of the planner's expansion and reads the
- * outcome from the palette frame the agent lands in. The kernel keeps the
- * float arithmetic of the planner bit for bit:
+ * kernel.py compiles this file into the package's kernel object, ahead of
+ * it kernel.HEADER: the structs (Node, Prior, Search, Frame, Step, Play)
+ * and constants (N_ACTIONS, MAX_DEPTH, GOAL, PLAY_ENDED, the outcome enum)
+ * this file shares with Python, generated from kernel.py's declarations,
+ * which document each field. mcts.py calls lanenav_search from run_search
+ * and lanenav_select from select_by_temperature and plan_action, which
+ * document them; harness.py calls lanenav_play, which plays a run of an
+ * episode's steps: per step it takes the action (the planner's search and
+ * pick, or a given action), moves the agent with the clamp of the
+ * planner's expansion and reads the outcome from the palette frame the
+ * agent lands in. The kernel keeps the float arithmetic of the planner bit
+ * for bit:
  *
  * - every expression is evaluated in the order the Python planner wrote it,
  *   and the file is compiled without contraction into fused multiply-adds;
@@ -26,18 +30,11 @@
  * harness one per episode, which serves every decision of the episode. The
  * kernels keep no static or global mutable state, so searches may run in
  * several threads at once, each on its own tables.
- *
- * kernel.py declares every struct and constant Python shares with this file,
- * and checks them on load against lanenav_search_layout at its end.
  */
 #include <math.h>
-#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#define N_ACTIONS 8
-#define MAX_DEPTH 64
 
 /* Kernel errors, distinct from _world.c's; kernel.ERRORS raises for each
  * the exception Python's arithmetic would. */
@@ -48,49 +45,6 @@
 #define ERR_EMPTY (-5)     /* no visit counts to pick from: ValueError */
 #define ERR_MEMORY (-6)
 #define ERR_ACTION (-7)    /* a given action outside 0..N_ACTIONS - 1 */
-
-/* One tree node (kernel.NODE). NaN in terminal_value or stop_value stands
- * for None. */
-typedef struct {
-    double x, y;
-    double terminal_value;
-    double stop_value;
-    double prior[N_ACTIONS];
-    double w[N_ACTIONS];
-    double mean[N_ACTIONS]; /* w / n, 0.0 while unvisited */
-    int64_t n[N_ACTIONS];
-    int64_t total;
-    int32_t children[N_ACTIONS]; /* row of the child, -1 for none */
-    int32_t depth;
-} Node;
-
-typedef double (*hypot_fn)(double, double);
-
-/* One slot of a prior table (kernel.PRIOR): the goal_prior of the offset
- * (dx, dy) = goal - position at kappa, keyed by the three doubles' bits. */
-typedef struct {
-    uint64_t dx, dy, kappa;
-    double prior[N_ACTIONS];
-} Prior;
-
-/* The settings of one search (kernel.SEARCH), packed by mcts.run_search. */
-typedef struct {
-    Node *nodes;     /* room for n_rollouts + 1 rows, a rollout adding at most one node, or
-                      * for the full tree of depth k where that is fewer */
-    Prior *priors;   /* the caller's prior table of n_priors slots, a power of two, zeroed when made */
-    hypot_fn hypot;
-    int64_t n_rollouts, k, height, width, goal_size; /* goal_size: the side of each estimate's goal block */
-    int64_t n_priors;
-    double x0, y0, c_puct, kappa, death_value, goal_value, beta, diag;
-    double moves[2 * N_ACTIONS]; /* (dx, dy) of each action */
-} Search;
-
-/* One predicted frame (kernel.FRAME): where its occupancy lies, then its
- * goal estimate, NaN goal_x for none. */
-typedef struct {
-    const uint8_t *occ; /* height x width bytes, nonzero where occupied */
-    double goal_x, goal_y;
-} Frame;
 
 /* world.round_px in doubles: floor(x + 0.5), or ceil(x - 0.5) below zero. */
 static double round_px(double x) { return x >= 0.0 ? floor(x + 0.5) : ceil(x - 0.5); }
@@ -356,40 +310,7 @@ int64_t lanenav_select(const int64_t *visits, int64_t n, double temperature, dou
     return error ? error : index;
 }
 
-/* Outcome kinds of a step, in the order of kernel.OUTCOMES. */
-enum { RUNNING, GOAL_REACHED, DIED, TIMED_OUT };
-#define GOAL 6 /* the goal's palette value */
-
-/* One step of an episode (kernel.STEP): the agent's position after it, its
- * action and the outcome kind it met. */
-typedef struct {
-    double x, y;
-    int64_t action, kind;
-} Step;
-
-/* A run of an episode's steps (kernel.PLAY), packed by harness.py: the
- * planner's search settings, whose (x0, y0) is the agent's start; what the
- * harness updates before each call; what stays for the episode; and what
- * the kernel writes back. */
-typedef struct {
-    Search search;                  /* the grid and the moves serve every agent, the rest the planner */
-    const Frame *frames;            /* frames[i] is the frame of time origin + i; a NULL occ: not read yet */
-    const uint8_t *const *palettes; /* palettes[t]: the palette frame of time t, t < n_times */
-    int64_t origin, n_frames, n_times;
-    const double *uniforms;         /* the planner: the pick's uniform draw at time t, t < n_given */
-    const int64_t *actions;         /* the action taken at time t, t < n_given; NULL: the planner picks */
-    Step *steps;                    /* room for max_steps: the step from time t at steps[t] */
-    int64_t n_given;
-    int64_t first, stride; /* the frame of depth d + 1 at time t is that of time t + first + stride * d */
-    int64_t max_steps;
-    double temperature;
-    int64_t t;        /* the time of the next step */
-    int64_t pending;  /* the action of time t taken before its frame t + 1 was simulated, -1 for none */
-    int64_t searches; /* the searches run so far */
-} Play;
-
 #define PLAY_STOPPED 0 /* a frame, draw or action the next step needs is not there yet */
-#define PLAY_ENDED 1   /* the last step met a terminal outcome */
 #define NOT_READ (-100) /* plan: a frame of the window is not read yet */
 
 /* The planner's action at time t from (x, y): a search over the window of
@@ -472,25 +393,3 @@ int64_t lanenav_play(Play *play)
             return PLAY_ENDED;
     }
 }
-
-/* kernel.py's load check: per struct each field's offset and size, then the
- * struct's size; then the constants, in the order kernel.py lists them. */
-#define FIELD(s, f) offsetof(s, f), sizeof(((s *)0)->f)
-const int64_t lanenav_search_layout[] = {
-    FIELD(Node, x), FIELD(Node, y), FIELD(Node, terminal_value), FIELD(Node, stop_value), FIELD(Node, prior),
-    FIELD(Node, w), FIELD(Node, mean), FIELD(Node, n), FIELD(Node, total), FIELD(Node, children),
-    FIELD(Node, depth), sizeof(Node),
-    FIELD(Prior, dx), FIELD(Prior, dy), FIELD(Prior, kappa), FIELD(Prior, prior), sizeof(Prior),
-    FIELD(Search, nodes), FIELD(Search, priors), FIELD(Search, hypot), FIELD(Search, n_rollouts), FIELD(Search, k),
-    FIELD(Search, height), FIELD(Search, width), FIELD(Search, goal_size), FIELD(Search, n_priors), FIELD(Search, x0),
-    FIELD(Search, y0), FIELD(Search, c_puct), FIELD(Search, kappa), FIELD(Search, death_value),
-    FIELD(Search, goal_value), FIELD(Search, beta), FIELD(Search, diag), FIELD(Search, moves), sizeof(Search),
-    FIELD(Frame, occ), FIELD(Frame, goal_x), FIELD(Frame, goal_y), sizeof(Frame),
-    FIELD(Step, x), FIELD(Step, y), FIELD(Step, action), FIELD(Step, kind), sizeof(Step),
-    FIELD(Play, search), FIELD(Play, frames), FIELD(Play, palettes), FIELD(Play, origin), FIELD(Play, n_frames),
-    FIELD(Play, n_times), FIELD(Play, uniforms), FIELD(Play, actions), FIELD(Play, steps), FIELD(Play, n_given),
-    FIELD(Play, first), FIELD(Play, stride), FIELD(Play, max_steps), FIELD(Play, temperature), FIELD(Play, t),
-    FIELD(Play, pending), FIELD(Play, searches), sizeof(Play),
-    N_ACTIONS, MAX_DEPTH, GOAL, PLAY_ENDED, RUNNING, GOAL_REACHED, DIED, TIMED_OUT,
-};
-const int64_t lanenav_search_layout_count = sizeof lanenav_search_layout / sizeof *lanenav_search_layout;

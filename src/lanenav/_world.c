@@ -2,13 +2,16 @@
  * draws, the rasterizer and the reader of palette frames.
  *
  * kernel.py compiles this file with _search.c into one object, linked with
- * the installed numpy's libnpyrandom.a; world.py packs the inputs and
- * documents the rules. A step draws through numpy's own generators: it reads
- * each as the bitgen_t of rng.bit_generator, takes the per-lane Poisson
- * counts from numpy's random_poisson and the uniforms from next_double, so
- * the draws and the generators' states equal those of Generator.poisson and
- * Generator.random. The kernels keep the float arithmetic of the world bit
- * for bit:
+ * the installed numpy's libnpyrandom.a, ahead of it kernel.HEADER: the
+ * structs (World, Frame, FrameRead) and constants (GOAL, N_COLUMNS,
+ * N_LANE_COLUMNS, MAX_LEN1) this file shares with Python, generated from
+ * kernel.py's declarations, which document each field. world.py packs the
+ * inputs and documents the rules. A step draws through numpy's own
+ * generators: it reads each as the bitgen_t of rng.bit_generator, takes the
+ * per-lane Poisson counts from numpy's random_poisson and the uniforms from
+ * next_double, so the draws and the generators' states equal those of
+ * Generator.poisson and Generator.random. The kernels keep the float
+ * arithmetic of the world bit for bit:
  *
  * - round_px is floor(x + 0.5), or ceil(x - 0.5) below zero, in double;
  * - body cell i sits at round_px(head - (double)i);
@@ -19,29 +22,22 @@
  * table, a length that is NaN, negative or past MAX_LEN1, a lane row outside
  * the grid and a goal position that is not finite return an ERR_* that
  * world.py raises.
- *
- * kernel.py declares every struct and constant Python shares with this file,
- * and checks them on load against lanenav_world_layout at its end.
  */
 #include <math.h>
-#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#include "numpy/random/bitgen.h"
 
 /* numpy's Poisson sampler, the one Generator.poisson calls, from
  * libnpyrandom.a; its header, numpy/random/distributions.h, needs Python.h. */
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 
-/* Columns of the obstacle table, one row of doubles per body (world.py). */
-enum { HEAD, SPEED, LEN1, LANE, N_COLUMNS };
-/* Columns of the lane table, one row of doubles per lane (WorldState). */
-enum { LEN_LO, LEN_RANGE, SPEED_LO, SPEED_RANGE, DIRECTION, ROW, VALUE, N_LANE_COLUMNS };
-
-#define GOAL 6 /* the goal's palette value */
-#define MAX_LEN1 2147483647.0 /* a cell index stays exact in a double */
+/* Columns of the obstacle table, one row of N_COLUMNS doubles per body
+ * (world.py), and of the lane table, one row of N_LANE_COLUMNS doubles per
+ * lane (WorldState). */
+enum { HEAD, SPEED, LEN1, LANE };
+enum { LEN_LO, LEN_RANGE, SPEED_LO, SPEED_RANGE, DIRECTION, ROW, VALUE };
+_Static_assert(LANE + 1 == N_COLUMNS && VALUE + 1 == N_LANE_COLUMNS, "table columns");
 
 /* Kernel errors, distinct from _search.c's; kernel.ERRORS raises for each. */
 #define ERR_LANE (-8)    /* a lane index outside 0..n_lanes - 1, or not whole */
@@ -51,35 +47,6 @@ enum { LEN_LO, LEN_RANGE, SPEED_LO, SPEED_RANGE, DIRECTION, ROW, VALUE, N_LANE_C
 #define ERR_MEMORY (-12)
 #define ERR_GOAL_NAN (-13)  /* a goal position that is NaN */
 #define ERR_GOAL_INF (-14)  /* a goal position that is infinite */
-
-/* One world as the kernels read it (kernel.WORLD): the grid, the lanes, the
- * goal's size (0: no goal painted), the step's two generators and Poisson
- * mean; then what changes between calls: the rows the table's buffer holds,
- * the table's rows, the goal's position; last what a step writes, the
- * candidates it drew. */
-typedef struct {
-    int64_t height, width, n_lanes, goal_size;
-    bitgen_t *spawn, *classes;
-    double lam;
-    int64_t capacity, n_rows;
-    double goal_x, goal_y;
-    int64_t n_drawn;
-} World;
-
-/* One predicted frame as _search.c reads it (kernel.FRAME): where its
- * obstacle mask lies, then its goal estimate, NaN for none. */
-typedef struct {
-    const uint8_t *occ;
-    double goal_x, goal_y;
-} Frame;
-
-/* What lanenav_read_frame writes (kernel.FRAME_READ): the column and row
- * sums of the goal cells, then the obstacle mask, 1 on cells of values
- * 1..GOAL - 1. */
-typedef struct {
-    int64_t sum_x, sum_y;
-    uint8_t mask[];
-} FrameRead;
 
 static double next_double(bitgen_t *bitgen) { return bitgen->next_double(bitgen->state); }
 
@@ -340,16 +307,3 @@ int64_t lanenav_rasterize(const World *world, const double *lanes, const double 
     record->goal_y = count ? (double)read->sum_y / (double)count : NAN;
     return count;
 }
-
-/* kernel.py's load check: per struct each field's offset and size, then the
- * struct's size; then the constants, in the order kernel.py lists them. */
-#define FIELD(s, f) offsetof(s, f), sizeof(((s *)0)->f)
-const int64_t lanenav_world_layout[] = {
-    FIELD(World, height), FIELD(World, width), FIELD(World, n_lanes), FIELD(World, goal_size), FIELD(World, spawn),
-    FIELD(World, classes), FIELD(World, lam), FIELD(World, capacity), FIELD(World, n_rows), FIELD(World, goal_x),
-    FIELD(World, goal_y), FIELD(World, n_drawn), sizeof(World),
-    FIELD(Frame, occ), FIELD(Frame, goal_x), FIELD(Frame, goal_y), sizeof(Frame),
-    FIELD(FrameRead, sum_x), FIELD(FrameRead, sum_y), offsetof(FrameRead, mask), 0, sizeof(FrameRead),
-    GOAL, N_COLUMNS, N_LANE_COLUMNS, (int64_t)MAX_LEN1,
-};
-const int64_t lanenav_world_layout_count = sizeof lanenav_world_layout / sizeof *lanenav_world_layout;

@@ -417,7 +417,7 @@ def run_benchmark(
     # Seed-major, so that the cells of one seed run back to back on one timeline.
     tasks = [(ci, ei, seed) for ei, seed in enumerate(seeds) for ci in range(len(cells))]
 
-    if parallelism == 1:
+    if parallelism == 1 or not tasks:  # no cells: no batch to start a pool for
         done = _bench_batch(world_cfg, cell_configs, tasks)
     else:
         size = -(-len(tasks) // (parallelism * BATCHES_PER_WORKER))

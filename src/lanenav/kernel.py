@@ -4,15 +4,18 @@
 rasterizer and frame reader. On first import this module compiles both with the system C compiler into
 one object, against numpy's headers and linked with the installed numpy's ``libnpyrandom.a``, whose
 samplers the world's step draws with. The object is cached under ``__pycache__``, keyed by a hash of both
-sources, the compiler command, the interpreter tag, the numpy version and the archive's bytes; later
-imports load it, and a build removes the objects of earlier builds for the same interpreter and numpy. A
-missing archive raises ImportError, as a failed build does. ``library`` is the object, and ``zeroed`` makes the
-kernels' buffers.
+sources, ``HEADER``, the compiler command, the interpreter tag, the numpy version and the archive's bytes;
+later imports load it, and a build removes the objects of earlier builds for the same interpreter and
+numpy. A missing archive raises ImportError, as a failed build does. ``library`` is the object, and
+``zeroed`` makes the kernels' buffers.
 
-No other module knows the interface: here are the structs the two sides share (``Layout``), the constants
-both use, the kernels' errors (``ERRORS``, raised by ``check``) and their functions' signatures. Each source
-exports a table of its field offsets and sizes, struct sizes and constants, which the load compares with
-these: a difference raises ImportError naming the struct and field, or the constant.
+No other module and neither source declares the interface: here are the structs the two sides share
+(``Layout``), the constants both use, the kernels' errors (``ERRORS``, raised by ``check``) and their
+functions' signatures. ``HEADER`` is the C side of these declarations, generated from them and included
+ahead of each source by the build: the constants' ``#define``s, the outcome enum and one ``typedef`` per
+``Layout``, with a static assertion of every field offset and struct size at the value Python's ``struct``
+packs with. A layout that C lays out differently fails the build, and so the import, with the compiler's
+message naming ``Struct.field``. Adding a field is one edit here.
 """
 from __future__ import annotations
 
@@ -42,23 +45,37 @@ MAX_DEPTH = 64  # the longest rollout: the search's path holds this many steps
 GOAL = 6  # the goal's palette value
 N_COLUMNS = 4  # of the obstacle table, one row of doubles per body
 N_LANE_COLUMNS = 7  # of the lane table, one row of doubles per lane
-MAX_LEN1 = 2147483647  # the largest body length - 1 the world kernels index with
+MAX_LEN1 = 2147483647  # the largest body length - 1 the world kernels index with; its cells are exact in doubles
 PLAY_ENDED = 1  # lanenav_play's return when the last step met a terminal outcome
 # A step's outcome kind by its C name: lanenav_play writes a Step's kind as its index here.
 OUTCOMES = {"RUNNING": "running", "GOAL_REACHED": "goal", "DIED": "died", "TIMED_OUT": "timeout"}
 
+# The C type of each struct code a Layout's fields use, besides pointers, which name theirs.
+_C_TYPES = {"d": "double", "q": "int64_t", "Q": "uint64_t", "i": "int32_t", "B": "uint8_t"}
+
 
 class Layout:
-    """A C struct: its fields in order, each a ``struct`` format or a nested ``Layout``, at C's alignment.
+    """A C struct: its fields in order at C's alignment, each a ``struct`` format, a nested ``Layout``, or
+    for a pointer ``("P", its C type)``.
 
-    ``struct`` packs the whole struct, ``size`` is its sizeof and ``offsets`` holds each field's. Every
-    struct here aligns to 8 bytes, as the trailing ``0P`` pads.
+    ``struct`` packs the whole struct, ``size`` is its sizeof and ``offsets`` holds each field's;
+    ``typedef`` declares it in C. Every struct here aligns to 8 bytes, as the trailing ``0P`` pads.
     """
 
-    def __init__(self, name: str, **fields: str | Layout) -> None:
+    def __init__(self, name: str, **fields: str | tuple[str, str] | Layout) -> None:
         self.name = name
-        self.formats = {field: code.struct.format if isinstance(code, Layout) else code
-                        for field, code in fields.items()}
+        self.formats, self.declarations = {}, {}
+        for field, code in fields.items():
+            if isinstance(code, Layout):
+                self.formats[field], self.declarations[field] = code.struct.format, f"{code.name} {field}"
+            elif isinstance(code, tuple):
+                self.formats[field], c_type = code
+                self.declarations[field] = c_type + ("" if c_type.endswith("*") else " ") + field
+            else:
+                count, kind = re.fullmatch(r"(\d*)(\w)", code).groups()
+                self.formats[field] = code
+                self.declarations[field] = f"{_C_TYPES[kind]} {field}" + (
+                    "" if not count else "[]" if count == "0" else f"[{count}]")
         self.struct = struct.Struct("".join(self.formats.values()) + "0P")
         self.size = self.struct.size
         self.offsets, prefix = {}, ""
@@ -77,40 +94,71 @@ class Layout:
         return np.dtype({"names": list(self.formats), "formats": list(self.formats.values()),
                          "offsets": list(self.offsets.values()), "itemsize": self.size})
 
-    def entries(self) -> list[tuple[str, int]]:
-        """What a source's layout table lists for the struct: each field's offset and size, then its size."""
-        fields = [(f"{self.name}.{field} {what}", value) for field, code in self.formats.items()
-                  for what, value in (("offset", self.offsets[field]), ("size", struct.calcsize(code)))]
-        return [*fields, (f"{self.name} size", self.size)]
+    def typedef(self) -> str:
+        """The struct's C typedef, then a static assertion of each field's offset and of its size, at the
+        values ``struct`` packs with; the compiler names the ``Struct.field`` whose assertion fails."""
+        fields = "".join(f"    {declaration};\n" for declaration in self.declarations.values())
+        return "\n".join([f"typedef struct {{\n{fields}}} {self.name};",
+                          *(f'_Static_assert(offsetof({self.name}, {field}) == {offset}, "{self.name}.{field}");'
+                            for field, offset in self.offsets.items()),
+                          f'_Static_assert(sizeof({self.name}) == {self.size}, "sizeof {self.name}");'])
 
 
-# One node of the search's table; NaN in terminal_value or stop_value stands for None.
+# One node of the search's table; NaN in terminal_value or stop_value stands for None. mean is w / n, 0.0
+# while unvisited; children holds each child's row, -1 for none.
 NODE = Layout("Node", x="d", y="d", terminal_value="d", stop_value="d", prior=f"{N_ACTIONS}d", w=f"{N_ACTIONS}d",
               mean=f"{N_ACTIONS}d", n=f"{N_ACTIONS}q", total="q", children=f"{N_ACTIONS}i", depth="i")
-# One slot of a search's prior table: the bits of the key (dx, dy, kappa), then the goal prior it gives.
+# One slot of a search's prior table: the bits of the key (dx, dy, kappa), (dx, dy) being the goal estimate
+# minus the position, then the goal prior it gives.
 PRIOR = Layout("Prior", dx="Q", dy="Q", kappa="Q", prior=f"{N_ACTIONS}d")
-# priors: the caller's prior table, n_priors slots, a power of two, zeroed when made.
-SEARCH = Layout("Search", nodes="P", priors="P", hypot="P", n_rollouts="q", k="q", height="q", width="q",
-                goal_size="q", n_priors="q", x0="d", y0="d", c_puct="d", kappa="d", death_value="d", goal_value="d",
-                beta="d", diag="d", moves=f"{2 * N_ACTIONS}d")
-# One predicted frame for the search: its mask's address and its goal estimate, NaN goal_x for none.
-FRAME = Layout("Frame", occ="P", goal_x="d", goal_y="d")
+# The settings of one search, packed by mcts.run_search. nodes: room for n_rollouts + 1 rows, a rollout adding
+# at most one node, or for the full tree of depth k where that is fewer. priors: the caller's prior table,
+# n_priors slots, a power of two, zeroed when made. goal_size: the side of each estimate's goal block.
+# moves: (dx, dy) of each action.
+SEARCH = Layout("Search", nodes=("P", "Node *"), priors=("P", "Prior *"), hypot=("P", "hypot_fn"), n_rollouts="q",
+                k="q", height="q", width="q", goal_size="q", n_priors="q", x0="d", y0="d", c_puct="d", kappa="d",
+                death_value="d", goal_value="d", beta="d", diag="d", moves=f"{2 * N_ACTIONS}d")
+# One predicted frame for the search: its mask's address, height x width bytes, nonzero where occupied, and
+# its goal estimate, NaN goal_x for none.
+FRAME = Layout("Frame", occ=("P", "const uint8_t *"), goal_x="d", goal_y="d")
+# One step of an episode: the agent's position after it, its action and the outcome kind it met.
 STEP = Layout("Step", x="d", y="d", action="q", kind="q")
-PLAY = Layout("Play", search=SEARCH, frames="P", palettes="P", origin="q", n_frames="q", n_times="q", uniforms="P",
-              actions="P", steps="P", n_given="q", first="q", stride="q", max_steps="q", temperature="d", t="q",
-              pending="q", searches="q")
-WORLD = Layout("World", height="q", width="q", n_lanes="q", goal_size="q", spawn="P", classes="P", lam="d",
-               capacity="q", n_rows="q", goal_x="d", goal_y="d", n_drawn="q")
+# A run of an episode's steps, packed by harness.py: the planner's search settings, whose (x0, y0) is the
+# agent's start; what the harness updates before each call; what stays for the episode; what the kernel
+# writes back.
+PLAY = Layout("Play", search=SEARCH,
+              frames=("P", "const Frame *"),  # frames[i]: the frame of time origin + i; a NULL occ: not read yet
+              palettes=("P", "const uint8_t *const *"),  # palettes[t]: the palette frame of time t, t < n_times
+              origin="q", n_frames="q", n_times="q",
+              uniforms=("P", "const double *"),  # the planner's uniform draw for its pick at time t, t < n_given
+              actions=("P", "const int64_t *"),  # the action taken at time t, t < n_given; NULL: the planner picks
+              steps=("P", "Step *"),  # room for max_steps: the step from time t at steps[t]
+              n_given="q",
+              first="q", stride="q",  # the frame of depth d + 1 at time t is that of time t + first + stride * d
+              max_steps="q", temperature="d",
+              t="q",  # the time of the next step
+              pending="q",  # the action of time t taken before its frame t + 1 was simulated, -1 for none
+              searches="q")  # the searches run so far
+# One world as the world's kernels read it: the grid, the lanes, the goal's size (0: no goal painted), the
+# step's two generators and Poisson mean; then what changes between calls: the rows the table's buffer holds,
+# the table's rows, the goal's position; last what a step writes, the candidates it drew.
+WORLD = Layout("World", height="q", width="q", n_lanes="q", goal_size="q", spawn=("P", "bitgen_t *"),
+               classes=("P", "bitgen_t *"), lam="d", capacity="q", n_rows="q", goal_x="d", goal_y="d", n_drawn="q")
+# What lanenav_read_frame writes: the column and row sums of the goal cells, then the obstacle mask, 1 on cells
+# of values 1..GOAL - 1.
 FRAME_READ = Layout("FrameRead", sum_x="q", sum_y="q", mask="0B")
 
-# What each source's layout table lists: its structs' entries, then constants by their C names.
-_TABLES = {
-    "lanenav_search_layout": (NODE, PRIOR, SEARCH, FRAME, STEP, PLAY, ("N_ACTIONS", N_ACTIONS),
-                              ("MAX_DEPTH", MAX_DEPTH), ("GOAL", GOAL), ("PLAY_ENDED", PLAY_ENDED),
-                              *((k, i) for i, k in enumerate(OUTCOMES))),
-    "lanenav_world_layout": (WORLD, FRAME, FRAME_READ, ("GOAL", GOAL), ("N_COLUMNS", N_COLUMNS),
-                             ("N_LANE_COLUMNS", N_LANE_COLUMNS), ("MAX_LEN1", MAX_LEN1)),
-}
+# The C declarations of all the above, which the build includes ahead of each source; neither source
+# declares any of them.
+HEADER = "\n".join([
+    "/* Generated by lanenav/kernel.py from its declarations. */",
+    "#include <stddef.h>", "#include <stdint.h>", '#include "numpy/random/bitgen.h"',
+    *(f"#define {name} {globals()[name]}"
+      for name in ("N_ACTIONS", "MAX_DEPTH", "GOAL", "N_COLUMNS", "N_LANE_COLUMNS", "MAX_LEN1", "PLAY_ENDED")),
+    f"enum {{ {', '.join(OUTCOMES)} }};",
+    "typedef double (*hypot_fn)(double, double);",
+    *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, PLAY, WORLD, FRAME_READ)),
+]) + "\n"
 
 # What a negative kernel return raises: the ERR_* of _search.c (-1..-7), the errors Python's own arithmetic
 # raised there, then those of _world.c (-8..-14).
@@ -152,7 +200,8 @@ def check(code: int) -> int:
 
 
 def _command(target: str, sources: tuple[Path, ...] = _SOURCES) -> list[str]:
-    """The compiler command that builds the kernels of ``sources`` into ``target``.
+    """The compiler command that builds the kernels of ``sources`` into ``target``, each source read after
+    ``target + ".h"``, which holds ``HEADER``.
 
     No contraction into fused multiply-adds and no fast-math: the kernels
     keep the bits of IEEE arithmetic evaluated in source order. Vectorized
@@ -160,7 +209,7 @@ def _command(target: str, sources: tuple[Path, ...] = _SOURCES) -> list[str]:
     ``libnpyrandom.a`` keeps the world's draws equal to ``Generator``'s.
     """
     return ["cc", "-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC", "-I", np.get_include(),
-            "-o", target, *map(str, sources), str(_ARCHIVE), "-lm"]
+            "-include", f"{target}.h", "-o", target, *map(str, sources), str(_ARCHIVE), "-lm"]
 
 
 def _compile(command: list[str]) -> None:
@@ -190,7 +239,7 @@ def _load_kernel(cache: Path = _CACHE, sources: tuple[Path, ...] = _SOURCES) -> 
         raise ImportError(f"cannot build the C kernels: numpy's random library {_ARCHIVE}: {exc.strerror}") from exc
     texts = tuple(source.read_bytes() for source in sources)
     tag, numpy_tag = sys.implementation.cache_tag, f"np{np.__version__}"
-    inputs = (texts, _command("", sources), tag, np.__version__, hashlib.sha256(archive).hexdigest())
+    inputs = (texts, HEADER, _command("", sources), tag, np.__version__, hashlib.sha256(archive).hexdigest())
     key = hashlib.sha256(repr(inputs).encode()).hexdigest()[:16]
     target = cache / f"_kernel.{tag}-{numpy_tag}-{key}.so"
     for attempt in (1, 2):
@@ -209,32 +258,22 @@ def _load_kernel(cache: Path = _CACHE, sources: tuple[Path, ...] = _SOURCES) -> 
 
 
 def _build(target: Path, sources: tuple[Path, ...]) -> None:
-    """Compile ``sources`` into ``target`` through a temporary file in its directory."""
+    """Compile ``sources`` into ``target`` through a temporary file in its directory, with ``HEADER`` written
+    beside it for the build."""
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
+        Path(f"{tmp}.h").write_text(HEADER)
         _compile(_command(tmp, sources))
         os.replace(tmp, target)
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _check_layout(library: ctypes.CDLL) -> None:
-    """Raise ImportError at the first entry of a source's layout table that differs from its declaration."""
-    for table, items in _TABLES.items():
-        expected = [entry for item in items for entry in (item.entries() if isinstance(item, Layout) else [item])]
-        count = ctypes.c_int64.in_dll(library, table + "_count").value
-        for (what, value), got in zip(expected, (ctypes.c_int64 * count).in_dll(library, table)):
-            if got != value:
-                raise ImportError(f"{library._name}: {what} is {got} in C, {value} in Python")
-        if count != len(expected):
-            raise ImportError(f"{library._name}: {table} has {count} entries in C, {len(expected)} in Python")
+        for path in (tmp, f"{tmp}.h"):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
 
 
 library = _load_kernel()
-_check_layout(library)
 for _name, _argtypes in _SIGNATURES.items():
     getattr(library, _name).restype, getattr(library, _name).argtypes = ctypes.c_int64, _argtypes
 

@@ -65,10 +65,11 @@ def rle_to_frame(rle: str, grid_h: int, grid_w: int) -> np.ndarray:
     # One range check over the whole decoded arrays, not one per token.
     if values.max() > GOAL or counts.max() > cells:
         raise ValueError(_bad_rle_token(rle, cells))
-    flat = np.repeat(values.astype(np.uint8), counts)
-    if flat.size != cells:
-        raise ValueError(f"RLE decodes to {flat.size} cells, expected {cells}")
-    return flat.reshape(grid_h, grid_w)
+    # The size from the counts, before any decoding: a line of many full-grid runs costs its length only.
+    size = int(counts.sum())
+    if size != cells:
+        raise ValueError(f"RLE decodes to {size} cells, expected {cells}")
+    return np.repeat(values.astype(np.uint8), counts).reshape(grid_h, grid_w)
 
 
 def _bad_rle_token(rle: str, cells: int) -> str:

@@ -212,8 +212,9 @@ def test_replays_match_the_python_replay():
 
 def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
     """A bench batch through the kernel steps the world exactly as often as through the Python loop,
-    and leaves each timeline as long. The batch plays each episode through ``_steps``, which the
-    reference replaces: the Python loop's records, packed into the step table the kernel writes."""
+    and leaves the timeline as long after each task: a cell that simulates a frame past its episode
+    cannot hide behind a longer cell of its seed. The batch plays each episode through ``_steps``, which
+    the reference replaces: the Python loop's records, packed into the step table the kernel writes."""
     world_cfg = WorldConfig()
     cells = [(world_cfg.for_speed(speed), MCTSConfig(n_rollouts=20, rollout_length=k), spec)
              for spec in ("oracle", "frozen", "velocity", "noisy", "none") for speed in ("2x", "1x")
@@ -227,20 +228,19 @@ def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
         step(state)
 
     def run(steps) -> tuple:
-        timelines = []
+        lengths = []
 
-        class TrackedTimeline(Timeline):
-            def __init__(self, config, seed):
-                super().__init__(config, seed)
-                timelines.append(self)
+        def tracked_steps(timeline, *args):
+            played = steps(timeline, *args)
+            lengths.append((timeline.episode_seed, len(timeline.frames)))
+            return played
 
         counts.clear()
         with monkeypatch.context() as patch:
             patch.setattr(world, "world_step", counting_step)
-            patch.setattr(harness, "Timeline", TrackedTimeline)
-            patch.setattr(harness, "_steps", steps)
+            patch.setattr(harness, "_steps", tracked_steps)
             results = harness._bench_batch(world_cfg, cells, tasks)
-        return results, dict(counts), [(t.episode_seed, len(t.frames)) for t in timelines]
+        return results, dict(counts), lengths
 
     kinds = list(OUTCOMES.values())
 

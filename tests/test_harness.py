@@ -12,6 +12,7 @@ from lanenav.harness import (
     MAX_PARALLELISM,
     BenchCell,
     BenchRow,
+    BenchTable,
     StepRecord,
     _bench_row,
     run_benchmark,
@@ -230,8 +231,6 @@ class TestBenchmark:
     def test_csv_empty_steps_when_all_died(self):
         row = BenchRow(model="random", n_samples=1, speed="2x", k=1,
                        g=0, t=0, d=2, s_mean=None, s_std=None, episodes=2)
-        from lanenav.harness import BenchTable
-
         csv_line = BenchTable(rows=[row]).to_csv().strip().split("\n")[1]
         assert csv_line == "random,1,2x,1,0,0,2,,,2"
 
@@ -321,3 +320,12 @@ class TestBenchmark:
         table = run_benchmark(cells, WorldConfig(), SMALL_MCTS, n_episodes=n_episodes, parallelism=parallelism)
         assert asked == [workers]
         assert table.to_csv() == run_benchmark(cells, WorldConfig(), SMALL_MCTS, n_episodes=n_episodes).to_csv()
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_an_empty_grid_gives_the_empty_table_without_a_pool(self, monkeypatch, parallelism):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for no tasks")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        table = run_benchmark([], WorldConfig(), SMALL_MCTS, 3, parallelism=parallelism)
+        assert table.rows == [] and table.to_csv() == BenchTable.CSV_HEADER + "\n"

@@ -369,35 +369,56 @@ class TestLoader:
         assert str(caught.value).startswith("cannot build the C kernels: ")
         assert not (tmp_path / "cache").exists()
 
-    def test_shipped_sources_pass_the_layout_check(self, tmp_path):
-        kernel._check_layout(kernel._load_kernel(tmp_path))
+    def test_every_field_has_its_assertion_in_the_header(self):
+        layouts = [value for value in vars(kernel).values() if isinstance(value, kernel.Layout)]
+        assert {layout.name for layout in layouts} == {"Node", "Prior", "Search", "Frame", "Step", "Play", "World",
+                                                       "FrameRead"}
+        for layout in layouts:
+            assert f"}} {layout.name};\n" in kernel.HEADER
+            for field, offset in layout.offsets.items():
+                assert (f'_Static_assert(offsetof({layout.name}, {field}) == {offset}, "{layout.name}.{field}");'
+                        in kernel.HEADER)
+            assert f'_Static_assert(sizeof({layout.name}) == {layout.size}, "sizeof {layout.name}");' in kernel.HEADER
 
-    # A field added to C's Play before ``first``, and what the check says of it.
-    EXTRA_PLAY_FIELD = ("_search.c", "    int64_t first, stride;", "    int64_t extra;\n    int64_t first, stride;")
-    EXTRA_PLAY_FIELD_FOUND = "Play.first offset is 344 in C, 336 in Python"
-
-    @pytest.mark.parametrize("source, old, new, message", [
-        (*EXTRA_PLAY_FIELD, EXTRA_PLAY_FIELD_FOUND),
-        ("_search.c", "double goal_x, goal_y;", "float goal_x;\n    double goal_y;",
-         "Frame.goal_x size is 4 in C, 8 in Python"),
-        ("_world.c", "VALUE, N_LANE_COLUMNS }", "VALUE, SPARE, N_LANE_COLUMNS }",
-         "N_LANE_COLUMNS is 8 in C, 7 in Python"),
-        ("_world.c", "(int64_t)MAX_LEN1,", "(int64_t)MAX_LEN1, 0,",
-         "lanenav_world_layout has 44 entries in C, 43 in Python"),
-    ])
-    def test_a_mismatch_fails_the_layout_check(self, tmp_path, source, old, new, message):
-        library = kernel._load_kernel(tmp_path, self.edited_sources(tmp_path, source, old, new))
-        with pytest.raises(ImportError, match=re.escape(message)):
-            kernel._check_layout(library)
-
-    def test_a_mismatch_fails_the_import(self, tmp_path):
+    def test_a_layout_c_lays_out_differently_fails_the_import(self, tmp_path):
+        """A copy of the package whose ``Layout`` maps the node's int32 children to int64_t: C then lays out
+        Node's depth past where Python packs it, and the build, so the import, fails naming the field."""
         package = tmp_path / "lanenav"
         shutil.copytree(Path(kernel.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
-        self.edited_sources(package, *self.EXTRA_PLAY_FIELD)
+        declarations = package / "kernel.py"
+        text = declarations.read_text()
+        assert text.count('"i": "int32_t"') == 1
+        declarations.write_text(text.replace('"i": "int32_t"', '"i": "int64_t"'))
         done = subprocess.run([sys.executable, "-c", "import lanenav"], env={**os.environ, "PYTHONPATH": str(tmp_path)},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode != 0
-        assert "ImportError: " in done.stderr and self.EXTRA_PLAY_FIELD_FOUND in done.stderr
+        assert "ImportError: cannot build the C kernels" in done.stderr and '"Node.depth"' in done.stderr
+
+    def test_a_source_reading_an_undeclared_field_fails_the_build(self, tmp_path):
+        sources = self.edited_sources(tmp_path, "_search.c", "const int64_t k = search->k,",
+                                      "const int64_t k = search->k + search->spare,")
+        with pytest.raises(ImportError) as caught:
+            kernel._load_kernel(tmp_path / "cache", sources)
+        assert re.search(r"no member named \W*spare", str(caught.value))
+
+    def test_no_source_declares_what_the_header_defines(self):
+        defined = set(re.findall(r"^#define (\w+)", kernel.HEADER, re.MULTILINE))
+        assert defined >= {"N_ACTIONS", "MAX_DEPTH", "GOAL", "N_COLUMNS", "N_LANE_COLUMNS", "MAX_LEN1", "PLAY_ENDED"}
+        for source in kernel._SOURCES:
+            text = source.read_text()
+            assert "typedef struct" not in text, source.name
+            assert not defined & set(re.findall(r"^\s*#\s*define\s+(\w+)", text, re.MULTILINE)), source.name
+
+    def test_a_changed_header_builds_a_new_object(self, tmp_path, monkeypatch):
+        """No load-time check compares the object with the declarations, so the header keys the object: a
+        stale one never loads."""
+        compiles, compile_ = [], kernel._compile
+        monkeypatch.setattr(kernel, "_compile", lambda command: (compiles.append(command), compile_(command)))
+        first = Path(kernel._load_kernel(tmp_path)._name)
+        monkeypatch.setattr(kernel, "HEADER", kernel.HEADER + "/* changed */\n")
+        second = Path(kernel._load_kernel(tmp_path)._name)
+        assert len(compiles) == 2 and second != first
+        assert list(tmp_path.iterdir()) == [second]
 
 
 # What each ERR_* of the sources raised before their codes were made distinct.

@@ -52,6 +52,16 @@ class TestRLE:
         with pytest.raises(ValueError):
             rle_to_frame("0:5", 2, 2)
 
+    def test_size_checked_before_decoding(self, monkeypatch):
+        """A line of many full-grid runs is rejected from its counts: its cost follows its length, not the
+        cells its counts add up to."""
+        def no_repeat(*args, **kwargs):
+            raise AssertionError("decoded before the size check")
+
+        monkeypatch.setattr(np, "repeat", no_repeat)
+        with pytest.raises(ValueError, match="^RLE decodes to 2304000 cells, expected 2304$"):
+            rle_to_frame(",".join(["0:2304"] * 1000), 48, 48)
+
     @pytest.mark.parametrize("rle, token", [
         ("7:2304", "7:2304"),
         ("300:2304", "300:2304"),
