@@ -4,17 +4,21 @@
  * steps with them.
  *
  * kernel.py compiles this file into the package's kernel object, ahead of
- * it kernel.HEADER: the structs (Node, Prior, Search, Frame, Step, Play)
- * and constants (N_ACTIONS, MAX_DEPTH, GOAL, PLAY_ENDED, the outcome enum)
- * this file shares with Python, generated from kernel.py's declarations,
- * which document each field. mcts.py calls lanenav_search from run_search
- * and lanenav_select from select_by_temperature and plan_action, which
- * document them; harness.py calls lanenav_play, which plays a run of an
- * episode's steps: per step it takes the action (the planner's search and
- * pick, or a given action), moves the agent with the clamp of the
+ * it kernel.HEADER: the structs (Node, Prior, Search, Frame, Step, Play,
+ * Timeline) and constants (N_ACTIONS, MAX_DEPTH, GOAL, PLAY_ENDED,
+ * NEED_ROOM, the outcome enum) this file shares with Python, generated from
+ * kernel.py's declarations, which document each field. mcts.py calls
+ * lanenav_search from run_search and lanenav_select from
+ * select_by_temperature and plan_action, which document them; harness.py
+ * calls lanenav_play, which plays a run of an episode's steps on the
+ * episode's timeline: per step it takes the action (the planner's search
+ * and pick, or a given action), moves the agent with the clamp of the
  * planner's expansion and reads the outcome from the palette frame the
- * agent lands in. The kernel keeps the float arithmetic of the planner bit
- * for bit:
+ * agent lands in. It simulates the timeline's frames itself, through
+ * _world.c's lanenav_advance, when a window or a landing needs one not
+ * simulated yet, and returns to Python only for a new buffer of frames,
+ * for the frames of a model that predicts in Python, or at the episode's
+ * end. The kernel keeps the float arithmetic of the planner bit for bit:
  *
  * - every expression is evaluated in the order the Python planner wrote it,
  *   and the file is compiled without contraction into fused multiply-adds;
@@ -35,6 +39,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* _world.c's frame loop of a timeline, which lanenav_play runs. */
+int64_t lanenav_advance(Timeline *timeline, int64_t t);
 
 /* Kernel errors, distinct from _world.c's; kernel.ERRORS raises for each
  * the exception Python's arithmetic would. */
@@ -310,40 +317,55 @@ int64_t lanenav_select(const int64_t *visits, int64_t n, double temperature, dou
     return error ? error : index;
 }
 
-#define PLAY_STOPPED 0 /* a frame, draw or action the next step needs is not there yet */
-#define NOT_READ (-100) /* plan: a frame of the window is not read yet */
+#define PLAY_STOPPED 0 /* a draw, an action or the model's frames the next step needs are not there yet */
+#define NOT_READ (-100) /* plan: the model's frames are not those of this time */
+#define NO_ROOM (-101)  /* plan: a frame of the window has no room in the timeline yet */
 
 /* The planner's action at time t from (x, y): a search over the window of
  * frames, then the temperature pick from the root's visits on the time's
- * draw; NOT_READ where a frame of the window is not read yet, or an
- * ERR_*. */
+ * draw. The window is the model's frames, or with none the timeline's,
+ * simulated first up to the window's last; a frame that fails to simulate
+ * counts as a decision, as the model's predict raised there.
+ * Returns NOT_READ where the model's frames are not those of time t,
+ * NO_ROOM, or an ERR_*. */
 static int64_t plan(Play *play, Frame *window, int64_t t, double x, double y)
 {
     Search search = play->search;
+    const Frame *frames = play->frames;
     int64_t d, count;
-    for (d = 0; d < search.k; d++) {
-        const int64_t i = t - play->origin + play->first + play->stride * d;
-        if (i < 0 || i >= play->n_frames || play->frames[i].occ == NULL)
-            return NOT_READ;
-        window[d] = play->frames[i];
+    if (frames == NULL) {
+        Timeline *const timeline = play->timeline;
+        if ((count = lanenav_advance(timeline, t + play->first + play->stride * (search.k - 1))) <= 0) {
+            play->decisions += count < 0;
+            return count < 0 ? count : NO_ROOM;
+        }
+        for (d = 0; d < search.k; d++)
+            window[d] = timeline->records[t + play->first + play->stride * d];
+        frames = window;
+    } else if (t != play->origin) {
+        return NOT_READ;
     }
     search.x0 = x;
     search.y0 = y;
-    play->searches++;
-    if ((count = lanenav_search(&search, window)) < 0)
+    play->decisions++;
+    if ((count = lanenav_search(&search, frames)) < 0)
         return count;
     return lanenav_select(search.nodes[0].n, N_ACTIONS, play->temperature, play->uniforms[t]);
 }
 
 /* Play steps from time play->t until one ends the episode (PLAY_ENDED),
- * a frame, draw or action the next step needs is not there (PLAY_STOPPED),
- * or an ERR_* of the search or pick. Per step: the action is the given
- * one, or the planner's on the frames of its window; the agent moves by
- * it, clamped to the grid as the search's expansion clamps; its outcome is
- * read from the pixel it lands on in the palette frame of time t + 1: the
- * goal, an obstacle, then the step limit. An action taken while frame
- * t + 1 is not there yet is kept in pending for the next call, so a step's
- * frames are asked for in the order the Python loop asked for them. */
+ * a draw, an action or the model's frames the next step needs are not
+ * there (PLAY_STOPPED), a frame has no room in the timeline (NEED_ROOM), or
+ * an ERR_* of the frame loop, the search or the pick. Per step: the action
+ * is the given one, or the planner's on the frames of its window; the agent
+ * moves by it, clamped to the grid as the search's expansion clamps; its
+ * outcome is read from the pixel it lands on in the palette frame of time
+ * t + 1, which the timeline simulates where it is not there yet: the goal,
+ * an obstacle, then the step limit. While frame t + 1 is simulated the
+ * action is kept in pending, so a call that returns there resumes with it,
+ * and an ERR_* with pending set is the landing frame's. A step's frames are
+ * simulated in the order the Python loop asked for them: the decision's
+ * window, then the frame it lands in. */
 int64_t lanenav_play(Play *play)
 {
     Frame window[MAX_DEPTH];
@@ -355,7 +377,7 @@ int64_t lanenav_play(Play *play)
     if (play->actions == NULL && (play->search.k < 1 || play->search.k > MAX_DEPTH))
         return ERR_DEPTH;
     for (;;) {
-        int64_t action = play->pending, kind;
+        int64_t action = play->pending, kind, code;
         uint8_t cell;
         if (action < 0) {
             if (t >= play->n_given)
@@ -363,14 +385,13 @@ int64_t lanenav_play(Play *play)
             if (play->actions != NULL)
                 action = play->actions[t];
             else if ((action = plan(play, window, t, x, y)) < 0)
-                return action == NOT_READ ? PLAY_STOPPED : action;
+                return action == NOT_READ ? PLAY_STOPPED : action == NO_ROOM ? NEED_ROOM : action;
         }
         if (action < 0 || action >= N_ACTIONS)
             return ERR_ACTION;
-        if (t + 1 >= play->n_times) {
-            play->pending = action;
-            return PLAY_STOPPED;
-        }
+        play->pending = action;
+        if ((code = lanenav_advance(play->timeline, t + 1)) <= 0)
+            return code < 0 ? code : NEED_ROOM;
         play->pending = -1;
         x += play->search.moves[2 * action];
         y += play->search.moves[2 * action + 1];
@@ -384,7 +405,7 @@ int64_t lanenav_play(Play *play)
             y = max_y;
         if (isnan(x) || isnan(y))
             return ERR_NAN_POS;
-        cell = play->palettes[t + 1][(int64_t)floor(y + 0.5) * width + (int64_t)floor(x + 0.5)];
+        cell = play->timeline->palettes[t + 1][(int64_t)floor(y + 0.5) * width + (int64_t)floor(x + 0.5)];
         t++;
         kind = cell == GOAL ? GOAL_REACHED : cell ? DIED : t >= play->max_steps ? TIMED_OUT : RUNNING;
         play->steps[t - 1] = (Step){x, y, action, kind};

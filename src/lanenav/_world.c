@@ -1,20 +1,25 @@
-/* lanenav's world in C: one step of the obstacle table with its random
- * draws, the rasterizer and the reader of palette frames.
+/* lanenav's world in C: one step of the world, the obstacle table with its
+ * random draws and then the goal's motion, the rasterizer, the reader of
+ * palette frames, and the frame loop of a timeline, which steps, paints and
+ * reads each new frame of an episode's world.
  *
  * kernel.py compiles this file with _search.c into one object, linked with
  * the installed numpy's libnpyrandom.a, ahead of it kernel.HEADER: the
- * structs (World, Frame, FrameRead) and constants (GOAL, N_COLUMNS,
- * N_LANE_COLUMNS, MAX_LEN1) this file shares with Python, generated from
- * kernel.py's declarations, which document each field. world.py packs the
- * inputs and documents the rules. A step draws through numpy's own
- * generators: it reads each as the bitgen_t of rng.bit_generator, takes the
- * per-lane Poisson counts from numpy's random_poisson and the uniforms from
- * next_double, so the draws and the generators' states equal those of
- * Generator.poisson and Generator.random. The kernels keep the float
- * arithmetic of the world bit for bit:
+ * structs (World, Timeline, Frame, FrameRead) and constants (GOAL,
+ * N_COLUMNS, N_LANE_COLUMNS, MAX_LEN1) this file shares with Python,
+ * generated from kernel.py's declarations, which document each field.
+ * world.py packs the inputs and documents the rules; world_step and
+ * Timeline both step through lanenav_world_step, so the goal's motion is
+ * written once, here. A step draws through numpy's own generators: it reads
+ * each as the bitgen_t of rng.bit_generator, takes the per-lane Poisson
+ * counts from numpy's random_poisson and the uniforms from next_double, so
+ * the draws and the generators' states equal those of Generator.poisson and
+ * Generator.random. The kernels keep the float arithmetic of the world bit
+ * for bit:
  *
  * - round_px is floor(x + 0.5), or ceil(x - 0.5) below zero, in double;
  * - body cell i sits at round_px(head - (double)i);
+ * - the goal reflects as world.reflect_axis does, one mirror per bounce;
  * - every expression is evaluated in source order, and the file is
  *   compiled without contraction into fused multiply-adds.
  *
@@ -47,6 +52,7 @@ _Static_assert(LANE + 1 == N_COLUMNS && VALUE + 1 == N_LANE_COLUMNS, "table colu
 #define ERR_MEMORY (-12)
 #define ERR_GOAL_NAN (-13)  /* a goal position that is NaN */
 #define ERR_GOAL_INF (-14)  /* a goal position that is infinite */
+#define ERR_LAM (-15)       /* a Poisson mean past numpy's POISSON_LAM_MAX, or NaN */
 
 static double next_double(bitgen_t *bitgen) { return bitgen->next_double(bitgen->state); }
 
@@ -102,16 +108,49 @@ static int64_t fail(bitgen_t *classes, int64_t unused, int64_t *scratch, int64_t
     return code;
 }
 
-/* One step of the obstacle table, in place: draw, move every body, keep
- * those with a cell still on the grid, then spawn. First come all the draws
- * of the step: one Poisson count of candidates per lane from spawn, then two
- * uniforms per candidate from classes in draw order (length, then speed
- * magnitude), taken as the spawns read them; world->n_drawn is set to the
- * candidate count. The kept rows move up in order, then the accepted spawns
- * follow in lane order, then draw order; a lane accepts at most one spawn a
- * step, so a buffer of n_rows + n_lanes rows always suffices. Returns the
- * new row count, or a negative ERR_*, which leaves the table undefined. With
- * no table (NULL) it only draws and returns 0. */
+/* world.reflect_axis(pos + vel, vel, 0.0, hi) in place: the overshoot
+ * mirrored and the velocity's sign flipped per bounce, so its magnitude is
+ * kept exactly; on an axis with no room (hi <= 0) the position is 0 and the
+ * velocity flips. */
+static void reflect_axis(double *pos, double *vel, double hi)
+{
+    const double lo = 0.0;
+    double p = *pos + *vel, v = *vel;
+    if (hi <= lo) {
+        *pos = lo;
+        *vel = -v;
+        return;
+    }
+    for (;;) {
+        if (p < lo) {
+            p = 2.0 * lo - p;
+            v = -v;
+        } else if (p > hi) {
+            p = 2.0 * hi - p;
+            v = -v;
+        } else {
+            break;
+        }
+    }
+    *pos = p;
+    *vel = v;
+}
+
+/* One step of the world, in place: draw, move every body, keep those with
+ * a cell still on the grid, spawn, then move the goal. First come all the
+ * draws of the step: one Poisson count of candidates per lane from spawn,
+ * then two uniforms per candidate from classes in draw order (length, then
+ * speed magnitude), taken as the spawns read them; world->n_drawn is set to
+ * the candidate count. The kept rows move up in order, then the accepted
+ * spawns follow in lane order, then draw order; a lane accepts at most one
+ * spawn a step, so a buffer of n_rows + n_lanes rows always suffices. Last
+ * the goal moves by its velocity and reflects off the walls of [0, width -
+ * goal_size] x [0, height - goal_size]. Returns the new row count, or a
+ * negative ERR_*, which leaves the table undefined and the goal where it
+ * was; a Poisson mean past numpy's POISSON_LAM_MAX, int64's largest minus
+ * ten times its square root, returns ERR_LAM before any draw, as
+ * Generator.poisson raises. With no table (NULL) it only draws and returns
+ * 0. */
 int64_t lanenav_world_step(World *world, const double *lanes, double *table)
 {
     const int64_t width = world->width, n_lanes = world->n_lanes;
@@ -119,6 +158,8 @@ int64_t lanenav_world_step(World *world, const double *lanes, double *table)
      * the count drawn. */
     int64_t *reach, *mirror, *counts, lane, r, count = 0, unused = 0;
 
+    if (!(world->lam <= (double)INT64_MAX - sqrt((double)INT64_MAX) * 10.0))
+        return ERR_LAM;
     reach = malloc((size_t)(n_lanes > 0 ? 3 * n_lanes : 1) * sizeof *reach);
     if (reach == NULL)
         return ERR_MEMORY;
@@ -192,6 +233,8 @@ int64_t lanenav_world_step(World *world, const double *lanes, double *table)
         }
     }
     free(reach);
+    reflect_axis(&world->goal_x, &world->goal_vx, (double)(width - world->goal_size));
+    reflect_axis(&world->goal_y, &world->goal_vy, (double)(world->height - world->goal_size));
     return count;
 }
 
@@ -306,4 +349,39 @@ int64_t lanenav_rasterize(const World *world, const double *lanes, const double 
     record->goal_x = count ? (double)read->sum_x / (double)count : NAN;
     record->goal_y = count ? (double)read->sum_y / (double)count : NAN;
     return count;
+}
+
+/* Simulate a timeline's frames until frame t is there. Per new frame n: the
+ * world's step (none for frame 0), then the frame pass into the cells of
+ * frame n, zeroed first, and the frame's palette address and record. Returns
+ * the frame count once frame t is there, 0 where the next frame or its step
+ * has no room yet (no cells left, or fewer than n_lanes free table rows), or
+ * a negative ERR_*, which leaves the frame count where it was; a step taken
+ * before a frame pass that fails stays taken, as world_step's did before a
+ * raising render_frame. */
+int64_t lanenav_advance(Timeline *timeline, int64_t t)
+{
+    World *const world = &timeline->world;
+    const size_t size = (size_t)(world->height * world->width);
+    int64_t n, code;
+    while ((n = timeline->n_frames) <= t) {
+        uint8_t *const cells = timeline->cells;
+        if (n >= timeline->room || (n > 0 && world->n_rows + world->n_lanes > world->capacity))
+            return 0;
+        if (n > 0) {
+            if ((code = lanenav_world_step(world, timeline->lanes, timeline->table)) < 0)
+                return code;
+            world->n_rows = code;
+            timeline->spawn_draws += world->n_drawn;
+        }
+        memset(cells, 0, size);
+        code = lanenav_rasterize(world, timeline->lanes, timeline->table, cells,
+                                 (FrameRead *)(cells + timeline->read_at), &timeline->records[n]);
+        if (code < 0)
+            return code;
+        timeline->palettes[n] = cells;
+        timeline->cells = cells + timeline->stride;
+        timeline->n_frames = n + 1;
+    }
+    return n;
 }

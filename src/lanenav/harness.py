@@ -6,28 +6,23 @@ logged actions. The world of an episode is a ``Timeline``: its frames are
 the agent's observations, and goal and death are read from them.
 
 The one episode loop is ``lanenav_play`` in ``_search.c``, driven by
-``_episode``. Each kernel call plays steps until one ends the episode, or
-until a frame, a draw or an action the next step needs is not there yet;
-``_episode`` then supplies it and calls again. The planner's steps are
-``lanenav_search`` on the predicted frames, then ``lanenav_select`` on the
-root's visits, the steps of ``mcts.plan_action``. A model that declares a
-window of the timeline (oracle, frozen; ``ForwardModel.window``) is read
-from the timeline's frame records, as many decisions per call as its
-simulated frames cover; any other model predicts in Python and plays one
+``_episode``. It simulates the timeline's frames itself, with the frame loop
+``lanenav_advance``, where a decision's window or the frame a step lands in
+is not simulated yet. A call plays steps until one ends the episode, until
+the timeline needs its next buffer of frames, or until a draw, an action or
+a Python model's frames the next step needs are not there; ``_episode``
+supplies it and calls again. So the random agent and a model with a window
+of the timeline (oracle, frozen; ``ForwardModel.window``) play an episode in
+one call plus one per buffer; any other model predicts in Python, one
 decision per call. The loop simulates the frames the Python loop it
-replaced simulated, in the same order, and no others: the window of a
-decision, then the frame its action lands in, each when the step needs it.
-The searches of one episode share its prior table (see ``mcts``), and the
-loop returns the kernel's step table: ``run_episode`` and ``verify_replay``
-turn it into records, ``run_benchmark`` reads only its last step.
+replaced did, in the same order, and no others. An episode's searches share
+its prior table (see ``mcts``); the loop returns the kernel's step table.
 
-The random draws are taken up front, one episode's worth: the planner's
-``max_steps`` uniforms, ``rng.random(max_steps)``, and the random agent's
-actions, ``rng.integers(8, size=max_steps)``. On numpy's PCG64 these are
-the doubles and integers that as many scalar ``rng.random()`` and
-``rng.integers(8)`` calls give, one per step, and the draws past the
-episode's end are never read: the planner's and the agent's generators
-belong to one episode and nothing else reads them.
+The random draws are taken up front by ``_draws``: the planner's uniforms,
+``rng.random(n)``, or the random agent's actions, ``rng.integers(8,
+size=n)``. On numpy's PCG64 these are what as many scalar calls give, and n
+draws are a prefix of more, so a bench batch draws once per seed for its
+longest cell. Draws past an episode's end are never read.
 
 The benchmark evaluates every grid cell on the same derived episode seeds,
 so all cells see identical environment realizations; the cells that share a
@@ -43,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .kernel import FRAME, OUTCOMES, PLAY, PLAY_ENDED, STEP, check, library, zeroed
+from .kernel import FRAME, NEED_ROOM, OUTCOMES, PLAY, PLAY_ENDED, STEP, check, library, zeroed
 from .mcts import MCTSConfig, _pack_frames, _search_fields, _search_tables
 from .models import ForwardModel, Observation, build_model, model_label, model_rng
 from .seeding import STREAM_AGENT, STREAM_PLAN, episode_seed, substream
@@ -156,14 +151,15 @@ def _play(
     keep_frames: bool = False,
 ) -> EpisodeRecord:
     """``run_episode`` on a given timeline of ``world_cfg``'s world: the
-    episode of ``_steps``, with its steps turned into records."""
+    episode of ``_episode`` on the seed's draws, turned into records."""
     ep_seed = timeline.episode_seed
     if isinstance(model_spec, ForwardModel):
         model = model_spec
         model_spec = model.name
     else:
         model = build_model(model_spec, rng=model_rng(model_spec, ep_seed))
-    steps, exception = _steps(timeline, world_cfg, mcts_cfg, model)
+    steps, exception = _episode(timeline, world_cfg, mcts_cfg, model, _draws(ep_seed, model is None,
+                                                                              world_cfg.max_steps))
     trace = _trace(steps)
     outcome = _outcome(steps)
     return EpisodeRecord(
@@ -176,21 +172,16 @@ def _play(
         world_config=world_cfg,
         mcts_config=mcts_cfg,
         error=None if exception is None else _error_text(exception),
-        frames=timeline.frames[:len(trace) + 1] if keep_frames else None,
+        frames=[timeline.frame(t) for t in range(len(trace) + 1)] if keep_frames else None,
         exception=exception,
     )
 
 
-def _steps(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, model: ForwardModel | None
-           ) -> tuple[memoryview, Exception | None]:
-    """The episode on ``timeline`` of the planner with ``model``, or of the random agent for None, on the
-    draws of the timeline's seed: ``_episode``'s step table and exception."""
-    ep_seed, max_steps = timeline.episode_seed, world_cfg.max_steps
-    if model is None:
-        actions = substream(ep_seed, STREAM_AGENT).integers(N_ACTIONS, size=max_steps)
-        return _episode(timeline, world_cfg, mcts_cfg, actions=actions)
-    draws = substream(ep_seed, STREAM_PLAN).random(max_steps)
-    return _episode(timeline, world_cfg, mcts_cfg, model=model, draws=draws)
+def _draws(seed: int, random_agent: bool, n: int) -> np.ndarray:
+    """The first n draws of an episode of ``seed``: the random agent's actions, or the planner's uniforms."""
+    if random_agent:
+        return substream(seed, STREAM_AGENT).integers(N_ACTIONS, size=n)
+    return substream(seed, STREAM_PLAN).random(n)
 
 
 def _error_text(exception: Exception) -> str:
@@ -199,8 +190,8 @@ def _error_text(exception: Exception) -> str:
 
 _kernel = library.lanenav_play
 # The parts of the kernel's ``Play`` that change between calls: what the harness updates, what the kernel writes.
-_INPUTS = PLAY.part("frames", "n_times")
-_STATE = PLAY.part("t", "searches")
+_ORIGIN = PLAY.part("origin", "origin")
+_STATE = PLAY.part("t", "decisions")
 # (kind, reward) of each outcome kind a ``Step`` records.
 _OUTCOMES = tuple((kind, {GOAL_REACHED: GOAL_REWARD, DIED: DEATH_REWARD}.get(kind, 0.0)) for kind in OUTCOMES.values())
 # Slots of an episode's prior table, 22 KB, which serves every decision of the episode. Over plan_grid's cells
@@ -222,19 +213,21 @@ def _outcome(steps: memoryview) -> Outcome:
     return Outcome(kind, reward, len(steps) // STEP.size)
 
 
-def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, model: ForwardModel | None = None,
-             draws: np.ndarray | None = None, actions: np.ndarray | None = None,
-             ) -> tuple[memoryview, Exception | None]:
+def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, model: ForwardModel | None,
+             given: np.ndarray) -> tuple[memoryview, Exception | None]:
     """The one episode loop: (its step table, the exception that ended it or None).
 
-    The planner picks with ``model`` and ``mcts_cfg`` on the ``draws``, one
-    uniform per step; else the ``actions`` are taken in turn, and the loop
-    also ends where they run out. Each step moves the agent, clamped to the
-    grid, and reads its outcome from the pixel it lands on in frame t + 1:
-    the goal (palette 6), an obstacle (1..5), then the step limit. The loop
-    ends at a terminal outcome, or where the model, the search or the pick
-    raises. ``world_cfg`` supplies the agent's speed and step limit, which
-    the timeline never reads; its grid and goal size are the timeline's.
+    The planner picks with ``model`` and ``mcts_cfg`` on the ``given``
+    uniforms, one per step; with no model the ``given`` actions are taken in
+    turn, and the loop also ends where they run out. Each step moves the
+    agent, clamped to the grid, and reads its outcome from the pixel it
+    lands on in frame t + 1: the goal (palette 6), an obstacle (1..5), then
+    the step limit. The loop ends at a terminal outcome, or where the model,
+    the search or the pick raises, or a frame of a decision's window fails to
+    simulate, counted as the model's call; a frame a step lands in that fails
+    to simulate raises. ``world_cfg`` supplies the agent's speed and step
+    limit, which the timeline never reads; its grid and goal size are the
+    timeline's.
 
     The step table holds the kernel's ``Step`` of each step taken, in order.
     The planner's searches share one prior table of ``PRIOR_SLOTS`` slots,
@@ -246,65 +239,53 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
         raise ValueError("an episode's world_cfg must have its timeline's grid and goal size")
     max_steps, k = world_cfg.max_steps, mcts_cfg.rollout_length
     # No step reads past max_steps, so the buffer below has one size per max_steps.
-    given = (np.asarray(actions, np.int64) if model is None else np.asarray(draws, np.float64))[:max_steps].tobytes()
+    given = np.asarray(given, np.int64 if model is None else np.float64)[:max_steps].tobytes()
     window = None if model is None else model.window
     first, stride = window or (0, 1)
     # The planner's node table and prior table, one buffer: (buffer, their addresses, the prior table's slots).
     tables = _search_tables(mcts_cfg, PRIOR_SLOTS) if model is not None else (None, 0, 0, 0)
     records = zeroed(k * FRAME.size) if model is not None and window is None else None
     # One buffer holds the kernel's Play, then the draws or actions, then the steps.
-    inputs_at, state_at, given_at = PLAY.offsets["frames"], PLAY.offsets["t"], PLAY.size
+    origin_at, state_at, given_at = PLAY.offsets["origin"], PLAY.offsets["t"], PLAY.size
     steps_at = given_at + 8 * max_steps
     play = zeroed(steps_at + max_steps * STEP.size)
     address = ctypes.addressof(play)
     ctypes.memmove(address + given_at, given, len(given))
     n_given = len(given) // 8
-    t, pending, searches, origin, keep, exception = 0, -1, 0, 0, None, None
+    t, pending, decisions, keep, exception = 0, -1, 0, None, None
     PLAY.struct.pack_into(play, 0, *_search_fields(mcts_cfg, *tables[1:], timeline.start, world_cfg.agent_speed,
                                                    shape, cfg.goal_size),
-                          0, 0, 0, 0, 0, 0 if model is None else address + given_at,
-                          address + given_at if model is None else 0, address + steps_at, n_given, first, stride,
-                          max_steps, mcts_cfg.temperature, t, pending, searches)
+                          timeline._address, 0 if records is None else ctypes.addressof(records), -1,
+                          0 if model is None else address + given_at, address + given_at if model is None else 0,
+                          address + steps_at, n_given, first, stride, max_steps, mcts_cfg.temperature, t, pending,
+                          decisions)
     while True:
-        asked = 0
-        if pending >= 0:
-            timeline.frame(t + 1)  # where the action taken at t lands
-        elif t >= n_given:
-            break
-        elif model is not None:
+        if records is not None and pending < 0 and t < n_given:
             try:
-                if window is None:
-                    # keep holds the occupancies the records point to while the kernel reads them.
-                    packed, keep = _pack_frames(model.predict(Observation.at(timeline, t), k), k, shape)
-                    ctypes.memmove(records, packed, len(packed))
-                    origin = t
-                else:
-                    asked = 1  # the model is asked for decision t, and its search below is not counted again
-                    model.calls += 1
-                    timeline.frame(t + first + stride * (k - 1))  # each frame is simulated with its record
+                # keep holds the occupancies the records point to while the kernel reads them.
+                packed, keep = _pack_frames(model.predict(Observation.at(timeline, t), k), k, shape)
             except Exception as exc:  # diagnostic record instead of a crash
                 exception = exc
                 break
-        n_times = len(timeline.frames)
-        if records is None:
-            _INPUTS.pack_into(play, inputs_at, timeline.records.buffer_info()[0], timeline.palettes.buffer_info()[0],
-                              0, n_times, n_times)
-        else:
-            _INPUTS.pack_into(play, inputs_at, ctypes.addressof(records), timeline.palettes.buffer_info()[0],
-                              origin, k, n_times)
-        status = _kernel(play)
-        done = searches
-        t, pending, searches = _STATE.unpack_from(play, state_at)
-        if window is not None:
-            model.calls += searches - done - asked
-        if status < 0:
-            try:
-                check(status)
-            except Exception as exc:
-                exception = exc
+            ctypes.memmove(records, packed, len(packed))
+            _ORIGIN.pack_into(play, origin_at, t)
+        status = timeline._call(_kernel, play)
+        t, pending, decisions = _STATE.unpack_from(play, state_at)
+        try:
+            if status == NEED_ROOM:
+                timeline._grow()
+                continue
+            check(status)
+        except Exception as exc:
+            if pending >= 0:  # the frame a step lands in: out of the episode, as a raising world step was
+                raise
+            decisions += status == NEED_ROOM  # one whose window had no room: the model's predict raised there
+            exception = exc
             break
-        if status == PLAY_ENDED:
+        if status == PLAY_ENDED or t >= n_given:
             break
+    if window is not None:  # the kernel read the model's frames from the timeline: a call per decision
+        model.calls += decisions
     return memoryview(play)[steps_at:steps_at + t * STEP.size], exception
 
 
@@ -330,8 +311,7 @@ def verify_replay(record: EpisodeRecord) -> bool:
             break
         actions.append(action)
     cfg = record.world_config
-    steps, _ = _episode(Timeline(cfg, record.episode_seed), cfg, record.mcts_config,
-                        actions=np.array(actions, dtype=np.int64))
+    steps, _ = _episode(Timeline(cfg, record.episode_seed), cfg, record.mcts_config, None, np.array(actions))
     trace, outcome = _trace(steps), _outcome(steps)
     if len(trace) == len(actions) < len(record.trace) and not outcome.is_terminal:
         action_to_velocity(record.trace[len(actions)].action, cfg.agent_speed)
@@ -359,16 +339,22 @@ def _bench_batch(world_cfg: WorldConfig, cells: list[tuple[WorldConfig, MCTSConf
     the episode's outcome kind and length, read from the last step of its step table, so no records are built.
 
     Every cell's world is ``world_cfg``'s, so consecutive tasks on the same
-    seed share one timeline, and only one timeline is alive at a time.
+    seed share one timeline and one draw of each kind, made for the batch's
+    longest cell, and only one timeline is alive at a time.
     """
     results = []
     timeline = None
+    longest = max((cell_world.max_steps for cell_world, _, _ in cells), default=0)
     for ci, ei, seed in tasks:
         if timeline is None or timeline.episode_seed != seed:
             timeline = None  # release the previous world before simulating the next
             timeline = Timeline(world_cfg, seed)
+            draws = {}  # per kind of agent, the seed's draws for the longest cell; each cell reads its prefix
         cell_world, cell_mcts, spec = cells[ci]
-        steps, exception = _steps(timeline, cell_world, cell_mcts, build_model(spec, rng=model_rng(spec, seed)))
+        model = build_model(spec, rng=model_rng(spec, seed))
+        if (random_agent := model is None) not in draws:
+            draws[random_agent] = _draws(seed, random_agent, longest)
+        steps, exception = _episode(timeline, cell_world, cell_mcts, model, draws[random_agent])
         if exception is not None:
             raise RuntimeError(f"episode {seed} failed: {_error_text(exception)}") from exception
         outcome = _outcome(steps)

@@ -1,13 +1,13 @@
 """The package's C kernels, built into one shared object, and the one declaration of their interface.
 
 ``_search.c`` holds the planner's search and pick and the episode loop, ``_world.c`` the world's step,
-rasterizer and frame reader. On first import this module compiles both with the system C compiler into
-one object, against numpy's headers and linked with the installed numpy's ``libnpyrandom.a``, whose
-samplers the world's step draws with. The object is cached under ``__pycache__``, keyed by a hash of both
-sources, ``HEADER``, the compiler command, the interpreter tag, the numpy version and the archive's bytes;
-later imports load it, and a build removes the objects of earlier builds for the same interpreter and
-numpy. A missing archive raises ImportError, as a failed build does. ``library`` is the object, and
-``zeroed`` makes the kernels' buffers.
+rasterizer, frame reader and a timeline's frame loop. On first import this module compiles both with the
+system C compiler into one object, against numpy's headers and linked with the installed numpy's
+``libnpyrandom.a``, whose samplers the world's step draws with. The object is cached under ``__pycache__``,
+keyed by a hash of both sources, ``HEADER``, the compiler command, the interpreter tag, the numpy version
+and the archive's bytes; later imports load it, and a build removes the objects of earlier builds for the
+same interpreter and numpy. A missing archive raises ImportError, as a failed build does. ``library`` is
+the object, and ``zeroed`` makes the kernels' buffers.
 
 No other module and neither source declares the interface: here are the structs the two sides share
 (``Layout``), the constants both use, the kernels' errors (``ERRORS``, raised by ``check``) and their
@@ -47,6 +47,7 @@ N_COLUMNS = 4  # of the obstacle table, one row of doubles per body
 N_LANE_COLUMNS = 7  # of the lane table, one row of doubles per lane
 MAX_LEN1 = 2147483647  # the largest body length - 1 the world kernels index with; its cells are exact in doubles
 PLAY_ENDED = 1  # lanenav_play's return when the last step met a terminal outcome
+NEED_ROOM = 2  # lanenav_play's return when the next frame of its timeline has no room yet
 # A step's outcome kind by its C name: lanenav_play writes a Step's kind as its index here.
 OUTCOMES = {"RUNNING": "running", "GOAL_REACHED": "goal", "DIED": "died", "TIMED_OUT": "timeout"}
 
@@ -123,13 +124,23 @@ SEARCH = Layout("Search", nodes=("P", "Node *"), priors=("P", "Prior *"), hypot=
 FRAME = Layout("Frame", occ=("P", "const uint8_t *"), goal_x="d", goal_y="d")
 # One step of an episode: the agent's position after it, its action and the outcome kind it met.
 STEP = Layout("Step", x="d", y="d", action="q", kind="q")
+# One world as the world's kernels read it: the grid, the lanes, the goal's size (0: no goal painted), the
+# step's two generators and Poisson mean; then what changes between calls: the rows the table's buffer holds,
+# the table's rows, the goal's position and velocity; last what a step writes, the candidates it drew.
+WORLD = Layout("World", height="q", width="q", n_lanes="q", goal_size="q", spawn=("P", "bitgen_t *"),
+               classes=("P", "bitgen_t *"), lam="d", capacity="q", n_rows="q", goal_x="d", goal_y="d",
+               goal_vx="d", goal_vy="d", n_drawn="q")
+# A timeline's world as lanenav_advance simulates it (world.Timeline): the world, its lane and obstacle tables;
+# the palette frame and record of each time t < n_frames, the cells of frame n_frames, each later frame stride
+# bytes on with its FrameRead read_at bytes in, up to frame room; the raw Poisson total of its steps.
+TIMELINE = Layout("Timeline", world=WORLD, lanes=("P", "const double *"), table=("P", "double *"),
+                  palettes=("P", "const uint8_t **"), records=("P", "Frame *"), cells=("P", "uint8_t *"), read_at="q",
+                  stride="q", n_frames="q", room="q", spawn_draws="q")
 # A run of an episode's steps, packed by harness.py: the planner's search settings, whose (x0, y0) is the
-# agent's start; what the harness updates before each call; what stays for the episode; what the kernel
-# writes back.
-PLAY = Layout("Play", search=SEARCH,
-              frames=("P", "const Frame *"),  # frames[i]: the frame of time origin + i; a NULL occ: not read yet
-              palettes=("P", "const uint8_t *const *"),  # palettes[t]: the palette frame of time t, t < n_times
-              origin="q", n_frames="q", n_times="q",
+# agent's start; the timeline it advances; what the harness updates; what stays; what the kernel writes back.
+PLAY = Layout("Play", search=SEARCH, timeline=("P", "Timeline *"),
+              frames=("P", "const Frame *"),  # the model's k frames of decision time origin; NULL: the timeline's
+              origin="q",
               uniforms=("P", "const double *"),  # the planner's uniform draw for its pick at time t, t < n_given
               actions=("P", "const int64_t *"),  # the action taken at time t, t < n_given; NULL: the planner picks
               steps=("P", "Step *"),  # room for max_steps: the step from time t at steps[t]
@@ -138,12 +149,7 @@ PLAY = Layout("Play", search=SEARCH,
               max_steps="q", temperature="d",
               t="q",  # the time of the next step
               pending="q",  # the action of time t taken before its frame t + 1 was simulated, -1 for none
-              searches="q")  # the searches run so far
-# One world as the world's kernels read it: the grid, the lanes, the goal's size (0: no goal painted), the
-# step's two generators and Poisson mean; then what changes between calls: the rows the table's buffer holds,
-# the table's rows, the goal's position; last what a step writes, the candidates it drew.
-WORLD = Layout("World", height="q", width="q", n_lanes="q", goal_size="q", spawn=("P", "bitgen_t *"),
-               classes=("P", "bitgen_t *"), lam="d", capacity="q", n_rows="q", goal_x="d", goal_y="d", n_drawn="q")
+              decisions="q")  # the planner's decisions so far: its searches, and one whose frames failed
 # What lanenav_read_frame writes: the column and row sums of the goal cells, then the obstacle mask, 1 on cells
 # of values 1..GOAL - 1.
 FRAME_READ = Layout("FrameRead", sum_x="q", sum_y="q", mask="0B")
@@ -154,14 +160,14 @@ HEADER = "\n".join([
     "/* Generated by lanenav/kernel.py from its declarations. */",
     "#include <stddef.h>", "#include <stdint.h>", '#include "numpy/random/bitgen.h"',
     *(f"#define {name} {globals()[name]}"
-      for name in ("N_ACTIONS", "MAX_DEPTH", "GOAL", "N_COLUMNS", "N_LANE_COLUMNS", "MAX_LEN1", "PLAY_ENDED")),
+      for name in "N_ACTIONS MAX_DEPTH GOAL N_COLUMNS N_LANE_COLUMNS MAX_LEN1 PLAY_ENDED NEED_ROOM".split()),
     f"enum {{ {', '.join(OUTCOMES)} }};",
     "typedef double (*hypot_fn)(double, double);",
-    *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, PLAY, WORLD, FRAME_READ)),
+    *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, WORLD, TIMELINE, PLAY, FRAME_READ)),
 ]) + "\n"
 
 # What a negative kernel return raises: the ERR_* of _search.c (-1..-7), the errors Python's own arithmetic
-# raised there, then those of _world.c (-8..-14).
+# raised there, then those of _world.c (-8..-15).
 ERRORS = {
     -1: (OverflowError, "math range error"),
     -2: (ZeroDivisionError, "float division by zero"),
@@ -177,6 +183,7 @@ ERRORS = {
     -12: (MemoryError, "world step"),
     -13: (ValueError, "cannot convert float NaN to integer"),
     -14: (OverflowError, "cannot convert float infinity to integer"),
+    -15: (ValueError, "lam value too large"),
 }
 
 # Each kernel function's arguments, a struct or buffer given as bytes or a ctypes buffer, or for the world's
@@ -187,6 +194,7 @@ _SIGNATURES = {
     "lanenav_play": (ctypes.c_char_p,),
     "lanenav_world_step": (ctypes.c_void_p,) * 3,
     "lanenav_rasterize": (ctypes.c_void_p,) * 6,
+    "lanenav_advance": (ctypes.c_void_p, ctypes.c_int64),
     "lanenav_read_frame": (ctypes.c_void_p,) * 3,
 }
 

@@ -21,14 +21,14 @@ A spawn is rejected only if it overlaps a body of its lane at its spawn step;
 bodies keep their own speeds afterwards, so a faster body overtakes a slower
 one and same-lane bodies may overlap.
 
-The table step with its random draws, the rasterizer and the reading of a
-frame into its obstacle mask and goal centre run in C (``_world.c``, built by
-``kernel`` into the package's one shared object). The step draws through the
-state's numpy generators in C, with numpy's own samplers (``libnpyrandom.a``),
-so its draws and the generators' states are those of ``Generator.poisson``
-and ``Generator.random``; the goal's motion stays in Python, through
-``reflect_axis``. The kernels keep the float arithmetic of the former numpy
-code bit for bit: ``round_px`` is ``floor(x + 0.5)``, or ``ceil(x - 0.5)``
+The step (the table with its random draws, then the goal's reflection), the
+rasterizer, the frame reader and a timeline's frame loop run in C
+(``_world.c``, built by ``kernel`` into the package's one shared object). The
+step draws through the state's numpy generators with numpy's own samplers
+(``libnpyrandom.a``), so its draws and the generators' states are those of
+``Generator.poisson`` and ``Generator.random``. The kernels keep the float
+arithmetic of the former Python code bit for bit: the goal reflects as
+``reflect_axis`` does; ``round_px`` is ``floor(x + 0.5)``, or ``ceil(x - 0.5)``
 below zero, in double; cell i is ``head - (double)i``; the object is built
 without fused multiply-adds; spawned rows follow the kept rows in lane order,
 then draw order; a goal centre is the integer pixel sums over the count. A
@@ -46,9 +46,8 @@ Of the agent, the world state keeps only the start cell, and
 ``action_to_velocity`` gives its step per action. The agent's rule (a step
 clamped to the grid, and its outcome read from the pixel it lands on in the
 next frame: goal, obstacle, then the step limit) lives in the harness's one
-episode loop, the C kernel ``lanenav_play``, which reads ``Timeline`` frames
-where they lie; ``Timeline`` keeps each frame's address and each predicted
-frame's kernel record for it.
+episode loop, the C kernel ``lanenav_play``, which simulates and reads the
+``Timeline``'s frames where they lie.
 
 Coordinates are (x, y) with x the column and y the row; frames are indexed
 ``frame[y, x]``. All quantization uses round-half-away-from-zero.
@@ -64,8 +63,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import (FRAME, FRAME_READ, GOAL, N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, WORLD, check, library,
-                     zeroed)
+from .kernel import (FRAME, FRAME_READ, GOAL, N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, TIMELINE, WORLD, check,
+                     library, zeroed)
 from .seeding import STREAM_CLASS, STREAM_PLACE, STREAM_SPAWN, clone_rng, substream
 
 # Frame palette values: FREE, the obstacle classes' 1..5, and GOAL (6).
@@ -310,12 +309,14 @@ SPEED = 1  # signed; the sign matches the lane direction for positive magnitudes
 LEN1 = 2  # length - 1
 LANE = 3  # index into WorldState.lanes
 _ROW_BYTES = 8 * N_COLUMNS
-# The largest Poisson mean Generator.poisson takes; past it, it raises before it draws, even for no lanes.
-_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
-# The parts of a state's kernel World that a step and a frame set, and the one a step writes.
-_STEP_SIZES, _STEP_AT = WORLD.part("capacity", "n_rows"), WORLD.offsets["capacity"]
-_FRAME_SIZES, _FRAME_AT = WORLD.part("n_rows", "goal_y"), WORLD.offsets["n_rows"]
-_DRAWN, _DRAWN_AT = WORLD.part("n_drawn", "n_drawn"), WORLD.offsets["n_drawn"]
+# The parts of a kernel World that a step reads and writes: the table's room and rows, the goal; what it moved and
+# drew. A Timeline holds its World first, so these offsets are the Timeline's too.
+_STEP_SIZES, _STEP_AT = WORLD.part("capacity", "goal_vy"), WORLD.offsets["capacity"]
+_STEPPED, _STEPPED_AT = WORLD.part("goal_x", "n_drawn"), WORLD.offsets["goal_x"]
+_ROWS = WORLD.part("capacity", "n_rows")
+# The parts of a kernel Timeline that Python sets, and those it reads: its frame count, room and raw draws.
+_BUFFERS, _BUFFERS_AT = TIMELINE.part("lanes", "room"), TIMELINE.offsets["lanes"]
+_COUNTS, _COUNTS_AT = TIMELINE.part("n_frames", "spawn_draws"), TIMELINE.offsets["n_frames"]
 
 
 def _table(state: "WorldState") -> bytes | ctypes.Array:
@@ -346,28 +347,23 @@ def _sizes(state: "WorldState", goal_size: int, spawn: int = 0, classes: int = 0
     packed lane table the kernels read."""
     cfg, goal = state.config, state.goal
     return WORLD.struct.pack(cfg.grid_h, cfg.grid_w, len(state.lane_table) // (8 * N_LANE_COLUMNS), goal_size,
-                             spawn, classes, lam, 0, len(state.obstacles), goal.x, goal.y, 0)
+                             spawn, classes, lam, 0, len(state.obstacles), goal.x, goal.y, goal.vx, goal.vy, 0)
 
 
 class _StateKernel:
-    """What the kernels need of one state, made on first use: its kernel ``World`` and that buffer's
-    address, each generator's lock, and whether numpy takes the state's Poisson mean.
+    """One state's kernel ``World``, its address and each generator's lock, made on first use and again where
+    the state holds other generators. ``world_step`` sets the table and goal in it before each step."""
 
-    ``world_step`` and ``Timeline`` set the table's rows and the goal in the
-    ``World`` before each call. It holds the generators it was made for, and
-    is made again where the state holds others.
-    """
-
-    __slots__ = ("world", "address", "spawn", "classes", "lam_ok", "spawn_rng", "class_rng")
+    __slots__ = ("world", "address", "spawn", "classes", "spawn_rng", "class_rng")
 
     def __init__(self, state: "WorldState") -> None:
         cfg = state.config
         spawn, classes = state.spawn_rng.bit_generator, state.class_rng.bit_generator
-        lam = cfg.level * cfg.spawn_base_rate
-        sizes = _sizes(state, cfg.goal_size, _bitgen_address(spawn), _bitgen_address(classes), lam)
+        sizes = _sizes(state, cfg.goal_size, _bitgen_address(spawn), _bitgen_address(classes),
+                       cfg.level * cfg.spawn_base_rate)
         self.world = ctypes.create_string_buffer(sizes, WORLD.size)
         self.address = ctypes.addressof(self.world)
-        self.spawn, self.classes, self.lam_ok = spawn.lock, classes.lock, lam <= _LAM_MAX
+        self.spawn, self.classes = spawn.lock, classes.lock
         self.spawn_rng, self.class_rng = state.spawn_rng, state.class_rng
 
 
@@ -378,13 +374,12 @@ def _kernel(state: "WorldState") -> _StateKernel:
     return made
 
 
-def _draw_and_step(made: _StateKernel, lanes: bytes, table: int | None) -> int:
-    """``lanenav_world_step`` on ``made``'s ``World`` with both generators' locks held, as numpy holds a
-    generator's lock to draw."""
+def _locked(made: _StateKernel, function, *args) -> int:
+    """``function(*args)``, a kernel call that draws, with both of ``made``'s generators' locks held, as numpy."""
     made.spawn.acquire()
     made.classes.acquire()
     try:
-        return library.lanenav_world_step(made.address, lanes, table)
+        return function(*args)
     finally:
         made.classes.release()
         made.spawn.release()
@@ -440,31 +435,31 @@ def world_step(state: WorldState) -> None:
     """Advance the world one step in place.
 
     Moves every body by its speed, removes the bodies left without a visible
-    cell, then spawns; last the goal moves. The step first makes all its
-    draws, in C through the state's generators and with numpy's own samplers:
-    one Poisson count per lane from ``spawn_rng`` gives the candidates per
-    lane, as ``spawn_rng.poisson(level * spawn_base_rate, size=lanes)``
-    would, then ``class_rng`` two uniforms per candidate in draw order (lane,
-    then draw), as ``class_rng.random(2 * drawn)`` would: length, then speed
-    magnitude, scaled as ``lo + (hi - lo) * u`` like ``Generator.uniform``.
-    Every candidate draws both, whether it is accepted or not, and a step
-    that raises has made all its draws too. Each generator's lock is held
-    through the call, as numpy's own methods hold it. A candidate is rejected
-    if its pixel span overlaps the span of a body of its lane, including
-    earlier candidates of the step.
+    cell, then spawns; last the goal moves and reflects off the walls, as
+    ``reflect_axis`` gives it: one kernel call, which a ``Timeline`` makes
+    per frame in C. The step first makes all its draws, in C through the
+    state's generators and with numpy's own samplers: one Poisson count per
+    lane from ``spawn_rng`` gives the candidates per lane, as
+    ``spawn_rng.poisson(level * spawn_base_rate, size=lanes)`` would, then
+    ``class_rng`` two uniforms per candidate in draw order (lane, then draw),
+    as ``class_rng.random(2 * drawn)`` would: length, then speed magnitude,
+    scaled as ``lo + (hi - lo) * u`` like ``Generator.uniform``. Every
+    candidate draws both, whether it is accepted or not, and a step that
+    raises has made all its draws too. Each generator's lock is held through
+    the call, as numpy's own methods hold it. A candidate is rejected if its
+    pixel span overlaps the span of a body of its lane, including earlier
+    candidates of the step.
 
     The table is stepped in place, in a buffer the state keeps, and
     ``obstacles`` is then a view of its rows: an array taken from
     ``obstacles`` before the step does not keep the old rows, so copy it.
     """
-    cfg = state.config
     made = _kernel(state)
-    if not made.lam_ok:
-        raise ValueError("lam value too large")
     try:
         table = _table(state)
     except ValueError:
-        _draw_and_step(made, state.lane_table, None)  # the step's draws, then the raise
+        # The step's draws, then the raise; a mean numpy refuses raises first, before any draw.
+        check(_locked(made, library.lanenav_world_step, made.address, state.lane_table, None))
         raise
     rows = len(state.obstacles)
     # A lane accepts at most one spawn a step.
@@ -474,16 +469,13 @@ def world_step(state: WorldState) -> None:
         state._buffer = zeroed(capacity * _ROW_BYTES)
         ctypes.memmove(state._buffer, table, rows * _ROW_BYTES)
         state._rows = np.frombuffer(state._buffer, np.float64).reshape(capacity, N_COLUMNS)
-    _STEP_SIZES.pack_into(made.world, _STEP_AT, len(state._rows), rows)
-    rows = check(_draw_and_step(made, state.lane_table, ctypes.addressof(state._buffer)))
-    state.obstacles = state._view = state._rows[:rows]
-    state.spawn_draws += _DRAWN.unpack_from(made.world, _DRAWN_AT)[0]
-
     goal = state.goal
-    hi_x = float(cfg.grid_w - cfg.goal_size)
-    hi_y = float(cfg.grid_h - cfg.goal_size)
-    goal.x, goal.vx = reflect_axis(goal.x + goal.vx, goal.vx, 0.0, hi_x)
-    goal.y, goal.vy = reflect_axis(goal.y + goal.vy, goal.vy, 0.0, hi_y)
+    _STEP_SIZES.pack_into(made.world, _STEP_AT, len(state._rows), rows, goal.x, goal.y, goal.vx, goal.vy)
+    rows = check(_locked(made, library.lanenav_world_step, made.address, state.lane_table,
+                         ctypes.addressof(state._buffer)))
+    state.obstacles = state._view = state._rows[:rows]
+    goal.x, goal.y, goal.vx, goal.vy, drawn = _STEPPED.unpack_from(made.world, _STEPPED_AT)
+    state.spawn_draws += drawn
     state.t += 1
 
 
@@ -558,15 +550,12 @@ def predicted_frame(frame: np.ndarray) -> PredictedFrame:
     height, width = frame.shape
     mask = FRAME_READ.offsets["mask"]
     out = zeroed(mask + height * width)
-    count = library.lanenav_read_frame(WORLD.struct.pack(height, width, *(0,) * 10), frame.tobytes(), out)
+    count = library.lanenav_read_frame(WORLD.struct.pack(height, width, *(0,) * 12), frame.tobytes(), out)
     occupancy = freeze(np.frombuffer(out, np.bool_, height * width, mask).reshape(height, width))
     if not count:
         return PredictedFrame(occupancy=occupancy, goal_estimate=None)
     sum_x, sum_y = FRAME_READ.struct.unpack_from(out)
     return PredictedFrame(occupancy=occupancy, goal_estimate=(sum_x / count, sum_y / count))
-
-
-_NO_RECORD = bytes(FRAME.size)
 
 
 def packed_frame(frame: PredictedFrame, shape: tuple[int, ...]) -> tuple[bytes, np.ndarray]:
@@ -707,27 +696,23 @@ class Timeline:
     """The world of one episode, simulated once and shared by every reader.
 
     World dynamics never look at the agent, so an episode's frames depend on
-    (config, episode seed) only, and ``agent_speed`` and ``max_steps`` never
-    enter them. ``frames[t]`` is the read-only palette frame after t world
-    steps; frames are simulated on demand by ``frame(t)``. ``predicted(t)``
-    is frame t as a ``PredictedFrame`` (obstacle mask and goal centre), and
-    ``history(t)`` the ``History`` seen at time t, its latest frame
-    ``predicted(t)``; both are computed on first use and kept, one per time
-    asked for, and neither refers back to the timeline, so a timeline is
-    freed as soon as its last reader lets go of it. ``start`` is the agent's
-    start position. A negative time raises ``ValueError``.
+    (config, episode seed) only; ``agent_speed`` and ``max_steps`` never
+    enter them. ``frame(t)`` is the read-only palette frame after t world
+    steps, simulated on demand; ``len(timeline)`` counts the frames
+    simulated, ``spawn_draws`` their steps' raw Poisson total. ``predicted(t)``
+    is frame t as a ``PredictedFrame``, ``history(t)`` the ``History`` seen
+    at time t; both are kept, one per time asked for, and neither refers back
+    to the timeline. ``start`` is the agent's start position. A negative
+    time raises ``ValueError``.
 
-    Each new frame is one ``world_step`` and one kernel call, which paints
-    the frame, reads it into its obstacle mask and goal pixel sums, and
-    writes its ``kernel.FRAME`` record for the search: the mask's address and
-    the goal estimate, the same for every goal size, since the search
-    computes the goal block. ``predicted(t)`` wraps what that call wrote and
-    carries the record for ``packed_frame``. Frames lie in kernel buffers of
-    ``_CHUNK`` frames each, a frame's cells followed by what was read of
-    them. For the episode loop in C (``harness``), the
-    timeline keeps two arrays by time, as long as ``frames``: the address of
-    each palette frame's cells and each frame's record. The loop reads both
-    where they lie.
+    ``_state`` is the world ``new_episode`` made, never stepped. The kernel
+    ``Timeline`` holds a copy, which one C loop, ``lanenav_advance``, steps
+    with ``world_step``'s kernel, then paints, reads and records each new
+    frame: its mask, goal pixel sums and ``kernel.FRAME`` record for the
+    search. ``frame`` runs it for readers, the episode loop in C for its
+    steps, with the generators' locks held; it returns for each buffer of
+    ``_CHUNK`` frames, which ``_grow`` makes. By time, the timeline keeps
+    each frame's address (``palettes``) and record (``records``).
     """
 
     def __init__(self, config: WorldConfig, episode_seed: int) -> None:
@@ -735,52 +720,72 @@ class Timeline:
         self.config = config
         self.episode_seed = episode_seed
         self.start = state.start
-        self.frames: list[np.ndarray] = []
-        self.palettes = array("Q")
-        self.records = array("B")
+        self.palettes, self.records = array("Q"), array("B")
         self._state = state
+        self._made = _kernel(state)
+        self._frames: list[np.ndarray] = []  # the palette frames read so far
         self._predicted: dict[int, PredictedFrame] = {}
         self._histories: dict[int, History] = {}
-        # Per chunk of frames: (palette frames, obstacle masks, address), the arrays read-only views.
-        self._chunks: list[tuple[np.ndarray, np.ndarray, int]] = []
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []  # per buffer: its palette frames and masks
+        self._chunk = _CHUNK
         cells = config.grid_h * config.grid_w
-        self._read_at = -(-cells // 8) * 8
-        self._stride = -(-(self._read_at + FRAME_READ.size + cells) // 8) * 8
-        self._append()
-
-    def _append(self) -> None:
-        """Frame ``len(frames)`` of the state as it stands, painted, read and packed by one kernel call."""
-        state, t = self._state, len(self.frames)
-        if len(self._chunks) <= t // _CHUNK:  # an attempt at frame t that raised may have made it
-            cfg = self.config
-            buffer = zeroed(_CHUNK * self._stride)
-            shape, strides = (_CHUNK, cfg.grid_h, cfg.grid_w), (self._stride, cfg.grid_w, 1)
-            mask_at = self._read_at + FRAME_READ.offsets["mask"]
-            self._chunks.append((freeze(np.ndarray(shape, np.uint8, buffer, 0, strides)),
-                                 freeze(np.ndarray(shape, np.bool_, buffer, mask_at, strides)),
-                                 ctypes.addressof(buffer)))
-        frames, _, address = self._chunks[t // _CHUNK]
-        address += t % _CHUNK * self._stride
-        made = _kernel(state)
+        read_at = -(-cells // 8) * 8
+        stride = -(-(read_at + FRAME_READ.size + cells) // 8) * 8
+        self._table = _table(state)  # the start's rows, which the first _grow moves into a buffer with room
+        # The kernel's Timeline: the state's World and lane table (which _state keeps), no buffer and no frame yet.
+        self._timeline = zeroed(TIMELINE.size)
+        self._address = ctypes.addressof(self._timeline)
+        ctypes.memmove(self._timeline, self._made.world, WORLD.size)
         goal = state.goal
-        _FRAME_SIZES.pack_into(made.world, _FRAME_AT, len(state.obstacles), goal.x, goal.y)
-        records = self.records
-        records.frombytes(_NO_RECORD)
-        code = library.lanenav_rasterize(made.address, state.lane_table, _table(state), address,
-                                         address + self._read_at, records.buffer_info()[0] + t * FRAME.size)
-        if code < 0:
-            del records[t * FRAME.size:]
-            check(code)
-        self.frames.append(frames[t % _CHUNK])
-        self.palettes.append(address)
+        _STEP_SIZES.pack_into(self._timeline, _STEP_AT, 0, len(state.obstacles), goal.x, goal.y, goal.vx, goal.vy)
+        _BUFFERS.pack_into(self._timeline, _BUFFERS_AT, ctypes.cast(state.lane_table, ctypes.c_void_p).value, 0, 0, 0,
+                           0, read_at, stride, 0, 0)
+        self.frame(0)
+
+    def __len__(self) -> int:
+        return _COUNTS.unpack_from(self._timeline, _COUNTS_AT)[0]
+
+    @property
+    def spawn_draws(self) -> int:
+        return _COUNTS.unpack_from(self._timeline, _COUNTS_AT)[2]
+
+    def _call(self, function, *args) -> int:
+        """``function(*args)``, a kernel call that may advance this timeline, with its generators' locks held."""
+        return _locked(self._made, function, *args)
+
+    def _grow(self) -> None:
+        """Room for the kernel to go on: where the last buffer is full, one of ``_CHUNK`` more frames, the arrays
+        grown to match; then table room for the rows their steps may add, a lane spawning at most once a step."""
+        kernel, size = self._timeline, self._chunk
+        lanes, table, palettes, records, cells, read_at, stride, count, room = _BUFFERS.unpack_from(kernel, _BUFFERS_AT)
+        if count >= room:
+            cfg = self.config
+            buffer = zeroed(size * stride)
+            shape, strides = (size, cfg.grid_h, cfg.grid_w), (stride, cfg.grid_w, 1)
+            self._chunks.append(tuple(freeze(np.ndarray(shape, kind, buffer, at, strides)) for kind, at in
+                                      ((np.uint8, 0), (np.bool_, read_at + FRAME_READ.offsets["mask"]))))
+            self.palettes.frombytes(bytes(8 * size))
+            self.records.frombytes(bytes(FRAME.size * size))
+            palettes, records = self.palettes.buffer_info()[0], self.records.buffer_info()[0]
+            cells, room = ctypes.addressof(buffer), room + size
+        capacity, rows = _ROWS.unpack_from(kernel, _STEP_AT)
+        needed = rows + (room - count) * len(self._state.lanes)
+        if not table or needed > capacity:
+            capacity = 2 * needed + 16
+            buffer = zeroed(capacity * _ROW_BYTES)
+            ctypes.memmove(buffer, self._table, rows * _ROW_BYTES)
+            self._table, table = buffer, ctypes.addressof(buffer)
+            _ROWS.pack_into(kernel, _STEP_AT, capacity, rows)
+        _BUFFERS.pack_into(kernel, _BUFFERS_AT, lanes, table, palettes, records, cells, read_at, stride, count, room)
 
     def frame(self, t: int) -> np.ndarray:
-        frames = self.frames
+        frames = self._frames
         if not 0 <= t < len(frames):
             _check_time(t)
-            while len(frames) <= t:
-                world_step(self._state)
-                self._append()
+            while not (count := self._call(library.lanenav_advance, self._address, t)):  # no room: make it
+                self._grow()
+            size, chunks = self._chunk, self._chunks
+            frames.extend(chunks[i // size][0][i % size] for i in range(len(frames), check(count)))
         return frames[t]
 
     def predicted(self, t: int) -> PredictedFrame:
@@ -789,7 +794,7 @@ class Timeline:
             self.frame(t)
             record = self.records[t * FRAME.size:(t + 1) * FRAME.size].tobytes()
             _, x, y = FRAME.struct.unpack(record)
-            occupancy = self._chunks[t // _CHUNK][1][t % _CHUNK]
+            occupancy = self._chunks[t // self._chunk][1][t % self._chunk]
             predicted = self._predicted[t] = PredictedFrame(occupancy, None if math.isnan(x) else (x, y))
             object.__setattr__(predicted, "_record", record)
         return predicted

@@ -23,7 +23,7 @@ import pytest
 import lanenav.world as world
 from conftest import reference_play, reference_replay
 from lanenav import harness
-from lanenav.harness import StepRecord, _episode, _outcome, _play, _steps, _trace, verify_replay
+from lanenav.harness import StepRecord, _episode, _outcome, _play, _trace, verify_replay
 from lanenav.kernel import OUTCOMES, STEP
 from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel, build_model
@@ -77,7 +77,7 @@ def compare(world_cfg: WorldConfig, mcts_cfg: MCTSConfig, spec: str | ForwardMod
     got = _play(fresh, world_cfg, mcts_cfg, got_model)
     want = reference_play(simulated, world_cfg, mcts_cfg, want_model)
     assert_same_episode(got, want)
-    assert len(fresh.frames) == len(simulated.frames)
+    assert len(fresh) == len(simulated)
     if isinstance(want_model, ForwardModel):
         assert got_model.calls == want_model.calls
     again_model = make()
@@ -131,16 +131,19 @@ def test_model_that_raises_at_decision_j():
 
 
 @pytest.mark.parametrize("spec", WINDOWED)
-def test_window_that_raises_at_decision_j(spec):
+def test_window_that_raises_at_decision_j(spec, monkeypatch):
     """A model with a window reads the timeline itself, and each frame is read as it is simulated; a frame
     that fails to simulate in a decision's window ends the episode where the model's ``predict`` would
     have raised, and counts as its call. Frozen's window is frame t, which the step into t simulated, so
-    there the failure comes from that step, out of both loops."""
+    there the failure comes from that step, out of both loops. The failure is the new buffer of frames
+    that frame 6 asks for: with buffers of 3 frames the kernel asks for it in the middle of its run."""
+    monkeypatch.setattr(world, "_CHUNK", 3)
+
     class RaisingTimeline(Timeline):
-        def _append(self):
-            if len(self.frames) == 6:
+        def _grow(self):
+            if len(self) == 6:
                 raise RuntimeError("synthetic failure at time 6")
-            super()._append()
+            super()._grow()
 
     world_cfg, mcts_cfg, seed = WorldConfig().for_speed("2x"), MCTSConfig(n_rollouts=30), episode_seed(29, 0)
     if spec == "frozen":
@@ -202,8 +205,8 @@ def test_replays_match_the_python_replay():
                     verify_replay(tampered)
                 continue
             actions = [int(step.action) for step in trace[:len(want_trace)]]
-            steps, error = _episode(Timeline(world_cfg, record.episode_seed), world_cfg, mcts_cfg,
-                                    actions=np.array(actions, dtype=np.int64))
+            steps, error = _episode(Timeline(world_cfg, record.episode_seed), world_cfg, mcts_cfg, None,
+                                    np.array(actions, dtype=np.int64))
             assert error is None
             assert steps_of(_trace(steps)) == steps_of(want_trace) and _outcome(steps) == want_outcome
             assert verify_replay(tampered) == (want_trace == trace and want_outcome == tampered.outcome)
@@ -211,45 +214,50 @@ def test_replays_match_the_python_replay():
 
 
 def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
-    """A bench batch through the kernel steps the world exactly as often as through the Python loop,
-    and leaves the timeline as long after each task: a cell that simulates a frame past its episode
-    cannot hide behind a longer cell of its seed. The batch plays each episode through ``_steps``, which
-    the reference replaces: the Python loop's records, packed into the step table the kernel writes."""
+    """A bench batch through the kernel simulates exactly the frames the Python loop simulates: per seed as
+    many frames, with the same draws, and the timeline as long after each task, so a cell that simulates a
+    frame past its episode cannot hide behind a longer cell of its seed. The batch plays each episode
+    through ``_episode``, which the reference replaces: the Python loop's records, packed into the step table
+    the kernel writes."""
     world_cfg = WorldConfig()
     cells = [(world_cfg.for_speed(speed), MCTSConfig(n_rollouts=20, rollout_length=k), spec)
              for spec in ("oracle", "frozen", "velocity", "noisy", "none") for speed in ("2x", "1x")
              for k in (1, 3, 10)]
     tasks = [(ci, ei, episode_seed(25, ei)) for ei in range(3) for ci in range(len(cells))]
-    step = world.world_step
-    counts = {}
 
-    def counting_step(state):
-        counts[state.episode_seed] = counts.get(state.episode_seed, 0) + 1
-        step(state)
+    def run(episode) -> tuple:
+        lengths, timelines = [], []
 
-    def run(steps) -> tuple:
-        lengths = []
+        class TrackedTimeline(Timeline):
+            def __init__(self, *args):
+                super().__init__(*args)
+                timelines.append(self)
 
-        def tracked_steps(timeline, *args):
-            played = steps(timeline, *args)
-            lengths.append((timeline.episode_seed, len(timeline.frames)))
+        def tracked_episode(timeline, *args):
+            played = episode(timeline, *args)
+            lengths.append((timeline.episode_seed, len(timeline)))
             return played
 
-        counts.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(world, "world_step", counting_step)
-            patch.setattr(harness, "_steps", tracked_steps)
+            patch.setattr(harness, "Timeline", TrackedTimeline)
+            patch.setattr(harness, "_episode", tracked_episode)
             results = harness._bench_batch(world_cfg, cells, tasks)
-        return results, dict(counts), lengths
+        # Per seed: the frames simulated, and the draws their steps made.
+        simulated = {timeline.episode_seed: (len(timeline), timeline.spawn_draws,
+                                             timeline._state.spawn_rng.bit_generator.state,
+                                             timeline._state.class_rng.bit_generator.state)
+                     for timeline in timelines}
+        assert len(simulated) == len(timelines) == 3
+        return results, simulated, lengths
 
     kinds = list(OUTCOMES.values())
 
-    def reference(timeline, cell_world, cell_mcts, model):
+    def reference(timeline, cell_world, cell_mcts, model, draws):
         record = reference_play(timeline, cell_world, cell_mcts, "none" if model is None else model)
         table = b"".join(STEP.struct.pack(s.agent_x, s.agent_y, s.action, kinds.index(s.outcome))
                          for s in record.trace)
         return memoryview(table), record.exception
 
-    got, want = run(_steps), run(reference)
+    got, want = run(_episode), run(reference)
     assert got == want
-    assert sum(want[1].values()) > 3 * world_cfg.warmup_steps
+    assert min(frames for frames, *_ in want[1].values()) > 10

@@ -3,7 +3,9 @@ import multiprocessing
 import traceback
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import frames_equal, move, outcome_at
 from lanenav import harness, seeding
@@ -195,9 +197,38 @@ class TestGenerators:
         assert len(made) == self.MADE[spec]
 
     def test_per_bench_seed(self, made):
-        # One timeline per seed, three generators in new_episode, then each cell's own.
+        # One timeline per seed, three generators in new_episode, then one draw per kind of agent, the planner
+        # cells sharing theirs and the random agent its own, and noisy's model generator.
         run_benchmark([BenchCell(spec, "2x", 1) for spec in self.MADE], WorldConfig(), SMALL_MCTS, n_episodes=2)
-        assert len(made) == 2 * (3 + sum(self.MADE.values()))
+        assert len(made) == 2 * (3 + 2 + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 600), more=st.integers(0, 600))
+    def test_fewer_draws_are_a_prefix_of_more(self, seed, n, more):
+        """On PCG64 ``random(n)`` and ``integers(8, size=n)`` are the first n of any longer run, so a bench
+        batch draws once per seed, for its longest cell, and every cell reads the episode it read alone."""
+        for random_agent in (False, True):
+            short, long = (harness._draws(seed, random_agent, size) for size in (n, n + more))
+            assert short.dtype == long.dtype and short.tobytes() == long[:n].tobytes()
+        generator = seeding.make_rng(seed)
+        assert type(generator.bit_generator) is np.random.PCG64
+        draws = (generator.random, lambda size: generator.integers(8, size=size))
+        for draw in draws:
+            state = generator.bit_generator.state
+            short = draw(n)
+            generator.bit_generator.state = state
+            assert short.tobytes() == draw(n + more)[:n].tobytes()
+
+    def test_a_batch_draws_once_per_seed_and_kind(self, monkeypatch):
+        asked = []
+        draws = harness._draws
+        monkeypatch.setattr(harness, "_draws", lambda *args: asked.append(args) or draws(*args))
+        cells = [(WorldConfig().for_speed(speed), SMALL_MCTS, spec) for spec in ("oracle", "none", "frozen")
+                 for speed in ("2x", "1x")]
+        seeds = [episode_seed(8, i) for i in range(2)]
+        harness._bench_batch(WorldConfig(), cells, [(ci, ei, seed) for ei, seed in enumerate(seeds)
+                                                     for ci in range(len(cells))])
+        assert asked == [(seed, random_agent, 407) for seed in seeds for random_agent in (False, True)]
 
 
 class TestBenchmark:

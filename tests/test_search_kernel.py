@@ -372,7 +372,7 @@ class TestLoader:
     def test_every_field_has_its_assertion_in_the_header(self):
         layouts = [value for value in vars(kernel).values() if isinstance(value, kernel.Layout)]
         assert {layout.name for layout in layouts} == {"Node", "Prior", "Search", "Frame", "Step", "Play", "World",
-                                                       "FrameRead"}
+                                                       "Timeline", "FrameRead"}
         for layout in layouts:
             assert f"}} {layout.name};\n" in kernel.HEADER
             for field, offset in layout.offsets.items():
@@ -439,6 +439,8 @@ PARENT_ERRORS = {
     # Where render_frame's round_px of the goal position raised.
     ("_world.c", "ERR_GOAL_NAN"): (ValueError, "cannot convert float NaN to integer"),
     ("_world.c", "ERR_GOAL_INF"): (OverflowError, "cannot convert float infinity to integer"),
+    # Where world_step raised, as Generator.poisson does, before the check moved into the step kernel.
+    ("_world.c", "ERR_LAM"): (ValueError, "lam value too large"),
 }
 
 

@@ -252,7 +252,7 @@ def test_caches_hold_one_entry_per_time_asked():
     for name, cache in (("history", timeline._histories), ("predicted", timeline._predicted)):
         assert list(cache) == list(dict.fromkeys(asked[name]))
     assert len(timeline._histories) == world_cfg.max_steps
-    assert len(timeline._predicted) == len(timeline.frames) == world_cfg.max_steps + 10
+    assert len(timeline._predicted) == len(timeline) == world_cfg.max_steps + 10
     # Each history is kept once and holds the timeline's own predicted frame.
     for t, history in timeline._histories.items():
         assert timeline.history(t) is history

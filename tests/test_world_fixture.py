@@ -68,7 +68,7 @@ CONFIGS = {
 
 def record_seed(cfg: WorldConfig, seed: int) -> dict:
     timeline = Timeline(cfg, seed)
-    goal = timeline._state.goal  # the start goal, read before the timeline steps it
+    goal = timeline._state.goal  # the start goal: the timeline steps a copy of its start state in C
     start = {"agent": list(timeline.start), "goal": [goal.x, goal.y, goal.vx, goal.vy]}
     frames = hashlib.sha256()
     rle = hashlib.sha256()
@@ -90,7 +90,7 @@ def record_seed(cfg: WorldConfig, seed: int) -> dict:
         "frames": frames.hexdigest(),
         "rle": rle.hexdigest(),
         **start,
-        "spawn_draws": timeline._state.spawn_draws,  # stepped to t = STEPS above
+        "spawn_draws": timeline.spawn_draws,  # the timeline's steps to t = STEPS above
         "events": hashlib.sha256(json.dumps(events).encode()).hexdigest(),
         "deaths": sum(1 for e in events if e[1] == "died"),
         "goals": sum(1 for e in events if e[1] == "goal"),

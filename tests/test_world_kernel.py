@@ -229,7 +229,8 @@ def kernel_counts(lam: float, lanes: int, spawn_rng, class_rng) -> list[int]:
     for _ in range(lanes):
         world = zeroed(WORLD.size)
         WORLD.struct.pack_into(world, 0, 1, 2, 1, 0, spawn_rng.bit_generator.ctypes.bit_generator.value,
-                               class_rng.bit_generator.ctypes.bit_generator.value, lam, 0, 0, 0.0, 0.0, 0)
+                               class_rng.bit_generator.ctypes.bit_generator.value, lam, 0, 0, 0.0, 0.0, 0.0, 0.0,
+                               0)
         assert library.lanenav_world_step(world, bytes(8 * N_LANE_COLUMNS), None) == 0
         counts.append(WORLD.struct.unpack_from(world)[-1])
     return counts
@@ -403,12 +404,12 @@ def test_a_frame_made_again_after_a_raise_keeps_its_mask_with_it(monkeypatch):
     read from the palette frame the timeline gives for it."""
     timeline = Timeline(WorldConfig(level=30.0), 3)
     timeline.frame(15)
-    rasterize = kernel.library.lanenav_rasterize
-    monkeypatch.setattr(kernel.library, "lanenav_rasterize", lambda *args: -10)
+    advance = kernel.library.lanenav_advance
+    monkeypatch.setattr(kernel.library, "lanenav_advance", lambda *args: -10)
     with pytest.raises(ValueError, match="lane row"):
         timeline.frame(16)
-    assert len(timeline.frames) == 16 and len(timeline.records) == 16 * FRAME.size
-    monkeypatch.setattr(kernel.library, "lanenav_rasterize", rasterize)
+    assert len(timeline) == 16
+    monkeypatch.setattr(kernel.library, "lanenav_advance", advance)
     frame, predicted = timeline.frame(16), timeline.predicted(16)
     read = predicted_frame(frame)
     assert read.occupancy.any() and np.array_equal(predicted.occupancy, read.occupancy)
