@@ -31,6 +31,10 @@ call. Layers:
   ``predict`` at t=20 of each timeline, the model built by ``build_model``
   (noisy with its default spec);
 * ``mcts.run_search.k{1,3,10}``: one search on the oracle's prediction at t=0;
+* ``mcts.search_kernel.k{1,3,10}``: the same searches in ``lanenav_search``
+  alone, on ``Search`` and ``Frame`` bytes packed and fresh tables made in
+  the untimed setup, so that its ratio is the kernel's without the packing
+  and the ctypes call around it;
 * ``mcts.plan_action.k{1,3,10}``: one planned action on the same inputs, the
   search then the temperature pick, so that its ratio beside
   ``run_search``'s shows the cost around the search kernel;
@@ -91,7 +95,7 @@ import numpy as np
 
 KS = (1, 3, 10)
 PREDICT_MODELS = ("oracle", "frozen", "velocity", "noisy")
-MODULES = ("harness", "mcts", "models", "ppm", "seeding", "tracefile", "world")
+MODULES = ("harness", "kernel", "mcts", "models", "ppm", "seeding", "tracefile", "world")
 AGAINST_PACKAGE = "lanenav_against"
 
 
@@ -150,6 +154,7 @@ def layer_cases(lib: SimpleNamespace) -> dict:
     run_search, verify_replay = lib.mcts.run_search, lib.harness.verify_replay
     frame_to_rle, rle_to_frame = lib.tracefile.frame_to_rle, lib.tracefile.rle_to_frame
     frame_to_rgb = lib.ppm.frame_to_rgb
+    lanenav_search = lib.kernel.library.lanenav_search
     seeds = [lib.seeding.episode_seed(1, i) for i in range(8)]
     cfg = WorldConfig().for_speed("2x")
     states = [new_episode(cfg, seed) for seed in seeds]
@@ -183,6 +188,19 @@ def layer_cases(lib: SimpleNamespace) -> dict:
         for _ in range(steps):
             world_step(bound)
 
+    def kernel_inputs(search, agent, rollout):
+        """``run_search``'s kernel arguments, its own fresh tables (kept alive) included."""
+        mcts, shape = lib.mcts, rollout[0].occupancy.shape
+        records, packed = mcts._pack_frames(rollout, search.rollout_length, shape)
+        tables, nodes, priors, slots = mcts._search_tables(search)
+        fields = mcts._search_fields(search, nodes, priors, slots, agent, cfg.agent_speed, shape, cfg.goal_size)
+        return lib.kernel.SEARCH.struct.pack(*fields), records, (tables, packed)
+
+    def search_kernel_batch(inputs):
+        for fields, records, _ in inputs:
+            if lanenav_search(fields, records) < 0:
+                raise RuntimeError("a search failed in the kernel")
+
     cases = {
         "world.world_step": (step_batch, steps * len(states), lambda: [new_episode(cfg, seed) for seed in seeds]),
         "world.world_step.bound": (bound_batch, steps, None),
@@ -205,6 +223,9 @@ def layer_cases(lib: SimpleNamespace) -> dict:
             lambda _, search=search: [run_search(a, r, search, cfg.agent_speed, goal_size=cfg.goal_size)
                                       for a, r in zip(agents, rollouts)],
             len(rollouts), None)
+        cases[f"mcts.search_kernel.k{k}"] = (
+            search_kernel_batch, len(rollouts), lambda search=search: [kernel_inputs(search, a, r)
+                                                                       for a, r in zip(agents, rollouts)])
         rng = lib.seeding.make_rng(0)
         cases[f"mcts.plan_action.k{k}"] = (
             lambda _, search=search, rng=rng: [

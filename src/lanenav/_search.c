@@ -25,7 +25,16 @@
  * - exp, log, cos and atan2 come from libm, as they do for Python's math
  *   module;
  * - the shaping term's hypot is Python's own math.hypot, passed in as a
- *   callback, because CPython computes hypot with its own algorithm.
+ *   callback, because CPython computes hypot with its own algorithm;
+ * - the PUCT term c_puct * prior[a] * scale / (n + 1) is evaluated as
+ *   ((c_puct * prior[a]) * scale) / (n + 1), so a node keeps the product
+ *   c_puct * prior[a] in cp[a], set when its prior is, and the descent
+ *   reads cp[a] * scale, as the first visit's argmax reads cp;
+ * - a node keeps sqrt((double)total) in scale, which the back-up sets right
+ *   after total += 1, so the descent reads the bits it computed from total
+ *   before, with the square root off its chain of dependent loads;
+ * - an unvisited edge's term is cp[a] * scale, not divided by n + 1 = 1,
+ *   since x / 1.0 == x for every double.
  *
  * A node's goal prior depends only on the bits of its offset to the goal
  * estimate and of kappa, so the search reads it through a prior table,
@@ -56,7 +65,10 @@ int64_t lanenav_advance(Timeline *timeline, int64_t t);
 /* world.round_px in doubles: floor(x + 0.5), or ceil(x - 0.5) below zero. */
 static double round_px(double x) { return x >= 0.0 ? floor(x + 0.5) : ceil(x - 0.5); }
 
-static void init_node(Node *node, int32_t depth, double x, double y, double terminal_value, double stop_value)
+/* A node at (x, y) with no visits and the uniform prior; cp is c_puct
+ * times that prior. */
+static void init_node(Node *node, int32_t depth, double x, double y, double terminal_value, double stop_value,
+                      double cp)
 {
     int a;
     node->x = x;
@@ -65,13 +77,24 @@ static void init_node(Node *node, int32_t depth, double x, double y, double term
     node->stop_value = stop_value;
     for (a = 0; a < N_ACTIONS; a++) {
         node->prior[a] = 1.0 / N_ACTIONS;
+        node->cp[a] = cp;
         node->w[a] = 0.0;
         node->mean[a] = 0.0;
         node->n[a] = 0;
         node->children[a] = -1;
     }
     node->total = 0;
+    node->scale = 0.0;
     node->depth = depth;
+}
+
+/* The PUCT score of the node's action a, q + cp * scale / (1 + n), where
+ * scale is the node's sqrt(total); an unvisited edge's term is cp * scale,
+ * its value divided by 1. */
+static inline double puct(const Node *node, int a, double scale)
+{
+    const double explore = node->cp[a] * scale;
+    return node->mean[a] + (node->n[a] ? explore / (double)(node->n[a] + 1) : explore);
 }
 
 /* The bits of a double: the prior table compares keys by them, never by
@@ -144,7 +167,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
     Node *const nodes = search->nodes;
     const int64_t k = search->k, width = search->width;
     const double *const moves = search->moves;
-    const double c_puct = search->c_puct, beta = search->beta;
+    const double c_puct = search->c_puct, beta = search->beta, uniform_cp = c_puct * (1.0 / N_ACTIONS);
     const double max_x = (double)(width - 1), max_y = (double)(search->height - 1);
     const double span = (double)(search->goal_size - 1), half = span / 2.0;
     double blocks[MAX_DEPTH][4]; /* col_lo, col_hi, row_lo, row_hi */
@@ -160,7 +183,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
         blocks[d][2] = round_px(frames[d].goal_y - half);
         blocks[d][3] = blocks[d][2] + span;
     }
-    init_node(&nodes[0], 0, search->x0, search->y0, NAN, NAN);
+    init_node(&nodes[0], 0, search->x0, search->y0, NAN, NAN, uniform_cp);
     for (rollout = 0; rollout < search->n_rollouts; rollout++) {
         int32_t row = 0;
         int length = 0, i;
@@ -170,12 +193,13 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
             int action = 0, a;
             int32_t child_row;
             if (node->total) {
-                /* PUCT: q + c * p * sqrt(total) / (1 + n); a strict > keeps
-                 * ties at the lowest index. */
-                double scale = sqrt((double)node->total);
-                double best = node->mean[0] + c_puct * node->prior[0] * scale / (double)(node->n[0] + 1);
+                /* PUCT: q + c * p * sqrt(total) / (1 + n), read as
+                 * q + cp * scale / (1 + n), an unvisited edge's without the
+                 * division by 1; a strict > keeps ties at the lowest index. */
+                const double scale = node->scale;
+                double best = puct(node, 0, scale);
                 for (a = 1; a < N_ACTIONS; a++) {
-                    double score = node->mean[a] + c_puct * node->prior[a] * scale / (double)(node->n[a] + 1);
+                    const double score = puct(node, a, scale);
                     if (score > best) {
                         best = score;
                         action = a;
@@ -183,16 +207,13 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
                 }
             } else {
                 /* The first rollout through the node: with every q 0 and
-                 * scale 1 the pick is the first argmax of c_puct * prior. */
-                double best;
+                 * scale 1 the pick is the first argmax of cp. */
                 if (goal_prior(node->x, node->y, &frames[node->depth], search, node->prior))
                     return ERR_OVERFLOW;
-                best = c_puct * node->prior[0];
-                for (a = 1; a < N_ACTIONS; a++) {
-                    if (c_puct * node->prior[a] > best) {
-                        best = c_puct * node->prior[a];
+                for (a = 0; a < N_ACTIONS; a++) {
+                    node->cp[a] = c_puct * node->prior[a];
+                    if (node->cp[a] > node->cp[action])
                         action = a;
-                    }
                 }
             }
             path_rows[length] = row;
@@ -232,7 +253,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
                     if (depth >= k)
                         stop_value = value;
                 }
-                init_node(&nodes[count], depth, x, y, terminal_value, stop_value);
+                init_node(&nodes[count], depth, x, y, terminal_value, stop_value, uniform_cp);
                 node->children[action] = (int32_t)count++;
                 break;
             }
@@ -252,6 +273,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
             node->w[a] = summed;
             node->mean[a] = summed / (double)visits;
             node->total += 1;
+            node->scale = sqrt((double)node->total);
         }
     }
     return count;

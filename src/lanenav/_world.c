@@ -26,7 +26,10 @@
  * They never read or write outside a buffer: a lane index outside the lane
  * table, a length that is NaN, negative or past MAX_LEN1, a lane row outside
  * the grid and a goal position that is not finite return an ERR_* that
- * world.py raises.
+ * world.py raises. A goal that steps more than GOAL_REACH cells past a wall,
+ * which no valid world's goal does, returns ERR_GOAL_FAR before its first
+ * mirror: the mirrors of a position near 1e300 round back to their
+ * negations and never end.
  */
 #include <math.h>
 #include <stdint.h>
@@ -53,6 +56,7 @@ _Static_assert(LANE + 1 == N_COLUMNS && VALUE + 1 == N_LANE_COLUMNS, "table colu
 #define ERR_GOAL_NAN (-13)  /* a goal position that is NaN */
 #define ERR_GOAL_INF (-14)  /* a goal position that is infinite */
 #define ERR_LAM (-15)       /* a Poisson mean past numpy's POISSON_LAM_MAX, or NaN */
+#define ERR_GOAL_FAR (-16)  /* a goal stepping more than GOAL_REACH cells past a wall */
 
 static double next_double(bitgen_t *bitgen) { return bitgen->next_double(bitgen->state); }
 
@@ -111,16 +115,19 @@ static int64_t fail(bitgen_t *classes, int64_t unused, int64_t *scratch, int64_t
 /* world.reflect_axis(pos + vel, vel, 0.0, hi) in place: the overshoot
  * mirrored and the velocity's sign flipped per bounce, so its magnitude is
  * kept exactly; on an axis with no room (hi <= 0) the position is 0 and the
- * velocity flips. */
-static void reflect_axis(double *pos, double *vel, double hi)
+ * velocity flips. Returns 0, or ERR_GOAL_FAR, which changes nothing, for a
+ * position more than GOAL_REACH outside [0, hi]. */
+static int reflect_axis(double *pos, double *vel, double hi)
 {
     const double lo = 0.0;
     double p = *pos + *vel, v = *vel;
     if (hi <= lo) {
         *pos = lo;
         *vel = -v;
-        return;
+        return 0;
     }
+    if (p < lo - GOAL_REACH || p > hi + GOAL_REACH)
+        return ERR_GOAL_FAR;
     for (;;) {
         if (p < lo) {
             p = 2.0 * lo - p;
@@ -134,6 +141,7 @@ static void reflect_axis(double *pos, double *vel, double hi)
     }
     *pos = p;
     *vel = v;
+    return 0;
 }
 
 /* One step of the world, in place: draw, move every body, keep those with
@@ -157,6 +165,8 @@ int64_t lanenav_world_step(World *world, const double *lanes, double *table)
     /* Per lane: reach, then the mirror, -1 for none, else width - 1, then
      * the count drawn. */
     int64_t *reach, *mirror, *counts, lane, r, count = 0, unused = 0;
+    double goal_x, goal_vx, goal_y, goal_vy;
+    int code;
 
     if (!(world->lam <= (double)INT64_MAX - sqrt((double)INT64_MAX) * 10.0))
         return ERR_LAM;
@@ -233,8 +243,17 @@ int64_t lanenav_world_step(World *world, const double *lanes, double *table)
         }
     }
     free(reach);
-    reflect_axis(&world->goal_x, &world->goal_vx, (double)(width - world->goal_size));
-    reflect_axis(&world->goal_y, &world->goal_vy, (double)(world->height - world->goal_size));
+    goal_x = world->goal_x;
+    goal_vx = world->goal_vx;
+    goal_y = world->goal_y;
+    goal_vy = world->goal_vy;
+    if ((code = reflect_axis(&goal_x, &goal_vx, (double)(width - world->goal_size))) ||
+        (code = reflect_axis(&goal_y, &goal_vy, (double)(world->height - world->goal_size))))
+        return code;
+    world->goal_x = goal_x;
+    world->goal_vx = goal_vx;
+    world->goal_y = goal_y;
+    world->goal_vy = goal_vy;
     return count;
 }
 

@@ -48,6 +48,9 @@ N_LANE_COLUMNS = 7  # of the lane table, one row of doubles per lane
 MAX_LEN1 = 2147483647  # the largest body length - 1 the world kernels index with; its cells are exact in doubles
 PLAY_ENDED = 1  # lanenav_play's return when the last step met a terminal outcome
 NEED_ROOM = 2  # lanenav_play's return when the next frame of its timeline has no room yet
+# How far past a wall the goal may step before its reflection refuses it: world.MAX_GRID + world.MAX_GOAL_SPEED,
+# farther than the goal of any valid world or velocity model's extrapolation gets.
+GOAL_REACH = 256.0
 # A step's outcome kind by its C name: lanenav_play writes a Step's kind as its index here.
 OUTCOMES = {"RUNNING": "running", "GOAL_REACHED": "goal", "DIED": "died", "TIMED_OUT": "timeout"}
 
@@ -106,9 +109,12 @@ class Layout:
 
 
 # One node of the search's table; NaN in terminal_value or stop_value stands for None. mean is w / n, 0.0
-# while unvisited; children holds each child's row, -1 for none.
-NODE = Layout("Node", x="d", y="d", terminal_value="d", stop_value="d", prior=f"{N_ACTIONS}d", w=f"{N_ACTIONS}d",
-              mean=f"{N_ACTIONS}d", n=f"{N_ACTIONS}q", total="q", children=f"{N_ACTIONS}i", depth="i")
+# while unvisited; children holds each child's row, -1 for none. cp is c_puct * prior, set with prior, and
+# scale is sqrt(total), set with total: the two factors of the search's exploration term, kept so that a
+# descent reads them instead of computing them.
+NODE = Layout("Node", x="d", y="d", terminal_value="d", stop_value="d", prior=f"{N_ACTIONS}d", cp=f"{N_ACTIONS}d",
+              w=f"{N_ACTIONS}d", mean=f"{N_ACTIONS}d", n=f"{N_ACTIONS}q", total="q", scale="d",
+              children=f"{N_ACTIONS}i", depth="i")
 # One slot of a search's prior table: the bits of the key (dx, dy, kappa), (dx, dy) being the goal estimate
 # minus the position, then the goal prior it gives.
 PRIOR = Layout("Prior", dx="Q", dy="Q", kappa="Q", prior=f"{N_ACTIONS}d")
@@ -160,14 +166,14 @@ HEADER = "\n".join([
     "/* Generated by lanenav/kernel.py from its declarations. */",
     "#include <stddef.h>", "#include <stdint.h>", '#include "numpy/random/bitgen.h"',
     *(f"#define {name} {globals()[name]}"
-      for name in "N_ACTIONS MAX_DEPTH GOAL N_COLUMNS N_LANE_COLUMNS MAX_LEN1 PLAY_ENDED NEED_ROOM".split()),
+      for name in "N_ACTIONS MAX_DEPTH GOAL N_COLUMNS N_LANE_COLUMNS MAX_LEN1 PLAY_ENDED NEED_ROOM GOAL_REACH".split()),
     f"enum {{ {', '.join(OUTCOMES)} }};",
     "typedef double (*hypot_fn)(double, double);",
     *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, WORLD, TIMELINE, PLAY, FRAME_READ)),
 ]) + "\n"
 
 # What a negative kernel return raises: the ERR_* of _search.c (-1..-7), the errors Python's own arithmetic
-# raised there, then those of _world.c (-8..-15).
+# raised there, then those of _world.c (-8..-16).
 ERRORS = {
     -1: (OverflowError, "math range error"),
     -2: (ZeroDivisionError, "float division by zero"),
@@ -184,6 +190,7 @@ ERRORS = {
     -13: (ValueError, "cannot convert float NaN to integer"),
     -14: (OverflowError, "cannot convert float infinity to integer"),
     -15: (ValueError, "lam value too large"),
+    -16: (ValueError, f"goal position more than {GOAL_REACH:g} cells outside its walls"),
 }
 
 # Each kernel function's arguments, a struct or buffer given as bytes or a ctypes buffer, or for the world's
@@ -212,11 +219,16 @@ def _command(target: str, sources: tuple[Path, ...] = _SOURCES) -> list[str]:
     ``target + ".h"``, which holds ``HEADER``.
 
     No contraction into fused multiply-adds and no fast-math: the kernels
-    keep the bits of IEEE arithmetic evaluated in source order. Vectorized
-    loops compute each element as the scalar loop does. Linking numpy's own
-    ``libnpyrandom.a`` keeps the world's draws equal to ``Generator``'s.
+    keep the bits of IEEE arithmetic evaluated in source order. ``-O3``
+    keeps them too: without fast-math the compiler may not reassociate,
+    contract or reorder a float expression, so its inlining, unrolling and
+    vectorized loops compute each element as the scalar source does; and
+    without ``__FAST_MATH__`` glibc declares no vector variants of libm, so
+    ``exp``, ``cos``, ``log`` and ``atan2`` stay the scalar calls that
+    Python's ``math`` makes. Linking numpy's own ``libnpyrandom.a`` keeps
+    the world's draws equal to ``Generator``'s.
     """
-    return ["cc", "-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC", "-I", np.get_include(),
+    return ["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC", "-I", np.get_include(),
             "-include", f"{target}.h", "-o", target, *map(str, sources), str(_ARCHIVE), "-lm"]
 
 

@@ -63,8 +63,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import (FRAME, FRAME_READ, GOAL, N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, TIMELINE, WORLD, check,
-                     library, zeroed)
+from .kernel import (FRAME, FRAME_READ, GOAL, GOAL_REACH, N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, TIMELINE,
+                     WORLD, check, library, zeroed)
 from .seeding import STREAM_CLASS, STREAM_PLACE, STREAM_SPAWN, clone_rng, substream
 
 # Frame palette values: FREE, the obstacle classes' 1..5, and GOAL (6).
@@ -140,10 +140,15 @@ def reflect_axis(pos: float, vel: float, lo: float, hi: float) -> tuple[float, f
 
     Mirrors the overshoot and flips the velocity sign per bounce, so the
     speed magnitude is conserved exactly. Shared by the environment's goal
-    update and the forward models' goal extrapolation.
+    update and the forward models' goal extrapolation. On an axis with room
+    (hi > lo), a position more than ``GOAL_REACH`` outside [lo, hi], past
+    where any valid goal steps, raises ValueError: the mirrors of a position
+    near 1e300 round back to their negations and never end.
     """
     if hi <= lo:
         return lo, -vel
+    if pos < lo - GOAL_REACH or pos > hi + GOAL_REACH:
+        raise ValueError(f"goal position {pos!r} more than {GOAL_REACH:g} cells outside [{lo!r}, {hi!r}]")
     while True:
         if pos < lo:
             pos = 2.0 * lo - pos

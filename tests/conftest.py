@@ -96,6 +96,14 @@ class ReferenceNode:
         return self.w[action] / visits if visits else 0.0
 
 
+def assert_exploration_factors(root, c_puct: float) -> None:
+    """Every node of the kernel tree of ``root`` keeps the bits of ``c_puct * prior[a]`` in ``cp[a]`` and of
+    ``sqrt(total)`` in ``scale``; a node no rollout has selected from holds those of its uniform prior and 0.0."""
+    table = root._tree.table
+    assert table["cp"].tobytes() == (np.float64(c_puct) * table["prior"]).tobytes()
+    assert table["scale"].tobytes() == np.sqrt(table["total"].astype(np.float64)).tobytes()
+
+
 def reference_search(
     agent_pos: tuple[float, float],
     frames: tuple[PredictedFrame, ...],

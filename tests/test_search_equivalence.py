@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import agent_turn
+from conftest import agent_turn, assert_exploration_factors
 from lanenav.mcts import MCTSConfig, plan_action, run_search
 from lanenav.models import oracle_predict
 from lanenav.seeding import episode_seed, make_rng
@@ -38,8 +38,9 @@ VARIANTS = (
 )
 
 
-def corpus_results() -> tuple[list[list], str]:
-    """Per search ``[root.n..., root.w summed left to right, pick]`` and a digest of all root.w."""
+def corpus_results(visit=None) -> tuple[list[list], str]:
+    """Per search ``[root.n..., root.w summed left to right, pick]`` and a digest of all root.w; ``visit``, if
+    given, is called with each search's config and root."""
     records: list[list] = []
     digest = hashlib.sha256()
     point = 0
@@ -60,6 +61,8 @@ def corpus_results() -> tuple[list[list], str]:
                 cfg = replace(VARIANTS[len(records) % len(VARIANTS)], rollout_length=k)
                 root = run_search(agent, rollout, cfg, world_cfg.agent_speed,
                                   goal_size=world_cfg.goal_size)
+                if visit is not None:
+                    visit(cfg, root)
                 pick = plan_action(agent, rollout, cfg, make_rng(len(records)),
                                    agent_speed=world_cfg.agent_speed,
                                    goal_size=world_cfg.goal_size)
@@ -84,6 +87,17 @@ def test_search_corpus_matches_fixture():
     for i, (got, want) in enumerate(zip(records, expected["searches"])):
         assert got == want, f"search {i}: got {got}, fixture {want}"
     assert w_digest == expected["w_sha256"]
+
+
+def test_corpus_nodes_keep_their_exploration_factors():
+    searched = []
+
+    def visit(cfg, root):
+        assert_exploration_factors(root, cfg.c_puct)
+        searched.append(cfg)
+
+    corpus_results(visit)
+    assert len(searched) == 3 * N_POINTS
 
 
 if __name__ == "__main__":

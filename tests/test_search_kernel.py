@@ -4,6 +4,9 @@
 node of a kernel tree must carry the bits of the reference node at the same
 place: depth, position, terminal and stop values, visit counts, summed
 values and prior. Where the reference raises, the kernel raises the same.
+Every node also keeps the two factors of its exploration term that the
+descent reads: ``c_puct * prior[a]`` in ``cp[a]`` and ``sqrt(total)`` in
+``scale``, to the bit.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_state, reference_search, timeline_of
+from conftest import assert_exploration_factors, build_state, reference_search, timeline_of
 from lanenav import kernel
 from lanenav.harness import run_episode
 from lanenav.mcts import MAX_ROLLOUT_LENGTH, MAX_ROLLOUTS, MCTSConfig, goal_prior, run_search
@@ -66,6 +69,7 @@ def assert_same_search(agent, frames, cfg, speed, goal_size=2) -> None:
     else:
         assert not isinstance(got, tuple), got
         assert_same_tree(got, want)
+        assert_exploration_factors(got, cfg.c_puct)
 
 
 def walk(root):
@@ -155,6 +159,36 @@ class TestAgainstReference:
         got = outcome(run_search, agent, frames, cfg, speed)
         assert got[0] is error
         assert got == outcome(reference_search, agent, frames, cfg, speed)
+
+    @staticmethod
+    def edge_frames(k: int) -> tuple[PredictedFrame, ...]:
+        rng = make_rng(5)
+        return tuple(PredictedFrame(rng.random((48, 48)) < 0.15, (40.0, 7.0)) for _ in range(k))
+
+    @pytest.mark.parametrize("cfg", [
+        MCTSConfig(c_puct=0.0),  # every exploration term 0: the pick is the first best mean
+        MCTSConfig(c_puct=1e308, n_rollouts=300),  # cp * scale is inf where sqrt(total) * P(a) > 1.8
+        MCTSConfig(c_puct=1e308, n_rollouts=300, prior_kappa=0.0),  # P(a) = 1/8: ties at inf once total >= 208
+        MCTSConfig(prior_kappa=700.0),  # priors of exactly 0 away from the goal
+        MCTSConfig(n_rollouts=1),
+        MCTSConfig(n_rollouts=400, rollout_length=MAX_ROLLOUT_LENGTH),
+    ], ids=["c0", "c_inf", "c_inf_uniform", "kappa_zero_priors", "one_rollout", "max_depth"])
+    def test_exploration_edge_cases(self, cfg):
+        frames = self.edge_frames(cfg.rollout_length)
+        assert_same_search((5.0, 30.0), frames, cfg, 1.0)
+        table = run_search((5.0, 30.0), frames, cfg, 1.0)._tree.table
+        if cfg.prior_kappa == 700.0:
+            assert (table["prior"][table["total"] > 0] == 0.0).any()
+        if cfg.c_puct == 1e308:
+            with np.errstate(over="ignore"):
+                assert np.isinf(table["cp"] * table["scale"][:, None]).any()
+
+    def test_prior_overflow_still_raises(self):
+        frames = self.edge_frames(3)
+        cfg = MCTSConfig(prior_kappa=1000.0)
+        got = outcome(run_search, (5.0, 30.0), frames, cfg, 1.0)
+        assert got == (OverflowError, "math range error")
+        assert got == outcome(reference_search, (5.0, 30.0), frames, cfg, 1.0)
 
     def test_frames_of_two_shapes_rejected(self):
         frames = (PredictedFrame(np.zeros((8, 8), bool), None), PredictedFrame(np.zeros((8, 9), bool), None))
@@ -441,6 +475,8 @@ PARENT_ERRORS = {
     ("_world.c", "ERR_GOAL_INF"): (OverflowError, "cannot convert float infinity to integer"),
     # Where world_step raised, as Generator.poisson does, before the check moved into the step kernel.
     ("_world.c", "ERR_LAM"): (ValueError, "lam value too large"),
+    # Where the goal's reflection bounced without end instead.
+    ("_world.c", "ERR_GOAL_FAR"): (ValueError, "goal position more than 256 cells outside its walls"),
 }
 
 

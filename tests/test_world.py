@@ -1,12 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import agent_turn, build_state, frames_equal, state_fingerprint
-from lanenav import checks
+from lanenav import checks, kernel
 from lanenav.world import (
     FREE,
     GOAL,
@@ -472,3 +476,51 @@ def test_reflect_axis_properties(pos, vel):
     new_pos, new_vel = reflect_axis(pos, vel, 0.0, 46.0)
     assert 0.0 <= new_pos <= 46.0
     assert abs(new_vel) == abs(vel)
+
+
+# Goals far past a wall, reflected in C by world_step and in Python by reflect_axis: each call prints its
+# ValueError. They run in another interpreter under a timeout, so that a reflection that never ends fails the
+# test instead of hanging the suite (a ctypes call cannot be interrupted).
+FAR_GOALS = (1e300, -1e300, math.inf, -math.inf, 46.0 + 256.5, -256.5)
+FAR_GOAL_CALLS = """
+import sys
+from conftest import build_state
+from lanenav.world import reflect_axis, world_step
+for position in map(float, sys.argv[2:]):
+    try:
+        if sys.argv[1] == "world_step":
+            world_step(build_state(goal=(position, 5.0, 0.0, 0.0)))
+        else:
+            reflect_axis(position, 0.0, 0.0, 46.0)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("call", ["world_step", "reflect_axis"])
+def test_goal_far_past_a_wall_raises_instead_of_bouncing_forever(call):
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": f"{tests.parent / 'src'}:{tests}"}
+    done = subprocess.run([sys.executable, "-c", FAR_GOAL_CALLS, call, *map(repr, FAR_GOALS)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(FAR_GOALS) and all(re.match(r"goal position .*more than 256 cells outside", line)
+                                                for line in lines), done.stdout
+
+
+def test_goal_reach_covers_every_valid_goal():
+    assert kernel.GOAL_REACH == MAX_GRID + MAX_GOAL_SPEED
+    # The farthest a goal may step: on the far wall of the widest grid at the fastest speed, here a 1-cell goal
+    # on a MAX_GRID-wide axis, whose walls are 0 and MAX_GRID - 1.
+    hi = MAX_GRID - 1.0
+    for start, vel in ((0.0, -MAX_GOAL_SPEED), (hi, MAX_GOAL_SPEED)):
+        state = build_state(WorldConfig(grid_w=MAX_GRID, goal_size=1, level=0.0, warmup_steps=0),
+                            goal=(start, 5.0, vel, 0.0))
+        world_step(state)
+        assert (state.goal.x, state.goal.vx) == reflect_axis(start + vel, vel, 0.0, hi)
+    # Exactly GOAL_REACH past a wall still reflects; a NaN passes through, for the rasterizer to raise on.
+    for position in (-kernel.GOAL_REACH, 46.0 + kernel.GOAL_REACH):
+        new_pos, new_vel = reflect_axis(position, 1.0, 0.0, 46.0)
+        assert 0.0 <= new_pos <= 46.0 and abs(new_vel) == 1.0
+    assert math.isnan(reflect_axis(math.nan, 1.0, 0.0, 46.0)[0])
