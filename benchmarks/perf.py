@@ -26,7 +26,11 @@ call. Layers:
   times 1..40 in turn on fresh timelines built in the untimed setup: the
   world step, the frame and its read;
 * ``tracefile.frame_to_rle`` and ``tracefile.rle_to_frame``: one frame;
+* ``tracefile.write_trace`` and ``tracefile.read_trace``: one trace file of
+  a random-agent episode at 2x, about 20 steps;
 * ``ppm.frame_to_rgb``: one frame with the agent drawn;
+* ``ppm.render_ppm``: one frame with the agent drawn, written as a PPM file;
+* ``fileio.atomic_write_bytes``: one payload of a PPM file's size, 6.9 KB;
 * ``models.predict.{oracle,frozen,velocity,noisy}.k{1,3,10}``: one
   ``predict`` at t=20 of each timeline, the model built by ``build_model``
   (noisy with its default spec);
@@ -51,8 +55,17 @@ call. Layers:
   oracle and frozen at k = 1, 3 and 10 at 2x, one episode each on master
   seed 1: the benchmark's own path, timelines, outcomes and table included.
 
-The report also holds ``src_lines``, the line count of the library's Python
-sources, and ``src_lines_c``, that of its C sources, to set beside the timings.
+The files go to a temporary directory, removed at exit. The report also holds
+``src_lines``, the line count of the library's Python sources, and
+``src_lines_c``, that of its C sources, to set beside the timings.
+
+Each layer's rounds also time ``calibration_s()`` of ``perfbench/calibration.py``
+(imported from its file, which the script does not change), once per round
+after the batches, and the report gives its milliseconds per round
+(``calibration_ms``, beside each layer's samples) and their quartiles over the
+run: a marker of the speed the shared host gave the run at each round, which
+moves between phases minutes apart, so that ratios or timings from runs in
+different phases are not read as the code's.
 
 With ``--against REV`` the script compares this tree with the commit REV:
 
@@ -95,7 +108,7 @@ import numpy as np
 
 KS = (1, 3, 10)
 PREDICT_MODELS = ("oracle", "frozen", "velocity", "noisy")
-MODULES = ("harness", "kernel", "mcts", "models", "ppm", "seeding", "tracefile", "world")
+MODULES = ("fileio", "harness", "kernel", "mcts", "models", "ppm", "seeding", "tracefile", "world")
 AGAINST_PACKAGE = "lanenav_against"
 
 
@@ -147,13 +160,24 @@ def import_tree(src: Path, package: str) -> SimpleNamespace:
     return load_library(package)
 
 
-def layer_cases(lib: SimpleNamespace) -> dict:
-    """Name -> (batch function, calls per batch, setup or None), on the library ``lib``."""
+def load_calibration():
+    """perfbench's ``calibration_s``, loaded from its file without importing the benchmark package."""
+    spec = importlib.util.spec_from_file_location("perfbench_calibration", ROOT / "perfbench" / "calibration.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.calibration_s
+
+
+def layer_cases(lib: SimpleNamespace, out_dir: Path) -> dict:
+    """Name -> (batch function, calls per batch, setup or None), on the library ``lib``; files go to the new
+    directory ``out_dir``."""
+    out_dir.mkdir()
     WorldConfig, Timeline, MCTSConfig = lib.world.WorldConfig, lib.world.Timeline, lib.mcts.MCTSConfig
     new_episode, render_frame, world_step = lib.world.new_episode, lib.world.render_frame, lib.world.world_step
     run_search, verify_replay = lib.mcts.run_search, lib.harness.verify_replay
     frame_to_rle, rle_to_frame = lib.tracefile.frame_to_rle, lib.tracefile.rle_to_frame
-    frame_to_rgb = lib.ppm.frame_to_rgb
+    frame_to_rgb, render_ppm = lib.ppm.frame_to_rgb, lib.ppm.render_ppm
+    write_trace, read_trace = lib.tracefile.write_trace, lib.tracefile.read_trace
     lanenav_search = lib.kernel.library.lanenav_search
     seeds = [lib.seeding.episode_seed(1, i) for i in range(8)]
     cfg = WorldConfig().for_speed("2x")
@@ -166,6 +190,12 @@ def layer_cases(lib: SimpleNamespace) -> dict:
     rollouts = [oracle.predict(lib.models.Observation.at(timeline, 0), max(KS)) for timeline in timelines]
     observations = [lib.models.Observation.at(timeline, 20) for timeline in timelines]
     records = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed) for seed in seeds]
+    traced = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed, keep_frames=True) for seed in seeds]
+    trace_paths = [out_dir / f"trace{i}.jsonl" for i in range(len(traced))]
+    for path, record in zip(trace_paths, traced):
+        write_trace(path, record)
+    ppm_paths = [out_dir / f"frame{i}.ppm" for i in range(len(frames))]
+    payload = b"P6\n%d %d\n255\n" % (cfg.grid_w, cfg.grid_h) + frame_to_rgb(frames[0], agents[0]).tobytes()
     steps, frames_ahead = 10, 40
 
     def replay_batch(_):
@@ -210,7 +240,14 @@ def layer_cases(lib: SimpleNamespace) -> dict:
         "tracefile.frame_to_rle": (lambda _: [frame_to_rle(f) for f in frames], len(frames), None),
         "tracefile.rle_to_frame": (lambda _: [rle_to_frame(r, cfg.grid_h, cfg.grid_w) for r in rles],
                                    len(rles), None),
+        "tracefile.write_trace": (lambda _: [write_trace(p, r) for p, r in zip(trace_paths, traced)],
+                                  len(traced), None),
+        "tracefile.read_trace": (lambda _: [read_trace(p) for p in trace_paths], len(trace_paths), None),
         "ppm.frame_to_rgb": (lambda _: [frame_to_rgb(f, a) for f, a in zip(frames, agents)], len(frames), None),
+        "ppm.render_ppm": (lambda _: [render_ppm(f, a, p) for f, a, p in zip(frames, agents, ppm_paths)],
+                           len(frames), None),
+        "fileio.atomic_write_bytes": (lambda _: [lib.fileio.atomic_write_bytes(p, payload) for p in ppm_paths],
+                                      len(ppm_paths), None),
     }
     for spec in PREDICT_MODELS:
         model = lib.models.build_model(spec, rng=lib.seeding.make_rng(0))
@@ -291,18 +328,21 @@ def worktree(rev: str):
                            capture_output=True, check=False)
 
 
-def measure(trees: list[dict], repeats: int) -> list[dict]:
-    """Per tree, layer -> samples; each round times every tree once, the first alternating."""
+def measure(trees: list[dict], repeats: int, calibration) -> tuple[list[dict], dict]:
+    """Per tree, layer -> samples, and layer -> the ``calibration`` milliseconds of each round; each round
+    times every tree once, the first alternating, then the calibration."""
     for cases in trees:
         for run, calls, setup in cases.values():
             timed(run, calls, setup)  # warm caches and lazy set-up outside the samples
     samples = [{name: [] for name in cases} for cases in trees]
+    calibration_ms = {name: [] for name in trees[0]}
     for name in trees[0]:
         for round_ in range(repeats):
             order = range(len(trees)) if round_ % 2 == 0 else reversed(range(len(trees)))
             for i in order:
                 samples[i][name].append(timed(*trees[i][name]))
-    return samples
+            calibration_ms[name].append(round(calibration() * 1000.0, 3))
+    return samples, calibration_ms
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -315,26 +355,34 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2 for quartiles")
-    cases = layer_cases(load_library("lanenav"))
+    calibration = load_calibration()
     report = {"env": env_stamp()}
-    if args.against is None:
-        [samples] = measure([cases], args.repeats)
-    else:
-        try:
-            with worktree(args.against) as (path, sha):
-                parent_cases = layer_cases(import_tree(path / "src", AGAINST_PACKAGE))
-                samples, parent_samples = measure([cases, parent_cases], args.repeats)
-        except subprocess.CalledProcessError as exc:
-            parser.error(f"--against {args.against}: {exc.stderr.strip()}")
+    with tempfile.TemporaryDirectory(prefix="lanenav-perf-") as tmp:
+        cases = layer_cases(load_library("lanenav"), Path(tmp) / "change")
+        if args.against is None:
+            [samples], calibration_ms = measure([cases], args.repeats, calibration)
+        else:
+            try:
+                with worktree(args.against) as (path, sha):
+                    parent_cases = layer_cases(import_tree(path / "src", AGAINST_PACKAGE), Path(tmp) / "parent")
+                    (samples, parent_samples), calibration_ms = measure([cases, parent_cases], args.repeats,
+                                                                        calibration)
+            except subprocess.CalledProcessError as exc:
+                parser.error(f"--against {args.against}: {exc.stderr.strip()}")
     layers = {}
     for name, (_, calls, _) in cases.items():
         q = layers[name] = {"unit": "us", **quartiles(samples[name], 2), "repeats": args.repeats,
-                            "calls_per_repeat": calls}
+                            "calls_per_repeat": calls, "calibration_ms": calibration_ms[name]}
         print(f"{name:28s} {q['median']:10.1f} us  (IQR {q['q1']:.1f}-{q['q3']:.1f}, "
               f"{args.repeats} x {calls} calls)")
     print(f"{'src_lines':28s} {src_lines():10d}")
     print(f"{'src_lines_c':28s} {src_lines('.c'):10d}")
-    report.update(layers=layers, src_lines=src_lines(), src_lines_c=src_lines(".c"))
+    all_calibration = [ms for rounds in calibration_ms.values() for ms in rounds]
+    calibration_q = {"unit": "ms", **quartiles(all_calibration, 3), "min": min(all_calibration),
+                     "max": max(all_calibration), "rounds": len(all_calibration)}
+    print(f"{'calibration':28s} {calibration_q['median']:10.2f} ms  (IQR {calibration_q['q1']:.2f}-"
+          f"{calibration_q['q3']:.2f}, range {calibration_q['min']:.2f}-{calibration_q['max']:.2f})")
+    report.update(layers=layers, src_lines=src_lines(), src_lines_c=src_lines(".c"), calibration=calibration_q)
     if args.against is not None:
         print(f"change/parent against {args.against} ({sha[:12]}), median (IQR) of {args.repeats} rounds:")
         ratios = {}

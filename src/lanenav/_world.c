@@ -1,14 +1,16 @@
 /* lanenav's world in C: one step of the world, the obstacle table with its
  * random draws and then the goal's motion, the rasterizer, the reader of
- * palette frames, and the frame loop of a timeline, which steps, paints and
- * reads each new frame of an episode's world.
+ * palette frames, the frame loop of a timeline, which steps, paints and
+ * reads each new frame of an episode's world, and the RLE text of a
+ * palette frame in a trace file, its encoder and its checking decoder.
  *
  * kernel.py compiles this file with _search.c into one object, linked with
  * the installed numpy's libnpyrandom.a, ahead of it kernel.HEADER: the
  * structs (World, Timeline, Frame, FrameRead) and constants (GOAL,
- * N_COLUMNS, N_LANE_COLUMNS, MAX_LEN1) this file shares with Python,
- * generated from kernel.py's declarations, which document each field.
- * world.py packs the inputs and documents the rules; world_step and
+ * N_COLUMNS, N_LANE_COLUMNS, MAX_LEN1, RLE_ROOM, BAD_RLE_TOKEN) this file
+ * shares with Python, generated from kernel.py's declarations, which
+ * document each field. tracefile.py calls the codec and builds its error
+ * messages. world.py packs the inputs and documents the rules; world_step and
  * Timeline both step through lanenav_world_step, so the goal's motion is
  * written once, here. A step draws through numpy's own generators: it reads
  * each as the bitgen_t of rng.bit_generator, takes the per-lane Poisson
@@ -403,4 +405,83 @@ int64_t lanenav_advance(Timeline *timeline, int64_t t)
         timeline->n_frames = n + 1;
     }
     return n;
+}
+
+/* Write the decimal digits of v >= 0 at p; returns the end. */
+static char *put_digits(char *p, int64_t v)
+{
+    char digits[20], *d = digits + sizeof digits;
+    do
+        *--d = (char)('0' + v % 10);
+    while ((v /= 10) > 0);
+    memcpy(p, d, (size_t)(digits + sizeof digits - d));
+    return p + (digits + sizeof digits - d);
+}
+
+/* The RLE text of a frame of cells bytes, as tracefile.frame_to_rle gives
+ * it: "value:count" per run of equal bytes in order, joined by ','. A run of
+ * n cells takes at most 5 + n characters with its comma, so out needs room
+ * for RLE_ROOM * cells bytes. Returns the text's length. */
+int64_t lanenav_frame_to_rle(const uint8_t *frame, int64_t cells, char *out)
+{
+    char *p = out;
+    int64_t i = 0;
+    while (i < cells) {
+        const uint8_t value = frame[i];
+        const int64_t start = i;
+        while (++i < cells && frame[i] == value)
+            ;
+        if (p != out)
+            *p++ = ',';
+        p = put_digits(p, value);
+        *p++ = ':';
+        p = put_digits(p, i - start);
+    }
+    return p - out;
+}
+
+/* The digit run at *p before end, its value saturating at INT64_MAX as
+ * numpy's int64 parse does; *p is left after it. Returns -1 without a
+ * digit. */
+static int64_t take_number(const char **p, const char *end)
+{
+    const int64_t tenth = INT64_MAX / 10, last = INT64_MAX % 10;
+    const char *q = *p;
+    int64_t v = 0;
+    if (q == end || *q < '0' || *q > '9')
+        return -1;
+    for (; q < end && *q >= '0' && *q <= '9'; q++) {
+        const int64_t digit = *q - '0';
+        v = v < tenth || (v == tenth && digit <= last) ? v * 10 + digit : INT64_MAX;
+    }
+    *p = q;
+    return v;
+}
+
+/* Check length bytes of RLE text by tracefile.rle_to_frame's rules, in
+ * their order: the line must be "value:count" tokens of ASCII digits joined
+ * by ',', then each value 0..GOAL and each count 0..cells, else
+ * BAD_RLE_TOKEN; only then is the size, the sum of the counts (saturating),
+ * returned. With out given, also decode the runs into out while they fit,
+ * so at most cells bytes, the whole frame where the size is cells. Each
+ * byte of the text is read once. */
+int64_t lanenav_rle_to_frame(const char *text, int64_t length, int64_t cells, uint8_t *out)
+{
+    const char *p = text, *const end = text + length;
+    int64_t size = 0;
+    for (;;) {
+        const int64_t value = take_number(&p, end);
+        int64_t count;
+        if (value < 0 || p == end || *p++ != ':' || (count = take_number(&p, end)) < 0)
+            return BAD_RLE_TOKEN;
+        if (p != end && *p != ',')
+            return BAD_RLE_TOKEN;
+        if (value > GOAL || count > cells)
+            return BAD_RLE_TOKEN;
+        if (out != NULL && count <= cells - size)
+            memset(out + size, (int)value, (size_t)count);
+        size = size > INT64_MAX - count ? INT64_MAX : size + count;
+        if (p++ == end)
+            return size;
+    }
 }

@@ -6,7 +6,6 @@ Overrides (CLI flags) use the same keys and beat file values.
 """
 from __future__ import annotations
 
-from dataclasses import asdict
 from pathlib import Path
 
 from .mcts import MCTS_INT_KEYS, MCTSConfig
@@ -93,10 +92,16 @@ def parse_config(path: str | Path | None = None, overrides: dict[str, str] | Non
     return build_configs(values)
 
 
+def _fields_dict(cfg) -> dict:
+    """A config dataclass's fields by name, shallow: every value of these configs is immutable."""
+    return {name: getattr(cfg, name) for name in cfg.__dataclass_fields__}
+
+
 def world_config_to_dict(cfg: WorldConfig) -> dict:
-    d = asdict(cfg)  # the obstacle classes too, as a tuple of dicts
-    d["lane_rows"] = list(d["lane_rows"])
-    d["obstacle_classes"] = list(d["obstacle_classes"])
+    """``dataclasses.asdict`` of ``cfg`` with lists for its tuples, without its deep copies."""
+    d = _fields_dict(cfg)
+    d["lane_rows"] = list(cfg.lane_rows)
+    d["obstacle_classes"] = [_fields_dict(c) for c in cfg.obstacle_classes]
     return d
 
 
@@ -106,7 +111,7 @@ def world_config_from_dict(d: dict) -> WorldConfig:
 
 
 def mcts_config_to_dict(cfg: MCTSConfig) -> dict:
-    return asdict(cfg)
+    return _fields_dict(cfg)
 
 
 def mcts_config_from_dict(d: dict) -> MCTSConfig:

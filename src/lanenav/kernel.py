@@ -1,7 +1,7 @@
 """The package's C kernels, built into one shared object, and the one declaration of their interface.
 
 ``_search.c`` holds the planner's search and pick and the episode loop, ``_world.c`` the world's step,
-rasterizer, frame reader and a timeline's frame loop. On first import this module compiles both with the
+rasterizer, frame reader, a timeline's frame loop and the trace files' RLE frame codec. On first import this module compiles both with the
 system C compiler into one object, against numpy's headers and linked with the installed numpy's
 ``libnpyrandom.a``, whose samplers the world's step draws with. The object is cached under ``__pycache__``,
 keyed by a hash of both sources, ``HEADER``, the compiler command, the interpreter tag, the numpy version
@@ -48,6 +48,8 @@ N_LANE_COLUMNS = 7  # of the lane table, one row of doubles per lane
 MAX_LEN1 = 2147483647  # the largest body length - 1 the world kernels index with; its cells are exact in doubles
 PLAY_ENDED = 1  # lanenav_play's return when the last step met a terminal outcome
 NEED_ROOM = 2  # lanenav_play's return when the next frame of its timeline has no room yet
+RLE_ROOM = 6  # the bytes of RLE text lanenav_frame_to_rle may write per cell of its frame
+BAD_RLE_TOKEN = -1  # lanenav_rle_to_frame's return for a line whose grammar or a token's range fails
 # How far past a wall the goal may step before its reflection refuses it: world.MAX_GRID + world.MAX_GOAL_SPEED,
 # farther than the goal of any valid world or velocity model's extrapolation gets.
 GOAL_REACH = 256.0
@@ -166,7 +168,8 @@ HEADER = "\n".join([
     "/* Generated by lanenav/kernel.py from its declarations. */",
     "#include <stddef.h>", "#include <stdint.h>", '#include "numpy/random/bitgen.h"',
     *(f"#define {name} {globals()[name]}"
-      for name in "N_ACTIONS MAX_DEPTH GOAL N_COLUMNS N_LANE_COLUMNS MAX_LEN1 PLAY_ENDED NEED_ROOM GOAL_REACH".split()),
+      for name in ("N_ACTIONS MAX_DEPTH GOAL N_COLUMNS N_LANE_COLUMNS MAX_LEN1 PLAY_ENDED NEED_ROOM RLE_ROOM "
+                 "BAD_RLE_TOKEN GOAL_REACH").split()),
     f"enum {{ {', '.join(OUTCOMES)} }};",
     "typedef double (*hypot_fn)(double, double);",
     *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, WORLD, TIMELINE, PLAY, FRAME_READ)),
@@ -203,6 +206,8 @@ _SIGNATURES = {
     "lanenav_rasterize": (ctypes.c_void_p,) * 6,
     "lanenav_advance": (ctypes.c_void_p, ctypes.c_int64),
     "lanenav_read_frame": (ctypes.c_void_p,) * 3,
+    "lanenav_frame_to_rle": (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p),
+    "lanenav_rle_to_frame": (ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p),
 }
 
 

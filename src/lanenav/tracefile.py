@@ -6,7 +6,10 @@ episode (configs, model spec, episode seed); each following line is one step:
     {"t", "agent_pos", "action", "reward", "outcome", "frame_rle"}
 
 ``frame_rle`` encodes the post-step palette frame row-major as
-"value:count,value:count,...". ``read_trace`` checks every line against this
+"value:count,value:count,...". The kernel (``_world.c``) encodes and decodes
+it; the decoder checks a line as a whole before it decodes it, and this module
+names the bad token or size in the ``ValueError``. ``write_trace`` writes
+through ``fileio``'s atomic write. ``read_trace`` checks every line against this
 schema (the header's configs and model spec included), and the lines against
 each other (step t runs 1..n, only the last step may end the episode, the
 header outcome is the last step's or ``running`` without steps), and names
@@ -31,45 +34,44 @@ from .config import (
 )
 from .fileio import atomic_write_text
 from .harness import EpisodeRecord, StepRecord
+from .kernel import BAD_RLE_TOKEN, RLE_ROOM, library, zeroed
 from .mcts import MCTSConfig
 from .models import model_label
 from .world import DIED, GOAL, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, WorldConfig, finite
 
+_encode, _decode = library.lanenav_frame_to_rle, library.lanenav_rle_to_frame
+
 
 def frame_to_rle(frame: np.ndarray) -> str:
-    flat = frame.ravel()
-    # Run bounds (the start, each change of value, the end); each run's value and length interleave in one
-    # array, formatted by one % operation.
-    change = np.empty(flat.size + 1, dtype=bool)
-    change[0] = change[-1] = True
-    np.not_equal(flat[1:], flat[:-1], out=change[1:-1])
-    bounds = np.flatnonzero(change)
-    runs = np.empty(2 * bounds.size - 2, dtype=np.int64)
-    runs[0::2], runs[1::2] = flat[bounds[:-1]], bounds[1:] - bounds[:-1]
-    return ",".join(("%d:%d",) * (bounds.size - 1)) % tuple(runs.tolist())
-
-
-_RLE_TOKEN = re.compile(r"([0-9]+):([0-9]+)")
-_RLE = re.compile(r"[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*")
+    """The RLE text of a palette frame (uint8), encoded in the kernel."""
+    if frame.dtype != np.uint8:
+        raise TypeError(f"frame must be uint8, got {frame.dtype}")
+    out = zeroed(RLE_ROOM * frame.size)
+    return out[:_encode(frame.tobytes(), frame.size, out)].decode("ascii")
 
 
 def rle_to_frame(rle: str, grid_h: int, grid_w: int) -> np.ndarray:
-    """Decode ``frame_to_rle`` output; a bad token raises ValueError naming it."""
+    """Decode ``frame_to_rle`` output in the kernel; a bad token raises ValueError naming it.
+
+    The whole line is checked first, in this order: the grammar ``value:count[,value:count...]`` of ASCII
+    digits, each value in 0..GOAL and each count in 0..cells (a number too long for int64 reads as its
+    maximum), then the size the counts add up to. Only a line that passes is decoded, so a line of many
+    full-grid runs costs its length only.
+    """
     cells = grid_h * grid_w
-    if _RLE.fullmatch(rle) is None:
+    # Any character outside ASCII fails the grammar; "?" stands in for it.
+    text = rle.encode("ascii", "replace")
+    size = _decode(text, len(text), max(cells, -1), None)
+    if size == BAD_RLE_TOKEN:
         raise ValueError(_bad_rle_token(rle, cells))
-    # The grammar holds, so the text is digit runs between ':' once ',' is
-    # replaced; a number too long for int64 parses as the int64 maximum.
-    numbers = np.fromstring(rle.replace(",", ":"), dtype=np.int64, sep=":")
-    values, counts = numbers[0::2], numbers[1::2]
-    # One range check over the whole decoded arrays, not one per token.
-    if values.max() > GOAL or counts.max() > cells:
-        raise ValueError(_bad_rle_token(rle, cells))
-    # The size from the counts, before any decoding: a line of many full-grid runs costs its length only.
-    size = int(counts.sum())
     if size != cells:
         raise ValueError(f"RLE decodes to {size} cells, expected {cells}")
-    return np.repeat(values.astype(np.uint8), counts).reshape(grid_h, grid_w)
+    out = zeroed(cells)
+    _decode(text, len(text), cells, out)
+    return np.frombuffer(out, dtype=np.uint8).reshape(grid_h, grid_w)
+
+
+_RLE_TOKEN = re.compile(r"([0-9]+):([0-9]+)")
 
 
 def _bad_rle_token(rle: str, cells: int) -> str:

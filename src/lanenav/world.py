@@ -618,12 +618,12 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
     class_rng = substream(episode_seed, STREAM_CLASS)
     place_rng = substream(episode_seed, STREAM_PLACE)
 
-    lanes = []
+    # Each lane's class index, then its direction bit (0: left to right), drawn in one call: the values and
+    # the generator's state after it are those of two scalar draws per lane, lane by lane (none without lanes).
     class_ids = [c.class_id for c in config.obstacle_classes]
-    for row in config.lane_rows:
-        cid = class_ids[int(class_rng.integers(len(class_ids)))]
-        direction = LEFT_TO_RIGHT if class_rng.integers(2) == 0 else RIGHT_TO_LEFT
-        lanes.append(Lane(row=row, class_id=cid, direction=direction))
+    draws = class_rng.integers(np.tile([len(class_ids), 2], len(config.lane_rows))).tolist()
+    lanes = [Lane(row=row, class_id=class_ids[index], direction=RIGHT_TO_LEFT if bit else LEFT_TO_RIGHT)
+             for row, index, bit in zip(config.lane_rows, draws[0::2], draws[1::2])]
 
     state = WorldState(
         config=config,

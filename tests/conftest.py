@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -29,6 +30,7 @@ from lanenav.world import (
     RUNNING,
     TIMED_OUT,
     PredictedFrame,
+    RIGHT_TO_LEFT,
     Timeline,
     WorldConfig,
     WorldState,
@@ -528,6 +530,61 @@ def quiet_config() -> WorldConfig:
 
 def frames_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(a, b))
+
+
+def reference_lanes(config: WorldConfig, episode_seed: int) -> tuple[list[Lane], np.random.Generator]:
+    """``new_episode``'s lanes drawn by the scalar loop, two draws per lane, with the class stream after them."""
+    class_rng = substream(episode_seed, STREAM_CLASS)
+    class_ids = [c.class_id for c in config.obstacle_classes]
+    lanes = []
+    for row in config.lane_rows:
+        cid = class_ids[int(class_rng.integers(len(class_ids)))]
+        direction = LEFT_TO_RIGHT if class_rng.integers(2) == 0 else RIGHT_TO_LEFT
+        lanes.append(Lane(row=row, class_id=cid, direction=direction))
+    return lanes, class_rng
+
+
+def reference_frame_to_rle(frame: np.ndarray) -> str:
+    """The RLE text in numpy: the run bounds (the start, each change of value, the end), each run's value and
+    length interleaved in one array, formatted by one % operation."""
+    flat = frame.ravel()
+    change = np.empty(flat.size + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(flat[1:], flat[:-1], out=change[1:-1])
+    bounds = np.flatnonzero(change)
+    runs = np.empty(2 * bounds.size - 2, dtype=np.int64)
+    runs[0::2], runs[1::2] = flat[bounds[:-1]], bounds[1:] - bounds[:-1]
+    return ",".join(("%d:%d",) * (bounds.size - 1)) % tuple(runs.tolist())
+
+
+_RLE_TOKEN = re.compile(r"([0-9]+):([0-9]+)")
+_RLE = re.compile(r"[0-9]+:[0-9]+(?:,[0-9]+:[0-9]+)*")
+
+
+def reference_rle_to_frame(rle: str, grid_h: int, grid_w: int) -> np.ndarray:
+    """The RLE decoder in numpy, with its checks in their order: the grammar, then the values and counts
+    (a number too long for int64 parsing as the int64 maximum), then the size."""
+    cells = grid_h * grid_w
+    if _RLE.fullmatch(rle) is None:
+        raise ValueError(_reference_bad_token(rle, cells))
+    numbers = np.fromstring(rle.replace(",", ":"), dtype=np.int64, sep=":")
+    values, counts = numbers[0::2], numbers[1::2]
+    if values.max() > GOAL or counts.max() > cells:
+        raise ValueError(_reference_bad_token(rle, cells))
+    size = int(counts.sum())
+    if size != cells:
+        raise ValueError(f"RLE decodes to {size} cells, expected {cells}")
+    return np.repeat(values.astype(np.uint8), counts).reshape(grid_h, grid_w)
+
+
+def _reference_bad_token(rle: str, cells: int) -> str:
+    for token in rle.split(","):
+        match = _RLE_TOKEN.fullmatch(token)
+        if match is None:
+            return f"malformed RLE token {token!r}"
+        if int(match[1]) > GOAL or int(match[2]) > cells:
+            return f"bad RLE token {token!r}: value must be 0..{GOAL}, count 0..{cells}"
+    raise AssertionError(f"no bad token in {rle!r}")
 
 
 # Config and flag values for the boundary fuzz: any text, numbers, and near misses of valid values.

@@ -1,8 +1,9 @@
+import json
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from conftest import FUZZ_VALUES
 from lanenav.config import (
@@ -120,6 +121,41 @@ class TestSerialization:
     def test_mcts_round_trip(self):
         cfg = MCTSConfig(n_rollouts=7, rollout_length=5, shaping_beta=0.3)
         assert mcts_config_from_dict(mcts_config_to_dict(cfg)) == cfg
+
+    @given(st.data())
+    def test_header_json_is_that_of_asdict(self, data):
+        """The trace header's sort_keys JSON of both configs has the bytes of ``dataclasses.asdict``'s, lists
+        for the world's tuples."""
+        world, mcts = data.draw(_WORLD_CONFIGS), data.draw(_MCTS_CONFIGS)
+        expected = asdict(world)
+        expected.update(lane_rows=list(world.lane_rows), obstacle_classes=list(expected["obstacle_classes"]))
+        assert world_config_to_dict(world) == expected and mcts_config_to_dict(mcts) == asdict(mcts)
+        assert json.dumps(world_config_to_dict(world), sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert json.dumps(mcts_config_to_dict(mcts), sort_keys=True) == json.dumps(asdict(mcts), sort_keys=True)
+        assert world_config_from_dict(world_config_to_dict(world)) == world
+
+
+def _valid(cls, **fields):
+    """``cls(**fields)``, or no example where its validation rejects them."""
+    try:
+        return cls(**fields)
+    except ConfigError:
+        reject()
+
+
+_REALS = st.floats(0.0, 4.0)
+_CLASSES = st.lists(st.builds(ObstacleClass, st.integers(1, 5), st.floats(0.01, 4.0), _REALS, st.floats(1.0, 8.0),
+                              _REALS), min_size=1, max_size=5).map(tuple)
+_WORLD_CONFIGS = st.builds(
+    lambda **fields: _valid(WorldConfig, **fields), grid_h=st.integers(48, 128), grid_w=st.integers(2, 128),
+    level=_REALS, spawn_base_rate=st.floats(0.0, 0.1), lane_rows=st.lists(st.integers(0, 47), unique=True,
+                                                                          max_size=8).map(tuple),
+    obstacle_classes=_CLASSES, goal_speed=_REALS, goal_size=st.integers(1, 2), agent_speed=st.floats(0.1, 4.0),
+    max_steps=st.integers(1, 500), warmup_steps=st.integers(0, 100), master_seed=st.integers(0, 2 ** 64))
+_MCTS_CONFIGS = st.builds(
+    lambda **fields: _valid(MCTSConfig, **fields), n_rollouts=st.integers(1, 100), rollout_length=st.integers(1, 64),
+    temperature=st.floats(0.001, 10.0), c_puct=_REALS, prior_kappa=_REALS, death_value=st.floats(-100.0, 0.0),
+    goal_value=st.floats(0.0, 100.0), shaping_beta=_REALS)
 
 
 def _real_fields(cls) -> list[str]:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import FUZZ_VALUES, agent_turn, frames_equal
+from conftest import FUZZ_VALUES, agent_turn, frames_equal, reference_frame_to_rle, reference_rle_to_frame
+from lanenav import tracefile
 from lanenav.cli import main
 from lanenav.harness import run_episode
 from lanenav.mcts import MCTSConfig
@@ -15,6 +16,7 @@ from lanenav.models import MAX_NOISY_SAMPLES
 from lanenav.seeding import episode_seed
 from lanenav.tracefile import frame_to_rle, read_trace, rle_to_frame, write_trace
 from lanenav.world import (
+    GOAL,
     MAX_ARRIVALS,
     MAX_BODY,
     MAX_GOAL_SPEED,
@@ -54,11 +56,11 @@ class TestRLE:
 
     def test_size_checked_before_decoding(self, monkeypatch):
         """A line of many full-grid runs is rejected from its counts: its cost follows its length, not the
-        cells its counts add up to."""
-        def no_repeat(*args, **kwargs):
+        cells its counts add up to, and no frame is made for it."""
+        def no_frame(*args, **kwargs):
             raise AssertionError("decoded before the size check")
 
-        monkeypatch.setattr(np, "repeat", no_repeat)
+        monkeypatch.setattr(tracefile, "zeroed", no_frame)
         with pytest.raises(ValueError, match="^RLE decodes to 2304000 cells, expected 2304$"):
             rle_to_frame(",".join(["0:2304"] * 1000), 48, 48)
 
@@ -98,6 +100,78 @@ class TestRLE:
         except ValueError:
             return
         assert frame.shape == (2, 3) and frame.max() <= 6
+
+
+def _decoded(decode, rle: str, grid_h: int, grid_w: int) -> tuple:
+    """What a decoder makes of a line: its frame's shape, dtype and bytes, or its ValueError's message."""
+    try:
+        frame = decode(rle, grid_h, grid_w)
+    except ValueError as exc:
+        return "rejected", str(exc)
+    return "decoded", frame.shape, frame.dtype.str, frame.tobytes()
+
+
+# Short numbers, and numbers about as long as int64's maximum or longer.
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=4) | st.text(alphabet="0123456789", min_size=18,
+                                                                             max_size=30)
+# Tokens of the grammar with any numbers, near misses of it, and characters outside it: non-ASCII digits and
+# letters, NUL, a lone surrogate, spaces and signs.
+_TOKENS = (st.tuples(_DIGITS, _DIGITS).map(":".join)
+           | st.sampled_from(["", ":", "0:", ":5", "0:1:2", "-1:4", "3:-6", "0:1.5", " 0:4", "0:4\x00", "\x00"])
+           | st.text(alphabet="0123456789:,-+ x\x00é٣\ud800", max_size=8))
+# Tokens joined by ',' mostly, else by a character the grammar does not take between tokens.
+_RLE_LINES = (st.lists(st.tuples(_TOKENS, st.sampled_from(",,,,,:; x\x00é")), max_size=8).map(
+    lambda pairs: "".join(token + joiner for token, joiner in pairs)[:-1]) | st.text(max_size=20))
+
+
+class TestCodecAgainstReference:
+    """The kernel's codec against the numpy codec of ``conftest``: the same text, the same frame, and the same
+    decision with the same message on any line."""
+
+    @given(st.integers(0, 6), st.integers(1, 64), st.data())
+    def test_encoder_text(self, height, width, data):
+        values = st.integers(0, 255) if data.draw(st.booleans()) else st.integers(0, 2)
+        frame = np.array(data.draw(st.lists(values, min_size=height * width, max_size=height * width)),
+                         dtype=np.uint8).reshape(height, width)
+        assert frame_to_rle(frame) == reference_frame_to_rle(frame)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_encoder_text_on_world_frames(self, seed):
+        frame = render_frame(new_episode(WorldConfig().for_speed("2x"), seed))
+        assert frame_to_rle(frame) == reference_frame_to_rle(frame)
+        assert frame_to_rle(frame.T) == reference_frame_to_rle(frame.T)
+
+    def test_encoder_takes_only_byte_frames(self):
+        with pytest.raises(TypeError, match="uint8"):
+            frame_to_rle(np.zeros((2, 2), dtype=np.int64))
+
+    @given(st.integers(1, 6), st.integers(1, 12), st.data())
+    def test_decoder_round_trip(self, height, width, data):
+        frame = np.array(data.draw(st.lists(st.integers(0, GOAL), min_size=height * width,
+                                            max_size=height * width)), dtype=np.uint8).reshape(height, width)
+        rle = reference_frame_to_rle(frame)
+        assert _decoded(rle_to_frame, rle, height, width) == _decoded(reference_rle_to_frame, rle, height, width)
+        assert frames_equal(rle_to_frame(rle, height, width), frame)
+
+    @given(_RLE_LINES, st.integers(-2, 8), st.integers(0, 8))
+    @settings(max_examples=300)
+    def test_decoder_decision(self, rle, grid_h, grid_w):
+        assert _decoded(rle_to_frame, rle, grid_h, grid_w) == _decoded(reference_rle_to_frame, rle, grid_h, grid_w)
+
+    @pytest.mark.parametrize("rle", [
+        "", "\x00", "0:2304\x00", "é", "٣:2304", "\ud800", "0:2304" + "0" * 30, "0:2305", "6:2303,0:2",
+        "0:1x0:2303", "0:2300:0:4", "0:2300 0:4", "0:2300\x000:4", "0:2300,,0:4", "0:2304,",
+        ",".join(["0:2304"] * 1000),
+        ",".join(["0:2304"] * 999 + ["7:2304"]),
+        ",".join(["0:2304"] * 999 + ["0:2304x"]),
+        ",".join(["9:2304"] + ["0:2304"] * 998 + ["0:"]),
+        ",".join(["0:9223372036854775807"] * 1000),
+        ",".join(["0:99999999999999999999999999"] * 1000),
+        "0:9223372036854775807", "0:9223372036854775808", "7:9223372036854775808",
+        "0:18446744073709553920", "18446744073709551622:2304",
+    ])
+    def test_decoder_decision_on_edge_lines(self, rle):
+        assert _decoded(rle_to_frame, rle, 48, 48) == _decoded(reference_rle_to_frame, rle, 48, 48)
 
 
 class TestTraceFile:

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import agent_turn, build_state, frames_equal, state_fingerprint
+from conftest import agent_turn, build_state, frames_equal, reference_lanes, state_fingerprint
 from lanenav import checks, kernel
+from lanenav.seeding import STREAM_CLASS, substream
 from lanenav.world import (
+    DEFAULT_CLASSES,
     FREE,
     GOAL,
     HEAD,
@@ -125,6 +127,21 @@ class TestNewEpisode:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             new_episode(WorldConfig(grid_h=0), 0)
+
+    @given(st.integers(1, len(DEFAULT_CLASSES)), st.lists(st.integers(0, 47), unique=True, max_size=48),
+           st.integers(0, 2 ** 63))
+    @example(n_classes=1, rows=[], seed=0)
+    @example(n_classes=3, rows=[], seed=5)
+    def test_lanes_drawn_as_by_the_scalar_loop(self, n_classes, rows, seed):
+        """The lanes' classes and directions, and the class stream after them, without a warm-up to draw
+        more; no lanes, no draw."""
+        cfg = WorldConfig(lane_rows=tuple(rows), obstacle_classes=DEFAULT_CLASSES[:n_classes], warmup_steps=0)
+        state = new_episode(cfg, seed)
+        lanes, class_rng = reference_lanes(cfg, seed)
+        assert state.lanes == lanes
+        assert state.class_rng.bit_generator.state == class_rng.bit_generator.state
+        if not rows:
+            assert class_rng.bit_generator.state == substream(seed, STREAM_CLASS).bit_generator.state
 
 
 def _on_obstacle(state, px, py):
