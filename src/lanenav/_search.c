@@ -4,21 +4,22 @@
  * steps with them.
  *
  * kernel.py compiles this file into the package's kernel object, ahead of
- * it kernel.HEADER: the structs (Node, Prior, Search, Frame, Step, Play,
- * Timeline) and constants (N_ACTIONS, MAX_DEPTH, GOAL, PLAY_ENDED,
- * NEED_ROOM, the outcome enum) this file shares with Python, generated from
- * kernel.py's declarations, which document each field. mcts.py calls
- * lanenav_search from run_search and lanenav_select from
- * select_by_temperature and plan_action, which document them; harness.py
- * calls lanenav_play, which plays a run of an episode's steps on the
- * episode's timeline: per step it takes the action (the planner's search
- * and pick, or a given action), moves the agent with the clamp of the
- * planner's expansion and reads the outcome from the palette frame the
- * agent lands in. It simulates the timeline's frames itself, through
- * _world.c's lanenav_advance, when a window or a landing needs one not
- * simulated yet, and returns to Python only for a new buffer of frames,
- * for the frames of a model that predicts in Python, or at the episode's
- * end. The kernel keeps the float arithmetic of the planner bit for bit:
+ * it kernel.HEADER, generated from kernel.py's declarations: what this file
+ * shares with Python (the structs, whose fields kernel.py documents, the
+ * constants, the outcome enum and the ERR_* codes) and the prototype of
+ * every lanenav_* function, so the compiler checks each definition here
+ * against the types ctypes passes. mcts.py calls lanenav_search from
+ * run_search and lanenav_select from select_by_temperature and
+ * plan_action, which document them; harness.py calls lanenav_play, which
+ * plays a run of an episode's steps on the episode's timeline: per step it
+ * takes the action (the planner's search and pick, or a given action),
+ * moves the agent as the planner's expansion does (move) and reads the
+ * outcome from the palette frame the agent lands in. It simulates the
+ * timeline's frames itself, through _world.c's lanenav_advance, when a
+ * window or a landing needs one not simulated yet, and returns to Python
+ * only for a new buffer of frames, for the frames of a model that predicts
+ * in Python, or at the episode's end. The kernel keeps the float arithmetic
+ * of the planner bit for bit:
  *
  * - every expression is evaluated in the order the Python planner wrote it,
  *   and the file is compiled without contraction into fused multiply-adds;
@@ -48,19 +49,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* _world.c's frame loop of a timeline, which lanenav_play runs. */
-int64_t lanenav_advance(Timeline *timeline, int64_t t);
-
-/* Kernel errors, distinct from _world.c's; kernel.ERRORS raises for each
- * the exception Python's arithmetic would. */
-#define ERR_OVERFLOW (-1)  /* an exp overflowed: OverflowError */
-#define ERR_ZERO_DIV (-2)  /* shaping on a 1 x 1 grid, a zero temperature or no visits: ZeroDivisionError */
-#define ERR_NAN_POS (-3)   /* a move gave a NaN position: ValueError */
-#define ERR_DEPTH (-4)     /* rollout length outside 1..MAX_DEPTH */
-#define ERR_EMPTY (-5)     /* no visit counts to pick from: ValueError */
-#define ERR_MEMORY (-6)
-#define ERR_ACTION (-7)    /* a given action outside 0..N_ACTIONS - 1 */
 
 /* world.round_px in doubles: floor(x + 0.5), or ceil(x - 0.5) below zero. */
 static double round_px(double x) { return x >= 0.0 ? floor(x + 0.5) : ceil(x - 0.5); }
@@ -95,6 +83,26 @@ static inline double puct(const Node *node, int a, double scale)
 {
     const double explore = node->cp[a] * scale;
     return node->mean[a] + (node->n[a] ? explore / (double)(node->n[a] + 1) : explore);
+}
+
+/* The agent's move from (*x, *y) by the action's (dx, dy) in moves,
+ * clamped to the grid [0, width - 1] x [0, height - 1]: the search's
+ * expansion and the episode's step. Returns 0, or ERR_NAN_POS where the
+ * position is NaN. */
+static int move(const Search *search, int64_t action, double *x, double *y)
+{
+    const double max_x = (double)(search->width - 1), max_y = (double)(search->height - 1);
+    *x += search->moves[2 * action];
+    *y += search->moves[2 * action + 1];
+    if (*x < 0.0)
+        *x = 0.0;
+    else if (*x > max_x)
+        *x = max_x;
+    if (*y < 0.0)
+        *y = 0.0;
+    else if (*y > max_y)
+        *y = max_y;
+    return isnan(*x) || isnan(*y) ? ERR_NAN_POS : 0;
 }
 
 /* The bits of a double: the prior table compares keys by them, never by
@@ -166,9 +174,7 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
 {
     Node *const nodes = search->nodes;
     const int64_t k = search->k, width = search->width;
-    const double *const moves = search->moves;
     const double c_puct = search->c_puct, beta = search->beta, uniform_cp = c_puct * (1.0 / N_ACTIONS);
-    const double max_x = (double)(width - 1), max_y = (double)(search->height - 1);
     const double span = (double)(search->goal_size - 1), half = span / 2.0;
     double blocks[MAX_DEPTH][4]; /* col_lo, col_hi, row_lo, row_hi */
     int32_t path_rows[MAX_DEPTH];
@@ -225,17 +231,8 @@ int64_t lanenav_search(const Search *search, const Frame *frames)
                 const int32_t depth = node->depth + 1;
                 const Frame *frame = &frames[depth - 1];
                 const double *block = blocks[depth - 1];
-                double x = node->x + moves[2 * action], y = node->y + moves[2 * action + 1], px, py;
-                double terminal_value = NAN, stop_value = NAN;
-                if (x < 0.0)
-                    x = 0.0;
-                else if (x > max_x)
-                    x = max_x;
-                if (y < 0.0)
-                    y = 0.0;
-                else if (y > max_y)
-                    y = max_y;
-                if (isnan(x) || isnan(y))
+                double x = node->x, y = node->y, px, py, terminal_value = NAN, stop_value = NAN;
+                if (move(search, action, &x, &y))
                     return ERR_NAN_POS;
                 px = floor(x + 0.5);
                 py = floor(y + 0.5);
@@ -313,7 +310,7 @@ int64_t lanenav_select(const int64_t *visits, int64_t n, double temperature, dou
     if (n < 1)
         return ERR_EMPTY;
     if (n > N_ACTIONS && (cdf = malloc((size_t)n * sizeof *cdf)) == NULL)
-        return ERR_MEMORY;
+        return ERR_SELECT_MEMORY;
     for (a = 0; a < n; a++)
         if (visits[a] > 0 && log((double)visits[a]) > top)
             top = log((double)visits[a]);
@@ -339,7 +336,6 @@ int64_t lanenav_select(const int64_t *visits, int64_t n, double temperature, dou
     return error ? error : index;
 }
 
-#define PLAY_STOPPED 0 /* a draw, an action or the model's frames the next step needs are not there yet */
 #define NOT_READ (-100) /* plan: the model's frames are not those of this time */
 #define NO_ROOM (-101)  /* plan: a frame of the window has no room in the timeline yet */
 
@@ -380,19 +376,18 @@ static int64_t plan(Play *play, Frame *window, int64_t t, double x, double y)
  * there (PLAY_STOPPED), a frame has no room in the timeline (NEED_ROOM), or
  * an ERR_* of the frame loop, the search or the pick. Per step: the action
  * is the given one, or the planner's on the frames of its window; the agent
- * moves by it, clamped to the grid as the search's expansion clamps; its
- * outcome is read from the pixel it lands on in the palette frame of time
- * t + 1, which the timeline simulates where it is not there yet: the goal,
- * an obstacle, then the step limit. While frame t + 1 is simulated the
- * action is kept in pending, so a call that returns there resumes with it,
- * and an ERR_* with pending set is the landing frame's. A step's frames are
- * simulated in the order the Python loop asked for them: the decision's
- * window, then the frame it lands in. */
+ * moves by it as the search's expansion moves (move); its outcome is read
+ * from the pixel it lands on in the palette frame of time t + 1, which the
+ * timeline simulates where it is not there yet: the goal, an obstacle, then
+ * the step limit. While frame t + 1 is simulated the action is kept in
+ * pending, so a call that returns there resumes with it, and an ERR_* with
+ * pending set is the landing frame's. A step's frames are simulated in the
+ * order the Python loop asked for them: the decision's window, then the
+ * frame it lands in. */
 int64_t lanenav_play(Play *play)
 {
     Frame window[MAX_DEPTH];
     const int64_t width = play->search.width;
-    const double max_x = (double)(width - 1), max_y = (double)(play->search.height - 1);
     int64_t t = play->t;
     double x = t ? play->steps[t - 1].x : play->search.x0, y = t ? play->steps[t - 1].y : play->search.y0;
 
@@ -415,17 +410,7 @@ int64_t lanenav_play(Play *play)
         if ((code = lanenav_advance(play->timeline, t + 1)) <= 0)
             return code < 0 ? code : NEED_ROOM;
         play->pending = -1;
-        x += play->search.moves[2 * action];
-        y += play->search.moves[2 * action + 1];
-        if (x < 0.0)
-            x = 0.0;
-        else if (x > max_x)
-            x = max_x;
-        if (y < 0.0)
-            y = 0.0;
-        else if (y > max_y)
-            y = max_y;
-        if (isnan(x) || isnan(y))
+        if (move(&play->search, action, &x, &y))
             return ERR_NAN_POS;
         cell = play->timeline->palettes[t + 1][(int64_t)floor(y + 0.5) * width + (int64_t)floor(x + 0.5)];
         t++;

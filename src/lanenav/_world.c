@@ -5,19 +5,21 @@
  * palette frame in a trace file, its encoder and its checking decoder.
  *
  * kernel.py compiles this file with _search.c into one object, linked with
- * the installed numpy's libnpyrandom.a, ahead of it kernel.HEADER: the
- * structs (World, Timeline, Frame, FrameRead) and constants (GOAL,
- * N_COLUMNS, N_LANE_COLUMNS, MAX_LEN1, RLE_ROOM, BAD_RLE_TOKEN) this file
- * shares with Python, generated from kernel.py's declarations, which
- * document each field. tracefile.py calls the codec and builds its error
- * messages. world.py packs the inputs and documents the rules; world_step and
- * Timeline both step through lanenav_world_step, so the goal's motion is
- * written once, here. A step draws through numpy's own generators: it reads
- * each as the bitgen_t of rng.bit_generator, takes the per-lane Poisson
- * counts from numpy's random_poisson and the uniforms from next_double, so
- * the draws and the generators' states equal those of Generator.poisson and
- * Generator.random. The kernels keep the float arithmetic of the world bit
- * for bit:
+ * the installed numpy's libnpyrandom.a, ahead of it kernel.HEADER,
+ * generated from kernel.py's declarations: what this file shares with
+ * Python (the structs, whose fields kernel.py documents, the constants, the
+ * ERR_* codes and the enums of the obstacle and lane tables' columns) and
+ * the prototype of every lanenav_* function, so the compiler checks each
+ * definition here against the types ctypes passes. tracefile.py calls the
+ * codec and builds its error messages around the failing token the decoder
+ * points to. world.py packs the inputs and documents the rules; world_step
+ * and Timeline both step through lanenav_world_step, so the goal's motion
+ * is written once, here. A step draws through numpy's own generators: it
+ * reads each as the bitgen_t of rng.bit_generator, takes the per-lane
+ * Poisson counts from numpy's random_poisson and the uniforms from
+ * next_double, so the draws and the generators' states equal those of
+ * Generator.poisson and Generator.random. The kernels keep the float
+ * arithmetic of the world bit for bit:
  *
  * - round_px is floor(x + 0.5), or ceil(x - 0.5) below zero, in double;
  * - body cell i sits at round_px(head - (double)i);
@@ -41,24 +43,6 @@
 /* numpy's Poisson sampler, the one Generator.poisson calls, from
  * libnpyrandom.a; its header, numpy/random/distributions.h, needs Python.h. */
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
-
-/* Columns of the obstacle table, one row of N_COLUMNS doubles per body
- * (world.py), and of the lane table, one row of N_LANE_COLUMNS doubles per
- * lane (WorldState). */
-enum { HEAD, SPEED, LEN1, LANE };
-enum { LEN_LO, LEN_RANGE, SPEED_LO, SPEED_RANGE, DIRECTION, ROW, VALUE };
-_Static_assert(LANE + 1 == N_COLUMNS && VALUE + 1 == N_LANE_COLUMNS, "table columns");
-
-/* Kernel errors, distinct from _search.c's; kernel.ERRORS raises for each. */
-#define ERR_LANE (-8)    /* a lane index outside 0..n_lanes - 1, or not whole */
-#define ERR_LENGTH (-9)  /* LEN1 NaN or outside 0..MAX_LEN1 */
-#define ERR_ROW (-10)    /* a lane row outside the grid */
-#define ERR_DRAWS (-11)  /* the spawns ask for more rows than the buffer holds */
-#define ERR_MEMORY (-12)
-#define ERR_GOAL_NAN (-13)  /* a goal position that is NaN */
-#define ERR_GOAL_INF (-14)  /* a goal position that is infinite */
-#define ERR_LAM (-15)       /* a Poisson mean past numpy's POISSON_LAM_MAX, or NaN */
-#define ERR_GOAL_FAR (-16)  /* a goal stepping more than GOAL_REACH cells past a wall */
 
 static double next_double(bitgen_t *bitgen) { return bitgen->next_double(bitgen->state); }
 
@@ -174,7 +158,7 @@ int64_t lanenav_world_step(World *world, const double *lanes, double *table)
         return ERR_LAM;
     reach = malloc((size_t)(n_lanes > 0 ? 3 * n_lanes : 1) * sizeof *reach);
     if (reach == NULL)
-        return ERR_MEMORY;
+        return ERR_STEP_MEMORY;
     mirror = reach + n_lanes;
     counts = mirror + n_lanes;
     for (lane = 0; lane < n_lanes; lane++) {
@@ -299,13 +283,14 @@ static int64_t paint_bodies(const World *world, const double *lanes, const doubl
 }
 
 /* The goal block's cells along one axis of n cells, [*start, *stop): the
- * slice [max(lo, 0):lo + size] of numpy, lo = round_px(pos), a negative stop
- * counting from the end as numpy's does. A position past +-2^60 is far off
- * the grid and covers nothing. Returns 0, or where Python's round_px raised
- * ERR_GOAL_NAN or ERR_GOAL_INF. */
+ * block's cells lo..lo + size - 1, lo = round_px(pos), clipped to the grid,
+ * so [max(lo, 0), min(lo + size, n)), which holds no cell where the stop is
+ * not past the start. A position past +-2^60 is far off the grid and covers
+ * nothing. Returns 0, or where Python's round_px raised ERR_GOAL_NAN or
+ * ERR_GOAL_INF. */
 static int64_t goal_span(double pos, int64_t size, int64_t n, int64_t *start, int64_t *stop)
 {
-    int64_t lo, hi;
+    int64_t lo;
     if (pos != pos)
         return ERR_GOAL_NAN;
     if (pos - pos != 0.0)
@@ -315,11 +300,8 @@ static int64_t goal_span(double pos, int64_t size, int64_t n, int64_t *start, in
         return 0;
     }
     lo = round_px(pos);
-    hi = lo + size;
-    if (hi < 0)
-        hi = hi + n < 0 ? 0 : hi + n;
-    *start = lo < 0 ? 0 : lo > n ? n : lo;
-    *stop = hi > n ? n : hi;
+    *start = lo < 0 ? 0 : lo;
+    *stop = lo + size < n ? lo + size : n;
     return 0;
 }
 
@@ -458,26 +440,26 @@ static int64_t take_number(const char **p, const char *end)
     return v;
 }
 
-/* Check length bytes of RLE text by tracefile.rle_to_frame's rules, in
- * their order: the line must be "value:count" tokens of ASCII digits joined
- * by ',', then each value 0..GOAL and each count 0..cells, else
- * BAD_RLE_TOKEN; only then is the size, the sum of the counts (saturating),
- * returned. With out given, also decode the runs into out while they fit,
- * so at most cells bytes, the whole frame where the size is cells. Each
- * byte of the text is read once. */
-int64_t lanenav_rle_to_frame(const char *text, int64_t length, int64_t cells, uint8_t *out)
+/* Check length bytes of RLE text by tracefile.rle_to_frame's rules, token
+ * by token: each must be "value:count" of ASCII digits, followed by ',' or
+ * the end, else BAD_RLE_GRAMMAR, then have a value 0..GOAL and a count
+ * 0..cells, else BAD_RLE_RANGE; either writes the failing token's offset in
+ * the text to *bad. Only then is the size, the sum of the counts
+ * (saturating), returned. With out given, also decode the runs into out
+ * while they fit, so at most cells bytes, the whole frame where the size is
+ * cells. Each byte of the text is read once. */
+int64_t lanenav_rle_to_frame(const char *text, int64_t length, int64_t cells, uint8_t *out, int64_t *bad)
 {
     const char *p = text, *const end = text + length;
     int64_t size = 0;
     for (;;) {
-        const int64_t value = take_number(&p, end);
-        int64_t count;
-        if (value < 0 || p == end || *p++ != ':' || (count = take_number(&p, end)) < 0)
-            return BAD_RLE_TOKEN;
-        if (p != end && *p != ',')
-            return BAD_RLE_TOKEN;
+        int64_t value, count;
+        *bad = p - text;
+        value = take_number(&p, end);
+        if (value < 0 || p == end || *p++ != ':' || (count = take_number(&p, end)) < 0 || (p != end && *p != ','))
+            return BAD_RLE_GRAMMAR;
         if (value > GOAL || count > cells)
-            return BAD_RLE_TOKEN;
+            return BAD_RLE_RANGE;
         if (out != NULL && count <= cells - size)
             memset(out + size, (int)value, (size_t)count);
         size = size > INT64_MAX - count ? INT64_MAX : size + count;

@@ -10,12 +10,14 @@ same interpreter and numpy. A missing archive raises ImportError, as a failed bu
 the object, and ``zeroed`` makes the kernels' buffers.
 
 No other module and neither source declares the interface: here are the structs the two sides share
-(``Layout``), the constants both use, the kernels' errors (``ERRORS``, raised by ``check``) and their
-functions' signatures. ``HEADER`` is the C side of these declarations, generated from them and included
-ahead of each source by the build: the constants' ``#define``s, the outcome enum and one ``typedef`` per
-``Layout``, with a static assertion of every field offset and struct size at the value Python's ``struct``
-packs with. A layout that C lays out differently fails the build, and so the import, with the compiler's
-message naming ``Struct.field``. Adding a field is one edit here.
+(``Layout``), the constants both use, the tables' columns, the kernels' error codes (``ERRORS``, raised by
+``check``) and their functions' parameter types (``FUNCTIONS``), from which ctypes' argument types are derived.
+``HEADER`` is the C side of these declarations, generated from them and included ahead of each source by the
+build: the constants' and error codes' ``#define``s, the enums of the outcomes and of the columns, one
+``typedef`` per ``Layout``, with a static assertion of every field offset and struct size at the value
+Python's ``struct`` packs with, and each function's prototype. A layout that C lays out differently fails the
+build, and so the import, with the compiler's message naming ``Struct.field``; a function defined with other
+types than its prototype fails it with "conflicting types" naming the function. Adding a field is one edit here.
 """
 from __future__ import annotations
 
@@ -43,18 +45,30 @@ _BUFFER_TYPES: dict[int, type] = {}
 N_ACTIONS = 8
 MAX_DEPTH = 64  # the longest rollout: the search's path holds this many steps
 GOAL = 6  # the goal's palette value
-N_COLUMNS = 4  # of the obstacle table, one row of doubles per body
-N_LANE_COLUMNS = 7  # of the lane table, one row of doubles per lane
 MAX_LEN1 = 2147483647  # the largest body length - 1 the world kernels index with; its cells are exact in doubles
+PLAY_STOPPED = 0  # lanenav_play's return when a draw, an action or the model's frames a step needs are not there
 PLAY_ENDED = 1  # lanenav_play's return when the last step met a terminal outcome
 NEED_ROOM = 2  # lanenav_play's return when the next frame of its timeline has no room yet
 RLE_ROOM = 6  # the bytes of RLE text lanenav_frame_to_rle may write per cell of its frame
-BAD_RLE_TOKEN = -1  # lanenav_rle_to_frame's return for a line whose grammar or a token's range fails
+# lanenav_rle_to_frame's returns for a line with a token that is not "value:count" of ASCII digits, and for one
+# with a token whose value is past GOAL or whose count is past the frame's cells; it writes where the token starts.
+BAD_RLE_GRAMMAR = -1
+BAD_RLE_RANGE = -2
 # How far past a wall the goal may step before its reflection refuses it: world.MAX_GRID + world.MAX_GOAL_SPEED,
 # farther than the goal of any valid world or velocity model's extrapolation gets.
 GOAL_REACH = 256.0
 # A step's outcome kind by its C name: lanenav_play writes a Step's kind as its index here.
 OUTCOMES = {"RUNNING": "running", "GOAL_REACHED": "goal", "DIED": "died", "TIMED_OUT": "timeout"}
+# The obstacle table's columns by their C names, one row of doubles per body: x of the largest-x cell, the body
+# covering head - i for i = 0..length - 1; the speed, signed, its sign the lane's direction for positive
+# magnitudes; length - 1; the body's row of the lane table (WorldState.lanes).
+OBSTACLE_COLUMNS = ("HEAD", "SPEED", "LEN1", "LANE")
+# The lane table's columns, one row of doubles per lane: what a spawn draws from (length low and range, speed
+# magnitude low and range: Generator.uniform's low and high - low), the direction, the pixel row and the palette value.
+LANE_COLUMNS = ("LEN_LO", "LEN_RANGE", "SPEED_LO", "SPEED_RANGE", "DIRECTION", "ROW", "VALUE")
+N_COLUMNS, N_LANE_COLUMNS = len(OBSTACLE_COLUMNS), len(LANE_COLUMNS)
+# Each column's index under its name, as C's enums give it: HEAD, SPEED, LEN1, LANE, LEN_LO and so on.
+globals().update((name, index) for columns in (OBSTACLE_COLUMNS, LANE_COLUMNS) for index, name in enumerate(columns))
 
 # The C type of each struct code a Layout's fields use, besides pointers, which name theirs.
 _C_TYPES = {"d": "double", "q": "int64_t", "Q": "uint64_t", "i": "int32_t", "B": "uint8_t"}
@@ -162,59 +176,65 @@ PLAY = Layout("Play", search=SEARCH, timeline=("P", "Timeline *"),
 # of values 1..GOAL - 1.
 FRAME_READ = Layout("FrameRead", sum_x="q", sum_y="q", mask="0B")
 
+# What a negative kernel return raises, by the code's C name: (code, exception, message). The search's codes
+# raise what Python's own arithmetic raised where the planner ran in Python.
+ERRORS = {
+    "ERR_OVERFLOW": (-1, OverflowError, "math range error"),  # an exp overflowed
+    # Shaping on a 1 x 1 grid, a zero temperature or no visits.
+    "ERR_ZERO_DIV": (-2, ZeroDivisionError, "float division by zero"),
+    "ERR_NAN_POS": (-3, ValueError, "cannot convert float NaN to integer"),  # a move gave a NaN position
+    "ERR_DEPTH": (-4, ValueError, f"rollout_length must be in 1..{MAX_DEPTH}"),
+    "ERR_EMPTY": (-5, ValueError, "max() arg is an empty sequence"),  # no visit counts to pick from
+    "ERR_SELECT_MEMORY": (-6, MemoryError, "select"),
+    "ERR_ACTION": (-7, ValueError, f"action must be in 0..{N_ACTIONS - 1}"),  # a given action outside them
+    "ERR_LANE": (-8, ValueError, "obstacle table: a lane index outside the lane table, or not a whole number"),
+    "ERR_LENGTH": (-9, ValueError, f"obstacle table: a LEN1 that is NaN or outside 0..{MAX_LEN1}"),
+    "ERR_ROW": (-10, ValueError, "a lane row outside the grid"),
+    # The spawns ask for more rows than the buffer holds.
+    "ERR_DRAWS": (-11, ValueError, "spawn counts past the uniforms or rows given"),
+    "ERR_STEP_MEMORY": (-12, MemoryError, "world step"),
+    "ERR_GOAL_NAN": (-13, ValueError, "cannot convert float NaN to integer"),
+    "ERR_GOAL_INF": (-14, OverflowError, "cannot convert float infinity to integer"),
+    "ERR_LAM": (-15, ValueError, "lam value too large"),  # a Poisson mean past numpy's POISSON_LAM_MAX, or NaN
+    "ERR_GOAL_FAR": (-16, ValueError, f"goal position more than {GOAL_REACH:g} cells outside its walls"),
+}
+_RAISES = {code: (error, message) for code, error, message in ERRORS.values()}
+
+# Each kernel function's C parameter types; each returns an int64_t. ctypes passes each argument as _CTYPES gives
+# its type, any other pointer as c_void_p: bytes, a ctypes buffer, an address or None.
+FUNCTIONS = {
+    "lanenav_search": ("const Search *", "const Frame *"),
+    "lanenav_select": ("const int64_t *", "int64_t", "double", "double"),
+    "lanenav_play": ("Play *",),
+    "lanenav_world_step": ("World *", "const double *", "double *"),
+    "lanenav_rasterize": ("const World *", "const double *", "const double *", "uint8_t *", "FrameRead *", "Frame *"),
+    "lanenav_advance": ("Timeline *", "int64_t"),
+    "lanenav_read_frame": ("const World *", "const uint8_t *", "FrameRead *"),
+    "lanenav_frame_to_rle": ("const uint8_t *", "int64_t", "char *"),
+    "lanenav_rle_to_frame": ("const char *", "int64_t", "int64_t", "uint8_t *", "int64_t *"),
+}
+_CTYPES = {"const char *": ctypes.c_char_p, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
 # The C declarations of all the above, which the build includes ahead of each source; neither source
-# declares any of them.
+# declares any of them, and a definition that differs from its prototype here fails the build.
 HEADER = "\n".join([
     "/* Generated by lanenav/kernel.py from its declarations. */",
     "#include <stddef.h>", "#include <stdint.h>", '#include "numpy/random/bitgen.h"',
     *(f"#define {name} {globals()[name]}"
-      for name in ("N_ACTIONS MAX_DEPTH GOAL N_COLUMNS N_LANE_COLUMNS MAX_LEN1 PLAY_ENDED NEED_ROOM RLE_ROOM "
-                 "BAD_RLE_TOKEN GOAL_REACH").split()),
-    f"enum {{ {', '.join(OUTCOMES)} }};",
+      for name in ("N_ACTIONS MAX_DEPTH GOAL N_COLUMNS N_LANE_COLUMNS MAX_LEN1 PLAY_STOPPED PLAY_ENDED NEED_ROOM "
+                   "RLE_ROOM BAD_RLE_GRAMMAR BAD_RLE_RANGE GOAL_REACH").split()),
+    *(f"#define {name} ({code})" for name, (code, _, _) in ERRORS.items()),
+    *(f"enum {{ {', '.join(names)} }};" for names in (OUTCOMES, OBSTACLE_COLUMNS, LANE_COLUMNS)),
     "typedef double (*hypot_fn)(double, double);",
     *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, WORLD, TIMELINE, PLAY, FRAME_READ)),
+    *(f"int64_t {name}({', '.join(parameters)});" for name, parameters in FUNCTIONS.items()),
 ]) + "\n"
-
-# What a negative kernel return raises: the ERR_* of _search.c (-1..-7), the errors Python's own arithmetic
-# raised there, then those of _world.c (-8..-16).
-ERRORS = {
-    -1: (OverflowError, "math range error"),
-    -2: (ZeroDivisionError, "float division by zero"),
-    -3: (ValueError, "cannot convert float NaN to integer"),
-    -4: (ValueError, f"rollout_length must be in 1..{MAX_DEPTH}"),
-    -5: (ValueError, "max() arg is an empty sequence"),
-    -6: (MemoryError, "select"),
-    -7: (ValueError, f"action must be in 0..{N_ACTIONS - 1}"),
-    -8: (ValueError, "obstacle table: a lane index outside the lane table, or not a whole number"),
-    -9: (ValueError, f"obstacle table: a LEN1 that is NaN or outside 0..{MAX_LEN1}"),
-    -10: (ValueError, "a lane row outside the grid"),
-    -11: (ValueError, "spawn counts past the uniforms or rows given"),
-    -12: (MemoryError, "world step"),
-    -13: (ValueError, "cannot convert float NaN to integer"),
-    -14: (OverflowError, "cannot convert float infinity to integer"),
-    -15: (ValueError, "lam value too large"),
-    -16: (ValueError, f"goal position more than {GOAL_REACH:g} cells outside its walls"),
-}
-
-# Each kernel function's arguments, a struct or buffer given as bytes or a ctypes buffer, or for the world's
-# kernels also as an address; each returns an int64.
-_SIGNATURES = {
-    "lanenav_search": (ctypes.c_char_p,) * 2,
-    "lanenav_select": (ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_double),
-    "lanenav_play": (ctypes.c_char_p,),
-    "lanenav_world_step": (ctypes.c_void_p,) * 3,
-    "lanenav_rasterize": (ctypes.c_void_p,) * 6,
-    "lanenav_advance": (ctypes.c_void_p, ctypes.c_int64),
-    "lanenav_read_frame": (ctypes.c_void_p,) * 3,
-    "lanenav_frame_to_rle": (ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p),
-    "lanenav_rle_to_frame": (ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p),
-}
 
 
 def check(code: int) -> int:
     """A kernel's return ``code``, or where it is negative, the error ``ERRORS`` gives it, raised."""
     if code < 0:
-        error, message = ERRORS[code]
+        error, message = _RAISES[code]
         raise error(message)
     return code
 
@@ -299,8 +319,10 @@ def _build(target: Path, sources: tuple[Path, ...]) -> None:
 
 
 library = _load_kernel()
-for _name, _argtypes in _SIGNATURES.items():
-    getattr(library, _name).restype, getattr(library, _name).argtypes = ctypes.c_int64, _argtypes
+for _name, _types in FUNCTIONS.items():
+    _function = getattr(library, _name)
+    _function.restype = ctypes.c_int64
+    _function.argtypes = [_CTYPES.get(t, ctypes.c_void_p) if t.endswith("*") else _CTYPES[t] for t in _types]
 
 
 def zeroed(size: int) -> ctypes.Array:

@@ -70,7 +70,7 @@ def error_map_to_rgb(err: ErrorMap, truth: np.ndarray, goal_size: int = 2) -> np
     if err.pred_goal is not None:
         # Drawn last: a perfect goal prediction shows orange.
         x0, x1, y0, y1 = goal_block(err.pred_goal, goal_size)
-        rgb[max(y0, 0):min(y1 + 1, height), max(x0, 0):min(x1 + 1, width)] = PRED_GOAL_COLOR
+        rgb[max(y0, 0):max(y1 + 1, 0), max(x0, 0):max(x1 + 1, 0)] = PRED_GOAL_COLOR
     return rgb
 
 
@@ -87,5 +87,5 @@ def prediction_to_rgb(occupancy: np.ndarray, goal_estimate: tuple[float, float] 
     rgb[occupancy] = FRAME_PALETTE[3]
     if goal_estimate is not None:
         x0, x1, y0, y1 = goal_block(goal_estimate, goal_size)
-        rgb[max(y0, 0):min(y1 + 1, height), max(x0, 0):min(x1 + 1, width)] = FRAME_PALETTE[w.GOAL]
+        rgb[max(y0, 0):max(y1 + 1, 0), max(x0, 0):max(x1 + 1, 0)] = FRAME_PALETTE[w.GOAL]
     return rgb

@@ -7,9 +7,9 @@ episode (configs, model spec, episode seed); each following line is one step:
 
 ``frame_rle`` encodes the post-step palette frame row-major as
 "value:count,value:count,...". The kernel (``_world.c``) encodes and decodes
-it; the decoder checks a line as a whole before it decodes it, and this module
-names the bad token or size in the ``ValueError``. ``write_trace`` writes
-through ``fileio``'s atomic write. ``read_trace`` checks every line against this
+it; the decoder checks a line as a whole before it decodes it and points to
+its first bad token, and this module names that token or the size in the
+``ValueError``. ``write_trace`` writes through ``fileio``'s atomic write. ``read_trace`` checks every line against this
 schema (the header's configs and model spec included), and the lines against
 each other (step t runs 1..n, only the last step may end the episode, the
 header outcome is the last step's or ``running`` without steps), and names
@@ -19,8 +19,8 @@ kept beside them for ``Trace.frame_at``.
 """
 from __future__ import annotations
 
+import ctypes
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .config import (
 )
 from .fileio import atomic_write_text
 from .harness import EpisodeRecord, StepRecord
-from .kernel import BAD_RLE_TOKEN, RLE_ROOM, library, zeroed
+from .kernel import BAD_RLE_GRAMMAR, RLE_ROOM, library, zeroed
 from .mcts import MCTSConfig
 from .models import model_label
 from .world import DIED, GOAL, GOAL_REACHED, N_ACTIONS, RUNNING, TIMED_OUT, WorldConfig, finite
@@ -53,36 +53,25 @@ def frame_to_rle(frame: np.ndarray) -> str:
 def rle_to_frame(rle: str, grid_h: int, grid_w: int) -> np.ndarray:
     """Decode ``frame_to_rle`` output in the kernel; a bad token raises ValueError naming it.
 
-    The whole line is checked first, in this order: the grammar ``value:count[,value:count...]`` of ASCII
-    digits, each value in 0..GOAL and each count in 0..cells (a number too long for int64 reads as its
-    maximum), then the size the counts add up to. Only a line that passes is decoded, so a line of many
+    The whole line is checked first, token by token: the grammar ``value:count[,value:count...]`` of ASCII
+    digits, and each value in 0..GOAL and each count in 0..cells (a number too long for int64 reads as its
+    maximum); then the size the counts add up to. Only a line that passes is decoded, so a line of many
     full-grid runs costs its length only.
     """
     cells = grid_h * grid_w
-    # Any character outside ASCII fails the grammar; "?" stands in for it.
-    text = rle.encode("ascii", "replace")
-    size = _decode(text, len(text), max(cells, -1), None)
-    if size == BAD_RLE_TOKEN:
-        raise ValueError(_bad_rle_token(rle, cells))
+    # Any character outside ASCII fails the grammar; "?" stands in for it, one byte per character, so the
+    # kernel's offsets into the text are offsets into rle.
+    text, bad = rle.encode("ascii", "replace"), ctypes.c_int64()
+    size = _decode(text, len(text), max(cells, -1), None, ctypes.byref(bad))
+    if size < 0:
+        token = rle[bad.value:].partition(",")[0]
+        raise ValueError(f"malformed RLE token {token!r}" if size == BAD_RLE_GRAMMAR else
+                         f"bad RLE token {token!r}: value must be 0..{GOAL}, count 0..{cells}")
     if size != cells:
         raise ValueError(f"RLE decodes to {size} cells, expected {cells}")
     out = zeroed(cells)
-    _decode(text, len(text), cells, out)
+    _decode(text, len(text), cells, out, ctypes.byref(bad))
     return np.frombuffer(out, dtype=np.uint8).reshape(grid_h, grid_w)
-
-
-_RLE_TOKEN = re.compile(r"([0-9]+):([0-9]+)")
-
-
-def _bad_rle_token(rle: str, cells: int) -> str:
-    """Error message naming the first token that is not a valid ``value:count``."""
-    for token in rle.split(","):
-        match = _RLE_TOKEN.fullmatch(token)
-        if match is None:
-            return f"malformed RLE token {token!r}"
-        if int(match[1]) > GOAL or int(match[2]) > cells:
-            return f"bad RLE token {token!r}: value must be 0..{GOAL}, count 0..{cells}"
-    raise AssertionError(f"no bad token in {rle!r}")
 
 
 @dataclass

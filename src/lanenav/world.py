@@ -63,8 +63,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import (FRAME, FRAME_READ, GOAL, GOAL_REACH, N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, TIMELINE,
-                     WORLD, check, library, zeroed)
+from .kernel import (FRAME, FRAME_READ, GOAL, GOAL_REACH, HEAD, LANE, LANE_COLUMNS, LEN1, N_ACTIONS, N_COLUMNS,
+                     N_LANE_COLUMNS, OUTCOMES, SPEED, TIMELINE, WORLD, check, library, zeroed)
 from .seeding import STREAM_CLASS, STREAM_PLACE, STREAM_SPAWN, clone_rng, substream
 
 # Frame palette values: FREE, the obstacle classes' 1..5, and GOAL (6).
@@ -308,11 +308,6 @@ class Outcome:
         return self.kind != RUNNING
 
 
-# Columns of the obstacle table, one row per body.
-HEAD = 0  # x of the largest-x cell; the body covers head - i for i = 0..length-1
-SPEED = 1  # signed; the sign matches the lane direction for positive magnitudes
-LEN1 = 2  # length - 1
-LANE = 3  # index into WorldState.lanes
 _ROW_BYTES = 8 * N_COLUMNS
 # The parts of a kernel World that a step reads and writes: the table's room and rows, the goal; what it moved and
 # drew. A Timeline holds its World first, so these offsets are the Timeline's too.
@@ -404,20 +399,18 @@ class WorldState:
     spawn_draws: int = 0  # raw Poisson total, before overlap rejection
 
     def __post_init__(self) -> None:
-        # The kernels' lane table, packed once: lanes never change. Per lane,
-        # what a spawn draws from (length low and range, speed magnitude low
-        # and range: Generator.uniform's low and high - low), the direction,
-        # the pixel row and the palette value. The first class with the
-        # lane's id wins.
+        # The kernels' lane table (kernel.LANE_COLUMNS), packed once: lanes
+        # never change. The first class with the lane's id wins.
         classes = {cls.class_id: cls for cls in reversed(self.config.obstacle_classes)}
-        rows = []
+        values = []
         for lane in self.lanes:
             cls = classes[lane.class_id]
             len_lo, len_hi = cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter
             speed_lo, speed_hi = cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter
-            rows.append((len_lo, len_hi - len_lo, speed_lo, speed_hi - speed_lo, lane.direction, lane.row,
-                         lane.class_id))
-        self.lane_table = struct.pack(f"{N_LANE_COLUMNS * len(rows)}d", *(v for row in rows for v in row))
+            row = dict(LEN_LO=len_lo, LEN_RANGE=len_hi - len_lo, SPEED_LO=speed_lo, SPEED_RANGE=speed_hi - speed_lo,
+                       DIRECTION=lane.direction, ROW=lane.row, VALUE=lane.class_id)
+            values.extend(row[name] for name in LANE_COLUMNS)
+        self.lane_table = struct.pack(f"{len(values)}d", *values)
         # world_step keeps the table in a buffer of its own: _rows views all
         # of the buffer's rows, _view the first ones, which it left in obstacles.
         self._buffer = self._rows = self._view = None
@@ -500,8 +493,7 @@ def _rasterize(state: WorldState, goal_size: int = 0) -> np.ndarray:
     The world's one rasterization rule: body cell i is column
     ``round_px(head - i)`` for i = 0..length-1, kept when it is on the grid.
     The goal block's columns are ``round_px(goal.x)`` and the ``goal_size - 1``
-    after it, its rows likewise, clipped to the grid as numpy's slice
-    ``[max(lo, 0):hi + 1]`` clips them; a NaN goal position raises
+    after it, its rows likewise, those on the grid painted; a NaN goal position raises
     ``ValueError`` and an infinite one ``OverflowError``, as ``round_px`` does.
     """
     cfg = state.config

@@ -350,7 +350,8 @@ def reference_render_frame(state: WorldState) -> np.ndarray:
     lane_value = np.array([lane.class_id for lane in state.lanes], dtype=np.uint8)
     cells[lane_row[lanes], cols] = lane_value[lanes]
     x0, x1, y0, y1 = goal_pixels(state)
-    cells[max(y0, 0):y1 + 1, max(x0, 0):x1 + 1] = GOAL
+    # Clipped to the grid: a stop left of the grid paints nothing, where numpy's slice would count it from the end.
+    cells[max(y0, 0):max(y1 + 1, 0), max(x0, 0):max(x1 + 1, 0)] = GOAL
     return cells
 
 

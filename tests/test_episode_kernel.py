@@ -30,6 +30,8 @@ from lanenav.models import ForwardModel, build_model
 from lanenav.seeding import STREAM_MODEL, episode_seed, substream
 from lanenav.world import Timeline, WorldConfig
 
+pytestmark = pytest.mark.bitpin
+
 PLANNER_SPECS = ("oracle", "frozen", "velocity", "noisy:0.1,0.02,1.0,3")
 WINDOWED = ("oracle", "frozen")
 # prior_kappa just past exp's range: a prior overflows where the goal lies within about a degree of an action.

@@ -1,3 +1,4 @@
+"""The atomic write through os-level calls: temp names, flags and mode, short writes, and no temp left on failure."""
 import os
 import threading
 
@@ -5,6 +6,8 @@ import pytest
 
 from lanenav import fileio
 from lanenav.fileio import atomic_write_bytes, atomic_write_text
+
+pytestmark = pytest.mark.bitpin
 
 
 def test_round_trip(tmp_path):

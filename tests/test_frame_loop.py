@@ -29,6 +29,8 @@ from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel
 from lanenav.world import MAX_GOAL_SPEED, PlacementError, Timeline, WorldConfig, WorldState, clone_state
 
+pytestmark = pytest.mark.bitpin
+
 CHUNKS = st.sampled_from([1, 2, 16])
 
 

@@ -12,7 +12,11 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 from lanenav import BenchCell, MCTSConfig, WorldConfig, run_benchmark
+
+pytestmark = pytest.mark.bitpin
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_small.csv"
 

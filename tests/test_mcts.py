@@ -1,3 +1,5 @@
+"""The planner: goal prior, PUCT pick, back-up and search; the goal prior's bits are pinned against a loop
+reference."""
 import itertools
 import math
 
@@ -18,6 +20,8 @@ from lanenav.mcts import (
 from lanenav.models import PredictedFrame, oracle_predict
 from lanenav.seeding import make_rng
 from lanenav.world import ConfigError, WorldConfig, action_to_velocity, new_episode, round_px
+
+pytestmark = pytest.mark.bitpin
 
 
 def rollout_from_masks(masks, goals=None) -> tuple[PredictedFrame, ...]:

@@ -10,10 +10,11 @@ from lanenav.ppm import (
     PRED_GOAL_COLOR,
     TRUE_GOAL_COLOR,
     error_map_to_rgb,
+    prediction_to_rgb,
     render_error_map,
     render_ppm,
 )
-from lanenav.world import FREE, GOAL, WorldConfig, new_episode, render_frame
+from lanenav.world import FREE, GOAL, WorldConfig, goal_block, new_episode, render_frame
 
 
 def read_ppm(path):
@@ -122,3 +123,19 @@ class TestPalette:
 
     def test_seven_entries(self):
         assert sorted(FRAME_PALETTE) == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_an_off_grid_goal_estimate_paints_exactly_its_on_grid_cells():
+    """A predicted goal block past any edge of the grid is clipped to it, never counted from the far edge as a
+    negative slice stop would count it."""
+    occupancy, truth = np.zeros((48, 48), dtype=bool), np.zeros((48, 48), dtype=np.uint8)
+    for pos in np.arange(-8.0, 57.0, 0.25):
+        for center in ((pos, 20.0), (20.0, pos)):
+            x0, x1, y0, y1 = goal_block(center, 2)
+            want = np.zeros((48, 48), dtype=bool)
+            on_grid = [[i for i in range(lo, hi + 1) if 0 <= i < 48] for lo, hi in ((y0, y1), (x0, x1))]
+            want[np.ix_(*on_grid)] = True
+            err = prediction_error(PredictedFrame(occupancy, center), truth)
+            for rgb, colour in ((prediction_to_rgb(occupancy, center), FRAME_PALETTE[GOAL]),
+                                (error_map_to_rgb(err, truth), PRED_GOAL_COLOR)):
+                assert np.array_equal((rgb == colour).all(axis=2), want), center

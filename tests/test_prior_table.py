@@ -37,6 +37,8 @@ from lanenav.world import PredictedFrame, Timeline, WorldConfig
 from test_episode_kernel import OVERFLOW_KAPPA, assert_same_episode, model_for
 from test_search_kernel import assert_same_tree, outcome
 
+pytestmark = pytest.mark.bitpin
+
 
 def prior_table(slots: int) -> ctypes.Array:
     return zeroed(slots * PRIOR.size)

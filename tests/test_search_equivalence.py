@@ -19,11 +19,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from conftest import agent_turn, assert_exploration_factors
 from lanenav.mcts import MCTSConfig, plan_action, run_search
 from lanenav.models import oracle_predict
 from lanenav.seeding import episode_seed, make_rng
 from lanenav.world import N_ACTIONS, WorldConfig, new_episode
+
+pytestmark = pytest.mark.bitpin
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "search_corpus.json"
 

@@ -34,6 +34,8 @@ from lanenav.models import ForwardModel
 from lanenav.seeding import make_rng
 from lanenav.world import LEFT_TO_RIGHT, RIGHT_TO_LEFT, PredictedFrame, Timeline, WorldConfig
 
+pytestmark = pytest.mark.bitpin
+
 
 def node_record(node) -> str:
     return repr((node.depth, node.x, node.y, node.terminal_value, node.stop_value, list(node.n), list(node.w),
@@ -436,12 +438,51 @@ class TestLoader:
         assert re.search(r"no member named \W*spare", str(caught.value))
 
     def test_no_source_declares_what_the_header_defines(self):
+        """The structs, constants, error codes, table columns and function prototypes are declared once, in
+        the generated header: neither source restates one of them."""
         defined = set(re.findall(r"^#define (\w+)", kernel.HEADER, re.MULTILINE))
-        assert defined >= {"N_ACTIONS", "MAX_DEPTH", "GOAL", "N_COLUMNS", "N_LANE_COLUMNS", "MAX_LEN1", "PLAY_ENDED"}
+        assert defined >= {"N_ACTIONS", "MAX_DEPTH", "GOAL", "N_COLUMNS", "N_LANE_COLUMNS", "MAX_LEN1", "PLAY_ENDED",
+                           "PLAY_STOPPED", "NEED_ROOM", *kernel.ERRORS}
+        enumerated = {name.strip() for body in re.findall(r"\benum\s*\{([^}]*)\}", kernel.HEADER)
+                      for name in body.split(",")}
+        assert enumerated == {*kernel.OUTCOMES, *kernel.OBSTACLE_COLUMNS, *kernel.LANE_COLUMNS}
+        prototypes = set(re.findall(r"^int64_t (lanenav_\w+)\([^)]*\);$", kernel.HEADER, re.MULTILINE))
+        definitions = set()
         for source in kernel._SOURCES:
             text = source.read_text()
             assert "typedef struct" not in text, source.name
             assert not defined & set(re.findall(r"^\s*#\s*define\s+(\w+)", text, re.MULTILINE)), source.name
+            assert not re.search(r"#\s*define\s+ERR_", text), source.name
+            assert not re.search(r"\benum\s*\{", text), source.name
+            # A prototype at file scope ends its parameter list with ';', where a definition opens its body.
+            assert not re.search(r"^\w[^;{}()]*\blanenav_\w+\s*\([^;{}]*\)\s*;", text, re.MULTILINE), source.name
+            definitions |= set(re.findall(r"^int64_t (lanenav_\w+)\(", text, re.MULTILINE))
+        assert prototypes == definitions == set(kernel.FUNCTIONS)
+        assert not hasattr(kernel, "_SIGNATURES")
+
+    def test_argument_types_come_from_the_declarations(self):
+        kinds = {"const char *": ctypes.c_char_p, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+        for name, parameters in kernel.FUNCTIONS.items():
+            function = getattr(kernel.library, name)
+            assert function.restype is ctypes.c_int64, name
+            assert list(function.argtypes) == [kinds.get(parameter, ctypes.c_void_p) for parameter in parameters]
+            assert all(parameter in kinds or parameter.endswith(" *") for parameter in parameters), name
+
+    def test_a_definition_that_differs_from_its_declaration_fails_the_import(self, tmp_path):
+        """A copy of the package whose frame loop takes an int32_t time where kernel.py declares int64_t: the
+        build, and so the import, fails naming the function."""
+        package = tmp_path / "lanenav"
+        shutil.copytree(Path(kernel.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+        source = package / "_world.c"
+        text = source.read_text()
+        old = "int64_t lanenav_advance(Timeline *timeline, int64_t t)"
+        assert text.count(old) == 1
+        source.write_text(text.replace(old, "int64_t lanenav_advance(Timeline *timeline, int32_t t)"))
+        done = subprocess.run([sys.executable, "-c", "import lanenav"], env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert "ImportError: cannot build the C kernels" in done.stderr
+        assert re.search(r"conflicting types for \W*lanenav_advance", done.stderr)
 
     def test_a_changed_header_builds_a_new_object(self, tmp_path, monkeypatch):
         """No load-time check compares the object with the declarations, so the header keys the object: a
@@ -455,44 +496,41 @@ class TestLoader:
         assert list(tmp_path.iterdir()) == [second]
 
 
-# What each ERR_* of the sources raised before their codes were made distinct.
+# What each kernel error code raised, by its C name, since the codes were made distinct. The two that both
+# sources named ERR_MEMORY have a name each now.
 PARENT_ERRORS = {
-    ("_search.c", "ERR_OVERFLOW"): (OverflowError, "math range error"),
-    ("_search.c", "ERR_ZERO_DIV"): (ZeroDivisionError, "float division by zero"),
-    ("_search.c", "ERR_NAN_POS"): (ValueError, "cannot convert float NaN to integer"),
-    ("_search.c", "ERR_DEPTH"): (ValueError, "rollout_length must be in 1..64"),
-    ("_search.c", "ERR_EMPTY"): (ValueError, "max() arg is an empty sequence"),
-    ("_search.c", "ERR_MEMORY"): (MemoryError, "select"),
-    ("_search.c", "ERR_ACTION"): (ValueError, "action must be in 0..7"),
-    ("_world.c", "ERR_LANE"): (ValueError,
-                               "obstacle table: a lane index outside the lane table, or not a whole number"),
-    ("_world.c", "ERR_LENGTH"): (ValueError, "obstacle table: a LEN1 that is NaN or outside 0..2147483647"),
-    ("_world.c", "ERR_ROW"): (ValueError, "a lane row outside the grid"),
-    ("_world.c", "ERR_DRAWS"): (ValueError, "spawn counts past the uniforms or rows given"),
-    ("_world.c", "ERR_MEMORY"): (MemoryError, "world step"),
+    "ERR_OVERFLOW": (-1, OverflowError, "math range error"),
+    "ERR_ZERO_DIV": (-2, ZeroDivisionError, "float division by zero"),
+    "ERR_NAN_POS": (-3, ValueError, "cannot convert float NaN to integer"),
+    "ERR_DEPTH": (-4, ValueError, "rollout_length must be in 1..64"),
+    "ERR_EMPTY": (-5, ValueError, "max() arg is an empty sequence"),
+    "ERR_SELECT_MEMORY": (-6, MemoryError, "select"),  # _search.c's ERR_MEMORY
+    "ERR_ACTION": (-7, ValueError, "action must be in 0..7"),
+    "ERR_LANE": (-8, ValueError, "obstacle table: a lane index outside the lane table, or not a whole number"),
+    "ERR_LENGTH": (-9, ValueError, "obstacle table: a LEN1 that is NaN or outside 0..2147483647"),
+    "ERR_ROW": (-10, ValueError, "a lane row outside the grid"),
+    "ERR_DRAWS": (-11, ValueError, "spawn counts past the uniforms or rows given"),
+    "ERR_STEP_MEMORY": (-12, MemoryError, "world step"),  # _world.c's ERR_MEMORY
     # Where render_frame's round_px of the goal position raised.
-    ("_world.c", "ERR_GOAL_NAN"): (ValueError, "cannot convert float NaN to integer"),
-    ("_world.c", "ERR_GOAL_INF"): (OverflowError, "cannot convert float infinity to integer"),
+    "ERR_GOAL_NAN": (-13, ValueError, "cannot convert float NaN to integer"),
+    "ERR_GOAL_INF": (-14, OverflowError, "cannot convert float infinity to integer"),
     # Where world_step raised, as Generator.poisson does, before the check moved into the step kernel.
-    ("_world.c", "ERR_LAM"): (ValueError, "lam value too large"),
+    "ERR_LAM": (-15, ValueError, "lam value too large"),
     # Where the goal's reflection bounced without end instead.
-    ("_world.c", "ERR_GOAL_FAR"): (ValueError, "goal position more than 256 cells outside its walls"),
+    "ERR_GOAL_FAR": (-16, ValueError, "goal position more than 256 cells outside its walls"),
 }
 
 
 def test_error_table_matches_the_sources():
-    defines = {}
-    for source in kernel._SOURCES:
-        text = source.read_text()
-        found = re.findall(r"^#define (ERR_\w+) \((-\d+)\)", text, re.MULTILINE)
-        assert len(found) == text.count("#define ERR_")
-        defines.update({(source.name, name): int(code) for name, code in found})
-    assert set(defines) == set(PARENT_ERRORS)
-    codes = sorted(defines.values())
-    assert len(set(codes)) == len(codes) and codes == sorted(kernel.ERRORS)
-    for define, code in defines.items():
-        error, message = PARENT_ERRORS[define]
-        assert kernel.ERRORS[code] == (error, message)
+    """The sources read each code from the header's #define, which ERRORS generates: every code keeps its
+    value, exception and message, and no two codes share a value."""
+    defines = re.findall(r"^#define (ERR_\w+) \((-\d+)\)$", kernel.HEADER, re.MULTILINE)
+    assert len(defines) == kernel.HEADER.count("#define ERR_")
+    assert {name: int(code) for name, code in defines} == {name: code for name, (code, *_) in PARENT_ERRORS.items()}
+    assert kernel.ERRORS == PARENT_ERRORS
+    codes = [code for code, *_ in kernel.ERRORS.values()]
+    assert len(set(codes)) == len(codes)
+    for code, error, message in PARENT_ERRORS.values():
         with pytest.raises(error) as caught:
             kernel.check(code)
         assert type(caught.value) is error and str(caught.value) == message

@@ -26,11 +26,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from conftest import move, outcome_at
 from lanenav.mcts import MCTSConfig, SearchNode, run_search
 from lanenav.models import Observation, frozen_predict
 from lanenav.seeding import episode_seed, make_rng
 from lanenav.world import N_ACTIONS, PredictedFrame, Timeline, WorldConfig
+
+pytestmark = pytest.mark.bitpin
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "search_trees.json"
 

@@ -21,6 +21,8 @@ from lanenav.mcts import MAX_ROLLOUTS, MCTSConfig, plan_action, run_search, sele
 from lanenav.seeding import episode_seed, make_rng
 from lanenav.world import PredictedFrame, Timeline, WorldConfig
 
+pytestmark = pytest.mark.bitpin
+
 
 class Draw:
     """Stands in for the generator: ``random()`` returns the given value."""

@@ -1,3 +1,5 @@
+"""Trace files, and the kernel's RLE frame codec against the numpy codec of conftest.py: text, frame, and each
+decision with its message."""
 import json
 import re
 import time
@@ -26,6 +28,8 @@ from lanenav.world import (
     new_episode,
     render_frame,
 )
+
+pytestmark = pytest.mark.bitpin
 
 
 class TestRLE:

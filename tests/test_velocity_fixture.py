@@ -38,6 +38,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lanenav.models import (
@@ -59,6 +60,8 @@ from lanenav.world import (
     obstacle_occupancy,
     round_px_array,
 )
+
+pytestmark = pytest.mark.bitpin
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "velocity_predictions.json"
 

@@ -47,6 +47,8 @@ from lanenav.world import (
     WorldConfig,
 )
 
+pytestmark = pytest.mark.bitpin
+
 FIXTURE = Path(__file__).resolve().parent / "data" / "world_frames.json"
 
 STEPS = 250

@@ -31,6 +31,7 @@ from lanenav import kernel, world
 from lanenav.kernel import FRAME, N_LANE_COLUMNS, WORLD, library, zeroed
 from lanenav.seeding import clone_rng
 from lanenav.world import (
+    GOAL,
     LEFT_TO_RIGHT,
     LEN1,
     MAX_ARRIVALS,
@@ -48,8 +49,11 @@ from lanenav.world import (
     packed_frame,
     predicted_frame,
     render_frame,
+    round_px,
     world_step,
 )
+
+pytestmark = pytest.mark.bitpin
 
 STEPS = 20
 
@@ -358,8 +362,8 @@ def test_the_frame_pass_equals_the_references(state):
 @settings(max_examples=60, deadline=None)
 @given(grid=st.tuples(st.integers(2, 12), st.integers(2, 12)), size=st.integers(1, 12), data=st.data())
 def test_goals_on_and_off_the_grid_edges(grid, size, data):
-    """The goal block at and past every edge, where numpy's slice clips it, wraps it or leaves no goal
-    pixel; a frame without a goal pixel has no goal estimate and a NaN record."""
+    """The goal block at and past every edge, where the grid clips it or leaves no goal pixel; a frame
+    without a goal pixel has no goal estimate and a NaN record."""
     grid_h, grid_w = grid
     size = min(size, grid_h, grid_w)
     config = WorldConfig(grid_h=grid_h, grid_w=grid_w, level=0.0, lane_rows=(0,), goal_size=size,
@@ -372,6 +376,24 @@ def test_goals_on_and_off_the_grid_edges(grid, size, data):
     state = build_state(config=config, lanes=[(0, 1, LEFT_TO_RIGHT)], obstacles=[(0, 1.0, 2, 0.0)],
                         goal=(x, y, 0.0, 0.0))
     assert_frame_pass(state, steps=0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_an_off_grid_goal_paints_exactly_its_on_grid_cells(axis):
+    """On the default 48 x 48 grid, the goal block at every quarter cell from 56 cells before the grid to 56
+    past it paints exactly those of its cells round_px(pos) + 0..goal_size - 1 that lie on the grid: none
+    once the block has left, and never a block counted from the far edge."""
+    config = WorldConfig(level=0.0, warmup_steps=0)
+    size, n = config.goal_size, config.grid_w
+    assert config.grid_h == n
+    for quarter in range(-4 * (n + 8), 4 * (2 * n + 8) + 1):
+        pos = quarter / 4.0
+        goal = [20.0, 20.0, 0.0, 0.0]
+        goal[axis] = pos
+        frame = render_frame(build_state(config=config, goal=tuple(goal)))
+        want = np.zeros_like(frame)
+        want[20:20 + size, [c for c in range(round_px(pos), round_px(pos) + size) if 0 <= c < n]] = GOAL
+        assert np.array_equal(frame, want.T if axis else want), pos
 
 
 def test_a_frame_without_a_goal_pixel():
