@@ -33,7 +33,9 @@ call. Layers:
 * ``fileio.atomic_write_bytes``: one payload of a PPM file's size, 6.9 KB;
 * ``models.predict.{oracle,frozen,velocity,noisy}.k{1,3,10}``: one
   ``predict`` at t=20 of each timeline, the model built by ``build_model``
-  (noisy with its default spec);
+  (noisy with its default spec). A tree whose models are still asked with
+  an ``Observation`` (before ``predict(timeline, t, k)``) is asked with
+  the observation of t, built in the setup;
 * ``mcts.run_search.k{1,3,10}``: one search on the oracle's prediction at t=0;
 * ``mcts.search_kernel.k{1,3,10}``: the same searches in ``lanenav_search``
   alone, on ``Search`` and ``Frame`` bytes packed and fresh tables made in
@@ -58,6 +60,14 @@ call. Layers:
 The files go to a temporary directory, removed at exit. The report also holds
 ``src_lines``, the line count of the library's Python sources, and
 ``src_lines_c``, that of its C sources, to set beside the timings.
+
+After the layers, the script runs the golden grid once per tree, as
+``perfbench/run.py --golden`` does: ``run_benchmark`` at parallelism 2 on the
+cells, episodes and master seed that ``perfbench/workloads.py`` pins, read
+from that file (not imported). The report's ``golden_grid`` gives its wall
+time and the sha256 of its CSV, checked against the file's; the script exits
+1 if this tree's differs. One run per tree, so its wall time is a single
+sample: read it beside the calibration.
 
 Each layer's rounds also time ``calibration_s()`` of ``perfbench/calibration.py``
 (imported from its file, which the script does not change), once per round
@@ -87,7 +97,10 @@ on a shared host, compare runs made back to back, by their medians, or use
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
+import functools
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -186,9 +199,7 @@ def layer_cases(lib: SimpleNamespace, out_dir: Path) -> dict:
     rles = [frame_to_rle(f) for f in frames]
     timelines = [Timeline(cfg, seed) for seed in seeds]
     agents = [timeline.start for timeline in timelines]
-    oracle = lib.models.build_model("oracle")
-    rollouts = [oracle.predict(lib.models.Observation.at(timeline, 0), max(KS)) for timeline in timelines]
-    observations = [lib.models.Observation.at(timeline, 20) for timeline in timelines]
+    rollouts = [timeline.rollout(0, max(KS)) for timeline in timelines]  # the oracle's prediction at t=0
     records = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed) for seed in seeds]
     traced = [lib.harness.run_episode(cfg, MCTSConfig(), "none", seed, keep_frames=True) for seed in seeds]
     trace_paths = [out_dir / f"trace{i}.jsonl" for i in range(len(traced))]
@@ -250,10 +261,9 @@ def layer_cases(lib: SimpleNamespace, out_dir: Path) -> dict:
                                       len(ppm_paths), None),
     }
     for spec in PREDICT_MODELS:
-        model = lib.models.build_model(spec, rng=lib.seeding.make_rng(0))
+        asks = predictions(lib, spec, timelines, 20)
         for k in KS:
-            cases[f"models.predict.{spec}.k{k}"] = (
-                lambda _, model=model, k=k: [model.predict(obs, k) for obs in observations], len(observations), None)
+            cases[f"models.predict.{spec}.k{k}"] = (lambda _, asks=asks, k=k: [ask(k) for ask in asks], len(asks), None)
     for k in KS:
         search = MCTSConfig(rollout_length=k)
         cases[f"mcts.run_search.k{k}"] = (
@@ -271,14 +281,14 @@ def layer_cases(lib: SimpleNamespace, out_dir: Path) -> dict:
             len(rollouts), None)
     search = MCTSConfig()
     for spec in PREDICT_MODELS:
-        model = lib.models.build_model(spec, rng=lib.seeding.make_rng(0))
+        asks = predictions(lib, spec, timelines, 20)
         rng = lib.seeding.make_rng(0)
         cases[f"decision.{spec}"] = (
-            lambda _, model=model, rng=rng: [
-                lib.mcts.plan_action(timeline.start, model.predict(obs, search.rollout_length), search, rng,
-                                     cfg.agent_speed, goal_size=cfg.goal_size)
-                for timeline, obs in zip(timelines, observations)],
-            len(observations), None)
+            lambda _, asks=asks, rng=rng: [
+                lib.mcts.plan_action(timeline.start, ask(search.rollout_length), search, rng, cfg.agent_speed,
+                                     goal_size=cfg.goal_size)
+                for timeline, ask in zip(timelines, asks)],
+            len(asks), None)
     cases["harness.verify_replay"] = (replay_batch, sum(len(r.trace) for r in records), None)
     for label, spec in (("oracle", "oracle"), ("frozen", "frozen"), ("velocity", "velocity"), ("random", "none")):
         cases[f"harness.episode.{label}"] = (
@@ -288,6 +298,44 @@ def layer_cases(lib: SimpleNamespace, out_dir: Path) -> dict:
     cases["harness.bench.plan_grid"] = (
         lambda _: lib.harness.run_benchmark(grid, WorldConfig(), search, 1, master_seed=1), 1, None)
     return cases
+
+
+def predictions(lib: SimpleNamespace, spec: str, timelines: list, t: int) -> list:
+    """Per timeline, a function of k that asks one model of ``spec`` for its prediction at time t. A tree
+    whose models take an ``Observation`` and a generator (``model_rng``'s) is asked through the
+    observation of t, built here."""
+    models = lib.models
+    if hasattr(models, "Observation"):
+        model = models.build_model(spec, rng=lib.seeding.make_rng(0))
+        return [functools.partial(model.predict, models.Observation.at(timeline, t)) for timeline in timelines]
+    model = models.build_model(spec, 0)
+    return [functools.partial(model.predict, timeline, t) for timeline in timelines]
+
+
+def golden_grid() -> dict:
+    """The golden grid that ``perfbench/workloads.py`` pins, read from its source: ``cells``, a function of
+    the library's ``BenchCell`` class, and its ``episodes``, ``master_seed`` and ``sha256``."""
+    path = ROOT / "perfbench" / "workloads.py"
+    found = {node.targets[0].id: node.value for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    models = ast.literal_eval(found["GOLDEN_MODELS"])
+    cells = compile(ast.Expression(found["GOLDEN_CELLS"]), str(path), "eval")
+    return {"cells": lambda BenchCell: list(eval(cells, {"__builtins__": {"tuple": tuple}, "BenchCell": BenchCell,
+                                                         "GOLDEN_MODELS": models})),
+            **{key: ast.literal_eval(found[f"GOLDEN_{key.upper()}"]) for key in ("episodes", "master_seed",
+                                                                                  "sha256")}}
+
+
+def time_golden(lib: SimpleNamespace, grid: dict) -> dict:
+    """One run of the golden grid on the library ``lib`` at parallelism 2: its wall time and CSV sha256."""
+    start = time.perf_counter()
+    table = lib.harness.run_benchmark(grid["cells"](lib.harness.BenchCell), lib.world.WorldConfig(),
+                                      lib.mcts.MCTSConfig(), grid["episodes"], master_seed=grid["master_seed"],
+                                      parallelism=2)
+    wall = time.perf_counter() - start
+    sha = hashlib.sha256(table.to_csv().encode()).hexdigest()
+    return {"wall_s": round(wall, 3), "sha256": sha, "matches": sha == grid["sha256"], "parallelism": 2,
+            "episodes": grid["episodes"], "master_seed": grid["master_seed"], "cells": len(table.rows)}
 
 
 def bound_world(lib: SimpleNamespace):
@@ -356,17 +404,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 2:
         parser.error("--repeats must be at least 2 for quartiles")
     calibration = load_calibration()
+    grid = golden_grid()
     report = {"env": env_stamp()}
     with tempfile.TemporaryDirectory(prefix="lanenav-perf-") as tmp:
-        cases = layer_cases(load_library("lanenav"), Path(tmp) / "change")
+        lib = load_library("lanenav")
+        cases = layer_cases(lib, Path(tmp) / "change")
         if args.against is None:
             [samples], calibration_ms = measure([cases], args.repeats, calibration)
+            golden = time_golden(lib, grid)
         else:
             try:
                 with worktree(args.against) as (path, sha):
-                    parent_cases = layer_cases(import_tree(path / "src", AGAINST_PACKAGE), Path(tmp) / "parent")
+                    parent_lib = import_tree(path / "src", AGAINST_PACKAGE)
+                    parent_cases = layer_cases(parent_lib, Path(tmp) / "parent")
                     (samples, parent_samples), calibration_ms = measure([cases, parent_cases], args.repeats,
                                                                         calibration)
+                    golden, parent_golden = time_golden(lib, grid), time_golden(parent_lib, grid)
             except subprocess.CalledProcessError as exc:
                 parser.error(f"--against {args.against}: {exc.stderr.strip()}")
     layers = {}
@@ -382,7 +435,10 @@ def main(argv: list[str] | None = None) -> int:
                      "max": max(all_calibration), "rounds": len(all_calibration)}
     print(f"{'calibration':28s} {calibration_q['median']:10.2f} ms  (IQR {calibration_q['q1']:.2f}-"
           f"{calibration_q['q3']:.2f}, range {calibration_q['min']:.2f}-{calibration_q['max']:.2f})")
-    report.update(layers=layers, src_lines=src_lines(), src_lines_c=src_lines(".c"), calibration=calibration_q)
+    print(f"{'golden_grid':28s} {golden['wall_s']:10.2f} s   (sha256 {golden['sha256'][:12]}, "
+          f"{'matches' if golden['matches'] else 'DIFFERS from'} perfbench/workloads.py)")
+    report.update(layers=layers, src_lines=src_lines(), src_lines_c=src_lines(".c"), calibration=calibration_q,
+                  golden_grid=golden)
     if args.against is not None:
         print(f"change/parent against {args.against} ({sha[:12]}), median (IQR) of {args.repeats} rounds:")
         ratios = {}
@@ -390,10 +446,13 @@ def main(argv: list[str] | None = None) -> int:
             r = ratios[name] = {**quartiles([c / p for c, p in zip(samples[name], parent_samples[name])], 4),
                                 "parent_us": round(statistics.median(parent_samples[name]), 2)}
             print(f"{name:28s} {r['median']:8.3f}  ({r['q1']:.3f}-{r['q3']:.3f})")
-        report["against"] = {"rev": args.against, "git_sha": sha, "rounds": args.repeats, "ratios": ratios}
+        print(f"{'golden_grid':28s} {golden['wall_s'] / parent_golden['wall_s']:8.3f}  (one run each; parent "
+              f"{parent_golden['wall_s']:.2f} s, sha256 {'matches' if parent_golden['matches'] else 'differs'})")
+        report["against"] = {"rev": args.against, "git_sha": sha, "rounds": args.repeats, "ratios": ratios,
+                             "golden_grid": parent_golden}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
-    return 0
+    return 0 if golden["matches"] else 1
 
 
 if __name__ == "__main__":

@@ -5,10 +5,8 @@ from .mcts import MCTSConfig, plan_action
 from .models import (
     ErrorMap,
     History,
-    Observation,
     PredictedFrame,
     build_model,
-    frozen_predict,
     oracle_predict,
     prediction_error,
     velocity_predict,

@@ -23,7 +23,7 @@ from .config import BENCH_KEYS, CONFIG_KEYS, VALIDATE_KEYS, coerce_value, parse_
 from .fileio import atomic_write_text
 from .harness import MAX_EPISODES, MAX_PARALLELISM, BenchCell, run_benchmark, run_episode
 from .mcts import MAX_ROLLOUT_LENGTH
-from .models import Observation, build_model, model_rng, prediction_error, split_model_specs
+from .models import build_model, prediction_error, split_model_specs
 from .ppm import prediction_to_rgb, render_error_map, render_ppm, write_ppm
 from .seeding import episode_seed
 from .tracefile import read_trace, write_trace
@@ -118,12 +118,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
     agent_pos = (trace.steps[t - 1].agent_x, trace.steps[t - 1].agent_y) if t > 0 else timeline.start
 
     model_spec = coerce_value("model", args.model, "--model") if args.model else trace.model_spec
-    model = build_model(model_spec, rng=model_rng(model_spec, trace.episode_seed))
+    model = build_model(model_spec, trace.episode_seed)
     k = args.horizon
     if model is None:
         print("random agent has no forward model to render", file=sys.stderr)
         return 2
-    frames = model.predict(Observation.at(timeline, t), k)
+    frames = model.predict(timeline, t, k)
 
     out = _out_dir(args)
     for i in range(1, k + 1):

@@ -1,7 +1,8 @@
 """Run configuration: "key = value" files, override dicts, serialization.
 
 A config file is line-based ``key = value`` text; blank lines and ``#``
-comments are skipped, unknown keys are rejected with their line number.
+comments are skipped, unknown keys and keys given twice are rejected with
+their line numbers.
 Overrides (CLI flags) use the same keys and beat file values.
 """
 from __future__ import annotations
@@ -44,6 +45,7 @@ def coerce_value(key: str, raw: str, where: str):
 def read_config_file(path: str | Path, keys: tuple[str, ...] = CONFIG_KEYS) -> dict[str, object]:
     """Parse a key = value file of ``keys`` into a typed dict; errors carry line numbers."""
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}  # the line of each key read
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -61,6 +63,9 @@ def read_config_file(path: str | Path, keys: tuple[str, ...] = CONFIG_KEYS) -> d
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: key {key!r} is not taken by this command")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, first at {path}:{lines[key]}")
+        lines[key] = lineno
         values[key] = coerce_value(key, raw, f"{path}:{lineno}")
     return values
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .kernel import FRAME, NEED_ROOM, OUTCOMES, PLAY, PLAY_ENDED, STEP, check, library, zeroed
 from .mcts import MCTSConfig, _pack_frames, _search_fields, _search_tables
-from .models import ForwardModel, Observation, build_model, model_label, model_rng
+from .models import ForwardModel, build_model, model_label
 from .seeding import STREAM_AGENT, STREAM_PLAN, episode_seed, substream
 from .world import (DEATH_REWARD, DIED, GOAL_REACHED, GOAL_REWARD, N_ACTIONS, RUNNING, TIMED_OUT, ConfigError, Outcome,
                     Timeline, WorldConfig, action_to_velocity, fold)
@@ -138,7 +138,7 @@ def run_episode(
     """Play one full episode; deterministic given (configs, spec, seed).
 
     ``model_spec`` is a selection string, or a ready ForwardModel instance
-    (useful for instrumented models; the caller then owns its RNG).
+    (useful for instrumented models), whose ``spec`` the record keeps.
     """
     return _play(Timeline(world_cfg, ep_seed), world_cfg, mcts_cfg, model_spec, keep_frames)
 
@@ -155,9 +155,9 @@ def _play(
     ep_seed = timeline.episode_seed
     if isinstance(model_spec, ForwardModel):
         model = model_spec
-        model_spec = model.name
+        model_spec = model.spec
     else:
-        model = build_model(model_spec, rng=model_rng(model_spec, ep_seed))
+        model = build_model(model_spec, ep_seed)
     steps, exception = _episode(timeline, world_cfg, mcts_cfg, model, _draws(ep_seed, model is None,
                                                                               world_cfg.max_steps))
     trace = _trace(steps)
@@ -263,7 +263,7 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
         if records is not None and pending < 0 and t < n_given:
             try:
                 # keep holds the occupancies the records point to while the kernel reads them.
-                packed, keep = _pack_frames(model.predict(Observation.at(timeline, t), k), k, shape)
+                packed, keep = _pack_frames(model.predict(timeline, t, k), k, shape)
             except Exception as exc:  # diagnostic record instead of a crash
                 exception = exc
                 break
@@ -351,7 +351,7 @@ def _bench_batch(world_cfg: WorldConfig, cells: list[tuple[WorldConfig, MCTSConf
             timeline = Timeline(world_cfg, seed)
             draws = {}  # per kind of agent, the seed's draws for the longest cell; each cell reads its prefix
         cell_world, cell_mcts, spec = cells[ci]
-        model = build_model(spec, rng=model_rng(spec, seed))
+        model = build_model(spec, seed)
         if (random_agent := model is None) not in draws:
             draws[random_agent] = _draws(seed, random_agent, longest)
         steps, exception = _episode(timeline, cell_world, cell_mcts, model, draws[random_agent])

@@ -2,13 +2,12 @@
 
 All models share one output contract, a tuple of k ``PredictedFrame``s for
 steps t+1..t+k as ``Timeline.rollout`` returns it, produced once per decision
-and shared (read-only) by every planner rollout. Four predict functions:
+and shared (read-only) by every planner rollout. Four models:
 
 * oracle: reads the true future from the episode's ``Timeline``. Exact,
   future spawns included. The upper bound.
-* frozen: persistence baseline, repeats the latest observed frame; on a
-  timeline's history that frame is the timeline's ``predicted(t)``, read
-  once per time for every cell and decision that asks.
+* frozen: persistence baseline, repeats the latest observed frame, the
+  timeline's ``predicted(t)``.
 * velocity: estimates a per-row horizontal shift from the 4-frame history and
   extrapolates it. Cannot foresee spawns, so it shares the structural failure
   mode of a learned scene model: false negatives that grow with horizon.
@@ -16,19 +15,19 @@ and shared (read-only) by every planner rollout. Four predict functions:
   false-positive flips and goal jitter, drawing N samples and aggregating by
   pixel-wise max (occupancy) and coordinate-wise median (goal).
 
-A model is one type, ``ForwardModel``: a name, a predict function of an
-``Observation`` (the 4-frame history, the decision time t and the episode's
-timeline) and k, and a count of its calls. Only the privileged models
-(oracle, noisy) read the timeline; the others predict from the history
-alone. ``History`` and ``HISTORY_LEN`` live beside ``Timeline`` in
-``world`` and are re-exported here: ``Observation.at(timeline, t)`` wraps
-``Timeline.history(t)``, one ``History`` per timeline time.
-``oracle_predict`` is the oracle's prediction computed from a
-``WorldState`` by cloning and stepping it, for use outside an episode.
+A model is one type, ``ForwardModel``, asked with ``predict(timeline, t, k)``
+at decision time t of the episode's timeline. Its frames come from a predict
+function of the same arguments, or from a window of the timeline: oracle and
+frozen are their windows only. velocity reads ``timeline.history(t)``, the
+4-frame ``History`` seen at t, and only the privileged models (oracle, noisy)
+read frames after t. ``History`` and ``HISTORY_LEN`` live beside ``Timeline``
+in ``world`` and are re-exported here. ``oracle_predict`` is the oracle's
+prediction computed from a ``WorldState`` by cloning and stepping it, for use
+outside an episode.
 
 The spec-string grammar ("oracle", "noisy:0.1,0.02,1.0,5", "none", ...) has one
-parser, which ``build_model``, ``model_label`` (a spec's table label) and
-``model_rng`` (its generator in an episode) read; ``split_model_specs`` splits a list.
+parser, which ``build_model`` (a spec's model in an episode) and ``model_label``
+(a spec's table label) read; ``split_model_specs`` splits a list.
 """
 from __future__ import annotations
 
@@ -47,6 +46,7 @@ from .world import (
     PredictedFrame,
     Timeline,
     WorldState,
+    _check_time,
     clone_state,
     fold,
     freeze,
@@ -65,24 +65,6 @@ MAX_SHIFT = 4.0
 DEFAULT_P_FN = 0.10
 DEFAULT_P_FP = 0.02
 DEFAULT_GOAL_SIGMA = 1.0
-
-
-@dataclass(frozen=True)
-class Observation:
-    """What a model is given at decision time t.
-
-    ``history`` is what the agent has seen. ``timeline`` is the episode's
-    true world; only privileged models may read it.
-    """
-
-    history: History
-    t: int
-    timeline: Timeline
-
-    @classmethod
-    def at(cls, timeline: Timeline, t: int) -> "Observation":
-        """Observation at time t, with the timeline's history of t."""
-        return cls(timeline.history(t), t, timeline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,14 +95,6 @@ def oracle_predict(state: WorldState, k: int) -> tuple[PredictedFrame, ...]:
         world_step(clone)
         steps.append(predicted_frame(render_frame(clone)))
     return tuple(steps)
-
-
-def frozen_predict(history: History, k: int) -> tuple[PredictedFrame, ...]:
-    """Persistence baseline: the future equals the latest frame, read once per timeline time."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    latest = history.latest
-    return ((predicted_frame(history.frames[-1]) if latest is None else latest),) * k
 
 
 def _row_shifts(frames: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -291,31 +265,40 @@ def prediction_error(predicted: PredictedFrame, truth: np.ndarray) -> ErrorMap:
 
 
 class ForwardModel:
-    """A forward model: a name, a function of (``Observation``, k) to k predicted frames, and a count of
-    its ``predict`` calls; ``n_samples`` is the samples drawn per prediction, as the bench table shows it.
+    """A forward model: a name, its frames at a decision, a count of its ``predict`` calls, and its ``spec``,
+    the selection string ``build_model`` built it from, else its name; ``n_samples`` is the samples drawn
+    per prediction, as the bench table shows it.
 
-    ``window``, (first, stride), declares that the prediction at decision
-    time t is a fixed window of the episode's timeline: its predicted frames
-    of times t + first + stride * i, i = 0..k-1. The episode loop then reads
-    those frames from the timeline itself, without calling ``predict``, and
-    adds one call per decision it served to ``calls``. The oracle's window is
-    (1, 1), frames t+1..t+k; frozen's is (0, 0), frame t repeated k times.
-    The function must return the same frames.
+    ``predict(timeline, t, k)`` is its k predicted frames at decision time t of the episode's timeline. They
+    come from a ``predict`` function of the same arguments or from a ``window``, (first, stride), never
+    both. A window's frames are the timeline's predicted frames of times t + first + stride * d, d < k: the
+    oracle's window is (1, 1), frames t+1..t+k; frozen's is (0, 0), frame t repeated k times. The episode
+    loop reads a window's frames from the timeline itself, without calling ``predict``, and adds one call
+    per decision it served to ``calls``.
     """
 
-    def __init__(self, name: str, predict: Callable[[Observation, int], tuple[PredictedFrame, ...]],
-                 n_samples: int = 1, window: tuple[int, int] | None = None) -> None:
+    def __init__(self, name: str, predict: Callable[[Timeline, int, int], tuple[PredictedFrame, ...]] | None = None,
+                 n_samples: int = 1, window: tuple[int, int] | None = None, spec: str | None = None) -> None:
+        if (predict is None) == (window is None):
+            raise ValueError("a model takes exactly one of a predict function and a window")
         if window is not None and not (len(window) == 2 and all(type(v) is int and v >= 0 for v in window)):
             raise ValueError(f"a window is (first, stride), two integers >= 0, got {window!r}")
         self.name = name
+        self.spec = name if spec is None else spec
         self.n_samples = n_samples
         self.window = window
         self.calls = 0
         self._predict = predict
 
-    def predict(self, obs: Observation, k: int) -> tuple[PredictedFrame, ...]:
+    def predict(self, timeline: Timeline, t: int, k: int) -> tuple[PredictedFrame, ...]:
         self.calls += 1
-        return self._predict(obs, k)
+        if self._predict is not None:
+            return self._predict(timeline, t, k)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        _check_time(t)
+        first, stride = self.window
+        return tuple(timeline.predicted(t + first + stride * d) for d in range(k))
 
 
 RANDOM_AGENT_SPECS = ("none", "random")
@@ -352,28 +335,22 @@ def _parse_spec(spec: str) -> tuple[str, tuple]:
     raise ValueError(f"unknown model spec {spec!r}")
 
 
-def build_model(spec: str, rng: np.random.Generator | None = None) -> ForwardModel | None:
-    """Model from its selection string (``_parse_spec``); None means the uniform-random agent. Only noisy
-    draws, from ``rng``, which it requires."""
+def build_model(spec: str, episode_seed: int) -> ForwardModel | None:
+    """The model of a selection string (``_parse_spec``) in the episode of ``episode_seed``; None means the
+    uniform-random agent. Only noisy draws, from a generator of its own, the episode's STREAM_MODEL stream."""
     name, parameters = _parse_spec(spec)
     if name == "random":
         return None
     if name == "oracle":
-        return ForwardModel("oracle", lambda obs, k: obs.timeline.rollout(obs.t, k), window=(1, 1))
+        return ForwardModel(name, window=(1, 1), spec=spec)
     if name == "frozen":
-        return ForwardModel("frozen", lambda obs, k: frozen_predict(obs.history, k), window=(0, 0))
+        return ForwardModel(name, window=(0, 0), spec=spec)
     if name == "velocity":
-        return ForwardModel("velocity", lambda obs, k: velocity_predict(obs.history, k))
-    if rng is None:
-        raise ValueError("noisy model requires an rng")
+        return ForwardModel(name, lambda timeline, t, k: velocity_predict(timeline.history(t), k), spec=spec)
     p_fn, p_fp, sigma, n = parameters
-    return ForwardModel("noisy", lambda obs, k: _noisy_samples(obs.timeline.rollout(obs.t, k), n, p_fn, p_fp,
-                                                               sigma, rng), n_samples=n)
-
-
-def model_rng(spec: str, episode_seed: int) -> np.random.Generator | None:
-    """The generator the model of ``spec`` draws from in an episode: the episode's STREAM_MODEL stream, for noisy."""
-    return substream(episode_seed, STREAM_MODEL) if _parse_spec(spec)[0] == "noisy" else None
+    rng = substream(episode_seed, STREAM_MODEL)
+    return ForwardModel(name, lambda timeline, t, k: _noisy_samples(timeline.rollout(t, k), n, p_fn, p_fp, sigma,
+                                                                    rng), n_samples=n, spec=spec)
 
 
 def split_model_specs(text: str) -> list[str]:

@@ -92,6 +92,7 @@ class Trace:
 def write_trace(path: str | Path, record: EpisodeRecord) -> None:
     if record.frames is None:
         raise ValueError("record has no frames; run the episode with keep_frames=True")
+    model_label(record.model_spec)  # a spec read_trace would refuse raises here, before the file is touched
     header = {
         "kind": "header",
         "episode_seed": record.episode_seed,

@@ -59,7 +59,7 @@ import math
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -674,15 +674,9 @@ def _check_time(t: int) -> None:
 
 @dataclass(frozen=True)
 class History:
-    """The 4 most recent frames, oldest first; short episodes repeat frame 0.
-
-    ``latest`` is the last frame as a ``PredictedFrame`` where the history
-    comes from ``Timeline.history``, which reads it once per time; None where
-    the history is built by hand.
-    """
+    """The 4 most recent frames, oldest first; short episodes repeat frame 0."""
 
     frames: tuple[np.ndarray, ...]
-    latest: PredictedFrame | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.frames) != HISTORY_LEN:
@@ -802,7 +796,7 @@ class Timeline:
         if history is None:
             _check_time(t)
             times = [max(0, t - HISTORY_LEN + 1 + i) for i in range(HISTORY_LEN)]
-            history = self._histories[t] = History(tuple(map(self.frame, times)), self.predicted(times[-1]))
+            history = self._histories[t] = History(tuple(map(self.frame, times)))
         return history
 
     def rollout(self, t: int, k: int) -> tuple[PredictedFrame, ...]:

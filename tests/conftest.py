@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from lanenav.harness import EpisodeRecord, StepRecord
 from lanenav.mcts import MCTSConfig, goal_prior, plan_action
-from lanenav.models import ForwardModel, Observation, _noisy_samples, build_model, oracle_predict
-from lanenav.seeding import STREAM_AGENT, STREAM_CLASS, STREAM_MODEL, STREAM_PLAN, STREAM_SPAWN, substream
+from lanenav.models import ForwardModel, _noisy_samples, build_model, oracle_predict
+from lanenav.seeding import STREAM_AGENT, STREAM_CLASS, STREAM_PLAN, STREAM_SPAWN, substream
 from lanenav.world import (
     DEATH_REWARD,
     DIED,
@@ -410,14 +410,14 @@ def reference_episode_loop(timeline: Timeline, world_cfg: WorldConfig, choose
 def reference_play(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig,
                    model_spec: str | ForwardModel) -> EpisodeRecord:
     """The harness's former ``_play``: ``reference_episode_loop`` with a chooser that draws as it goes, one
-    ``rng.integers(8)`` per random step, or per planner step the model's ``predict`` on the observation of
+    ``rng.integers(8)`` per random step, or per planner step the model's ``predict`` at time
     t, then ``plan_action`` with its one ``rng.random()``."""
     ep_seed = timeline.episode_seed
     if isinstance(model_spec, ForwardModel):
         model = model_spec
-        model_spec = model.name
+        model_spec = model.spec
     else:
-        model = build_model(model_spec, rng=substream(ep_seed, STREAM_MODEL))
+        model = build_model(model_spec, ep_seed)
     if model is None:
         agent_rng = substream(ep_seed, STREAM_AGENT)
 
@@ -428,7 +428,7 @@ def reference_play(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSCon
         k, speed, goal_size = mcts_cfg.rollout_length, world_cfg.agent_speed, world_cfg.goal_size
 
         def choose(t, x, y):
-            frames = model.predict(Observation.at(timeline, t), k)
+            frames = model.predict(timeline, t, k)
             return plan_action((x, y), frames, mcts_cfg, plan_rng, agent_speed=speed, goal_size=goal_size)
 
     outcome, trace, exception = reference_episode_loop(timeline, world_cfg, choose)
@@ -514,14 +514,31 @@ def state_fingerprint(state: WorldState) -> tuple:
 
 
 class TimelineRead(Exception):
-    """Raised by ``NoTimeline`` on any attribute access."""
+    """Raised by a ``stand_in_timeline`` on a read it does not serve."""
 
 
-class NoTimeline:
-    """Stands in for ``Observation.timeline`` where a model must not read the truth."""
+def stand_in_timeline(timeline: Timeline, t: int, reads: tuple[str, ...]):
+    """A stand-in for ``timeline`` where a model asked at time t must not read the truth.
 
-    def __getattribute__(self, name):
-        raise TimelineRead(name)
+    Of ``reads`` it serves "history", ``history(t)`` only, and "predicted", ``predicted(s)`` for s <= t
+    only, from ``timeline``; any other read raises ``TimelineRead``.
+    """
+    allowed = {"history": lambda s: s == t, "predicted": lambda s: s <= t}
+    serves = {name: allowed[name] for name in reads}
+
+    class StandIn:
+        def __getattribute__(self, name):
+            if name not in serves:
+                raise TimelineRead(name)
+
+            def read(s):
+                if not serves[name](s):
+                    raise TimelineRead(f"{name}({s})")
+                return getattr(timeline, name)(s)
+
+            return read
+
+    return StandIn()
 
 
 @pytest.fixture

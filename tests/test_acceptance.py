@@ -186,7 +186,7 @@ def test_criterion_10_model_call_economy():
     world = WorldConfig(max_steps=60)
     ratios = {}
     for n_rollouts in (1, 100, 1000):
-        model = build_model("oracle")
+        model = build_model("oracle", episode_seed(world.master_seed, 7))
         cfg = MCTSConfig(n_rollouts=n_rollouts, rollout_length=3)
         record = run_episode(world, cfg, model, episode_seed(world.master_seed, 7))
         assert record.error is None

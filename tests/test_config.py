@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from conftest import FUZZ_VALUES
+from lanenav.cli import main
 from lanenav.config import (
     CONFIG_KEYS,
     build_configs,
@@ -65,6 +66,16 @@ class TestParseConfig:
         path.write_text("just words\n")
         with pytest.raises(ConfigError, match=r":1"):
             parse_config(path)
+
+    def test_key_given_twice_names_both_lines(self, tmp_path, capsys):
+        # The second value used to win silently; now neither does, through the library or the CLI.
+        path = tmp_path / "c.cfg"
+        path.write_text("level = 2\n# again\nmodel = frozen\nlevel = 9\n")
+        message = f"{path}:4: key 'level' given twice, first at {path}:1"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert main(["play", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -27,7 +27,7 @@ from lanenav.harness import StepRecord, _episode, _outcome, _play, _trace, verif
 from lanenav.kernel import OUTCOMES, STEP
 from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel, build_model
-from lanenav.seeding import STREAM_MODEL, episode_seed, substream
+from lanenav.seeding import episode_seed
 from lanenav.world import Timeline, WorldConfig
 
 pytestmark = pytest.mark.bitpin
@@ -52,7 +52,7 @@ def assert_same_episode(got, want) -> None:
 
 def model_for(spec: str, seed: int) -> ForwardModel | str:
     """A fresh model of ``spec`` with the generator the harness gives it, so both loops count its calls."""
-    model = build_model(spec, rng=substream(seed, STREAM_MODEL))
+    model = build_model(spec, seed)
     return spec if model is None else model
 
 
@@ -119,10 +119,10 @@ def test_model_that_raises_at_decision_j():
     world_cfg = WorldConfig().for_speed("2x")
     for j in (1, 2, 7):
         def make(j=j):
-            def predict(obs, k):
+            def predict(timeline, t, k):
                 if model.calls == j:
                     raise RuntimeError(f"synthetic failure at decision {j}")
-                return obs.timeline.rollout(obs.t, k)
+                return timeline.rollout(t, k)
 
             model = ForwardModel("failing", predict)
             return model
@@ -162,8 +162,8 @@ def test_model_frames_of_another_grid_raise_as_the_search_did():
     world_cfg = WorldConfig().for_speed("2x")
 
     def make():
-        return ForwardModel("small", lambda obs, k: tuple(replace(f, occupancy=f.occupancy[:20])
-                                                          for f in obs.timeline.rollout(obs.t, k)))
+        return ForwardModel("small", lambda timeline, t, k: tuple(replace(f, occupancy=f.occupancy[:20])
+                                                                  for f in timeline.rollout(t, k)))
 
     record = _play(Timeline(world_cfg, 3), world_cfg, MCTSConfig(), make())
     assert record.steps == 0 and record.error.startswith("ValueError: predicted frames must share one")

@@ -62,7 +62,7 @@ class TestRunEpisode:
             assert frames_equal(fa, fb)
 
     def test_model_instance_accepted(self):
-        model = build_model("oracle")
+        model = build_model("oracle", episode_seed(5, 0))
         record = run_episode(FAST_WORLD, SMALL_MCTS, model, episode_seed(5, 0))
         assert record.model_name == "oracle"
         assert model.calls == record.steps
@@ -71,7 +71,7 @@ class TestRunEpisode:
         # the shared-rollout economy: one generation per decision
         counts = {}
         for n_rollouts in (1, 100, 1000):
-            model = build_model("oracle")
+            model = build_model("oracle", episode_seed(6, 0))
             cfg = MCTSConfig(n_rollouts=n_rollouts, rollout_length=3)
             record = run_episode(FAST_WORLD, cfg, model, episode_seed(6, 0))
             assert model.calls == record.steps
@@ -79,7 +79,7 @@ class TestRunEpisode:
         assert set(counts.values()) == {1.0}
 
     def test_model_error_becomes_diagnostic_record(self):
-        def explode(obs, k):
+        def explode(timeline, t, k):
             raise RuntimeError("synthetic failure")
 
         record = run_episode(FAST_WORLD, SMALL_MCTS, ForwardModel("boom", explode), episode_seed(7, 0))
@@ -131,10 +131,10 @@ class TestReplay:
         assert not verify_replay(record)
 
     def test_replay_of_an_errored_episode_stops_where_the_actions_run_out(self):
-        def fails_after_five(obs, k):
+        def fails_after_five(timeline, t, k):
             if model.calls == 6:
                 raise RuntimeError("synthetic failure")
-            return obs.timeline.rollout(obs.t, k)
+            return timeline.rollout(t, k)
 
         model = ForwardModel("oracle", fails_after_five)
         record = run_episode(FAST_WORLD, SMALL_MCTS, model, episode_seed(8, 0))
@@ -287,10 +287,10 @@ class TestBenchmark:
         if parallelism > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("pool workers see the patched model only when forked")
 
-        def exploding_predict(obs, k):
+        def exploding_predict(timeline, t, k):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(harness, "build_model", lambda spec, rng: ForwardModel(spec, exploding_predict))
+        monkeypatch.setattr(harness, "build_model", lambda spec, episode_seed: ForwardModel(spec, exploding_predict))
         with pytest.raises(RuntimeError, match="failed: RuntimeError: synthetic failure") as info:
             run_benchmark([BenchCell("oracle", "2x", 1)], WorldConfig(), SMALL_MCTS, n_episodes=2,
                           parallelism=parallelism)

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import NoTimeline, TimelineRead, agent_turn, build_state, frames_equal, noisy_sample_predict
-from lanenav import models, world
+from conftest import (TimelineRead, agent_turn, build_state, frames_equal, noisy_sample_predict, stand_in_timeline,
+                      timeline_of)
+from lanenav import models
 from lanenav.models import (
     MAX_NOISY_SAMPLES,
     ForwardModel,
     History,
-    Observation,
     build_model,
-    frozen_predict,
     model_label,
     obstacle_occupancy,
     oracle_predict,
@@ -29,7 +28,6 @@ from lanenav.world import (
     clone_state,
     goal_center_of_frame,
     new_episode,
-    predicted_frame,
     render_frame,
     world_step,
 )
@@ -109,27 +107,26 @@ class TestOraclePredict:
 
 class TestFrozenPredict:
     def test_static_world_exact(self):
-        state = build_state(
+        timeline = timeline_of(build_state(
             lanes=[(10, 1, LEFT_TO_RIGHT)],
             obstacles=[(0, 20.0, 3, 0.0)],  # speed 0: genuinely static
             goal=(30.0, 30.0, 0.0, 0.0),
-        )
-        history = history_from(state)
-        rollout = frozen_predict(history, 4)
-        for predicted, truth in zip(rollout, true_frames(state, 4)):
-            err = prediction_error(predicted, truth)
+        ))
+        rollout = build_model("frozen", 0).predict(timeline, 3, 4)
+        for i, predicted in enumerate(rollout, start=4):
+            err = prediction_error(predicted, timeline.frame(i))
             assert err.fn_count == 0 and err.fp_count == 0
 
     def test_error_is_symmetric_difference_of_shift(self):
-        state = build_state(
+        timeline = timeline_of(build_state(
             lanes=[(10, 1, LEFT_TO_RIGHT)],
             obstacles=[(0, 20.0, 4, 1.0)],
             goal=(40.0, 40.0, 0.0, 0.0),
-        )
-        history = history_from(state)
-        latest_occ = obstacle_occupancy(history.frames[-1])
-        rollout = frozen_predict(history, 3)
-        for i, (predicted, truth) in enumerate(zip(rollout, true_frames(state, 3)), start=1):
+        ))
+        latest_occ = obstacle_occupancy(timeline.frame(3))
+        rollout = build_model("frozen", 0).predict(timeline, 3, 3)
+        for i, predicted in enumerate(rollout, start=1):
+            truth = timeline.frame(3 + i)
             err = prediction_error(predicted, truth)
             truth_occ = obstacle_occupancy(truth)
             # brute-force symmetric difference against the stale frame
@@ -137,35 +134,10 @@ class TestFrozenPredict:
             assert err.fp_count == int((latest_occ & ~truth_occ).sum()) == min(i, 4)
 
     def test_identical_steps(self):
-        state = new_episode(WorldConfig(), 9)
-        history = history_from(state)
-        rollout = frozen_predict(history, 5)
+        rollout = build_model("frozen", 0).predict(Timeline(WorldConfig(), 9), 3, 5)
         for step in rollout[1:]:
             assert np.array_equal(step.occupancy, rollout[0].occupancy)
             assert step.goal_estimate == rollout[0].goal_estimate
-
-    def test_timeline_history_reads_no_frame(self, monkeypatch):
-        # On a timeline's history the latest frame is the timeline's predicted(t), read once per time.
-        timeline = Timeline(WorldConfig(), 23)
-        observations = [Observation.at(timeline, t) for t in (0, 1, 2, 7)]
-        calls = []
-
-        def counting(frame):
-            calls.append(frame)
-            return predicted_frame(frame)
-
-        monkeypatch.setattr(models, "predicted_frame", counting)
-        monkeypatch.setattr(world, "predicted_frame", counting)
-        model = build_model("frozen")
-        for obs in observations:
-            for k in (1, 3):
-                rollout = model.predict(obs, k)
-                assert rollout == (timeline.predicted(obs.t),) * k
-        assert calls == []
-        # A history built by hand has no predicted frame, and frozen reads its latest frame.
-        rollout = frozen_predict(History(observations[-1].history.frames), 2)
-        assert len(calls) == 1 and calls[0] is timeline.frame(7)
-        assert np.array_equal(rollout[0].occupancy, timeline.predicted(7).occupancy)
 
 
 class TestVelocityPredict:
@@ -388,11 +360,11 @@ class TestModelObjects:
         cfg = WorldConfig()
         state = new_episode(cfg, 19)
         timeline = Timeline(cfg, 19)
-        model = build_model("oracle")
+        model = build_model("oracle", 19)
         rng = make_rng(11)
         x, y = state.start
         for t in range(25):
-            cached = model.predict(Observation.at(timeline, t), 4)
+            cached = model.predict(timeline, t, 4)
             fresh = oracle_predict(state, 4)
             for got, want in zip(cached, fresh):
                 assert np.array_equal(got.occupancy, want.occupancy)
@@ -404,18 +376,36 @@ class TestModelObjects:
     def test_oracle_cache_resets_across_episodes(self):
         # one model object over two episodes reads each episode's own truth
         cfg = WorldConfig()
-        model = build_model("oracle")
+        model = build_model("oracle", 101)
         for seed in (101, 102):
-            got = model.predict(Observation.at(Timeline(cfg, seed), 0), 3)
+            got = model.predict(Timeline(cfg, seed), 0, 3)
             want = oracle_predict(new_episode(cfg, seed), 3)
             assert np.array_equal(got[0].occupancy, want[0].occupancy)
 
     def test_call_counting(self):
-        obs = Observation.at(Timeline(WorldConfig(), 20), 0)
-        model = build_model("oracle")
+        timeline = Timeline(WorldConfig(), 20)
+        model = build_model("oracle", 20)
         for _ in range(7):
-            model.predict(obs, 2)
+            model.predict(timeline, 0, 2)
         assert model.calls == 7
+
+    def test_window_models_return_the_timelines_own_frames(self):
+        # A window model's frames are the very records the episode loop reads, not copies.
+        timeline = Timeline(WorldConfig(), 23)
+        for spec, (first, stride) in (("oracle", (1, 1)), ("frozen", (0, 0))):
+            model = build_model(spec, 23)
+            assert model.window == (first, stride)
+            for t in (0, 1, 2, 7):
+                for k in (1, 3, 10):
+                    rollout = model.predict(timeline, t, k)
+                    assert len(rollout) == k
+                    for d, frame in enumerate(rollout):
+                        assert frame is timeline.predicted(t + first + stride * d)
+            for bad_k in (0, -1):
+                with pytest.raises(ValueError, match="k must be >= 1"):
+                    model.predict(timeline, 0, bad_k)
+            with pytest.raises(ValueError, match="got -1"):
+                model.predict(timeline, -1, 2)
 
     @pytest.mark.parametrize("spec,name,n,reads_timeline", [
         ("oracle", "oracle", 1, True),
@@ -425,38 +415,38 @@ class TestModelObjects:
         ("noisy", "noisy", 5, True),
     ])
     def test_build_model(self, spec, name, n, reads_timeline):
-        model = build_model(spec, rng=make_rng(0))
+        model = build_model(spec, 0)
         assert type(model) is ForwardModel
-        assert model.name == name
-        assert model.n_samples == n
-        obs = Observation.at(Timeline(WorldConfig(), 21), 2)
-        blind = Observation(obs.history, obs.t, timeline=NoTimeline())
+        assert (model.name, model.spec, model.n_samples) == (name, spec, n)
+        timeline = Timeline(WorldConfig(), 21)
+        # What an unprivileged model may read at t: the history of t and the frames up to t.
+        blind = stand_in_timeline(timeline, 2, ("history", "predicted"))
         if reads_timeline:
             with pytest.raises(TimelineRead):
-                model.predict(blind, 3)
+                model.predict(blind, 2, 3)
         else:
-            model.predict(blind, 3)
+            model.predict(blind, 2, 3)
         # Two models of one spec count their calls apart.
-        other = build_model(spec, rng=make_rng(0))
+        other = build_model(spec, 0)
         calls = model.calls
-        other.predict(obs, 3)
-        other.predict(obs, 3)
+        other.predict(timeline, 2, 3)
+        other.predict(timeline, 2, 3)
         assert (model.calls, other.calls) == (calls, 2)
-        # Each model keeps its own parameters and generator: equal generators, equal predictions.
-        a, b = build_model(spec, rng=make_rng(5)), build_model(spec, rng=make_rng(5))
+        # Each model keeps its own parameters and generator: equal episode seeds, equal predictions.
+        a, b = build_model(spec, 5), build_model(spec, 5)
         for _ in range(2):
-            for got, want in zip(a.predict(obs, 3), b.predict(obs, 3)):
+            for got, want in zip(a.predict(timeline, 2, 3), b.predict(timeline, 2, 3)):
                 assert np.array_equal(got.occupancy, want.occupancy)
                 assert got.goal_estimate == want.goal_estimate
 
     def test_build_model_random(self):
-        assert build_model("none") is None
-        assert build_model("random") is None
+        assert build_model("none", 0) is None
+        assert build_model("random", 0) is None
 
     @pytest.mark.parametrize("spec", ["nope", "noisy:1,2,3", "noisy:a,b,c,d"])
     def test_build_model_rejects(self, spec):
         with pytest.raises(ValueError):
-            build_model(spec, rng=make_rng(0))
+            build_model(spec, 0)
 
     @pytest.mark.parametrize("spec", [
         "noisy:0.1,0.02,1.0,0", "noisy:nan,0.02,1.0,5", "noisy:0.1,nan,1.0,5", "noisy:0.1,0.02,nan,5",
@@ -464,14 +454,14 @@ class TestModelObjects:
     ])
     def test_build_model_rejects_bad_noisy_values(self, spec):
         with pytest.raises(ValueError, match=re.escape(spec)):
-            build_model(spec, rng=make_rng(0))
+            build_model(spec, 0)
 
     @given(st.lists(st.floats().map(repr) | st.integers(-3, 10).map(str) | st.text(max_size=5)
                     | st.sampled_from(["nan", "inf", "-inf", "1e999", "", "0.5", "1000", "1001"]), max_size=6))
     def test_noisy_spec_fuzz_raises_only_value_error(self, fields):
         spec = "noisy:" + ",".join(fields)
         try:
-            model = build_model(spec, rng=make_rng(0))
+            model = build_model(spec, 0)
         except ValueError:
             return
         # Accepted: the fields parse as build_model reads them, and each is in its range.
@@ -485,21 +475,33 @@ class TestModelObjects:
     def test_noisy_sample_count_bound(self, n, ok):
         spec = f"noisy:0.1,0.02,1.0,{n}"
         if ok:
-            assert build_model(spec, rng=make_rng(0)).n_samples == n
+            assert build_model(spec, 0).n_samples == n
             assert model_label(spec) == ("noisy", n)
             return
-        for build in (lambda: build_model(spec, rng=make_rng(0)), lambda: model_label(spec)):
+        for build in (lambda: build_model(spec, 0), lambda: model_label(spec)):
             with pytest.raises(ValueError, match=f"n in 1..{MAX_NOISY_SAMPLES}"):
                 build()
 
     def test_model_from_a_function(self):
         seen = []
 
-        def echo(obs, k):
-            seen.append((obs, k))
+        def echo(timeline, t, k):
+            seen.append((timeline, t, k))
             return ("frame",) * k
 
         model = ForwardModel("echo", echo, n_samples=3)
-        obs = Observation.at(Timeline(WorldConfig(), 22), 0)
-        assert model.predict(obs, 2) == ("frame", "frame")
-        assert (model.name, model.n_samples, model.calls, seen) == ("echo", 3, 1, [(obs, 2)])
+        timeline = Timeline(WorldConfig(), 22)
+        assert model.predict(timeline, 0, 2) == ("frame", "frame")
+        assert (model.name, model.spec, model.n_samples, model.window, model.calls, seen) == (
+            "echo", "echo", 3, None, 1, [(timeline, 0, 2)])
+
+    @pytest.mark.parametrize("predict, window, match", [
+        (lambda timeline, t, k: (), (1, 1), "exactly one"),
+        (None, None, "exactly one"),
+        (None, (1,), "two integers"),
+        (None, (0, -1), "two integers"),
+        (None, (0.0, 1), "two integers"),
+    ])
+    def test_a_model_takes_a_predict_function_or_a_window(self, predict, window, match):
+        with pytest.raises(ValueError, match=match):
+            ForwardModel("both", predict, window=window)

@@ -185,9 +185,9 @@ def test_signed_zero_estimates_through_an_episode():
         return goal_prior(agent_pos, goal, kappa)
 
     def make():
-        def predict(obs, k):
+        def predict(timeline, t, k):
             free = np.zeros((world_cfg.grid_h, world_cfg.grid_w), bool)
-            return tuple(PredictedFrame(free, (1.0, -0.0 if obs.t % 2 else 0.0)) for _ in range(k))
+            return tuple(PredictedFrame(free, (1.0, -0.0 if t % 2 else 0.0)) for _ in range(k))
 
         return ForwardModel("signed-zero", predict)
 

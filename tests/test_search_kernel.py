@@ -297,8 +297,8 @@ class TestPacking:
         with pytest.raises(error, match=message):
             run_search((4.0, 5.0), frames, self.CFG, 1.0)
         assert outcome(reference_search, (4.0, 5.0), frames, self.CFG, 1.0) == (error, message)
-        model = ForwardModel("custom", lambda obs, k: (*obs.timeline.rollout(obs.t, k - 1),
-                                                       PredictedFrame(frames[-1].occupancy, goal)))
+        model = ForwardModel("custom", lambda timeline, t, k: (*timeline.rollout(t, k - 1),
+                                                               PredictedFrame(frames[-1].occupancy, goal)))
         record = run_episode(WorldConfig(), self.CFG, model, 3)
         assert type(record.exception) is error and str(record.exception) == message
         assert record.steps == 0

@@ -30,7 +30,7 @@ import pytest
 
 from conftest import move, outcome_at
 from lanenav.mcts import MCTSConfig, SearchNode, run_search
-from lanenav.models import Observation, frozen_predict
+from lanenav.models import build_model
 from lanenav.seeding import episode_seed, make_rng
 from lanenav.world import N_ACTIONS, PredictedFrame, Timeline, WorldConfig
 
@@ -72,7 +72,7 @@ def rollouts(timeline: Timeline, t: int) -> tuple[tuple[PredictedFrame, ...], ..
     """The oracle's, the frozen model's and the goal-free oracle rollout at time t."""
     k = max(KS)
     oracle = timeline.rollout(t, k)
-    frozen = frozen_predict(Observation.at(timeline, t).history, k)
+    frozen = build_model("frozen", timeline.episode_seed).predict(timeline, t, k)
     no_goal = tuple(PredictedFrame(s.occupancy, None) for s in oracle)
     return oracle, frozen, no_goal
 

@@ -13,18 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import NoTimeline, agent_turn, noisy_sample_predict
+from conftest import agent_turn, noisy_sample_predict, stand_in_timeline
 from lanenav import harness
 from lanenav.harness import BenchCell, run_benchmark, run_episode, verify_replay
 from lanenav.mcts import MCTSConfig
-from lanenav.models import (
-    Observation,
-    build_model,
-    frozen_predict,
-    oracle_predict,
-    velocity_predict,
-)
-from lanenav.seeding import episode_seed, make_rng
+from lanenav.models import build_model, oracle_predict, velocity_predict
+from lanenav.seeding import STREAM_MODEL, episode_seed, make_rng, substream
 from lanenav.world import Timeline, WorldConfig, new_episode, render_frame, world_step
 
 DIFF_SEEDS = 200
@@ -86,7 +80,7 @@ def test_negative_times_rejected(read, t):
 
 def test_oracle_model_equals_oracle_predict():
     rng = make_rng(17)
-    model = build_model("oracle")
+    model = build_model("oracle", 0)
     cfg = WorldConfig()
     for i in range(20):
         seed = episode_seed(8, i)
@@ -96,7 +90,7 @@ def test_oracle_model_equals_oracle_predict():
             if t:
                 world_step(state)
             k = int(rng.integers(1, 11))
-            assert _same_rollout(model.predict(Observation.at(timeline, t), k), oracle_predict(state, k))
+            assert _same_rollout(model.predict(timeline, t, k), oracle_predict(state, k))
 
 
 def test_noisy_model_equals_noisy_sample_predict():
@@ -104,12 +98,12 @@ def test_noisy_model_equals_noisy_sample_predict():
     seed = episode_seed(8, 100)
     state = new_episode(cfg, seed)
     timeline = Timeline(cfg, seed)
-    model = build_model("noisy:0.2,0.05,1.5,3", rng=make_rng(5))
-    rng = make_rng(5)
+    model = build_model("noisy:0.2,0.05,1.5,3", seed)
+    rng = substream(seed, STREAM_MODEL)
     for t in range(30):
         if t:
             world_step(state)
-        got = model.predict(Observation.at(timeline, t), 4)
+        got = model.predict(timeline, t, 4)
         want = noisy_sample_predict(state, 4, n_samples=3, p_fn=0.2, p_fp=0.05, goal_sigma=1.5, rng=rng)
         assert _same_rollout(got, want)
 
@@ -124,22 +118,25 @@ def test_history_is_the_last_four_frames():
             world_step(state)
             frames.append(render_frame(state))
         want = ([frames[0]] * 3 + frames)[-4:]
-        got = Observation.at(timeline, t).history.frames
+        got = timeline.history(t).frames
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("spec, predict", [("frozen", frozen_predict), ("velocity", velocity_predict)])
-def test_observation_models_never_read_the_timeline(spec, predict):
-    model = build_model(spec)
+@pytest.mark.parametrize("spec, reads, predict", [
+    ("frozen", ("predicted",), lambda timeline, t, k: (timeline.predicted(t),) * k),
+    ("velocity", ("history",), lambda timeline, t, k: velocity_predict(timeline.history(t), k)),
+], ids=["frozen", "velocity"])
+def test_unprivileged_models_read_only_the_past(spec, reads, predict):
+    # frozen is served only predicted(s) for s <= t, velocity only history(t); any other read raises.
+    model = build_model(spec, 0)
     for i in range(10):
         timeline = Timeline(WorldConfig(), episode_seed(9, i))
         for t in (0, 1, 2, 3, 7, 30):
-            obs = Observation.at(timeline, t)
-            blind = Observation(obs.history, t, NoTimeline())
+            blind = stand_in_timeline(timeline, t, reads)
             for k in (1, 3, 10):
-                want = predict(obs.history, k)
-                assert _same_rollout(model.predict(blind, k), want)
-                assert _same_rollout(model.predict(obs, k), want)
+                want = predict(timeline, t, k)
+                assert _same_rollout(model.predict(blind, t, k), want)
+                assert _same_rollout(model.predict(timeline, t, k), want)
 
 
 def _replays_on_stepped_world(record) -> bool:
@@ -244,16 +241,15 @@ def test_caches_hold_one_entry_per_time_asked():
         record = harness._play(timeline, world_cfg, MCTSConfig(n_rollouts=20), spec)
         assert record.exception is None
     # Every decision time of a whole 1x episode, read by each model at three horizons.
-    models = [build_model(spec, rng=make_rng(0)) for spec in ("oracle", "frozen", "velocity", "noisy")]
+    models = [build_model(spec, 0) for spec in ("oracle", "frozen", "velocity", "noisy")]
     for t in range(world_cfg.max_steps):
         for model in models:
             for k in (1, 3, 10):
-                model.predict(Observation.at(timeline, t), k)
+                model.predict(timeline, t, k)
     for name, cache in (("history", timeline._histories), ("predicted", timeline._predicted)):
         assert list(cache) == list(dict.fromkeys(asked[name]))
     assert len(timeline._histories) == world_cfg.max_steps
     assert len(timeline._predicted) == len(timeline) == world_cfg.max_steps + 10
-    # Each history is kept once and holds the timeline's own predicted frame.
+    # Each history is kept once.
     for t, history in timeline._histories.items():
         assert timeline.history(t) is history
-        assert history.latest is timeline._predicted[t]

@@ -14,7 +14,7 @@ from lanenav import tracefile
 from lanenav.cli import main
 from lanenav.harness import run_episode
 from lanenav.mcts import MCTSConfig
-from lanenav.models import MAX_NOISY_SAMPLES
+from lanenav.models import MAX_NOISY_SAMPLES, ForwardModel, build_model
 from lanenav.seeding import episode_seed
 from lanenav.tracefile import frame_to_rle, read_trace, rle_to_frame, write_trace
 from lanenav.world import (
@@ -228,6 +228,35 @@ class TestTraceFile:
         path = tmp_path / "t.jsonl"
         write_trace(path, record)
         assert read_trace(path).steps == record.trace
+
+    def test_a_built_models_spec_is_recorded(self, tmp_path, capsys):
+        # A model instance from build_model records its spec, not its name, which reads as noisy's default.
+        spec = "noisy:0.3,0.1,2.0,3"
+        world, mcts = WorldConfig(max_steps=20), MCTSConfig(n_rollouts=10, rollout_length=2)
+        record = run_episode(world, mcts, build_model(spec, 5), 5, keep_frames=True)
+        assert (record.model_name, record.model_spec) == ("noisy", spec)
+        assert record.trace == run_episode(world, mcts, spec, 5).trace
+        path = tmp_path / "t.jsonl"
+        write_trace(path, record)
+        assert json.loads(path.read_text().splitlines()[0])["model"] == spec
+        assert read_trace(path).model_spec == spec
+        assert main(["render", "--trace", str(path), "--horizon", "1", "--out-dir", str(tmp_path / "imgs")]) == 0
+        assert "model=noisy" in capsys.readouterr().out
+
+    def test_a_spec_read_trace_refuses_is_not_written(self, tmp_path):
+        model = ForwardModel("boom", lambda timeline, t, k: timeline.rollout(t, k))
+        record = run_episode(WorldConfig(max_steps=10), MCTSConfig(n_rollouts=5, rollout_length=1), model, 5,
+                             keep_frames=True)
+        assert record.model_spec == "boom"
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match="unknown model spec 'boom'"):
+            write_trace(path, record)
+        assert list(tmp_path.iterdir()) == []
+        # A file already there is left as it was.
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="'boom'"):
+            write_trace(path, record)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"] and path.read_text() == "kept\n"
 
     def test_requires_frames(self, tmp_path):
         record = run_episode(WorldConfig(max_steps=10), MCTSConfig(n_rollouts=5, rollout_length=1),

@@ -1,6 +1,6 @@
 """Velocity and noisy model fixture: their predictions on fixed histories are pinned.
 
-The corpus is histories ``Observation.at(timeline, t)`` of world timelines
+The corpus is histories ``timeline.history(t)`` of world timelines
 at both agent speeds, for t = 0..7 (t < 3 repeats frame 0, the
 episode-start padding) and for later t up to 120. The worlds are the
 default one, the default one without warm-up (lanes still filling, so rows
@@ -45,7 +45,6 @@ from lanenav.models import (
     HISTORY_LEN,
     MAX_SHIFT,
     History,
-    Observation,
     _noisy_samples,
     _row_shifts,
     velocity_predict,
@@ -85,15 +84,15 @@ NOISY_VARIANTS = (
 )
 
 
-def corpus() -> list[Observation]:
-    """Every history of the corpus, world-major, then episode, then t."""
-    observations = []
+def corpus() -> list[tuple[Timeline, int]]:
+    """(timeline, t) of every history of the corpus, world-major, then episode, then t."""
+    points = []
     for wi, world in enumerate(WORLDS):
         for episode in range(EPISODES_PER_WORLD):
             cfg = world.for_speed("2x" if episode % 2 == 0 else "1x")
             timeline = Timeline(cfg, episode_seed(100 + wi, episode))
-            observations.extend(Observation.at(timeline, t) for t in TIMES)
-    return observations
+            points.extend((timeline, t) for t in TIMES)
+    return points
 
 
 def add_rollout(digest, steps: tuple[PredictedFrame, ...]) -> None:
@@ -107,15 +106,16 @@ def corpus_digests() -> tuple[dict[str, list[str]], str]:
     """Per history the velocity, shift and noisy digests, and one digest of all of them."""
     records: dict[str, list[str]] = {"velocity": [], "shifts": [], "noisy": []}
     overall = hashlib.sha256()
-    for i, obs in enumerate(corpus()):
+    for i, (timeline, t) in enumerate(corpus()):
+        history = timeline.history(t)
         velocity = hashlib.sha256()
         for k in KS:
-            add_rollout(velocity, velocity_predict(obs.history, k))
-        shifts = hashlib.sha256(_row_shifts(obs.history.frames).tobytes())
+            add_rollout(velocity, velocity_predict(history, k))
+        shifts = hashlib.sha256(_row_shifts(history.frames).tobytes())
         n, p_fn, p_fp, sigma = NOISY_VARIANTS[i % len(NOISY_VARIANTS)]
         rng = make_rng(1000 + i)
         noisy = hashlib.sha256()
-        add_rollout(noisy, _noisy_samples(obs.timeline.rollout(obs.t, KS[i % len(KS)]),
+        add_rollout(noisy, _noisy_samples(timeline.rollout(t, KS[i % len(KS)]),
                                           n, p_fn, p_fp, sigma, rng))
         noisy.update(repr(rng.random()).encode())
         for key, digest in (("velocity", velocity), ("shifts", shifts), ("noisy", noisy)):
@@ -139,12 +139,12 @@ def test_corpus_covers_edge_classes():
     """Padding, empty histories, rows that go empty or fill, and bodies at both edge columns occur."""
     seen = {"padded": 0, "no_obstacle": 0, "row_empty_then_occupied": 0,
             "row_occupied_then_empty": 0, "column_0": 0, "column_w_minus_1": 0}
-    for obs in corpus():
-        frames = obs.history.frames
+    for timeline, t in corpus():
+        frames = timeline.history(t).frames
         occs = np.stack([obstacle_occupancy(f) for f in frames])
         rows = occs.any(axis=2)  # (frame, row): row holds an obstacle
         latest = occs[-1]
-        seen["padded"] += obs.t < HISTORY_LEN - 1
+        seen["padded"] += t < HISTORY_LEN - 1
         seen["no_obstacle"] += not occs.any()
         seen["row_empty_then_occupied"] += bool((~rows[0] & rows[-1]).any())
         seen["row_occupied_then_empty"] += bool((rows[0] & ~rows[-1]).any())
