@@ -38,9 +38,10 @@ call. Layers:
   the observation of t, built in the setup;
 * ``mcts.run_search.k{1,3,10}``: one search on the oracle's prediction at t=0;
 * ``mcts.search_kernel.k{1,3,10}``: the same searches in ``lanenav_search``
-  alone, on ``Search`` and ``Frame`` bytes packed and fresh tables made in
-  the untimed setup, so that its ratio is the kernel's without the packing
-  and the ctypes call around it;
+  alone, on the arguments and fresh tables ``run_search`` makes, recorded
+  in the untimed setup from a call whose kernel is not run, so that its
+  ratio is the kernel's without building them and the ctypes call around
+  it;
 * ``mcts.plan_action.k{1,3,10}``: one planned action on the same inputs, the
   search then the temperature pick, so that its ratio beside
   ``run_search``'s shows the cost around the search kernel;
@@ -230,16 +231,29 @@ def layer_cases(lib: SimpleNamespace, out_dir: Path) -> dict:
             world_step(bound)
 
     def kernel_inputs(search, agent, rollout):
-        """``run_search``'s kernel arguments, its own fresh tables (kept alive) included."""
-        mcts, shape = lib.mcts, rollout[0].occupancy.shape
-        records, packed = mcts._pack_frames(rollout, search.rollout_length, shape)
-        tables, nodes, priors, slots = mcts._search_tables(search)
-        fields = mcts._search_fields(search, nodes, priors, slots, agent, cfg.agent_speed, shape, cfg.goal_size)
-        return lib.kernel.SEARCH.struct.pack(*fields), records, (tables, packed)
+        """(``run_search``'s kernel arguments, its fresh tables), recorded from a call of it whose kernel
+        returns at once; the frames' occupancies are the timelines', which ``timelines`` keeps."""
+        mcts, made = lib.mcts, {}
+        kernel, make_tables = mcts._kernel, mcts._search_tables
+
+        def record(*args):
+            made["args"] = args
+            return 0
+
+        def tables(*args):
+            made["tables"] = make_tables(*args)
+            return made["tables"]
+
+        mcts._kernel, mcts._search_tables = record, tables
+        try:
+            run_search(agent, rollout, search, cfg.agent_speed, goal_size=cfg.goal_size)
+        finally:
+            mcts._kernel, mcts._search_tables = kernel, make_tables
+        return made["args"], made["tables"]
 
     def search_kernel_batch(inputs):
-        for fields, records, _ in inputs:
-            if lanenav_search(fields, records) < 0:
+        for args, _ in inputs:
+            if lanenav_search(*args) < 0:
                 raise RuntimeError("a search failed in the kernel")
 
     cases = {

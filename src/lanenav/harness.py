@@ -39,7 +39,7 @@ from itertools import repeat
 import numpy as np
 
 from .kernel import FRAME, NEED_ROOM, OUTCOMES, PLAY, PLAY_ENDED, STEP, check, library, zeroed
-from .mcts import MCTSConfig, _pack_frames, _search_fields, _search_tables
+from .mcts import MCTSConfig, _pack_frames, _search, _search_tables
 from .models import ForwardModel, build_model, model_label
 from .seeding import STREAM_AGENT, STREAM_PLAN, episode_seed, substream
 from .world import (DEATH_REWARD, DIED, GOAL_REACHED, GOAL_REWARD, N_ACTIONS, RUNNING, TIMED_OUT, ConfigError, Outcome,
@@ -63,7 +63,7 @@ class EpisodeRecord:
     steps: int
     trace: list[StepRecord]
     model_name: str
-    model_spec: str
+    model_spec: str | None  # the spec build_model built the model from; None for a model built by hand
     world_config: WorldConfig
     mcts_config: MCTSConfig
     error: str | None = None
@@ -138,7 +138,9 @@ def run_episode(
     """Play one full episode; deterministic given (configs, spec, seed).
 
     ``model_spec`` is a selection string, or a ready ForwardModel instance
-    (useful for instrumented models), whose ``spec`` the record keeps.
+    (useful for instrumented models), whose ``spec`` the record keeps: None
+    for a model not made by ``build_model``, whose trace ``write_trace``
+    refuses.
     """
     return _play(Timeline(world_cfg, ep_seed), world_cfg, mcts_cfg, model_spec, keep_frames)
 
@@ -189,9 +191,7 @@ def _error_text(exception: Exception) -> str:
 
 
 _kernel = library.lanenav_play
-# The parts of the kernel's ``Play`` that change between calls: what the harness updates, what the kernel writes.
-_ORIGIN = PLAY.part("origin", "origin")
-_STATE = PLAY.part("t", "decisions")
+_STEP = np.dtype(STEP)
 # (kind, reward) of each outcome kind a ``Step`` records.
 _OUTCOMES = tuple((kind, {GOAL_REACHED: GOAL_REWARD, DIED: DEATH_REWARD}.get(kind, 0.0)) for kind in OUTCOMES.values())
 # Slots of an episode's prior table, 22 KB, which serves every decision of the episode. Over plan_grid's cells
@@ -199,22 +199,23 @@ _OUTCOMES = tuple((kind, {GOAL_REACHED: GOAL_REWARD, DIED: DEATH_REWARD}.get(kin
 PRIOR_SLOTS = 256
 
 
-def _trace(steps: memoryview) -> list[StepRecord]:
+def _trace(steps: np.ndarray) -> list[StepRecord]:
     """The records of a step table, t counting from 1."""
+    columns = (steps[name].tolist() for name in ("x", "y", "action", "kind"))
     return [StepRecord(i, x, y, action, _OUTCOMES[kind][1], _OUTCOMES[kind][0])
-            for i, (x, y, action, kind) in enumerate(STEP.struct.iter_unpack(steps), 1)]
+            for i, (x, y, action, kind) in enumerate(zip(*columns), 1)]
 
 
-def _outcome(steps: memoryview) -> Outcome:
+def _outcome(steps: np.ndarray) -> Outcome:
     """The outcome of a step table: its last step's, or running before any step."""
-    if not steps:
+    if not len(steps):
         return Outcome(RUNNING, 0.0, 0)
-    kind, reward = _OUTCOMES[STEP.struct.unpack_from(steps, len(steps) - STEP.size)[3]]
-    return Outcome(kind, reward, len(steps) // STEP.size)
+    kind, reward = _OUTCOMES[steps["kind"][-1]]
+    return Outcome(kind, reward, len(steps))
 
 
 def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, model: ForwardModel | None,
-             given: np.ndarray) -> tuple[memoryview, Exception | None]:
+             given: np.ndarray) -> tuple[np.ndarray, Exception | None]:
     """The one episode loop: (its step table, the exception that ended it or None).
 
     The planner picks with ``model`` and ``mcts_cfg`` on the ``given``
@@ -229,38 +230,31 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
     limit, which the timeline never reads; its grid and goal size are the
     timeline's.
 
-    The step table holds the kernel's ``Step`` of each step taken, in order.
-    The planner's searches share one prior table of ``PRIOR_SLOTS`` slots,
-    made here for the episode.
+    The step table holds the kernel's ``Step`` of each step taken, in order,
+    as an array of ``np.dtype(STEP)``. The planner's searches share one
+    prior table of ``PRIOR_SLOTS`` slots, made here for the episode.
     """
     cfg = timeline.config
     shape = (cfg.grid_h, cfg.grid_w)
     if (world_cfg.grid_h, world_cfg.grid_w, world_cfg.goal_size) != (*shape, cfg.goal_size):
         raise ValueError("an episode's world_cfg must have its timeline's grid and goal size")
     max_steps, k = world_cfg.max_steps, mcts_cfg.rollout_length
-    # No step reads past max_steps, so the buffer below has one size per max_steps.
-    given = np.asarray(given, np.int64 if model is None else np.float64)[:max_steps].tobytes()
+    # No step reads past max_steps, so the step table below has one size per max_steps.
+    given = np.ascontiguousarray(given, np.int64 if model is None else np.float64)[:max_steps]
     window = None if model is None else model.window
     first, stride = window or (0, 1)
     # The planner's node table and prior table, one buffer: (buffer, their addresses, the prior table's slots).
     tables = _search_tables(mcts_cfg, PRIOR_SLOTS) if model is not None else (None, 0, 0, 0)
-    records = zeroed(k * FRAME.size) if model is not None and window is None else None
-    # One buffer holds the kernel's Play, then the draws or actions, then the steps.
-    origin_at, state_at, given_at = PLAY.offsets["origin"], PLAY.offsets["t"], PLAY.size
-    steps_at = given_at + 8 * max_steps
-    play = zeroed(steps_at + max_steps * STEP.size)
-    address = ctypes.addressof(play)
-    ctypes.memmove(address + given_at, given, len(given))
-    n_given = len(given) // 8
+    records = zeroed(k * ctypes.sizeof(FRAME)) if model is not None and window is None else None
+    steps, drawn = zeroed(max_steps * _STEP.itemsize), given.ctypes.data
+    play = PLAY(search=_search(mcts_cfg, *tables[1:], timeline.start, world_cfg.agent_speed, shape, cfg.goal_size),
+                timeline=timeline._address, frames=None if records is None else ctypes.addressof(records), origin=-1,
+                uniforms=None if model is None else drawn, actions=drawn if model is None else None,
+                steps=ctypes.addressof(steps), n_given=len(given), first=first, stride=stride, max_steps=max_steps,
+                temperature=mcts_cfg.temperature, pending=-1)
     t, pending, decisions, keep, exception = 0, -1, 0, None, None
-    PLAY.struct.pack_into(play, 0, *_search_fields(mcts_cfg, *tables[1:], timeline.start, world_cfg.agent_speed,
-                                                   shape, cfg.goal_size),
-                          timeline._address, 0 if records is None else ctypes.addressof(records), -1,
-                          0 if model is None else address + given_at, address + given_at if model is None else 0,
-                          address + steps_at, n_given, first, stride, max_steps, mcts_cfg.temperature, t, pending,
-                          decisions)
     while True:
-        if records is not None and pending < 0 and t < n_given:
+        if records is not None and pending < 0 and t < len(given):
             try:
                 # keep holds the occupancies the records point to while the kernel reads them.
                 packed, keep = _pack_frames(model.predict(timeline, t, k), k, shape)
@@ -268,9 +262,9 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
                 exception = exc
                 break
             ctypes.memmove(records, packed, len(packed))
-            _ORIGIN.pack_into(play, origin_at, t)
-        status = timeline._call(_kernel, play)
-        t, pending, decisions = _STATE.unpack_from(play, state_at)
+            play.origin = t
+        status = timeline._call(_kernel, ctypes.byref(play))
+        t, pending, decisions = play.t, play.pending, play.decisions
         try:
             if status == NEED_ROOM:
                 timeline._grow()
@@ -282,11 +276,11 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
             decisions += status == NEED_ROOM  # one whose window had no room: the model's predict raised there
             exception = exc
             break
-        if status == PLAY_ENDED or t >= n_given:
+        if status == PLAY_ENDED or t >= len(given):
             break
     if window is not None:  # the kernel read the model's frames from the timeline: a call per decision
         model.calls += decisions
-    return memoryview(play)[steps_at:steps_at + t * STEP.size], exception
+    return np.frombuffer(steps, _STEP, t), exception
 
 
 def verify_replay(record: EpisodeRecord) -> bool:

@@ -9,15 +9,18 @@ and the archive's bytes; later imports load it, and a build removes the objects 
 same interpreter and numpy. A missing archive raises ImportError, as a failed build does. ``library`` is
 the object, and ``zeroed`` makes the kernels' buffers.
 
-No other module and neither source declares the interface: here are the structs the two sides share
-(``Layout``), the constants both use, the tables' columns, the kernels' error codes (``ERRORS``, raised by
-``check``) and their functions' parameter types (``FUNCTIONS``), from which ctypes' argument types are derived.
-``HEADER`` is the C side of these declarations, generated from them and included ahead of each source by the
-build: the constants' and error codes' ``#define``s, the enums of the outcomes and of the columns, one
-``typedef`` per ``Layout``, with a static assertion of every field offset and struct size at the value
-Python's ``struct`` packs with, and each function's prototype. A layout that C lays out differently fails the
-build, and so the import, with the compiler's message naming ``Struct.field``; a function defined with other
-types than its prototype fails it with "conflicting types" naming the function. Adding a field is one edit here.
+No other module and neither source declares the interface: here are the structs the two sides share, each a
+``Layout``: a ``ctypes.Structure`` whose fields Python reads and sets by name, ``np.dtype`` of it being a table's
+dtype (the node table's is ``np.dtype(NODE)``). Here too are the constants both use, the tables' columns, the
+kernels' error codes (``ERRORS``, raised by ``check``) and their functions' parameter types (``FUNCTIONS``), from
+which ctypes' argument types are derived. ``HEADER`` is the C side of these declarations, generated from them and
+included ahead of each source by the build: the constants' and error codes' ``#define``s, the enums of the
+outcomes and of the columns, one ``typedef`` per ``Layout``, with a static assertion of every field offset and
+struct size at the value ctypes lays it out with, and each function's prototype. A layout that C lays out
+differently fails the build, and so the import, with the compiler's message naming ``Struct.field``; a function
+defined with other types than its prototype fails it with "conflicting types" naming the function. Adding a
+constant, a code or a column is one edit here; adding a field to a struct such as ``World``, ``Search`` or
+``Play`` is one edit here plus the code that sets it by name.
 """
 from __future__ import annotations
 
@@ -27,11 +30,9 @@ import hashlib
 import os
 import re
 import shlex
-import struct
 import subprocess
 import sys
 import tempfile
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,58 +71,49 @@ N_COLUMNS, N_LANE_COLUMNS = len(OBSTACLE_COLUMNS), len(LANE_COLUMNS)
 # Each column's index under its name, as C's enums give it: HEAD, SPEED, LEN1, LANE, LEN_LO and so on.
 globals().update((name, index) for columns in (OBSTACLE_COLUMNS, LANE_COLUMNS) for index, name in enumerate(columns))
 
-# The C type of each struct code a Layout's fields use, besides pointers, which name theirs.
-_C_TYPES = {"d": "double", "q": "int64_t", "Q": "uint64_t", "i": "int32_t", "B": "uint8_t"}
+# Each struct code a Layout's fields use, besides pointers: its C type and its ctypes type.
+_TYPES = {"d": ("double", ctypes.c_double), "q": ("int64_t", ctypes.c_int64), "Q": ("uint64_t", ctypes.c_uint64),
+          "i": ("int32_t", ctypes.c_int32), "B": ("uint8_t", ctypes.c_uint8)}
 
 
-class Layout:
-    """A C struct: its fields in order at C's alignment, each a ``struct`` format, a nested ``Layout``, or
-    for a pointer ``("P", its C type)``.
+class Layout(type(ctypes.Structure)):
+    """A C struct: ``Layout(name, **fields)`` is a ``ctypes.Structure`` class of the fields in order, each a
+    count and a ``_TYPES`` code (``"8d"`` an array, ``"0B"`` a zero-length one), a nested ``Layout``, or for a
+    pointer ``("P", its C type)``, a ``c_void_p``.
 
-    ``struct`` packs the whole struct, ``size`` is its sizeof and ``offsets`` holds each field's;
-    ``typedef`` declares it in C. Every struct here aligns to 8 bytes, as the trailing ``0P`` pads.
+    Python reads and sets its fields by name; ``ctypes.sizeof`` gives its size, ``np.dtype`` of it the dtype
+    of a table of its rows, and ``typedef`` declares it in C.
     """
 
-    def __init__(self, name: str, **fields: str | tuple[str, str] | Layout) -> None:
-        self.name = name
-        self.formats, self.declarations = {}, {}
+    def __new__(mcls, name: str, **fields: str | tuple[str, str] | Layout) -> Layout:
+        members, declarations = [], {}
         for field, code in fields.items():
             if isinstance(code, Layout):
-                self.formats[field], self.declarations[field] = code.struct.format, f"{code.name} {field}"
+                kind, declarations[field] = code, f"{code.__name__} {field}"
             elif isinstance(code, tuple):
-                self.formats[field], c_type = code
-                self.declarations[field] = c_type + ("" if c_type.endswith("*") else " ") + field
+                kind, c_type = ctypes.c_void_p, code[1]
+                declarations[field] = c_type + ("" if c_type.endswith("*") else " ") + field
             else:
-                count, kind = re.fullmatch(r"(\d*)(\w)", code).groups()
-                self.formats[field] = code
-                self.declarations[field] = f"{_C_TYPES[kind]} {field}" + (
+                count, letter = re.fullmatch(r"(\d*)(\w)", code).groups()
+                c_type, kind = _TYPES[letter]
+                kind = kind * int(count) if count else kind
+                declarations[field] = f"{c_type} {field}" + (
                     "" if not count else "[]" if count == "0" else f"[{count}]")
-        self.struct = struct.Struct("".join(self.formats.values()) + "0P")
-        self.size = self.struct.size
-        self.offsets, prefix = {}, ""
-        for field, code in self.formats.items():
-            prefix += code
-            self.offsets[field] = struct.calcsize(prefix) - struct.calcsize(code)
+            members.append((field, kind))
+        return super().__new__(mcls, name, (ctypes.Structure,), {"_fields_": members, "_declarations_": declarations})
 
-    def part(self, first: str, last: str) -> struct.Struct:
-        """Fields first..last, packed at ``offsets[first]``."""
-        names = list(self.formats)
-        return struct.Struct("".join(self.formats[name] for name in names[names.index(first):names.index(last) + 1]))
+    def __init__(cls, name: str, **fields) -> None:
+        super().__init__(name, (ctypes.Structure,), {})
 
-    @cached_property
-    def dtype(self) -> np.dtype:
-        """The struct as a numpy structured dtype, for a table of its rows."""
-        return np.dtype({"names": list(self.formats), "formats": list(self.formats.values()),
-                         "offsets": list(self.offsets.values()), "itemsize": self.size})
-
-    def typedef(self) -> str:
+    def typedef(cls) -> str:
         """The struct's C typedef, then a static assertion of each field's offset and of its size, at the
-        values ``struct`` packs with; the compiler names the ``Struct.field`` whose assertion fails."""
-        fields = "".join(f"    {declaration};\n" for declaration in self.declarations.values())
-        return "\n".join([f"typedef struct {{\n{fields}}} {self.name};",
-                          *(f'_Static_assert(offsetof({self.name}, {field}) == {offset}, "{self.name}.{field}");'
-                            for field, offset in self.offsets.items()),
-                          f'_Static_assert(sizeof({self.name}) == {self.size}, "sizeof {self.name}");'])
+        values ctypes lays it out with; the compiler names the ``Struct.field`` whose assertion fails."""
+        name = cls.__name__
+        fields = "".join(f"    {declaration};\n" for declaration in cls._declarations_.values())
+        return "\n".join([f"typedef struct {{\n{fields}}} {name};",
+                          *(f'_Static_assert(offsetof({name}, {field}) == {getattr(cls, field).offset}, '
+                            f'"{name}.{field}");' for field in cls._declarations_),
+                          f'_Static_assert(sizeof({name}) == {ctypes.sizeof(cls)}, "sizeof {name}");'])
 
 
 # One node of the search's table; NaN in terminal_value or stop_value stands for None. mean is w / n, 0.0
@@ -134,7 +126,7 @@ NODE = Layout("Node", x="d", y="d", terminal_value="d", stop_value="d", prior=f"
 # One slot of a search's prior table: the bits of the key (dx, dy, kappa), (dx, dy) being the goal estimate
 # minus the position, then the goal prior it gives.
 PRIOR = Layout("Prior", dx="Q", dy="Q", kappa="Q", prior=f"{N_ACTIONS}d")
-# The settings of one search, packed by mcts.run_search. nodes: room for n_rollouts + 1 rows, a rollout adding
+# The settings of one search, built by mcts._search. nodes: room for n_rollouts + 1 rows, a rollout adding
 # at most one node, or for the full tree of depth k where that is fewer. priors: the caller's prior table,
 # n_priors slots, a power of two, zeroed when made. goal_size: the side of each estimate's goal block.
 # moves: (dx, dy) of each action.
@@ -158,7 +150,7 @@ WORLD = Layout("World", height="q", width="q", n_lanes="q", goal_size="q", spawn
 TIMELINE = Layout("Timeline", world=WORLD, lanes=("P", "const double *"), table=("P", "double *"),
                   palettes=("P", "const uint8_t **"), records=("P", "Frame *"), cells=("P", "uint8_t *"), read_at="q",
                   stride="q", n_frames="q", room="q", spawn_draws="q")
-# A run of an episode's steps, packed by harness.py: the planner's search settings, whose (x0, y0) is the
+# A run of an episode's steps, set by harness.py: the planner's search settings, whose (x0, y0) is the
 # agent's start; the timeline it advances; what the harness updates; what stays; what the kernel writes back.
 PLAY = Layout("Play", search=SEARCH, timeline=("P", "Timeline *"),
               frames=("P", "const Frame *"),  # the model's k frames of decision time origin; NULL: the timeline's

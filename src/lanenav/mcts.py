@@ -65,7 +65,8 @@ MAX_ROLLOUT_LENGTH = MAX_DEPTH
 # so no search at rollout length k adds more, whatever n_rollouts.
 _FULL_TREE = tuple((N_ACTIONS ** (k + 1) - 1) // (N_ACTIONS - 1) for k in range(MAX_ROLLOUT_LENGTH + 1))
 # Where a node's visit counts start in its row: plan_action picks from the root's in place.
-_VISITS = NODE.offsets["n"]
+_VISITS = NODE.n.offset
+_NODE = np.dtype(NODE)
 _kernel, _select = library.lanenav_search, library.lanenav_select
 # Python's own hypot, which the shaping term calls: CPython's differs from libm's.
 _hypot = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double)(math.hypot)
@@ -129,7 +130,7 @@ class _Tree:
     @property
     def table(self) -> np.ndarray:
         if self._table is None:
-            self._table = np.frombuffer(self.nodes, NODE.dtype, self.count)
+            self._table = np.frombuffer(self.nodes, _NODE, self.count)
         return self._table
 
     @property
@@ -245,20 +246,23 @@ def goal_prior(
 
 
 @lru_cache(maxsize=16)
-def _moves(agent_speed: float) -> tuple[float, ...]:
-    """(dx, dy) of each action, flat."""
-    return tuple(v for a in range(N_ACTIONS) for v in action_to_velocity(a, agent_speed))
+def _moves(agent_speed: float) -> ctypes.Array:
+    """(dx, dy) of each action, flat, as the ``Search``'s ``moves``."""
+    moves = (v for a in range(N_ACTIONS) for v in action_to_velocity(a, agent_speed))
+    return (ctypes.c_double * (2 * N_ACTIONS))(*moves)
 
 
-def _search_fields(cfg: MCTSConfig, nodes: int, priors: int, n_priors: int, agent_pos: tuple[float, float],
-                   agent_speed: float, shape: tuple[int, int], goal_size: int) -> tuple:
-    """The fields of the kernel's ``Search``: the addresses of the node table and of the prior table of
-    ``n_priors`` slots, the settings of ``cfg`` and the agent's moves on a grid of ``shape`` with goal blocks
-    of side ``goal_size``, searching from ``agent_pos``."""
+def _search(cfg: MCTSConfig, nodes: int, priors: int, n_priors: int, agent_pos: tuple[float, float],
+            agent_speed: float, shape: tuple[int, int], goal_size: int) -> SEARCH:
+    """The kernel's ``Search``: the addresses of the node table and of the prior table of ``n_priors`` slots,
+    the settings of ``cfg`` and the agent's moves on a grid of ``shape`` with goal blocks of side
+    ``goal_size``, searching from ``agent_pos``."""
     height, width = shape
-    return (nodes, priors, _HYPOT_ADDRESS, cfg.n_rollouts, cfg.rollout_length, height, width, goal_size, n_priors,
-            agent_pos[0], agent_pos[1], cfg.c_puct, cfg.prior_kappa, cfg.death_value, cfg.goal_value,
-            cfg.shaping_beta, math.hypot(width - 1.0, height - 1.0), *_moves(agent_speed))
+    return SEARCH(nodes=nodes, priors=priors, hypot=_HYPOT_ADDRESS, n_rollouts=cfg.n_rollouts, k=cfg.rollout_length,
+                  height=height, width=width, goal_size=goal_size, n_priors=n_priors, x0=agent_pos[0],
+                  y0=agent_pos[1], c_puct=cfg.c_puct, kappa=cfg.prior_kappa, death_value=cfg.death_value,
+                  goal_value=cfg.goal_value, beta=cfg.shaping_beta, diag=math.hypot(width - 1.0, height - 1.0),
+                  moves=_moves(agent_speed))
 
 
 @lru_cache(maxsize=64)
@@ -267,7 +271,8 @@ def _table_layout(n_rollouts: int, k: int, slots: int | None) -> tuple[int, int,
     rows = min(n_rollouts + 1, _FULL_TREE[k])
     if slots is None:
         slots = 1 << (rows - 1).bit_length()
-    return rows * NODE.size + slots * PRIOR.size, rows * NODE.size, slots
+    nodes = rows * ctypes.sizeof(NODE)
+    return nodes + slots * ctypes.sizeof(PRIOR), nodes, slots
 
 
 def _search_tables(cfg: MCTSConfig, slots: int | None = None) -> tuple[ctypes.Array, int, int, int]:
@@ -323,8 +328,8 @@ def run_search(
     shape = frames[0].occupancy.shape if frames else ()
     records, packed = _pack_frames(frames, cfg.rollout_length, shape)
     tables, nodes, priors, slots = _search_tables(cfg)
-    fields = _search_fields(cfg, nodes, priors, slots, agent_pos, agent_speed, shape, goal_size)
-    count = check(_kernel(SEARCH.struct.pack(*fields), records))
+    search = _search(cfg, nodes, priors, slots, agent_pos, agent_speed, shape, goal_size)
+    count = check(_kernel(ctypes.byref(search), records))
     return SearchNode(_Tree(tables, count, nodes), 0)
 
 

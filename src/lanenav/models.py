@@ -266,8 +266,8 @@ def prediction_error(predicted: PredictedFrame, truth: np.ndarray) -> ErrorMap:
 
 class ForwardModel:
     """A forward model: a name, its frames at a decision, a count of its ``predict`` calls, and its ``spec``,
-    the selection string ``build_model`` built it from, else its name; ``n_samples`` is the samples drawn
-    per prediction, as the bench table shows it.
+    the selection string ``build_model`` built it from, else None: a trace of an episode records the spec,
+    which only a model built from one has.
 
     ``predict(timeline, t, k)`` is its k predicted frames at decision time t of the episode's timeline. They
     come from a ``predict`` function of the same arguments or from a ``window``, (first, stride), never
@@ -278,14 +278,13 @@ class ForwardModel:
     """
 
     def __init__(self, name: str, predict: Callable[[Timeline, int, int], tuple[PredictedFrame, ...]] | None = None,
-                 n_samples: int = 1, window: tuple[int, int] | None = None, spec: str | None = None) -> None:
+                 window: tuple[int, int] | None = None, spec: str | None = None) -> None:
         if (predict is None) == (window is None):
             raise ValueError("a model takes exactly one of a predict function and a window")
         if window is not None and not (len(window) == 2 and all(type(v) is int and v >= 0 for v in window)):
             raise ValueError(f"a window is (first, stride), two integers >= 0, got {window!r}")
         self.name = name
-        self.spec = name if spec is None else spec
-        self.n_samples = n_samples
+        self.spec = spec
         self.window = window
         self.calls = 0
         self._predict = predict
@@ -350,7 +349,7 @@ def build_model(spec: str, episode_seed: int) -> ForwardModel | None:
     p_fn, p_fp, sigma, n = parameters
     rng = substream(episode_seed, STREAM_MODEL)
     return ForwardModel(name, lambda timeline, t, k: _noisy_samples(timeline.rollout(t, k), n, p_fn, p_fp, sigma,
-                                                                    rng), n_samples=n, spec=spec)
+                                                                    rng), spec=spec)
 
 
 def split_model_specs(text: str) -> list[str]:

@@ -56,7 +56,7 @@ def substream(seed: int, tag: int) -> np.random.Generator:
 
 
 def clone_rng(rng: np.random.Generator) -> np.random.Generator:
-    """Value copy: the clone continues the exact same stream."""
-    new = np.random.Generator(np.random.PCG64())
+    """Value copy on a bit generator of the same type: the clone continues the exact same stream."""
+    new = np.random.Generator(type(rng.bit_generator)())
     new.bit_generator.state = rng.bit_generator.state
     return new

@@ -92,7 +92,11 @@ class Trace:
 def write_trace(path: str | Path, record: EpisodeRecord) -> None:
     if record.frames is None:
         raise ValueError("record has no frames; run the episode with keep_frames=True")
-    model_label(record.model_spec)  # a spec read_trace would refuse raises here, before the file is touched
+    # A model without a spec, or a spec read_trace would refuse, raises here, before the file is touched.
+    if record.model_spec is None:
+        raise ValueError(f"model {record.model_name!r} was not built from a spec by build_model, so a trace cannot "
+                         "name it")
+    model_label(record.model_spec)
     header = {
         "kind": "header",
         "episode_seed": record.episode_seed,

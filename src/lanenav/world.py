@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import struct
 import sys
 from array import array
 from dataclasses import dataclass, replace
@@ -309,14 +308,6 @@ class Outcome:
 
 
 _ROW_BYTES = 8 * N_COLUMNS
-# The parts of a kernel World that a step reads and writes: the table's room and rows, the goal; what it moved and
-# drew. A Timeline holds its World first, so these offsets are the Timeline's too.
-_STEP_SIZES, _STEP_AT = WORLD.part("capacity", "goal_vy"), WORLD.offsets["capacity"]
-_STEPPED, _STEPPED_AT = WORLD.part("goal_x", "n_drawn"), WORLD.offsets["goal_x"]
-_ROWS = WORLD.part("capacity", "n_rows")
-# The parts of a kernel Timeline that Python sets, and those it reads: its frame count, room and raw draws.
-_BUFFERS, _BUFFERS_AT = TIMELINE.part("lanes", "room"), TIMELINE.offsets["lanes"]
-_COUNTS, _COUNTS_AT = TIMELINE.part("n_frames", "spawn_draws"), TIMELINE.offsets["n_frames"]
 
 
 def _table(state: "WorldState") -> bytes | ctypes.Array:
@@ -341,13 +332,19 @@ def _bitgen_address(bit_generator: np.random.BitGenerator) -> int:
     return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
 
 
-def _sizes(state: "WorldState", goal_size: int, spawn: int = 0, classes: int = 0, lam: float = 0.0) -> bytes:
-    """The kernels' ``World`` for ``state`` as it stands, the goal painted where ``goal_size`` > 0, and for a
-    step the addresses of the generators' ``bitgen_t`` and the Poisson mean; the lane count is that of the
-    packed lane table the kernels read."""
+def _world(state: "WorldState", goal_size: int, draws: bool = False) -> WORLD:
+    """The kernels' ``World`` for ``state`` as it stands, the goal painted where ``goal_size`` > 0, and with
+    ``draws`` the addresses of the generators' ``bitgen_t`` and the Poisson mean a step draws with; the lane
+    count is that of the packed lane table the kernels read."""
     cfg, goal = state.config, state.goal
-    return WORLD.struct.pack(cfg.grid_h, cfg.grid_w, len(state.lane_table) // (8 * N_LANE_COLUMNS), goal_size,
-                             spawn, classes, lam, 0, len(state.obstacles), goal.x, goal.y, goal.vx, goal.vy, 0)
+    world = WORLD(height=cfg.grid_h, width=cfg.grid_w, n_lanes=len(state.lane_table) // (8 * N_LANE_COLUMNS),
+                  goal_size=goal_size, n_rows=len(state.obstacles), goal_x=goal.x, goal_y=goal.y, goal_vx=goal.vx,
+                  goal_vy=goal.vy)
+    if draws:
+        world.spawn = _bitgen_address(state.spawn_rng.bit_generator)
+        world.classes = _bitgen_address(state.class_rng.bit_generator)
+        world.lam = cfg.level * cfg.spawn_base_rate
+    return world
 
 
 class _StateKernel:
@@ -357,13 +354,9 @@ class _StateKernel:
     __slots__ = ("world", "address", "spawn", "classes", "spawn_rng", "class_rng")
 
     def __init__(self, state: "WorldState") -> None:
-        cfg = state.config
-        spawn, classes = state.spawn_rng.bit_generator, state.class_rng.bit_generator
-        sizes = _sizes(state, cfg.goal_size, _bitgen_address(spawn), _bitgen_address(classes),
-                       cfg.level * cfg.spawn_base_rate)
-        self.world = ctypes.create_string_buffer(sizes, WORLD.size)
+        self.world = _world(state, state.config.goal_size, draws=True)
         self.address = ctypes.addressof(self.world)
-        self.spawn, self.classes = spawn.lock, classes.lock
+        self.spawn, self.classes = state.spawn_rng.bit_generator.lock, state.class_rng.bit_generator.lock
         self.spawn_rng, self.class_rng = state.spawn_rng, state.class_rng
 
 
@@ -410,7 +403,7 @@ class WorldState:
             row = dict(LEN_LO=len_lo, LEN_RANGE=len_hi - len_lo, SPEED_LO=speed_lo, SPEED_RANGE=speed_hi - speed_lo,
                        DIRECTION=lane.direction, ROW=lane.row, VALUE=lane.class_id)
             values.extend(row[name] for name in LANE_COLUMNS)
-        self.lane_table = struct.pack(f"{len(values)}d", *values)
+        self.lane_table = array("d", values).tobytes()
         # world_step keeps the table in a buffer of its own: _rows views all
         # of the buffer's rows, _view the first ones, which it left in obstacles.
         self._buffer = self._rows = self._view = None
@@ -467,13 +460,14 @@ def world_step(state: WorldState) -> None:
         state._buffer = zeroed(capacity * _ROW_BYTES)
         ctypes.memmove(state._buffer, table, rows * _ROW_BYTES)
         state._rows = np.frombuffer(state._buffer, np.float64).reshape(capacity, N_COLUMNS)
-    goal = state.goal
-    _STEP_SIZES.pack_into(made.world, _STEP_AT, len(state._rows), rows, goal.x, goal.y, goal.vx, goal.vy)
+    world, goal = made.world, state.goal
+    world.capacity, world.n_rows = len(state._rows), rows
+    world.goal_x, world.goal_y, world.goal_vx, world.goal_vy = goal.x, goal.y, goal.vx, goal.vy
     rows = check(_locked(made, library.lanenav_world_step, made.address, state.lane_table,
                          ctypes.addressof(state._buffer)))
     state.obstacles = state._view = state._rows[:rows]
-    goal.x, goal.y, goal.vx, goal.vy, drawn = _STEPPED.unpack_from(made.world, _STEPPED_AT)
-    state.spawn_draws += drawn
+    goal.x, goal.y, goal.vx, goal.vy = world.goal_x, world.goal_y, world.goal_vx, world.goal_vy
+    state.spawn_draws += world.n_drawn
     state.t += 1
 
 
@@ -498,7 +492,8 @@ def _rasterize(state: WorldState, goal_size: int = 0) -> np.ndarray:
     """
     cfg = state.config
     cells = zeroed(cfg.grid_h * cfg.grid_w)
-    check(library.lanenav_rasterize(_sizes(state, goal_size), state.lane_table, _table(state), cells, None, None))
+    check(library.lanenav_rasterize(ctypes.byref(_world(state, goal_size)), state.lane_table, _table(state), cells,
+                                    None, None))
     return np.frombuffer(cells, np.uint8).reshape(cfg.grid_h, cfg.grid_w)
 
 
@@ -545,21 +540,21 @@ def predicted_frame(frame: np.ndarray) -> PredictedFrame:
     if frame.dtype != np.uint8 or frame.ndim != 2:
         raise ValueError(f"a palette frame is a 2-D uint8 array, got {frame.ndim}-D {frame.dtype}")
     height, width = frame.shape
-    mask = FRAME_READ.offsets["mask"]
+    mask = FRAME_READ.mask.offset
     out = zeroed(mask + height * width)
-    count = library.lanenav_read_frame(WORLD.struct.pack(height, width, *(0,) * 12), frame.tobytes(), out)
+    count = library.lanenav_read_frame(ctypes.byref(WORLD(height=height, width=width)), frame.tobytes(), out)
     occupancy = freeze(np.frombuffer(out, np.bool_, height * width, mask).reshape(height, width))
     if not count:
         return PredictedFrame(occupancy=occupancy, goal_estimate=None)
-    sum_x, sum_y = FRAME_READ.struct.unpack_from(out)
-    return PredictedFrame(occupancy=occupancy, goal_estimate=(sum_x / count, sum_y / count))
+    read = FRAME_READ.from_buffer(out)
+    return PredictedFrame(occupancy=occupancy, goal_estimate=(read.sum_x / count, read.sum_y / count))
 
 
 def packed_frame(frame: PredictedFrame, shape: tuple[int, ...]) -> tuple[bytes, np.ndarray]:
     """(``kernel.FRAME`` record, occupancy) of a predicted frame on a grid of ``shape``, for the search kernel.
 
     A frame of a ``Timeline`` gives the record the timeline's kernel call
-    wrote for it. Any other frame is packed here, per call: the record holds
+    wrote for it. Any other frame's is made here, per call: the record holds
     the address of its occupancy as a C-contiguous bool array, the frame's
     own where it is one, else a copy, which the tuple keeps alive; then its
     goal estimate, NaN for none. The search computes each estimate's goal
@@ -582,7 +577,7 @@ def packed_frame(frame: PredictedFrame, shape: tuple[int, ...]) -> tuple[bytes, 
     else:
         x, y = goal[0], goal[1]
         round_px(x), round_px(y)  # a NaN raises ValueError, an infinity OverflowError
-    return FRAME.struct.pack(occ.ctypes.data, x, y), occ
+    return bytes(FRAME(occ=occ.ctypes.data, goal_x=x, goal_y=y)), occ
 
 
 def clone_state(state: WorldState) -> WorldState:
@@ -721,24 +716,21 @@ class Timeline:
         self._chunk = _CHUNK
         cells = config.grid_h * config.grid_w
         read_at = -(-cells // 8) * 8
-        stride = -(-(read_at + FRAME_READ.size + cells) // 8) * 8
+        stride = -(-(read_at + ctypes.sizeof(FRAME_READ) + cells) // 8) * 8
         self._table = _table(state)  # the start's rows, which the first _grow moves into a buffer with room
         # The kernel's Timeline: the state's World and lane table (which _state keeps), no buffer and no frame yet.
-        self._timeline = zeroed(TIMELINE.size)
+        self._timeline = TIMELINE(world=_world(state, config.goal_size, draws=True),
+                                  lanes=ctypes.cast(state.lane_table, ctypes.c_void_p).value, read_at=read_at,
+                                  stride=stride)
         self._address = ctypes.addressof(self._timeline)
-        ctypes.memmove(self._timeline, self._made.world, WORLD.size)
-        goal = state.goal
-        _STEP_SIZES.pack_into(self._timeline, _STEP_AT, 0, len(state.obstacles), goal.x, goal.y, goal.vx, goal.vy)
-        _BUFFERS.pack_into(self._timeline, _BUFFERS_AT, ctypes.cast(state.lane_table, ctypes.c_void_p).value, 0, 0, 0,
-                           0, read_at, stride, 0, 0)
         self.frame(0)
 
     def __len__(self) -> int:
-        return _COUNTS.unpack_from(self._timeline, _COUNTS_AT)[0]
+        return self._timeline.n_frames
 
     @property
     def spawn_draws(self) -> int:
-        return _COUNTS.unpack_from(self._timeline, _COUNTS_AT)[2]
+        return self._timeline.spawn_draws
 
     def _call(self, function, *args) -> int:
         """``function(*args)``, a kernel call that may advance this timeline, with its generators' locks held."""
@@ -747,27 +739,24 @@ class Timeline:
     def _grow(self) -> None:
         """Room for the kernel to go on: where the last buffer is full, one of ``_CHUNK`` more frames, the arrays
         grown to match; then table room for the rows their steps may add, a lane spawning at most once a step."""
-        kernel, size = self._timeline, self._chunk
-        lanes, table, palettes, records, cells, read_at, stride, count, room = _BUFFERS.unpack_from(kernel, _BUFFERS_AT)
-        if count >= room:
+        timeline, size = self._timeline, self._chunk
+        world = timeline.world
+        if timeline.n_frames >= timeline.room:
             cfg = self.config
-            buffer = zeroed(size * stride)
-            shape, strides = (size, cfg.grid_h, cfg.grid_w), (stride, cfg.grid_w, 1)
+            buffer = zeroed(size * timeline.stride)
+            shape, strides = (size, cfg.grid_h, cfg.grid_w), (timeline.stride, cfg.grid_w, 1)
             self._chunks.append(tuple(freeze(np.ndarray(shape, kind, buffer, at, strides)) for kind, at in
-                                      ((np.uint8, 0), (np.bool_, read_at + FRAME_READ.offsets["mask"]))))
+                                      ((np.uint8, 0), (np.bool_, timeline.read_at + FRAME_READ.mask.offset))))
             self.palettes.frombytes(bytes(8 * size))
-            self.records.frombytes(bytes(FRAME.size * size))
-            palettes, records = self.palettes.buffer_info()[0], self.records.buffer_info()[0]
-            cells, room = ctypes.addressof(buffer), room + size
-        capacity, rows = _ROWS.unpack_from(kernel, _STEP_AT)
-        needed = rows + (room - count) * len(self._state.lanes)
-        if not table or needed > capacity:
+            self.records.frombytes(bytes(ctypes.sizeof(FRAME) * size))
+            timeline.palettes, timeline.records = self.palettes.buffer_info()[0], self.records.buffer_info()[0]
+            timeline.cells, timeline.room = ctypes.addressof(buffer), timeline.room + size
+        needed = world.n_rows + (timeline.room - timeline.n_frames) * len(self._state.lanes)
+        if not timeline.table or needed > world.capacity:
             capacity = 2 * needed + 16
             buffer = zeroed(capacity * _ROW_BYTES)
-            ctypes.memmove(buffer, self._table, rows * _ROW_BYTES)
-            self._table, table = buffer, ctypes.addressof(buffer)
-            _ROWS.pack_into(kernel, _STEP_AT, capacity, rows)
-        _BUFFERS.pack_into(kernel, _BUFFERS_AT, lanes, table, palettes, records, cells, read_at, stride, count, room)
+            ctypes.memmove(buffer, self._table, world.n_rows * _ROW_BYTES)
+            self._table, timeline.table, world.capacity = buffer, ctypes.addressof(buffer), capacity
 
     def frame(self, t: int) -> np.ndarray:
         frames = self._frames
@@ -783,10 +772,12 @@ class Timeline:
         predicted = self._predicted.get(t)
         if predicted is None:
             self.frame(t)
-            record = self.records[t * FRAME.size:(t + 1) * FRAME.size].tobytes()
-            _, x, y = FRAME.struct.unpack(record)
+            size = ctypes.sizeof(FRAME)
+            record = self.records[t * size:(t + 1) * size].tobytes()
+            read = FRAME.from_buffer_copy(record)
             occupancy = self._chunks[t // self._chunk][1][t % self._chunk]
-            predicted = self._predicted[t] = PredictedFrame(occupancy, None if math.isnan(x) else (x, y))
+            goal = None if math.isnan(read.goal_x) else (read.goal_x, read.goal_y)
+            predicted = self._predicted[t] = PredictedFrame(occupancy, goal)
             object.__setattr__(predicted, "_record", record)
         return predicted
 

@@ -219,7 +219,7 @@ def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
     """A bench batch through the kernel simulates exactly the frames the Python loop simulates: per seed as
     many frames, with the same draws, and the timeline as long after each task, so a cell that simulates a
     frame past its episode cannot hide behind a longer cell of its seed. The batch plays each episode
-    through ``_episode``, which the reference replaces: the Python loop's records, packed into the step table
+    through ``_episode``, which the reference replaces: the Python loop's records, as the step table
     the kernel writes."""
     world_cfg = WorldConfig()
     cells = [(world_cfg.for_speed(speed), MCTSConfig(n_rollouts=20, rollout_length=k), spec)
@@ -256,9 +256,12 @@ def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
 
     def reference(timeline, cell_world, cell_mcts, model, draws):
         record = reference_play(timeline, cell_world, cell_mcts, "none" if model is None else model)
-        table = b"".join(STEP.struct.pack(s.agent_x, s.agent_y, s.action, kinds.index(s.outcome))
-                         for s in record.trace)
-        return memoryview(table), record.exception
+        table = np.zeros(len(record.trace), np.dtype(STEP))
+        for name, values in (("x", [s.agent_x for s in record.trace]), ("y", [s.agent_y for s in record.trace]),
+                             ("action", [s.action for s in record.trace]),
+                             ("kind", [kinds.index(s.outcome) for s in record.trace])):
+            table[name] = values
+        return table, record.exception
 
     got, want = run(_episode), run(reference)
     assert got == want

@@ -15,6 +15,7 @@ bounces several times in one step.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -70,10 +71,9 @@ def start(cfg: WorldConfig, seed: int, chunk: int, patch: pytest.MonkeyPatch) ->
 
 
 def timeline_bits(timeline: Timeline) -> tuple:
-    x, y, vx, vy, _ = world._STEPPED.unpack_from(timeline._timeline, world._STEPPED_AT)
-    state = timeline._state
+    kernel, state = timeline._timeline.world, timeline._state
     return (state.spawn_rng.bit_generator.state, state.class_rng.bit_generator.state, timeline.spawn_draws,
-            repr((x, y, vx, vy)))
+            repr((kernel.goal_x, kernel.goal_y, kernel.goal_vx, kernel.goal_vy)))
 
 
 def reference_bits(state: WorldState) -> tuple:
@@ -94,9 +94,10 @@ def assert_frames(timeline: Timeline, reference: WorldState, returns: dict) -> N
         frame = timeline.frame(t)
         assert np.array_equal(frame, want), t
         read = reference_predicted_frame(want)
-        occ, x, y = FRAME.struct.unpack(timeline.records[t * FRAME.size:(t + 1) * FRAME.size].tobytes())
+        record = FRAME.from_buffer_copy(timeline.records, t * ctypes.sizeof(FRAME))
+        x, y = record.goal_x, record.goal_y
         predicted = timeline.predicted(t)
-        assert occ == predicted.occupancy.ctypes.data and np.array_equal(predicted.occupancy, read.occupancy)
+        assert record.occ == predicted.occupancy.ctypes.data and np.array_equal(predicted.occupancy, read.occupancy)
         goal = read.goal_estimate
         assert repr((x, y)) == repr(goal) if goal is not None else math.isnan(x) and math.isnan(y)
     assert not returns

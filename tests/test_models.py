@@ -417,7 +417,7 @@ class TestModelObjects:
     def test_build_model(self, spec, name, n, reads_timeline):
         model = build_model(spec, 0)
         assert type(model) is ForwardModel
-        assert (model.name, model.spec, model.n_samples) == (name, spec, n)
+        assert (model.name, model.spec, model_label(spec)) == (name, spec, (name, n))
         timeline = Timeline(WorldConfig(), 21)
         # What an unprivileged model may read at t: the history of t and the frames up to t.
         blind = stand_in_timeline(timeline, 2, ("history", "predicted"))
@@ -469,13 +469,13 @@ class TestModelObjects:
         p_fn, p_fp, sigma = map(float, fields[:3])
         assert 0.0 <= p_fn <= 1.0 and 0.0 <= p_fp <= 1.0
         assert math.isfinite(sigma) and sigma >= 0.0
-        assert 1 <= model.n_samples == int(fields[3]) <= MAX_NOISY_SAMPLES
+        assert model.spec == spec and 1 <= model_label(spec)[1] == int(fields[3]) <= MAX_NOISY_SAMPLES
 
     @pytest.mark.parametrize("n, ok", [(MAX_NOISY_SAMPLES, True), (MAX_NOISY_SAMPLES + 1, False)])
     def test_noisy_sample_count_bound(self, n, ok):
         spec = f"noisy:0.1,0.02,1.0,{n}"
         if ok:
-            assert build_model(spec, 0).n_samples == n
+            assert build_model(spec, 0).spec == spec
             assert model_label(spec) == ("noisy", n)
             return
         for build in (lambda: build_model(spec, 0), lambda: model_label(spec)):
@@ -489,11 +489,10 @@ class TestModelObjects:
             seen.append((timeline, t, k))
             return ("frame",) * k
 
-        model = ForwardModel("echo", echo, n_samples=3)
+        model = ForwardModel("echo", echo)
         timeline = Timeline(WorldConfig(), 22)
         assert model.predict(timeline, 0, 2) == ("frame", "frame")
-        assert (model.name, model.spec, model.n_samples, model.window, model.calls, seen) == (
-            "echo", "echo", 3, None, 1, [(timeline, 0, 2)])
+        assert (model.name, model.spec, model.window, model.calls, seen) == ("echo", None, None, 1, [(timeline, 0, 2)])
 
     @pytest.mark.parametrize("predict, window, match", [
         (lambda timeline, t, k: (), (1, 1), "exactly one"),

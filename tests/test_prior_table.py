@@ -8,7 +8,7 @@ search, an episode one per episode. Every case compares with
 ``conftest.reference_search``, which computes each prior afresh, or with
 ``conftest.reference_play`` planning through it, so a slot that served the
 prior of another key shows as another tree or episode. Tables of 1 and 2
-slots are packed into the kernel's ``Search`` by hand, or given to the
+slots are set in the kernel's ``Search`` by hand, or given to the
 episode loop, so that keys evict each other.
 """
 from __future__ import annotations
@@ -28,9 +28,9 @@ import conftest
 from conftest import reference_play, reference_search, reference_select
 from lanenav import harness
 from lanenav.harness import PRIOR_SLOTS, _play, run_episode
-from lanenav.kernel import PRIOR, SEARCH, check, library, zeroed
-from lanenav.mcts import (MCTSConfig, SearchNode, _pack_frames, _search_fields, _search_tables, _Tree, goal_prior,
-                          plan_action, run_search)
+from lanenav.kernel import PRIOR, check, library
+from lanenav.mcts import (MCTSConfig, SearchNode, _pack_frames, _search, _search_tables, _Tree, goal_prior, plan_action,
+                          run_search)
 from lanenav.models import ForwardModel
 from lanenav.seeding import episode_seed, make_rng
 from lanenav.world import PredictedFrame, Timeline, WorldConfig
@@ -41,16 +41,16 @@ pytestmark = pytest.mark.bitpin
 
 
 def prior_table(slots: int) -> ctypes.Array:
-    return zeroed(slots * PRIOR.size)
+    return (PRIOR * slots)()
 
 
 def search_in(table: ctypes.Array, slots: int, agent, frames, cfg: MCTSConfig, speed: float, goal_size: int = 2):
-    """``run_search``, reading priors through ``table`` of ``slots`` slots, packed into the Search by hand."""
+    """``run_search``, reading priors through ``table`` of ``slots`` slots, set in the Search by hand."""
     shape = frames[0].occupancy.shape
     records, _ = _pack_frames(frames, cfg.rollout_length, shape)
     nodes, address, _, _ = _search_tables(cfg, 0)
-    fields = _search_fields(cfg, address, ctypes.addressof(table), slots, agent, speed, shape, goal_size)
-    count = check(library.lanenav_search(SEARCH.struct.pack(*fields), records))
+    search = _search(cfg, address, ctypes.addressof(table), slots, agent, speed, shape, goal_size)
+    count = check(library.lanenav_search(ctypes.byref(search), records))
     return SearchNode(_Tree(nodes, count, address), 0)
 
 
@@ -121,7 +121,9 @@ def test_searches_sharing_a_table_match_the_reference(case):
 
 
 def slot_of(table: ctypes.Array, i: int = 0) -> tuple:
-    return PRIOR.struct.unpack_from(table, i * PRIOR.size)
+    """(dx, dy, kappa, prior) of slot i, the key's bits and the prior."""
+    slot = table[i]
+    return slot.dx, slot.dy, slot.kappa, list(slot.prior)
 
 
 def test_a_miss_stores_the_prior_and_a_hit_copies_it():
@@ -133,9 +135,9 @@ def test_a_miss_stores_the_prior_and_a_hit_copies_it():
     root = search_in(table, 1, agent, frames, cfg, 1.0)
     bits = [struct.unpack("<Q", struct.pack("<d", v))[0] for v in (1.5 - 6.0, 0.0 - 5.0, 2.5)]
     prior = goal_prior(agent, (1.5, 0.0), 2.5)
-    assert slot_of(table) == (*bits, *prior) and root.prior == prior
+    assert slot_of(table) == (*bits, prior) and root.prior == prior
     planted = [i / 36.0 for i in range(1, 9)]
-    PRIOR.struct.pack_into(table, 0, *bits, *planted)
+    table[0] = PRIOR(dx=bits[0], dy=bits[1], kappa=bits[2], prior=tuple(planted))
     assert search_in(table, 1, agent, frames, cfg, 1.0).prior == planted
     # Another kappa is another key: computed, and stored over the slot.
     assert search_in(table, 1, agent, frames, MCTSConfig(n_rollouts=20, rollout_length=1, prior_kappa=3.0),
@@ -152,7 +154,7 @@ def test_no_goal_and_a_zero_offset_are_never_looked_up():
         root = search_in(table, 2, (4.0, 4.0), frames, cfg, 1.0)
         assert root.prior == [0.125] * 8
         assert_same_tree(root, reference_search((4.0, 4.0), frames, cfg, 1.0))
-    assert bytes(table) == bytes(2 * PRIOR.size)
+    assert bytes(table) == bytes(2 * ctypes.sizeof(PRIOR))
 
 
 def test_signed_zero_offsets_are_distinct_keys():

@@ -407,24 +407,26 @@ class TestLoader:
 
     def test_every_field_has_its_assertion_in_the_header(self):
         layouts = [value for value in vars(kernel).values() if isinstance(value, kernel.Layout)]
-        assert {layout.name for layout in layouts} == {"Node", "Prior", "Search", "Frame", "Step", "Play", "World",
-                                                       "Timeline", "FrameRead"}
+        assert {layout.__name__ for layout in layouts} == {"Node", "Prior", "Search", "Frame", "Step", "Play", "World",
+                                                           "Timeline", "FrameRead"}
         for layout in layouts:
-            assert f"}} {layout.name};\n" in kernel.HEADER
-            for field, offset in layout.offsets.items():
-                assert (f'_Static_assert(offsetof({layout.name}, {field}) == {offset}, "{layout.name}.{field}");'
-                        in kernel.HEADER)
-            assert f'_Static_assert(sizeof({layout.name}) == {layout.size}, "sizeof {layout.name}");' in kernel.HEADER
+            name = layout.__name__
+            assert issubclass(layout, ctypes.Structure) and f"}} {name};\n" in kernel.HEADER
+            for field, _ in layout._fields_:
+                offset = getattr(layout, field).offset
+                assert f'_Static_assert(offsetof({name}, {field}) == {offset}, "{name}.{field}");' in kernel.HEADER
+            assert f'_Static_assert(sizeof({name}) == {ctypes.sizeof(layout)}, "sizeof {name}");' in kernel.HEADER
 
     def test_a_layout_c_lays_out_differently_fails_the_import(self, tmp_path):
-        """A copy of the package whose ``Layout`` maps the node's int32 children to int64_t: C then lays out
-        Node's depth past where Python packs it, and the build, so the import, fails naming the field."""
+        """A copy of the package whose ``Layout`` declares the node's int32 children as int64_t in C, while ctypes
+        keeps them int32: C then lays out Node's depth past where ctypes puts it, and the build, so the import,
+        fails naming the field."""
         package = tmp_path / "lanenav"
         shutil.copytree(Path(kernel.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
         declarations = package / "kernel.py"
         text = declarations.read_text()
-        assert text.count('"i": "int32_t"') == 1
-        declarations.write_text(text.replace('"i": "int32_t"', '"i": "int64_t"'))
+        assert text.count('"i": ("int32_t", ctypes.c_int32)') == 1
+        declarations.write_text(text.replace('"i": ("int32_t", ctypes.c_int32)', '"i": ("int64_t", ctypes.c_int32)'))
         done = subprocess.run([sys.executable, "-c", "import lanenav"], env={**os.environ, "PYTHONPATH": str(tmp_path)},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode != 0

@@ -3,6 +3,7 @@ decision with its message."""
 import json
 import re
 import time
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -244,10 +245,9 @@ class TestTraceFile:
         assert "model=noisy" in capsys.readouterr().out
 
     def test_a_spec_read_trace_refuses_is_not_written(self, tmp_path):
-        model = ForwardModel("boom", lambda timeline, t, k: timeline.rollout(t, k))
-        record = run_episode(WorldConfig(max_steps=10), MCTSConfig(n_rollouts=5, rollout_length=1), model, 5,
+        record = run_episode(WorldConfig(max_steps=10), MCTSConfig(n_rollouts=5, rollout_length=1), "oracle", 5,
                              keep_frames=True)
-        assert record.model_spec == "boom"
+        record = replace(record, model_spec="boom")
         path = tmp_path / "t.jsonl"
         with pytest.raises(ValueError, match="unknown model spec 'boom'"):
             write_trace(path, record)
@@ -257,6 +257,19 @@ class TestTraceFile:
         with pytest.raises(ValueError, match="'boom'"):
             write_trace(path, record)
         assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"] and path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", ["oracle", "boom"])
+    def test_a_model_built_by_hand_is_not_written(self, tmp_path, name):
+        """A model not made by build_model has no spec, even under a spec's name: its trace would name a
+        model that did not play, so it is refused, naming the model, before the file is touched."""
+        model = ForwardModel(name, lambda timeline, t, k: timeline.rollout(t, k))
+        record = run_episode(WorldConfig(max_steps=10), MCTSConfig(n_rollouts=5, rollout_length=1), model, 5,
+                             keep_frames=True)
+        assert model.spec is None and (record.model_name, record.model_spec) == (name, None)
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match=f"model '{name}' was not built from a spec"):
+            write_trace(path, record)
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_frames(self, tmp_path):
         record = run_episode(WorldConfig(max_steps=10), MCTSConfig(n_rollouts=5, rollout_length=1),

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import agent_turn, build_state, frames_equal, reference_lanes, state_fingerprint
 from lanenav import checks, kernel
-from lanenav.seeding import STREAM_CLASS, substream
+from lanenav.seeding import STREAM_CLASS, clone_rng, substream
 from lanenav.world import (
     DEFAULT_CLASSES,
     FREE,
@@ -452,6 +452,24 @@ class TestClone:
         copy = clone_state(state)
         assert frames_equal(render_frame(state), render_frame(copy))
         assert state_fingerprint(copy) == state_fingerprint(state)
+
+    @pytest.mark.parametrize("kind", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_a_clone_keeps_its_bit_generator(self, kind):
+        """On any numpy bit generator, a clone of a generator continues its stream, and a clone of a state
+        that draws through such generators steps as the original does."""
+        rng = np.random.Generator(kind(9))
+        rng.random(3)
+        clone = clone_rng(rng)
+        assert type(clone.bit_generator) is kind and clone is not rng
+        assert clone.random(5).tolist() == rng.random(5).tolist()
+        state = new_episode(WorldConfig(level=20.0), 24)
+        state.spawn_rng, state.class_rng = np.random.Generator(kind(1)), np.random.Generator(kind(2))
+        copy = clone_state(state)
+        for _ in range(20):
+            world_step(state)
+            world_step(copy)
+        assert state.spawn_draws and state_fingerprint(copy) == state_fingerprint(state)
+        assert frames_equal(render_frame(state), render_frame(copy))
 
 
 class TestActionIndependence:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import ctypes
 import math
 import pickle
 
@@ -28,7 +29,7 @@ from conftest import (
     timeline_of,
 )
 from lanenav import kernel, world
-from lanenav.kernel import FRAME, N_LANE_COLUMNS, WORLD, library, zeroed
+from lanenav.kernel import FRAME, N_LANE_COLUMNS, WORLD, library
 from lanenav.seeding import clone_rng
 from lanenav.world import (
     GOAL,
@@ -231,12 +232,10 @@ def kernel_counts(lam: float, lanes: int, spawn_rng, class_rng) -> list[int]:
     takes two uniforms from ``class_rng`` per candidate."""
     counts = []
     for _ in range(lanes):
-        world = zeroed(WORLD.size)
-        WORLD.struct.pack_into(world, 0, 1, 2, 1, 0, spawn_rng.bit_generator.ctypes.bit_generator.value,
-                               class_rng.bit_generator.ctypes.bit_generator.value, lam, 0, 0, 0.0, 0.0, 0.0, 0.0,
-                               0)
-        assert library.lanenav_world_step(world, bytes(8 * N_LANE_COLUMNS), None) == 0
-        counts.append(WORLD.struct.unpack_from(world)[-1])
+        world = WORLD(height=1, width=2, n_lanes=1, spawn=spawn_rng.bit_generator.ctypes.bit_generator.value,
+                      classes=class_rng.bit_generator.ctypes.bit_generator.value, lam=lam)
+        assert library.lanenav_world_step(ctypes.byref(world), bytes(8 * N_LANE_COLUMNS), None) == 0
+        counts.append(world.n_drawn)
     return counts
 
 
@@ -245,8 +244,8 @@ def test_the_capsule_gives_the_address_numpy_gives(bit_generator):
     generator = bit_generator(5)
     assert world._bitgen_address(generator) == generator.ctypes.bit_generator.value
     state = new_episode(WorldConfig(), 3)
-    spawn, classes = WORLD.struct.unpack_from(world._kernel(state).world)[4:6]
-    assert (spawn, classes) == (state.spawn_rng.bit_generator.ctypes.bit_generator.value,
+    made = world._kernel(state).world
+    assert (made.spawn, made.classes) == (state.spawn_rng.bit_generator.ctypes.bit_generator.value,
                                 state.class_rng.bit_generator.ctypes.bit_generator.value)
 
 
@@ -330,6 +329,16 @@ def test_the_generators_locks_are_held_through_the_draws(monkeypatch):
 
 # The frame pass: one kernel call paints, reads and packs each new timeline frame.
 
+def timeline_record(timeline: Timeline, t: int) -> FRAME:
+    """A copy of the ``Frame`` record the timeline's kernel wrote for time t."""
+    return FRAME.from_buffer_copy(timeline.records, t * ctypes.sizeof(FRAME))
+
+
+def goal_bytes(record: bytes | FRAME) -> bytes:
+    """The bits of a record's goal estimate, NaN for none."""
+    return bytes(record)[FRAME.goal_x.offset:FRAME.goal_y.offset + FRAME.goal_y.size]
+
+
 def assert_frame_pass(state, steps: int) -> None:
     """A timeline from ``state`` against the references, frame by frame: palette, mask, goal, record."""
     reference = clone_state(state)
@@ -344,13 +353,13 @@ def assert_frame_pass(state, steps: int) -> None:
         read = reference_predicted_frame(want)
         assert np.array_equal(predicted.occupancy, read.occupancy) and not predicted.occupancy.flags.writeable
         assert repr(predicted.goal_estimate) == repr(read.goal_estimate)
-        record = timeline.records[t * FRAME.size:(t + 1) * FRAME.size].tobytes()
+        record = timeline_record(timeline, t)
         packed = packed_frame(PredictedFrame(read.occupancy.copy(), read.goal_estimate), (cfg.grid_h, cfg.grid_w))[0]
-        assert record[8:] == packed[8:]  # the goal estimate, NaN for none
-        assert FRAME.struct.unpack(record)[0] == predicted.occupancy.ctypes.data == timeline.palettes[t] + (
+        assert goal_bytes(record) == goal_bytes(packed)  # the goal estimate, NaN for none
+        assert record.occ == predicted.occupancy.ctypes.data == timeline.palettes[t] + (
             predicted.occupancy.ctypes.data - frame.ctypes.data)
         assert timeline.palettes[t] == frame.ctypes.data
-        assert predicted is timeline.predicted(t) and packed_frame(predicted, frame.shape)[0] == record
+        assert predicted is timeline.predicted(t) and packed_frame(predicted, frame.shape)[0] == bytes(record)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -402,7 +411,8 @@ def test_a_frame_without_a_goal_pixel():
                         goal=(8.0, 3.0, 0.0, 0.0))
     timeline = timeline_of(state)
     assert timeline.predicted(0).goal_estimate is None
-    assert all(map(math.isnan, FRAME.struct.unpack(timeline.records[:FRAME.size].tobytes())[1:]))
+    record = timeline_record(timeline, 0)
+    assert math.isnan(record.goal_x) and math.isnan(record.goal_y)
     assert timeline.predicted(0).occupancy.sum() == 3
 
 
@@ -436,6 +446,5 @@ def test_a_frame_made_again_after_a_raise_keeps_its_mask_with_it(monkeypatch):
     read = predicted_frame(frame)
     assert read.occupancy.any() and np.array_equal(predicted.occupancy, read.occupancy)
     assert repr(predicted.goal_estimate) == repr(read.goal_estimate)
-    record = timeline.records[16 * FRAME.size:17 * FRAME.size].tobytes()
-    assert FRAME.struct.unpack(record)[0] == predicted.occupancy.ctypes.data
+    assert timeline_record(timeline, 16).occ == predicted.occupancy.ctypes.data
     assert timeline.palettes[16] == frame.ctypes.data
