@@ -13,7 +13,11 @@ timed in-process on fixed inputs built before the clock starts (the default
 world at 2x, episode seeds of master seed 1). One repeat times a batch of
 calls with ``time.perf_counter_ns`` and gives the mean time per call; the
 report is the median and the quartiles over repeats, in microseconds per
-call. Layers:
+call. A batch that needs no fresh inputs is repeated, as one repeat, as
+often as makes it last ``MIN_BATCH_US`` (1 ms) or more, the count doubled
+until an untimed repeat of this tree lasts that long and used for both
+trees with ``--against``: a batch of a few tens of microseconds is inside
+the host's scheduling noise. Layers:
 
 * ``world.world_step``: one step of a warmed-up world;
 * ``world.world_step.bound``: one step of a world warmed up at every
@@ -21,6 +25,8 @@ call. Layers:
   warm-up steps, goal speed 128) with bodies of 1-2 cells, about 4000 bodies;
   the world is built once per tree and steps on from batch to batch;
 * ``world.new_episode``: lane draw, the 48-step warm-up and placement;
+* ``timeline.start``: ``Timeline(cfg, seed)`` over the seeds, a timeline's
+  start with frame 0;
 * ``world.render_frame``: the palette frame of a warmed-up world;
 * ``timeline.frame``: per newly simulated frame, ``Timeline.predicted`` of
   times 1..40 in turn on fresh timelines built in the untimed setup: the
@@ -121,6 +127,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 KS = (1, 3, 10)
+MIN_BATCH_US = 1000.0
 PREDICT_MODELS = ("oracle", "frozen", "velocity", "noisy")
 MODULES = ("fileio", "harness", "kernel", "mcts", "models", "ppm", "seeding", "tracefile", "world")
 AGAINST_PACKAGE = "lanenav_against"
@@ -260,6 +267,7 @@ def layer_cases(lib: SimpleNamespace, out_dir: Path) -> dict:
         "world.world_step": (step_batch, steps * len(states), lambda: [new_episode(cfg, seed) for seed in seeds]),
         "world.world_step.bound": (bound_batch, steps, None),
         "world.new_episode": (lambda _: [new_episode(cfg, seed) for seed in seeds], len(seeds), None),
+        "timeline.start": (lambda _: [Timeline(cfg, seed) for seed in seeds], len(seeds), None),
         "world.render_frame": (lambda _: [render_frame(s) for s in states], len(states), None),
         "timeline.frame": (frame_batch, frames_ahead * len(seeds), lambda: [Timeline(cfg, seed) for seed in seeds]),
         "tracefile.frame_to_rle": (lambda _: [frame_to_rle(f) for f in frames], len(frames), None),
@@ -390,6 +398,29 @@ def worktree(rev: str):
                            capture_output=True, check=False)
 
 
+def batch_passes(cases: dict) -> dict:
+    """Per layer without a setup, the passes of its batch that make a repeat last ``MIN_BATCH_US`` or more:
+    doubled, after a first pass that warms its caches, until an untimed repeat of them lasts that long."""
+    passes = {}
+    for name, (run, calls, setup) in cases.items():
+        if setup is None:
+            run(None)
+            n = 1
+            while timed(lambda arg: [run(arg) for _ in range(n)], 1) < MIN_BATCH_US:
+                n *= 2
+            passes[name] = n
+    return passes
+
+
+def repeated(cases: dict, passes: dict) -> dict:
+    """``cases`` with each batch of ``passes`` made that many times over, as one batch of as many calls."""
+    def batch(run, n):
+        return lambda arg: [run(arg) for _ in range(n)]
+
+    return {name: (batch(run, passes[name]), calls * passes[name], setup) if passes.get(name, 1) > 1
+            else (run, calls, setup) for name, (run, calls, setup) in cases.items()}
+
+
 def measure(trees: list[dict], repeats: int, calibration) -> tuple[list[dict], dict]:
     """Per tree, layer -> samples, and layer -> the ``calibration`` milliseconds of each round; each round
     times every tree once, the first alternating, then the calibration."""
@@ -423,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="lanenav-perf-") as tmp:
         lib = load_library("lanenav")
         cases = layer_cases(lib, Path(tmp) / "change")
+        passes = batch_passes(cases)
+        cases = repeated(cases, passes)
         if args.against is None:
             [samples], calibration_ms = measure([cases], args.repeats, calibration)
             golden = time_golden(lib, grid)
@@ -430,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with worktree(args.against) as (path, sha):
                     parent_lib = import_tree(path / "src", AGAINST_PACKAGE)
-                    parent_cases = layer_cases(parent_lib, Path(tmp) / "parent")
+                    parent_cases = repeated(layer_cases(parent_lib, Path(tmp) / "parent"), passes)
                     (samples, parent_samples), calibration_ms = measure([cases, parent_cases], args.repeats,
                                                                         calibration)
                     golden, parent_golden = time_golden(lib, grid), time_golden(parent_lib, grid)

@@ -1,8 +1,10 @@
 /* lanenav's world in C: one step of the world, the obstacle table with its
  * random draws and then the goal's motion, the rasterizer, the reader of
  * palette frames, the frame loop of a timeline, which steps, paints and
- * reads each new frame of an episode's world, and the RLE text of a
- * palette frame in a trace file, its encoder and its checking decoder.
+ * reads each new frame of an episode's world, an episode's start (its lanes'
+ * draws and table, its warm-up, its agent's and goal's placement, then
+ * frame 0), and the RLE text of a palette frame in a trace file, its encoder
+ * and its checking decoder.
  *
  * kernel.py compiles this file with _search.c into one object, linked with
  * the installed numpy's libnpyrandom.a, ahead of it kernel.HEADER,
@@ -14,18 +16,22 @@
  * codec and builds its error messages around the failing token the decoder
  * points to. world.py packs the inputs and documents the rules; world_step
  * and Timeline both step through lanenav_world_step, so the goal's motion
- * is written once, here. A step draws through numpy's own generators: it
- * reads each as the bitgen_t of rng.bit_generator, takes the per-lane
- * Poisson counts from numpy's random_poisson and the uniforms from
- * next_double, so the draws and the generators' states equal those of
- * Generator.poisson and Generator.random. The kernels keep the float
- * arithmetic of the world bit for bit:
+ * is written once, here, and new_episode and Timeline both draw their lanes
+ * and place through lanenav_lanes and lanenav_place. The kernels draw
+ * through numpy's own generators: each is read as the bitgen_t of
+ * rng.bit_generator, and every draw is made by the sampler that numpy's
+ * own method calls (declared below), or by next_double for
+ * Generator.random, so the draws and the generators' states equal those of
+ * the Generator methods the Python world called. The kernels keep the float arithmetic of the world
+ * bit for bit:
  *
  * - round_px is floor(x + 0.5), or ceil(x - 0.5) below zero, in double;
  * - body cell i sits at round_px(head - (double)i);
  * - the goal reflects as world.reflect_axis does, one mirror per bounce;
  * - every expression is evaluated in source order, and the file is
- *   compiled without contraction into fused multiply-adds.
+ *   compiled without contraction into fused multiply-adds;
+ * - the goal's start velocity takes cos and sin from libm, as Python's
+ *   math does.
  *
  * They never read or write outside a buffer: a lane index outside the lane
  * table, a length that is NaN, negative or past MAX_LEN1, a lane row outside
@@ -36,15 +42,33 @@
  * negations and never end.
  */
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* numpy's Poisson sampler, the one Generator.poisson calls, from
- * libnpyrandom.a; its header, numpy/random/distributions.h, needs Python.h. */
+/* numpy's samplers, the ones Generator's methods call, from libnpyrandom.a;
+ * their header, numpy/random/distributions.h, needs Python.h. Generator.poisson
+ * calls random_poisson, Generator.uniform random_uniform, and
+ * Generator.integers random_bounded_uint64 for each value of an array of
+ * bounds and random_bounded_uint64_fill for a scalar one, both unmasked
+ * (Lemire's method), so their mask goes unread. */
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
+double random_uniform(bitgen_t *bitgen_state, double lower, double range);
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off, uint64_t rng, uint64_t mask, bool use_masked);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng, intptr_t cnt, bool use_masked,
+                                uint64_t *out);
 
 static double next_double(bitgen_t *bitgen) { return bitgen->next_double(bitgen->state); }
+
+/* One value of 0..n - 1, n >= 1, as the scalar Generator.integers(n) draws
+ * it; n = 1 draws nothing. */
+static int64_t draw_below(bitgen_t *bitgen, int64_t n)
+{
+    uint64_t value;
+    random_bounded_uint64_fill(bitgen, 0, (uint64_t)(n - 1), 1, false, &value);
+    return (int64_t)value;
+}
 
 /* floor and ceil of |v| < 2^62 by truncation, exact, without a libm call. */
 static int64_t floor_int(double v)
@@ -387,6 +411,122 @@ int64_t lanenav_advance(Timeline *timeline, int64_t t)
         timeline->n_frames = n + 1;
     }
     return n;
+}
+
+/* Each lane's class index and direction, two int64s per lane in picks:
+ * drawn where world->classes is given, as new_episode's
+ * integers(np.tile([n_classes, 2], n_lanes)) draws them, lane by lane the
+ * class index, then a bit, 1 for RIGHT_TO_LEFT, and kept in picks where it
+ * is given; else read from picks. Then, where lanes is given, each lane's
+ * row of the lane table: the row of the first class whose value is the
+ * picked class's (its spawn ranges and value), the direction and the lane's
+ * pixel row. Returns 0. */
+int64_t lanenav_lanes(const World *world, const Start *start, int64_t *picks, double *lanes)
+{
+    const double *const classes = start->classes;
+    int64_t lane;
+    for (lane = 0; lane < world->n_lanes; lane++) {
+        int64_t index, direction, first = 0;
+        double *row;
+        if (world->classes != NULL) {
+            index = (int64_t)random_bounded_uint64(world->classes, 0, (uint64_t)(start->n_classes - 1), 0, false);
+            direction = random_bounded_uint64(world->classes, 0, 1, 0, false) ? RIGHT_TO_LEFT : LEFT_TO_RIGHT;
+            if (picks != NULL) {
+                picks[2 * lane] = index;
+                picks[2 * lane + 1] = direction;
+            }
+        } else {
+            index = picks[2 * lane];
+            direction = picks[2 * lane + 1];
+        }
+        if (lanes == NULL)
+            continue;
+        while (classes[N_LANE_COLUMNS * first + VALUE] != classes[N_LANE_COLUMNS * index + VALUE])
+            first++;
+        row = lanes + N_LANE_COLUMNS * lane;
+        memcpy(row, classes + N_LANE_COLUMNS * first, N_LANE_COLUMNS * sizeof *row);
+        row[DIRECTION] = (double)direction;
+        row[ROW] = (double)start->rows[lane];
+    }
+    return 0;
+}
+
+/* Place an episode's agent, then its goal, among the bodies of a world,
+ * painted first into cells (height x width bytes, zeroed by the caller);
+ * the goal is goal_size cells square. Without a free cell there is no
+ * draw and ERR_NO_FREE_CELL. Else up to PLACEMENT_RETRIES cells (x, then
+ * y, each a scalar integers draw from start->place) until one is free,
+ * else ERR_AGENT_PLACEMENT; then up to PLACEMENT_RETRIES top-left cells of
+ * the goal block (x in 0..width - goal_size, then y likewise) until the
+ * block does not hold the agent's cell, else ERR_GOAL_PLACEMENT. Last an
+ * angle, uniform(0, 2 pi), sets the goal's velocity: goal_speed times its
+ * cos and its sin. Writes the agent's cell to start->x and start->y and the
+ * goal to world; returns 0, or a negative ERR_* after the draws made. */
+int64_t lanenav_place(World *world, Start *start, const double *lanes, const double *table, uint8_t *cells)
+{
+    const int64_t width = world->width, height = world->height, size = world->goal_size;
+    int64_t ax, ay, gx, gy, tries, error = paint_bodies(world, lanes, table, cells);
+    /* Read once per libm call: cos and sin stay the two calls Python's
+     * math makes, never fused into one sincos. */
+    volatile double angle;
+    if (error < 0)
+        return error;
+    if (memchr(cells, FREE, (size_t)(width * height)) == NULL)
+        return ERR_NO_FREE_CELL;
+    for (tries = 0;; tries++) {
+        if (tries == PLACEMENT_RETRIES)
+            return ERR_AGENT_PLACEMENT;
+        ax = draw_below(start->place, width);
+        ay = draw_below(start->place, height);
+        if (cells[ay * width + ax] == FREE)
+            break;
+    }
+    for (tries = 0;; tries++) {
+        if (tries == PLACEMENT_RETRIES)
+            return ERR_GOAL_PLACEMENT;
+        gx = draw_below(start->place, width - size + 1);
+        gy = draw_below(start->place, height - size + 1);
+        if (!(gx <= ax && ax <= gx + size - 1 && gy <= ay && ay <= gy + size - 1))
+            break;
+    }
+    angle = random_uniform(start->place, 0.0, 2.0 * M_PI);
+    start->x = (double)ax;
+    start->y = (double)ay;
+    world->goal_x = (double)gx;
+    world->goal_y = (double)gy;
+    world->goal_vx = start->goal_speed * cos(angle);
+    world->goal_vy = start->goal_speed * sin(angle);
+    return 0;
+}
+
+/* An episode's start on a timeline with no frame yet, from an empty table:
+ * first (steps < 0) the lanes, drawn and packed into timeline->lanes by
+ * lanenav_lanes; then the warm-up, warmup_steps steps of lanenav_world_step,
+ * whose draws count in no spawn_draws; then lanenav_place on frame 0's
+ * cells; last frame 0, through lanenav_advance. Returns the frame count,
+ * 1, or a negative ERR_*, or 0 where a warm-up step or frame 0 has no room
+ * yet (fewer than n_lanes free table rows, or no cells): a further call
+ * goes on from there. */
+int64_t lanenav_start(Timeline *timeline, Start *start)
+{
+    World *const world = &timeline->world;
+    int64_t code;
+    if (start->steps < 0) {
+        lanenav_lanes(world, start, NULL, timeline->lanes);
+        start->steps = 0;
+    }
+    for (; start->steps < start->warmup_steps; start->steps++) {
+        if (world->n_rows + world->n_lanes > world->capacity)
+            return 0;
+        if ((code = lanenav_world_step(world, timeline->lanes, timeline->table)) < 0)
+            return code;
+        world->n_rows = code;
+    }
+    if (timeline->n_frames >= timeline->room)
+        return 0;
+    if ((code = lanenav_place(world, start, timeline->lanes, timeline->table, timeline->cells)) < 0)
+        return code;
+    return lanenav_advance(timeline, 0);
 }
 
 /* Write the decimal digits of v >= 0 at p; returns the end. */

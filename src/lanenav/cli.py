@@ -27,7 +27,7 @@ from .models import build_model, prediction_error, split_model_specs
 from .ppm import prediction_to_rgb, render_error_map, render_ppm, write_ppm
 from .seeding import episode_seed
 from .tracefile import read_trace, write_trace
-from .world import ConfigError, Timeline
+from .world import ConfigError, PlacementError, Timeline
 
 OUT_DIR_ENV = "LANENAV_OUT_DIR"
 
@@ -227,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except PlacementError as exc:
+        print(f"error: episode seed {exc.episode_seed}: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,13 +1,13 @@
 """The package's C kernels, built into one shared object, and the one declaration of their interface.
 
 ``_search.c`` holds the planner's search and pick and the episode loop, ``_world.c`` the world's step,
-rasterizer, frame reader, a timeline's frame loop and the trace files' RLE frame codec. On first import this module compiles both with the
-system C compiler into one object, against numpy's headers and linked with the installed numpy's
-``libnpyrandom.a``, whose samplers the world's step draws with. The object is cached under ``__pycache__``,
-keyed by a hash of both sources, ``HEADER``, the compiler command, the interpreter tag, the numpy version
-and the archive's bytes; later imports load it, and a build removes the objects of earlier builds for the
-same interpreter and numpy. A missing archive raises ImportError, as a failed build does. ``library`` is
-the object, and ``zeroed`` makes the kernels' buffers.
+rasterizer, frame reader, an episode's start, a timeline's frame loop and the trace files' RLE frame codec. On
+first import this module compiles both with the system C compiler into one object, against numpy's headers and
+linked with the installed numpy's ``libnpyrandom.a``, whose samplers the world's kernels draw with. The object
+is cached under ``__pycache__``, keyed by a hash of both sources, ``HEADER``, the compiler command, the
+interpreter tag, the numpy version and the archive's bytes; later imports load it, and a build removes the
+objects of earlier builds for the same interpreter and numpy. A missing archive raises ImportError, as a failed
+build does. ``library`` is the object, and ``zeroed`` makes the kernels' buffers.
 
 No other module and neither source declares the interface: here are the structs the two sides share, each a
 ``Layout``: a ``ctypes.Structure`` whose fields Python reads and sets by name, ``np.dtype`` of it being a table's
@@ -45,7 +45,12 @@ _BUFFER_TYPES: dict[int, type] = {}
 
 N_ACTIONS = 8
 MAX_DEPTH = 64  # the longest rollout: the search's path holds this many steps
+FREE = 0  # the palette value of a cell with no body and no goal
 GOAL = 6  # the goal's palette value
+# A lane's direction, the sign of its bodies' travel along x.
+LEFT_TO_RIGHT = 1
+RIGHT_TO_LEFT = -1
+PLACEMENT_RETRIES = 1000  # the cells a start tries for the agent, then for the goal's corner, before it fails
 MAX_LEN1 = 2147483647  # the largest body length - 1 the world kernels index with; its cells are exact in doubles
 PLAY_STOPPED = 0  # lanenav_play's return when a draw, an action or the model's frames a step needs are not there
 PLAY_ENDED = 1  # lanenav_play's return when the last step met a terminal outcome
@@ -147,9 +152,15 @@ WORLD = Layout("World", height="q", width="q", n_lanes="q", goal_size="q", spawn
 # A timeline's world as lanenav_advance simulates it (world.Timeline): the world, its lane and obstacle tables;
 # the palette frame and record of each time t < n_frames, the cells of frame n_frames, each later frame stride
 # bytes on with its FrameRead read_at bytes in, up to frame room; the raw Poisson total of its steps.
-TIMELINE = Layout("Timeline", world=WORLD, lanes=("P", "const double *"), table=("P", "double *"),
+TIMELINE = Layout("Timeline", world=WORLD, lanes=("P", "double *"), table=("P", "double *"),
                   palettes=("P", "const uint8_t **"), records=("P", "Frame *"), cells=("P", "uint8_t *"), read_at="q",
                   stride="q", n_frames="q", room="q", spawn_draws="q")
+# What an episode's start reads and writes besides its world (world.Timeline, world.new_episode): the obstacle
+# classes, each a lane table row whose DIRECTION and ROW are unread, and the lanes' rows; the placement's
+# generator; the warm-up's length and the goal's speed; the warm-up steps taken, -1 before the lanes are drawn;
+# then what the placement writes, the agent's start.
+START = Layout("Start", classes=("P", "const double *"), n_classes="q", rows=("P", "const int64_t *"),
+               place=("P", "bitgen_t *"), warmup_steps="q", goal_speed="d", steps="q", x="d", y="d")
 # A run of an episode's steps, set by harness.py: the planner's search settings, whose (x0, y0) is the
 # agent's start; the timeline it advances; what the harness updates; what stays; what the kernel writes back.
 PLAY = Layout("Play", search=SEARCH, timeline=("P", "Timeline *"),
@@ -167,6 +178,14 @@ PLAY = Layout("Play", search=SEARCH, timeline=("P", "Timeline *"),
 # What lanenav_read_frame writes: the column and row sums of the goal cells, then the obstacle mask, 1 on cells
 # of values 1..GOAL - 1.
 FRAME_READ = Layout("FrameRead", sum_x="q", sum_y="q", mask="0B")
+
+
+class PlacementError(RuntimeError):
+    """No free cell found for the agent or goal within the retry budget. ``episode_seed`` is the seed of the
+    episode whose start failed, where the raiser knows it."""
+
+    episode_seed: int | None = None
+
 
 # What a negative kernel return raises, by the code's C name: (code, exception, message). The search's codes
 # raise what Python's own arithmetic raised where the planner ran in Python.
@@ -189,6 +208,9 @@ ERRORS = {
     "ERR_GOAL_INF": (-14, OverflowError, "cannot convert float infinity to integer"),
     "ERR_LAM": (-15, ValueError, "lam value too large"),  # a Poisson mean past numpy's POISSON_LAM_MAX, or NaN
     "ERR_GOAL_FAR": (-16, ValueError, f"goal position more than {GOAL_REACH:g} cells outside its walls"),
+    "ERR_NO_FREE_CELL": (-17, PlacementError, "no obstacle-free pixel for the agent"),
+    "ERR_AGENT_PLACEMENT": (-18, PlacementError, "agent placement failed"),
+    "ERR_GOAL_PLACEMENT": (-19, PlacementError, "goal placement failed"),
 }
 _RAISES = {code: (error, message) for code, error, message in ERRORS.values()}
 
@@ -201,6 +223,9 @@ FUNCTIONS = {
     "lanenav_world_step": ("World *", "const double *", "double *"),
     "lanenav_rasterize": ("const World *", "const double *", "const double *", "uint8_t *", "FrameRead *", "Frame *"),
     "lanenav_advance": ("Timeline *", "int64_t"),
+    "lanenav_lanes": ("const World *", "const Start *", "int64_t *", "double *"),
+    "lanenav_place": ("World *", "Start *", "const double *", "const double *", "uint8_t *"),
+    "lanenav_start": ("Timeline *", "Start *"),
     "lanenav_read_frame": ("const World *", "const uint8_t *", "FrameRead *"),
     "lanenav_frame_to_rle": ("const uint8_t *", "int64_t", "char *"),
     "lanenav_rle_to_frame": ("const char *", "int64_t", "int64_t", "uint8_t *", "int64_t *"),
@@ -212,13 +237,14 @@ _CTYPES = {"const char *": ctypes.c_char_p, "int64_t": ctypes.c_int64, "double":
 HEADER = "\n".join([
     "/* Generated by lanenav/kernel.py from its declarations. */",
     "#include <stddef.h>", "#include <stdint.h>", '#include "numpy/random/bitgen.h"',
-    *(f"#define {name} {globals()[name]}"
-      for name in ("N_ACTIONS MAX_DEPTH GOAL N_COLUMNS N_LANE_COLUMNS MAX_LEN1 PLAY_STOPPED PLAY_ENDED NEED_ROOM "
-                   "RLE_ROOM BAD_RLE_GRAMMAR BAD_RLE_RANGE GOAL_REACH").split()),
+    *(f"#define {name} ({globals()[name]})"
+      for name in ("N_ACTIONS MAX_DEPTH FREE GOAL LEFT_TO_RIGHT RIGHT_TO_LEFT PLACEMENT_RETRIES N_COLUMNS "
+                   "N_LANE_COLUMNS MAX_LEN1 PLAY_STOPPED PLAY_ENDED NEED_ROOM RLE_ROOM BAD_RLE_GRAMMAR BAD_RLE_RANGE "
+                   "GOAL_REACH").split()),
     *(f"#define {name} ({code})" for name, (code, _, _) in ERRORS.items()),
     *(f"enum {{ {', '.join(names)} }};" for names in (OUTCOMES, OBSTACLE_COLUMNS, LANE_COLUMNS)),
     "typedef double (*hypot_fn)(double, double);",
-    *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, WORLD, TIMELINE, PLAY, FRAME_READ)),
+    *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, WORLD, TIMELINE, START, PLAY, FRAME_READ)),
     *(f"int64_t {name}({', '.join(parameters)});" for name, parameters in FUNCTIONS.items()),
 ]) + "\n"
 

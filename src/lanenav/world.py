@@ -11,7 +11,11 @@ The obstacles are one float64 table, ``WorldState.obstacles``, one row per
 body with the columns ``HEAD``, ``SPEED``, ``LEN1`` (length - 1) and ``LANE``.
 One engine, ``world_step``, moves, removes and spawns on the whole table,
 then moves the goal; the warm-up of ``new_episode`` is ``warmup_steps``
-calls of it. Body cell i sits at column ``round_px(head - i)``,
+calls of it, so a tracer that wraps ``world_step`` sees that warm-up. A
+``Timeline`` starts in one kernel call instead: the lanes' draws and table,
+the warm-up through the same step kernel, the placement and frame 0, with
+the draws and the start of ``new_episode``, whose lanes and placement are
+those kernels' too. Body cell i sits at column ``round_px(head - i)``,
 i = 0..length-1, and the rasterizer is the only place that rule is applied:
 the frame and the agent's free start cell read it, and the agent's collision
 reads the frame. At an exact half-pixel tie where a body crosses x = 0, the
@@ -22,16 +26,18 @@ bodies keep their own speeds afterwards, so a faster body overtakes a slower
 one and same-lane bodies may overlap.
 
 The step (the table with its random draws, then the goal's reflection), the
-rasterizer, the frame reader and a timeline's frame loop run in C
-(``_world.c``, built by ``kernel`` into the package's one shared object). The
-step draws through the state's numpy generators with numpy's own samplers
-(``libnpyrandom.a``), so its draws and the generators' states are those of
-``Generator.poisson`` and ``Generator.random``. The kernels keep the float
-arithmetic of the former Python code bit for bit: the goal reflects as
-``reflect_axis`` does; ``round_px`` is ``floor(x + 0.5)``, or ``ceil(x - 0.5)``
-below zero, in double; cell i is ``head - (double)i``; the object is built
-without fused multiply-adds; spawned rows follow the kept rows in lane order,
-then draw order; a goal centre is the integer pixel sums over the count. A
+rasterizer, the frame reader, an episode's start and a timeline's frame loop
+run in C (``_world.c``, built by ``kernel`` into the package's one shared
+object). They draw through the numpy generators with numpy's own samplers
+(``libnpyrandom.a``), so the draws and the generators' states are those of
+``Generator.poisson``, ``random``, ``integers`` and ``uniform``. The kernels
+keep the float arithmetic of the former Python code bit for bit: the goal
+reflects as ``reflect_axis`` does; ``round_px`` is ``floor(x + 0.5)``, or
+``ceil(x - 0.5)`` below zero, in double; cell i is ``head - (double)i``; the
+object is built without fused multiply-adds; spawned rows follow the kept
+rows in lane order, then draw order; a goal centre is the integer pixel sums
+over the count; the goal's start velocity takes libm's ``cos`` and ``sin``,
+which Python's ``math`` calls. A
 table row whose lane index is outside the lane table or whose length is NaN
 raises ``ValueError``, so the kernels never index outside a buffer.
 
@@ -54,6 +60,7 @@ Coordinates are (x, y) with x the column and y the row; frames are indexed
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import sys
@@ -62,24 +69,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import (FRAME, FRAME_READ, GOAL, GOAL_REACH, HEAD, LANE, LANE_COLUMNS, LEN1, N_ACTIONS, N_COLUMNS,
-                     N_LANE_COLUMNS, OUTCOMES, SPEED, TIMELINE, WORLD, check, library, zeroed)
+from .kernel import (FRAME, FRAME_READ, FREE, GOAL, GOAL_REACH, HEAD, LANE, LANE_COLUMNS, LEFT_TO_RIGHT, LEN1,
+                     N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, RIGHT_TO_LEFT, SPEED, START, TIMELINE, WORLD,
+                     PlacementError, check, library, zeroed)
 from .seeding import STREAM_CLASS, STREAM_PLACE, STREAM_SPAWN, clone_rng, substream
 
-# Frame palette values: FREE, the obstacle classes' 1..5, and GOAL (6).
-FREE = 0
-
-# Lane directions: sign of obstacle travel along x.
-LEFT_TO_RIGHT = 1
-RIGHT_TO_LEFT = -1
+# Frame palette values are FREE, the obstacle classes' 1..5, and GOAL (6); a lane's direction, the sign of its
+# bodies' travel along x, is LEFT_TO_RIGHT or RIGHT_TO_LEFT (all from kernel).
 
 # Episode outcome kinds: "running", "goal", "died" and "timeout".
 RUNNING, GOAL_REACHED, DIED, TIMED_OUT = OUTCOMES.values()
 
 GOAL_REWARD = 20.0
 DEATH_REWARD = -20.0
-
-_PLACEMENT_RETRIES = 1000
 
 # Bounds of the WorldConfig sizes that drive work; at all of them at once a render takes seconds.
 MAX_GRID = 128
@@ -119,10 +121,6 @@ def fold(values) -> float:
     for value in values:
         total += value
     return total
-
-
-class PlacementError(RuntimeError):
-    """No free cell found for the agent or goal within the retry budget."""
 
 
 def round_px(x: float) -> int:
@@ -308,6 +306,7 @@ class Outcome:
 
 
 _ROW_BYTES = 8 * N_COLUMNS
+_LANE_BYTES = 8 * N_LANE_COLUMNS
 
 
 def _table(state: "WorldState") -> bytes | ctypes.Array:
@@ -332,31 +331,65 @@ def _bitgen_address(bit_generator: np.random.BitGenerator) -> int:
     return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
 
 
-def _world(state: "WorldState", goal_size: int, draws: bool = False) -> WORLD:
-    """The kernels' ``World`` for ``state`` as it stands, the goal painted where ``goal_size`` > 0, and with
-    ``draws`` the addresses of the generators' ``bitgen_t`` and the Poisson mean a step draws with; the lane
-    count is that of the packed lane table the kernels read."""
-    cfg, goal = state.config, state.goal
-    world = WORLD(height=cfg.grid_h, width=cfg.grid_w, n_lanes=len(state.lane_table) // (8 * N_LANE_COLUMNS),
-                  goal_size=goal_size, n_rows=len(state.obstacles), goal_x=goal.x, goal_y=goal.y, goal_vx=goal.vx,
-                  goal_vy=goal.vy)
-    if draws:
-        world.spawn = _bitgen_address(state.spawn_rng.bit_generator)
-        world.classes = _bitgen_address(state.class_rng.bit_generator)
-        world.lam = cfg.level * cfg.spawn_base_rate
+def _world(config: WorldConfig, goal_size: int, lanes: int, rows: int, goal: GoalState,
+           rngs: tuple[np.random.Generator, np.random.Generator] | None = None) -> WORLD:
+    """The kernels' ``World`` of ``config``'s grid with ``lanes`` lanes, ``rows`` table rows and ``goal``, the
+    goal painted where ``goal_size`` > 0; with ``rngs``, the spawn and class generators, the addresses of their
+    ``bitgen_t`` and the Poisson mean a step draws with."""
+    world = WORLD(height=config.grid_h, width=config.grid_w, n_lanes=lanes, goal_size=goal_size, n_rows=rows,
+                  goal_x=goal.x, goal_y=goal.y, goal_vx=goal.vx, goal_vy=goal.vy)
+    if rngs is not None:
+        world.spawn, world.classes = (_bitgen_address(rng.bit_generator) for rng in rngs)
+        world.lam = config.level * config.spawn_base_rate
     return world
 
 
+def _state_world(state: "WorldState", goal_size: int, draws: bool = False) -> WORLD:
+    """The ``World`` of ``state`` as it stands, drawing from its generators with ``draws``; the lane count is
+    that of the packed lane table the kernels read."""
+    return _world(state.config, goal_size, len(state.lane_table) // _LANE_BYTES, len(state.obstacles), state.goal,
+                  (state.spawn_rng, state.class_rng) if draws else None)
+
+
+def _start(config: WorldConfig, rows, place: np.random.Generator | None = None) -> START:
+    """The kernels' ``Start`` of an episode of ``config`` whose lanes lie on ``rows``, placing with ``place``:
+    each obstacle class as a lane table row, what a spawn of its lanes draws from, and its value."""
+    classes, rows = array("d"), array("q", rows)
+    for cls in config.obstacle_classes:
+        len_lo, len_hi = cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter
+        speed_lo, speed_hi = cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter
+        row = dict(LEN_LO=len_lo, LEN_RANGE=len_hi - len_lo, SPEED_LO=speed_lo, SPEED_RANGE=speed_hi - speed_lo,
+                   DIRECTION=0, ROW=0, VALUE=cls.class_id)
+        classes.extend(row[name] for name in LANE_COLUMNS)
+    start = START(classes=classes.buffer_info()[0], n_classes=len(config.obstacle_classes),
+                  rows=rows.buffer_info()[0], warmup_steps=config.warmup_steps, goal_speed=config.goal_speed,
+                  steps=-1)
+    if place is not None:
+        start.place = _bitgen_address(place.bit_generator)
+    start.keep = classes, rows, place  # what the addresses point into
+    return start
+
+
+@contextlib.contextmanager
+def _naming(episode_seed: int):
+    """A ``PlacementError`` raised inside names the seed of the episode whose start failed."""
+    try:
+        yield
+    except PlacementError as error:
+        error.episode_seed = episode_seed
+        raise
+
+
 class _StateKernel:
-    """One state's kernel ``World``, its address and each generator's lock, made on first use and again where
+    """One state's kernel ``World``, its address and its generators' locks, made on first use and again where
     the state holds other generators. ``world_step`` sets the table and goal in it before each step."""
 
-    __slots__ = ("world", "address", "spawn", "classes", "spawn_rng", "class_rng")
+    __slots__ = ("world", "address", "locks", "spawn_rng", "class_rng")
 
     def __init__(self, state: "WorldState") -> None:
-        self.world = _world(state, state.config.goal_size, draws=True)
+        self.world = _state_world(state, state.config.goal_size, draws=True)
         self.address = ctypes.addressof(self.world)
-        self.spawn, self.classes = state.spawn_rng.bit_generator.lock, state.class_rng.bit_generator.lock
+        self.locks = state.spawn_rng.bit_generator.lock, state.class_rng.bit_generator.lock
         self.spawn_rng, self.class_rng = state.spawn_rng, state.class_rng
 
 
@@ -367,15 +400,17 @@ def _kernel(state: "WorldState") -> _StateKernel:
     return made
 
 
-def _locked(made: _StateKernel, function, *args) -> int:
-    """``function(*args)``, a kernel call that draws, with both of ``made``'s generators' locks held, as numpy."""
-    made.spawn.acquire()
-    made.classes.acquire()
+def _locked(locks, function, *args) -> int:
+    """``function(*args)``, a kernel call that draws, with the spawn and class generators' ``locks`` held, as
+    numpy holds them."""
+    spawn, classes = locks
+    spawn.acquire()
+    classes.acquire()
     try:
         return function(*args)
     finally:
-        made.classes.release()
-        made.spawn.release()
+        classes.release()
+        spawn.release()
 
 
 @dataclass
@@ -392,18 +427,17 @@ class WorldState:
     spawn_draws: int = 0  # raw Poisson total, before overlap rejection
 
     def __post_init__(self) -> None:
-        # The kernels' lane table (kernel.LANE_COLUMNS), packed once: lanes
-        # never change. The first class with the lane's id wins.
-        classes = {cls.class_id: cls for cls in reversed(self.config.obstacle_classes)}
-        values = []
+        # The kernels' lane table (kernel.LANE_COLUMNS), packed once by lanenav_lanes: lanes never change. The
+        # first class with the lane's id wins.
+        class_ids = [cls.class_id for cls in self.config.obstacle_classes]
+        picks = array("q")
         for lane in self.lanes:
-            cls = classes[lane.class_id]
-            len_lo, len_hi = cls.mean_length - cls.length_jitter, cls.mean_length + cls.length_jitter
-            speed_lo, speed_hi = cls.mean_speed - cls.speed_jitter, cls.mean_speed + cls.speed_jitter
-            row = dict(LEN_LO=len_lo, LEN_RANGE=len_hi - len_lo, SPEED_LO=speed_lo, SPEED_RANGE=speed_hi - speed_lo,
-                       DIRECTION=lane.direction, ROW=lane.row, VALUE=lane.class_id)
-            values.extend(row[name] for name in LANE_COLUMNS)
-        self.lane_table = array("d", values).tobytes()
+            picks.extend((class_ids.index(lane.class_id), lane.direction))
+        table = zeroed(len(self.lanes) * _LANE_BYTES)
+        library.lanenav_lanes(ctypes.byref(WORLD(n_lanes=len(self.lanes))),
+                              ctypes.byref(_start(self.config, [lane.row for lane in self.lanes])),
+                              picks.buffer_info()[0], table)
+        self.lane_table = table.raw
         # world_step keeps the table in a buffer of its own: _rows views all
         # of the buffer's rows, _view the first ones, which it left in obstacles.
         self._buffer = self._rows = self._view = None
@@ -450,7 +484,7 @@ def world_step(state: WorldState) -> None:
         table = _table(state)
     except ValueError:
         # The step's draws, then the raise; a mean numpy refuses raises first, before any draw.
-        check(_locked(made, library.lanenav_world_step, made.address, state.lane_table, None))
+        check(_locked(made.locks, library.lanenav_world_step, made.address, state.lane_table, None))
         raise
     rows = len(state.obstacles)
     # A lane accepts at most one spawn a step.
@@ -463,7 +497,7 @@ def world_step(state: WorldState) -> None:
     world, goal = made.world, state.goal
     world.capacity, world.n_rows = len(state._rows), rows
     world.goal_x, world.goal_y, world.goal_vx, world.goal_vy = goal.x, goal.y, goal.vx, goal.vy
-    rows = check(_locked(made, library.lanenav_world_step, made.address, state.lane_table,
+    rows = check(_locked(made.locks, library.lanenav_world_step, made.address, state.lane_table,
                          ctypes.addressof(state._buffer)))
     state.obstacles = state._view = state._rows[:rows]
     goal.x, goal.y, goal.vx, goal.vy = world.goal_x, world.goal_y, world.goal_vx, world.goal_vy
@@ -492,8 +526,8 @@ def _rasterize(state: WorldState, goal_size: int = 0) -> np.ndarray:
     """
     cfg = state.config
     cells = zeroed(cfg.grid_h * cfg.grid_w)
-    check(library.lanenav_rasterize(ctypes.byref(_world(state, goal_size)), state.lane_table, _table(state), cells,
-                                    None, None))
+    check(library.lanenav_rasterize(ctypes.byref(_state_world(state, goal_size)), state.lane_table, _table(state),
+                                    cells, None, None))
     return np.frombuffer(cells, np.uint8).reshape(cfg.grid_h, cfg.grid_w)
 
 
@@ -597,20 +631,25 @@ def clone_state(state: WorldState) -> WorldState:
 
 
 def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
-    """Fresh world: lanes assigned, field warmed up, agent and goal placed.
+    """Fresh world: lanes assigned, field warmed up, agent and goal placed, the start a ``Timeline`` makes.
 
-    The warm-up runs before placement so the agent can be placed on a cell
-    that is actually obstacle-free in the populated field.
+    The lanes are drawn by ``lanenav_lanes`` and the agent and goal placed by
+    ``lanenav_place``, the kernels that a timeline's start call runs too; the
+    warm-up is ``warmup_steps`` calls of ``world_step``, so a tracer that
+    wraps ``world_step`` sees each warm-up step here. The warm-up runs before
+    placement so the agent can be placed on a cell that is actually
+    obstacle-free in the populated field.
     """
     class_rng = substream(episode_seed, STREAM_CLASS)
-    place_rng = substream(episode_seed, STREAM_PLACE)
-
-    # Each lane's class index, then its direction bit (0: left to right), drawn in one call: the values and
-    # the generator's state after it are those of two scalar draws per lane, lane by lane (none without lanes).
+    start = _start(config, config.lane_rows, substream(episode_seed, STREAM_PLACE))
+    # Each lane's class index and direction, drawn with the class generator's lock held, as numpy holds it.
+    picks = array("q", bytes(16 * len(config.lane_rows)))
+    drawing = WORLD(n_lanes=len(config.lane_rows), classes=_bitgen_address(class_rng.bit_generator))
+    with class_rng.bit_generator.lock:
+        library.lanenav_lanes(ctypes.byref(drawing), ctypes.byref(start), picks.buffer_info()[0], None)
     class_ids = [c.class_id for c in config.obstacle_classes]
-    draws = class_rng.integers(np.tile([len(class_ids), 2], len(config.lane_rows))).tolist()
-    lanes = [Lane(row=row, class_id=class_ids[index], direction=RIGHT_TO_LEFT if bit else LEFT_TO_RIGHT)
-             for row, index, bit in zip(config.lane_rows, draws[0::2], draws[1::2])]
+    lanes = [Lane(row=row, class_id=class_ids[index], direction=direction)
+             for row, index, direction in zip(config.lane_rows, picks[0::2], picks[1::2])]
 
     state = WorldState(
         config=config,
@@ -628,33 +667,12 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
     state.t = 0
     state.spawn_draws = 0
 
-    occupied = _rasterize(state) != FREE
-    if occupied.all():
-        raise PlacementError("no obstacle-free pixel for the agent")
-    for _ in range(_PLACEMENT_RETRIES):
-        ax = int(place_rng.integers(config.grid_w))
-        ay = int(place_rng.integers(config.grid_h))
-        if not occupied[ay, ax]:
-            state.start = (float(ax), float(ay))
-            break
-    else:
-        raise PlacementError("agent placement failed")
-
-    for _ in range(_PLACEMENT_RETRIES):
-        gx = int(place_rng.integers(config.grid_w - config.goal_size + 1))
-        gy = int(place_rng.integers(config.grid_h - config.goal_size + 1))
-        overlaps_agent = gx <= ax <= gx + config.goal_size - 1 and gy <= ay <= gy + config.goal_size - 1
-        if not overlaps_agent:
-            break
-    else:
-        raise PlacementError("goal placement failed")
-    angle = place_rng.uniform(0.0, 2.0 * math.pi)
-    state.goal = GoalState(
-        x=float(gx),
-        y=float(gy),
-        vx=config.goal_speed * math.cos(angle),
-        vy=config.goal_speed * math.sin(angle),
-    )
+    world = _state_world(state, config.goal_size)
+    with _naming(episode_seed):
+        check(library.lanenav_place(ctypes.byref(world), ctypes.byref(start), state.lane_table, _table(state),
+                                    zeroed(config.grid_h * config.grid_w)))
+    state.start = (start.x, start.y)
+    state.goal = GoalState(x=world.goal_x, y=world.goal_y, vx=world.goal_vx, vy=world.goal_vy)
     return state
 
 
@@ -691,24 +709,51 @@ class Timeline:
     to the timeline. ``start`` is the agent's start position. A negative
     time raises ``ValueError``.
 
-    ``_state`` is the world ``new_episode`` made, never stepped. The kernel
-    ``Timeline`` holds a copy, which one C loop, ``lanenav_advance``, steps
-    with ``world_step``'s kernel, then paints, reads and records each new
-    frame: its mask, goal pixel sums and ``kernel.FRAME`` record for the
-    search. ``frame`` runs it for readers, the episode loop in C for its
-    steps, with the generators' locks held; it returns for each buffer of
-    ``_CHUNK`` frames, which ``_grow`` makes. By time, the timeline keeps
-    each frame's address (``palettes``) and record (``records``).
+    The world is the kernel ``Timeline``, stepped in C. Its start is one
+    kernel call, ``lanenav_start``: the lanes' draws and table, the warm-up,
+    the placement and frame 0, the start ``new_episode`` makes, with the
+    same draws from the same generators; no ``WorldState`` is built. Then
+    one C loop, ``lanenav_advance``, steps it with ``world_step``'s kernel,
+    then paints, reads and records each new frame: its mask, goal pixel sums
+    and ``kernel.FRAME`` record for the search. ``frame`` runs it for
+    readers, the episode loop in C for its steps, with the generators' locks
+    held; both calls return for each buffer of ``_CHUNK`` frames and for
+    table room, which ``_grow`` makes. By time, the timeline keeps each
+    frame's address (``palettes``) and record (``records``).
     """
 
     def __init__(self, config: WorldConfig, episode_seed: int) -> None:
-        state = new_episode(config, episode_seed)
+        rngs = substream(episode_seed, STREAM_SPAWN), substream(episode_seed, STREAM_CLASS)
+        lanes = len(config.lane_rows)
+        self._setup(config, episode_seed, rngs, zeroed(lanes * _LANE_BYTES), b"",
+                    _world(config, config.goal_size, lanes, 0, GoalState(0.0, 0.0, config.goal_speed, 0.0), rngs))
+        start = _start(config, config.lane_rows, substream(episode_seed, STREAM_PLACE))
+        with _naming(episode_seed):
+            self._run(library.lanenav_start, self._address, ctypes.byref(start))
+        self.start = (start.x, start.y)
+
+    @classmethod
+    def _of_state(cls, state: WorldState) -> Timeline:
+        """A timeline whose world starts from ``state`` as it stands (a hand-made world, in tests): it copies
+        the state's tables and draws from its generators."""
+        timeline = cls.__new__(cls)
+        timeline._setup(state.config, state.episode_seed, (state.spawn_rng, state.class_rng), state.lane_table,
+                        _table(state), _state_world(state, state.config.goal_size, draws=True))
+        timeline.start = state.start
+        timeline.frame(0)
+        return timeline
+
+    def _setup(self, config: WorldConfig, episode_seed: int, rngs: tuple, lanes, table, world: WORLD) -> None:
+        """Everything but the start: the kernel's Timeline of ``world``, whose generators are ``rngs``, on the
+        lane table ``lanes`` and the obstacle rows ``table`` (bytes or a buffer holding its rows), no frame yet,
+        and room for the first."""
         self.config = config
         self.episode_seed = episode_seed
-        self.start = state.start
         self.palettes, self.records = array("Q"), array("B")
-        self._state = state
-        self._made = _kernel(state)
+        self._rngs = rngs  # the spawn and class generators, whose bitgen_t the kernel draws with
+        self._locks = tuple(rng.bit_generator.lock for rng in rngs)
+        self._lanes = lanes
+        self._table = table  # the start's rows, which the first _grow moves into a buffer with room
         self._frames: list[np.ndarray] = []  # the palette frames read so far
         self._predicted: dict[int, PredictedFrame] = {}
         self._histories: dict[int, History] = {}
@@ -717,13 +762,10 @@ class Timeline:
         cells = config.grid_h * config.grid_w
         read_at = -(-cells // 8) * 8
         stride = -(-(read_at + ctypes.sizeof(FRAME_READ) + cells) // 8) * 8
-        self._table = _table(state)  # the start's rows, which the first _grow moves into a buffer with room
-        # The kernel's Timeline: the state's World and lane table (which _state keeps), no buffer and no frame yet.
-        self._timeline = TIMELINE(world=_world(state, config.goal_size, draws=True),
-                                  lanes=ctypes.cast(state.lane_table, ctypes.c_void_p).value, read_at=read_at,
+        self._timeline = TIMELINE(world=world, lanes=ctypes.cast(lanes, ctypes.c_void_p).value, read_at=read_at,
                                   stride=stride)
         self._address = ctypes.addressof(self._timeline)
-        self.frame(0)
+        self._grow()
 
     def __len__(self) -> int:
         return self._timeline.n_frames
@@ -734,7 +776,15 @@ class Timeline:
 
     def _call(self, function, *args) -> int:
         """``function(*args)``, a kernel call that may advance this timeline, with its generators' locks held."""
-        return _locked(self._made, function, *args)
+        return _locked(self._locks, function, *args)
+
+    def _run(self, function, *args) -> None:
+        """``function(*args)``, a kernel call that advances this timeline, made again with room until it
+        returns a frame count; then the frames it simulated."""
+        while not (count := self._call(function, *args)):  # no room: make it
+            self._grow()
+        frames, size, chunks = self._frames, self._chunk, self._chunks
+        frames.extend(chunks[i // size][0][i % size] for i in range(len(frames), check(count)))
 
     def _grow(self) -> None:
         """Room for the kernel to go on: where the last buffer is full, one of ``_CHUNK`` more frames, the arrays
@@ -751,7 +801,7 @@ class Timeline:
             self.records.frombytes(bytes(ctypes.sizeof(FRAME) * size))
             timeline.palettes, timeline.records = self.palettes.buffer_info()[0], self.records.buffer_info()[0]
             timeline.cells, timeline.room = ctypes.addressof(buffer), timeline.room + size
-        needed = world.n_rows + (timeline.room - timeline.n_frames) * len(self._state.lanes)
+        needed = world.n_rows + (timeline.room - timeline.n_frames) * world.n_lanes
         if not timeline.table or needed > world.capacity:
             capacity = 2 * needed + 16
             buffer = zeroed(capacity * _ROW_BYTES)
@@ -762,10 +812,7 @@ class Timeline:
         frames = self._frames
         if not 0 <= t < len(frames):
             _check_time(t)
-            while not (count := self._call(library.lanenav_advance, self._address, t)):  # no room: make it
-                self._grow()
-            size, chunks = self._chunk, self._chunks
-            frames.extend(chunks[i // size][0][i % size] for i in range(len(frames), check(count)))
+            self._run(library.lanenav_advance, self._address, t)
         return frames[t]
 
     def predicted(self, t: int) -> PredictedFrame:

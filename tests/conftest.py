@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lanenav.harness import EpisodeRecord, StepRecord
 from lanenav.mcts import MCTSConfig, goal_prior, plan_action
 from lanenav.models import ForwardModel, _noisy_samples, build_model, oracle_predict
-from lanenav.seeding import STREAM_AGENT, STREAM_CLASS, STREAM_PLAN, STREAM_SPAWN, substream
+from lanenav.seeding import STREAM_AGENT, STREAM_CLASS, STREAM_PLACE, STREAM_PLAN, STREAM_SPAWN, substream
 from lanenav.world import (
     DEATH_REWARD,
     DIED,
@@ -25,6 +25,7 @@ from lanenav.world import (
     N_ACTIONS,
     SPEED,
     GoalState,
+    PlacementError,
     Lane,
     Outcome,
     RUNNING,
@@ -457,10 +458,9 @@ def obstacle_table(bodies: list[tuple[int, float, int, float]]) -> np.ndarray:
 
 
 def timeline_of(state: WorldState) -> Timeline:
-    """A timeline whose world starts from ``state``, given in place of the ``new_episode`` it calls."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("lanenav.world.new_episode", lambda config, episode_seed: state)
-        return Timeline(state.config, state.episode_seed)
+    """A timeline whose world starts from ``state`` as it stands, through the timeline's private seam for a
+    hand-made world; it draws from the state's generators."""
+    return Timeline._of_state(state)
 
 
 def build_state(
@@ -560,6 +560,45 @@ def reference_lanes(config: WorldConfig, episode_seed: int) -> tuple[list[Lane],
         direction = LEFT_TO_RIGHT if class_rng.integers(2) == 0 else RIGHT_TO_LEFT
         lanes.append(Lane(row=row, class_id=cid, direction=direction))
     return lanes, class_rng
+
+
+def reference_new_episode(config: WorldConfig, episode_seed: int) -> tuple[WorldState | PlacementError,
+                                                                          np.random.Generator]:
+    """The former Python ``new_episode``: lanes by ``reference_lanes``, the warm-up by ``reference_world_step``,
+    the agent, then the goal, placed by draws from the seed's placement generator, up to 1000 each, on the
+    cells ``reference_body_cells`` leaves free. Returns the state, or the ``PlacementError`` its start raised,
+    with the placement generator after its draws."""
+    lanes, class_rng = reference_lanes(config, episode_seed)
+    place_rng = substream(episode_seed, STREAM_PLACE)
+    state = WorldState(config=config, episode_seed=episode_seed, t=0, lanes=lanes, obstacles=obstacle_table([]),
+                       goal=GoalState(x=0.0, y=0.0, vx=config.goal_speed, vy=0.0), start=(0.0, 0.0),
+                       spawn_rng=substream(episode_seed, STREAM_SPAWN), class_rng=class_rng)
+    for _ in range(config.warmup_steps):
+        reference_world_step(state)
+    state.t = state.spawn_draws = 0
+    occupied = np.zeros((config.grid_h, config.grid_w), dtype=bool)
+    lane_index, cols = reference_body_cells(state)
+    occupied[np.array([lane.row for lane in lanes], dtype=np.intp)[lane_index], cols] = True
+    if occupied.all():
+        return PlacementError("no obstacle-free pixel for the agent"), place_rng
+    for _ in range(1000):
+        ax, ay = int(place_rng.integers(config.grid_w)), int(place_rng.integers(config.grid_h))
+        if not occupied[ay, ax]:
+            break
+    else:
+        return PlacementError("agent placement failed"), place_rng
+    size = config.goal_size
+    for _ in range(1000):
+        gx, gy = int(place_rng.integers(config.grid_w - size + 1)), int(place_rng.integers(config.grid_h - size + 1))
+        if not (gx <= ax <= gx + size - 1 and gy <= ay <= gy + size - 1):
+            break
+    else:
+        return PlacementError("goal placement failed"), place_rng
+    angle = place_rng.uniform(0.0, 2.0 * math.pi)
+    state.start = (float(ax), float(ay))
+    state.goal = GoalState(x=float(gx), y=float(gy), vx=config.goal_speed * math.cos(angle),
+                           vy=config.goal_speed * math.sin(angle))
+    return state, place_rng
 
 
 def reference_frame_to_rle(frame: np.ndarray) -> str:

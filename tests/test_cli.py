@@ -11,6 +11,7 @@ from lanenav.config import BENCH_KEYS, CELL_KEYS, CONFIG_KEYS, VALIDATE_KEYS
 from lanenav.harness import MAX_EPISODES, MAX_PARALLELISM
 from lanenav.mcts import MAX_ROLLOUT_LENGTH, MAX_ROLLOUTS
 from lanenav.models import MAX_NOISY_SAMPLES, model_label, split_model_specs
+from lanenav.seeding import episode_seed
 from lanenav.tracefile import read_trace
 from lanenav.world import MAX_STEPS
 
@@ -144,6 +145,16 @@ class TestBench:
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["play"], ["play", "--seed", "5"], ["bench", "--episodes", "1"],
+                                      ["bench", "--episodes", "4", "--parallelism", "2"]])
+    def test_start_that_cannot_be_placed_exit_code(self, tmp_path, argv, capsys):
+        """A 48 x 48 goal block holds every agent cell, so its placement fails however often it is retried:
+        an error naming the episode's seed, exit 1 and no traceback, from a pool worker too."""
+        seed = int(argv[2]) if argv[1:2] == ["--seed"] else episode_seed(1, 0)
+        assert main([*argv, "--goal-size", "48", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: episode seed {seed}: goal placement failed\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("config", [False, True])
     def test_max_steps_past_the_bound_exit_code(self, tmp_path, config, capsys):

@@ -28,7 +28,7 @@ from lanenav.kernel import OUTCOMES, STEP
 from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel, build_model
 from lanenav.seeding import episode_seed
-from lanenav.world import Timeline, WorldConfig
+from lanenav.world import Timeline, WorldConfig, new_episode, world_step
 
 pytestmark = pytest.mark.bitpin
 
@@ -246,8 +246,8 @@ def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
             results = harness._bench_batch(world_cfg, cells, tasks)
         # Per seed: the frames simulated, and the draws their steps made.
         simulated = {timeline.episode_seed: (len(timeline), timeline.spawn_draws,
-                                             timeline._state.spawn_rng.bit_generator.state,
-                                             timeline._state.class_rng.bit_generator.state)
+                                             timeline._rngs[0].bit_generator.state,
+                                             timeline._rngs[1].bit_generator.state)
                      for timeline in timelines}
         assert len(simulated) == len(timelines) == 3
         return results, simulated, lengths
@@ -265,4 +265,10 @@ def test_no_frame_simulated_that_the_python_loop_would_not(monkeypatch):
 
     got, want = run(_episode), run(reference)
     assert got == want
+    for seed, (frames, draws, spawn, classes) in want[1].items():  # as far as new_episode of the seed stepped
+        state = new_episode(world_cfg, seed)
+        for _ in range(frames - 1):
+            world_step(state)
+        assert (state.spawn_draws, state.spawn_rng.bit_generator.state,
+                state.class_rng.bit_generator.state) == (draws, spawn, classes)
     assert min(frames for frames, *_ in want[1].values()) > 10

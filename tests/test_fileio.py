@@ -119,3 +119,24 @@ def test_temp_file_name_flags_and_mode(tmp_path, monkeypatch):
     other = tmp_path / "other.bin"
     other.write_bytes(b"")
     assert os.stat(path).st_mode == os.stat(other).st_mode
+
+
+@pytest.mark.parametrize("name", ["n" * 250, "n" * 255, "é" * 127 + "x"])
+def test_long_names_write_through_a_temp_name_that_fits(tmp_path, monkeypatch, name):
+    """A name of up to 255 bytes, which ``open`` writes, is written too: its temp name keeps the writer's
+    suffix and is cut to 255 bytes, here in the middle of a two-byte character, in the same directory."""
+    real_open, opened = os.open, []
+
+    def recording_open(path, flags, mode=0o777):
+        opened.append(path)
+        return real_open(path, flags, mode)
+
+    monkeypatch.setattr(fileio.os, "open", recording_open)
+    path = tmp_path / name
+    atomic_write_bytes(path, b"payload")
+    assert path.read_bytes() == b"payload" and os.listdir(tmp_path) == [name]
+    [tmp] = opened
+    suffix = f".{os.getpid()}.{threading.get_ident()}.tmp"
+    head, temp = os.path.split(tmp)
+    assert head == str(tmp_path) and temp.endswith(suffix) and len(os.fsencode(temp)) == 255
+    assert os.fsencode(name).startswith(os.fsencode(temp[:-len(suffix)]))

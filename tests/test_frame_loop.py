@@ -5,7 +5,7 @@ step (the table with its draws, then the goal's reflection), then the frame
 pass. It runs inside ``lanenav_play``, for the frames an episode's steps
 need, and under ``Timeline.frame``, for the frames a reader asks for. Both
 must give, frame by frame, what ``conftest.reference_world_step`` and
-``reference_render_frame`` give on a clone of the start state: the palette
+``reference_render_frame`` give on ``new_episode`` of the same seed: the palette
 frame, its ``Frame`` record (the mask's address and the goal centre), and
 after each frame both generators' states, the raw Poisson total and the
 goal. With buffers of 1 or 2 frames (``_CHUNK`` patched) the kernel returns
@@ -28,7 +28,7 @@ from lanenav.harness import _play
 from lanenav.kernel import FRAME
 from lanenav.mcts import MCTSConfig
 from lanenav.models import ForwardModel
-from lanenav.world import MAX_GOAL_SPEED, PlacementError, Timeline, WorldConfig, WorldState, clone_state
+from lanenav.world import MAX_GOAL_SPEED, PlacementError, Timeline, WorldConfig, WorldState, new_episode
 
 pytestmark = pytest.mark.bitpin
 
@@ -50,7 +50,7 @@ def configs(draw) -> WorldConfig:
 
 
 def start(cfg: WorldConfig, seed: int, chunk: int, patch: pytest.MonkeyPatch) -> tuple[Timeline, WorldState, dict]:
-    """A timeline of buffers of ``chunk`` frames, a clone of its start state for the reference, and what the
+    """A timeline of buffers of ``chunk`` frames, ``new_episode`` of its seed for the reference, and what the
     timeline held at each return of the kernel for a new buffer, by the steps it had simulated."""
     patch.setattr(world, "_CHUNK", chunk)
     returns = {}
@@ -66,13 +66,12 @@ def start(cfg: WorldConfig, seed: int, chunk: int, patch: pytest.MonkeyPatch) ->
         timeline = Timeline(cfg, seed)
     except PlacementError:
         assume(False)
-    # Frame 0 takes no draws, so the generators are still those of the start.
-    return timeline, clone_state(timeline._state), returns
+    return timeline, new_episode(cfg, seed), returns
 
 
 def timeline_bits(timeline: Timeline) -> tuple:
-    kernel, state = timeline._timeline.world, timeline._state
-    return (state.spawn_rng.bit_generator.state, state.class_rng.bit_generator.state, timeline.spawn_draws,
+    kernel, (spawn_rng, class_rng) = timeline._timeline.world, timeline._rngs
+    return (spawn_rng.bit_generator.state, class_rng.bit_generator.state, timeline.spawn_draws,
             repr((kernel.goal_x, kernel.goal_y, kernel.goal_vx, kernel.goal_vy)))
 
 

@@ -32,7 +32,7 @@ from lanenav.harness import run_episode
 from lanenav.mcts import MAX_ROLLOUT_LENGTH, MAX_ROLLOUTS, MCTSConfig, goal_prior, run_search
 from lanenav.models import ForwardModel
 from lanenav.seeding import make_rng
-from lanenav.world import LEFT_TO_RIGHT, RIGHT_TO_LEFT, PredictedFrame, Timeline, WorldConfig
+from lanenav.world import LEFT_TO_RIGHT, RIGHT_TO_LEFT, PlacementError, PredictedFrame, Timeline, WorldConfig
 
 pytestmark = pytest.mark.bitpin
 
@@ -408,7 +408,7 @@ class TestLoader:
     def test_every_field_has_its_assertion_in_the_header(self):
         layouts = [value for value in vars(kernel).values() if isinstance(value, kernel.Layout)]
         assert {layout.__name__ for layout in layouts} == {"Node", "Prior", "Search", "Frame", "Step", "Play", "World",
-                                                           "Timeline", "FrameRead"}
+                                                           "Timeline", "Start", "FrameRead"}
         for layout in layouts:
             name = layout.__name__
             assert issubclass(layout, ctypes.Structure) and f"}} {name};\n" in kernel.HEADER
@@ -520,6 +520,10 @@ PARENT_ERRORS = {
     "ERR_LAM": (-15, ValueError, "lam value too large"),
     # Where the goal's reflection bounced without end instead.
     "ERR_GOAL_FAR": (-16, ValueError, "goal position more than 256 cells outside its walls"),
+    # Where new_episode's placement in Python raised, with these messages.
+    "ERR_NO_FREE_CELL": (-17, PlacementError, "no obstacle-free pixel for the agent"),
+    "ERR_AGENT_PLACEMENT": (-18, PlacementError, "agent placement failed"),
+    "ERR_GOAL_PLACEMENT": (-19, PlacementError, "goal placement failed"),
 }
 
 

@@ -4,8 +4,8 @@ For each (config, seed) the fixture holds:
 
 * ``frames``: sha256 of the ``Timeline`` palette frames for t = 0..250;
 * ``rle``: sha256 of ``frame_to_rle`` of every fifth of those frames;
-* ``agent`` and ``goal``: the start of the agent (x, y) and of the goal
-  (x, y, vx, vy);
+* ``agent`` and ``goal``: the start of the agent (x, y), the timeline's,
+  and of the goal (x, y, vx, vy), ``new_episode``'s of the same seed;
 * ``spawn_draws``: the raw Poisson total after 250 world steps;
 * ``events``: sha256 of every non-running outcome over those 250 steps under
   seeded random actions (the episode is reopened after each end), with the
@@ -45,6 +45,7 @@ from lanenav.world import (
     RUNNING,
     Timeline,
     WorldConfig,
+    new_episode,
 )
 
 pytestmark = pytest.mark.bitpin
@@ -70,7 +71,7 @@ CONFIGS = {
 
 def record_seed(cfg: WorldConfig, seed: int) -> dict:
     timeline = Timeline(cfg, seed)
-    goal = timeline._state.goal  # the start goal: the timeline steps a copy of its start state in C
+    goal = new_episode(cfg, seed).goal  # the start goal, which the timeline's start shares (test_world_warmup.py)
     start = {"agent": list(timeline.start), "goal": [goal.x, goal.y, goal.vx, goal.vy]}
     frames = hashlib.sha256()
     rle = hashlib.sha256()
