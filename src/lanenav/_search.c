@@ -16,10 +16,10 @@
  * moves the agent as the planner's expansion does (move) and reads the
  * outcome from the palette frame the agent lands in. It simulates the
  * timeline's frames itself, through _world.c's lanenav_advance, when a
- * window or a landing needs one not simulated yet, and returns to Python
- * only for a new buffer of frames, for the frames of a model that predicts
- * in Python, or at the episode's end. The kernel keeps the float arithmetic
- * of the planner bit for bit:
+ * window or a landing needs one not simulated yet, growing the timeline
+ * through its grow where a frame has no room, and returns at the episode's
+ * end or where its given steps end (one step for a model that predicts in
+ * Python). The kernel keeps the float arithmetic of the planner bit for bit:
  *
  * - every expression is evaluated in the order the Python planner wrote it,
  *   and the file is compiled without contraction into fused multiply-adds;
@@ -336,54 +336,43 @@ int64_t lanenav_select(const int64_t *visits, int64_t n, double temperature, dou
     return error ? error : index;
 }
 
-#define NOT_READ (-100) /* plan: the model's frames are not those of this time */
-#define NO_ROOM (-101)  /* plan: a frame of the window has no room in the timeline yet */
-
 /* The planner's action at time t from (x, y): a search over the window of
  * frames, then the temperature pick from the root's visits on the time's
  * draw. The window is the model's frames, or with none the timeline's,
  * simulated first up to the window's last; a frame that fails to simulate
- * counts as a decision, as the model's predict raised there.
- * Returns NOT_READ where the model's frames are not those of time t,
- * NO_ROOM, or an ERR_*. */
+ * counts as a decision, as the model's predict raised there. Returns the
+ * action or an ERR_*. */
 static int64_t plan(Play *play, Frame *window, int64_t t, double x, double y)
 {
     Search search = play->search;
     const Frame *frames = play->frames;
     int64_t d, count;
+    play->decisions++;
     if (frames == NULL) {
         Timeline *const timeline = play->timeline;
-        if ((count = lanenav_advance(timeline, t + play->first + play->stride * (search.k - 1))) <= 0) {
-            play->decisions += count < 0;
-            return count < 0 ? count : NO_ROOM;
-        }
+        if ((count = lanenav_advance(timeline, t + play->first + play->stride * (search.k - 1))) < 0)
+            return count;
         for (d = 0; d < search.k; d++)
             window[d] = timeline->records[t + play->first + play->stride * d];
         frames = window;
-    } else if (t != play->origin) {
-        return NOT_READ;
     }
     search.x0 = x;
     search.y0 = y;
-    play->decisions++;
     if ((count = lanenav_search(&search, frames)) < 0)
         return count;
     return lanenav_select(search.nodes[0].n, N_ACTIONS, play->temperature, play->uniforms[t]);
 }
 
-/* Play steps from time play->t until one ends the episode (PLAY_ENDED),
- * a draw, an action or the model's frames the next step needs are not
- * there (PLAY_STOPPED), a frame has no room in the timeline (NEED_ROOM), or
- * an ERR_* of the frame loop, the search or the pick. Per step: the action
- * is the given one, or the planner's on the frames of its window; the agent
- * moves by it as the search's expansion moves (move); its outcome is read
- * from the pixel it lands on in the palette frame of time t + 1, which the
- * timeline simulates where it is not there yet: the goal, an obstacle, then
- * the step limit. While frame t + 1 is simulated the action is kept in
- * pending, so a call that returns there resumes with it, and an ERR_* with
- * pending set is the landing frame's. A step's frames are simulated in the
- * order the Python loop asked for them: the decision's window, then the
- * frame it lands in. */
+/* Play steps from time play->t until one ends the episode (PLAY_ENDED), the
+ * given steps end at time n_given (PLAY_STOPPED), or an ERR_* of the frame
+ * loop, the search or the pick. Per step: the action is the given one, or
+ * the planner's on the frames of its window; the agent moves by it as the
+ * search's expansion moves (move); its outcome is read from the pixel it
+ * lands on in the palette frame of time t + 1, which the timeline simulates
+ * where it is not there yet: the goal, an obstacle, then the step limit. An
+ * ERR_* of that landing frame leaves the step's action in pending. A step's
+ * frames are simulated in the order the Python loop asked for them: the
+ * decision's window, then the frame it lands in. */
 int64_t lanenav_play(Play *play)
 {
     Frame window[MAX_DEPTH];
@@ -394,22 +383,20 @@ int64_t lanenav_play(Play *play)
     if (play->actions == NULL && (play->search.k < 1 || play->search.k > MAX_DEPTH))
         return ERR_DEPTH;
     for (;;) {
-        int64_t action = play->pending, kind, code;
+        int64_t action, kind, code;
         uint8_t cell;
-        if (action < 0) {
-            if (t >= play->n_given)
-                return PLAY_STOPPED;
-            if (play->actions != NULL)
-                action = play->actions[t];
-            else if ((action = plan(play, window, t, x, y)) < 0)
-                return action == NOT_READ ? PLAY_STOPPED : action == NO_ROOM ? NEED_ROOM : action;
-        }
+        if (t >= play->n_given)
+            return PLAY_STOPPED;
+        if (play->actions != NULL)
+            action = play->actions[t];
+        else if ((action = plan(play, window, t, x, y)) < 0)
+            return action;
         if (action < 0 || action >= N_ACTIONS)
             return ERR_ACTION;
-        play->pending = action;
-        if ((code = lanenav_advance(play->timeline, t + 1)) <= 0)
-            return code < 0 ? code : NEED_ROOM;
-        play->pending = -1;
+        if ((code = lanenav_advance(play->timeline, t + 1)) < 0) {
+            play->pending = action;
+            return code;
+        }
         if (move(&play->search, action, &x, &y))
             return ERR_NAN_POS;
         cell = play->timeline->palettes[t + 1][(int64_t)floor(y + 0.5) * width + (int64_t)floor(x + 0.5)];

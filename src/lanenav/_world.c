@@ -378,36 +378,50 @@ int64_t lanenav_rasterize(const World *world, const double *lanes, const double 
     return count;
 }
 
+/* Room in a timeline for its next frame and, with step, for a world step:
+ * a table, the frame's cells and n_lanes free table rows, made by the
+ * timeline's grow where there is none. Returns 0, or ERR_GROW where the
+ * grow raised or made no room. */
+static int64_t make_room(Timeline *timeline, int step)
+{
+    const World *const world = &timeline->world;
+    int grown = 0;
+    while (!timeline->table || timeline->n_frames >= timeline->room ||
+           (step && world->n_rows + world->n_lanes > world->capacity))
+        if (grown++ || timeline->grow() < 0)
+            return ERR_GROW;
+    return 0;
+}
+
 /* Simulate a timeline's frames until frame t is there. Per new frame n: the
  * world's step (none for frame 0), then the frame pass into the cells of
- * frame n, zeroed first, and the frame's palette address and record. Returns
- * the frame count once frame t is there, 0 where the next frame or its step
- * has no room yet (no cells left, or fewer than n_lanes free table rows), or
- * a negative ERR_*, which leaves the frame count where it was; a step taken
- * before a frame pass that fails stays taken, as world_step's did before a
- * raising render_frame. */
+ * frame n, zeroed first, and the frame's palette address and record; where
+ * the frame or its step has no room, the timeline grows first, which may
+ * move the pointers read after it. Returns the frame count once frame t is
+ * there, or a negative ERR_*, which leaves the frame count where it was; a
+ * step taken before a frame pass that fails stays taken, as world_step's did
+ * before a raising render_frame. */
 int64_t lanenav_advance(Timeline *timeline, int64_t t)
 {
     World *const world = &timeline->world;
     const size_t size = (size_t)(world->height * world->width);
     int64_t n, code;
     while ((n = timeline->n_frames) <= t) {
-        uint8_t *const cells = timeline->cells;
-        if (n >= timeline->room || (n > 0 && world->n_rows + world->n_lanes > world->capacity))
-            return 0;
+        if ((code = make_room(timeline, n > 0)) < 0)
+            return code;
         if (n > 0) {
             if ((code = lanenav_world_step(world, timeline->lanes, timeline->table)) < 0)
                 return code;
             world->n_rows = code;
             timeline->spawn_draws += world->n_drawn;
         }
-        memset(cells, 0, size);
-        code = lanenav_rasterize(world, timeline->lanes, timeline->table, cells,
-                                 (FrameRead *)(cells + timeline->read_at), &timeline->records[n]);
+        memset(timeline->cells, 0, size);
+        code = lanenav_rasterize(world, timeline->lanes, timeline->table, timeline->cells,
+                                 (FrameRead *)(timeline->cells + timeline->read_at), &timeline->records[n]);
         if (code < 0)
             return code;
-        timeline->palettes[n] = cells;
-        timeline->cells = cells + timeline->stride;
+        timeline->palettes[n] = timeline->cells;
+        timeline->cells += timeline->stride;
         timeline->n_frames = n + 1;
     }
     return n;
@@ -500,31 +514,24 @@ int64_t lanenav_place(World *world, Start *start, const double *lanes, const dou
 }
 
 /* An episode's start on a timeline with no frame yet, from an empty table:
- * first (steps < 0) the lanes, drawn and packed into timeline->lanes by
- * lanenav_lanes; then the warm-up, warmup_steps steps of lanenav_world_step,
- * whose draws count in no spawn_draws; then lanenav_place on frame 0's
- * cells; last frame 0, through lanenav_advance. Returns the frame count,
- * 1, or a negative ERR_*, or 0 where a warm-up step or frame 0 has no room
- * yet (fewer than n_lanes free table rows, or no cells): a further call
- * goes on from there. */
+ * the lanes, drawn and packed into timeline->lanes by lanenav_lanes; then
+ * the warm-up, warmup_steps steps of lanenav_world_step, whose draws count
+ * in no spawn_draws; then lanenav_place on frame 0's cells; last frame 0,
+ * through lanenav_advance. The timeline grows where a step or frame 0 has
+ * no room. Returns the frame count, 1, or a negative ERR_*. */
 int64_t lanenav_start(Timeline *timeline, Start *start)
 {
     World *const world = &timeline->world;
-    int64_t code;
-    if (start->steps < 0) {
-        lanenav_lanes(world, start, NULL, timeline->lanes);
-        start->steps = 0;
-    }
-    for (; start->steps < start->warmup_steps; start->steps++) {
-        if (world->n_rows + world->n_lanes > world->capacity)
-            return 0;
-        if ((code = lanenav_world_step(world, timeline->lanes, timeline->table)) < 0)
+    int64_t step, code;
+    lanenav_lanes(world, start, NULL, timeline->lanes);
+    for (step = 0; step < start->warmup_steps; step++) {
+        if ((code = make_room(timeline, 1)) < 0 ||
+            (code = lanenav_world_step(world, timeline->lanes, timeline->table)) < 0)
             return code;
         world->n_rows = code;
     }
-    if (timeline->n_frames >= timeline->room)
-        return 0;
-    if ((code = lanenav_place(world, start, timeline->lanes, timeline->table, timeline->cells)) < 0)
+    if ((code = make_room(timeline, 0)) < 0 ||
+        (code = lanenav_place(world, start, timeline->lanes, timeline->table, timeline->cells)) < 0)
         return code;
     return lanenav_advance(timeline, 0);
 }

@@ -8,15 +8,15 @@ the agent's observations, and goal and death are read from them.
 The one episode loop is ``lanenav_play`` in ``_search.c``, driven by
 ``_episode``. It simulates the timeline's frames itself, with the frame loop
 ``lanenav_advance``, where a decision's window or the frame a step lands in
-is not simulated yet. A call plays steps until one ends the episode, until
-the timeline needs its next buffer of frames, or until a draw, an action or
-a Python model's frames the next step needs are not there; ``_episode``
-supplies it and calls again. So the random agent and a model with a window
-of the timeline (oracle, frozen; ``ForwardModel.window``) play an episode in
-one call plus one per buffer; any other model predicts in Python, one
-decision per call. The loop simulates the frames the Python loop it
-replaced did, in the same order, and no others. An episode's searches share
-its prior table (see ``mcts``); the loop returns the kernel's step table.
+is not simulated yet; where a frame has no room, the kernel grows the
+timeline through its grow callback and goes on. A call plays steps until one
+ends the episode or its given steps end. So the random agent and a model
+with a window of the timeline (oracle, frozen; ``ForwardModel.window``) play
+an episode in one call; any other model predicts in Python, and ``_episode``
+gives the kernel its frames and one step a call. The loop simulates the
+frames the Python loop it replaced did, in the same order, and no others.
+An episode's searches share its prior table (see ``mcts``); the loop returns
+the kernel's step table.
 
 The random draws are taken up front by ``_draws``: the planner's uniforms,
 ``rng.random(n)``, or the random agent's actions, ``rng.integers(8,
@@ -38,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .kernel import FRAME, NEED_ROOM, OUTCOMES, PLAY, PLAY_ENDED, STEP, check, library, zeroed
+from .kernel import FRAME, OUTCOMES, PLAY, PLAY_STOPPED, STEP, check, library, zeroed
 from .mcts import MCTSConfig, _pack_frames, _search, _search_tables
 from .models import ForwardModel, build_model, model_label
 from .seeding import STREAM_AGENT, STREAM_PLAN, episode_seed, substream
@@ -230,9 +230,11 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
     limit, which the timeline never reads; its grid and goal size are the
     timeline's.
 
-    The step table holds the kernel's ``Step`` of each step taken, in order,
-    as an array of ``np.dtype(STEP)``. The planner's searches share one
-    prior table of ``PRIOR_SLOTS`` slots, made here for the episode.
+    The kernel plays a model that predicts in Python one step a call, on its
+    frames of time t. The step table holds the kernel's ``Step`` of each
+    step taken, in order, as an array of ``np.dtype(STEP)``. The planner's
+    searches share one prior table of ``PRIOR_SLOTS`` slots, made here for
+    the episode.
     """
     cfg = timeline.config
     shape = (cfg.grid_h, cfg.grid_w)
@@ -248,39 +250,27 @@ def _episode(timeline: Timeline, world_cfg: WorldConfig, mcts_cfg: MCTSConfig, m
     records = zeroed(k * ctypes.sizeof(FRAME)) if model is not None and window is None else None
     steps, drawn = zeroed(max_steps * _STEP.itemsize), given.ctypes.data
     play = PLAY(search=_search(mcts_cfg, *tables[1:], timeline.start, world_cfg.agent_speed, shape, cfg.goal_size),
-                timeline=timeline._address, frames=None if records is None else ctypes.addressof(records), origin=-1,
+                timeline=timeline._address, frames=None if records is None else ctypes.addressof(records),
                 uniforms=None if model is None else drawn, actions=drawn if model is None else None,
                 steps=ctypes.addressof(steps), n_given=len(given), first=first, stride=stride, max_steps=max_steps,
                 temperature=mcts_cfg.temperature, pending=-1)
-    t, pending, decisions, keep, exception = 0, -1, 0, None, None
-    while True:
-        if records is not None and pending < 0 and t < len(given):
-            try:
-                # keep holds the occupancies the records point to while the kernel reads them.
-                packed, keep = _pack_frames(model.predict(timeline, t, k), k, shape)
-            except Exception as exc:  # diagnostic record instead of a crash
-                exception = exc
-                break
-            ctypes.memmove(records, packed, len(packed))
-            play.origin = t
-        status = timeline._call(_kernel, ctypes.byref(play))
-        t, pending, decisions = play.t, play.pending, play.decisions
+    status, exception = PLAY_STOPPED, None
+    while status == PLAY_STOPPED and play.t < len(given):
         try:
-            if status == NEED_ROOM:
-                timeline._grow()
-                continue
-            check(status)
-        except Exception as exc:
-            if pending >= 0:  # the frame a step lands in: out of the episode, as a raising world step was
+            if records is not None:
+                # keep holds the occupancies the records point to while the kernel reads them.
+                packed, keep = _pack_frames(model.predict(timeline, play.t, k), k, shape)
+                ctypes.memmove(records, packed, len(packed))
+                play.n_given = play.t + 1  # the one step these frames decide
+            status = check(timeline._call(_kernel, ctypes.byref(play)))
+        except Exception as exc:  # diagnostic record instead of a crash
+            if play.pending >= 0:  # the frame a step lands in: out of the episode, as a raising world step was
                 raise
-            decisions += status == NEED_ROOM  # one whose window had no room: the model's predict raised there
             exception = exc
             break
-        if status == PLAY_ENDED or t >= len(given):
-            break
     if window is not None:  # the kernel read the model's frames from the timeline: a call per decision
-        model.calls += decisions
-    return np.frombuffer(steps, _STEP, t), exception
+        model.calls += play.decisions
+    return np.frombuffer(steps, _STEP, play.t), exception
 
 
 def verify_replay(record: EpisodeRecord) -> bool:

@@ -52,9 +52,8 @@ LEFT_TO_RIGHT = 1
 RIGHT_TO_LEFT = -1
 PLACEMENT_RETRIES = 1000  # the cells a start tries for the agent, then for the goal's corner, before it fails
 MAX_LEN1 = 2147483647  # the largest body length - 1 the world kernels index with; its cells are exact in doubles
-PLAY_STOPPED = 0  # lanenav_play's return when a draw, an action or the model's frames a step needs are not there
+PLAY_STOPPED = 0  # lanenav_play's return when its given steps end: t reached n_given
 PLAY_ENDED = 1  # lanenav_play's return when the last step met a terminal outcome
-NEED_ROOM = 2  # lanenav_play's return when the next frame of its timeline has no room yet
 RLE_ROOM = 6  # the bytes of RLE text lanenav_frame_to_rle may write per cell of its frame
 # lanenav_rle_to_frame's returns for a line with a token that is not "value:count" of ASCII digits, and for one
 # with a token whose value is past GOAL or whose count is past the frame's cells; it writes where the token starts.
@@ -151,21 +150,21 @@ WORLD = Layout("World", height="q", width="q", n_lanes="q", goal_size="q", spawn
                goal_vx="d", goal_vy="d", n_drawn="q")
 # A timeline's world as lanenav_advance simulates it (world.Timeline): the world, its lane and obstacle tables;
 # the palette frame and record of each time t < n_frames, the cells of frame n_frames, each later frame stride
-# bytes on with its FrameRead read_at bytes in, up to frame room; the raw Poisson total of its steps.
+# bytes on with its FrameRead read_at bytes in, up to frame room; the raw Poisson total of its steps; its grow,
+# called where a frame or step has no room, which may move cells, table, palettes and records.
 TIMELINE = Layout("Timeline", world=WORLD, lanes=("P", "double *"), table=("P", "double *"),
                   palettes=("P", "const uint8_t **"), records=("P", "Frame *"), cells=("P", "uint8_t *"), read_at="q",
-                  stride="q", n_frames="q", room="q", spawn_draws="q")
+                  stride="q", n_frames="q", room="q", spawn_draws="q", grow=("P", "grow_fn"))
 # What an episode's start reads and writes besides its world (world.Timeline, world.new_episode): the obstacle
 # classes, each a lane table row whose DIRECTION and ROW are unread, and the lanes' rows; the placement's
-# generator; the warm-up's length and the goal's speed; the warm-up steps taken, -1 before the lanes are drawn;
-# then what the placement writes, the agent's start.
+# generator; the warm-up's length and the goal's speed; then what the placement writes, the agent's start.
 START = Layout("Start", classes=("P", "const double *"), n_classes="q", rows=("P", "const int64_t *"),
-               place=("P", "bitgen_t *"), warmup_steps="q", goal_speed="d", steps="q", x="d", y="d")
+               place=("P", "bitgen_t *"), warmup_steps="q", goal_speed="d", x="d", y="d")
 # A run of an episode's steps, set by harness.py: the planner's search settings, whose (x0, y0) is the
 # agent's start; the timeline it advances; what the harness updates; what stays; what the kernel writes back.
+# lanenav_play runs until a step ends the episode or its given steps end: t reaches n_given.
 PLAY = Layout("Play", search=SEARCH, timeline=("P", "Timeline *"),
-              frames=("P", "const Frame *"),  # the model's k frames of decision time origin; NULL: the timeline's
-              origin="q",
+              frames=("P", "const Frame *"),  # the model's k frames of the decision; NULL: the timeline's
               uniforms=("P", "const double *"),  # the planner's uniform draw for its pick at time t, t < n_given
               actions=("P", "const int64_t *"),  # the action taken at time t, t < n_given; NULL: the planner picks
               steps=("P", "Step *"),  # room for max_steps: the step from time t at steps[t]
@@ -173,7 +172,7 @@ PLAY = Layout("Play", search=SEARCH, timeline=("P", "Timeline *"),
               first="q", stride="q",  # the frame of depth d + 1 at time t is that of time t + first + stride * d
               max_steps="q", temperature="d",
               t="q",  # the time of the next step
-              pending="q",  # the action of time t taken before its frame t + 1 was simulated, -1 for none
+              pending="q",  # the action of time t whose landing frame t + 1 failed to simulate, else -1
               decisions="q")  # the planner's decisions so far: its searches, and one whose frames failed
 # What lanenav_read_frame writes: the column and row sums of the goal cells, then the obstacle mask, 1 on cells
 # of values 1..GOAL - 1.
@@ -211,6 +210,8 @@ ERRORS = {
     "ERR_NO_FREE_CELL": (-17, PlacementError, "no obstacle-free pixel for the agent"),
     "ERR_AGENT_PLACEMENT": (-18, PlacementError, "agent placement failed"),
     "ERR_GOAL_PLACEMENT": (-19, PlacementError, "goal placement failed"),
+    # A timeline's grow raised, or made no room: world.Timeline._call raises what it raised instead.
+    "ERR_GROW": (-20, MemoryError, "a timeline's grow made no room"),
 }
 _RAISES = {code: (error, message) for code, error, message in ERRORS.values()}
 
@@ -239,11 +240,11 @@ HEADER = "\n".join([
     "#include <stddef.h>", "#include <stdint.h>", '#include "numpy/random/bitgen.h"',
     *(f"#define {name} ({globals()[name]})"
       for name in ("N_ACTIONS MAX_DEPTH FREE GOAL LEFT_TO_RIGHT RIGHT_TO_LEFT PLACEMENT_RETRIES N_COLUMNS "
-                   "N_LANE_COLUMNS MAX_LEN1 PLAY_STOPPED PLAY_ENDED NEED_ROOM RLE_ROOM BAD_RLE_GRAMMAR BAD_RLE_RANGE "
+                   "N_LANE_COLUMNS MAX_LEN1 PLAY_STOPPED PLAY_ENDED RLE_ROOM BAD_RLE_GRAMMAR BAD_RLE_RANGE "
                    "GOAL_REACH").split()),
     *(f"#define {name} ({code})" for name, (code, _, _) in ERRORS.items()),
     *(f"enum {{ {', '.join(names)} }};" for names in (OUTCOMES, OBSTACLE_COLUMNS, LANE_COLUMNS)),
-    "typedef double (*hypot_fn)(double, double);",
+    "typedef double (*hypot_fn)(double, double);", "typedef int64_t (*grow_fn)(void);",
     *(layout.typedef() for layout in (NODE, PRIOR, SEARCH, FRAME, STEP, WORLD, TIMELINE, START, PLAY, FRAME_READ)),
     *(f"int64_t {name}({', '.join(parameters)});" for name, parameters in FUNCTIONS.items()),
 ]) + "\n"

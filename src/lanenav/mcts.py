@@ -108,6 +108,8 @@ class MCTSConfig:
             raise ConfigError("c_puct must be >= 0")
         if self.prior_kappa < 0:
             raise ConfigError("prior_kappa must be >= 0")
+        if self.shaping_beta < 0:
+            raise ConfigError("shaping_beta must be >= 0")
 
 
 class _Tree:

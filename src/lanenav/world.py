@@ -64,14 +64,16 @@ import contextlib
 import ctypes
 import math
 import sys
+import weakref
 from array import array
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .kernel import (FRAME, FRAME_READ, FREE, GOAL, GOAL_REACH, HEAD, LANE, LANE_COLUMNS, LEFT_TO_RIGHT, LEN1,
-                     N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, RIGHT_TO_LEFT, SPEED, START, TIMELINE, WORLD,
-                     PlacementError, check, library, zeroed)
+from .kernel import (ERRORS, FRAME, FRAME_READ, FREE, GOAL, GOAL_REACH, HEAD, LANE, LANE_COLUMNS, LEFT_TO_RIGHT,
+                     LEN1, N_ACTIONS, N_COLUMNS, N_LANE_COLUMNS, OUTCOMES, RIGHT_TO_LEFT, SPEED, START, TIMELINE,
+                     WORLD, PlacementError, check, library, zeroed)
 from .seeding import STREAM_CLASS, STREAM_PLACE, STREAM_SPAWN, clone_rng, substream
 
 # Frame palette values are FREE, the obstacle classes' 1..5, and GOAL (6); a lane's direction, the sign of its
@@ -88,7 +90,8 @@ MAX_GRID = 128
 MAX_WARMUP_STEPS = 5000
 MAX_ARRIVALS = 32.0
 MAX_BODY = 64
-MAX_STEPS = 100_000  # an episode's draws and steps take about 4 MB at this bound
+MAX_STEPS = 100_000  # a timeline keeps a frame per step, 4624 bytes on the default grid: 441 MiB at this bound
+MAX_FRAME_CELLS = 2**28  # of max_steps * grid_h * grid_w: a MAX_GRID grid's 3.1 GiB of frames is refused
 MAX_GOAL_SPEED = float(MAX_GRID)  # the goal's wall reflection makes one pass per grid width travelled
 WORLD_INT_KEYS = ("grid_h", "grid_w", "goal_size", "max_steps", "warmup_steps", "master_seed")
 
@@ -241,6 +244,8 @@ class WorldConfig:
                                     arrivals, MAX_ARRIVALS)):
             if value > bound:
                 raise ConfigError(f"{name} must be <= {bound:g}, got {value!r}")
+        if (cells := self.max_steps * self.grid_h * self.grid_w) > MAX_FRAME_CELLS:
+            raise ConfigError(f"max_steps * grid_h * grid_w must be <= 2**28 = {MAX_FRAME_CELLS}, got {cells}")
         if len(set(self.lane_rows)) != len(self.lane_rows):
             raise ConfigError("lane_rows must be distinct")
         for row in self.lane_rows:
@@ -362,8 +367,7 @@ def _start(config: WorldConfig, rows, place: np.random.Generator | None = None) 
                    DIRECTION=0, ROW=0, VALUE=cls.class_id)
         classes.extend(row[name] for name in LANE_COLUMNS)
     start = START(classes=classes.buffer_info()[0], n_classes=len(config.obstacle_classes),
-                  rows=rows.buffer_info()[0], warmup_steps=config.warmup_steps, goal_speed=config.goal_speed,
-                  steps=-1)
+                  rows=rows.buffer_info()[0], warmup_steps=config.warmup_steps, goal_speed=config.goal_speed)
     if place is not None:
         start.place = _bitgen_address(place.bit_generator)
     start.keep = classes, rows, place  # what the addresses point into
@@ -678,11 +682,24 @@ def new_episode(config: WorldConfig, episode_seed: int) -> WorldState:
 
 HISTORY_LEN = 4
 _CHUNK = 16  # the frames of a timeline's kernel buffer
+_GROW = ctypes.CFUNCTYPE(ctypes.c_int64)  # a timeline's grow as the kernels call it: 0 once it made room
 
 
 def _check_time(t: int) -> None:
     if t < 0:
         raise ValueError(f"a timeline's time t must be >= 0, got {t}")
+
+
+def _grown(reference: weakref.ref) -> int:
+    """The kernel's grow of the timeline ``reference`` refers to: its ``_grow``, then 0; or ERR_GROW, what it raised
+    kept for ``Timeline._call`` (ctypes would drop it). The locks are held: it may call no ``Generator`` method."""
+    timeline = reference()
+    try:
+        timeline._grow()
+    except BaseException as error:
+        timeline._raised.append(error)
+        return ERRORS["ERR_GROW"][0]
+    return 0
 
 
 @dataclass(frozen=True)
@@ -717,9 +734,10 @@ class Timeline:
     then paints, reads and records each new frame: its mask, goal pixel sums
     and ``kernel.FRAME`` record for the search. ``frame`` runs it for
     readers, the episode loop in C for its steps, with the generators' locks
-    held; both calls return for each buffer of ``_CHUNK`` frames and for
-    table room, which ``_grow`` makes. By time, the timeline keeps each
-    frame's address (``palettes``) and record (``records``).
+    held. Each runs to completion: where a frame or a step has no room, it
+    calls the timeline's grow, which runs ``_grow`` (``_CHUNK`` more frames,
+    a larger table). By time, the timeline keeps each frame's address
+    (``palettes``) and record (``records``).
     """
 
     def __init__(self, config: WorldConfig, episode_seed: int) -> None:
@@ -729,7 +747,7 @@ class Timeline:
                     _world(config, config.goal_size, lanes, 0, GoalState(0.0, 0.0, config.goal_speed, 0.0), rngs))
         start = _start(config, config.lane_rows, substream(episode_seed, STREAM_PLACE))
         with _naming(episode_seed):
-            self._run(library.lanenav_start, self._address, ctypes.byref(start))
+            check(self._call(library.lanenav_start, self._address, ctypes.byref(start)))
         self.start = (start.x, start.y)
 
     @classmethod
@@ -745,8 +763,8 @@ class Timeline:
 
     def _setup(self, config: WorldConfig, episode_seed: int, rngs: tuple, lanes, table, world: WORLD) -> None:
         """Everything but the start: the kernel's Timeline of ``world``, whose generators are ``rngs``, on the
-        lane table ``lanes`` and the obstacle rows ``table`` (bytes or a buffer holding its rows), no frame yet,
-        and room for the first."""
+        lane table ``lanes`` and the obstacle rows ``table`` (bytes or a buffer holding its rows), no frame and
+        no room yet, which the kernel grows."""
         self.config = config
         self.episode_seed = episode_seed
         self.palettes, self.records = array("Q"), array("B")
@@ -759,13 +777,14 @@ class Timeline:
         self._histories: dict[int, History] = {}
         self._chunks: list[tuple[np.ndarray, np.ndarray]] = []  # per buffer: its palette frames and masks
         self._chunk = _CHUNK
+        self._raised: list[BaseException] = []  # what _grow raised inside the kernel call under way
+        self._grower = _GROW(partial(_grown, weakref.ref(self)))  # by weak reference: no cycle, so no GC wait
         cells = config.grid_h * config.grid_w
         read_at = -(-cells // 8) * 8
         stride = -(-(read_at + ctypes.sizeof(FRAME_READ) + cells) // 8) * 8
         self._timeline = TIMELINE(world=world, lanes=ctypes.cast(lanes, ctypes.c_void_p).value, read_at=read_at,
-                                  stride=stride)
+                                  stride=stride, grow=ctypes.cast(self._grower, ctypes.c_void_p).value)
         self._address = ctypes.addressof(self._timeline)
-        self._grow()
 
     def __len__(self) -> int:
         return self._timeline.n_frames
@@ -775,16 +794,12 @@ class Timeline:
         return self._timeline.spawn_draws
 
     def _call(self, function, *args) -> int:
-        """``function(*args)``, a kernel call that may advance this timeline, with its generators' locks held."""
-        return _locked(self._locks, function, *args)
-
-    def _run(self, function, *args) -> None:
-        """``function(*args)``, a kernel call that advances this timeline, made again with room until it
-        returns a frame count; then the frames it simulated."""
-        while not (count := self._call(function, *args)):  # no room: make it
-            self._grow()
-        frames, size, chunks = self._frames, self._chunk, self._chunks
-        frames.extend(chunks[i // size][0][i % size] for i in range(len(frames), check(count)))
+        """``function(*args)``, a kernel call that may advance this timeline, with its generators' locks held;
+        what ``_grow`` raised inside it is raised again, else its return is returned."""
+        code = _locked(self._locks, function, *args)
+        if self._raised:  # held by no local, so the frames of its traceback form no cycle with it
+            raise self._raised.pop()
+        return code
 
     def _grow(self) -> None:
         """Room for the kernel to go on: where the last buffer is full, one of ``_CHUNK`` more frames, the arrays
@@ -812,7 +827,8 @@ class Timeline:
         frames = self._frames
         if not 0 <= t < len(frames):
             _check_time(t)
-            self._run(library.lanenav_advance, self._address, t)
+            count, size = check(self._call(library.lanenav_advance, self._address, t)), self._chunk
+            frames.extend(self._chunks[i // size][0][i % size] for i in range(len(frames), count))
         return frames[t]
 
     def predicted(self, t: int) -> PredictedFrame:

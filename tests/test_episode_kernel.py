@@ -8,9 +8,10 @@ bit: the same steps (positions compared by ``repr``, so -0.0 and 0.0 differ),
 outcome, error text and model calls, and it must simulate exactly the frames
 the Python loop simulated.
 
-Each episode is played on a fresh timeline, where the kernel gets one frame
-at a time, and again on a timeline the reference already simulated, where a
-model with a window plays the whole episode in one kernel call.
+Each episode is played on a fresh timeline, where the kernel simulates and
+grows it as it plays, and again on a timeline the reference already
+simulated; either way a model with a window plays the whole episode in one
+kernel call.
 """
 from __future__ import annotations
 
@@ -138,7 +139,7 @@ def test_window_that_raises_at_decision_j(spec, monkeypatch):
     that fails to simulate in a decision's window ends the episode where the model's ``predict`` would
     have raised, and counts as its call. Frozen's window is frame t, which the step into t simulated, so
     there the failure comes from that step, out of both loops. The failure is the new buffer of frames
-    that frame 6 asks for: with buffers of 3 frames the kernel asks for it in the middle of its run."""
+    that frame 6 needs: with buffers of 3 frames the kernel grows for it in the middle of its run."""
     monkeypatch.setattr(world, "_CHUNK", 3)
 
     class RaisingTimeline(Timeline):

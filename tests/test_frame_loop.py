@@ -8,9 +8,9 @@ must give, frame by frame, what ``conftest.reference_world_step`` and
 ``reference_render_frame`` give on ``new_episode`` of the same seed: the palette
 frame, its ``Frame`` record (the mask's address and the goal centre), and
 after each frame both generators' states, the raw Poisson total and the
-goal. With buffers of 1 or 2 frames (``_CHUNK`` patched) the kernel returns
-for a new buffer in the middle of an episode, and the states are compared
-at every such return; a goal as fast as ``MAX_GOAL_SPEED`` on a small grid
+goal. With buffers of 1 or 2 frames (``_CHUNK`` patched) the kernel grows
+the timeline in the middle of an episode, and the states are compared at
+every such grow; a goal as fast as ``MAX_GOAL_SPEED`` on a small grid
 bounces several times in one step.
 """
 from __future__ import annotations
@@ -51,7 +51,7 @@ def configs(draw) -> WorldConfig:
 
 def start(cfg: WorldConfig, seed: int, chunk: int, patch: pytest.MonkeyPatch) -> tuple[Timeline, WorldState, dict]:
     """A timeline of buffers of ``chunk`` frames, ``new_episode`` of its seed for the reference, and what the
-    timeline held at each return of the kernel for a new buffer, by the steps it had simulated."""
+    timeline held each time the kernel grew it, by the steps it had simulated."""
     patch.setattr(world, "_CHUNK", chunk)
     returns = {}
     grow = Timeline._grow
@@ -83,7 +83,7 @@ def reference_bits(state: WorldState) -> tuple:
 
 def assert_frames(timeline: Timeline, reference: WorldState, returns: dict) -> None:
     """Every frame the timeline simulated against the reference stepped as far, and the states at each
-    return for a buffer and at the end."""
+    grow and at the end."""
     for t in range(len(timeline)):
         if t:
             reference_world_step(reference)

@@ -517,6 +517,16 @@ class TestConfigValidation:
     def test_zero_c_puct_accepted(self):
         MCTSConfig(c_puct=0.0).validate()
 
+    def test_negative_shaping_beta_rejected(self):
+        """A negative beta would make a leaf's value grow with its distance from the goal."""
+        with pytest.raises(ConfigError, match=r"^shaping_beta must be >= 0$"):
+            MCTSConfig(shaping_beta=-5.0)
+        MCTSConfig(shaping_beta=0.0)
+
+    def test_large_shaping_beta_accepted(self):
+        """No upper bound (README): a leaf's shaping term is at most beta for a goal on the grid."""
+        assert MCTSConfig(shaping_beta=1e300).shaping_beta == 1e300
+
     @pytest.mark.parametrize("field, bound", [("n_rollouts", MAX_ROLLOUTS), ("rollout_length", MAX_ROLLOUT_LENGTH)])
     def test_size_bound_at_limit_and_one_past(self, field, bound):
         assert getattr(MCTSConfig(**{field: bound}), field) == bound

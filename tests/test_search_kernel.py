@@ -444,7 +444,7 @@ class TestLoader:
         the generated header: neither source restates one of them."""
         defined = set(re.findall(r"^#define (\w+)", kernel.HEADER, re.MULTILINE))
         assert defined >= {"N_ACTIONS", "MAX_DEPTH", "GOAL", "N_COLUMNS", "N_LANE_COLUMNS", "MAX_LEN1", "PLAY_ENDED",
-                           "PLAY_STOPPED", "NEED_ROOM", *kernel.ERRORS}
+                           "PLAY_STOPPED", *kernel.ERRORS}
         enumerated = {name.strip() for body in re.findall(r"\benum\s*\{([^}]*)\}", kernel.HEADER)
                       for name in body.split(",")}
         assert enumerated == {*kernel.OUTCOMES, *kernel.OBSTACLE_COLUMNS, *kernel.LANE_COLUMNS}
@@ -524,6 +524,9 @@ PARENT_ERRORS = {
     "ERR_NO_FREE_CELL": (-17, PlacementError, "no obstacle-free pixel for the agent"),
     "ERR_AGENT_PLACEMENT": (-18, PlacementError, "agent placement failed"),
     "ERR_GOAL_PLACEMENT": (-19, PlacementError, "goal placement failed"),
+    # Where a timeline's kernel call returned for room, the grow it calls now raised (Timeline._call raises
+    # that exception instead) or made no room.
+    "ERR_GROW": (-20, MemoryError, "a timeline's grow made no room"),
 }
 
 

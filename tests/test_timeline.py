@@ -199,14 +199,14 @@ def test_timeline_freed_without_cyclic_gc_when_the_batch_moves_on(monkeypatch):
             refs.append(weakref.ref(self))
 
     alive = []
-    play = harness._play
+    episode = harness._episode
 
-    def tracked_play(timeline, *args, **kwargs):
+    def tracked_episode(timeline, *args, **kwargs):
         alive.append([ref() is not None for ref in refs])
-        return play(timeline, *args, **kwargs)
+        return episode(timeline, *args, **kwargs)
 
     monkeypatch.setattr(harness, "Timeline", TrackedTimeline)
-    monkeypatch.setattr(harness, "_play", tracked_play)
+    monkeypatch.setattr(harness, "_episode", tracked_episode)
     world_cfg = WorldConfig()
     cell_world = replace(world_cfg.for_speed("2x"), max_steps=40)
     cells = [(cell_world, MCTSConfig(n_rollouts=10, rollout_length=k), spec)
@@ -217,7 +217,7 @@ def test_timeline_freed_without_cyclic_gc_when_the_batch_moves_on(monkeypatch):
         harness._bench_batch(world_cfg, cells, tasks)
     finally:
         gc.enable()
-    assert len(refs) == 3
+    assert len(refs) == 3 and len(alive) == len(tasks)
     # At every episode only the timeline of its own seed is alive.
     for (_, ei, _), flags in zip(tasks, alive):
         assert flags == [i == ei for i in range(ei + 1)]

@@ -20,6 +20,7 @@ from lanenav.world import (
     LEFT_TO_RIGHT,
     MAX_ARRIVALS,
     MAX_BODY,
+    MAX_FRAME_CELLS,
     MAX_GOAL_SPEED,
     MAX_GRID,
     MAX_STEPS,
@@ -242,6 +243,17 @@ class TestConfigBounds:
         make(bound)
         with pytest.raises(ConfigError, match=re.escape(name)):
             make(_past(bound))
+
+    def test_frame_cells_at_limit_and_one_past(self):
+        """A timeline keeps a frame per step, so max_steps * grid_h * grid_w is bounded too; the default grid
+        keeps the whole of max_steps' own range."""
+        assert WorldConfig(max_steps=MAX_STEPS).max_steps == MAX_STEPS
+        steps = MAX_FRAME_CELLS // MAX_GRID**2  # 2**14 steps on the largest grid are the bound exactly
+        assert steps * MAX_GRID**2 == MAX_FRAME_CELLS
+        WorldConfig(grid_h=MAX_GRID, grid_w=MAX_GRID, max_steps=steps)
+        with pytest.raises(ConfigError, match=re.escape(f"max_steps * grid_h * grid_w must be <= 2**28 = "
+                                                        f"{MAX_FRAME_CELLS}, got {MAX_FRAME_CELLS + MAX_GRID**2}")):
+            WorldConfig(grid_h=MAX_GRID, grid_w=MAX_GRID, max_steps=steps + 1)
 
     @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400])
     def test_integer_too_large_for_a_float_is_not_finite(self, value):

@@ -125,7 +125,7 @@ DENSE = WorldConfig(grid_h=128, grid_w=2, lane_rows=tuple(range(128)), level=0.2
                                                     length_jitter=0.0),),
                     goal_size=1, warmup_steps=30)
 # One busy lane whose bodies, a cell long at a cell a step, fill the timeline's first table (48 rows for one
-# lane) during the warm-up, so that the start returns for room.
+# lane) during the warm-up, so that the start grows.
 BUSY = WorldConfig(grid_h=3, grid_w=64, lane_rows=(1,), level=80.0, spawn_base_rate=0.2,
                    obstacle_classes=(ObstacleClass(2, mean_speed=1.0, speed_jitter=0.0, mean_length=1.0,
                                                    length_jitter=0.0),),
@@ -221,7 +221,7 @@ def test_placements_that_retry_or_fail(cfg, seed, message):
 
 
 def test_a_busy_warm_up_returns_for_table_room():
-    """The timeline's start returns for a larger table in the middle of the warm-up, and goes on as
+    """The timeline's start grows a larger table in the middle of the warm-up, and goes on as
     ``new_episode`` warms up."""
     grown = []
     grow = Timeline._grow
